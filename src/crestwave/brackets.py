@@ -83,11 +83,19 @@ class MonotoneMap:
         x_ext = np.concatenate([dense_x - L, dense_x, dense_x + L])
         h_ext = np.concatenate([dense_h - L, dense_h, dense_h + L])
         x0 = np.interp(grid.nodes, h_ext, x_ext)
+        dev = grid.evaluator(self.deviation)
+        dev_ap = grid.evaluator(grid.deriv(self.deviation).real)
         for _ in range(4):
-            res = self(x0) - grid.nodes
-            slope = 1.0 + grid.interpolate_real(grid.deriv(self.deviation).real, x0)
-            x0 = x0 - res / slope
+            res = x0 + dev(x0) - grid.nodes
+            x0 = x0 - res / (1.0 + dev_ap(x0))
         return MonotoneMap(grid, x0 - grid.nodes)
+
+
+def lagrangian_jacobian(map_):
+    """(h_alpha o h^{-1}) on the grid nodes: the Jacobian of map_ in the
+    labels of its image."""
+    inv = map_.inverse()
+    return map_.grid.interpolate_real(map_.jacobian(), inv.values)
 
 
 def invert_map(map_):

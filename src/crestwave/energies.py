@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .brackets import lagrangian_jacobian
 from .errors import DegenerateJacobianError
 from .evolution import ABS_ZP_FLOOR, compute_derived
 
@@ -254,17 +255,12 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     def delta(fa, fb):
         return fa - grid.interpolate(fb, htil.values)
 
-    def lag_jacobian(map_):
-        # (h_alpha o h^{-1})(a') evaluated on the grid
-        inv = map_.inverse()
-        return grid.interpolate_real(map_.jacobian(), inv.values)
-
     comp = {
         "fd_delta_Zt_Hhalf": grid.hhalf_norm(delta(a.Zt, b.Zt)),
         "fd_delta_Ztt_Hhalf": grid.hhalf_norm(delta(der_a.Ztt, der_b.Ztt)),
         "fd_delta_invZp_Hhalf": grid.hhalf_norm(delta(1.0 / a.Zp, 1.0 / b.Zp)),
         "fd_delta_halpha_L2": grid.l2_norm(
-            delta(lag_jacobian(pair.map_a), lag_jacobian(pair.map_b))
+            delta(lagrangian_jacobian(pair.map_a), lagrangian_jacobian(pair.map_b))
         ),
         "fd_delta_DapZt_L2": grid.l2_norm(
             delta(grid.deriv(a.Zt) / a.Zp, grid.deriv(b.Zt) / b.Zp)

@@ -11,10 +11,11 @@ Delta(f) = f_a - f_b o htilde.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .brackets import MonotoneMap, compose_maps
+from .brackets import MonotoneMap, compose_maps, lagrangian_jacobian
 from .energies import energy_delta, energy_sigma, f_delta_norm
 from .errors import CFLViolationError, CrestwaveError
 from .evolution import (
@@ -181,11 +182,6 @@ def _dt_theta(state, derived):
     return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
 
 
-def _lagrangian_jacobian(grid, map_):
-    inv = map_.inverse()
-    return grid.interpolate_real(map_.jacobian(), inv.values)
-
-
 _SELECTORS = {
     "Zt": lambda grid, st, der, mp: st.Zt,
     "Ztbar": lambda grid, st, der, mp: np.conj(st.Zt),
@@ -203,7 +199,7 @@ _SELECTORS = {
     "Ztt": lambda grid, st, der, mp: der.Ztt,
     "Zttbar": lambda grid, st, der, mp: np.conj(der.Ztt),
     "DapZt": lambda grid, st, der, mp: der.Ztap / st.Zp,
-    "h_alpha": lambda grid, st, der, mp: _lagrangian_jacobian(grid, mp) + 0j,
+    "h_alpha": lambda grid, st, der, mp: lagrangian_jacobian(mp) + 0j,
 }
 
 
@@ -377,13 +373,14 @@ def run_convergence_study(specs, stepper=None, jobs=1):
     """Run a list of PairRunSpec, merge deterministically by (sigma, epsilon)
     and fit the scaling diagnostics of the sweep."""
     specs = sorted(specs, key=lambda s: (s.sigma, s.epsilon))
+    run = partial(run_pair_once, stepper=stepper)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(run_pair_once, specs))
+            runs = list(pool.map(run, specs))
     else:
-        runs = [run_pair_once(s, stepper=stepper) for s in specs]
+        runs = [run(s) for s in specs]
     runs.sort(key=lambda r: (r.spec.sigma, r.spec.epsilon))
 
     ok = [r for r in runs if r.ok]

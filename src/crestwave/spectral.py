@@ -28,6 +28,12 @@ from .errors import HolomorphicityError
 
 TWO_PI = 2.0 * np.pi
 
+# non-uniform FFT of SpectralGrid.interpolate: kernel width in fine-grid
+# points, kernel shape parameter, and the Gauss-Legendre size of its transform
+_NUFFT_WIDTH = 16
+_NUFFT_BETA = 2.3 * _NUFFT_WIDTH
+_NUFFT_QUAD_NODES = 100
+
 
 def _require_finite(f, what="field"):
     f = np.asarray(f)
@@ -78,6 +84,7 @@ class SpectralGrid:
         self._nonpositive = (k_int <= 0) & (np.arange(n) != self.nyquist_index)
         cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
         self._dealias_mask = (np.abs(k_int) <= cutoff).astype(np.float64)
+        self._deconv = None
 
     # -- transforms ----------------------------------------------------
 
@@ -154,23 +161,26 @@ class SpectralGrid:
 
         The grid max undershoots the true peak by O((k dx)^2); here the
         argmax is seeded on an oversampled grid and polished by Newton on
-        |f|^2, making the value insensitive to the collocation offset.
+        |f|^2, making the value insensitive to the collocation offset.  When
+        Newton takes no step (a flat or constant field) the seed value is
+        returned as computed on the oversampled grid.
         """
         f = np.asarray(f, dtype=np.complex128)
         n2 = oversample * self.n
         dense = np.fft.ifft(self._padded_coeffs(f, n2) * n2)
         j = int(np.argmax(np.abs(dense)))
         x = j * self.length / n2
-        fp = self.deriv(f)
-        fpp = self.deriv(f, 2)
+        evals = [self.evaluator(a) for a in (f, self.deriv(f), self.deriv(f, 2))]
+        steps = 0
         for _ in range(newton_steps):
-            v, vp, vpp = (self.interpolate(a, x)[0] for a in (f, fp, fpp))
+            v, vp, vpp = (ev(x)[0] for ev in evals)
             u1 = 2.0 * (np.conj(v) * vp).real
             u2 = 2.0 * (abs(vp) ** 2 + (np.conj(v) * vpp).real)
             if u2 >= 0.0:
                 break
             x = x - u1 / u2
-        val = abs(self.interpolate(f, x)[0])
+            steps += 1
+        val = abs(evals[0](x)[0]) if steps else abs(dense[j])
         return float(max(val, np.max(np.abs(f))))
 
     def lp_norm(self, f, p):
@@ -209,32 +219,87 @@ class SpectralGrid:
         out = out + c[i_ny] * np.cos(self.k[i_ny] * x)
         return out
 
-    _OVERSAMPLE = 16
-    _STENCIL = np.arange(-2, 4)  # 6-point local Lagrange
-
     def interpolate(self, f, x):
         """Evaluate the trigonometric interpolant of f at arbitrary points.
 
-        Fast path: zero-padded FFT oversampling by 16x followed by 6-point
-        Lagrange interpolation on the dense grid; the residual against the
-        exact interpolant is O((k dx / 16)^6) per mode, i.e. rounding-level
-        for spectrally resolved fields.
+        Type-2 non-uniform FFT with the "exponential of semicircle" kernel
+        exp(beta (sqrt(1 - z^2) - 1)) of Barnett, Magland & af Klinteberg
+        (SIAM J. Sci. Comput. 41, 2019), with the oversampling and
+        deconvolution of Greengard & Lee (SIAM Review 46, 2004): the Fourier
+        coefficients are divided by the kernel transform, zero-padded onto a
+        grid twice as fine and transformed once; each target then sums
+        _NUFFT_WIDTH = 16 fine-grid values weighted by the kernel.  Matches
+        interpolate_direct to about 1e-14 relative to sup|f|, Nyquist mode
+        included; on large grids the rounding of the target coordinate adds
+        up to k_max |x| eps.  Real f gives a real result.  To evaluate one
+        field at several point sets, use evaluator(f) instead.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        n_dense = self._OVERSAMPLE * self.n
-        dense = np.fft.ifft(self._padded_coeffs(f, n_dense) * n_dense)
-        h = self.length / n_dense
-        pos = x / h
-        base = np.floor(pos).astype(np.int64)
-        t = pos - base
-        out = np.zeros(x.shape, dtype=np.complex128)
-        for m in self._STENCIL:
-            w = np.ones_like(t)
-            for j in self._STENCIL:
-                if j != m:
-                    w *= (t - j) / (m - j)
-            out += w * dense[(base + m) % n_dense]
-        return out
+        return self.evaluator(f)(x)
+
+    def evaluator(self, f):
+        """Spread f once onto the fine grid of interpolate(); the returned
+        callable evaluates the trigonometric interpolant of f at any array
+        of points, exactly as interpolate(f, x) does."""
+        f = np.asarray(f)
+        n, half, w = self.n, self.n // 2, _NUFFT_WIDTH
+        n_fine = 2 * n
+        deconv = self._nufft_deconvolution()
+        if np.isrealobj(f):
+            spec = np.zeros(n + 1, dtype=np.complex128)
+            spec[: half + 1] = np.fft.rfft(f) * deconv
+            parts = [np.fft.irfft(spec, n_fine)]
+        else:
+            c = np.fft.fft(f)
+            spec = np.zeros(n_fine, dtype=np.complex128)
+            spec[: half + 1] = c[: half + 1] * deconv
+            spec[-half:] = c[half:] * deconv[half:0:-1]
+            fine = np.fft.ifft(spec)
+            # real and imaginary parts apart, so real weights multiply real data
+            parts = [fine.real, fine.imag]
+        # windows[j] holds fine values j, ..., j + w - 1 (periodically)
+        windows = [
+            np.lib.stride_tricks.sliding_window_view(np.concatenate([p, p[: w - 1]]), w)
+            for p in parts
+        ]
+        scale = n_fine / self.length
+        offsets = (2.0 / w) * np.arange(w)
+
+        def evaluate(x):
+            t = scale * np.atleast_1d(np.asarray(x, dtype=np.float64))
+            base = np.floor(t)
+            # target t sees fine nodes base - w/2 + 1, ..., base + w/2 at the
+            # kernel coordinates z = 2 (t - node) / w, all within [-1, 1]
+            z = ((2.0 / w) * (t - base) + (1.0 - 2.0 / w))[..., None] - offsets
+            weights = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+            start = (base.astype(np.int64) - (w // 2 - 1)) % n_fine
+            out = [np.einsum("...j,...j->...", weights, win[start]) for win in windows]
+            return out[0] if len(out) == 1 else out[0] + 1j * out[1]
+
+        return evaluate
+
+    def _nufft_deconvolution(self):
+        """1 / (n psihat_m) for m = 0..n/2, the Nyquist entry halved.
+
+        psihat_m is the Fourier coefficient of the kernel placed at one fine
+        node; it is (w / 4n) Phi(pi w m / 2n), with Phi the kernel's Fourier
+        transform, so the entries are 4 / (w Phi).  Phi is computed by
+        Gauss-Legendre in theta after z = sin(theta), which removes the
+        square-root behaviour at the kernel's edges.  Built on first use and
+        cached on the grid.
+        """
+        if self._deconv is None:
+            w, half = _NUFFT_WIDTH, self.n // 2
+            nodes, weights = np.polynomial.legendre.leggauss(_NUFFT_QUAD_NODES)
+            theta = 0.5 * np.pi * nodes
+            # dz = cos(theta) dtheta and sqrt(1 - z^2) = cos(theta)
+            kernel = np.exp(_NUFFT_BETA * (np.cos(theta) - 1.0))
+            weights = 0.5 * np.pi * weights * np.cos(theta) * kernel
+            xi = (np.pi * w / (2.0 * self.n)) * np.arange(half + 1)
+            phi_hat = np.cos(np.outer(xi, np.sin(theta))) @ weights
+            deconv = 4.0 / (w * phi_hat)
+            deconv[half] *= 0.5
+            self._deconv = deconv
+        return self._deconv
 
     def _padded_coeffs(self, f, n_dense):
         c = self.coeffs(f)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crestwave.brackets import (
     BracketKernelConfig,
@@ -185,6 +187,21 @@ def test_invert_map_roundtrip():
     assert np.max(np.abs(m(inv.values) - g.nodes)) < 1e-10
     twice = invert_map(inv)
     assert np.max(np.abs(twice.deviation - m.deviation)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.integers(1, 12),
+    max_slope=st.floats(0.01, 0.9),
+    n=st.sampled_from([64, 128, 256]),
+)
+def test_map_of_inverse_is_identity(seed, n_modes, max_slope, n):
+    # h(h^{-1}(a)) = a for monotone maps with |h_ap - 1| up to 0.9
+    g = make_grid(n)
+    m = random_monotone_map(g, np.random.default_rng(seed), n_modes=n_modes, max_slope=max_slope)
+    inv = m.inverse()
+    assert np.max(np.abs(m(inv.values) - g.nodes)) < 1e-12
 
 
 def test_monotonicity_rejection():

@@ -188,3 +188,22 @@ def test_small_study_slopes():
         totals = np.array([rep.total for rep in r.delta_reports])
         ratios = totals[1:] / totals[:-1]
         assert np.all(ratios < 4.0) and np.all(ratios > 0.25)
+
+
+def test_parallel_study_matches_serial():
+    # the stepper configuration reaches the worker processes
+    specs = [
+        PairRunSpec(sigma=s, epsilon=0.2, nu=0.35, velocity_amplitude=0.05j,
+                    n_points=64, t_final=0.05, min_steps=8, record_every=4)
+        for s in (1e-2, 1e-3)
+    ]
+    stepper = StepperConfig(filter_on=False)
+    serial = run_convergence_study(specs, stepper=stepper, jobs=1)
+    parallel = run_convergence_study(specs, stepper=stepper, jobs=2)
+    for rs, rp in zip(serial.runs, parallel.runs, strict=True):
+        assert rs.ok and rp.ok
+        assert rs.n_steps == rp.n_steps and rs.dt == rp.dt
+        for family in ("delta_reports", "f_delta_reports", "sigma_a_reports"):
+            assert [r.to_json_dict() for r in getattr(rs, family)] == [
+                r.to_json_dict() for r in getattr(rp, family)
+            ]

@@ -3,6 +3,7 @@ import pytest
 
 from crestwave.errors import HolomorphicityError
 from crestwave.spectral import (
+    TWO_PI,
     apply_multiplier,
     dealias_filter,
     harmonic_extension_norms,
@@ -214,3 +215,57 @@ def test_interpolation_matches_direct():
     d = g.interpolate_direct(f, x)
     fast = g.interpolate(f, x)
     assert np.max(np.abs(d - fast)) < 1e-12
+
+
+def _nyquist_fields(g):
+    """A complex and a real resolved field, each with Nyquist content."""
+    a = TWO_PI * g.nodes / g.length
+    nyq = np.cos(np.pi * np.arange(g.n))
+    return (
+        np.exp(np.cos(a)) * np.exp(1j * np.sin(2 * a)) + 0.5 * nyq,
+        np.exp(np.sin(a)) + 0.3 * nyq + 0.2 * np.cos((g.n // 2 - 3) * a),
+    )
+
+
+@pytest.mark.parametrize("n", [64, 768, 2048])
+def test_interpolate_matches_direct_with_nyquist_content(n):
+    g = make_grid(n, length=5.0)
+    x = np.random.default_rng(n).uniform(-g.length, 2 * g.length, 300)
+    for f in _nyquist_fields(g):
+        d = g.interpolate_direct(f, x)
+        fast = g.interpolate(f, x)
+        assert np.max(np.abs(d - fast)) <= 1e-12 * np.max(np.abs(f))
+
+
+def test_interpolate_real_input_gives_real_output():
+    g = make_grid(256)
+    x = RNG.uniform(-g.length, 2 * g.length, 100)
+    f = _nyquist_fields(g)[1]
+    fast = g.interpolate(f, x)
+    d = g.interpolate_direct(f, x)
+    assert np.isrealobj(fast)
+    assert np.max(np.abs(d.imag)) <= 1e-14 * np.max(np.abs(f))
+    assert np.max(np.abs(fast - d.real)) <= 1e-12 * np.max(np.abs(f))
+    # the same values through the complex route, imaginary part at rounding
+    via_complex = g.interpolate(f + 0j, x)
+    assert np.max(np.abs(via_complex.imag)) <= 1e-14 * np.max(np.abs(f))
+
+
+def test_evaluator_is_bit_identical_to_interpolate():
+    g = make_grid(128, length=3.0)
+    for f in _nyquist_fields(g):
+        ev = g.evaluator(f)
+        for x in (RNG.uniform(-g.length, 2 * g.length, 50), g.nodes, 0.7):
+            assert np.array_equal(ev(x), g.interpolate(f, x))
+
+
+@pytest.mark.parametrize("n", [8, 128, 768])
+def test_sup_norm_of_constant_is_exact(n):
+    # Newton takes no step on a constant, so the oversampled seed value is
+    # returned: within two ulps of |c|, not at the interpolation error
+    g = make_grid(n)
+    rng = np.random.default_rng(n)
+    consts = (rng.standard_normal(50) + 1j * rng.standard_normal(50)) * 10 ** rng.uniform(-3, 3, 50)
+    for c in consts:
+        f = np.full(n, c)
+        assert abs(g.sup_norm(f) - abs(c)) <= 2 * np.finfo(float).eps * abs(c)
