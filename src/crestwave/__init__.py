@@ -37,7 +37,6 @@ from .evolution import (
     DerivedFields,
     StepperConfig,
     WaveState,
-    advance_lagrangian_map,
     cfl_bound,
     compute_derived,
     curvature_field,

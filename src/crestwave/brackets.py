@@ -23,13 +23,10 @@ class BracketKernelConfig:
     """Discretization policy for the singular difference kernels."""
 
     singularity_rule: str = "diagonal-limit"  # or "alternate-point"
-    quadrature_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.singularity_rule not in ("diagonal-limit", "alternate-point"):
             raise ValueError(f"unknown singularity rule {self.singularity_rule!r}")
-        if not self.quadrature_tolerance > 0:
-            raise ValueError("quadrature_tolerance must be positive")
 
 
 # -- monotone reparametrization maps ---------------------------------------

@@ -10,9 +10,10 @@ Layout (documented here and in the README):
                    "fields": ["Zdev", "Zp", "Zt"], "angle_field": true}
     then          three complex fields, each n little-endian float64
                   (re, im) pairs in grid order, followed by the tracked
-                  angle branch g as n little-endian float64
+                  angle branch g as n little-endian float64, and nothing
+                  after it
 
-Round-trips are bit-exact.
+Round-trips are bit-exact; a file of any other length is refused.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .evolution import WaveState
+from .evolution import make_state
 from .spectral import SpectralGrid
 
 MAGIC = b"CWCHKPT1"
@@ -51,19 +52,25 @@ def save_checkpoint(path, state):
 
 
 def load_checkpoint(path):
+    """State stored by save_checkpoint; raises ValueError on a file that is
+    not a checkpoint, is cut short or has trailing bytes, and on fields that
+    make_state rejects."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"not a crestwave checkpoint (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        n = int(header["n_points"])
-        grid = SpectralGrid(n, float(header["length"]), float(header["dealias_fraction"]))
-        fields = []
-        for _ in range(3):
-            fields.append(np.frombuffer(fh.read(16 * n), dtype="<c16").astype(np.complex128))
-        g = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
+        data = fh.read()
+    if data[:8] != MAGIC:
+        raise ValueError(f"not a crestwave checkpoint (magic {data[:8]!r})")
+    if len(data) < 12:
+        raise ValueError("checkpoint header is cut short")
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    if header.get("version") != 1:
+        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+    n = int(header["n_points"])
+    body = data[12 + hlen :]
+    if len(body) != 56 * n:
+        raise ValueError(f"checkpoint fields take {len(body)} bytes, expected {56 * n} for n = {n}")
+    grid = SpectralGrid(n, float(header["length"]), float(header["dealias_fraction"]))
+    fields = np.frombuffer(body, dtype="<c16", count=3 * n).astype(np.complex128).reshape(3, n)
+    g = np.frombuffer(body, dtype="<f8", offset=48 * n).astype(np.float64)
     Zdev, Zp, Zt = fields
-    return WaveState(grid, Zdev, Zp, Zt, float(header["sigma"]), float(header["time"]), g)
+    return make_state(grid, Zdev, Zp, Zt, float(header["sigma"]), float(header["time"]), g)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_config
-from .energies import energy_aux, energy_delta, energy_high, energy_sigma, f_delta_norm, write_reports_csv
+from .energies import energy_aux, energy_high, energy_sigma, write_reports_csv
 from .errors import (
     CFLViolationError,
     ConfigError,
@@ -37,9 +37,9 @@ from .errors import (
     HolomorphicityError,
     MonotonicityError,
 )
-from .evolution import StepperConfig, cfl_bound, compute_derived, flat_state, step_rk4
+from .evolution import StepperConfig, cfl_bound, compute_derived, flat_state, plan_steps, step_rk4
 from .initial_data import CrestSpec, crest_data, mollify_data
-from .pair import PairRunSpec, co_step, init_pair, run_convergence_study
+from .pair import PairRunResult, PairRunSpec, drive_pair, init_pair, run_convergence_study
 from .spectral import SpectralGrid
 
 EXIT_OK = 0
@@ -85,23 +85,12 @@ def build_initial_state(cfg):
     return state
 
 
-def _plan_steps(state, cfg):
-    bound = cfl_bound(state)
-    dt = 0.9 * cfg.stepper.dt_safety * bound
-    n_steps = int(np.ceil(cfg.physics.t_final / dt - 1e-12))
-    n_steps = max(n_steps, 1)
-    if n_steps > cfg.stepper.max_steps:
-        raise CFLViolationError(
-            f"{n_steps} steps needed for t_final = {cfg.physics.t_final}, "
-            f"above stepper.max_steps = {cfg.stepper.max_steps}"
-        )
-    return cfg.physics.t_final / n_steps, n_steps
-
-
 def cmd_simulate(cfg, outdir, seed):
     state = build_initial_state(cfg)
     stepper = _stepper(cfg)
-    dt, n_steps = _plan_steps(state, cfg)
+    dt, n_steps = plan_steps(
+        cfl_bound(state), cfg.physics.t_final, stepper.dt_safety, 1, cfg.stepper.max_steps
+    )
     families = [f for f in cfg.output.families if f in _FAMILY_FUNCS] or ["sigma"]
     if families == ["sigma"] and cfg.physics.sigma == 0.0:
         # zero-surface-tension runs record the higher-order and auxiliary
@@ -138,81 +127,62 @@ def cmd_simulate(cfg, outdir, seed):
 
 
 def cmd_pair(cfg, outdir, seed):
+    spec = _pair_spec(cfg, cfg.physics.sigma, cfg.data.epsilon)
     base = build_initial_state(cfg)
-    state_a = replace(base, sigma=cfg.physics.sigma)
-    state_b = replace(base, sigma=0.0)
-    pair = init_pair(state_a, state_b)
-    stepper = _stepper(cfg)
-    bound = min(cfl_bound(state_a), cfl_bound(state_b))
-    dt = min(0.9 * stepper.dt_safety * bound, cfg.physics.t_final / cfg.study.min_steps)
-    n_steps = int(np.ceil(cfg.physics.t_final / dt - 1e-12))
-    if n_steps > cfg.stepper.max_steps:
-        raise CFLViolationError(f"{n_steps} pair steps exceed stepper.max_steps")
-    dt = cfg.physics.t_final / n_steps
-
-    delta_series, f_series = [], []
-
-    def record(p):
-        der_a = compute_derived(p.state_a)
-        der_b = compute_derived(p.state_b)
-        delta_series.append(energy_delta(p))
-        f_series.append(f_delta_norm(p, der_a, der_b))
-
-    record(pair)
-    for i in range(n_steps):
-        pair = co_step(pair, stepper, dt)
-        if (i + 1) % cfg.output.record_interval == 0 or i + 1 == n_steps:
-            record(pair)
+    pair = init_pair(replace(base, sigma=spec.sigma), replace(base, sigma=0.0))
+    result = PairRunResult(spec)
+    drive_pair(pair, _stepper(cfg), result)
 
     os.makedirs(outdir, exist_ok=True)
-    write_reports_csv(os.path.join(outdir, "energy_delta.csv"), delta_series)
-    write_reports_csv(os.path.join(outdir, "energy_f_delta.csv"), f_series)
-    e0 = delta_series[0].total
-    sup = max(r.total for r in delta_series)
+    write_reports_csv(os.path.join(outdir, "energy_delta.csv"), result.delta_reports)
+    write_reports_csv(os.path.join(outdir, "energy_f_delta.csv"), result.f_delta_reports)
+    write_reports_csv(os.path.join(outdir, "energy_sigma_a.csv"), result.sigma_a_reports)
     report = {
         "command": "pair",
         "seed": seed,
-        "sigma": cfg.physics.sigma,
-        "n_steps": n_steps,
-        "dt": dt,
-        "e_delta_initial": e0,
-        "e_delta_sup": sup,
-        "growth_ratio": sup / e0 if e0 > 0 else None,
-        "f_delta_sup": max(r.total for r in f_series),
+        "sigma": spec.sigma,
+        "n_steps": result.n_steps,
+        "dt": result.dt,
+        "e_delta_initial": result.e_delta_initial,
+        "e_delta_sup": result.e_delta_sup,
+        "growth_ratio": result.growth_ratio if result.e_delta_initial > 0 else None,
+        "f_delta_sup": result.f_delta_sup,
     }
     with open(os.path.join(outdir, "pair_report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     return EXIT_OK
 
 
+def _pair_spec(cfg, sigma, epsilon):
+    """PairRunSpec of one (sigma, epsilon) point of the config."""
+    d, g = cfg.data, cfg.grid
+    return PairRunSpec(
+        sigma=sigma,
+        epsilon=epsilon,
+        nu=d.nu,
+        regularization_delta=d.delta,
+        velocity_amplitude=complex(d.vel_amp_re, d.vel_amp_im),
+        velocity_mode=d.vel_mode,
+        n_points=g.n_points,
+        length=g.length,
+        dealias=g.dealias,
+        t_final=cfg.physics.t_final,
+        dt_safety=cfg.stepper.dt_safety,
+        min_steps=cfg.study.min_steps,
+        max_steps=cfg.stepper.max_steps,
+        record_every=cfg.output.record_interval,
+    )
+
+
 def _study_specs(cfg):
-    su, d, g = cfg.study, cfg.data, cfg.grid
+    su = cfg.study
     if su.couple == "eps32":
         pairs = [(float(e) ** 1.5, float(e)) for e in su.epsilon_list]
     else:
         sigmas = su.sigma_list or (cfg.physics.sigma,)
-        epsilons = su.epsilon_list or (d.epsilon,)
+        epsilons = su.epsilon_list or (cfg.data.epsilon,)
         pairs = [(float(s), float(e)) for s in sigmas for e in epsilons]
-    specs = []
-    for s, e in pairs:
-        specs.append(
-            PairRunSpec(
-                sigma=s,
-                epsilon=e,
-                nu=d.nu,
-                regularization_delta=d.delta,
-                velocity_amplitude=complex(d.vel_amp_re, d.vel_amp_im),
-                velocity_mode=d.vel_mode,
-                n_points=g.n_points,
-                length=g.length,
-                t_final=cfg.physics.t_final,
-                dt_safety=cfg.stepper.dt_safety,
-                min_steps=cfg.study.min_steps,
-                max_steps=cfg.stepper.max_steps,
-                record_every=cfg.output.record_interval,
-            )
-        )
-    return specs
+    return [_pair_spec(cfg, s, e) for s, e in pairs]
 
 
 def cmd_sweep(cfg, outdir, seed, jobs):

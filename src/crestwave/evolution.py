@@ -18,10 +18,10 @@ enforced by projection after each step, with the removed mass logged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .brackets import MonotoneMap
 from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError
 from .spectral import SpectralGrid
 
@@ -83,16 +83,15 @@ def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0, g=None):
     Zdev = np.asarray(Zdev, dtype=np.complex128)
     Zp = np.asarray(Zp, dtype=np.complex128)
     Zt = np.asarray(Zt, dtype=np.complex128)
-    for name, arr in (("Zdev", Zdev), ("Zp", Zp), ("Zt", Zt)):
+    g = seed_angle(grid, Zp) if g is None else np.asarray(g, dtype=np.float64)
+    for name, arr in (("Zdev", Zdev), ("Zp", Zp), ("Zt", Zt), ("g", g)):
         if arr.shape != (grid.n,):
             raise ValueError(f"{name} must have shape ({grid.n},)")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
     if sigma < 0:
         raise ValueError(f"surface tension must be >= 0, got {sigma}")
-    if g is None:
-        g = seed_angle(grid, Zp)
-    return WaveState(grid, Zdev, Zp, Zt, float(sigma), float(time), np.asarray(g, float))
+    return WaveState(grid, Zdev, Zp, Zt, float(sigma), float(time), g)
 
 
 def flat_state(grid, sigma=0.0):
@@ -102,29 +101,52 @@ def flat_state(grid, sigma=0.0):
 
 @dataclass
 class DerivedFields:
-    """Per-state derived quantities of the evolution system."""
+    """Derived quantities of one state.
 
+    The right-hand-side set (b, A1, omega, Ztap, Ztt) is computed by
+    compute_derived; b_ap, Theta and the A1/Theta route gaps are
+    diagnostics, computed on first read.
+    """
+
+    grid: SpectralGrid
+    Zp: np.ndarray
+    Zt: np.ndarray
     b: np.ndarray
-    b_ap: np.ndarray
     A1: np.ndarray
     omega: np.ndarray
-    g_angle: np.ndarray
-    Theta: np.ndarray
     Ztt: np.ndarray
     Ztap: np.ndarray
     min_abs_Zp: float
-    a1_route_gap: float
-    theta_route_gap: float
-    warnings: tuple = ()
+
+    @cached_property
+    def b_ap(self):
+        return self.grid.deriv(self.b).real
+
+    @cached_property
+    def Theta(self):
+        """Weighted-derivative form i q - i Re (I - H) q, q = omega d_a (1/Z_ap)."""
+        q = self.omega * self.grid.deriv(1.0 / self.Zp)
+        return 1j * q - 1j * (q - self.grid.hilbert(q)).real
+
+    @cached_property
+    def a1_route_gap(self):
+        """A1 from the commutator form against the (I + H)-form."""
+        prod = self.Zt * np.conj(self.Ztap)
+        re_prod = prod.real
+        A1_alt = 1.0 + 1j * prod - 1j * (re_prod + self.grid.hilbert(re_prod))
+        return float(np.max(np.abs(self.A1 - A1_alt)))
+
+    @cached_property
+    def theta_route_gap(self):
+        """Theta against -i (I + H) D_a omega."""
+        dap_omega = (1.0 / self.Zp) * self.grid.deriv(self.omega)
+        Theta_alt = -1j * (dap_omega + self.grid.hilbert(dap_omega))
+        return float(np.max(np.abs(self.Theta - Theta_alt)))
 
 
 def compute_derived(state, check=True):
-    """All derived fields of the system for one state.
-
-    Cross-route checks: A1 is computed from the commutator form and compared
-    against the (I + H)-form; Theta comes from the weighted-derivative form
-    and is compared against -i (I + H) D_a omega.  Route gaps are recorded.
-    """
+    """The right-hand-side fields of the system for one state; the
+    diagnostics of DerivedFields follow on demand."""
     grid = state.grid
     Zp, Zt, sigma = state.Zp, state.Zt, state.sigma
     abs_Zp = np.abs(Zp)
@@ -137,48 +159,19 @@ def compute_derived(state, check=True):
 
     ratio = Zt * inv_Zp
     b = (ratio - grid.hilbert(ratio)).real
-    b_ap = grid.deriv(b).real
 
     prod = Zt * Ztbar_ap
     A1 = 1.0 - (Zt * grid.hilbert(Ztbar_ap) - grid.hilbert(prod)).imag
-    re_prod = prod.real
-    A1_alt = 1.0 + 1j * prod - 1j * (re_prod + grid.hilbert(re_prod))
-    a1_gap = float(np.max(np.abs(A1 - A1_alt)))
 
     omega = Zp / abs_Zp
-    q = omega * grid.deriv(inv_Zp)
-    Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
-    dap_omega = inv_Zp * grid.deriv(omega)
-    Theta_alt = -1j * (dap_omega + grid.hilbert(dap_omega))
-    theta_gap = float(np.max(np.abs(Theta - Theta_alt)))
-
-    curv_im = dap_omega.imag
     if sigma != 0.0:
+        curv_im = (inv_Zp * grid.deriv(omega)).imag
         capillary = sigma * inv_Zp * grid.deriv(curv_im + grid.hilbert(curv_im))
     else:
         capillary = 0.0
-    Ztt_bar = 1j - 1j * A1 * inv_Zp + capillary
-    Ztt = np.conj(Ztt_bar)
+    Ztt = np.conj(1j - 1j * A1 * inv_Zp + capillary)
 
-    warnings = ()
-    a1_min = float(A1.min())
-    if a1_min < 1.0 - A1_FLOOR_TOL:
-        warnings = (f"Taylor coefficient floor violated: min A1 = {a1_min:.12f}",)
-
-    return DerivedFields(
-        b=b,
-        b_ap=b_ap,
-        A1=A1,
-        omega=omega,
-        g_angle=state.g,
-        Theta=Theta,
-        Ztt=Ztt,
-        Ztap=Ztap,
-        min_abs_Zp=min_abs,
-        a1_route_gap=a1_gap,
-        theta_route_gap=theta_gap,
-        warnings=warnings,
-    )
+    return DerivedFields(grid, Zp, Zt, b, A1, omega, Ztt, Ztap, min_abs)
 
 
 def curvature_field(derived):
@@ -249,9 +242,42 @@ def cfl_bound(state, derived=None):
     return float(min(adv, disp))
 
 
-def _finish_fields(grid, cfg, Zdev, Zp, Zt):
-    """Post-step filtering and holomorphic projection; returns fields and
-    the removed positive-mode masses."""
+def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
+    """Fixed step (dt, n_steps) covering t_final exactly.
+
+    dt is the smaller of dt_safety * bound and t_final / min_steps, rounded
+    down to divide t_final; raises CFLViolationError above max_steps.
+    """
+    dt = min(dt_safety * bound, t_final / min_steps)
+    n_steps = int(np.ceil(t_final / dt - 1e-12))
+    if n_steps > max_steps:
+        raise CFLViolationError(
+            f"{n_steps} steps needed at dt = {dt:.3e} for t_final = {t_final}, "
+            f"above max_steps = {max_steps}"
+        )
+    return t_final / n_steps, n_steps
+
+
+def rk4(y0, rhs, dt, k1):
+    """One classical RK4 step of the tuple of arrays y0; rhs maps a tuple
+    of fields to the tuple of their time derivatives and k1 = rhs(y0)."""
+    k2 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
+    k3 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
+    k4 = rhs(tuple(y + dt * k for y, k in zip(y0, k3)))
+    return tuple(
+        y + (dt / 6.0) * (a + 2.0 * b_ + 2.0 * c + e)
+        for y, a, b_, c, e in zip(y0, k1, k2, k3, k4)
+    )
+
+
+def finish_step(state, cfg, dt, Zdev, Zp, Zt):
+    """Post-step filtering, holomorphic projection and guards.
+
+    Returns the state at time + dt and the removed positive-mode masses of
+    Z_ap - 1 and Zbar_t; raises on a degenerate Z_ap or on projected mass
+    above holo_tolerance times the size of the state.
+    """
+    grid = state.grid
     if cfg.filter_on:
         Zdev = grid.dealias(Zdev)
         Zp = grid.dealias(Zp)
@@ -264,36 +290,6 @@ def _finish_fields(grid, cfg, Zdev, Zp, Zt):
         Ztbar = np.conj(Zt)
         res_Zt = grid.positive_mode_mass(Ztbar)
         Zt = np.conj(grid.zero_positive_modes(Ztbar))
-    return Zdev, Zp, Zt, res_Zp, res_Zt
-
-
-def step_rk4(state, cfg, dt, monitor=None):
-    """One classical RK4 step; raises CFLViolationError when dt exceeds
-    dt_safety times the stability bound of the current state."""
-    grid = state.grid
-    d0 = compute_derived(state)
-    bound = cfl_bound(state, d0)
-    if dt > cfg.dt_safety * bound * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * bound = {cfg.dt_safety * bound:.3e}"
-        )
-
-    def stage(fields):
-        Zdev, Zp, Zt = fields
-        st = replace(state, Zdev=Zdev, Zp=Zp, Zt=Zt)
-        return rhs_eulerian(st)
-
-    y0 = (state.Zdev, state.Zp, state.Zt)
-    k1 = rhs_eulerian(state, d0)
-    k2 = stage(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
-    k3 = stage(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
-    k4 = stage(tuple(y + dt * k for y, k in zip(y0, k3)))
-    new = tuple(
-        y + (dt / 6.0) * (a + 2.0 * b_ + 2.0 * c + e)
-        for y, a, b_, c, e in zip(y0, k1, k2, k3, k4)
-    )
-
-    Zdev, Zp, Zt, res_Zp, res_Zt = _finish_fields(grid, cfg, *new)
     min_abs = float(np.min(np.abs(Zp)))
     if min_abs < ABS_ZP_FLOOR:
         raise DegenerateJacobianError(f"post-step min |Z_ap| = {min_abs:.3e}")
@@ -304,6 +300,25 @@ def step_rk4(state, cfg, dt, monitor=None):
         )
     g_new = continue_angle(Zp, state.g)
     out = WaveState(grid, Zdev, Zp, Zt, state.sigma, state.time + dt, g_new)
+    return out, (res_Zp, res_Zt)
+
+
+def step_rk4(state, cfg, dt, monitor=None):
+    """One classical RK4 step; raises CFLViolationError when dt exceeds
+    dt_safety times the stability bound of the current state."""
+    d0 = compute_derived(state)
+    bound = cfl_bound(state, d0)
+    if dt > cfg.dt_safety * bound * (1.0 + 1e-12):
+        raise CFLViolationError(
+            f"dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * bound = {cfg.dt_safety * bound:.3e}"
+        )
+
+    def stage(fields):
+        Zdev, Zp, Zt = fields
+        return rhs_eulerian(replace(state, Zdev=Zdev, Zp=Zp, Zt=Zt))
+
+    new = rk4((state.Zdev, state.Zp, state.Zt), stage, dt, rhs_eulerian(state, d0))
+    out, (res_Zp, res_Zt) = finish_step(state, cfg, dt, *new)
     if monitor is not None:
         d1 = compute_derived(out, check=False)
         monitor(
@@ -312,29 +327,12 @@ def step_rk4(state, cfg, dt, monitor=None):
                 dt=dt,
                 holo_residual_Zp=res_Zp,
                 holo_residual_Ztbar=res_Zt,
-                min_abs_Zp=min_abs,
+                min_abs_Zp=d1.min_abs_Zp,
                 a1_min=float(d1.A1.min()),
                 a1_route_gap=d1.a1_route_gap,
             )
         )
     return out
-
-
-def advance_lagrangian_map(map_, b_field, dt):
-    """RK4 step of dh/dt = b(h) for a time-frozen coordinate drift field,
-    with b evaluated at the map points by trigonometric interpolation."""
-    grid = map_.grid
-    b_field = np.asarray(b_field, dtype=np.float64)
-
-    def B(dev):
-        return grid.interpolate_real(b_field, grid.nodes + dev)
-
-    d = map_.deviation
-    k1 = B(d)
-    k2 = B(d + 0.5 * dt * k1)
-    k3 = B(d + 0.5 * dt * k2)
-    k4 = B(d + dt * k3)
-    return MonotoneMap(grid, d + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 @dataclass

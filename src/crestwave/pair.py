@@ -23,9 +23,10 @@ from .evolution import (
     WaveState,
     cfl_bound,
     compute_derived,
-    continue_angle,
+    finish_step,
+    plan_steps,
     rhs_eulerian,
-    _finish_fields,
+    rk4,
 )
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .spectral import SpectralGrid
@@ -66,87 +67,53 @@ class PairStepDiagnostics:
     holo_residuals: tuple
 
 
-def _tagged(tag, exc):
-    exc.args = (f"[solution {tag}] " + (str(exc.args[0]) if exc.args else ""),) + exc.args[1:]
-    return exc
+def _as_solution(tag, fn, *args):
+    """fn(*args), with a CrestwaveError tagged by the solution it came from."""
+    try:
+        return fn(*args)
+    except CrestwaveError as exc:
+        exc.args = (f"[solution {tag}] " + (str(exc.args[0]) if exc.args else ""),) + exc.args[1:]
+        raise
 
 
 def co_step(pair, cfg, dt, monitor=None):
-    """Advance both solutions and both flow maps by one shared RK4 step."""
+    """Advance both solutions and both flow maps by one shared RK4 step.
+
+    The RK4 state is the 8-tuple of both solutions' fields and both map
+    deviations, so the maps see stage-consistent drift fields.
+    """
     a, b = pair.state_a, pair.state_b
     grid = a.grid
-    try:
-        da = compute_derived(a)
-    except CrestwaveError as exc:
-        raise _tagged("a", exc)
-    try:
-        db = compute_derived(b)
-    except CrestwaveError as exc:
-        raise _tagged("b", exc)
+    da = _as_solution("a", compute_derived, a)
+    db = _as_solution("b", compute_derived, b)
     bound = min(cfl_bound(a, da), cfl_bound(b, db))
     if dt > cfg.dt_safety * bound * (1.0 + 1e-12):
         raise CFLViolationError(
             f"dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * pair bound = {cfg.dt_safety * bound:.3e}"
         )
 
-    def one_rhs(tag, state0, fields, map_dev, derived=None):
-        Zdev, Zp, Zt = fields
-        st = replace(state0, Zdev=Zdev, Zp=Zp, Zt=Zt)
-        try:
-            der = derived if derived is not None else compute_derived(st)
-            dZdev, dZp, dZt = rhs_eulerian(st, der)
-        except CrestwaveError as exc:
-            raise _tagged(tag, exc)
-        dmap = grid.interpolate_real(der.b, grid.nodes + map_dev)
-        return (dZdev, dZp, dZt, dmap)
+    def member_rhs(state0, y, der):
+        st = replace(state0, Zdev=y[0], Zp=y[1], Zt=y[2])
+        if der is None:
+            der = compute_derived(st)
+        return (*rhs_eulerian(st, der), grid.interpolate_real(der.b, grid.nodes + y[3]))
 
-    def full_rhs(ya, yb, first=False):
-        ra = one_rhs("a", a, ya[:3], ya[3], da if first else None)
-        rb = one_rhs("b", b, yb[:3], yb[3], db if first else None)
-        return ra, rb
+    def rhs(y, da=None, db=None):
+        ka = _as_solution("a", member_rhs, a, y[:4], da)
+        return ka + _as_solution("b", member_rhs, b, y[4:], db)
 
-    ya0 = (a.Zdev, a.Zp, a.Zt, pair.map_a.deviation)
-    yb0 = (b.Zdev, b.Zp, b.Zt, pair.map_b.deviation)
+    def member_finish(state0, y):
+        new, residuals = finish_step(state0, cfg, dt, *y[:3])
+        return new, MonotoneMap(grid, y[3]), residuals
 
-    def advance(y0, k, factor):
-        return tuple(y + factor * dt * ki for y, ki in zip(y0, k))
-
-    ka1, kb1 = full_rhs(ya0, yb0, first=True)
-    ka2, kb2 = full_rhs(advance(ya0, ka1, 0.5), advance(yb0, kb1, 0.5))
-    ka3, kb3 = full_rhs(advance(ya0, ka2, 0.5), advance(yb0, kb2, 0.5))
-    ka4, kb4 = full_rhs(advance(ya0, ka3, 1.0), advance(yb0, kb3, 1.0))
-
-    def combine(y0, k1, k2, k3, k4):
-        return tuple(
-            y + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
-            for y, p, q, r, s in zip(y0, k1, k2, k3, k4)
-        )
-
-    ya = combine(ya0, ka1, ka2, ka3, ka4)
-    yb = combine(yb0, kb1, kb2, kb3, kb4)
-
-    residuals = []
-    new_states = []
-    for tag, st0, y in (("a", a, ya), ("b", b, yb)):
-        try:
-            Zdev, Zp, Zt, r1, r2 = _finish_fields(grid, cfg, *y[:3])
-        except CrestwaveError as exc:
-            raise _tagged(tag, exc)
-        g_new = continue_angle(Zp, st0.g)
-        new_states.append(WaveState(grid, Zdev, Zp, Zt, st0.sigma, st0.time + dt, g_new))
-        residuals.extend([r1, r2])
-    try:
-        map_a = MonotoneMap(grid, ya[3])
-    except CrestwaveError as exc:
-        raise _tagged("a", exc)
-    try:
-        map_b = MonotoneMap(grid, yb[3])
-    except CrestwaveError as exc:
-        raise _tagged("b", exc)
+    y0 = (a.Zdev, a.Zp, a.Zt, pair.map_a.deviation, b.Zdev, b.Zp, b.Zt, pair.map_b.deviation)
+    y = rk4(y0, rhs, dt, rhs(y0, da, db))
+    state_a, map_a, res_a = _as_solution("a", member_finish, a, y[:4])
+    state_b, map_b, res_b = _as_solution("b", member_finish, b, y[4:])
 
     inv_a = map_a.inverse()
     map_tilde = compose_maps(map_b, inv_a)
-    out = PairState(new_states[0], new_states[1], map_a, map_b, map_tilde)
+    out = PairState(state_a, state_b, map_a, map_b, map_tilde)
 
     if monitor is not None:
         jac = map_tilde.jacobian()
@@ -162,7 +129,7 @@ def co_step(pair, cfg, dt, monitor=None):
                 htilde_jac_min=float(jac.min()),
                 htilde_jac_max=float(jac.max()),
                 htilde_route_gap=float(np.max(np.abs(jac - ratio))),
-                holo_residuals=tuple(residuals),
+                holo_residuals=res_a + res_b,
             )
         )
     return out
@@ -236,6 +203,7 @@ class PairRunSpec:
     velocity_mode: int = -1
     n_points: int = 512
     length: float = 2.0 * np.pi
+    dealias: float = 2.0 / 3.0
     t_final: float = 0.25
     dt_safety: float = 0.5
     min_steps: int = 64
@@ -246,7 +214,7 @@ class PairRunSpec:
 @dataclass
 class PairRunResult:
     spec: PairRunSpec
-    ok: bool
+    ok: bool = False
     error: str = ""
     n_steps: int = 0
     dt: float = 0.0
@@ -274,7 +242,7 @@ class PairRunResult:
 
 def build_pair(spec):
     """Mollified-crest pair with identical data, sigma on solution a only."""
-    grid = SpectralGrid(spec.n_points, spec.length)
+    grid = SpectralGrid(spec.n_points, spec.length, spec.dealias)
     cs = CrestSpec(
         nu=spec.nu,
         regularization_delta=spec.regularization_delta,
@@ -289,42 +257,47 @@ def build_pair(spec):
     return init_pair(state_a, state_b)
 
 
-def run_pair_once(spec, stepper=None, record=None):
+def drive_pair(pair, stepper, result):
+    """Co-evolve a built pair to t_final, filling `result`.
+
+    t_final, min_steps, max_steps and record_every come from result.spec;
+    dt is fixed by plan_steps from the pair's bound at the start.  E_delta,
+    F_delta and E_sigma of solution a are appended to `result` at the start,
+    every record_every steps and at the end.  A CrestwaveError propagates;
+    what was recorded before it stays in `result`.
+    """
+    spec = result.spec
+    bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    result.dt, n_steps = plan_steps(
+        bound, spec.t_final, stepper.dt_safety, spec.min_steps, spec.max_steps
+    )
+
+    def snapshot(p):
+        der_a = compute_derived(p.state_a)
+        der_b = compute_derived(p.state_b)
+        result.delta_reports.append(energy_delta(p))
+        result.f_delta_reports.append(f_delta_norm(p, der_a, der_b))
+        result.sigma_a_reports.append(energy_sigma(p.state_a))
+
+    snapshot(pair)
+    for i in range(n_steps):
+        pair = co_step(pair, stepper, result.dt)
+        if (i + 1) % spec.record_every == 0 or i + 1 == n_steps:
+            snapshot(pair)
+    result.n_steps = n_steps
+    result.ok = True
+
+
+def run_pair_once(spec, stepper=None):
     """Run one pair to t_final, recording difference energies on the way.
 
-    `record` may add extra families per snapshot; failures are captured in
-    the result rather than raised so studies can continue.
+    Failures are captured in the result rather than raised so studies can
+    continue.
     """
     stepper = stepper or StepperConfig(dt_safety=spec.dt_safety)
-    result = PairRunResult(spec=spec, ok=False)
+    result = PairRunResult(spec)
     try:
-        pair = build_pair(spec)
-        bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
-        dt = min(stepper.dt_safety * bound, spec.t_final / spec.min_steps)
-        n_steps = int(np.ceil(spec.t_final / dt - 1e-12))
-        if n_steps > spec.max_steps:
-            raise CFLViolationError(
-                f"{n_steps} steps needed at dt = {dt:.3e}, above max_steps = {spec.max_steps}"
-            )
-        dt = spec.t_final / n_steps
-        result.dt = dt
-
-        def snapshot(p):
-            der_a = compute_derived(p.state_a)
-            der_b = compute_derived(p.state_b)
-            result.delta_reports.append(energy_delta(p))
-            result.f_delta_reports.append(f_delta_norm(p, der_a, der_b))
-            result.sigma_a_reports.append(energy_sigma(p.state_a))
-            if record is not None:
-                record(p, der_a, der_b)
-
-        snapshot(pair)
-        for i in range(n_steps):
-            pair = co_step(pair, stepper, dt)
-            if (i + 1) % spec.record_every == 0 or i + 1 == n_steps:
-                snapshot(pair)
-        result.n_steps = n_steps
-        result.ok = True
+        drive_pair(build_pair(spec), stepper, result)
     except CrestwaveError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
     return result

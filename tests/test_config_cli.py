@@ -1,13 +1,16 @@
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crestwave.checkpoint import load_checkpoint, save_checkpoint
-from crestwave.cli import main
+from crestwave.cli import _study_specs, main
 from crestwave.config import parse_config
 from crestwave.errors import ConfigError
 from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
+from crestwave.pair import build_pair
 from crestwave.spectral import make_grid
 
 from helpers import random_smooth_state
@@ -128,6 +131,35 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw, n: raw[:-16],  # cut at a 16-byte boundary
+        lambda raw, n: raw[: -8 * n],  # angle block missing
+        lambda raw, n: raw + b"\x00",  # one trailing byte
+    ],
+    ids=["cut_16_bytes", "no_angle_block", "trailing_byte"],
+)
+def test_checkpoint_refuses_wrong_length(tmp_path, damage):
+    g = make_grid(64)
+    p = tmp_path / "st.ckpt"
+    save_checkpoint(str(p), random_smooth_state(g, RNG, amp=0.1))
+    p.write_bytes(damage(p.read_bytes(), g.n))
+    with pytest.raises(ValueError, match="bytes"):
+        load_checkpoint(str(p))
+
+
+def test_checkpoint_refuses_nan_field(tmp_path):
+    g = make_grid(64)
+    st = random_smooth_state(g, RNG, amp=0.1)
+    Zt = st.Zt.copy()
+    Zt[5] = np.nan
+    p = str(tmp_path / "nan.ckpt")
+    save_checkpoint(p, replace(st, Zt=Zt))
+    with pytest.raises(ValueError, match="Zt contains non-finite"):
+        load_checkpoint(p)
+
+
 def test_resume_equals_uninterrupted(tmp_path):
     g = make_grid(128)
     st = random_smooth_state(g, RNG, sigma=1e-2, amp=0.1)
@@ -231,3 +263,50 @@ epsilon_list = 0.2, 0.1, 0.05
 
     rep = json.load(open(os.path.join(out, "crest_scaling.json")))
     assert abs(rep["slope"] - (-0.35)) < 0.1 * 0.35
+
+
+PAIR_VS_SWEEP_INI = """
+[grid]
+n_points = 128
+
+[data]
+kind = crest
+nu = 0.35
+epsilon = 0.2
+vel_amp_im = 0.05
+
+[physics]
+sigma = 1e-2
+t_final = 0.1
+
+[output]
+record_interval = 4
+
+[study]
+sigma_list = 1e-2
+epsilon_list = 0.2
+min_steps = 1
+"""
+
+
+def test_pair_and_one_point_sweep_share_the_dt_policy(tmp_path):
+    # the CFL bound, not min_steps, sets dt here
+    cfgp = _write(tmp_path, "pair.ini", PAIR_VS_SWEEP_INI)
+    pout, sout = str(tmp_path / "pair"), str(tmp_path / "sweep")
+    assert main(["pair", "--config", cfgp, "--out", pout]) == 0
+    assert main(["sweep", "--config", cfgp, "--out", sout]) == 0
+    rep = json.load(open(os.path.join(pout, "pair_report.json")))
+    lines = open(os.path.join(sout, "study_summary.csv")).read().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert (int(row["n_steps"]), float(row["dt"])) == (rep["n_steps"], rep["dt"])
+    for fam in ("delta", "f_delta"):
+        swept = os.path.join(sout, f"run_000_sigma1.000e-02_eps2.000e-01_{fam}.csv")
+        with open(os.path.join(pout, f"energy_{fam}.csv"), "rb") as a, open(swept, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_sweep_specs_carry_the_dealias_fraction(tmp_path):
+    ini = PAIR_VS_SWEEP_INI.replace("n_points = 128", "n_points = 128\ndealias = 0.5")
+    (spec,) = _study_specs(parse_config(_write(tmp_path, "d.ini", ini)))
+    assert spec.dealias == 0.5
+    assert build_pair(spec).state_a.grid.dealias_fraction == 0.5

@@ -5,7 +5,6 @@ from crestwave.brackets import MonotoneMap
 from crestwave.errors import CFLViolationError, DegenerateJacobianError
 from crestwave.evolution import (
     StepperConfig,
-    advance_lagrangian_map,
     cfl_bound,
     compute_derived,
     curvature_field,
@@ -14,6 +13,7 @@ from crestwave.evolution import (
     make_state,
     refine_state,
     rhs_eulerian,
+    rk4,
     step_rk4,
     validate_state,
 )
@@ -230,15 +230,27 @@ def test_dynamic_identities_second_order():
     assert fine["commutator"] < 1e-10
 
 
-# -- Lagrangian map advance -------------------------------------------------------
+# -- Lagrangian map advance by the shared RK4 ---------------------------------------
+
+
+def advance_map(map_, b_field, dt):
+    """RK4 step of dh/dt = b(h) for a time-frozen drift field."""
+    g = map_.grid
+
+    def drift(y):
+        return (g.interpolate_real(b_field, g.nodes + y[0]),)
+
+    y0 = (map_.deviation,)
+    (dev,) = rk4(y0, drift, dt, drift(y0))
+    return MonotoneMap(g, dev)
 
 
 def test_advance_map_trivial_flows():
     g = make_grid(128)
     ident = MonotoneMap.identity(g)
-    out = advance_lagrangian_map(ident, np.zeros(128), 0.1)
+    out = advance_map(ident, np.zeros(128), 0.1)
     assert np.max(np.abs(out.deviation)) == 0.0
-    out = advance_lagrangian_map(ident, np.full(128, 0.7), 0.2)
+    out = advance_map(ident, np.full(128, 0.7), 0.2)
     assert np.max(np.abs(out.deviation - 0.14)) < 1e-14
 
 
@@ -249,7 +261,7 @@ def test_advance_map_sine_flow_characteristics():
     m = MonotoneMap.identity(g)
     dt, n = 0.01, 40
     for _ in range(n):
-        m = advance_lagrangian_map(m, b, dt)
+        m = advance_map(m, b, dt)
     t = dt * n
     exact = 2.0 * np.arctan(np.tan(g.nodes / 2.0) * np.exp(t))
     # principal branch fixup for nodes past pi
