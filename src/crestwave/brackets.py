@@ -9,6 +9,7 @@ certify operator identities in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +33,14 @@ class BracketKernelConfig:
 # -- monotone reparametrization maps ---------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonotoneMap:
     """Strictly increasing map h with h(a + L) = h(a) + L.
 
     Stored as the periodic deviation from the identity, h(a) = a + dev(a).
+    The map is immutable: its Jacobian and its inverse are computed once,
+    on first use, and kept on the map (their arrays are never written in
+    place).
     """
 
     grid: SpectralGrid
@@ -47,7 +51,7 @@ class MonotoneMap:
         if dev.shape != (self.grid.n,):
             raise ValueError("deviation length must match the grid")
         _require_finite(dev, "map deviation")
-        self.deviation = dev
+        object.__setattr__(self, "deviation", dev)
         jmin = float(np.min(self.jacobian()))
         if jmin < JACOBIAN_FLOOR:
             raise MonotonicityError(f"min h_ap = {jmin:.3e} below floor {JACOBIAN_FLOOR:.0e}")
@@ -61,8 +65,8 @@ class MonotoneMap:
         return self.grid.nodes + self.deviation
 
     def jacobian(self):
-        """h_ap = 1 + dev' on the grid nodes (spectral derivative)."""
-        return 1.0 + self.grid.deriv(self.deviation).real
+        """h_ap = 1 + dev' on the grid nodes (spectral derivative), kept."""
+        return self._jacobian
 
     def __call__(self, x):
         """Evaluate h at arbitrary points via trigonometric interpolation."""
@@ -70,7 +74,16 @@ class MonotoneMap:
         return x + self.grid.interpolate_real(self.deviation, x)
 
     def inverse(self):
-        """Inverse map, solved per node by dense lookup plus Newton polish."""
+        """Inverse map, solved per node by dense lookup plus Newton polish;
+        computed on the first call and kept."""
+        return self._inverse
+
+    @cached_property
+    def _jacobian(self):
+        return 1.0 + self.grid.deriv(self.deviation).real
+
+    @cached_property
+    def _inverse(self):
         grid = self.grid
         n, L = grid.n, grid.length
         n_dense = 8 * n
@@ -80,11 +93,11 @@ class MonotoneMap:
         x_ext = np.concatenate([dense_x - L, dense_x, dense_x + L])
         h_ext = np.concatenate([dense_h - L, dense_h, dense_h + L])
         x0 = np.interp(grid.nodes, h_ext, x_ext)
-        dev = grid.evaluator(self.deviation)
-        dev_ap = grid.evaluator(grid.deriv(self.deviation).real)
+        dev = grid.evaluator(np.stack([self.deviation, grid.deriv(self.deviation).real]))
         for _ in range(4):
-            res = x0 + dev(x0) - grid.nodes
-            x0 = x0 - res / (1.0 + dev_ap(x0))
+            d, d_ap = dev(x0)
+            res = x0 + d - grid.nodes
+            x0 = x0 - res / (1.0 + d_ap)
         return MonotoneMap(grid, x0 - grid.nodes)
 
 

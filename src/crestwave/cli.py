@@ -36,6 +36,7 @@ from .errors import (
     DegenerateJacobianError,
     HolomorphicityError,
     MonotonicityError,
+    at_step,
 )
 from .evolution import StepperConfig, cfl_bound, compute_derived, flat_state, plan_steps, step_rk4
 from .initial_data import CrestSpec, crest_data, mollify_data
@@ -104,7 +105,8 @@ def cmd_simulate(cfg, outdir, seed):
 
     record(state)
     for i in range(n_steps):
-        state = step_rk4(state, stepper, dt)
+        with at_step(i, n_steps, state.time):
+            state = step_rk4(state, stepper, dt)
         if (i + 1) % cfg.output.record_interval == 0 or i + 1 == n_steps:
             record(state)
 

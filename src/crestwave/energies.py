@@ -82,7 +82,7 @@ def weighted_norm(state, f, kind):
 
 
 def _state_blocks(state):
-    """Shared ingredients of all families for one state.
+    """Shared ingredients of all families for one state, kept on the state.
 
     The numerical solution lives on the dealiased band, so every nonlinear
     ingredient is rebuilt band-limited before derivatives are taken: the
@@ -90,11 +90,14 @@ def _state_blocks(state):
     representation debris, and the k^3-amplified weighted norms would
     otherwise be dominated by it on marginally resolved states.
     """
+    return state._cached("energy_blocks", _build_blocks)
+
+
+def _build_blocks(state):
     grid = state.grid
     Zp_band = 1.0 + grid.dealias(state.Zp - 1.0)
     raw_angle = np.angle(Zp_band)
     g_band = raw_angle + 2.0 * np.pi * np.round((state.g - raw_angle) / (2.0 * np.pi))
-    log_Zp = np.log(np.abs(Zp_band)) + 1j * g_band
     inv = grid.dealias(1.0 / Zp_band)
     d1 = grid.deriv(inv)
     d2 = grid.deriv(d1)
@@ -116,18 +119,30 @@ def _state_blocks(state):
         "Ztb3": Ztb3,
         "omega": omega,
         "Theta": Theta,
-        "pow": lambda p: np.exp(p * log_Zp),
+        "log_Zp": np.log(np.abs(Zp_band)) + 1j * g_band,
     }
 
 
+def _powers(B):
+    """p -> Z_ap^p on the band, through the continuous branch of log Z_ap."""
+    log_Zp = B["log_Zp"]
+    return lambda p: np.exp(p * log_Zp)
+
+
 def energy_sigma(state):
-    """The thirteen-term capillary-gravity energy of one solution."""
+    """The thirteen-term capillary-gravity energy of one solution; its
+    components are computed once per state and kept on it."""
+    comp = state._cached("energy_sigma", _sigma_components)
+    return EnergyReport("sigma", state.time, dict(comp))
+
+
+def _sigma_components(state):
     s = state.sigma
     B = _state_blocks(state)
     grid, inv, d1, d2, d3 = B["grid"], B["inv"], B["d1"], B["d2"], B["d3"]
-    pw = B["pow"]
+    pw = _powers(B)
     dTheta = grid.deriv(B["Theta"])
-    comp = {
+    return {
         "dap_invZp_L2sq": grid.l2_norm(d1) ** 2,
         "invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(inv * d1) ** 2,
         "sigma_dap_Theta_Hhalfsq": grid.hhalf_norm(s * dTheta) ** 2,
@@ -142,13 +157,12 @@ def energy_sigma(state):
         "sigma12_invZp12_dap_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * B["Ztb2"]) ** 2,
         "sigma12_invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-2.5) * B["Ztb3"]) ** 2,
     }
-    return EnergyReport("sigma", state.time, comp)
 
 
 def energy_high(state):
     """Five-term higher-order energy for zero surface tension."""
     B = _state_blocks(state)
-    grid, pw = B["grid"], B["pow"]
+    grid, pw = B["grid"], _powers(B)
     comp = {
         "dap_invZp_L2sq": grid.l2_norm(B["d1"]) ** 2,
         "invZp2_dap2_invZp_L2sq": grid.l2_norm(pw(-2.0) * B["d2"]) ** 2,
@@ -162,7 +176,7 @@ def energy_high(state):
 def energy_aux(state):
     """Six-term auxiliary energy for the zero-surface-tension solution."""
     B = _state_blocks(state)
-    grid, pw = B["grid"], B["pow"]
+    grid, pw = B["grid"], _powers(B)
     comp = {
         "Zp12_dap_invZp_Linfsq": grid.sup_norm(pw(0.5) * B["d1"]) ** 2,
         "invZp12_dap2_invZp_L2sq": grid.l2_norm(pw(-0.5) * B["d2"]) ** 2,
@@ -203,36 +217,34 @@ def energy_delta(pair):
     grid = a.grid
     Ba = _state_blocks(a)
     Bb = _state_blocks(b)
+    pwa, pwb = _powers(Ba), _powers(Bb)
     htil = pair.map_tilde
 
-    def delta(fa, fb):
-        return fa - grid.interpolate(fb, htil.values)
+    # all fields of b go through htilde in one stacked pull-back
+    fields_a = (Ba["omega"], Ba["d1"], Ba["inv"] * Ba["d1"], Ba["Ztb1"], pwa(-2.0) * Ba["Ztb2"])
+    fields_b = (Bb["omega"], Bb["d1"], Bb["inv"] * Bb["d1"], Bb["Ztb1"], pwb(-2.0) * Bb["Ztb2"])
+    pulled = grid.evaluator(np.stack(fields_b + (1.0 / np.abs(b.Zp),)))(htil.values)
+    d_omega, d_d1, d_inv_d1, d_Ztb1, d_Ztb2 = (fa - fb for fa, fb in zip(fields_a, pulled))
+    util_inv_abs_b = pulled[-1].real
 
     abs_a = np.abs(a.Zp)
     htil_ap = htil.jacobian()
     dev_j = htil_ap - 1.0
 
     comp = {
-        "d0_delta_omega_Linfsq": grid.sup_norm(delta(Ba["omega"], Bb["omega"])) ** 2,
+        "d0_delta_omega_Linfsq": grid.sup_norm(d_omega) ** 2,
         "d0_htilap_minus1_LinfHhalfsq": (grid.sup_norm(dev_j + 0j) + grid.hhalf_norm(dev_j)) ** 2,
         "d0_Dapa_htilap_minus1_L2sq": grid.l2_norm(grid.deriv(dev_j) / abs_a) ** 2,
-        "d0_absZpa_Util_invabsZpb_minus1_Linfsq": grid.sup_norm(
-            abs_a * grid.interpolate_real(1.0 / np.abs(b.Zp), htil.values) - 1.0 + 0j
-        )
+        "d0_absZpa_Util_invabsZpb_minus1_Linfsq": grid.sup_norm(abs_a * util_inv_abs_b - 1.0 + 0j)
         ** 2,
-        "d1_delta_dap_invZp_L2sq": grid.l2_norm(delta(Ba["d1"], Bb["d1"])) ** 2,
-        "d1_delta_invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(
-            delta(Ba["inv"] * Ba["d1"], Bb["inv"] * Bb["d1"])
-        )
-        ** 2,
+        "d1_delta_dap_invZp_L2sq": grid.l2_norm(d_d1) ** 2,
+        "d1_delta_invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(d_inv_d1) ** 2,
     }
     sig_a = energy_sigma(a)
     for name in _DELTA1_SIGMA_TERMS:
         comp["d1_a_" + name] = sig_a.components[name]
-    comp["d2_delta_Ztapbar_L2sq"] = grid.l2_norm(delta(Ba["Ztb1"], Bb["Ztb1"])) ** 2
-    comp["d2_delta_invZp2_dap_Ztapbar_L2sq"] = (
-        grid.l2_norm(delta(Ba["pow"](-2.0) * Ba["Ztb2"], Bb["pow"](-2.0) * Bb["Ztb2"])) ** 2
-    )
+    comp["d2_delta_Ztapbar_L2sq"] = grid.l2_norm(d_Ztb1) ** 2
+    comp["d2_delta_invZp2_dap_Ztapbar_L2sq"] = grid.l2_norm(d_Ztb2) ** 2
     for name in _DELTA2_SIGMA_TERMS:
         comp["d2_a_" + name] = sig_a.components[name]
     comp["coupling_sigma_aux_b"] = a.sigma * energy_aux(b).total
@@ -250,23 +262,26 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     grid = a.grid
     der_a = derived_a if derived_a is not None else compute_derived(a)
     der_b = derived_b if derived_b is not None else compute_derived(b)
-    htil = pair.map_tilde
 
-    def delta(fa, fb):
-        return fa - grid.interpolate(fb, htil.values)
+    def fields(st, der, map_):
+        jac = lagrangian_jacobian(map_)
+        return (st.Zt, der.Ztt, 1.0 / st.Zp, jac, grid.deriv(st.Zt) / st.Zp, der.A1, der.b_ap)
 
+    # all fields of b go through htilde in one stacked pull-back; the real
+    # ones (h_alpha o h^-1, A1, b_ap) keep the real part
+    fields_a = fields(a, der_a, pair.map_a)
+    pulled = grid.evaluator(np.stack(fields(b, der_b, pair.map_b)))(pair.map_tilde.values)
+    d_Zt, d_Ztt, d_invZp, d_halpha, d_DapZt, d_A1, d_bap = (
+        fa - (fb.real if np.isrealobj(fa) else fb) for fa, fb in zip(fields_a, pulled)
+    )
     comp = {
-        "fd_delta_Zt_Hhalf": grid.hhalf_norm(delta(a.Zt, b.Zt)),
-        "fd_delta_Ztt_Hhalf": grid.hhalf_norm(delta(der_a.Ztt, der_b.Ztt)),
-        "fd_delta_invZp_Hhalf": grid.hhalf_norm(delta(1.0 / a.Zp, 1.0 / b.Zp)),
-        "fd_delta_halpha_L2": grid.l2_norm(
-            delta(lagrangian_jacobian(pair.map_a), lagrangian_jacobian(pair.map_b))
-        ),
-        "fd_delta_DapZt_L2": grid.l2_norm(
-            delta(grid.deriv(a.Zt) / a.Zp, grid.deriv(b.Zt) / b.Zp)
-        ),
-        "fd_delta_A1_L2": grid.l2_norm(delta(der_a.A1, der_b.A1)),
-        "fd_delta_bap_L2": grid.l2_norm(delta(der_a.b_ap, der_b.b_ap)),
+        "fd_delta_Zt_Hhalf": grid.hhalf_norm(d_Zt),
+        "fd_delta_Ztt_Hhalf": grid.hhalf_norm(d_Ztt),
+        "fd_delta_invZp_Hhalf": grid.hhalf_norm(d_invZp),
+        "fd_delta_halpha_L2": grid.l2_norm(d_halpha),
+        "fd_delta_DapZt_L2": grid.l2_norm(d_DapZt),
+        "fd_delta_A1_L2": grid.l2_norm(d_A1),
+        "fd_delta_bap_L2": grid.l2_norm(d_bap),
     }
     return EnergyReport("f_delta", pair.time, comp)
 

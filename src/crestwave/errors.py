@@ -1,8 +1,28 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class CrestwaveError(Exception):
     """Base class for package-specific errors."""
+
+
+def amend_message(exc, prefix="", suffix=""):
+    """Put prefix and suffix around the message of exc, in place, so that
+    a re-raised error says where it happened."""
+    message = str(exc.args[0]) if exc.args else ""
+    exc.args = (prefix + message + suffix,) + exc.args[1:]
+
+
+@contextmanager
+def at_step(i, n_steps, time):
+    """Add " (step i + 1 of n_steps, t = time)" to the message of a
+    CrestwaveError raised in the block: step i of a loop, started at time."""
+    try:
+        yield
+    except CrestwaveError as exc:
+        amend_message(exc, suffix=f" (step {i + 1} of {n_steps}, t = {time:.6g})")
+        raise
 
 
 class ConfigError(CrestwaveError):

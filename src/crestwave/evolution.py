@@ -57,6 +57,10 @@ class WaveState:
 
     Zdev holds Z - a' (periodic part of the interface), Zp holds Z_ap,
     Zt the complex velocity Z_t; g is the tracked branch of arg(Z_ap).
+    What is computed from a state is kept on it: the compute_derived
+    fields, and the energy blocks and energy_sigma components of energies.
+    Their arrays, like the state's own, are never written in place, and
+    dataclasses.replace starts with nothing kept.
     """
 
     grid: SpectralGrid
@@ -66,6 +70,14 @@ class WaveState:
     sigma: float
     time: float
     g: np.ndarray = field(repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _cached(self, key, build):
+        """build(self), computed on the first call for `key` and kept."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
 
     @property
     def Z(self):
@@ -146,13 +158,32 @@ class DerivedFields:
 
 def compute_derived(state, check=True):
     """The right-hand-side fields of the system for one state; the
-    diagnostics of DerivedFields follow on demand."""
+    diagnostics of DerivedFields follow on demand.
+
+    The fields are computed once per state and kept on it.  check=True
+    applies the |Z_ap| floor on every call, served from that store or not,
+    and before any field is computed.
+    """
+    derived = state._memo.get("derived")
+    if derived is None:
+        derived = state._memo["derived"] = _derive(state, check)
+    elif check:
+        _require_floor(derived.min_abs_Zp)
+    return derived
+
+
+def _require_floor(min_abs):
+    if min_abs < ABS_ZP_FLOOR:
+        raise DegenerateJacobianError(f"min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}")
+
+
+def _derive(state, check):
     grid = state.grid
     Zp, Zt, sigma = state.Zp, state.Zt, state.sigma
     abs_Zp = np.abs(Zp)
     min_abs = float(abs_Zp.min())
-    if check and min_abs < ABS_ZP_FLOOR:
-        raise DegenerateJacobianError(f"min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}")
+    if check:
+        _require_floor(min_abs)
     inv_Zp = 1.0 / Zp
     Ztap = grid.deriv(Zt)
     Ztbar_ap = np.conj(Ztap)

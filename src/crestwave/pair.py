@@ -17,7 +17,7 @@ import numpy as np
 
 from .brackets import MonotoneMap, compose_maps, lagrangian_jacobian
 from .energies import energy_delta, energy_sigma, f_delta_norm
-from .errors import CFLViolationError, CrestwaveError
+from .errors import CFLViolationError, CrestwaveError, amend_message, at_step
 from .evolution import (
     StepperConfig,
     WaveState,
@@ -72,7 +72,7 @@ def _as_solution(tag, fn, *args):
     try:
         return fn(*args)
     except CrestwaveError as exc:
-        exc.args = (f"[solution {tag}] " + (str(exc.args[0]) if exc.args else ""),) + exc.args[1:]
+        amend_message(exc, prefix=f"[solution {tag}] ")
         raise
 
 
@@ -119,9 +119,10 @@ def co_step(pair, cfg, dt, monitor=None):
         jac = map_tilde.jacobian()
         # independent route for htilde_ap: the Jacobian ratio composed with
         # the inverse of h_a
-        ratio = grid.interpolate_real(map_b.jacobian(), inv_a.values) / grid.interpolate_real(
-            map_a.jacobian(), inv_a.values
+        jac_b, jac_a = grid.evaluator(np.stack([map_b.jacobian(), map_a.jacobian()]))(
+            inv_a.values
         )
+        ratio = jac_b / jac_a
         monitor(
             PairStepDiagnostics(
                 time=out.time,
@@ -263,8 +264,10 @@ def drive_pair(pair, stepper, result):
     t_final, min_steps, max_steps and record_every come from result.spec;
     dt is fixed by plan_steps from the pair's bound at the start.  E_delta,
     F_delta and E_sigma of solution a are appended to `result` at the start,
-    every record_every steps and at the end.  A CrestwaveError propagates;
-    what was recorded before it stays in `result`.
+    every record_every steps and at the end.  A CrestwaveError propagates
+    with " (step i of N, t = ...)" added to its message, i counting from 1
+    and t the time the failed step started from; what was recorded before
+    it stays in `result`.
     """
     spec = result.spec
     bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
@@ -273,15 +276,14 @@ def drive_pair(pair, stepper, result):
     )
 
     def snapshot(p):
-        der_a = compute_derived(p.state_a)
-        der_b = compute_derived(p.state_b)
         result.delta_reports.append(energy_delta(p))
-        result.f_delta_reports.append(f_delta_norm(p, der_a, der_b))
+        result.f_delta_reports.append(f_delta_norm(p))
         result.sigma_a_reports.append(energy_sigma(p.state_a))
 
     snapshot(pair)
     for i in range(n_steps):
-        pair = co_step(pair, stepper, result.dt)
+        with at_step(i, n_steps, pair.time):
+            pair = co_step(pair, stepper, result.dt)
         if (i + 1) % spec.record_every == 0 or i + 1 == n_steps:
             snapshot(pair)
     result.n_steps = n_steps
@@ -292,9 +294,16 @@ def run_pair_once(spec, stepper=None):
     """Run one pair to t_final, recording difference energies on the way.
 
     Failures are captured in the result rather than raised so studies can
-    continue.
+    continue.  A stepper whose dt_safety differs from spec.dt_safety is
+    refused with a ValueError.
     """
-    stepper = stepper or StepperConfig(dt_safety=spec.dt_safety)
+    if stepper is None:
+        stepper = StepperConfig(dt_safety=spec.dt_safety)
+    elif stepper.dt_safety != spec.dt_safety:
+        raise ValueError(
+            f"stepper dt_safety = {stepper.dt_safety} differs from "
+            f"spec dt_safety = {spec.dt_safety}"
+        )
     result = PairRunResult(spec)
     try:
         drive_pair(build_pair(spec), stepper, result)

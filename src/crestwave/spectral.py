@@ -33,6 +33,8 @@ TWO_PI = 2.0 * np.pi
 _NUFFT_WIDTH = 16
 _NUFFT_BETA = 2.3 * _NUFFT_WIDTH
 _NUFFT_QUAD_NODES = 100
+# most fine-grid peaks that sup_norm polishes
+_SUP_SEEDS = 8
 
 
 def _require_finite(f, what="field"):
@@ -156,32 +158,60 @@ class SpectralGrid:
     def linf_norm(self, f):
         return float(np.max(np.abs(f)))
 
-    def sup_norm(self, f, oversample=8, newton_steps=2):
+    def sup_norm(self, f, oversample=8, newton_steps=3):
         """Supremum of |f| for the trigonometric interpolant of f.
 
-        The grid max undershoots the true peak by O((k dx)^2); here the
-        argmax is seeded on an oversampled grid and polished by Newton on
-        |f|^2, making the value insensitive to the collocation offset.  When
-        Newton takes no step (a flat or constant field) the seed value is
-        returned as computed on the oversampled grid.
+        The grid max undershoots the true peak by O((k dx)^2).  Here the
+        peak is seeded on a grid `oversample` times finer and polished by
+        Newton on |f|^2, making the value insensitive to the collocation
+        offset.  Every local maximum of the fine grid (spacing h) within the
+        Bernstein bound (k_nyq h)^2 / 8 of its largest value is polished (the
+        highest _SUP_SEEDS of them), so a neighbouring peak that the fine
+        grid happens to sample better cannot hide the true one.  The polish
+        evaluates f, f' and f'' at its points by direct Fourier sums, with
+        the Nyquist convention of interpolate_direct.  A seed at which
+        Newton takes no step (a flat or constant field) keeps its value as
+        computed on the fine grid.
         """
         f = np.asarray(f, dtype=np.complex128)
+        c = self.coeffs(f)
         n2 = oversample * self.n
-        dense = np.fft.ifft(self._padded_coeffs(f, n2) * n2)
-        j = int(np.argmax(np.abs(dense)))
-        x = j * self.length / n2
-        evals = [self.evaluator(a) for a in (f, self.deriv(f), self.deriv(f, 2))]
-        steps = 0
+        h = self.length / n2
+        mag = np.abs(np.fft.ifft(self._padded_coeffs(c, n2) * n2))
+        k, i_ny = self.k, self.nyquist_index
+        c_ny, k_ny = c[i_ny], k[i_ny]
+        # a fine node within h/2 of the true peak is below it by at most
+        # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'')
+        floor = mag.max() * (1.0 - (k_ny * h) ** 2 / 8.0)
+        peaks = np.flatnonzero((mag >= np.roll(mag, 1)) & (mag > np.roll(mag, -1)) & (mag >= floor))
+        if peaks.size == 0:
+            peaks = np.array([int(np.argmax(mag))])
+        seeds = peaks[np.argsort(mag[peaks])[::-1][:_SUP_SEEDS]]
+        # derivative orders 0, 1, 2 of the non-Nyquist modes; the Nyquist
+        # mode, paired with cos(k_nyq x), is added apart
+        c_rest = c.copy()
+        c_rest[i_ny] = 0.0
+        rows = np.stack([c_rest, 1j * k * c_rest, -k * k * c_rest])
+
+        def values(x):
+            v, vp, vpp = rows @ np.exp(1j * np.outer(k, x))
+            cos, sin = np.cos(k_ny * x), np.sin(k_ny * x)
+            return v + c_ny * cos, vp - k_ny * c_ny * sin, vpp - k_ny * k_ny * c_ny * cos
+
+        x = h * seeds
+        active = np.ones(x.size, dtype=bool)
+        moved = np.zeros(x.size, dtype=bool)
         for _ in range(newton_steps):
-            v, vp, vpp = (ev(x)[0] for ev in evals)
+            v, vp, vpp = values(x)
             u1 = 2.0 * (np.conj(v) * vp).real
-            u2 = 2.0 * (abs(vp) ** 2 + (np.conj(v) * vpp).real)
-            if u2 >= 0.0:
+            u2 = 2.0 * (np.abs(vp) ** 2 + (np.conj(v) * vpp).real)
+            active &= u2 < 0.0
+            if not active.any():
                 break
-            x = x - u1 / u2
-            steps += 1
-        val = abs(evals[0](x)[0]) if steps else abs(dense[j])
-        return float(max(val, np.max(np.abs(f))))
+            x = np.where(active, x - u1 / np.where(active, u2, -1.0), x)
+            moved |= active
+        val = np.where(moved, np.abs(values(x)[0]), mag[seeds])
+        return float(max(val.max(), np.max(np.abs(f))))
 
     def lp_norm(self, f, p):
         if p == np.inf:
@@ -239,28 +269,37 @@ class SpectralGrid:
     def evaluator(self, f):
         """Spread f once onto the fine grid of interpolate(); the returned
         callable evaluates the trigonometric interpolant of f at any array
-        of points, exactly as interpolate(f, x) does."""
+        of points, exactly as interpolate(f, x) does.
+
+        f may also be an (m, n) stack of fields, all real or all complex.
+        The stack is spread by one batched transform, the kernel weights
+        of a point set are computed once for all rows, and the result has
+        a leading axis of length m whose row r is bit-identical to
+        interpolate(f[r], x).
+        """
         f = np.asarray(f)
         n, half, w = self.n, self.n // 2, _NUFFT_WIDTH
         n_fine = 2 * n
         deconv = self._nufft_deconvolution()
-        if np.isrealobj(f):
-            spec = np.zeros(n + 1, dtype=np.complex128)
-            spec[: half + 1] = np.fft.rfft(f) * deconv
-            parts = [np.fft.irfft(spec, n_fine)]
+        lead = f.shape[:-1]
+        real = np.isrealobj(f)
+        if real:
+            spec = np.zeros(lead + (n + 1,), dtype=np.complex128)
+            spec[..., : half + 1] = np.fft.rfft(f) * deconv
+            fine = np.fft.irfft(spec, n_fine)
         else:
             c = np.fft.fft(f)
-            spec = np.zeros(n_fine, dtype=np.complex128)
-            spec[: half + 1] = c[: half + 1] * deconv
-            spec[-half:] = c[half:] * deconv[half:0:-1]
+            spec = np.zeros(lead + (n_fine,), dtype=np.complex128)
+            spec[..., : half + 1] = c[..., : half + 1] * deconv
+            spec[..., -half:] = c[..., half:] * deconv[half:0:-1]
             fine = np.fft.ifft(spec)
             # real and imaginary parts apart, so real weights multiply real data
-            parts = [fine.real, fine.imag]
-        # windows[j] holds fine values j, ..., j + w - 1 (periodically)
-        windows = [
-            np.lib.stride_tricks.sliding_window_view(np.concatenate([p, p[: w - 1]]), w)
-            for p in parts
-        ]
+            fine = np.stack([fine.real, fine.imag])
+        # windows[r, j] holds fine values j, ..., j + w - 1 (periodically) of
+        # real row r
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([fine, fine[..., : w - 1]], axis=-1), w, axis=-1
+        ).reshape(-1, n_fine, w)
         scale = n_fine / self.length
         offsets = (2.0 / w) * np.arange(w)
 
@@ -272,8 +311,12 @@ class SpectralGrid:
             z = ((2.0 / w) * (t - base) + (1.0 - 2.0 / w))[..., None] - offsets
             weights = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
             start = (base.astype(np.int64) - (w // 2 - 1)) % n_fine
-            out = [np.einsum("...j,...j->...", weights, win[start]) for win in windows]
-            return out[0] if len(out) == 1 else out[0] + 1j * out[1]
+            # one row at a time keeps the gathered windows to len(x) * w values
+            out = np.empty((len(windows),) + t.shape)
+            for win, row in zip(windows, out):
+                np.einsum("...j,...j->...", weights, win[start], out=row)
+            out = out.reshape(fine.shape[:-1] + t.shape)
+            return out if real else out[0] + 1j * out[1]
 
         return evaluate
 
@@ -301,8 +344,8 @@ class SpectralGrid:
             self._deconv = deconv
         return self._deconv
 
-    def _padded_coeffs(self, f, n_dense):
-        c = self.coeffs(f)
+    def _padded_coeffs(self, c, n_dense):
+        """Coefficients c of this grid zero-padded to n_dense modes."""
         cp = np.zeros(n_dense, dtype=np.complex128)
         half = self.n // 2
         cp[:half] = c[:half]

@@ -275,3 +275,14 @@ def test_hilbert_hcal_difference_scaling():
         ratios.append(diff / (dev * g.l2_norm(f)))
     print(f"\n  (H - Hcal) scaling ratios: {['%.3f' % r for r in ratios]}")
     assert max(ratios) < 10.0
+
+
+def test_map_keeps_its_inverse_and_jacobian():
+    g = make_grid(128)
+    m = random_monotone_map(g, RNG)
+    assert m.inverse() is m.inverse()
+    assert m.jacobian() is m.jacobian()
+    # a new map with the same deviation starts without them
+    twin = MonotoneMap(g, m.deviation.copy())
+    assert twin.inverse() is not m.inverse()
+    assert np.array_equal(twin.inverse().deviation, m.inverse().deviation)

@@ -310,3 +310,29 @@ def test_sweep_specs_carry_the_dealias_fraction(tmp_path):
     (spec,) = _study_specs(parse_config(_write(tmp_path, "d.ini", ini)))
     assert spec.dealias == 0.5
     assert build_pair(spec).state_a.grid.dealias_fraction == 0.5
+
+
+def test_simulate_failure_names_its_step_and_time(tmp_path, capsys):
+    # the unfiltered n=64 crest leaves positive-mode mass far above tolerance
+    ini = """
+[grid]
+n_points = 64
+
+[data]
+kind = crest
+nu = 0.35
+epsilon = 0.2
+vel_amp_im = 0.05
+
+[physics]
+sigma = 1e-3
+t_final = 0.05
+
+[stepper]
+filter_on = false
+"""
+    cfgp = _write(tmp_path, "unfiltered.ini", ini)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("holomorphicity failure: projected")
+    assert err.rstrip().endswith(" (step 1 of 1, t = 0)")

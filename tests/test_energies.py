@@ -1,5 +1,7 @@
-import numpy as np
+import pickle
 from dataclasses import replace
+
+import numpy as np
 
 from crestwave.energies import (
     energy_aux,
@@ -83,6 +85,17 @@ def test_sigma_zero_leaves_four_terms():
         "Ztapbar_L2sq",
         "invZp2_dap_Ztapbar_L2sq",
     }
+
+
+def test_state_with_kept_energy_results_pickles():
+    # what the energies keep on a state holds no closures, so the state
+    # still crosses a process boundary
+    st = random_smooth_state(make_grid(64), RNG, sigma=1e-2)
+    ref = [energy_sigma(st), energy_high(st), compute_derived(st).Ztt]
+    back = pickle.loads(pickle.dumps(st))
+    assert energy_sigma(back).components == ref[0].components
+    assert energy_high(back).components == ref[1].components
+    assert np.array_equal(compute_derived(back).Ztt, ref[2])
 
 
 def test_sigma_energy_monotone_in_sigma():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,31 @@ def test_degenerate_jacobian_rejected():
     st = make_state(g, np.zeros(64, complex), Zp, np.zeros(64, complex), 0.0)
     with pytest.raises(DegenerateJacobianError):
         compute_derived(st)
+
+
+def test_derived_fields_are_kept_on_the_state():
+    g = make_grid(64)
+    st = random_smooth_state(g, RNG)
+    d = compute_derived(st)
+    assert compute_derived(st) is d
+    assert compute_derived(st, check=False) is d
+    # a replaced state starts with an empty store
+    moved = replace(st, Zt=2.0 * st.Zt)
+    assert compute_derived(moved) is not d
+    assert np.array_equal(compute_derived(moved).Ztap, 2.0 * d.Ztap)
+
+
+def test_floor_applies_to_derived_fields_served_from_the_state():
+    g = make_grid(64)
+    Zp = np.ones(64, complex)
+    Zp[3] = 1e-10
+    st = make_state(g, np.zeros(64, complex), Zp, np.zeros(64, complex), 0.0)
+    d = compute_derived(st, check=False)
+    assert d.min_abs_Zp == 1e-10
+    for _ in range(2):
+        with pytest.raises(DegenerateJacobianError):
+            compute_derived(st)
+    assert compute_derived(st, check=False) is d
 
 
 def test_curvature_routes_agree():

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from crestwave.brackets import commutator_bracket, htilcal_apply
+from crestwave.brackets import MonotoneMap, commutator_bracket, htilcal_apply
+from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import HolomorphicityError
-from crestwave.evolution import StepperConfig, cfl_bound, compute_derived, flat_state
+from crestwave.evolution import StepperConfig, cfl_bound, compute_derived, flat_state, make_state
 from crestwave.pair import (
+    PairRunResult,
     PairRunSpec,
+    PairState,
     build_pair,
     co_step,
     delta_field,
     delta_selectors,
+    drive_pair,
     init_pair,
     run_convergence_study,
     run_pair_once,
@@ -182,6 +186,58 @@ def test_run_pair_once_failure_is_captured():
     res = run_pair_once(spec)
     assert not res.ok
     assert "CFLViolationError" in res.error
+
+
+def test_run_pair_once_refuses_a_stepper_with_another_dt_safety():
+    spec = PairRunSpec(sigma=1e-3, epsilon=0.2, velocity_amplitude=0.05j, n_points=128,
+                       t_final=0.02, min_steps=4, record_every=2, dt_safety=0.4)
+    with pytest.raises(ValueError, match=r"dt_safety = 0\.3 .* dt_safety = 0\.4"):
+        run_pair_once(spec, StepperConfig(dt_safety=0.3))
+    given = run_pair_once(spec, StepperConfig(dt_safety=0.4))
+    default = run_pair_once(spec)
+    assert given.ok and default.ok
+    assert (given.dt, given.n_steps) == (default.dt, default.n_steps)
+    assert [r.total for r in given.delta_reports] == [r.total for r in default.delta_reports]
+
+
+def test_pair_failure_names_its_step_and_time():
+    # the unfiltered n=64 crest leaves positive-mode mass far above tolerance
+    spec = PairRunSpec(sigma=1e-3, epsilon=0.2, velocity_amplitude=0.05j, n_points=64,
+                       t_final=0.05, min_steps=16)
+    stepper = StepperConfig(filter_on=False)
+    with pytest.raises(HolomorphicityError,
+                       match=r"^\[solution [ab]\] projected .* \(step 1 of 16, t = 0\)$"):
+        drive_pair(build_pair(spec), stepper, PairRunResult(spec))
+    res = run_pair_once(spec, stepper)
+    assert not res.ok
+    assert res.error.endswith(" (step 1 of 16, t = 0)")
+
+
+def test_energy_reports_match_a_rebuilt_pair():
+    # reports of a stepped pair, whose states and maps carry what co_step and
+    # earlier reports kept on them, equal those of a copy built from scratch
+    spec = PairRunSpec(sigma=1e-3, epsilon=0.2, velocity_amplitude=0.05j, n_points=128)
+    pair = build_pair(spec)
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    for _ in range(3):
+        energy_delta(pair), f_delta_norm(pair)
+        pair = co_step(pair, cfg, dt)
+    first = (energy_delta(pair), f_delta_norm(pair), energy_sigma(pair.state_a))
+    again = (energy_delta(pair), f_delta_norm(pair), energy_sigma(pair.state_a))
+    grid = make_grid(128)
+    states = [make_state(grid, s.Zdev.copy(), s.Zp.copy(), s.Zt.copy(), s.sigma, s.time, s.g.copy())
+              for s in (pair.state_a, pair.state_b)]
+    maps = [MonotoneMap(grid, m.deviation.copy())
+            for m in (pair.map_a, pair.map_b, pair.map_tilde)]
+    copy = PairState(*states, *maps)
+    rebuilt = (energy_delta(copy), f_delta_norm(copy), energy_sigma(copy.state_a))
+    for reps in (again, rebuilt):
+        for rep, ref in zip(reps, first):
+            assert rep.components.keys() == ref.components.keys()
+            for name, value in ref.components.items():
+                assert abs(rep.components[name] - value) <= 1e-13 * abs(value), name
+    assert any(v > 0 for v in first[0].components.values())
 
 
 def test_small_study_slopes():

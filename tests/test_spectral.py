@@ -269,3 +269,50 @@ def test_sup_norm_of_constant_is_exact(n):
     for c in consts:
         f = np.full(n, c)
         assert abs(g.sup_norm(f) - abs(c)) <= 2 * np.finfo(float).eps * abs(c)
+
+
+@pytest.mark.parametrize("n", [64, 768, 2048])
+def test_stacked_evaluator_rows_are_bit_identical_to_interpolate(n):
+    g = make_grid(n, length=5.0)
+    rng = np.random.default_rng(n + 1)
+    x = rng.uniform(-g.length, 2 * g.length, 300)
+    real = rng.standard_normal((5, n))
+    for stack in (real, real + 1j * rng.standard_normal((5, n))):
+        out = g.evaluator(stack)(x)
+        assert out.shape == (5, 300)
+        assert np.iscomplexobj(out) == np.iscomplexobj(stack)
+        for row, f in zip(out, stack):
+            assert np.array_equal(row, g.interpolate(f, x))
+
+
+def _dense_sup_oracle(g, f, oversample=64, newton_steps=6):
+    """max |f| of the trigonometric interpolant: argmax on a grid
+    `oversample` times finer, then Newton on |f|^2 with every value, first
+    and second derivative taken by interpolate_direct."""
+    n2 = oversample * g.n
+    c = np.fft.fft(f) / g.n
+    cp = np.zeros(n2, dtype=complex)
+    cp[g.k_int % n2] = c  # the fields below carry no Nyquist content
+    x = np.argmax(np.abs(np.fft.ifft(cp) * n2)) * g.length / n2
+    fp, fpp = g.deriv(f), g.deriv(f, 2)
+    for _ in range(newton_steps):
+        v, vp, vpp = (g.interpolate_direct(h, x)[0] for h in (f, fp, fpp))
+        x -= (np.conj(v) * vp).real / (abs(vp) ** 2 + (np.conj(v) * vpp).real)
+    return abs(g.interpolate_direct(f, x)[0])
+
+
+@pytest.mark.parametrize("n", [64, 256, 768, 2048])
+def test_sup_norm_of_band_limited_fields_matches_dense_oracle(n):
+    # white noise on the dealiased band, real and complex: many peaks of
+    # nearly equal height, so the seed grid alone can pick the wrong one
+    g = make_grid(n, length=3.0)
+    rng = np.random.default_rng(n)
+    band = np.abs(g.k_int) <= n // 3
+    for trial in range(120):
+        c = np.zeros(n, dtype=complex)
+        c[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
+        f = np.fft.ifft(c) * n
+        if trial % 2:
+            f = f.real
+        exact = _dense_sup_oracle(g, f)
+        assert abs(g.sup_norm(f) - exact) <= 1e-13 * exact, trial
