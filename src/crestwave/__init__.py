@@ -3,7 +3,6 @@ coordinates, weighted energy functionals, and a two-solution co-evolution
 harness for the zero-surface-tension limit."""
 
 from .brackets import (
-    BracketKernelConfig,
     MonotoneMap,
     commutator_bracket,
     compose_map_apply,
@@ -11,8 +10,6 @@ from .brackets import (
     hcal_apply,
     htilcal_apply,
     invert_map,
-    triple_bracket_line_oracle,
-    triple_bracket_periodic,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config

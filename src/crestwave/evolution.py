@@ -315,19 +315,18 @@ def finish_step(state, cfg, dt, Zdev, Zp, Zt):
         Zt = grid.dealias(Zt)
     res_Zp = res_Zt = 0.0
     if cfg.project_each_step:
-        dev_p = Zp - 1.0
-        res_Zp = grid.positive_mode_mass(dev_p)
-        Zp = 1.0 + grid.zero_positive_modes(dev_p)
-        Ztbar = np.conj(Zt)
-        res_Zt = grid.positive_mode_mass(Ztbar)
-        Zt = np.conj(grid.zero_positive_modes(Ztbar))
+        dev_p, res_Zp = grid.remove_positive_modes(Zp - 1.0)
+        Ztbar, res_Zt = grid.remove_positive_modes(np.conj(Zt))
+        Zp, Zt = 1.0 + dev_p, np.conj(Ztbar)
     min_abs = float(np.min(np.abs(Zp)))
     if min_abs < ABS_ZP_FLOOR:
         raise DegenerateJacobianError(f"post-step min |Z_ap| = {min_abs:.3e}")
     scale = max(1.0, grid.l2_norm(Zp - 1.0) + grid.l2_norm(np.conj(Zt)))
-    if max(res_Zp, res_Zt) > cfg.holo_tolerance * scale:
+    res, name = max((res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"))
+    if res > cfg.holo_tolerance * scale:
         raise HolomorphicityError(
-            f"projected positive-mode mass {max(res_Zp, res_Zt):.3e} above tolerance"
+            f"projected positive-mode mass {res:.3e} of {name} above tolerance "
+            f"{cfg.holo_tolerance:.1e} * {scale:.3e}"
         )
     g_new = continue_angle(Zp, state.g)
     out = WaveState(grid, Zdev, Zp, Zt, state.sigma, state.time + dt, g_new)

@@ -96,7 +96,7 @@ def co_step(pair, cfg, dt, monitor=None):
         st = replace(state0, Zdev=y[0], Zp=y[1], Zt=y[2])
         if der is None:
             der = compute_derived(st)
-        return (*rhs_eulerian(st, der), grid.interpolate_real(der.b, grid.nodes + y[3]))
+        return (*rhs_eulerian(st, der), grid.interpolate(der.b, grid.nodes + y[3]))
 
     def rhs(y, da=None, db=None):
         ka = _as_solution("a", member_rhs, a, y[:4], da)

@@ -45,7 +45,7 @@ def _require_finite(f, what="field"):
 
 
 class SpectralGrid:
-    """Uniform periodic grid with a cached wavenumber table.
+    """Uniform periodic grid; wavenumbers and multiplier symbols built once.
 
     Parameters
     ----------
@@ -76,16 +76,16 @@ class SpectralGrid:
         self.k = (TWO_PI / self.length) * k_int.astype(np.float64)
         self.nyquist_index = n // 2
 
-        sgn = np.sign(k_int).astype(np.float64)
-        sgn[self.nyquist_index] = 0.0
-        self._hilbert_symbol = -sgn
-        mask_h = np.where(k_int < 0, 1.0, 0.0)
-        mask_h[0] = 0.5
-        self._proj_h = mask_h
-        self._proj_a = 1.0 - mask_h
-        self._nonpositive = (k_int <= 0) & (np.arange(n) != self.nyquist_index)
+        nyquist = k_int == n // 2
+        self._deriv_symbol = np.where(nyquist, 0.0, 1j * self.k)
+        self._hilbert_symbol = (-np.where(nyquist, 0.0, np.sign(k_int))).astype(np.complex128)
+        mask_h = np.where(k_int < 0, 1.0, np.where(k_int == 0, 0.5, 0.0))
+        self._proj_h = mask_h.astype(np.complex128)
+        self._proj_a = (1.0 - mask_h).astype(np.complex128)
+        self._nonpositive = k_int <= 0
+        self._nonpositive_symbol = self._nonpositive.astype(np.complex128)
         cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
-        self._dealias_mask = (np.abs(k_int) <= cutoff).astype(np.float64)
+        self._dealias_symbol = (np.abs(k_int) <= cutoff).astype(np.complex128)
         self._deconv = None
 
     # -- transforms ----------------------------------------------------
@@ -98,19 +98,16 @@ class SpectralGrid:
         return np.fft.ifft(c * self.n)
 
     def multiply_symbol(self, f, symbol):
-        """Apply a Fourier multiplier given as an array over self.k."""
-        symbol = np.asarray(symbol, dtype=np.complex128)
-        if symbol.shape != (self.n,):
-            raise ValueError(f"symbol must have shape ({self.n},)")
-        if not np.all(np.isfinite(symbol)):
-            raise ValueError("multiplier symbol contains non-finite values")
+        """ifft(symbol * fft(f)), unchecked: the symbol must be finite, of shape
+        (n,) over self.k; symbols from outside go through crestwave.apply_multiplier."""
         return np.fft.ifft(symbol * np.fft.fft(f))
 
     def deriv(self, f, order=1):
         """Spectral d^m/dx^m; odd orders zero the Nyquist mode."""
+        if order == 1:
+            return self.multiply_symbol(f, self._deriv_symbol)
         sym = (1j * self.k) ** order
         if order % 2 == 1:
-            sym = sym.copy()
             sym[self.nyquist_index] = 0.0
         return self.multiply_symbol(f, sym)
 
@@ -137,18 +134,21 @@ class SpectralGrid:
         return self.multiply_symbol(f, np.exp(-eps * np.abs(self.k)))
 
     def dealias(self, f):
-        return self.multiply_symbol(f, self._dealias_mask)
+        return self.multiply_symbol(f, self._dealias_symbol)
 
-    def zero_positive_modes(self, f):
-        """Remove all k > 0 content (Nyquist included).  Used to enforce
-        holomorphicity; note this keeps the k = 0 mode in full, unlike P_H."""
-        return self.multiply_symbol(f, self._nonpositive.astype(np.float64))
+    def remove_positive_modes(self, f):
+        """f without its k > 0 content (Nyquist included), and the L2 mass
+        removed, from one transform.  Used to enforce holomorphicity; note
+        this keeps the k = 0 mode in full, unlike P_H."""
+        c = np.fft.fft(f)
+        return np.fft.ifft(self._nonpositive_symbol * c), self._positive_mass(c / self.n)
 
     def positive_mode_mass(self, f):
         """L2 mass carried by modes k > 0 (Nyquist included)."""
-        c = self.coeffs(f)
-        bad = ~self._nonpositive
-        return float(np.sqrt(self.length * np.sum(np.abs(c[bad]) ** 2)))
+        return self._positive_mass(self.coeffs(f))
+
+    def _positive_mass(self, c):
+        return float(np.sqrt(self.length * np.sum(np.abs(c[~self._nonpositive]) ** 2)))
 
     # -- norms ----------------------------------------------------------
 
@@ -169,7 +169,7 @@ class SpectralGrid:
         highest _SUP_SEEDS of them), so a neighbouring peak that the fine
         grid happens to sample better cannot hide the true one.  The polish
         evaluates f, f' and f'' at its points by direct Fourier sums, with
-        the Nyquist convention of interpolate_direct.  A seed at which
+        the Nyquist coefficient paired with cos(k_nyq x).  A seed at which
         Newton takes no step (a flat or constant field) keeps its value as
         computed on the fine grid.
         """
@@ -233,22 +233,6 @@ class SpectralGrid:
 
     # -- interpolation and extension -------------------------------------
 
-    def interpolate_direct(self, f, x):
-        """Exact trigonometric interpolant of f at points x, O(N * len(x)).
-
-        The Nyquist coefficient is paired with cos(k_nyq x) so that real
-        data interpolates to real values.  Reference route; interpolate()
-        matches it to near machine precision on resolved fields.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        c = self.coeffs(f)
-        i_ny = self.nyquist_index
-        keep = np.arange(self.n) != i_ny
-        phases = np.exp(1j * np.outer(x, self.k[keep]))
-        out = phases @ c[keep]
-        out = out + c[i_ny] * np.cos(self.k[i_ny] * x)
-        return out
-
     def interpolate(self, f, x):
         """Evaluate the trigonometric interpolant of f at arbitrary points.
 
@@ -258,11 +242,12 @@ class SpectralGrid:
         deconvolution of Greengard & Lee (SIAM Review 46, 2004): the Fourier
         coefficients are divided by the kernel transform, zero-padded onto a
         grid twice as fine and transformed once; each target then sums
-        _NUFFT_WIDTH = 16 fine-grid values weighted by the kernel.  Matches
-        interpolate_direct to about 1e-14 relative to sup|f|, Nyquist mode
-        included; on large grids the rounding of the target coordinate adds
-        up to k_max |x| eps.  Real f gives a real result.  To evaluate one
-        field at several point sets, use evaluator(f) instead.
+        _NUFFT_WIDTH = 16 fine-grid values weighted by the kernel.  The
+        interpolant pairs the Nyquist coefficient with cos(k_nyq x), so real
+        f gives a real result.  Matches the direct Fourier sum to about 1e-14
+        relative to sup|f|, Nyquist mode included; on large grids the
+        rounding of the target coordinate adds up to k_max |x| eps.  To
+        evaluate one field at several point sets, use evaluator(f) instead.
         """
         return self.evaluator(f)(x)
 
@@ -350,14 +335,11 @@ class SpectralGrid:
         half = self.n // 2
         cp[:half] = c[:half]
         cp[-(half - 1):] = c[-(half - 1):]
-        # split the Nyquist coefficient evenly; equivalent to the cosine
-        # convention of interpolate_direct
+        # split the Nyquist coefficient evenly; equivalent to pairing it
+        # with cos(k_nyq x)
         cp[half] = 0.5 * c[half]
         cp[-half] = 0.5 * c[half]
         return cp
-
-    def interpolate_real(self, f, x):
-        return self.interpolate(f, x).real
 
     def resample(self, f, n_new):
         """Fourier resampling onto a grid with n_new points, same period."""
@@ -419,9 +401,10 @@ def apply_multiplier(grid, f, symbol):
     """Apply a Fourier multiplier.  `symbol` is an array over grid.k or a
     callable evaluated on it (must be finite everywhere, k = 0 included)."""
     f = _require_finite(f)
-    if callable(symbol):
-        symbol = np.asarray(symbol(grid.k), dtype=np.complex128)
-    return grid.multiply_symbol(f, symbol)
+    symbol = np.asarray(symbol(grid.k) if callable(symbol) else symbol, dtype=np.complex128)
+    if symbol.shape != (grid.n,):
+        raise ValueError(f"symbol must have shape ({grid.n},), got {symbol.shape}")
+    return grid.multiply_symbol(f, _require_finite(symbol, "multiplier symbol"))
 
 
 def hilbert(grid, f):
@@ -448,25 +431,3 @@ def harmonic_extension_norms(grid, f, depths, p=2, tol=1e-10):
         g = grid.extend_to_depth(f, y, tol=tol)
         out.append(grid.lp_norm(g, p))
     return out
-
-
-def hhalf_double_sum(grid, f):
-    """Quadratic-form evaluation of the H^{1/2} seminorm squared.
-
-    Periodic analog of the double integral
-    (1/2pi) iint |(f(a) - f(b)) / (a - b)|^2 da db with the difference
-    a - b replaced by the chord (L/pi) sin(pi (a-b)/L); the diagonal is the
-    removable limit |f'|^2.  Exact (up to quadrature) match with the Fourier
-    side; kept as a test oracle, the solver always uses hhalf_norm.
-    """
-    f = np.asarray(f)
-    n, L, dx = grid.n, grid.length, grid.dx
-    alpha = grid.nodes
-    diff = alpha[:, None] - alpha[None, :]
-    chord = (L / np.pi) * np.sin(np.pi * diff / L)
-    np.fill_diagonal(chord, 1.0)
-    quot = (f[:, None] - f[None, :]) / chord
-    fp = grid.deriv(f)
-    np.fill_diagonal(quot, 0.0)
-    total = np.sum(np.abs(quot) ** 2) + np.sum(np.abs(fp) ** 2)
-    return float(total * dx * dx / (2.0 * np.pi))

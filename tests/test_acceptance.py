@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from crestwave.brackets import (
-    commutator_bracket,
-    compose_map_apply,
-    hcal_apply,
-    hcal_quadrature_oracle,
-    triple_bracket_line_oracle,
-    triple_bracket_periodic,
-)
+from crestwave.brackets import commutator_bracket, compose_map_apply, hcal_apply
 from crestwave.energies import energy_aux, energy_delta, energy_high, energy_sigma
 from crestwave.evolution import (
     StepperConfig,
@@ -34,6 +27,7 @@ from helpers import (
     random_real_field,
     random_smooth_state,
 )
+from oracles import hcal_quadrature_oracle, triple_bracket_line_oracle, triple_bracket_periodic
 from test_evolution import _identity_residuals, dynamic_identity_residuals
 
 RNG = np.random.default_rng(1234567)
@@ -248,7 +242,7 @@ def test_criterion_08_appendix_operator_properties():
     f = lambda x: np.exp(-((x - 0.5) / 1.4) ** 2)
     hfun = lambda x: np.sin(0.7 * x) * np.exp(-(x / 2.2) ** 2)
     gfun = lambda x: np.exp(-((x + 0.8) / 1.1) ** 2)
-    from crestwave.brackets import commutator_line_oracle
+    from oracles import commutator_line_oracle
 
     resids = []
     for n in (512, 1024, 2048):

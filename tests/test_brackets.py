@@ -4,23 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crestwave.brackets import (
-    BracketKernelConfig,
     MonotoneMap,
     commutator_bracket,
-    commutator_line_oracle,
     compose_map_apply,
     compose_maps,
     hcal_apply,
-    hcal_quadrature_oracle,
     htilcal_apply,
     invert_map,
-    triple_bracket_line_oracle,
-    triple_bracket_periodic,
 )
 from crestwave.errors import MonotonicityError
 from crestwave.spectral import make_grid
 
 from helpers import random_holomorphic, random_monotone_map
+from oracles import (
+    BracketKernelConfig,
+    commutator_line_oracle,
+    hcal_quadrature_oracle,
+    triple_bracket_line_oracle,
+    triple_bracket_periodic,
+)
 
 RNG = np.random.default_rng(91)
 

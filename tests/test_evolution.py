@@ -265,7 +265,7 @@ def advance_map(map_, b_field, dt):
     g = map_.grid
 
     def drift(y):
-        return (g.interpolate_real(b_field, g.nodes + y[0]),)
+        return (g.interpolate(b_field, g.nodes + y[0]),)
 
     y0 = (map_.deviation,)
     (dev,) = rk4(y0, drift, dt, drift(y0))

@@ -144,7 +144,9 @@ def test_co_step_guards_holomorphicity_per_solution():
                                   n_points=64))
     cfg = StepperConfig(holo_tolerance=1e-30)
     dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
-    with pytest.raises(HolomorphicityError, match=r"^\[solution a\] projected"):
+    # the message names the field, its removed mass and tolerance * scale
+    with pytest.raises(HolomorphicityError, match=r"^\[solution a\] projected positive-mode mass "
+                       r"\S+ of Z_ap - 1 above tolerance 1\.0e-30 \* \S+$"):
         co_step(pair, cfg, dt)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crestwave.errors import HolomorphicityError
 from crestwave.spectral import (
@@ -7,7 +9,6 @@ from crestwave.spectral import (
     apply_multiplier,
     dealias_filter,
     harmonic_extension_norms,
-    hhalf_double_sum,
     hilbert,
     make_grid,
     poisson_smooth,
@@ -15,8 +16,24 @@ from crestwave.spectral import (
 )
 
 from helpers import random_holomorphic, random_real_field
+from oracles import hhalf_double_sum, interpolate_direct
 
 RNG = np.random.default_rng(20240817)
+
+# even point counts in [8, 512], a period, and a seed for the coefficients
+GRIDS = dict(
+    n=st.integers(4, 256).map(lambda m: 2 * m),
+    length=st.floats(0.1, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _noise(n, seed):
+    """Complex white noise; seed None draws from the module RNG, as the
+    fixed examples of the property tests do, so that the tests after them
+    see the same stream."""
+    rng = RNG if seed is None else np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def test_make_grid_nodes_and_wavenumbers():
@@ -65,6 +82,8 @@ def test_multiplier_rejects_nonfinite_symbol():
     f = np.ones(64, complex)
     with pytest.raises(ValueError):
         apply_multiplier(g, f, lambda k: np.where(k == 0, np.nan, 1.0))
+    with pytest.raises(ValueError, match=r"shape \(64,\)"):
+        apply_multiplier(g, f, np.ones(63))
 
 
 def test_multiplier_linearity():
@@ -85,9 +104,12 @@ def test_hilbert_examples():
     assert np.max(np.abs(hilbert(g, np.ones(128, complex)))) == 0.0
 
 
-def test_hilbert_involution_on_mean_zero():
-    g = make_grid(256)
-    f = g.dealias(RNG.standard_normal(256) + 1j * RNG.standard_normal(256))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**GRIDS)
+@example(n=256, length=TWO_PI, seed=None)
+def test_hilbert_involution_on_mean_zero(n, length, seed):
+    g = make_grid(n, length)
+    f = g.dealias(_noise(n, seed))
     f = f - g.coeffs(f)[0]
     hh = hilbert(g, hilbert(g, f))
     assert np.max(np.abs(hh - f)) < 1e-12 * np.max(np.abs(f))
@@ -104,11 +126,14 @@ def test_projections_examples():
     assert np.max(np.abs(project_holomorphic(g, const, "H") - 0.5)) < 1e-14
 
 
-def test_projections_idempotent_complementary():
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**GRIDS)
+@example(n=128, length=TWO_PI, seed=None)
+def test_projections_idempotent_complementary(n, length, seed):
     # idempotence holds on mean-zero fields; the mean mode is halved by
     # both projections (P_H(1) = 1/2 convention), complementarity is exact
-    g = make_grid(128)
-    f = RNG.standard_normal(128) + 1j * RNG.standard_normal(128)
+    g = make_grid(n, length)
+    f = _noise(n, seed)
     f0 = f - g.coeffs(f)[0]
     ph = project_holomorphic(g, f0, "H")
     pa = project_holomorphic(g, f0, "A")
@@ -116,6 +141,26 @@ def test_projections_idempotent_complementary():
     assert np.max(np.abs(project_holomorphic(g, pa, "A") - pa)) < 1e-13
     assert np.max(np.abs(ph + pa - f0)) < 1e-13
     assert np.max(np.abs(project_holomorphic(g, f, "H") + project_holomorphic(g, f, "A") - f)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**GRIDS, fraction=st.floats(0.05, 1.0))
+def test_grid_operators_are_apply_multiplier_with_their_symbols(n, length, seed, fraction):
+    # the precomputed symbols of the grid methods are the documented ones:
+    # each method equals the checked public path, bit for bit
+    g = make_grid(n, length, fraction)
+    f = _noise(n, seed)
+    nyquist = g.k_int == n // 2
+    holo = np.where(g.k_int < 0, 1.0, np.where(g.k_int == 0, 0.5, 0.0))
+    symbols = {
+        "deriv": (g.deriv, np.where(nyquist, 0.0, 1j * g.k)),
+        "hilbert": (g.hilbert, np.where(nyquist, 0.0, -np.sign(g.k))),
+        "project H": (lambda h: g.project(h, "H"), holo),
+        "project A": (lambda h: g.project(h, "A"), 1.0 - holo),
+        "dealias": (g.dealias, np.abs(g.k_int) <= int(np.floor(fraction * (n // 2)))),
+    }
+    for name, (method, symbol) in symbols.items():
+        assert np.array_equal(method(f), apply_multiplier(g, f, symbol)), name
 
 
 def test_projections_commute_with_even_multiplier():
@@ -212,7 +257,7 @@ def test_interpolation_matches_direct():
     g = make_grid(128)
     f = np.exp(np.cos(g.nodes)) * np.exp(1j * np.sin(2 * g.nodes))
     x = RNG.uniform(-g.length, 2 * g.length, 200)
-    d = g.interpolate_direct(f, x)
+    d = interpolate_direct(g, f, x)
     fast = g.interpolate(f, x)
     assert np.max(np.abs(d - fast)) < 1e-12
 
@@ -232,9 +277,19 @@ def test_interpolate_matches_direct_with_nyquist_content(n):
     g = make_grid(n, length=5.0)
     x = np.random.default_rng(n).uniform(-g.length, 2 * g.length, 300)
     for f in _nyquist_fields(g):
-        d = g.interpolate_direct(f, x)
+        d = interpolate_direct(g, f, x)
         fast = g.interpolate(f, x)
         assert np.max(np.abs(d - fast)) <= 1e-12 * np.max(np.abs(f))
+
+
+def test_interpolate_direct_is_periodic():
+    # the oracle reduces x modulo the period, so x in [L, 2L) and x - L
+    # (exact there) give the same bits
+    g = make_grid(2048)
+    rng = np.random.default_rng(2048)
+    f = g.dealias(rng.standard_normal(2048) + 1j * rng.standard_normal(2048))
+    x = rng.uniform(g.length, 2 * g.length, 200)
+    assert np.array_equal(interpolate_direct(g, f, x), interpolate_direct(g, f, x - g.length))
 
 
 def test_interpolate_real_input_gives_real_output():
@@ -242,7 +297,7 @@ def test_interpolate_real_input_gives_real_output():
     x = RNG.uniform(-g.length, 2 * g.length, 100)
     f = _nyquist_fields(g)[1]
     fast = g.interpolate(f, x)
-    d = g.interpolate_direct(f, x)
+    d = interpolate_direct(g, f, x)
     assert np.isrealobj(fast)
     assert np.max(np.abs(d.imag)) <= 1e-14 * np.max(np.abs(f))
     assert np.max(np.abs(fast - d.real)) <= 1e-12 * np.max(np.abs(f))
@@ -296,9 +351,9 @@ def _dense_sup_oracle(g, f, oversample=64, newton_steps=6):
     x = np.argmax(np.abs(np.fft.ifft(cp) * n2)) * g.length / n2
     fp, fpp = g.deriv(f), g.deriv(f, 2)
     for _ in range(newton_steps):
-        v, vp, vpp = (g.interpolate_direct(h, x)[0] for h in (f, fp, fpp))
+        v, vp, vpp = (interpolate_direct(g, h, x)[0] for h in (f, fp, fpp))
         x -= (np.conj(v) * vp).real / (abs(vp) ** 2 + (np.conj(v) * vpp).real)
-    return abs(g.interpolate_direct(f, x)[0])
+    return abs(interpolate_direct(g, f, x)[0])
 
 
 @pytest.mark.parametrize("n", [64, 256, 768, 2048])
