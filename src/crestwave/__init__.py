@@ -2,6 +2,7 @@
 coordinates, weighted energy functionals, and a two-solution co-evolution
 harness for the zero-surface-tension limit."""
 
+from . import pair
 from .brackets import (
     MonotoneMap,
     commutator_bracket,
@@ -9,7 +10,6 @@ from .brackets import (
     compose_maps,
     hcal_apply,
     htilcal_apply,
-    invert_map,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
@@ -20,7 +20,6 @@ from .energies import (
     energy_high,
     energy_sigma,
     f_delta_norm,
-    weighted_norm,
 )
 from .errors import (
     CFLViolationError,
@@ -48,7 +47,6 @@ from .pair import (
     PairRunSpec,
     PairState,
     co_step,
-    delta_field,
     init_pair,
     run_convergence_study,
     run_pair_once,
@@ -57,11 +55,33 @@ from .spectral import (
     SpectralGrid,
     apply_multiplier,
     dealias_filter,
-    harmonic_extension_norms,
     hilbert,
     make_grid,
     poisson_smooth,
     project_holomorphic,
 )
+
+__all__ = [
+    # spectral
+    "SpectralGrid", "make_grid", "apply_multiplier", "hilbert", "project_holomorphic",
+    "poisson_smooth", "dealias_filter",
+    # brackets
+    "MonotoneMap", "compose_maps", "compose_map_apply", "commutator_bracket", "hcal_apply",
+    "htilcal_apply",
+    # evolution
+    "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",
+    "compute_derived", "curvature_field", "rhs_eulerian", "cfl_bound", "step_rk4",
+    "validate_state",
+    # energies and initial data
+    "EnergyReport", "energy_sigma", "energy_high", "energy_aux", "energy_delta", "f_delta_norm",
+    "CrestSpec", "crest_data", "mollify_data", "estimate_M",
+    # pair
+    "pair", "PairState", "PairRunSpec", "init_pair", "co_step", "run_pair_once",
+    "run_convergence_study",
+    # checkpoint, config, errors
+    "save_checkpoint", "load_checkpoint", "RunConfig", "parse_config", "CrestwaveError",
+    "ConfigError", "CFLViolationError", "DegenerateJacobianError", "HolomorphicityError",
+    "MonotonicityError",
+]
 
 __version__ = "0.1.0"

@@ -92,12 +92,7 @@ class MonotoneMap:
 def lagrangian_jacobian(map_):
     """(h_alpha o h^{-1}) on the grid nodes: the Jacobian of map_ in the
     labels of its image."""
-    inv = map_.inverse()
-    return map_.grid.interpolate(map_.jacobian(), inv.values)
-
-
-def invert_map(map_):
-    return map_.inverse()
+    return compose_map_apply(map_.grid, map_.jacobian(), map_.inverse())
 
 
 def compose_maps(outer, inner):
@@ -109,7 +104,11 @@ def compose_maps(outer, inner):
 
 
 def compose_map_apply(grid, f, map_):
-    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points."""
+    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points.
+
+    f may be one field or an (m, n) stack of fields, all real or all
+    complex; a stack is spread once and row r of the result is U_h f[r].
+    """
     return grid.interpolate(f, map_.values)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_config
-from .energies import energy_aux, energy_high, energy_sigma, write_reports_csv
+from .energies import STATE_FAMILIES, write_reports_csv
 from .errors import (
     CFLViolationError,
     ConfigError,
@@ -38,7 +38,15 @@ from .errors import (
     MonotonicityError,
     at_step,
 )
-from .evolution import StepperConfig, cfl_bound, compute_derived, flat_state, plan_steps, step_rk4
+from .evolution import (
+    StepperConfig,
+    cfl_bound,
+    compute_derived,
+    curvature_field,
+    flat_state,
+    plan_steps,
+    step_rk4,
+)
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .pair import PairRunResult, PairRunSpec, drive_pair, init_pair, run_convergence_study
 from .spectral import SpectralGrid
@@ -49,8 +57,6 @@ EXIT_CFL = 3
 EXIT_DEGENERACY = 4
 EXIT_HOLOMORPHICITY = 5
 EXIT_PARTIAL = 6
-
-_FAMILY_FUNCS = {"sigma": energy_sigma, "high": energy_high, "aux": energy_aux}
 
 
 def _stepper(cfg):
@@ -92,7 +98,7 @@ def cmd_simulate(cfg, outdir, seed):
     dt, n_steps = plan_steps(
         cfl_bound(state), cfg.physics.t_final, stepper.dt_safety, 1, cfg.stepper.max_steps
     )
-    families = [f for f in cfg.output.families if f in _FAMILY_FUNCS] or ["sigma"]
+    families = list(cfg.output.families) or ["sigma"]
     if families == ["sigma"] and cfg.physics.sigma == 0.0:
         # zero-surface-tension runs record the higher-order and auxiliary
         # energies alongside by default
@@ -101,7 +107,7 @@ def cmd_simulate(cfg, outdir, seed):
 
     def record(st):
         for f in families:
-            series[f].append(_FAMILY_FUNCS[f](st))
+            series[f].append(STATE_FAMILIES[f](st))
 
     record(state)
     for i in range(n_steps):
@@ -246,21 +252,14 @@ def cmd_sweep(cfg, outdir, seed, jobs):
 
 
 def cmd_crest_scaling(cfg, outdir, seed):
-    d, g = cfg.data, cfg.grid
-    grid = SpectralGrid(g.n_points, g.length, g.dealias)
-    spec = CrestSpec(
-        nu=d.nu,
-        regularization_delta=d.delta,
-        velocity_amplitude=complex(d.vel_amp_re, d.vel_amp_im),
-        velocity_mode=d.vel_mode,
-    )
-    base = crest_data(spec, grid)
+    d = cfg.data
+    # the unmollified crest of [data]; each study epsilon mollifies it
+    base = build_initial_state(replace(cfg, data=replace(d, kind="crest", epsilon=0.0)))
     eps_list = tuple(cfg.study.epsilon_list) or (0.2, 0.1, 0.05, 0.025)
     rows = []
     for eps in eps_list:
         st = mollify_data(base, eps)
-        der = compute_derived(st)
-        rows.append((eps, float(np.max(np.abs(der.Theta.real)))))
+        rows.append((eps, float(np.max(np.abs(curvature_field(compute_derived(st)))))))
     slope = float(np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0])
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "crest_scaling.csv"), "w") as fh:

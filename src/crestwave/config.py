@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energies import STATE_FAMILIES
 from .errors import ConfigError
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -98,8 +99,6 @@ _SCHEMA = {
     "output": OutputBlock,
     "study": StudyBlock,
 }
-
-_VALID_FAMILIES = {"sigma", "high", "aux", "delta", "f_delta"}
 
 
 def _parse_value(name, raw, default, errors):
@@ -207,9 +206,12 @@ def _validate(cfg, errors):
 
     if o.record_interval < 1:
         errors.append(f"output.record_interval must be >= 1, got {o.record_interval}")
-    bad = [f for f in o.families if f not in _VALID_FAMILIES]
+    bad = [f for f in o.families if f not in STATE_FAMILIES]
     if bad:
-        errors.append(f"output.families contains unknown families {bad}")
+        errors.append(
+            f"output.families accepts {', '.join(STATE_FAMILIES)} (the families simulate "
+            f"records), got {', '.join(bad)}"
+        )
 
     for s in su.sigma_list:
         if s < 0:

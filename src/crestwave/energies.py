@@ -1,4 +1,4 @@
-"""Weighted norms and the energy functionals.
+"""The energy functionals.
 
 Families:
 
@@ -23,12 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import lagrangian_jacobian
-from .errors import DegenerateJacobianError
-from .evolution import ABS_ZP_FLOOR, compute_derived
-
-NORM_KINDS = ("L2", "Hhalf", "Linf", "Wspace", "Cspace")
-FAMILIES = ("sigma", "high", "aux", "delta", "f_delta")
+from .brackets import compose_map_apply, lagrangian_jacobian
+from .evolution import compute_derived
 
 
 @dataclass
@@ -55,30 +51,6 @@ class EnergyReport:
             "components": {k: float(v) for k, v in self.components.items()},
             "total": self.total,
         }
-
-
-def weighted_norm(state, f, kind):
-    """Norm of a field, possibly weighted by the interface geometry.
-
-    Wspace: ||f||_inf + ||(1/|Z_ap|) d_a f||_2.
-    Cspace: ||f||_{H^1/2} + (1 + ||d_a (1/|Z_ap|)||_2) ||f |Z_ap|||_2.
-    """
-    grid = state.grid
-    if kind == "L2":
-        return grid.l2_norm(f)
-    if kind == "Hhalf":
-        return grid.hhalf_norm(f)
-    if kind == "Linf":
-        return grid.sup_norm(f)
-    abs_Zp = np.abs(state.Zp)
-    if float(abs_Zp.min()) < ABS_ZP_FLOOR:
-        raise DegenerateJacobianError("degenerate |Z_ap| weight in norm")
-    if kind == "Wspace":
-        return grid.sup_norm(f) + grid.l2_norm(grid.deriv(f) / abs_Zp)
-    if kind == "Cspace":
-        wfac = 1.0 + grid.l2_norm(grid.deriv(1.0 / abs_Zp))
-        return grid.hhalf_norm(f) + wfac * grid.l2_norm(f * abs_Zp)
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def _state_blocks(state):
@@ -188,6 +160,11 @@ def energy_aux(state):
     return EnergyReport("aux", state.time, comp)
 
 
+# the families of one solution, by name: those that `simulate` records and
+# that [output] families may list
+STATE_FAMILIES = {"sigma": energy_sigma, "high": energy_high, "aux": energy_aux}
+
+
 # term names of energy_sigma reused verbatim for the sigma-weighted part of
 # the difference energy (solution a only), in the order of the display
 _DELTA1_SIGMA_TERMS = (
@@ -223,7 +200,7 @@ def energy_delta(pair):
     # all fields of b go through htilde in one stacked pull-back
     fields_a = (Ba["omega"], Ba["d1"], Ba["inv"] * Ba["d1"], Ba["Ztb1"], pwa(-2.0) * Ba["Ztb2"])
     fields_b = (Bb["omega"], Bb["d1"], Bb["inv"] * Bb["d1"], Bb["Ztb1"], pwb(-2.0) * Bb["Ztb2"])
-    pulled = grid.evaluator(np.stack(fields_b + (1.0 / np.abs(b.Zp),)))(htil.values)
+    pulled = compose_map_apply(grid, np.stack(fields_b + (1.0 / np.abs(b.Zp),)), htil)
     d_omega, d_d1, d_inv_d1, d_Ztb1, d_Ztb2 = (fa - fb for fa, fb in zip(fields_a, pulled))
     util_inv_abs_b = pulled[-1].real
 
@@ -270,7 +247,7 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     # all fields of b go through htilde in one stacked pull-back; the real
     # ones (h_alpha o h^-1, A1, b_ap) keep the real part
     fields_a = fields(a, der_a, pair.map_a)
-    pulled = grid.evaluator(np.stack(fields(b, der_b, pair.map_b)))(pair.map_tilde.values)
+    pulled = compose_map_apply(grid, np.stack(fields(b, der_b, pair.map_b)), pair.map_tilde)
     d_Zt, d_Ztt, d_invZp, d_halpha, d_DapZt, d_A1, d_bap = (
         fa - (fb.real if np.isrealobj(fa) else fb) for fa, fb in zip(fields_a, pulled)
     )

@@ -83,13 +83,6 @@ class WaveState:
     def Z(self):
         return self.grid.nodes + self.Zdev
 
-    def log_Zp(self):
-        """Continuous branch of log Z_ap used for fractional powers."""
-        return np.log(np.abs(self.Zp)) + 1j * self.g
-
-    def Zp_power(self, p):
-        return np.exp(p * self.log_Zp())
-
 
 def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0, g=None):
     Zdev = np.asarray(Zdev, dtype=np.complex128)
@@ -208,14 +201,6 @@ def _derive(state, check):
 def curvature_field(derived):
     """Interface curvature in conformal coordinates, Re Theta."""
     return derived.Theta.real
-
-
-def curvature_geometric(state):
-    """Differential-geometry route Im(d_a Z_ap conj(Z_ap)) / |Z_ap|^3,
-    used as an independent cross-check of curvature_field."""
-    grid = state.grid
-    num = (grid.deriv(state.Zp) * np.conj(state.Zp)).imag
-    return num / np.abs(state.Zp) ** 3
 
 
 def rhs_eulerian(state, derived=None):
@@ -398,14 +383,3 @@ def validate_state(state, tol=1e-8):
         a1_min=float(d.A1.min()),
         passed=bool(passed),
     )
-
-
-def refine_state(state, n_new):
-    """Fourier-resample a state onto a finer grid (spectral convergence
-    studies); sigma, time and the angle branch carry over."""
-    grid = state.grid
-    g2 = SpectralGrid(n_new, grid.length, grid.dealias_fraction)
-    Zdev = grid.resample(state.Zdev, n_new)
-    Zp = grid.resample(state.Zp, n_new)
-    Zt = grid.resample(state.Zt, n_new)
-    return make_state(g2, Zdev, Zp, Zt, state.sigma, state.time)

@@ -1,5 +1,6 @@
 """Co-evolution of a surface-tension solution (a) and a zero-surface-tension
-solution (b), with Lagrangian flow maps and all difference quantities.
+solution (b), with Lagrangian flow maps, the pair run driver and
+convergence studies.
 
 Both solutions share one grid and one time step (the stiffer sigma-CFL
 governs), are advanced together inside a single RK4 so the flow maps see
@@ -15,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .brackets import MonotoneMap, compose_maps, lagrangian_jacobian
+from .brackets import MonotoneMap, compose_map_apply, compose_maps
 from .energies import energy_delta, energy_sigma, f_delta_norm
 from .errors import CFLViolationError, CrestwaveError, amend_message, at_step
 from .evolution import (
@@ -119,9 +120,8 @@ def co_step(pair, cfg, dt, monitor=None):
         jac = map_tilde.jacobian()
         # independent route for htilde_ap: the Jacobian ratio composed with
         # the inverse of h_a
-        jac_b, jac_a = grid.evaluator(np.stack([map_b.jacobian(), map_a.jacobian()]))(
-            inv_a.values
-        )
+        jacs = np.stack([map_b.jacobian(), map_a.jacobian()])
+        jac_b, jac_a = compose_map_apply(grid, jacs, inv_a)
         ratio = jac_b / jac_a
         monitor(
             PairStepDiagnostics(
@@ -134,59 +134,6 @@ def co_step(pair, cfg, dt, monitor=None):
             )
         )
     return out
-
-
-# -- difference fields ---------------------------------------------------------
-
-
-def _dt_theta(state, derived):
-    """Material derivative of Theta from the closed pointwise formula."""
-    grid = state.grid
-    abs_Zp = np.abs(state.Zp)
-    DbarZtbar = grid.deriv(np.conj(state.Zt)) / np.conj(state.Zp)
-    u = grid.deriv(DbarZtbar) / abs_Zp + 1j * derived.Theta.real * DbarZtbar
-    dTheta = grid.deriv(derived.Theta)
-    c = derived.b * grid.hilbert(dTheta) - grid.hilbert(derived.b * dTheta)
-    return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
-
-
-_SELECTORS = {
-    "Zt": lambda grid, st, der, mp: st.Zt,
-    "Ztbar": lambda grid, st, der, mp: np.conj(st.Zt),
-    "Ztap": lambda grid, st, der, mp: der.Ztap,
-    "Ztapbar": lambda grid, st, der, mp: np.conj(der.Ztap),
-    "one_over_Zp": lambda grid, st, der, mp: 1.0 / st.Zp,
-    "dap_one_over_Zp": lambda grid, st, der, mp: grid.deriv(1.0 / st.Zp),
-    "invZp_dap_invZp": lambda grid, st, der, mp: (1.0 / st.Zp) * grid.deriv(1.0 / st.Zp),
-    "invZp2_dap_Ztapbar": lambda grid, st, der, mp: st.Zp ** -2 * grid.deriv(np.conj(der.Ztap)),
-    "omega": lambda grid, st, der, mp: der.omega,
-    "A1": lambda grid, st, der, mp: der.A1 + 0j,
-    "b_ap": lambda grid, st, der, mp: der.b_ap + 0j,
-    "Theta": lambda grid, st, der, mp: der.Theta,
-    "DtTheta": lambda grid, st, der, mp: _dt_theta(st, der),
-    "Ztt": lambda grid, st, der, mp: der.Ztt,
-    "Zttbar": lambda grid, st, der, mp: np.conj(der.Ztt),
-    "DapZt": lambda grid, st, der, mp: der.Ztap / st.Zp,
-    "h_alpha": lambda grid, st, der, mp: lagrangian_jacobian(mp) + 0j,
-}
-
-
-def delta_field(pair, quantity, derived_a=None, derived_b=None):
-    """Delta(f) = f_a - f_b o htilde for a named difference quantity."""
-    try:
-        fn = _SELECTORS[quantity]
-    except KeyError:
-        raise ValueError(f"unknown difference selector {quantity!r}") from None
-    grid = pair.state_a.grid
-    der_a = derived_a if derived_a is not None else compute_derived(pair.state_a)
-    der_b = derived_b if derived_b is not None else compute_derived(pair.state_b)
-    fa = fn(grid, pair.state_a, der_a, pair.map_a)
-    fb = fn(grid, pair.state_b, der_b, pair.map_b)
-    return fa - grid.interpolate(fb, pair.map_tilde.values)
-
-
-def delta_selectors():
-    return tuple(_SELECTORS)
 
 
 # -- convergence studies --------------------------------------------------------

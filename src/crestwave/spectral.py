@@ -421,13 +421,3 @@ def poisson_smooth(grid, f, eps):
 
 def dealias_filter(grid, f):
     return grid.dealias(_require_finite(f))
-
-
-def harmonic_extension_norms(grid, f, depths, p=2, tol=1e-10):
-    """L^p norms of the harmonic extension of f on a ladder of depths y < 0."""
-    f = _require_finite(f)
-    out = []
-    for y in depths:
-        g = grid.extend_to_depth(f, y, tol=tol)
-        out.append(grid.lp_norm(g, p))
-    return out

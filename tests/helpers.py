@@ -4,6 +4,7 @@ import numpy as np
 
 from crestwave.brackets import MonotoneMap
 from crestwave.evolution import StepperConfig, cfl_bound, make_state, step_rk4
+from crestwave.spectral import SpectralGrid
 
 
 def random_holomorphic(grid, rng, n_modes=6, amp=0.3, decay=2.0):
@@ -56,6 +57,22 @@ def random_monotone_map(grid, rng, amp=0.2, n_modes=4, max_slope=None):
         if jac_margin < 0.2:
             dev *= 0.15 / max(1e-12, 1.0 - jac_margin)
     return MonotoneMap(grid, dev)
+
+
+def refine_state(state, n_new):
+    """Fourier-resample a state onto a finer grid (spectral convergence
+    studies); sigma and time carry over, the angle branch is seeded anew."""
+    grid = state.grid
+    g2 = SpectralGrid(n_new, grid.length, grid.dealias_fraction)
+    Zdev = grid.resample(state.Zdev, n_new)
+    Zp = grid.resample(state.Zp, n_new)
+    Zt = grid.resample(state.Zt, n_new)
+    return make_state(g2, Zdev, Zp, Zt, state.sigma, state.time)
+
+
+def harmonic_extension_norms(grid, f, depths, p=2, tol=1e-10):
+    """L^p norms of the harmonic extension of f on a ladder of depths y < 0."""
+    return [grid.lp_norm(grid.extend_to_depth(f, y, tol=tol), p) for y in depths]
 
 
 def evolve_series(state, n_steps, dt=None, cfg=None, keep_every=1):

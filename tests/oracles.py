@@ -1,10 +1,15 @@
 """Direct quadrature and summation oracles that certify the package's
-spectral operators: O(N^2) sums and line-window quadratures that the solver
-never calls."""
+operators: O(N^2) sums, line-window quadratures, independent routes to
+derived quantities and the named difference fields of a pair, none of which
+the solver calls."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from crestwave.brackets import compose_map_apply, lagrangian_jacobian
+from crestwave.errors import DegenerateJacobianError
+from crestwave.evolution import ABS_ZP_FLOOR, compute_derived
 
 
 # -- spectral ------------------------------------------------------------------
@@ -187,3 +192,84 @@ def hcal_quadrature_oracle(grid, f, map_):
     weights = np.where(parity, kern * hp[None, :], 0.0)
     f = np.asarray(f, dtype=np.complex128)
     return (2.0 * dx / (1j * L)) * weights @ f
+
+
+# -- state geometry and weighted norms -------------------------------------------
+
+
+def curvature_geometric(state):
+    """Differential-geometry route Im(d_a Z_ap conj(Z_ap)) / |Z_ap|^3,
+    an independent cross-check of curvature_field."""
+    grid = state.grid
+    num = (grid.deriv(state.Zp) * np.conj(state.Zp)).imag
+    return num / np.abs(state.Zp) ** 3
+
+
+def weighted_norm(state, f, kind):
+    """Norm of a field, possibly weighted by the interface geometry.
+
+    Wspace: ||f||_inf + ||(1/|Z_ap|) d_a f||_2.
+    Cspace: ||f||_{H^1/2} + (1 + ||d_a (1/|Z_ap|)||_2) ||f |Z_ap|||_2.
+    """
+    grid = state.grid
+    if kind == "L2":
+        return grid.l2_norm(f)
+    if kind == "Hhalf":
+        return grid.hhalf_norm(f)
+    if kind == "Linf":
+        return grid.sup_norm(f)
+    abs_Zp = np.abs(state.Zp)
+    if float(abs_Zp.min()) < ABS_ZP_FLOOR:
+        raise DegenerateJacobianError("degenerate |Z_ap| weight in norm")
+    if kind == "Wspace":
+        return grid.sup_norm(f) + grid.l2_norm(grid.deriv(f) / abs_Zp)
+    if kind == "Cspace":
+        wfac = 1.0 + grid.l2_norm(grid.deriv(1.0 / abs_Zp))
+        return grid.hhalf_norm(f) + wfac * grid.l2_norm(f * abs_Zp)
+    raise ValueError(f"unknown norm kind {kind!r}")
+
+
+# -- difference fields of a pair ---------------------------------------------------
+
+
+def _dt_theta(state, derived):
+    """Material derivative of Theta from the closed pointwise formula."""
+    grid = state.grid
+    abs_Zp = np.abs(state.Zp)
+    DbarZtbar = grid.deriv(np.conj(state.Zt)) / np.conj(state.Zp)
+    u = grid.deriv(DbarZtbar) / abs_Zp + 1j * derived.Theta.real * DbarZtbar
+    dTheta = grid.deriv(derived.Theta)
+    c = derived.b * grid.hilbert(dTheta) - grid.hilbert(derived.b * dTheta)
+    return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
+
+
+# name -> f(grid, state, derived, map) of every field whose difference the
+# paper's estimates measure
+SELECTORS = {
+    "Zt": lambda grid, st, der, mp: st.Zt,
+    "Ztbar": lambda grid, st, der, mp: np.conj(st.Zt),
+    "Ztap": lambda grid, st, der, mp: der.Ztap,
+    "Ztapbar": lambda grid, st, der, mp: np.conj(der.Ztap),
+    "one_over_Zp": lambda grid, st, der, mp: 1.0 / st.Zp,
+    "dap_one_over_Zp": lambda grid, st, der, mp: grid.deriv(1.0 / st.Zp),
+    "invZp_dap_invZp": lambda grid, st, der, mp: (1.0 / st.Zp) * grid.deriv(1.0 / st.Zp),
+    "invZp2_dap_Ztapbar": lambda grid, st, der, mp: st.Zp ** -2 * grid.deriv(np.conj(der.Ztap)),
+    "omega": lambda grid, st, der, mp: der.omega,
+    "A1": lambda grid, st, der, mp: der.A1 + 0j,
+    "b_ap": lambda grid, st, der, mp: der.b_ap + 0j,
+    "Theta": lambda grid, st, der, mp: der.Theta,
+    "DtTheta": lambda grid, st, der, mp: _dt_theta(st, der),
+    "Ztt": lambda grid, st, der, mp: der.Ztt,
+    "Zttbar": lambda grid, st, der, mp: np.conj(der.Ztt),
+    "DapZt": lambda grid, st, der, mp: der.Ztap / st.Zp,
+    "h_alpha": lambda grid, st, der, mp: lagrangian_jacobian(mp) + 0j,
+}
+
+
+def delta_field(pair, name):
+    """Delta(f) = f_a - U_htilde f_b for the field SELECTORS[name]."""
+    select = SELECTORS[name]
+    a, b = pair.state_a, pair.state_b
+    fa = select(a.grid, a, compute_derived(a), pair.map_a)
+    fb = select(b.grid, b, compute_derived(b), pair.map_b)
+    return fa - compose_map_apply(a.grid, fb, pair.map_tilde)

@@ -12,7 +12,6 @@ from crestwave.evolution import (
     cfl_bound,
     compute_derived,
     flat_state,
-    refine_state,
     step_rk4,
 )
 from crestwave.initial_data import CrestSpec, crest_data, mollify_data
@@ -26,6 +25,7 @@ from helpers import (
     random_monotone_map,
     random_real_field,
     random_smooth_state,
+    refine_state,
 )
 from oracles import hcal_quadrature_oracle, triple_bracket_line_oracle, triple_bracket_periodic
 from test_evolution import _identity_residuals, dynamic_identity_residuals

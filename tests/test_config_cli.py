@@ -119,6 +119,14 @@ def test_validate_config_exit_codes(tmp_path):
     assert main(["validate-config", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_simulate_refuses_a_family_it_does_not_record(tmp_path, capsys):
+    cfgp = _write(tmp_path, "delta.ini", FLAT_INI + "families = delta\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+    assert "delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     g = make_grid(128)
     st = random_smooth_state(g, RNG, sigma=3e-3, amp=0.2)

@@ -9,14 +9,14 @@ from crestwave.energies import (
     energy_high,
     energy_sigma,
     f_delta_norm,
-    weighted_norm,
     write_reports_csv,
 )
-from crestwave.evolution import compute_derived, flat_state, make_state, refine_state
+from crestwave.evolution import compute_derived, flat_state, make_state
 from crestwave.pair import init_pair
 from crestwave.spectral import make_grid
 
-from helpers import random_real_field, random_smooth_state
+from helpers import random_real_field, random_smooth_state, refine_state
+from oracles import weighted_norm
 
 RNG = np.random.default_rng(404)
 TWO_PI = 2 * np.pi

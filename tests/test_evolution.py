@@ -10,10 +10,8 @@ from crestwave.evolution import (
     cfl_bound,
     compute_derived,
     curvature_field,
-    curvature_geometric,
     flat_state,
     make_state,
-    refine_state,
     rhs_eulerian,
     rk4,
     step_rk4,
@@ -21,7 +19,8 @@ from crestwave.evolution import (
 )
 from crestwave.spectral import make_grid
 
-from helpers import evolve_series, material_derivative_fd, random_smooth_state
+from helpers import evolve_series, material_derivative_fd, random_smooth_state, refine_state
+from oracles import curvature_geometric
 
 RNG = np.random.default_rng(7)
 

@@ -12,8 +12,6 @@ from crestwave.pair import (
     PairState,
     build_pair,
     co_step,
-    delta_field,
-    delta_selectors,
     drive_pair,
     init_pair,
     run_convergence_study,
@@ -22,6 +20,7 @@ from crestwave.pair import (
 from crestwave.spectral import make_grid
 
 from helpers import random_smooth_state
+from oracles import SELECTORS, delta_field
 
 RNG = np.random.default_rng(33)
 
@@ -48,16 +47,9 @@ def test_init_pair_validation():
 def test_identical_pair_all_deltas_vanish():
     g = make_grid(128)
     pair = _smooth_pair(g)
-    for name in delta_selectors():
+    for name in SELECTORS:
         field = delta_field(pair, name)
         assert np.max(np.abs(field)) < 1e-9, name
-
-
-def test_unknown_selector_rejected():
-    g = make_grid(128)
-    pair = _smooth_pair(g)
-    with pytest.raises(ValueError):
-        delta_field(pair, "nope")
 
 
 def test_delta_product_rule_exact():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crestwave.errors import HolomorphicityError
@@ -8,17 +8,16 @@ from crestwave.spectral import (
     TWO_PI,
     apply_multiplier,
     dealias_filter,
-    harmonic_extension_norms,
     hilbert,
     make_grid,
     poisson_smooth,
     project_holomorphic,
 )
 
-from helpers import random_holomorphic, random_real_field
+from helpers import harmonic_extension_norms, random_holomorphic, random_real_field
 from oracles import hhalf_double_sum, interpolate_direct
 
-RNG = np.random.default_rng(20240817)
+SEED = 20240817
 
 # even point counts in [8, 512], a period, and a seed for the coefficients
 GRIDS = dict(
@@ -29,10 +28,8 @@ GRIDS = dict(
 
 
 def _noise(n, seed):
-    """Complex white noise; seed None draws from the module RNG, as the
-    fixed examples of the property tests do, so that the tests after them
-    see the same stream."""
-    rng = RNG if seed is None else np.random.default_rng(seed)
+    """Complex white noise from a generator of its own."""
+    rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
@@ -43,8 +40,9 @@ def test_make_grid_nodes_and_wavenumbers():
 
 
 def test_make_grid_roundtrip():
+    rng = np.random.default_rng(SEED)
     g = make_grid(256)
-    f = RNG.standard_normal(256) + 1j * RNG.standard_normal(256)
+    f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     assert np.max(np.abs(g.from_coeffs(g.coeffs(f)) - f)) < 1e-13
 
 
@@ -62,8 +60,9 @@ def test_make_grid_rejects_bad_length():
 
 
 def test_multiplier_identity_and_eigenmode():
+    rng = np.random.default_rng(SEED)
     g = make_grid(64)
-    f = RNG.standard_normal(64) + 1j * RNG.standard_normal(64)
+    f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     assert np.allclose(apply_multiplier(g, f, lambda k: np.ones_like(k)), f)
     mode = np.exp(3j * g.nodes)
     out = apply_multiplier(g, mode, lambda k: np.abs(k) ** 0.5)
@@ -87,9 +86,10 @@ def test_multiplier_rejects_nonfinite_symbol():
 
 
 def test_multiplier_linearity():
+    rng = np.random.default_rng(SEED)
     g = make_grid(64)
-    f1 = RNG.standard_normal(64) + 1j * RNG.standard_normal(64)
-    f2 = RNG.standard_normal(64) + 1j * RNG.standard_normal(64)
+    f1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    f2 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     sym = lambda k: np.exp(-np.abs(k)) + 1j * k
     lhs = apply_multiplier(g, 2.0 * f1 + (1 - 3j) * f2, sym)
     rhs = 2.0 * apply_multiplier(g, f1, sym) + (1 - 3j) * apply_multiplier(g, f2, sym)
@@ -106,7 +106,6 @@ def test_hilbert_examples():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(**GRIDS)
-@example(n=256, length=TWO_PI, seed=None)
 def test_hilbert_involution_on_mean_zero(n, length, seed):
     g = make_grid(n, length)
     f = g.dealias(_noise(n, seed))
@@ -128,7 +127,6 @@ def test_projections_examples():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(**GRIDS)
-@example(n=128, length=TWO_PI, seed=None)
 def test_projections_idempotent_complementary(n, length, seed):
     # idempotence holds on mean-zero fields; the mean mode is halved by
     # both projections (P_H(1) = 1/2 convention), complementarity is exact
@@ -164,8 +162,9 @@ def test_grid_operators_are_apply_multiplier_with_their_symbols(n, length, seed,
 
 
 def test_projections_commute_with_even_multiplier():
+    rng = np.random.default_rng(SEED)
     g = make_grid(128)
-    f = RNG.standard_normal(128) + 1j * RNG.standard_normal(128)
+    f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     sym = lambda k: np.exp(-0.3 * np.abs(k))
     lhs = project_holomorphic(g, apply_multiplier(g, f, sym), "H")
     rhs = apply_multiplier(g, project_holomorphic(g, f, "H"), sym)
@@ -173,39 +172,43 @@ def test_projections_commute_with_even_multiplier():
 
 
 def test_parseval():
+    rng = np.random.default_rng(SEED)
     g = make_grid(256)
-    f = RNG.standard_normal(256) + 1j * RNG.standard_normal(256)
+    f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     phys = g.l2_norm(f) ** 2
     four = g.length * np.sum(np.abs(g.coeffs(f)) ** 2)
     assert abs(phys - four) < 1e-12 * phys
 
 
 def test_poisson_examples():
+    rng = np.random.default_rng(SEED)
     g = make_grid(128)
     a = g.nodes
     f = np.exp(4j * a)
     out = poisson_smooth(g, f, 0.3)
     assert np.max(np.abs(out - np.exp(-1.2) * f)) < 1e-13
-    f2 = RNG.standard_normal(128) + 1j * RNG.standard_normal(128)
+    f2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     assert np.array_equal(poisson_smooth(g, f2, 0.0), f2)
     with pytest.raises(ValueError):
         poisson_smooth(g, f2, -0.1)
 
 
 def test_poisson_semigroup():
+    rng = np.random.default_rng(SEED)
     g = make_grid(256)
-    f = RNG.standard_normal(256) + 1j * RNG.standard_normal(256)
+    f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     one = poisson_smooth(g, poisson_smooth(g, f, 0.07), 0.13)
     two = poisson_smooth(g, f, 0.2)
     assert np.max(np.abs(one - two)) < 1e-12 * np.max(np.abs(f))
 
 
 def test_poisson_derivative_bound():
+    rng = np.random.default_rng(SEED)
     # smoothing estimate ||d_a (f * P_eps)||_inf <= C ||f||_inf / eps
     g = make_grid(512)
     ratios = []
     for trial in range(20):
-        f = random_real_field(g, RNG, n_modes=200, amp=1.0, decay=0.6) + 0j
+        f = random_real_field(g, rng, n_modes=200, amp=1.0, decay=0.6) + 0j
         for eps in (0.1, 0.05, 0.025):
             sm = poisson_smooth(g, f, eps)
             ratios.append(g.linf_norm(g.deriv(sm)) * eps / g.linf_norm(f))
@@ -213,8 +216,9 @@ def test_poisson_derivative_bound():
 
 
 def test_dealias_rules():
+    rng = np.random.default_rng(SEED)
     g = make_grid(96)
-    f = RNG.standard_normal(96) + 1j * RNG.standard_normal(96)
+    f = rng.standard_normal(96) + 1j * rng.standard_normal(96)
     once = dealias_filter(g, f)
     assert np.max(np.abs(dealias_filter(g, once) - once)) < 1e-15
     low = np.exp(5j * g.nodes)
@@ -233,8 +237,9 @@ def test_harmonic_extension_examples():
 
 
 def test_harmonic_extension_monotone_and_guard():
+    rng = np.random.default_rng(SEED)
     g = make_grid(256)
-    f = random_holomorphic(g, RNG, n_modes=10, amp=0.8, decay=1.2)
+    f = random_holomorphic(g, rng, n_modes=10, amp=0.8, decay=1.2)
     depths = [-(2.0 ** -j) for j in range(1, 9)]
     sups = harmonic_extension_norms(g, f, depths, p=np.inf)
     deeper_first = sorted(depths)  # most negative first
@@ -246,17 +251,19 @@ def test_harmonic_extension_monotone_and_guard():
 
 
 def test_hhalf_double_sum_matches_fourier():
+    rng = np.random.default_rng(SEED)
     g = make_grid(128, length=5.0)
-    f = random_holomorphic(g, RNG, n_modes=8, amp=1.0) + random_real_field(g, RNG, 5, 0.5)
+    f = random_holomorphic(g, rng, n_modes=8, amp=1.0) + random_real_field(g, rng, 5, 0.5)
     lhs = hhalf_double_sum(g, f)
     rhs = g.hhalf_norm(f) ** 2
     assert abs(lhs - rhs) < 1e-10 * max(1.0, rhs)
 
 
 def test_interpolation_matches_direct():
+    rng = np.random.default_rng(SEED)
     g = make_grid(128)
     f = np.exp(np.cos(g.nodes)) * np.exp(1j * np.sin(2 * g.nodes))
-    x = RNG.uniform(-g.length, 2 * g.length, 200)
+    x = rng.uniform(-g.length, 2 * g.length, 200)
     d = interpolate_direct(g, f, x)
     fast = g.interpolate(f, x)
     assert np.max(np.abs(d - fast)) < 1e-12
@@ -293,8 +300,9 @@ def test_interpolate_direct_is_periodic():
 
 
 def test_interpolate_real_input_gives_real_output():
+    rng = np.random.default_rng(SEED)
     g = make_grid(256)
-    x = RNG.uniform(-g.length, 2 * g.length, 100)
+    x = rng.uniform(-g.length, 2 * g.length, 100)
     f = _nyquist_fields(g)[1]
     fast = g.interpolate(f, x)
     d = interpolate_direct(g, f, x)
@@ -307,10 +315,11 @@ def test_interpolate_real_input_gives_real_output():
 
 
 def test_evaluator_is_bit_identical_to_interpolate():
+    rng = np.random.default_rng(SEED)
     g = make_grid(128, length=3.0)
     for f in _nyquist_fields(g):
         ev = g.evaluator(f)
-        for x in (RNG.uniform(-g.length, 2 * g.length, 50), g.nodes, 0.7):
+        for x in (rng.uniform(-g.length, 2 * g.length, 50), g.nodes, 0.7):
             assert np.array_equal(ev(x), g.interpolate(f, x))
 
 
