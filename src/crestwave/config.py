@@ -212,6 +212,9 @@ def _validate(cfg, errors):
             f"output.families accepts {', '.join(STATE_FAMILIES)} (the families simulate "
             f"records), got {', '.join(bad)}"
         )
+    repeated = sorted({f for f in o.families if o.families.count(f) > 1})
+    if repeated:
+        errors.append(f"output.families lists {', '.join(repeated)} more than once")
 
     for s in su.sigma_list:
         if s < 0:

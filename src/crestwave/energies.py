@@ -210,10 +210,9 @@ def energy_delta(pair):
 
     comp = {
         "d0_delta_omega_Linfsq": grid.sup_norm(d_omega) ** 2,
-        "d0_htilap_minus1_LinfHhalfsq": (grid.sup_norm(dev_j + 0j) + grid.hhalf_norm(dev_j)) ** 2,
+        "d0_htilap_minus1_LinfHhalfsq": (grid.sup_norm(dev_j) + grid.hhalf_norm(dev_j)) ** 2,
         "d0_Dapa_htilap_minus1_L2sq": grid.l2_norm(grid.deriv(dev_j) / abs_a) ** 2,
-        "d0_absZpa_Util_invabsZpb_minus1_Linfsq": grid.sup_norm(abs_a * util_inv_abs_b - 1.0 + 0j)
-        ** 2,
+        "d0_absZpa_Util_invabsZpb_minus1_Linfsq": grid.sup_norm(abs_a * util_inv_abs_b - 1.0) ** 2,
         "d1_delta_dap_invZp_L2sq": grid.l2_norm(d_d1) ** 2,
         "d1_delta_invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(d_inv_d1) ** 2,
     }

@@ -108,9 +108,10 @@ def flat_state(grid, sigma=0.0):
 class DerivedFields:
     """Derived quantities of one state.
 
-    The right-hand-side set (b, A1, omega, Ztap, Ztt) is computed by
-    compute_derived; b_ap, Theta and the A1/Theta route gaps are
-    diagnostics, computed on first read.
+    The right-hand-side set (b, A1, omega, Ztap, Ztt, and the flux
+    Z_t - b Z_ap with its derivative flux_ap) is computed by compute_derived;
+    b_ap, Theta and the A1/Theta route gaps are diagnostics, computed on
+    first read.
     """
 
     grid: SpectralGrid
@@ -121,6 +122,8 @@ class DerivedFields:
     omega: np.ndarray
     Ztt: np.ndarray
     Ztap: np.ndarray
+    flux: np.ndarray
+    flux_ap: np.ndarray
     min_abs_Zp: float
 
     @cached_property
@@ -157,45 +160,101 @@ def compute_derived(state, check=True):
     applies the |Z_ap| floor on every call, served from that store or not,
     and before any field is computed.
     """
-    derived = state._memo.get("derived")
-    if derived is None:
-        derived = state._memo["derived"] = _derive(state, check)
-    elif check:
-        _require_floor(derived.min_abs_Zp)
-    return derived
+    return derive_states((state,), check)[0]
 
 
-def _require_floor(min_abs):
-    if min_abs < ABS_ZP_FLOOR:
-        raise DegenerateJacobianError(f"min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}")
+def derive_states(states, check=True, prefixes=None):
+    """compute_derived of each of states, which share one grid.
 
-
-def _derive(state, check):
-    grid = state.grid
-    Zp, Zt, sigma = state.Zp, state.Zt, state.sigma
-    abs_Zp = np.abs(Zp)
-    min_abs = float(abs_Zp.min())
+    The states whose fields are not yet kept are derived together in one
+    stacked pass, three rounds of independent Fourier multipliers with one
+    FFT pair each, and row r of every field is bit-identical to deriving
+    that state alone.  check=True applies the |Z_ap| floor to every state
+    before any field is computed, to the kept ones first; the error of
+    state r then starts with prefixes[r] when prefixes is given.
+    """
+    if prefixes is None:
+        prefixes = ("",) * len(states)
+    kept = [st._memo.get("derived") for st in states]
+    new = [(st, prefix) for st, d, prefix in zip(states, kept, prefixes) if d is None]
     if check:
-        _require_floor(min_abs)
+        for d, prefix in zip(kept, prefixes):
+            if d is not None:
+                _require_floor(d.min_abs_Zp, prefix)
+    if new:
+        # capillary states first, so that the capillary rounds take leading rows
+        new.sort(key=lambda item: item[0].sigma == 0.0)
+        Zp = np.array([st.Zp for st, _ in new])
+        abs_Zp = np.abs(Zp)
+        min_abs = abs_Zp.min(axis=-1).tolist()
+        if check:
+            for (_, prefix), min_r in zip(new, min_abs):
+                _require_floor(min_r, prefix)
+        fields = _derive(
+            states[0].grid, Zp, abs_Zp, [st.Zt for st, _ in new], [st.sigma for st, _ in new]
+        )
+        for (st, _), min_r, *rows in zip(new, min_abs, *fields):
+            st._memo["derived"] = DerivedFields(st.grid, st.Zp, st.Zt, *rows, min_r)
+    return [st._memo["derived"] for st in states]
+
+
+def _require_floor(min_abs, prefix=""):
+    if min_abs < ABS_ZP_FLOOR:
+        raise DegenerateJacobianError(
+            f"{prefix}min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}"
+        )
+
+
+def _derive(grid, Zp, abs_Zp, Zt_rows, sigma):
+    """The (m, n) stacks (b, A1, omega, Ztt, Ztap, flux, flux_ap), in the
+    order of DerivedFields, of the rows Zp, Zt_rows with surface tensions
+    sigma, capillary rows (sigma != 0) first: the capillary transforms run
+    on those rows only.
+
+    The inputs of each round are written into the rows of one stack, which
+    one multiply_symbol call transforms with a per-row symbol table.
+    """
+    m, n = Zp.shape
+    n_cap = sum(s != 0.0 for s in sigma)
     inv_Zp = 1.0 / Zp
-    Ztap = grid.deriv(Zt)
-    Ztbar_ap = np.conj(Ztap)
 
-    ratio = Zt * inv_Zp
-    b = (ratio - grid.hilbert(ratio)).real
+    # round 1: D Z_t, H ratio and D omega; omega is filled for every row,
+    # the transform stops after the capillary ones
+    stack = np.empty((3 * m, n), dtype=np.complex128)
+    Zt, ratio, omega = stack.reshape(3, m, n)
+    Zt[...] = Zt_rows
+    np.multiply(Zt, inv_Zp, out=ratio)
+    np.divide(Zp, abs_Zp, out=omega)
+    kinds = ("deriv",) * m + ("hilbert",) * m + ("deriv",) * n_cap
+    out = grid.multiply_symbol(stack[: 2 * m + n_cap], grid.symbol_table(kinds))
+    Ztap, h_ratio = out[: 2 * m].reshape(2, m, n)
+    d_omega = out[2 * m :]
+    b = (ratio - h_ratio).real
 
-    prod = Zt * Ztbar_ap
-    A1 = 1.0 - (Zt * grid.hilbert(Ztbar_ap) - grid.hilbert(prod)).imag
+    # round 2: D flux, H conj(Z_tap), H prod and H curv_im; dt Z = flux =
+    # Z_t - b Z_ap, and dt Z_ap = D flux keeps mean(Z_ap) and the
+    # d_a Z = Z_ap consistency exact instead of only up to aliasing
+    stack = np.empty((3 * m + n_cap, n), dtype=np.complex128)
+    flux, Ztbar_ap, prod = stack[: 3 * m].reshape(3, m, n)
+    curv_im = stack[3 * m :]
+    np.subtract(Zt, b * Zp, out=flux)
+    np.conj(Ztap, out=Ztbar_ap)
+    np.multiply(Zt, Ztbar_ap, out=prod)
+    curv_im[...] = (inv_Zp[:n_cap] * d_omega).imag
+    kinds = ("deriv",) * m + ("hilbert",) * (2 * m + n_cap)
+    out = grid.multiply_symbol(stack, grid.symbol_table(kinds))
+    flux_ap, h_Ztbar_ap, h_prod = out[: 3 * m].reshape(3, m, n)
+    h_curv_im = out[3 * m :]
+    A1 = 1.0 - (Zt * h_Ztbar_ap - h_prod).imag
 
-    omega = Zp / abs_Zp
-    if sigma != 0.0:
-        curv_im = (inv_Zp * grid.deriv(omega)).imag
-        capillary = sigma * inv_Zp * grid.deriv(curv_im + grid.hilbert(curv_im))
-    else:
-        capillary = 0.0
+    capillary = np.zeros_like(Zp)
+    if n_cap:
+        # round 3: D (curv_im + H curv_im)
+        sigma_cap = np.array(sigma[:n_cap])[:, None]
+        capillary[:n_cap] = sigma_cap * inv_Zp[:n_cap] * grid.deriv(curv_im + h_curv_im)
     Ztt = np.conj(1j - 1j * A1 * inv_Zp + capillary)
-
-    return DerivedFields(grid, Zp, Zt, b, A1, omega, Ztt, Ztap, min_abs)
+    # copies, so that the rates an RK4 stage keeps do not hold the round stacks
+    return b, A1, omega, Ztt, Ztap, flux.copy(), flux_ap.copy()
 
 
 def curvature_field(derived):
@@ -205,15 +264,9 @@ def curvature_field(derived):
 
 def rhs_eulerian(state, derived=None):
     """Time derivatives (dt Zdev, dt Z_ap, dt Z_t) on the fixed grid."""
-    grid = state.grid
     d = derived if derived is not None else compute_derived(state)
-    flux = state.Zt - d.b * state.Zp
-    dZdev = flux
-    # dt Z_ap = d_a (dt Z); this form keeps mean(Z_ap) and the d_a Z = Z_ap
-    # consistency exact instead of only up to aliasing
-    dZp = grid.deriv(flux)
     dZt = -d.b * d.Ztap + d.Ztt
-    return dZdev, dZp, dZt
+    return d.flux, d.flux_ap, dZt
 
 
 @dataclass
@@ -295,13 +348,11 @@ def finish_step(state, cfg, dt, Zdev, Zp, Zt):
     """
     grid = state.grid
     if cfg.filter_on:
-        Zdev = grid.dealias(Zdev)
-        Zp = grid.dealias(Zp)
-        Zt = grid.dealias(Zt)
+        Zdev, Zp, Zt = grid.dealias(np.array([Zdev, Zp, Zt]))
     res_Zp = res_Zt = 0.0
     if cfg.project_each_step:
-        dev_p, res_Zp = grid.remove_positive_modes(Zp - 1.0)
-        Ztbar, res_Zt = grid.remove_positive_modes(np.conj(Zt))
+        (dev_p, Ztbar), mass = grid.remove_positive_modes(np.array([Zp - 1.0, np.conj(Zt)]))
+        res_Zp, res_Zt = mass.tolist()
         Zp, Zt = 1.0 + dev_p, np.conj(Ztbar)
     min_abs = float(np.min(np.abs(Zp)))
     if min_abs < ABS_ZP_FLOOR:

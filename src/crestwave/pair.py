@@ -23,7 +23,7 @@ from .evolution import (
     StepperConfig,
     WaveState,
     cfl_bound,
-    compute_derived,
+    derive_states,
     finish_step,
     plan_steps,
     rhs_eulerian,
@@ -68,12 +68,16 @@ class PairStepDiagnostics:
     holo_residuals: tuple
 
 
+# what the message of an error from each solution starts with
+_PREFIX = {"a": "[solution a] ", "b": "[solution b] "}
+
+
 def _as_solution(tag, fn, *args):
     """fn(*args), with a CrestwaveError tagged by the solution it came from."""
     try:
         return fn(*args)
     except CrestwaveError as exc:
-        amend_message(exc, prefix=f"[solution {tag}] ")
+        amend_message(exc, prefix=_PREFIX[tag])
         raise
 
 
@@ -81,34 +85,36 @@ def co_step(pair, cfg, dt, monitor=None):
     """Advance both solutions and both flow maps by one shared RK4 step.
 
     The RK4 state is the 8-tuple of both solutions' fields and both map
-    deviations, so the maps see stage-consistent drift fields.
+    deviations, so the maps see stage-consistent drift fields.  Each stage
+    derives both solutions in one stacked pass and spreads both drift
+    fields b once.
     """
     a, b = pair.state_a, pair.state_b
     grid = a.grid
-    da = _as_solution("a", compute_derived, a)
-    db = _as_solution("b", compute_derived, b)
+    prefixes = (_PREFIX["a"], _PREFIX["b"])
+    da, db = derive_states((a, b), prefixes=prefixes)
     bound = min(cfl_bound(a, da), cfl_bound(b, db))
     if dt > cfg.dt_safety * bound * (1.0 + 1e-12):
         raise CFLViolationError(
             f"dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * pair bound = {cfg.dt_safety * bound:.3e}"
         )
 
-    def member_rhs(state0, y, der):
-        st = replace(state0, Zdev=y[0], Zp=y[1], Zt=y[2])
-        if der is None:
-            der = compute_derived(st)
-        return (*rhs_eulerian(st, der), grid.interpolate(der.b, grid.nodes + y[3]))
-
-    def rhs(y, da=None, db=None):
-        ka = _as_solution("a", member_rhs, a, y[:4], da)
-        return ka + _as_solution("b", member_rhs, b, y[4:], db)
+    def rhs(y, derived=None):
+        st_a = replace(a, Zdev=y[0], Zp=y[1], Zt=y[2])
+        st_b = replace(b, Zdev=y[4], Zp=y[5], Zt=y[6])
+        if derived is None:
+            derived = derive_states((st_a, st_b), prefixes=prefixes)
+        der_a, der_b = derived
+        drift = grid.evaluator(np.array([der_a.b, der_b.b]))
+        drift_a, drift_b = drift(np.array([grid.nodes + y[3], grid.nodes + y[7]]))
+        return (*rhs_eulerian(st_a, der_a), drift_a, *rhs_eulerian(st_b, der_b), drift_b)
 
     def member_finish(state0, y):
         new, residuals = finish_step(state0, cfg, dt, *y[:3])
         return new, MonotoneMap(grid, y[3]), residuals
 
     y0 = (a.Zdev, a.Zp, a.Zt, pair.map_a.deviation, b.Zdev, b.Zp, b.Zt, pair.map_b.deviation)
-    y = rk4(y0, rhs, dt, rhs(y0, da, db))
+    y = rk4(y0, rhs, dt, rhs(y0, (da, db)))
     state_a, map_a, res_a = _as_solution("a", member_finish, a, y[:4])
     state_b, map_b, res_b = _as_solution("b", member_finish, b, y[4:])
 

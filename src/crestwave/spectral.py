@@ -22,6 +22,8 @@ fields never see the difference.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import HolomorphicityError
@@ -98,9 +100,22 @@ class SpectralGrid:
         return np.fft.ifft(c * self.n)
 
     def multiply_symbol(self, f, symbol):
-        """ifft(symbol * fft(f)), unchecked: the symbol must be finite, of shape
-        (n,) over self.k; symbols from outside go through crestwave.apply_multiplier."""
+        """ifft(symbol * fft(f)) along the last axis, unchecked: the symbol must
+        be finite, over self.k, of shape (n,) or a (k, n) table for a (k, n)
+        stack f; symbols from outside go through crestwave.apply_multiplier.
+
+        Rows of a stack transform in one call and are bit-identical to
+        single-field calls, so a round of independent multipliers costs one
+        FFT pair.
+        """
         return np.fft.ifft(symbol * np.fft.fft(f))
+
+    def symbol_table(self, kinds):
+        """(len(kinds), n) table whose row r is the symbol named kinds[r],
+        'deriv' (first derivative) or 'hilbert'; built once for a tuple of
+        kinds and all grids equal to this one, so a run that builds a new
+        grid for each pair builds each table once."""
+        return _symbol_table(self, kinds)
 
     def deriv(self, f, order=1):
         """Spectral d^m/dx^m; odd orders zero the Nyquist mode."""
@@ -138,17 +153,23 @@ class SpectralGrid:
 
     def remove_positive_modes(self, f):
         """f without its k > 0 content (Nyquist included), and the L2 mass
-        removed, from one transform.  Used to enforce holomorphicity; note
-        this keeps the k = 0 mode in full, unlike P_H."""
+        removed, from one transform along the last axis.  Used to enforce
+        holomorphicity; note this keeps the k = 0 mode in full, unlike P_H.
+
+        For an (m, n) stack the mass is an array of the m row masses; each
+        row and its mass are bit-identical to a single-field call.
+        """
         c = np.fft.fft(f)
         return np.fft.ifft(self._nonpositive_symbol * c), self._positive_mass(c / self.n)
 
     def positive_mode_mass(self, f):
         """L2 mass carried by modes k > 0 (Nyquist included)."""
-        return self._positive_mass(self.coeffs(f))
+        return float(self._positive_mass(self.coeffs(f)))
 
     def _positive_mass(self, c):
-        return float(np.sqrt(self.length * np.sum(np.abs(c[~self._nonpositive]) ** 2)))
+        # the modes k > 0 are the slots 1..n/2 of the fft layout
+        positive = c[..., 1 : self.n // 2 + 1]
+        return np.sqrt(self.length * np.sum(np.abs(positive) ** 2, axis=-1))
 
     # -- norms ----------------------------------------------------------
 
@@ -171,13 +192,16 @@ class SpectralGrid:
         evaluates f, f' and f'' at its points by direct Fourier sums, with
         the Nyquist coefficient paired with cos(k_nyq x).  A seed at which
         Newton takes no step (a flat or constant field) keeps its value as
-        computed on the fine grid.
+        computed on the fine grid.  A real f is seeded by an inverse real
+        FFT of the half spectrum.
         """
-        f = np.asarray(f, dtype=np.complex128)
+        f = np.asarray(f)
+        real = np.isrealobj(f)
         c = self.coeffs(f)
         n2 = oversample * self.n
         h = self.length / n2
-        mag = np.abs(np.fft.ifft(self._padded_coeffs(c, n2) * n2))
+        padded = self._padded_coeffs(c, n2, real) * n2
+        mag = np.abs(np.fft.irfft(padded, n2) if real else np.fft.ifft(padded))
         k, i_ny = self.k, self.nyquist_index
         c_ny, k_ny = c[i_ny], k[i_ny]
         # a fine node within h/2 of the true peak is below it by at most
@@ -260,7 +284,9 @@ class SpectralGrid:
         The stack is spread by one batched transform, the kernel weights
         of a point set are computed once for all rows, and the result has
         a leading axis of length m whose row r is bit-identical to
-        interpolate(f[r], x).
+        interpolate(f[r], x).  An (m, p) point array x instead gives each
+        row its own points: row r of the result is then bit-identical to
+        interpolate(f[r], x[r]).
         """
         f = np.asarray(f)
         n, half, w = self.n, self.n // 2, _NUFFT_WIDTH
@@ -280,27 +306,40 @@ class SpectralGrid:
             fine = np.fft.ifft(spec)
             # real and imaginary parts apart, so real weights multiply real data
             fine = np.stack([fine.real, fine.imag])
-        # windows[r, j] holds fine values j, ..., j + w - 1 (periodically) of
-        # real row r
+        # windows[p, r, j] holds fine values j, ..., j + w - 1 (periodically)
+        # of row r: its real values, or p = 0 its real and p = 1 its
+        # imaginary part
+        rows = int(np.prod(lead))
         windows = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([fine, fine[..., : w - 1]], axis=-1), w, axis=-1
-        ).reshape(-1, n_fine, w)
+        ).reshape(-1, rows, n_fine, w)
         scale = n_fine / self.length
         offsets = (2.0 / w) * np.arange(w)
 
-        def evaluate(x):
-            t = scale * np.atleast_1d(np.asarray(x, dtype=np.float64))
+        def kernel(t):
+            """Kernel weights of the scaled targets t and the first fine node
+            each one sees."""
             base = np.floor(t)
             # target t sees fine nodes base - w/2 + 1, ..., base + w/2 at the
             # kernel coordinates z = 2 (t - node) / w, all within [-1, 1]
             z = ((2.0 / w) * (t - base) + (1.0 - 2.0 / w))[..., None] - offsets
             weights = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
-            start = (base.astype(np.int64) - (w // 2 - 1)) % n_fine
-            # one row at a time keeps the gathered windows to len(x) * w values
-            out = np.empty((len(windows),) + t.shape)
-            for win, row in zip(windows, out):
-                np.einsum("...j,...j->...", weights, win[start], out=row)
-            out = out.reshape(fine.shape[:-1] + t.shape)
+            return weights, (base.astype(np.int64) - (w // 2 - 1)) % n_fine
+
+        def evaluate(x):
+            t = scale * np.atleast_1d(np.asarray(x, dtype=np.float64))
+            # an (m, p) point array gives row r of an (m, n) stack its own points
+            own = bool(lead) and t.shape[:-1] == lead
+            shape = t.shape[-1:] if own else t.shape
+            points = t.reshape(rows, -1) if own else None
+            out = np.empty(windows.shape[:2] + shape)
+            for r in range(rows):
+                if own or r == 0:
+                    weights, start = kernel(points[r] if own else t)
+                # one row at a time keeps the gathered windows to len(x) * w values
+                for win, row in zip(windows[:, r], out[:, r]):
+                    np.einsum("...j,...j->...", weights, win[start], out=row)
+            out = out.reshape(fine.shape[:-1] + shape)
             return out if real else out[0] + 1j * out[1]
 
         return evaluate
@@ -329,16 +368,18 @@ class SpectralGrid:
             self._deconv = deconv
         return self._deconv
 
-    def _padded_coeffs(self, c, n_dense):
-        """Coefficients c of this grid zero-padded to n_dense modes."""
-        cp = np.zeros(n_dense, dtype=np.complex128)
+    def _padded_coeffs(self, c, n_dense, half_spectrum=False):
+        """Coefficients c of this grid zero-padded to n_dense modes; with
+        half_spectrum, only the modes k = 0..n_dense/2 that irfft reads."""
         half = self.n // 2
+        cp = np.zeros(n_dense // 2 + 1 if half_spectrum else n_dense, dtype=np.complex128)
         cp[:half] = c[:half]
-        cp[-(half - 1):] = c[-(half - 1):]
         # split the Nyquist coefficient evenly; equivalent to pairing it
         # with cos(k_nyq x)
         cp[half] = 0.5 * c[half]
-        cp[-half] = 0.5 * c[half]
+        if not half_spectrum:
+            cp[-(half - 1):] = c[-(half - 1):]
+            cp[-half] = 0.5 * c[half]
         return cp
 
     def resample(self, f, n_new):
@@ -387,6 +428,12 @@ class SpectralGrid:
 
     def __repr__(self):
         return f"SpectralGrid(n_points={self.n}, length={self.length:.6g})"
+
+
+@functools.lru_cache(maxsize=256)
+def _symbol_table(grid, kinds):
+    named = {"deriv": grid._deriv_symbol, "hilbert": grid._hilbert_symbol}
+    return np.stack([named[kind] for kind in kinds])
 
 
 # -- spec-level operation surface ----------------------------------------

@@ -205,6 +205,35 @@ def curvature_geometric(state):
     return num / np.abs(state.Zp) ** 3
 
 
+def derived_unbatched(state):
+    """The right-hand-side fields of one state with one Fourier multiplier
+    per FFT pair, in the expression order compute_derived keeps: the
+    reference that the stacked rounds of evolution.derive_states must match
+    bit for bit."""
+    grid = state.grid
+    Zp, Zt, sigma = state.Zp, state.Zt, state.sigma
+    abs_Zp = np.abs(Zp)
+    inv_Zp = 1.0 / Zp
+    Ztap = grid.deriv(Zt)
+    Ztbar_ap = np.conj(Ztap)
+    ratio = Zt * inv_Zp
+    b = (ratio - grid.hilbert(ratio)).real
+    prod = Zt * Ztbar_ap
+    A1 = 1.0 - (Zt * grid.hilbert(Ztbar_ap) - grid.hilbert(prod)).imag
+    omega = Zp / abs_Zp
+    if sigma != 0.0:
+        curv_im = (inv_Zp * grid.deriv(omega)).imag
+        capillary = sigma * inv_Zp * grid.deriv(curv_im + grid.hilbert(curv_im))
+    else:
+        capillary = 0.0
+    Ztt = np.conj(1j - 1j * A1 * inv_Zp + capillary)
+    flux = Zt - b * Zp
+    return {
+        "b": b, "A1": A1, "omega": omega, "Ztt": Ztt, "Ztap": Ztap, "flux": flux,
+        "flux_ap": grid.deriv(flux), "min_abs_Zp": float(abs_Zp.min()),
+    }
+
+
 def weighted_norm(state, f, kind):
     """Norm of a field, possibly weighted by the interface geometry.
 

@@ -127,6 +127,15 @@ def test_simulate_refuses_a_family_it_does_not_record(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_repeated_family(tmp_path, capsys):
+    cfgp = _write(tmp_path, "twice.ini", FLAT_INI + "families = sigma, high, sigma\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+    assert "output.families lists sigma more than once" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate-config", "--config", cfgp]) == 2
+
+
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     g = make_grid(128)
     st = random_smooth_state(g, RNG, sigma=3e-3, amp=0.2)

@@ -10,6 +10,7 @@ from crestwave.evolution import (
     cfl_bound,
     compute_derived,
     curvature_field,
+    derive_states,
     flat_state,
     make_state,
     rhs_eulerian,
@@ -20,9 +21,7 @@ from crestwave.evolution import (
 from crestwave.spectral import make_grid
 
 from helpers import evolve_series, material_derivative_fd, random_smooth_state, refine_state
-from oracles import curvature_geometric
-
-RNG = np.random.default_rng(7)
+from oracles import curvature_geometric, derived_unbatched
 
 
 # -- derived fields ------------------------------------------------------------
@@ -71,8 +70,9 @@ def test_degenerate_jacobian_rejected():
 
 
 def test_derived_fields_are_kept_on_the_state():
+    rng = np.random.default_rng(7)
     g = make_grid(64)
-    st = random_smooth_state(g, RNG)
+    st = random_smooth_state(g, rng)
     d = compute_derived(st)
     assert compute_derived(st) is d
     assert compute_derived(st, check=False) is d
@@ -95,9 +95,49 @@ def test_floor_applies_to_derived_fields_served_from_the_state():
     assert compute_derived(st, check=False) is d
 
 
+def _rough_state(grid, rng, sigma):
+    """A state with every Fourier mode of Z_ap and Z_t occupied."""
+    n = grid.n
+    Zp = 1.0 + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    Zt = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return make_state(grid, np.zeros(n, complex), Zp, Zt, sigma)
+
+
+@pytest.mark.parametrize("n", [256, 768])
+def test_derived_fields_match_the_unbatched_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    g = make_grid(n)
+    states = [_rough_state(g, rng, sigma) for sigma in (0.0, 1e-2, 0.0, 3e-3)]
+    # one state at a time, and the four as one stack with mixed sigma
+    singles = [compute_derived(replace(st)) for st in states]
+    stacked = derive_states([replace(st) for st in states])
+    for st, one, row in zip(states, singles, stacked):
+        for name, ref in derived_unbatched(st).items():
+            # bytes, so that signed zeros count too
+            for got in (getattr(one, name), getattr(row, name)):
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (st.sigma, name)
+
+
+def test_derive_states_checks_every_state_before_deriving():
+    g = make_grid(64)
+    rng = np.random.default_rng(64)
+    good = _rough_state(g, rng, 1e-2)
+    Zp = np.ones(64, complex)
+    Zp[5] = 1e-12
+    bad = make_state(g, np.zeros(64, complex), Zp, np.zeros(64, complex), 0.0)
+    with pytest.raises(DegenerateJacobianError, match=r"^\[b\] min \|Z_ap\| = 1\.000e-12"):
+        derive_states((good, bad), prefixes=("[a] ", "[b] "))
+    assert "derived" not in good._memo
+    # a state served from its store is checked too
+    compute_derived(bad, check=False)
+    with pytest.raises(DegenerateJacobianError, match=r"^\[b\] "):
+        derive_states((good, bad), prefixes=("[a] ", "[b] "))
+
+
 def test_curvature_routes_agree():
+    rng = np.random.default_rng(7)
     g = make_grid(256)
-    st = random_smooth_state(g, RNG)
+    st = random_smooth_state(g, rng)
     d = compute_derived(st)
     kappa = curvature_field(d)
     kappa_geo = curvature_geometric(st)
@@ -139,9 +179,10 @@ def _identity_residuals(state):
 
 
 def test_identity_suite_smoke():
+    rng = np.random.default_rng(7)
     g = make_grid(256)
     for sigma in (0.0, 1e-2):
-        st = random_smooth_state(g, RNG, sigma=sigma)
+        st = random_smooth_state(g, rng, sigma=sigma)
         for name, val in _identity_residuals(st).items():
             assert val < 1e-8, (name, val)
 
@@ -176,8 +217,9 @@ def test_cfl_violation_raises():
 
 
 def test_rk4_self_convergence_order():
+    rng = np.random.default_rng(7)
     g = make_grid(128)
-    st0 = random_smooth_state(g, RNG, sigma=1e-2, amp=0.1)
+    st0 = random_smooth_state(g, rng, sigma=1e-2, amp=0.1)
     dt0 = 0.5 * cfl_bound(st0)
     finals = {}
     for div in (1, 2, 4):
@@ -193,10 +235,11 @@ def test_rk4_self_convergence_order():
 
 
 def test_energy_continuity_over_steps():
+    rng = np.random.default_rng(7)
     from crestwave.energies import energy_sigma
 
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=1e-2, amp=0.08)
+    st = random_smooth_state(g, rng, sigma=1e-2, amp=0.08)
     states, _ = evolve_series(st, 100)
     totals = [energy_sigma(s).total for s in states]
     assert all(np.isfinite(t) for t in totals)
@@ -244,8 +287,9 @@ def dynamic_identity_residuals(st0, n_steps, dt):
 
 
 def test_dynamic_identities_second_order():
+    rng = np.random.default_rng(7)
     g = make_grid(128)
-    st0 = random_smooth_state(g, RNG, sigma=0.0, amp=0.15)
+    st0 = random_smooth_state(g, rng, sigma=0.0, amp=0.15)
     dt = 0.25 * cfl_bound(st0)
     coarse = dynamic_identity_residuals(st0, 8, dt)
     fine = dynamic_identity_residuals(st0, 16, dt / 2)
@@ -313,8 +357,9 @@ def test_validate_state_flat_and_contaminated():
 
 
 def test_refine_state_preserves_fields():
+    rng = np.random.default_rng(7)
     g = make_grid(64)
-    st = random_smooth_state(g, RNG, amp=0.1)
+    st = random_smooth_state(g, rng, amp=0.1)
     st2 = refine_state(st, 128)
     assert st2.grid.n == 128
     assert np.max(np.abs(st2.Zp[::2] - st.Zp)) < 1e-12

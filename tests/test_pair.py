@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from crestwave.brackets import MonotoneMap, commutator_bracket, htilcal_apply
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
-from crestwave.errors import HolomorphicityError
+from crestwave.errors import DegenerateJacobianError, HolomorphicityError
 from crestwave.evolution import StepperConfig, cfl_bound, compute_derived, flat_state, make_state
 from crestwave.pair import (
     PairRunResult,
@@ -22,41 +22,42 @@ from crestwave.spectral import make_grid
 from helpers import random_smooth_state
 from oracles import SELECTORS, delta_field
 
-RNG = np.random.default_rng(33)
 
-
-def _smooth_pair(grid, sigma_a=0.0, same=True, amp=0.15):
-    st = random_smooth_state(grid, RNG, sigma=0.0, amp=amp)
+def _smooth_pair(grid, rng, sigma_a=0.0, same=True, amp=0.15):
+    st = random_smooth_state(grid, rng, sigma=0.0, amp=amp)
     st_a = replace(st, sigma=sigma_a)
     if same:
         return init_pair(st_a, st)
-    st_b = random_smooth_state(grid, RNG, sigma=0.0, amp=amp)
+    st_b = random_smooth_state(grid, rng, sigma=0.0, amp=amp)
     return init_pair(st_a, st_b)
 
 
 def test_init_pair_validation():
+    rng = np.random.default_rng(33)
     g = make_grid(128)
     g2 = make_grid(64)
-    st = random_smooth_state(g, RNG)
+    st = random_smooth_state(g, rng)
     with pytest.raises(ValueError):
-        init_pair(st, random_smooth_state(g2, RNG))
+        init_pair(st, random_smooth_state(g2, rng))
     with pytest.raises(ValueError):
         init_pair(st, replace(st, sigma=0.1))
 
 
 def test_identical_pair_all_deltas_vanish():
+    rng = np.random.default_rng(33)
     g = make_grid(128)
-    pair = _smooth_pair(g)
+    pair = _smooth_pair(g, rng)
     for name in SELECTORS:
         field = delta_field(pair, name)
         assert np.max(np.abs(field)) < 1e-9, name
 
 
 def test_delta_product_rule_exact():
+    rng = np.random.default_rng(33)
     # Delta(fg) = U(f_b) Delta(g) + Delta(f) g_a with band-limited factors
     g = make_grid(256)
-    st_a = random_smooth_state(g, RNG, amp=0.2)
-    st_b = random_smooth_state(g, RNG, amp=0.2)
+    st_a = random_smooth_state(g, rng, amp=0.2)
+    st_b = random_smooth_state(g, rng, amp=0.2)
     pair = init_pair(replace(st_a, sigma=0.0), st_b)
     # use low-degree fields so products stay fully resolved
     fa, ga = st_a.Zp, 1.0 / st_a.Zp
@@ -71,10 +72,11 @@ def test_delta_product_rule_exact():
 
 
 def test_delta_commutator_decomposition():
+    rng = np.random.default_rng(33)
     # Delta [f, H] d_a g = [Delta f, H] d_a g_a + [U f_b, H - Htilcal] d_a g_a
     #                      + U { [f_b, H] d_a (U^{-1} Delta g) }
     g = make_grid(256)
-    st = random_smooth_state(g, RNG, amp=0.15)
+    st = random_smooth_state(g, rng, amp=0.15)
     pair0 = init_pair(replace(st, sigma=1e-2), st)
     cfg = StepperConfig()
     dt = 0.4 * min(cfl_bound(pair0.state_a), cfl_bound(pair0.state_b))
@@ -102,9 +104,10 @@ def test_delta_commutator_decomposition():
 
 
 def test_material_derivative_commutes_with_composition():
+    rng = np.random.default_rng(33)
     # (D_t)_a (U f_b) = U ((D_t)_b f_b) along co-evolved trajectories
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, amp=0.15)
+    st = random_smooth_state(g, rng, amp=0.15)
     pair = init_pair(replace(st, sigma=1e-2), st)
     cfg = StepperConfig()
     dt = 0.2 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
@@ -140,6 +143,17 @@ def test_co_step_guards_holomorphicity_per_solution():
     with pytest.raises(HolomorphicityError, match=r"^\[solution a\] projected positive-mode mass "
                        r"\S+ of Z_ap - 1 above tolerance 1\.0e-30 \* \S+$"):
         co_step(pair, cfg, dt)
+
+
+def test_co_step_tags_a_degenerate_solution_b():
+    g = make_grid(64)
+    Zp = np.ones(64, complex)
+    Zp[7] = 1e-10
+    st_b = make_state(g, np.zeros(64, complex), Zp, np.zeros(64, complex), 0.0)
+    pair = init_pair(flat_state(g, 1e-2), st_b)
+    with pytest.raises(DegenerateJacobianError,
+                       match=r"^\[solution b\] min \|Z_ap\| = 1\.000e-10 below 1e-08$"):
+        co_step(pair, StepperConfig(), 1e-4)
 
 
 def test_flat_pair_stays_flat():

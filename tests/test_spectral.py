@@ -380,3 +380,35 @@ def test_sup_norm_of_band_limited_fields_matches_dense_oracle(n):
             f = f.real
         exact = _dense_sup_oracle(g, f)
         assert abs(g.sup_norm(f) - exact) <= 1e-13 * exact, trial
+
+
+@pytest.mark.parametrize("n", [64, 768])
+def test_evaluator_rows_at_their_own_points_are_bit_identical(n):
+    g = make_grid(n, length=5.0)
+    rng = np.random.default_rng(n + 3)
+    x = rng.uniform(-g.length, 2 * g.length, (4, 200))
+    real = rng.standard_normal((4, n))
+    for stack in (real, real + 1j * rng.standard_normal((4, n))):
+        out = g.evaluator(stack)(x)
+        assert out.shape == (4, 200)
+        assert np.iscomplexobj(out) == np.iscomplexobj(stack)
+        for row, f, points in zip(out, stack, x):
+            assert row.tobytes() == g.interpolate(f, points).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 768])
+def test_stacked_remove_positive_modes_rows_match_single_calls(n):
+    g = make_grid(n)
+    rng = np.random.default_rng(n + 2)
+    stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    kept, mass = g.remove_positive_modes(stack)
+    assert kept.shape == (3, n) and mass.shape == (3,)
+    for f, row, row_mass in zip(stack, kept, mass):
+        one, one_mass = g.remove_positive_modes(f)
+        assert row.tobytes() == one.tobytes()
+        assert row_mass.tobytes() == np.float64(one_mass).tobytes()
+        # the mass of the modes k > 0, Nyquist included, and none left there
+        c = g.coeffs(f)
+        exact = np.sqrt(g.length * np.sum(np.abs(c[g.k_int > 0]) ** 2))
+        assert abs(row_mass - exact) <= 1e-13 * exact
+        assert g.positive_mode_mass(row) <= 1e-13 * row_mass
