@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .evolution import make_state
 from .spectral import SpectralGrid
 
 MAGIC = b"CWCHKPT1"
+_FLOAT_MAX = sys.float_info.max
 
 
 def save_checkpoint(path, state):
@@ -53,8 +55,9 @@ def save_checkpoint(path, state):
 
 def load_checkpoint(path):
     """State stored by save_checkpoint; raises ValueError on a file that is
-    not a checkpoint, is cut short or has trailing bytes, and on fields that
-    make_state rejects."""
+    not a checkpoint, is cut short or has trailing bytes, on a header that
+    is not a JSON object with numeric grid, sigma and time fields, and on
+    fields that make_state rejects."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != MAGIC:
@@ -62,15 +65,35 @@ def load_checkpoint(path):
     if len(data) < 12:
         raise ValueError("checkpoint header is cut short")
     (hlen,) = struct.unpack_from("<I", data, 8)
+    if 12 + hlen > len(data):
+        raise ValueError(f"checkpoint header of {hlen} bytes runs past the end of the file")
     header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
     if header.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    n = int(header["n_points"])
+    n, length, dealias, sigma, time = (_header_number(header, key) for key in _NUMBERS)
     body = data[12 + hlen :]
     if len(body) != 56 * n:
         raise ValueError(f"checkpoint fields take {len(body)} bytes, expected {56 * n} for n = {n}")
-    grid = SpectralGrid(n, float(header["length"]), float(header["dealias_fraction"]))
+    grid = SpectralGrid(n, length, dealias)
     fields = np.frombuffer(body, dtype="<c16", count=3 * n).astype(np.complex128).reshape(3, n)
     g = np.frombuffer(body, dtype="<f8", offset=48 * n).astype(np.float64)
     Zdev, Zp, Zt = fields
-    return make_state(grid, Zdev, Zp, Zt, float(header["sigma"]), float(header["time"]), g)
+    return make_state(grid, Zdev, Zp, Zt, sigma, time, g)
+
+
+# the numeric header fields, in the order load_checkpoint reads them
+_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
+
+
+def _header_number(header, key):
+    """header[key] as an int for n_points and a float otherwise; ValueError
+    unless it is a finite JSON number, and an integer for n_points."""
+    value = header.get(key)
+    kinds = int if key == "n_points" else (int, float)
+    # bool is an int subclass; NaN and numbers beyond float range fail the bound
+    if isinstance(value, bool) or not isinstance(value, kinds) or not abs(value) <= _FLOAT_MAX:
+        kind = "an integer" if key == "n_points" else "a finite number"
+        raise ValueError(f"checkpoint header field {key} = {value!r} is not {kind}")
+    return value if key == "n_points" else float(value)

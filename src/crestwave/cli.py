@@ -70,7 +70,8 @@ def _stepper(cfg):
 
 
 def build_initial_state(cfg):
-    """Initial WaveState from the [grid]/[data]/[physics] blocks."""
+    """Initial WaveState from the [grid]/[data]/[physics] blocks; a
+    checkpoint that cannot be loaded raises ConfigError."""
     g = cfg.grid
     grid = SpectralGrid(g.n_points, g.length, g.dealias)
     d = cfg.data
@@ -87,7 +88,10 @@ def build_initial_state(cfg):
         if d.epsilon > 0:
             state = mollify_data(state, d.epsilon)
     else:
-        state = load_checkpoint(d.checkpoint)
+        try:
+            state = load_checkpoint(d.checkpoint)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"data.checkpoint {d.checkpoint!r}: {exc}"]) from None
         state = replace(state, sigma=cfg.physics.sigma)
     return state
 
@@ -294,14 +298,18 @@ def build_parser():
     return ap
 
 
+def _config_failure(exc):
+    for v in exc.violations:
+        print(f"config error: {v}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_failure(exc)
 
     if args.command == "validate-config":
         print("config ok")
@@ -318,6 +326,9 @@ def main(argv=None):
             return cmd_sweep(cfg, outdir, args.seed, jobs)
         if args.command == "crest-scaling":
             return cmd_crest_scaling(cfg, outdir, args.seed)
+    except ConfigError as exc:
+        # a checkpoint that passed validation but cannot be loaded
+        return _config_failure(exc)
     except CFLViolationError as exc:
         print(f"CFL failure: {exc}", file=sys.stderr)
         return EXIT_CFL

@@ -7,13 +7,6 @@ class CrestwaveError(Exception):
     """Base class for package-specific errors."""
 
 
-def amend_message(exc, prefix="", suffix=""):
-    """Put prefix and suffix around the message of exc, in place, so that
-    a re-raised error says where it happened."""
-    message = str(exc.args[0]) if exc.args else ""
-    exc.args = (prefix + message + suffix,) + exc.args[1:]
-
-
 @contextmanager
 def at_step(i, n_steps, time):
     """Add " (step i + 1 of n_steps, t = time)" to the message of a
@@ -21,7 +14,8 @@ def at_step(i, n_steps, time):
     try:
         yield
     except CrestwaveError as exc:
-        amend_message(exc, suffix=f" (step {i + 1} of {n_steps}, t = {time:.6g})")
+        message = str(exc.args[0]) if exc.args else ""
+        exc.args = (f"{message} (step {i + 1} of {n_steps}, t = {time:.6g})",) + exc.args[1:]
         raise
 
 

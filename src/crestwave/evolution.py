@@ -17,7 +17,7 @@ enforced by projection after each step, with the removed mass logged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -171,7 +171,8 @@ def derive_states(states, check=True, prefixes=None):
     FFT pair each, and row r of every field is bit-identical to deriving
     that state alone.  check=True applies the |Z_ap| floor to every state
     before any field is computed, to the kept ones first; the error of
-    state r then starts with prefixes[r] when prefixes is given.
+    state r then starts with prefixes[r] when prefixes is given.  The first
+    RK4 stage of advance comes from here; its later stages call _derive.
     """
     if prefixes is None:
         prefixes = ("",) * len(states)
@@ -198,7 +199,7 @@ def derive_states(states, check=True, prefixes=None):
     return [st._memo["derived"] for st in states]
 
 
-def _require_floor(min_abs, prefix=""):
+def _require_floor(min_abs, prefix):
     if min_abs < ABS_ZP_FLOOR:
         raise DegenerateJacobianError(
             f"{prefix}min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}"
@@ -262,11 +263,16 @@ def curvature_field(derived):
     return derived.Theta.real
 
 
-def rhs_eulerian(state, derived=None):
+def _rates(b, Ztt, Ztap, flux, flux_ap):
+    """(dt Zdev, dt Z_ap, dt Z_t) from the right-hand-side fields of one
+    state or of an (m, n) stack."""
+    return flux, flux_ap, -b * Ztap + Ztt
+
+
+def rhs_eulerian(state):
     """Time derivatives (dt Zdev, dt Z_ap, dt Z_t) on the fixed grid."""
-    d = derived if derived is not None else compute_derived(state)
-    dZt = -d.b * d.Ztap + d.Ztt
-    return d.flux, d.flux_ap, dZt
+    d = compute_derived(state)
+    return _rates(d.b, d.Ztt, d.Ztap, d.flux, d.flux_ap)
 
 
 @dataclass
@@ -294,7 +300,7 @@ class StepDiagnostics:
     a1_route_gap: float
 
 
-def cfl_bound(state, derived=None):
+def cfl_bound(state):
     """Raw step-size bound min( dx / max|b| , (k_max + sigma k_max^3)^{-1/2} ).
 
     Multiply by StepperConfig.dt_safety for the admissible step.  The
@@ -303,7 +309,7 @@ def cfl_bound(state, derived=None):
     like sigma^{1/2} N^{3/2}.
     """
     grid = state.grid
-    d = derived if derived is not None else compute_derived(state)
+    d = compute_derived(state)
     k_max = (TWO_PI / grid.length) * (grid.n // 2)
     disp = 1.0 / np.sqrt(k_max + state.sigma * k_max ** 3)
     bmax = float(np.max(np.abs(d.b)))
@@ -339,52 +345,78 @@ def rk4(y0, rhs, dt, k1):
     )
 
 
-def finish_step(state, cfg, dt, Zdev, Zp, Zt):
-    """Post-step filtering, holomorphic projection and guards.
+def advance(states, cfg, dt, maps=None, tags=None):
+    """One classical RK4 step of m states on one grid, capillary states
+    (sigma != 0) first, and of maps, an (m, n) stack of map deviations
+    whose row r is carried by the drift b of state r.
 
-    Returns the state at time + dt and the removed positive-mode masses of
-    Z_ap - 1 and Zbar_t; raises on a degenerate Z_ap or on projected mass
-    above holo_tolerance times the size of the state.
+    Returns the new states, the new map deviations (None without maps) and
+    the removed masses (Z_ap - 1, Zbar_t) of each state.  Every stage and
+    the finish (one dealias, one projection) take the states as one stack.
+    Raises CFLViolationError when dt exceeds dt_safety times the smallest
+    bound, and, state by state, on a degenerate Z_ap or on projected mass
+    above holo_tolerance times the size of the state; an error of state r
+    starts with tags[r] when tags is given.
     """
-    grid = state.grid
-    if cfg.filter_on:
-        Zdev, Zp, Zt = grid.dealias(np.array([Zdev, Zp, Zt]))
-    res_Zp = res_Zt = 0.0
-    if cfg.project_each_step:
-        (dev_p, Ztbar), mass = grid.remove_positive_modes(np.array([Zp - 1.0, np.conj(Zt)]))
-        res_Zp, res_Zt = mass.tolist()
-        Zp, Zt = 1.0 + dev_p, np.conj(Ztbar)
-    min_abs = float(np.min(np.abs(Zp)))
-    if min_abs < ABS_ZP_FLOOR:
-        raise DegenerateJacobianError(f"post-step min |Z_ap| = {min_abs:.3e}")
-    scale = max(1.0, grid.l2_norm(Zp - 1.0) + grid.l2_norm(np.conj(Zt)))
-    res, name = max((res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"))
-    if res > cfg.holo_tolerance * scale:
-        raise HolomorphicityError(
-            f"projected positive-mode mass {res:.3e} of {name} above tolerance "
-            f"{cfg.holo_tolerance:.1e} * {scale:.3e}"
-        )
-    g_new = continue_angle(Zp, state.g)
-    out = WaveState(grid, Zdev, Zp, Zt, state.sigma, state.time + dt, g_new)
-    return out, (res_Zp, res_Zt)
-
-
-def step_rk4(state, cfg, dt, monitor=None):
-    """One classical RK4 step; raises CFLViolationError when dt exceeds
-    dt_safety times the stability bound of the current state."""
-    d0 = compute_derived(state)
-    bound = cfl_bound(state, d0)
+    m = len(states)
+    grid = states[0].grid
+    sigma = [st.sigma for st in states]
+    tags = ("",) * m if tags is None else tags
+    derived = derive_states(states, prefixes=tags)
+    bound = min(cfl_bound(st) for st in states)
     if dt > cfg.dt_safety * bound * (1.0 + 1e-12):
         raise CFLViolationError(
             f"dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * bound = {cfg.dt_safety * bound:.3e}"
         )
 
-    def stage(fields):
-        Zdev, Zp, Zt = fields
-        return rhs_eulerian(replace(state, Zdev=Zdev, Zp=Zp, Zt=Zt))
+    def rhs(y, fields=None):
+        Zdev, Zp, Zt, *dev = y
+        if fields is None:
+            abs_Zp = np.abs(Zp)
+            for min_r, tag in zip(abs_Zp.min(axis=-1).tolist(), tags):
+                _require_floor(min_r, tag)
+            b, _, _, Ztt, Ztap, flux, flux_ap = _derive(grid, Zp, abs_Zp, Zt, sigma)
+        else:
+            b, Ztt, Ztap, flux, flux_ap = fields
+        rates = _rates(b, Ztt, Ztap, flux, flux_ap)
+        return (*rates, *(grid.evaluator(b)(grid.nodes + d) for d in dev))
 
-    new = rk4((state.Zdev, state.Zp, state.Zt), stage, dt, rhs_eulerian(state, d0))
-    out, (res_Zp, res_Zt) = finish_step(state, cfg, dt, *new)
+    y0 = [np.array([getattr(st, name) for st in states]) for name in ("Zdev", "Zp", "Zt")]
+    y0 += [] if maps is None else [maps]
+    names = ("b", "Ztt", "Ztap", "flux", "flux_ap")
+    kept = [np.array([getattr(d, name) for d in derived]) for name in names]
+    Zdev, Zp, Zt, *dev = rk4(y0, rhs, dt, rhs(y0, kept))
+
+    if cfg.filter_on:
+        Zdev, Zp, Zt = grid.dealias(np.concatenate([Zdev, Zp, Zt])).reshape(3, m, grid.n)
+    masses = [(0.0, 0.0)] * m
+    if cfg.project_each_step:
+        out, mass = grid.remove_positive_modes(np.concatenate([Zp - 1.0, np.conj(Zt)]))
+        dev_p, Ztbar = out.reshape(2, m, grid.n)
+        masses = list(zip(*mass.reshape(2, m).tolist()))
+        Zp, Zt = 1.0 + dev_p, np.conj(Ztbar)
+    new = []
+    for st, tag, Zdev_r, Zp_r, Zt_r, (res_Zp, res_Zt) in zip(
+        states, tags, Zdev, Zp, Zt, masses
+    ):
+        _require_floor(float(np.min(np.abs(Zp_r))), f"{tag}post-step ")
+        scale = max(1.0, grid.l2_norm(Zp_r - 1.0) + grid.l2_norm(np.conj(Zt_r)))
+        res, name = max((res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"))
+        if res > cfg.holo_tolerance * scale:
+            raise HolomorphicityError(
+                f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
+                f"{cfg.holo_tolerance:.1e} * {scale:.3e}"
+            )
+        g_new = continue_angle(Zp_r, st.g)
+        new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt, g_new))
+    return new, (dev[0] if dev else None), masses
+
+
+def step_rk4(state, cfg, dt, monitor=None):
+    """One classical RK4 step of one state (advance of a one-state stack);
+    raises CFLViolationError when dt exceeds dt_safety times the stability
+    bound of the current state."""
+    (out,), _, ((res_Zp, res_Zt),) = advance((state,), cfg, dt)
     if monitor is not None:
         d1 = compute_derived(out, check=False)
         monitor(

@@ -3,10 +3,11 @@ solution (b), with Lagrangian flow maps, the pair run driver and
 convergence studies.
 
 Both solutions share one grid and one time step (the stiffer sigma-CFL
-governs), are advanced together inside a single RK4 so the flow maps see
-stage-consistent drift fields, and the composed map htilde = h_b o h_a^{-1}
-is recomputed from its definition after every step.  Differences are always
-Delta(f) = f_a - f_b o htilde.
+governs).  A pair step is evolution.advance, the RK4 step of step_rk4, on
+the two-row stack of the solutions, with the deviations of h_a and h_b
+carried by each row's drift b, so the flow maps see stage-consistent drift
+fields; htilde = h_b o h_a^{-1} is then recomputed from its definition.
+Differences are always Delta(f) = f_a - f_b o htilde.
 """
 
 from __future__ import annotations
@@ -16,19 +17,10 @@ from functools import partial
 
 import numpy as np
 
-from .brackets import MonotoneMap, compose_map_apply, compose_maps
+from .brackets import MonotoneMap, compose_maps
 from .energies import energy_delta, energy_sigma, f_delta_norm
-from .errors import CFLViolationError, CrestwaveError, amend_message, at_step
-from .evolution import (
-    StepperConfig,
-    WaveState,
-    cfl_bound,
-    derive_states,
-    finish_step,
-    plan_steps,
-    rhs_eulerian,
-    rk4,
-)
+from .errors import CrestwaveError, MonotonicityError, at_step
+from .evolution import StepperConfig, WaveState, advance, cfl_bound, plan_steps
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .spectral import SpectralGrid
 
@@ -58,88 +50,27 @@ def init_pair(state_a, state_b):
     return PairState(state_a, state_b, ident, ident, MonotoneMap.identity(state_a.grid))
 
 
-@dataclass
-class PairStepDiagnostics:
-    time: float
-    dt: float
-    htilde_jac_min: float
-    htilde_jac_max: float
-    htilde_route_gap: float
-    holo_residuals: tuple
-
-
 # what the message of an error from each solution starts with
-_PREFIX = {"a": "[solution a] ", "b": "[solution b] "}
+_TAGS = ("[solution a] ", "[solution b] ")
 
 
-def _as_solution(tag, fn, *args):
-    """fn(*args), with a CrestwaveError tagged by the solution it came from."""
-    try:
-        return fn(*args)
-    except CrestwaveError as exc:
-        amend_message(exc, prefix=_PREFIX[tag])
-        raise
-
-
-def co_step(pair, cfg, dt, monitor=None):
+def co_step(pair, cfg, dt):
     """Advance both solutions and both flow maps by one shared RK4 step.
 
-    The RK4 state is the 8-tuple of both solutions' fields and both map
-    deviations, so the maps see stage-consistent drift fields.  Each stage
-    derives both solutions in one stacked pass and spreads both drift
-    fields b once.
+    The two solutions and the deviations of h_a and h_b are one two-row
+    stack of evolution.advance, so the maps see stage-consistent drift
+    fields; htilde is then rebuilt from its definition.
     """
-    a, b = pair.state_a, pair.state_b
-    grid = a.grid
-    prefixes = (_PREFIX["a"], _PREFIX["b"])
-    da, db = derive_states((a, b), prefixes=prefixes)
-    bound = min(cfl_bound(a, da), cfl_bound(b, db))
-    if dt > cfg.dt_safety * bound * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * pair bound = {cfg.dt_safety * bound:.3e}"
-        )
-
-    def rhs(y, derived=None):
-        st_a = replace(a, Zdev=y[0], Zp=y[1], Zt=y[2])
-        st_b = replace(b, Zdev=y[4], Zp=y[5], Zt=y[6])
-        if derived is None:
-            derived = derive_states((st_a, st_b), prefixes=prefixes)
-        der_a, der_b = derived
-        drift = grid.evaluator(np.array([der_a.b, der_b.b]))
-        drift_a, drift_b = drift(np.array([grid.nodes + y[3], grid.nodes + y[7]]))
-        return (*rhs_eulerian(st_a, der_a), drift_a, *rhs_eulerian(st_b, der_b), drift_b)
-
-    def member_finish(state0, y):
-        new, residuals = finish_step(state0, cfg, dt, *y[:3])
-        return new, MonotoneMap(grid, y[3]), residuals
-
-    y0 = (a.Zdev, a.Zp, a.Zt, pair.map_a.deviation, b.Zdev, b.Zp, b.Zt, pair.map_b.deviation)
-    y = rk4(y0, rhs, dt, rhs(y0, (da, db)))
-    state_a, map_a, res_a = _as_solution("a", member_finish, a, y[:4])
-    state_b, map_b, res_b = _as_solution("b", member_finish, b, y[4:])
-
-    inv_a = map_a.inverse()
-    map_tilde = compose_maps(map_b, inv_a)
-    out = PairState(state_a, state_b, map_a, map_b, map_tilde)
-
-    if monitor is not None:
-        jac = map_tilde.jacobian()
-        # independent route for htilde_ap: the Jacobian ratio composed with
-        # the inverse of h_a
-        jacs = np.stack([map_b.jacobian(), map_a.jacobian()])
-        jac_b, jac_a = compose_map_apply(grid, jacs, inv_a)
-        ratio = jac_b / jac_a
-        monitor(
-            PairStepDiagnostics(
-                time=out.time,
-                dt=dt,
-                htilde_jac_min=float(jac.min()),
-                htilde_jac_max=float(jac.max()),
-                htilde_route_gap=float(np.max(np.abs(jac - ratio))),
-                holo_residuals=res_a + res_b,
-            )
-        )
-    return out
+    maps = np.array([pair.map_a.deviation, pair.map_b.deviation])
+    states, deviations, _ = advance((pair.state_a, pair.state_b), cfg, dt, maps, _TAGS)
+    maps = []
+    for tag, dev in zip(_TAGS, deviations):
+        try:
+            maps.append(MonotoneMap(pair.state_a.grid, dev))
+        except MonotonicityError as exc:
+            raise MonotonicityError(tag + str(exc)) from None
+    map_a, map_b = maps
+    return PairState(*states, map_a, map_b, compose_maps(map_b, map_a.inverse()))
 
 
 # -- convergence studies --------------------------------------------------------

@@ -205,6 +205,25 @@ def test_map_of_inverse_is_identity(seed, n_modes, max_slope, n):
     assert np.max(np.abs(m(inv.values) - g.nodes)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.integers(1, 12),
+    max_slope=st.floats(0.01, 0.9),
+    n=st.sampled_from([256, 512]),
+)
+def test_compose_maps_is_associative(seed, n_modes, max_slope, n):
+    # (f o g) o h = f o (g o h) up to the interpolation error, for maps whose
+    # compositions the grid resolves (at n = 64 a 12-mode composition is
+    # not band-limited enough, and the gap is its truncation error instead)
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    f, g_, h = (random_monotone_map(g, rng, n_modes=n_modes, max_slope=max_slope) for _ in "fgh")
+    left = compose_maps(compose_maps(f, g_), h)
+    right = compose_maps(f, compose_maps(g_, h))
+    assert np.max(np.abs(left.deviation - right.deviation)) < 1e-13
+
+
 def test_monotonicity_rejection():
     g = make_grid(128)
     with pytest.raises(MonotonicityError):

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -148,21 +149,58 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         assert np.array_equal(a, b)
 
 
+def _edit_header(edit):
+    """Damage that replaces the JSON header of a checkpoint by edit(header)."""
+
+    def damage(raw, n):
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
+        return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :]
+
+    return damage
+
+
+def _without(key):
+    return _edit_header(lambda h: {k: v for k, v in h.items() if k != key})
+
+
+def _setting(key, value):
+    return _edit_header(lambda h: {**h, key: value})
+
+
+HEADER_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
+
+
 @pytest.mark.parametrize(
-    "damage",
+    "damage, match",
     [
-        lambda raw, n: raw[:-16],  # cut at a 16-byte boundary
-        lambda raw, n: raw[: -8 * n],  # angle block missing
-        lambda raw, n: raw + b"\x00",  # one trailing byte
+        (lambda raw, n: raw[:-16], "bytes"),  # cut at a 16-byte boundary
+        (lambda raw, n: raw[: -8 * n], "bytes"),  # angle block missing
+        (lambda raw, n: raw + b"\x00", "bytes"),  # one trailing byte
+        (lambda raw, n: raw[:8] + struct.pack("<I", len(raw)) + raw[12:], "runs past the end"),
+        (_edit_header(lambda h: [1]), "not a JSON object"),
+        (_edit_header(lambda h: {"version": 1}), "n_points = None is not an integer"),
+        *[(_without(key), f"{key} = None is not") for key in HEADER_NUMBERS],
+        *[(_setting(key, "64"), f"{key} = '64' is not") for key in HEADER_NUMBERS],
+        (_setting("n_points", 64.0), "n_points = 64.0 is not an integer"),
+        (_setting("sigma", float("nan")), "sigma = nan is not a finite number"),
+        (_setting("time", True), "time = True is not a finite number"),
     ],
-    ids=["cut_16_bytes", "no_angle_block", "trailing_byte"],
+    ids=[
+        "cut_16_bytes", "no_angle_block", "trailing_byte", "header_past_end", "header_list",
+        "header_version_only",
+        *[f"no_{key}" for key in HEADER_NUMBERS],
+        *[f"string_{key}" for key in HEADER_NUMBERS],
+        "float_n_points", "nan_sigma", "bool_time",
+    ],
 )
-def test_checkpoint_refuses_wrong_length(tmp_path, damage):
+def test_checkpoint_refuses_wrong_length(tmp_path, damage, match):
+    # a file of the wrong length or with a malformed header is refused
     g = make_grid(64)
     p = tmp_path / "st.ckpt"
     save_checkpoint(str(p), random_smooth_state(g, RNG, amp=0.1))
     p.write_bytes(damage(p.read_bytes(), g.n))
-    with pytest.raises(ValueError, match="bytes"):
+    with pytest.raises(ValueError, match=match):
         load_checkpoint(str(p))
 
 
@@ -175,6 +213,19 @@ def test_checkpoint_refuses_nan_field(tmp_path):
     save_checkpoint(p, replace(st, Zt=Zt))
     with pytest.raises(ValueError, match="Zt contains non-finite"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("command", ["simulate", "pair"])
+def test_unloadable_checkpoint_is_a_config_error(tmp_path, capsys, command):
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(b"junk")
+    ini = FLAT_INI + f"\n[data]\nkind = checkpoint\ncheckpoint = {junk}\n"
+    cfgp = _write(tmp_path, "ckpt.ini", ini)
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: data.checkpoint {str(junk)!r}: "
+        "not a crestwave checkpoint (magic b'junk')\n"
+    )
 
 
 def test_resume_equals_uninterrupted(tmp_path):

@@ -51,8 +51,9 @@ def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
 
 def test_co_step_transform_calls(stepped, fft_calls):
     # per stage one three-round derive of both solutions and one spread of
-    # both drifts (the rfft/irfft pairs); then a dealias and a projection
-    # per solution, and the map Jacobians, inverse and composition
+    # both drifts (the rfft/irfft pairs); then one dealias and one
+    # projection of both solutions, and the map Jacobians, inverse and
+    # composition
     pair, cfg, dt = stepped
     co_step(pair, cfg, dt)
-    assert fft_calls == {"fft": 22, "ifft": 22, "rfft": 6, "irfft": 6}
+    assert fft_calls == {"fft": 20, "ifft": 20, "rfft": 6, "irfft": 6}

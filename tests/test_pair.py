@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from crestwave import brackets
 from crestwave.brackets import MonotoneMap, commutator_bracket, htilcal_apply
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
-from crestwave.errors import DegenerateJacobianError, HolomorphicityError
-from crestwave.evolution import StepperConfig, cfl_bound, compute_derived, flat_state, make_state
+from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
+from crestwave.evolution import (
+    StepperConfig,
+    cfl_bound,
+    compute_derived,
+    flat_state,
+    make_state,
+    step_rk4,
+)
 from crestwave.pair import (
     PairRunResult,
     PairRunSpec,
@@ -154,6 +162,46 @@ def test_co_step_tags_a_degenerate_solution_b():
     with pytest.raises(DegenerateJacobianError,
                        match=r"^\[solution b\] min \|Z_ap\| = 1\.000e-10 below 1e-08$"):
         co_step(pair, StepperConfig(), 1e-4)
+
+
+def test_co_step_tags_a_post_step_failure_of_solution_b():
+    # a flat solution a stays exactly flat and removes no mass; b does
+    g = make_grid(64)
+    st_b = random_smooth_state(g, np.random.default_rng(5), amp=0.1)
+    pair = init_pair(flat_state(g, 1e-2), st_b)
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    with pytest.raises(HolomorphicityError, match=r"^\[solution b\] projected positive-mode mass "
+                       r"\S+ of (Z_ap - 1|Zbar_t) above tolerance 1\.0e-30 \* \S+$"):
+        co_step(pair, StepperConfig(holo_tolerance=1e-30), dt)
+
+
+def test_co_step_tags_a_map_failure_of_solution_b(monkeypatch):
+    # with the floor at 1, the first map whose Jacobian dips below 1 fails:
+    # h_a of a flat solution a stays the identity, h_b moves
+    g = make_grid(64)
+    st_b = random_smooth_state(g, np.random.default_rng(5), amp=0.1)
+    pair = init_pair(flat_state(g, 1e-2), st_b)
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    monkeypatch.setattr(brackets, "JACOBIAN_FLOOR", 1.0)
+    with pytest.raises(MonotonicityError, match=r"^\[solution b\] min h_ap = \S+ below floor"):
+        co_step(pair, StepperConfig(), dt)
+
+
+def test_each_member_steps_as_it_would_alone():
+    # neither the partner nor the maps enter a solution's own step
+    g = make_grid(128)
+    pair = _smooth_pair(g, np.random.default_rng(17), sigma_a=1e-2, same=False)
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    alone_a, alone_b = pair.state_a, pair.state_b
+    for _ in range(50):
+        pair = co_step(pair, cfg, dt)
+        alone_a = step_rk4(alone_a, cfg, dt)
+        alone_b = step_rk4(alone_b, cfg, dt)
+    for member, alone in ((pair.state_a, alone_a), (pair.state_b, alone_b)):
+        assert member.time == alone.time
+        for name in ("Zdev", "Zp", "Zt", "g"):
+            assert getattr(member, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 def test_flat_pair_stays_flat():
