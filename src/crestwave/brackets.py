@@ -124,22 +124,19 @@ def commutator_bracket(grid, f, g):
 # -- composed Hilbert operators ------------------------------------------------
 
 
-def hcal_apply(grid, f, map_, inverse_map=None):
+def hcal_apply(grid, f, map_):
     """Composed Hilbert transform through the exact conjugation identity.
 
     With U f = f o h, the kernel form with the h' (Jacobian) factor inside
     satisfies Hcal U = U H, hence Hcal = U H U^{-1}; this turns the singular
     integral into interpolation plus the FFT Hilbert transform.
     """
-    inv = inverse_map if inverse_map is not None else map_.inverse()
-    pulled = compose_map_apply(grid, f, inv)
+    pulled = compose_map_apply(grid, f, map_.inverse())
     return compose_map_apply(grid, grid.hilbert(pulled), map_)
 
 
-def htilcal_apply(grid, f, map_, inverse_map=None):
+def htilcal_apply(grid, f, map_):
     """Jacobian-free variant: Htilcal(g) = Hcal(g / h_ap), so that
-    Htilcal(h_ap f) = Hcal(f) holds identically."""
-    jac = map_.jacobian()
-    if float(np.min(np.abs(jac))) < JACOBIAN_FLOOR:
-        raise MonotonicityError("map Jacobian too close to zero for Htilcal")
-    return hcal_apply(grid, f / jac, map_, inverse_map=inverse_map)
+    Htilcal(h_ap f) = Hcal(f) holds identically; h_ap >= JACOBIAN_FLOOR
+    holds for every MonotoneMap."""
+    return hcal_apply(grid, f / map_.jacobian(), map_)

@@ -36,13 +36,13 @@ from .errors import (
     DegenerateJacobianError,
     HolomorphicityError,
     MonotonicityError,
-    at_step,
 )
 from .evolution import (
     StepperConfig,
     cfl_bound,
     compute_derived,
     curvature_field,
+    drive,
     flat_state,
     plan_steps,
     step_rk4,
@@ -64,7 +64,6 @@ def _stepper(cfg):
     return StepperConfig(
         dt_safety=s.dt_safety,
         filter_on=s.filter_on,
-        project_each_step=s.project_each_step,
         holo_tolerance=s.holo_tolerance,
     )
 
@@ -113,12 +112,7 @@ def cmd_simulate(cfg, outdir, seed):
         for f in families:
             series[f].append(STATE_FAMILIES[f](st))
 
-    record(state)
-    for i in range(n_steps):
-        with at_step(i, n_steps, state.time):
-            state = step_rk4(state, stepper, dt)
-        if (i + 1) % cfg.output.record_interval == 0 or i + 1 == n_steps:
-            record(state)
+    state = drive(state, step_rk4, stepper, dt, n_steps, record, cfg.output.record_interval)
 
     os.makedirs(outdir, exist_ok=True)
     for f in families:

@@ -6,8 +6,7 @@ Schema (all keys optional, unknown sections or keys are rejected):
     [data]     kind = flat | crest | checkpoint, nu, delta, epsilon,
                vel_amp_re, vel_amp_im, vel_mode, checkpoint
     [physics]  sigma, t_final
-    [stepper]  dt_safety, filter_on, project_each_step, holo_tolerance,
-               max_steps
+    [stepper]  dt_safety, filter_on, holo_tolerance, max_steps
     [output]   directory, families, record_interval
     [study]    sigma_list, epsilon_list, couple = product | eps32, jobs,
                min_steps
@@ -60,7 +59,6 @@ class PhysicsBlock:
 class StepperBlock:
     dt_safety: float = 0.5
     filter_on: bool = True
-    project_each_step: bool = True
     holo_tolerance: float = 1e-8
     max_steps: int = 200000
 

@@ -40,9 +40,9 @@ class EnergyReport:
     def csv_header(self):
         return "time," + ",".join(self.components) + ",total"
 
-    def csv_row(self, fmt="%.17g"):
+    def csv_row(self):
         vals = [self.time, *self.components.values(), self.total]
-        return ",".join(fmt % v for v in vals)
+        return ",".join("%.17g" % v for v in vals)
 
     def to_json_dict(self):
         return {

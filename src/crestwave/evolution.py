@@ -12,7 +12,7 @@ surface tension sigma >= 0.  The right-hand side is
 with b = Re (I - H)(Z_t / Z_ap), A1 = 1 - Im [Z_t, H] d_a Zbar_t and
 omega = Z_ap / |Z_ap|.  Setting sigma = 0 recovers the pure gravity system
 exactly.  Holomorphicity (Fourier support k <= 0 of Z_ap - 1 and Zbar_t) is
-enforced by projection after each step, with the removed mass logged.
+enforced by projection after each step, with the removed mass checked.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError
+from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at_step
 from .spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
@@ -279,7 +279,6 @@ def rhs_eulerian(state):
 class StepperConfig:
     dt_safety: float = 0.5
     filter_on: bool = True
-    project_each_step: bool = True
     holo_tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -287,17 +286,6 @@ class StepperConfig:
             raise ValueError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
         if not self.holo_tolerance > 0:
             raise ValueError("holo_tolerance must be positive")
-
-
-@dataclass
-class StepDiagnostics:
-    time: float
-    dt: float
-    holo_residual_Zp: float
-    holo_residual_Ztbar: float
-    min_abs_Zp: float
-    a1_min: float
-    a1_route_gap: float
 
 
 def cfl_bound(state):
@@ -350,13 +338,12 @@ def advance(states, cfg, dt, maps=None, tags=None):
     (sigma != 0) first, and of maps, an (m, n) stack of map deviations
     whose row r is carried by the drift b of state r.
 
-    Returns the new states, the new map deviations (None without maps) and
-    the removed masses (Z_ap - 1, Zbar_t) of each state.  Every stage and
-    the finish (one dealias, one projection) take the states as one stack.
-    Raises CFLViolationError when dt exceeds dt_safety times the smallest
-    bound, and, state by state, on a degenerate Z_ap or on projected mass
-    above holo_tolerance times the size of the state; an error of state r
-    starts with tags[r] when tags is given.
+    Returns the new states and the new map deviations (None without maps).
+    Every stage and the finish (one dealias, one projection) take the states
+    as one stack.  Raises CFLViolationError when dt exceeds dt_safety times
+    the smallest bound, and, state by state, on a degenerate Z_ap or on
+    projected mass above holo_tolerance times the size of the state; an
+    error of state r starts with tags[r] when tags is given.
     """
     m = len(states)
     grid = states[0].grid
@@ -389,12 +376,10 @@ def advance(states, cfg, dt, maps=None, tags=None):
 
     if cfg.filter_on:
         Zdev, Zp, Zt = grid.dealias(np.concatenate([Zdev, Zp, Zt])).reshape(3, m, grid.n)
-    masses = [(0.0, 0.0)] * m
-    if cfg.project_each_step:
-        out, mass = grid.remove_positive_modes(np.concatenate([Zp - 1.0, np.conj(Zt)]))
-        dev_p, Ztbar = out.reshape(2, m, grid.n)
-        masses = list(zip(*mass.reshape(2, m).tolist()))
-        Zp, Zt = 1.0 + dev_p, np.conj(Ztbar)
+    out, mass = grid.remove_positive_modes(np.concatenate([Zp - 1.0, np.conj(Zt)]))
+    dev_p, Ztbar = out.reshape(2, m, grid.n)
+    masses = zip(*mass.reshape(2, m).tolist())
+    Zp, Zt = 1.0 + dev_p, np.conj(Ztbar)
     new = []
     for st, tag, Zdev_r, Zp_r, Zt_r, (res_Zp, res_Zt) in zip(
         states, tags, Zdev, Zp, Zt, masses
@@ -409,28 +394,29 @@ def advance(states, cfg, dt, maps=None, tags=None):
             )
         g_new = continue_angle(Zp_r, st.g)
         new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt, g_new))
-    return new, (dev[0] if dev else None), masses
+    return new, (dev[0] if dev else None)
 
 
-def step_rk4(state, cfg, dt, monitor=None):
+def step_rk4(state, cfg, dt):
     """One classical RK4 step of one state (advance of a one-state stack);
     raises CFLViolationError when dt exceeds dt_safety times the stability
     bound of the current state."""
-    (out,), _, ((res_Zp, res_Zt),) = advance((state,), cfg, dt)
-    if monitor is not None:
-        d1 = compute_derived(out, check=False)
-        monitor(
-            StepDiagnostics(
-                time=out.time,
-                dt=dt,
-                holo_residual_Zp=res_Zp,
-                holo_residual_Ztbar=res_Zt,
-                min_abs_Zp=d1.min_abs_Zp,
-                a1_min=float(d1.A1.min()),
-                a1_route_gap=d1.a1_route_gap,
-            )
-        )
+    (out,), _ = advance((state,), cfg, dt)
     return out
+
+
+def drive(x, step, cfg, dt, n_steps, record, record_every):
+    """n_steps steps x = step(x, cfg, dt) of a state or a pair x, returning
+    the last x; record(x) runs at the start, after every record_every-th
+    step and after the last.  Each step runs inside errors.at_step, so its
+    CrestwaveError names the step and the time it started from."""
+    record(x)
+    for i in range(n_steps):
+        with at_step(i, n_steps, x.time):
+            x = step(x, cfg, dt)
+        if (i + 1) % record_every == 0 or i + 1 == n_steps:
+            record(x)
+    return x
 
 
 @dataclass

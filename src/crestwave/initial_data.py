@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DegenerateJacobianError, HolomorphicityError
 from .evolution import make_state, seed_angle
 DEFAULT_DEPTH_LADDER = tuple(-(2.0 ** -j) for j in range(1, 9))
+# positive-mode tolerance of estimate_M: on the data and at each depth
+_M_HOLO_TOL = 1e-8
 
 
 @dataclass
@@ -37,7 +39,6 @@ class CrestSpec:
     regularization_delta: float = 0.0
     velocity_amplitude: complex = 0.0
     velocity_mode: int = -1
-    crest_center: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.nu < 0.5):
@@ -66,9 +67,7 @@ def crest_data(spec, grid, sigma=0.0):
     n, L = grid.n, grid.length
     k1 = 2.0 * np.pi / L
     delta = spec.regularization_delta
-    a_c = spec.crest_center
-    if a_c is None:
-        a_c = 0.0 if delta > 0.0 else 0.5 * grid.dx
+    a_c = 0.0 if delta > 0.0 else 0.5 * grid.dx
 
     n_neg = n // 2 - 1  # negative-frequency slots k = -1 .. -(n/2 - 1)
     a_m = _binomial_series(spec.nu - 1.0, n_neg + 1)
@@ -118,7 +117,7 @@ class MEstimate:
     depths: tuple = ()
 
 
-def estimate_M(state, depth_ladder=None, holo_tol=1e-8):
+def estimate_M(state, depth_ladder=None):
     """Ladder approximation of the nine-term admissibility functional.
 
     Each term sup_{y < 0} ||...||_{L^p} is approximated from below by the
@@ -132,7 +131,7 @@ def estimate_M(state, depth_ladder=None, holo_tol=1e-8):
 
     for name, f in (("Z_ap - 1", state.Zp - 1.0), ("Zbar_t", np.conj(state.Zt))):
         mass = grid.positive_mode_mass(f)
-        if mass > holo_tol * max(1.0, grid.l2_norm(f)):
+        if mass > _M_HOLO_TOL * max(1.0, grid.l2_norm(f)):
             raise HolomorphicityError(f"{name} has positive-mode mass {mass:.3e}")
 
     names = (
@@ -150,7 +149,7 @@ def estimate_M(state, depth_ladder=None, holo_tol=1e-8):
     dev_Zp = state.Zp - 1.0
     Ztbar = np.conj(state.Zt)
     for y in depths:
-        Psi = 1.0 + grid.extend_to_depth(dev_Zp, y, tol=holo_tol)
+        Psi = 1.0 + grid.extend_to_depth(dev_Zp, y, tol=_M_HOLO_TOL)
         if float(np.min(np.abs(Psi))) < 1e-10:
             raise DegenerateJacobianError(f"extended Z_ap vanishes at depth {y}")
         inv = 1.0 / Psi
@@ -160,7 +159,7 @@ def estimate_M(state, depth_ladder=None, holo_tol=1e-8):
         logPsi = np.log(np.abs(Psi)) + 1j * seed_angle(grid, Psi)
         p34 = np.exp(0.75 * logPsi)
         p12 = np.exp(0.5 * logPsi)
-        U = grid.extend_to_depth(Ztbar, y, tol=holo_tol)
+        U = grid.extend_to_depth(Ztbar, y, tol=_M_HOLO_TOL)
         vals = {
             "Psi34_dz_invPsi_L8over7": grid.lp_norm(p34 * d1, 8.0 / 7.0),
             "Psi12_dz_invPsi_L4over3": grid.lp_norm(p12 * d1, 4.0 / 3.0),

@@ -19,8 +19,8 @@ import numpy as np
 
 from .brackets import MonotoneMap, compose_maps
 from .energies import energy_delta, energy_sigma, f_delta_norm
-from .errors import CrestwaveError, MonotonicityError, at_step
-from .evolution import StepperConfig, WaveState, advance, cfl_bound, plan_steps
+from .errors import CrestwaveError, MonotonicityError
+from .evolution import StepperConfig, WaveState, advance, cfl_bound, drive, plan_steps
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .spectral import SpectralGrid
 
@@ -62,7 +62,7 @@ def co_step(pair, cfg, dt):
     fields; htilde is then rebuilt from its definition.
     """
     maps = np.array([pair.map_a.deviation, pair.map_b.deviation])
-    states, deviations, _ = advance((pair.state_a, pair.state_b), cfg, dt, maps, _TAGS)
+    states, deviations = advance((pair.state_a, pair.state_b), cfg, dt, maps, _TAGS)
     maps = []
     for tag, dev in zip(_TAGS, deviations):
         try:
@@ -146,12 +146,11 @@ def drive_pair(pair, stepper, result):
     """Co-evolve a built pair to t_final, filling `result`.
 
     t_final, min_steps, max_steps and record_every come from result.spec;
-    dt is fixed by plan_steps from the pair's bound at the start.  E_delta,
-    F_delta and E_sigma of solution a are appended to `result` at the start,
-    every record_every steps and at the end.  A CrestwaveError propagates
-    with " (step i of N, t = ...)" added to its message, i counting from 1
-    and t the time the failed step started from; what was recorded before
-    it stays in `result`.
+    dt is fixed by plan_steps from the pair's bound at the start.  The
+    steps run through evolution.drive, which appends E_delta, F_delta and
+    E_sigma of solution a to `result` at the start, every record_every steps
+    and at the end; a CrestwaveError propagates with its step and time, and
+    what was recorded before it stays in `result`.
     """
     spec = result.spec
     bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
@@ -164,12 +163,7 @@ def drive_pair(pair, stepper, result):
         result.f_delta_reports.append(f_delta_norm(p))
         result.sigma_a_reports.append(energy_sigma(p.state_a))
 
-    snapshot(pair)
-    for i in range(n_steps):
-        with at_step(i, n_steps, pair.time):
-            pair = co_step(pair, stepper, result.dt)
-        if (i + 1) % spec.record_every == 0 or i + 1 == n_steps:
-            snapshot(pair)
+    drive(pair, co_step, stepper, result.dt, n_steps, snapshot, spec.record_every)
     result.n_steps = n_steps
     result.ok = True
 

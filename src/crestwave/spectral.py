@@ -35,8 +35,10 @@ TWO_PI = 2.0 * np.pi
 _NUFFT_WIDTH = 16
 _NUFFT_BETA = 2.3 * _NUFFT_WIDTH
 _NUFFT_QUAD_NODES = 100
-# most fine-grid peaks that sup_norm polishes
+# sup_norm: refinement of its seed grid, most peaks polished, Newton steps
+_SUP_OVERSAMPLE = 8
 _SUP_SEEDS = 8
+_SUP_NEWTON_STEPS = 3
 
 
 def _require_finite(f, what="field"):
@@ -179,26 +181,26 @@ class SpectralGrid:
     def linf_norm(self, f):
         return float(np.max(np.abs(f)))
 
-    def sup_norm(self, f, oversample=8, newton_steps=3):
+    def sup_norm(self, f):
         """Supremum of |f| for the trigonometric interpolant of f.
 
         The grid max undershoots the true peak by O((k dx)^2).  Here the
-        peak is seeded on a grid `oversample` times finer and polished by
-        Newton on |f|^2, making the value insensitive to the collocation
-        offset.  Every local maximum of the fine grid (spacing h) within the
-        Bernstein bound (k_nyq h)^2 / 8 of its largest value is polished (the
-        highest _SUP_SEEDS of them), so a neighbouring peak that the fine
-        grid happens to sample better cannot hide the true one.  The polish
-        evaluates f, f' and f'' at its points by direct Fourier sums, with
-        the Nyquist coefficient paired with cos(k_nyq x).  A seed at which
-        Newton takes no step (a flat or constant field) keeps its value as
-        computed on the fine grid.  A real f is seeded by an inverse real
-        FFT of the half spectrum.
+        peak is seeded on a grid _SUP_OVERSAMPLE times finer and polished by
+        _SUP_NEWTON_STEPS Newton steps on |f|^2, making the value insensitive
+        to the collocation offset.  Every local maximum of the fine grid
+        (spacing h) within the Bernstein bound (k_nyq h)^2 / 8 of its largest
+        value is polished (the highest _SUP_SEEDS of them), so a neighbouring
+        peak that the fine grid happens to sample better cannot hide the true
+        one.  The polish evaluates f, f' and f'' at its points by direct
+        Fourier sums, with the Nyquist coefficient paired with cos(k_nyq x).
+        A seed at which Newton takes no step (a flat or constant field) keeps
+        its value as computed on the fine grid.  A real f is seeded by an
+        inverse real FFT of the half spectrum.
         """
         f = np.asarray(f)
         real = np.isrealobj(f)
         c = self.coeffs(f)
-        n2 = oversample * self.n
+        n2 = _SUP_OVERSAMPLE * self.n
         h = self.length / n2
         padded = self._padded_coeffs(c, n2, real) * n2
         mag = np.abs(np.fft.irfft(padded, n2) if real else np.fft.ifft(padded))
@@ -225,7 +227,7 @@ class SpectralGrid:
         x = h * seeds
         active = np.ones(x.size, dtype=bool)
         moved = np.zeros(x.size, dtype=bool)
-        for _ in range(newton_steps):
+        for _ in range(_SUP_NEWTON_STEPS):
             v, vp, vpp = values(x)
             u1 = 2.0 * (np.conj(v) * vp).real
             u2 = 2.0 * (np.abs(vp) ** 2 + (np.conj(v) * vpp).real)
