@@ -48,7 +48,14 @@ from .evolution import (
     step_rk4,
 )
 from .initial_data import CrestSpec, crest_data, mollify_data
-from .pair import PairRunResult, PairRunSpec, drive_pair, init_pair, run_convergence_study
+from .pair import (
+    PairRunResult,
+    PairRunSpec,
+    drive_pair,
+    fit_loglog,
+    init_pair,
+    run_convergence_study,
+)
 from .spectral import SpectralGrid
 
 EXIT_OK = 0
@@ -70,7 +77,8 @@ def _stepper(cfg):
 
 def build_initial_state(cfg):
     """Initial WaveState from the [grid]/[data]/[physics] blocks; a
-    checkpoint that cannot be loaded raises ConfigError."""
+    checkpoint that cannot be loaded, or whose grid is not the [grid] grid,
+    raises ConfigError."""
     g = cfg.grid
     grid = SpectralGrid(g.n_points, g.length, g.dealias)
     d = cfg.data
@@ -91,6 +99,10 @@ def build_initial_state(cfg):
             state = load_checkpoint(d.checkpoint)
         except (OSError, ValueError) as exc:
             raise ConfigError([f"data.checkpoint {d.checkpoint!r}: {exc}"]) from None
+        if state.grid != grid:
+            raise ConfigError(
+                [f"data.checkpoint {d.checkpoint!r}: {state.grid!r} differs from [grid] {grid!r}"]
+            )
         state = replace(state, sigma=cfg.physics.sigma)
     return state
 
@@ -192,6 +204,9 @@ def _study_specs(cfg):
 
 
 def cmd_sweep(cfg, outdir, seed, jobs):
+    if cfg.data.kind != "crest":
+        # every sweep run builds its pair from the crest of [data]
+        raise ConfigError([f"sweep takes data.kind = crest only, got {cfg.data.kind!r}"])
     specs = _study_specs(cfg)
     result = run_convergence_study(specs, stepper=_stepper(cfg), jobs=jobs)
     os.makedirs(outdir, exist_ok=True)
@@ -258,7 +273,7 @@ def cmd_crest_scaling(cfg, outdir, seed):
     for eps in eps_list:
         st = mollify_data(base, eps)
         rows.append((eps, float(np.max(np.abs(curvature_field(compute_derived(st)))))))
-    slope = float(np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0])
+    slope = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "crest_scaling.csv"), "w") as fh:
         fh.write("# crestwave-csv v1 crest-scaling\n")
@@ -287,9 +302,17 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--out", default=None, help="output directory (overrides [output])")
-        p.add_argument("--jobs", type=int, default=None, help="parallel sweep runs")
         p.add_argument("--seed", type=int, default=0, help="recorded in outputs")
+        if name == "sweep":
+            p.add_argument("--jobs", type=_jobs, default=None, help="parallel sweep runs")
     return ap
+
+
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _config_failure(exc):
@@ -310,18 +333,18 @@ def main(argv=None):
         return EXIT_OK
 
     outdir = args.out or cfg.output.directory
-    jobs = args.jobs or cfg.study.jobs
     try:
         if args.command == "simulate":
             return cmd_simulate(cfg, outdir, args.seed)
         if args.command == "pair":
             return cmd_pair(cfg, outdir, args.seed)
         if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, args.seed, jobs)
+            return cmd_sweep(cfg, outdir, args.seed, args.jobs or cfg.study.jobs)
         if args.command == "crest-scaling":
             return cmd_crest_scaling(cfg, outdir, args.seed)
     except ConfigError as exc:
-        # a checkpoint that passed validation but cannot be loaded
+        # a checkpoint that cannot be loaded or has another grid, or a sweep
+        # of data other than crest
         return _config_failure(exc)
     except CFLViolationError as exc:
         print(f"CFL failure: {exc}", file=sys.stderr)

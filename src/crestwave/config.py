@@ -12,7 +12,9 @@ Schema (all keys optional, unknown sections or keys are rejected):
                min_steps
 
 Environment variables CRESTWAVE_<SECTION>_<KEY> override file values.
-Validation reports every violation at once.
+Every number must be finite.  Validation reports every violation at once.
+The CLI also requires a kind = checkpoint file to hold the [grid] grid,
+and sweep to run kind = crest data.
 """
 
 from __future__ import annotations
@@ -112,18 +114,25 @@ def _parse_value(name, raw, default, errors):
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
-            return float(raw)
+            return _finite(raw)
         if isinstance(default, tuple):
             if raw == "":
                 return ()
             items = [s.strip() for s in raw.split(",") if s.strip()]
             if name.endswith("_list"):
-                return tuple(float(s) for s in items)
+                return tuple(_finite(s) for s in items)
             return tuple(items)
         return raw
     except ValueError as exc:
         errors.append(f"{name}: {exc}")
         return default
+
+
+def _finite(raw):
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(path, env=None):

@@ -94,8 +94,10 @@ def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0, g=None):
             raise ValueError(f"{name} must have shape ({grid.n},)")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
-    if sigma < 0:
-        raise ValueError(f"surface tension must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"surface tension must be finite and >= 0, got {sigma}")
+    if not np.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
     return WaveState(grid, Zdev, Zp, Zt, float(sigma), float(time), g)
 
 
@@ -200,7 +202,8 @@ def derive_states(states, check=True, prefixes=None):
 
 
 def _require_floor(min_abs, prefix):
-    if min_abs < ABS_ZP_FLOOR:
+    # written so that a NaN minimum fails too
+    if not min_abs >= ABS_ZP_FLOOR:
         raise DegenerateJacobianError(
             f"{prefix}min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}"
         )
@@ -341,9 +344,9 @@ def advance(states, cfg, dt, maps=None, tags=None):
     Returns the new states and the new map deviations (None without maps).
     Every stage and the finish (one dealias, one projection) take the states
     as one stack.  Raises CFLViolationError when dt exceeds dt_safety times
-    the smallest bound, and, state by state, on a degenerate Z_ap or on
-    projected mass above holo_tolerance times the size of the state; an
-    error of state r starts with tags[r] when tags is given.
+    the smallest bound, and, state by state, on a degenerate or NaN Z_ap or
+    on projected mass above holo_tolerance times the size of the state, or
+    NaN mass; an error of state r starts with tags[r] when tags is given.
     """
     m = len(states)
     grid = states[0].grid
@@ -386,8 +389,11 @@ def advance(states, cfg, dt, maps=None, tags=None):
     ):
         _require_floor(float(np.min(np.abs(Zp_r))), f"{tag}post-step ")
         scale = max(1.0, grid.l2_norm(Zp_r - 1.0) + grid.l2_norm(np.conj(Zt_r)))
-        res, name = max((res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"))
-        if res > cfg.holo_tolerance * scale:
+        # the larger removed mass, a NaN one before any number
+        res, name = max(
+            (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda r: (np.isnan(r[0]), r)
+        )
+        if not res <= cfg.holo_tolerance * scale:
             raise HolomorphicityError(
                 f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
                 f"{cfg.holo_tolerance:.1e} * {scale:.3e}"

@@ -190,7 +190,9 @@ def run_pair_once(spec, stepper=None):
     return result
 
 
-def _fit_loglog(x, y):
+def fit_loglog(x, y):
+    """Least-squares slope of log y against log x over the points where
+    both are positive and finite; None with fewer than two distinct x."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     good = (x > 0) & (y > 0) & np.isfinite(x) & np.isfinite(y)
@@ -247,12 +249,12 @@ def run_convergence_study(specs, stepper=None, jobs=1):
     out = StudyResult(runs=runs)
     sigmas = [r.spec.sigma for r in ok]
     if ok:
-        out.slope_e0_vs_sigma = _fit_loglog(sigmas, [r.e_delta_initial for r in ok])
-        out.slope_e0_vs_scaling = _fit_loglog(
+        out.slope_e0_vs_sigma = fit_loglog(sigmas, [r.e_delta_initial for r in ok])
+        out.slope_e0_vs_scaling = fit_loglog(
             [r.spec.sigma / r.spec.epsilon ** 1.5 for r in ok],
             [r.e_delta_initial for r in ok],
         )
-        out.slope_supf_vs_sigma = _fit_loglog(sigmas, [r.f_delta_sup for r in ok])
+        out.slope_supf_vs_sigma = fit_loglog(sigmas, [r.f_delta_sup for r in ok])
         e0 = np.array([r.e_delta_initial for r in ok])
         if np.all(e0 > 0):
             out.e0_max_over_min = float(e0.max() / e0.min())

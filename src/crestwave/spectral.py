@@ -429,7 +429,10 @@ class SpectralGrid:
         return hash((self.n, self.length, self.dealias_fraction))
 
     def __repr__(self):
-        return f"SpectralGrid(n_points={self.n}, length={self.length:.6g})"
+        return (
+            f"SpectralGrid(n_points={self.n}, length={self.length!r}, "
+            f"dealias_fraction={self.dealias_fraction!r})"
+        )
 
 
 @functools.lru_cache(maxsize=256)

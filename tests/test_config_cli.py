@@ -10,7 +10,7 @@ from crestwave.checkpoint import load_checkpoint, save_checkpoint
 from crestwave.cli import _study_specs, main
 from crestwave.config import parse_config
 from crestwave.errors import ConfigError
-from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
+from crestwave.evolution import StepperConfig, cfl_bound, flat_state, step_rk4
 from crestwave.pair import build_pair
 from crestwave.spectral import make_grid
 
@@ -65,6 +65,8 @@ def test_env_override(tmp_path):
     assert cfg.physics.sigma == 0.25
     with pytest.raises(ConfigError):
         parse_config(path, env={"CRESTWAVE_PHYSICS_SIGMA": "-1.0"})
+    with pytest.raises(ConfigError, match="physics.sigma: expected a finite number"):
+        parse_config(path, env={"CRESTWAVE_PHYSICS_SIGMA": "nan"})
 
 
 FLAT_INI = """
@@ -78,6 +80,26 @@ t_final = 0.1
 [output]
 record_interval = 10
 """
+
+
+@pytest.mark.parametrize(
+    "ini, name",
+    [
+        (FLAT_INI.replace("t_final = 0.1", "t_final = inf"), "physics.t_final"),
+        (FLAT_INI.replace("sigma = 0.01", "sigma = inf"), "physics.sigma"),
+        (FLAT_INI.replace("sigma = 0.01", "sigma = nan"), "physics.sigma"),
+        (FLAT_INI.replace("n_points = 128", "n_points = 128\nlength = inf"), "grid.length"),
+        (FLAT_INI + "\n[data]\nepsilon = inf\n", "data.epsilon"),
+        (FLAT_INI + "\n[study]\nsigma_list = 1e-2, nan\n", "study.sigma_list"),
+    ],
+    ids=["t_final", "sigma-inf", "sigma-nan", "length", "epsilon", "sigma_list"],
+)
+def test_config_refuses_non_finite_numbers(tmp_path, capsys, ini, name):
+    cfgp = _write(tmp_path, "nonfinite.ini", ini)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+    assert f"config error: {name}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_flat_run(tmp_path):
@@ -228,6 +250,25 @@ def test_unloadable_checkpoint_is_a_config_error(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("grid", [make_grid(64), make_grid(128, length=4 * np.pi),
+                                  make_grid(128, dealias_fraction=0.5)])
+@pytest.mark.parametrize("command", ["simulate", "pair"])
+def test_checkpoint_with_another_grid_is_a_config_error(tmp_path, capsys, command, grid):
+    ckpt = str(tmp_path / "other.ckpt")
+    save_checkpoint(ckpt, flat_state(grid, 0.01))
+    ini = FLAT_INI + f"\n[data]\nkind = checkpoint\ncheckpoint = {ckpt}\n"
+    cfgp = _write(tmp_path, "ckpt.ini", ini)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: data.checkpoint {ckpt!r}: SpectralGrid(n_points={grid.n}, "
+        f"length={grid.length!r}, dealias_fraction={grid.dealias_fraction!r}) differs from "
+        f"[grid] SpectralGrid(n_points=128, length={2 * np.pi!r}, "
+        f"dealias_fraction={2 / 3!r})\n"
+    )
+    assert not out.exists()
+
+
 def test_resume_equals_uninterrupted(tmp_path):
     g = make_grid(128)
     st = random_smooth_state(g, RNG, sigma=1e-2, amp=0.1)
@@ -311,6 +352,15 @@ record_interval = 8
     assert 0.9 < fits["slope_e0_vs_sigma"] < 1.1
 
 
+@pytest.mark.parametrize("eps_list", ["0.1", "0.1, 0.1"])
+def test_crest_scaling_of_one_distinct_epsilon_fits_no_slope(tmp_path, eps_list):
+    ini = f"[grid]\nn_points = 64\n\n[data]\nkind = crest\n\n[study]\nepsilon_list = {eps_list}\n"
+    cfgp = _write(tmp_path, "cs.ini", ini)
+    out = tmp_path / "cs"
+    assert main(["crest-scaling", "--config", cfgp, "--out", str(out)]) == 0
+    assert json.load(open(out / "crest_scaling.json"))["slope"] is None
+
+
 def test_crest_scaling_command(tmp_path):
     ini = """
 [grid]
@@ -378,6 +428,34 @@ def test_sweep_specs_carry_the_dealias_fraction(tmp_path):
     (spec,) = _study_specs(parse_config(_write(tmp_path, "d.ini", ini)))
     assert spec.dealias == 0.5
     assert build_pair(spec).state_a.grid.dealias_fraction == 0.5
+
+
+@pytest.mark.parametrize("kind", ["flat", "checkpoint"])
+def test_sweep_refuses_data_other_than_crest(tmp_path, capsys, kind):
+    ckpt = str(tmp_path / "st.ckpt")
+    save_checkpoint(ckpt, flat_state(make_grid(128), 1e-2))
+    data = f"kind = {kind}\ncheckpoint = {ckpt}"
+    cfgp = _write(tmp_path, "sweep.ini", PAIR_VS_SWEEP_INI.replace("kind = crest", data))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sweep takes data.kind = crest only, got {kind!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--jobs", "2"], ["pair", "--jobs", "2"], ["crest-scaling", "--jobs", "2"],
+     ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"]],
+)
+def test_jobs_is_a_positive_sweep_option(tmp_path, argv):
+    cfgp = _write(tmp_path, "sweep.ini", PAIR_VS_SWEEP_INI)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", cfgp, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert not out.exists()
 
 
 def test_simulate_failure_names_its_step_and_time(tmp_path, capsys):

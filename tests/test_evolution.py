@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from crestwave.brackets import MonotoneMap
-from crestwave.errors import CFLViolationError, DegenerateJacobianError
+from crestwave.errors import (
+    CFLViolationError,
+    CrestwaveError,
+    DegenerateJacobianError,
+    HolomorphicityError,
+)
 from crestwave.evolution import (
     StepperConfig,
     cfl_bound,
@@ -18,7 +23,8 @@ from crestwave.evolution import (
     step_rk4,
     validate_state,
 )
-from crestwave.spectral import make_grid
+from crestwave.pair import co_step, init_pair
+from crestwave.spectral import SpectralGrid, make_grid
 
 from helpers import evolve_series, material_derivative_fd, random_smooth_state, refine_state
 from oracles import curvature_geometric, derived_unbatched
@@ -214,6 +220,45 @@ def test_cfl_violation_raises():
     st = flat_state(g, 1e-2)
     with pytest.raises(CFLViolationError):
         step_rk4(st, StepperConfig(), 100.0 * cfl_bound(st))
+
+
+def test_steps_refuse_a_nan_surface_tension():
+    # replace bypasses make_state; the step guards must not let NaN through
+    g = make_grid(64)
+    st = random_smooth_state(g, np.random.default_rng(11), sigma=1e-2, amp=0.1)
+    dt = 0.4 * cfl_bound(st)
+    bad = replace(st, sigma=float("nan"))
+    with pytest.raises(CrestwaveError, match="nan"):
+        step_rk4(bad, StepperConfig(), dt)
+    pair = init_pair(bad, replace(st, sigma=0.0))
+    with pytest.raises(CrestwaveError, match=r"^\[solution a\] .*nan"):
+        co_step(pair, StepperConfig(), dt)
+
+
+def test_holomorphicity_guard_refuses_a_nan_mass(monkeypatch):
+    # a NaN removed mass of Zbar_t beside a finite one of Z_ap - 1
+    g = make_grid(64)
+    st = random_smooth_state(g, np.random.default_rng(12), sigma=1e-2, amp=0.1)
+    remove = SpectralGrid.remove_positive_modes
+
+    def nan_mass_of_zbar_t(self, f):
+        out, mass = remove(self, f)
+        mass[-1] = np.nan
+        return out, mass
+
+    monkeypatch.setattr(SpectralGrid, "remove_positive_modes", nan_mass_of_zbar_t)
+    with pytest.raises(HolomorphicityError, match="mass nan of Zbar_t"):
+        step_rk4(st, StepperConfig(), 0.4 * cfl_bound(st))
+
+
+@pytest.mark.parametrize("bad", [{"sigma": float("nan")}, {"sigma": float("inf")},
+                                 {"time": float("nan")}, {"time": float("inf")}])
+def test_make_state_refuses_non_finite_sigma_or_time(bad):
+    g = make_grid(16)
+    st = flat_state(g)
+    args = {"sigma": 0.0, "time": 0.0, **bad}
+    with pytest.raises(ValueError, match="finite"):
+        make_state(g, st.Zdev, st.Zp, st.Zt, **args)
 
 
 def test_rk4_self_convergence_order():
