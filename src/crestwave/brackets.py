@@ -26,9 +26,9 @@ class MonotoneMap:
     """Strictly increasing map h with h(a + L) = h(a) + L.
 
     Stored as the periodic deviation from the identity, h(a) = a + dev(a).
-    The map is immutable: its Jacobian and its inverse are computed once,
-    on first use, and kept on the map (their arrays are never written in
-    place).
+    The map is immutable: its Jacobian, its inverse and the NUFFT kernel
+    weights of its values are computed once, on first use, and kept on the
+    map (their arrays are never written in place).
     """
 
     grid: SpectralGrid
@@ -67,6 +67,12 @@ class MonotoneMap:
         return self._inverse
 
     @cached_property
+    def _kernel(self):
+        """grid.nufft_kernel(values): what every evaluation at the map's
+        points shares."""
+        return self.grid.nufft_kernel(self.values)
+
+    @cached_property
     def _jacobian(self):
         return 1.0 + self.grid.deriv(self.deviation).real
 
@@ -89,27 +95,24 @@ class MonotoneMap:
         return MonotoneMap(grid, x0 - grid.nodes)
 
 
-def lagrangian_jacobian(map_):
-    """(h_alpha o h^{-1}) on the grid nodes: the Jacobian of map_ in the
-    labels of its image."""
-    return compose_map_apply(map_.grid, map_.jacobian(), map_.inverse())
-
-
 def compose_maps(outer, inner):
-    """outer o inner as a MonotoneMap on the shared grid."""
+    """outer o inner as a MonotoneMap on the shared grid; outer is evaluated
+    with the kept kernel weights of inner."""
     if outer.grid != inner.grid:
         raise ValueError("maps live on different grids")
-    vals = outer(inner.values)
-    return MonotoneMap(outer.grid, vals - outer.grid.nodes)
+    grid = outer.grid
+    vals = inner.values + grid.interpolate_kernel(outer.deviation, inner._kernel)
+    return MonotoneMap(grid, vals - grid.nodes)
 
 
 def compose_map_apply(grid, f, map_):
-    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points.
+    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points,
+    with the kernel weights the map keeps.
 
     f may be one field or an (m, n) stack of fields, all real or all
     complex; a stack is spread once and row r of the result is U_h f[r].
     """
-    return grid.interpolate(f, map_.values)
+    return grid.interpolate_kernel(f, map_._kernel)
 
 
 # -- commutator ----------------------------------------------------------------

@@ -138,12 +138,18 @@ def _finite(raw):
 def parse_config(path, env=None):
     """Read, override and validate a configuration file.
 
-    Raises ConfigError carrying the complete list of violations.
+    Raises ConfigError carrying the complete list of violations, or naming
+    the file when configparser cannot parse it.
     """
     env = os.environ if env is None else env
     errors = []
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # a repeated section or key, or no section header; on one line
+        reason = str(exc).replace("\n", " ")
+        raise ConfigError([f"cannot parse config file {path!r}: {reason}"]) from None
     if not read:
         raise ConfigError([f"cannot read config file {path!r}"])
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import compose_map_apply, lagrangian_jacobian
+from .brackets import compose_map_apply
 from .evolution import compute_derived
 
 
@@ -53,52 +53,76 @@ class EnergyReport:
         }
 
 
-def _state_blocks(state):
-    """Shared ingredients of all families for one state, kept on the state.
+def _state_blocks(*states):
+    """Shared ingredients of all families for states on one grid, kept on
+    each state.
 
-    The numerical solution lives on the dealiased band, so every nonlinear
-    ingredient is rebuilt band-limited before derivatives are taken: the
-    ringing that pointwise division leaves above the filter cutoff is
-    representation debris, and the k^3-amplified weighted norms would
-    otherwise be dominated by it on marginally resolved states.
+    The states whose blocks are not yet kept are built together in one
+    stacked pass, and the blocks of each are bit-identical to building
+    that state alone.  The numerical solution lives on the dealiased band,
+    so every nonlinear ingredient is rebuilt band-limited before
+    derivatives are taken: the ringing that pointwise division leaves
+    above the filter cutoff is representation debris, and the
+    k^3-amplified weighted norms would otherwise be dominated by it on
+    marginally resolved states.
     """
-    return state._cached("energy_blocks", _build_blocks)
+    new = [st for st in states if "energy_blocks" not in st._memo]
+    if new:
+        for st, blocks in zip(new, _build_blocks(new)):
+            st._memo["energy_blocks"] = blocks
+    return [st._memo["energy_blocks"] for st in states]
 
 
-def _build_blocks(state):
-    grid = state.grid
-    Zp_band = 1.0 + grid.dealias(state.Zp - 1.0)
-    raw_angle = np.angle(Zp_band)
-    g_band = raw_angle + 2.0 * np.pi * np.round((state.g - raw_angle) / (2.0 * np.pi))
-    inv = grid.dealias(1.0 / Zp_band)
-    d1 = grid.deriv(inv)
-    d2 = grid.deriv(d1)
-    d3 = grid.deriv(d2)
-    Ztb1 = grid.dealias(grid.deriv(np.conj(state.Zt)))
-    Ztb2 = grid.deriv(Ztb1)
-    Ztb3 = grid.deriv(Ztb2)
+def _build_blocks(states):
+    """Blocks of each of states, in five rounds of independent Fourier
+    multipliers, each one multiply_symbol call on a stack of all states."""
+    grid = states[0].grid
+    m = len(states)
+    Zp = np.array([st.Zp for st in states])
+    stack = np.concatenate([Zp - 1.0, np.conj(np.array([st.Zt for st in states]))])
+    # round 1: dealias (Z_ap - 1) and D conj(Z_t)
+    out = grid.multiply_symbol(stack, grid.symbol_table(("dealias",) * m + ("deriv",) * m))
+    Zp_band = 1.0 + out[:m]
+    # round 2: dealias 1/Z_ap,band and D conj(Z_t)
+    stack = np.concatenate([1.0 / Zp_band, out[m:]])
+    inv, Ztb1 = grid.multiply_symbol(stack, grid.symbol_table(("dealias",) * (2 * m))).reshape(
+        2, m, grid.n
+    )
+    # round 3: D 1/Z_ap,band and D Ztb1
+    d1, Ztb2 = grid.multiply_symbol(
+        np.concatenate([inv, Ztb1]), grid.symbol_table(("deriv",) * (2 * m))
+    ).reshape(2, m, grid.n)
+    # round 4: their derivatives again and H q, q = omega D 1/Z_ap,band
     omega = Zp_band / np.abs(Zp_band)
     q = omega * d1
-    Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
-    return {
-        "grid": grid,
-        "inv": inv,
-        "d1": d1,
-        "d2": d2,
-        "d3": d3,
-        "Ztb1": Ztb1,
-        "Ztb2": Ztb2,
-        "Ztb3": Ztb3,
-        "omega": omega,
-        "Theta": Theta,
-        "log_Zp": np.log(np.abs(Zp_band)) + 1j * g_band,
-    }
+    d2, Ztb3, h_q = grid.multiply_symbol(
+        np.concatenate([d1, Ztb2, q]), grid.symbol_table(("deriv",) * (2 * m) + ("hilbert",) * m)
+    ).reshape(3, m, grid.n)
+    # round 5: the third derivative of 1/Z_ap,band
+    d3 = grid.deriv(d2)
+    Theta = 1j * q - 1j * (q - h_q).real
+    raw_angle = np.angle(Zp_band)
+    g = np.array([st.g for st in states])
+    g_band = raw_angle + 2.0 * np.pi * np.round((g - raw_angle) / (2.0 * np.pi))
+    log_Zp = np.log(np.abs(Zp_band)) + 1j * g_band
+    names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
+    rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)
+    return [
+        {"grid": grid, "powers": {}, **dict(zip(names, fields))} for fields in zip(*rows)
+    ]
 
 
 def _powers(B):
-    """p -> Z_ap^p on the band, through the continuous branch of log Z_ap."""
-    log_Zp = B["log_Zp"]
-    return lambda p: np.exp(p * log_Zp)
+    """p -> Z_ap^p on the band, through the continuous branch of log Z_ap;
+    each power is computed once and kept in the blocks."""
+    log_Zp, kept = B["log_Zp"], B["powers"]
+
+    def power(p):
+        if p not in kept:
+            kept[p] = np.exp(p * log_Zp)
+        return kept[p]
+
+    return power
 
 
 def energy_sigma(state):
@@ -110,7 +134,7 @@ def energy_sigma(state):
 
 def _sigma_components(state):
     s = state.sigma
-    B = _state_blocks(state)
+    (B,) = _state_blocks(state)
     grid, inv, d1, d2, d3 = B["grid"], B["inv"], B["d1"], B["d2"], B["d3"]
     pw = _powers(B)
     dTheta = grid.deriv(B["Theta"])
@@ -133,7 +157,7 @@ def _sigma_components(state):
 
 def energy_high(state):
     """Five-term higher-order energy for zero surface tension."""
-    B = _state_blocks(state)
+    (B,) = _state_blocks(state)
     grid, pw = B["grid"], _powers(B)
     comp = {
         "dap_invZp_L2sq": grid.l2_norm(B["d1"]) ** 2,
@@ -147,7 +171,7 @@ def energy_high(state):
 
 def energy_aux(state):
     """Six-term auxiliary energy for the zero-surface-tension solution."""
-    B = _state_blocks(state)
+    (B,) = _state_blocks(state)
     grid, pw = B["grid"], _powers(B)
     comp = {
         "Zp12_dap_invZp_Linfsq": grid.sup_norm(pw(0.5) * B["d1"]) ** 2,
@@ -192,8 +216,7 @@ def energy_delta(pair):
     """
     a, b = pair.state_a, pair.state_b
     grid = a.grid
-    Ba = _state_blocks(a)
-    Bb = _state_blocks(b)
+    Ba, Bb = _state_blocks(a, b)
     pwa, pwb = _powers(Ba), _powers(Bb)
     htil = pair.map_tilde
 
@@ -208,11 +231,15 @@ def energy_delta(pair):
     htil_ap = htil.jacobian()
     dev_j = htil_ap - 1.0
 
+    # the two real sup norms as one stack
+    sup_dev_j, sup_abs_ratio = grid.sup_norm(
+        np.stack([dev_j, abs_a * util_inv_abs_b - 1.0])
+    ).tolist()
     comp = {
         "d0_delta_omega_Linfsq": grid.sup_norm(d_omega) ** 2,
-        "d0_htilap_minus1_LinfHhalfsq": (grid.sup_norm(dev_j) + grid.hhalf_norm(dev_j)) ** 2,
+        "d0_htilap_minus1_LinfHhalfsq": (sup_dev_j + grid.hhalf_norm(dev_j)) ** 2,
         "d0_Dapa_htilap_minus1_L2sq": grid.l2_norm(grid.deriv(dev_j) / abs_a) ** 2,
-        "d0_absZpa_Util_invabsZpb_minus1_Linfsq": grid.sup_norm(abs_a * util_inv_abs_b - 1.0) ** 2,
+        "d0_absZpa_Util_invabsZpb_minus1_Linfsq": sup_abs_ratio ** 2,
         "d1_delta_dap_invZp_L2sq": grid.l2_norm(d_d1) ** 2,
         "d1_delta_invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(d_inv_d1) ** 2,
     }
@@ -233,23 +260,30 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     Seven first-power components: H^1/2 of Delta(Z_t), Delta(Z_tt),
     Delta(1/Z_ap); L2 of Delta(h_alpha o h^-1), Delta(D_a Z_t), Delta(A1)
     and Delta(b_ap).
+
+    Delta(h_alpha o h^-1) is (h_a,ap - h_b,ap) o h_a^{-1}: with
+    htilde = h_b o h_a^{-1}, as co_step and init_pair build it,
+    (h_b,ap o h_b^{-1}) o htilde = h_b,ap o h_a^{-1}.  So the term is one
+    real pull-back through the inverse of h_a that the pair keeps, and no
+    inverse of h_b is built.
     """
     a, b = pair.state_a, pair.state_b
     grid = a.grid
     der_a = derived_a if derived_a is not None else compute_derived(a)
     der_b = derived_b if derived_b is not None else compute_derived(b)
 
-    def fields(st, der, map_):
-        jac = lagrangian_jacobian(map_)
-        return (st.Zt, der.Ztt, 1.0 / st.Zp, jac, grid.deriv(st.Zt) / st.Zp, der.A1, der.b_ap)
+    def fields(st, der):
+        return (st.Zt, der.Ztt, 1.0 / st.Zp, grid.deriv(st.Zt) / st.Zp, der.A1, der.b_ap)
 
     # all fields of b go through htilde in one stacked pull-back; the real
-    # ones (h_alpha o h^-1, A1, b_ap) keep the real part
-    fields_a = fields(a, der_a, pair.map_a)
-    pulled = compose_map_apply(grid, np.stack(fields(b, der_b, pair.map_b)), pair.map_tilde)
-    d_Zt, d_Ztt, d_invZp, d_halpha, d_DapZt, d_A1, d_bap = (
+    # ones (A1, b_ap) keep the real part
+    fields_a = fields(a, der_a)
+    pulled = compose_map_apply(grid, np.stack(fields(b, der_b)), pair.map_tilde)
+    d_Zt, d_Ztt, d_invZp, d_DapZt, d_A1, d_bap = (
         fa - (fb.real if np.isrealobj(fa) else fb) for fa, fb in zip(fields_a, pulled)
     )
+    d_jac = pair.map_a.jacobian() - pair.map_b.jacobian()
+    d_halpha = compose_map_apply(grid, d_jac, pair.map_a.inverse())
     comp = {
         "fd_delta_Zt_Hhalf": grid.hhalf_norm(d_Zt),
         "fd_delta_Ztt_Hhalf": grid.hhalf_norm(d_Ztt),

@@ -17,6 +17,7 @@ enforced by projection after each step, with the removed mass checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -297,7 +298,7 @@ def cfl_bound(state):
     Multiply by StepperConfig.dt_safety for the admissible step.  The
     dispersive part is the linear capillary-gravity frequency at the grid
     Nyquist wavenumber, so the cost of resolving surface tension scales
-    like sigma^{1/2} N^{3/2}.
+    like sigma^{1/2} N^{3/2}.  A NaN sigma gives a NaN bound.
     """
     grid = state.grid
     d = compute_derived(state)
@@ -305,6 +306,8 @@ def cfl_bound(state):
     disp = 1.0 / np.sqrt(k_max + state.sigma * k_max ** 3)
     bmax = float(np.max(np.abs(d.b)))
     adv = grid.dx / bmax if bmax > 0 else np.inf
+    if math.isnan(disp):
+        return float(disp)
     return float(min(adv, disp))
 
 
@@ -312,8 +315,12 @@ def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
     """Fixed step (dt, n_steps) covering t_final exactly.
 
     dt is the smaller of dt_safety * bound and t_final / min_steps, rounded
-    down to divide t_final; raises CFLViolationError above max_steps.
+    down to divide t_final; raises CFLViolationError above max_steps and
+    on a bound that is not positive, such as the NaN bound of a NaN sigma.
     """
+    # written so that a NaN bound fails too
+    if not bound > 0:
+        raise CFLViolationError(f"step-size bound = {bound:.3e} is not positive")
     dt = min(dt_safety * bound, t_final / min_steps)
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     if n_steps > max_steps:
@@ -343,21 +350,26 @@ def advance(states, cfg, dt, maps=None, tags=None):
 
     Returns the new states and the new map deviations (None without maps).
     Every stage and the finish (one dealias, one projection) take the states
-    as one stack.  Raises CFLViolationError when dt exceeds dt_safety times
-    the smallest bound, and, state by state, on a degenerate or NaN Z_ap or
-    on projected mass above holo_tolerance times the size of the state, or
-    NaN mass; an error of state r starts with tags[r] when tags is given.
+    as one stack.  Raises, state by state, CFLViolationError when dt is not
+    within dt_safety times the bound of the state (a NaN bound or dt fails),
+    DegenerateJacobianError on a degenerate or NaN Z_ap, and
+    HolomorphicityError on projected mass above holo_tolerance times the
+    size of the state, or NaN mass; an error of state r starts with tags[r]
+    when tags is given.
     """
     m = len(states)
     grid = states[0].grid
     sigma = [st.sigma for st in states]
     tags = ("",) * m if tags is None else tags
     derived = derive_states(states, prefixes=tags)
-    bound = min(cfl_bound(st) for st in states)
-    if dt > cfg.dt_safety * bound * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * bound = {cfg.dt_safety * bound:.3e}"
-        )
+    for st, tag in zip(states, tags):
+        bound = cfl_bound(st)
+        # written so that a NaN bound fails too
+        if not dt <= cfg.dt_safety * bound * (1.0 + 1e-12):
+            raise CFLViolationError(
+                f"{tag}dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * bound = "
+                f"{cfg.dt_safety * bound:.3e}"
+            )
 
     def rhs(y, fields=None):
         Zdev, Zp, Zt, *dev = y

@@ -114,9 +114,9 @@ class SpectralGrid:
 
     def symbol_table(self, kinds):
         """(len(kinds), n) table whose row r is the symbol named kinds[r],
-        'deriv' (first derivative) or 'hilbert'; built once for a tuple of
-        kinds and all grids equal to this one, so a run that builds a new
-        grid for each pair builds each table once."""
+        'deriv' (first derivative), 'hilbert' or 'dealias'; built once for
+        a tuple of kinds and all grids equal to this one, so a run that
+        builds a new grid for each pair builds each table once."""
         return _symbol_table(self, kinds)
 
     def deriv(self, f, order=1):
@@ -196,14 +196,26 @@ class SpectralGrid:
         A seed at which Newton takes no step (a flat or constant field) keeps
         its value as computed on the fine grid.  A real f is seeded by an
         inverse real FFT of the half spectrum.
+
+        For an (m, n) stack, all rows real or all complex, the result is an
+        array of the m row values, each bit-identical to a single-field
+        call: the stack shares one coefficient and one fine-grid transform,
+        and each row is polished on its own.
         """
         f = np.asarray(f)
         real = np.isrealobj(f)
         c = self.coeffs(f)
         n2 = _SUP_OVERSAMPLE * self.n
-        h = self.length / n2
         padded = self._padded_coeffs(c, n2, real) * n2
         mag = np.abs(np.fft.irfft(padded, n2) if real else np.fft.ifft(padded))
+        if f.ndim == 1:
+            return self._polish_peak(f, c, mag)
+        return np.array([self._polish_peak(*row) for row in zip(f, c, mag)])
+
+    def _polish_peak(self, f, c, mag):
+        """sup_norm of the field f with coefficients c, from |f| on its fine
+        seed grid, mag."""
+        h = self.length / mag.size
         k, i_ny = self.k, self.nyquist_index
         c_ny, k_ny = c[i_ny], k[i_ny]
         # a fine node within h/2 of the true peak is below it by at most
@@ -220,7 +232,11 @@ class SpectralGrid:
         rows = np.stack([c_rest, 1j * k * c_rest, -k * k * c_rest])
 
         def values(x):
-            v, vp, vpp = rows @ np.exp(1j * np.outer(k, x))
+            # exp(i k x) of the modes k < 0 are the conjugates of those of
+            # k > 0 (bit for bit, as cos is even and sin odd in libm), so
+            # only half of the phases are computed
+            half = np.exp(1j * np.outer(k[: i_ny + 1], x))
+            v, vp, vpp = rows @ np.concatenate([half, np.conj(half[i_ny - 1 : 0 : -1])])
             cos, sin = np.cos(k_ny * x), np.sin(k_ny * x)
             return v + c_ny * cos, vp - k_ny * c_ny * sin, vpp - k_ny * k_ny * c_ny * cos
 
@@ -273,7 +289,9 @@ class SpectralGrid:
         f gives a real result.  Matches the direct Fourier sum to about 1e-14
         relative to sup|f|, Nyquist mode included; on large grids the
         rounding of the target coordinate adds up to k_max |x| eps.  To
-        evaluate one field at several point sets, use evaluator(f) instead.
+        evaluate one field at several point sets, use evaluator(f) instead;
+        to evaluate fields at one point set again and again, keep
+        nufft_kernel(x) and use interpolate_kernel.
         """
         return self.evaluator(f)(x)
 
@@ -290,6 +308,43 @@ class SpectralGrid:
         row its own points: row r of the result is then bit-identical to
         interpolate(f[r], x[r]).
         """
+        gather = self._spread(f)
+        lead = np.shape(f)[:-1]
+
+        def evaluate(x):
+            x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+            if lead and x.shape[:-1] == lead:
+                # an (m, p) point array gives row r of an (m, n) stack its own points
+                return gather([self.nufft_kernel(row) for row in x.reshape(-1, x.shape[-1])])
+            return gather([self.nufft_kernel(x)])
+
+        return evaluate
+
+    def nufft_kernel(self, x):
+        """Kernel weights of interpolate() at the points x, of shape
+        x.shape + (_NUFFT_WIDTH,), and the first fine-grid node each point
+        sees.  A caller that evaluates at one point set again and again
+        keeps them and passes them to interpolate_kernel; a MonotoneMap
+        keeps those of its values."""
+        w, n_fine = _NUFFT_WIDTH, 2 * self.n
+        t = (n_fine / self.length) * np.atleast_1d(np.asarray(x, dtype=np.float64))
+        base = np.floor(t)
+        # point t sees fine nodes base - w/2 + 1, ..., base + w/2 at the
+        # kernel coordinates z = 2 (t - node) / w, all within [-1, 1]
+        z = ((2.0 / w) * (t - base) + (1.0 - 2.0 / w))[..., None] - (2.0 / w) * np.arange(w)
+        weights = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+        return weights, (base.astype(np.int64) - (w // 2 - 1)) % n_fine
+
+    def interpolate_kernel(self, f, kernel):
+        """interpolate(f, x), bit for bit, from kernel = nufft_kernel(x);
+        f may be an (m, n) stack, as for evaluator."""
+        return self._spread(f)([kernel])
+
+    def _spread(self, f):
+        """Spread f (one field or an (m, n) stack) onto the fine grid; the
+        returned gather(kernels) sums the kernel-weighted fine values at
+        the points of kernels, a list of nufft_kernel results: one for all
+        rows, or one per row."""
         f = np.asarray(f)
         n, half, w = self.n, self.n // 2, _NUFFT_WIDTH
         n_fine = 2 * n
@@ -315,36 +370,20 @@ class SpectralGrid:
         windows = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([fine, fine[..., : w - 1]], axis=-1), w, axis=-1
         ).reshape(-1, rows, n_fine, w)
-        scale = n_fine / self.length
-        offsets = (2.0 / w) * np.arange(w)
 
-        def kernel(t):
-            """Kernel weights of the scaled targets t and the first fine node
-            each one sees."""
-            base = np.floor(t)
-            # target t sees fine nodes base - w/2 + 1, ..., base + w/2 at the
-            # kernel coordinates z = 2 (t - node) / w, all within [-1, 1]
-            z = ((2.0 / w) * (t - base) + (1.0 - 2.0 / w))[..., None] - offsets
-            weights = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
-            return weights, (base.astype(np.int64) - (w // 2 - 1)) % n_fine
-
-        def evaluate(x):
-            t = scale * np.atleast_1d(np.asarray(x, dtype=np.float64))
-            # an (m, p) point array gives row r of an (m, n) stack its own points
-            own = bool(lead) and t.shape[:-1] == lead
-            shape = t.shape[-1:] if own else t.shape
-            points = t.reshape(rows, -1) if own else None
+        def gather(kernels):
+            shape = kernels[0][1].shape
             out = np.empty(windows.shape[:2] + shape)
             for r in range(rows):
-                if own or r == 0:
-                    weights, start = kernel(points[r] if own else t)
+                # one kernel serves every row, or each row has its own
+                weights, start = kernels[r % len(kernels)]
                 # one row at a time keeps the gathered windows to len(x) * w values
                 for win, row in zip(windows[:, r], out[:, r]):
                     np.einsum("...j,...j->...", weights, win[start], out=row)
             out = out.reshape(fine.shape[:-1] + shape)
             return out if real else out[0] + 1j * out[1]
 
-        return evaluate
+        return gather
 
     def _nufft_deconvolution(self):
         """1 / (n psihat_m) for m = 0..n/2, the Nyquist entry halved.
@@ -371,17 +410,19 @@ class SpectralGrid:
         return self._deconv
 
     def _padded_coeffs(self, c, n_dense, half_spectrum=False):
-        """Coefficients c of this grid zero-padded to n_dense modes; with
-        half_spectrum, only the modes k = 0..n_dense/2 that irfft reads."""
+        """Coefficients c of this grid (along the last axis) zero-padded to
+        n_dense modes; with half_spectrum, only the modes k = 0..n_dense/2
+        that irfft reads."""
         half = self.n // 2
-        cp = np.zeros(n_dense // 2 + 1 if half_spectrum else n_dense, dtype=np.complex128)
-        cp[:half] = c[:half]
+        size = n_dense // 2 + 1 if half_spectrum else n_dense
+        cp = np.zeros(c.shape[:-1] + (size,), dtype=np.complex128)
+        cp[..., :half] = c[..., :half]
         # split the Nyquist coefficient evenly; equivalent to pairing it
         # with cos(k_nyq x)
-        cp[half] = 0.5 * c[half]
+        cp[..., half] = 0.5 * c[..., half]
         if not half_spectrum:
-            cp[-(half - 1):] = c[-(half - 1):]
-            cp[-half] = 0.5 * c[half]
+            cp[..., -(half - 1):] = c[..., -(half - 1):]
+            cp[..., -half] = 0.5 * c[..., half]
         return cp
 
     def resample(self, f, n_new):
@@ -437,7 +478,11 @@ class SpectralGrid:
 
 @functools.lru_cache(maxsize=256)
 def _symbol_table(grid, kinds):
-    named = {"deriv": grid._deriv_symbol, "hilbert": grid._hilbert_symbol}
+    named = {
+        "deriv": grid._deriv_symbol,
+        "hilbert": grid._hilbert_symbol,
+        "dealias": grid._dealias_symbol,
+    }
     return np.stack([named[kind] for kind in kinds])
 
 

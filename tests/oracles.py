@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crestwave.brackets import compose_map_apply, lagrangian_jacobian
+from crestwave.brackets import compose_map_apply
 from crestwave.errors import DegenerateJacobianError
 from crestwave.evolution import ABS_ZP_FLOOR, compute_derived
 
@@ -270,6 +270,12 @@ def _dt_theta(state, derived):
     dTheta = grid.deriv(derived.Theta)
     c = derived.b * grid.hilbert(dTheta) - grid.hilbert(derived.b * dTheta)
     return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
+
+
+def lagrangian_jacobian(map_):
+    """(h_alpha o h^{-1}) on the grid nodes: the Jacobian of map_ in the
+    labels of its image, through the inverse of map_ itself."""
+    return compose_map_apply(map_.grid, map_.jacobian(), map_.inverse())
 
 
 # name -> f(grid, state, derived, map) of every field whose difference the

@@ -142,6 +142,19 @@ def test_validate_config_exit_codes(tmp_path):
     assert main(["validate-config", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[grid]\nn_points = 64\n\n[grid]\nlength = 3.0\n",
+    "[grid]\nn_points = 64\nn_points = 32\n",
+    "n_points = 64\n",
+], ids=["repeated_section", "repeated_key", "no_section_header"])
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, text):
+    path = _write(tmp_path, "broken.ini", text)
+    with pytest.raises(ConfigError, match="broken.ini"):
+        parse_config(path)
+    assert main(["validate-config", "--config", path]) == 2
+    assert "broken.ini" in capsys.readouterr().err
+
+
 def test_simulate_refuses_a_family_it_does_not_record(tmp_path, capsys):
     cfgp = _write(tmp_path, "delta.ini", FLAT_INI + "families = delta\n")
     out = tmp_path / "o"

@@ -98,6 +98,23 @@ def test_state_with_kept_energy_results_pickles():
     assert np.array_equal(compute_derived(back).Ztt, ref[2])
 
 
+def test_blocks_of_a_pair_built_in_one_pass_equal_blocks_built_alone():
+    rng = np.random.default_rng(405)
+    g = make_grid(128)
+    a = random_smooth_state(g, rng, sigma=1e-2, amp=0.15)
+    b = random_smooth_state(g, rng, sigma=0.0, amp=0.15)
+    energy_delta(init_pair(a, b))
+    for st in (a, b):
+        # replace starts with nothing kept: these blocks are built alone
+        alone = replace(st)
+        energy_sigma(alone)
+        kept, ref = st._memo["energy_blocks"], alone._memo["energy_blocks"]
+        assert kept.keys() == ref.keys()
+        for name in ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp"):
+            assert kept[name].tobytes() == ref[name].tobytes(), name
+        assert energy_sigma(st).components == energy_sigma(alone).components
+
+
 def test_sigma_energy_monotone_in_sigma():
     g = make_grid(128)
     st = random_smooth_state(g, RNG, sigma=0.0)

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crestwave import evolution
 from crestwave.brackets import MonotoneMap
 from crestwave.errors import (
     CFLViolationError,
-    CrestwaveError,
     DegenerateJacobianError,
     HolomorphicityError,
 )
@@ -18,6 +18,7 @@ from crestwave.evolution import (
     derive_states,
     flat_state,
     make_state,
+    plan_steps,
     rhs_eulerian,
     rk4,
     step_rk4,
@@ -222,17 +223,24 @@ def test_cfl_violation_raises():
         step_rk4(st, StepperConfig(), 100.0 * cfl_bound(st))
 
 
-def test_steps_refuse_a_nan_surface_tension():
-    # replace bypasses make_state; the step guards must not let NaN through
+def test_steps_refuse_a_nan_surface_tension(monkeypatch):
+    # replace bypasses make_state; the CFL check must refuse the NaN bound
+    # before any RK4 stage runs
     g = make_grid(64)
     st = random_smooth_state(g, np.random.default_rng(11), sigma=1e-2, amp=0.1)
     dt = 0.4 * cfl_bound(st)
     bad = replace(st, sigma=float("nan"))
-    with pytest.raises(CrestwaveError, match="nan"):
+    assert np.isnan(cfl_bound(bad))
+    with pytest.raises(CFLViolationError, match="bound = nan"):
+        plan_steps(cfl_bound(bad), 1.0, 0.5, 1, 100)
+    stages = []
+    monkeypatch.setattr(evolution, "rk4", lambda *args: stages.append(args))
+    with pytest.raises(CFLViolationError, match="bound = nan"):
         step_rk4(bad, StepperConfig(), dt)
     pair = init_pair(bad, replace(st, sigma=0.0))
-    with pytest.raises(CrestwaveError, match=r"^\[solution a\] .*nan"):
+    with pytest.raises(CFLViolationError, match=r"^\[solution a\] .*bound = nan"):
         co_step(pair, StepperConfig(), dt)
+    assert stages == []
 
 
 def test_holomorphicity_guard_refuses_a_nan_mass(monkeypatch):

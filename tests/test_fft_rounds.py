@@ -1,9 +1,11 @@
-"""Raw FFT calls of one step: each round of independent Fourier multipliers
-is one stacked transform, so these counts only grow if a round is split."""
+"""Raw FFT calls of one step and one pair record: each round of independent
+Fourier multipliers is one stacked transform, so these counts only grow if a
+round is split."""
 
 import numpy as np
 import pytest
 
+from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
 from crestwave.pair import PairRunSpec, build_pair, co_step
 
@@ -57,3 +59,19 @@ def test_co_step_transform_calls(stepped, fft_calls):
     pair, cfg, dt = stepped
     co_step(pair, cfg, dt)
     assert fft_calls == {"fft": 20, "ifft": 20, "rfft": 6, "irfft": 6}
+
+
+def test_record_transform_calls(stepped, fft_calls):
+    # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records:
+    # 16 multiplier calls (the five stacked block rounds of both states,
+    # D Theta and D(htilde_ap - 1), the five derive rounds, D Z_t and b_ap
+    # of each state), 10 H^1/2 norms, four sup norms (the two real ones as
+    # one stack) and three spreads (the two stacks through htilde, the real
+    # h_alpha term through h_a^{-1})
+    pair, _, _ = stepped
+    energy_delta(pair)
+    f_delta_norm(pair)
+    energy_sigma(pair.state_a)
+    assert fft_calls == {"fft": 32, "ifft": 21, "rfft": 1, "irfft": 2}
+    # the h_alpha term goes through the inverse of h_a that co_step kept
+    assert "_inverse" not in vars(pair.map_b)

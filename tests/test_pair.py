@@ -142,6 +142,22 @@ def test_material_derivative_commutes_with_composition():
     assert 3.0 < r1 / r2 < 5.5, (r1, r2)
 
 
+def test_halpha_term_matches_the_route_through_both_inverses():
+    # f_delta_norm pulls (h_a,ap - h_b,ap) back through h_a^{-1}; the oracle
+    # composes h_b,ap o h_b^{-1} with htilde = h_b o h_a^{-1}
+    pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.1, velocity_amplitude=0.05j,
+                                  n_points=256))
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    for _ in range(20):
+        pair = co_step(pair, cfg, dt)
+    value = f_delta_norm(pair).components["fd_delta_halpha_L2"]
+    assert "_inverse" not in vars(pair.map_b)
+    oracle = pair.state_a.grid.l2_norm(delta_field(pair, "h_alpha"))
+    assert value > 1e-6
+    assert abs(value - oracle) <= 1e-12
+
+
 def test_co_step_guards_holomorphicity_per_solution():
     pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
                                   n_points=64))

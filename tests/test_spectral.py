@@ -382,6 +382,35 @@ def test_sup_norm_of_band_limited_fields_matches_dense_oracle(n):
         assert abs(g.sup_norm(f) - exact) <= 1e-13 * exact, trial
 
 
+@pytest.mark.parametrize("n", [64, 768, 2048])
+def test_stacked_sup_norm_rows_are_bit_identical_to_single_calls(n):
+    g = make_grid(n, length=3.0)
+    rng = np.random.default_rng(n + 4)
+    band = np.abs(g.k_int) <= n // 3
+    c = np.zeros((4, n), dtype=complex)
+    c[:, band] = rng.standard_normal((4, band.sum())) + 1j * rng.standard_normal((4, band.sum()))
+    complex_stack = np.fft.ifft(c) * n
+    # a constant row, on which Newton takes no step, beside peaked ones
+    complex_stack[3] = 0.3 - 0.2j
+    for stack in (complex_stack.real, complex_stack):
+        sups = g.sup_norm(stack)
+        assert sups.shape == (4,)
+        for f, sup in zip(stack, sups):
+            assert sup.tobytes() == np.float64(g.sup_norm(f)).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 768])
+def test_kept_kernel_weights_give_interpolate_bit_for_bit(n):
+    g = make_grid(n, length=5.0)
+    rng = np.random.default_rng(n + 5)
+    x = rng.uniform(-g.length, 2 * g.length, 300)
+    kernel = g.nufft_kernel(x)
+    real = rng.standard_normal((3, n))
+    for stack in (real, real + 1j * rng.standard_normal((3, n))):
+        assert g.interpolate_kernel(stack, kernel).tobytes() == g.evaluator(stack)(x).tobytes()
+        assert g.interpolate_kernel(stack[1], kernel).tobytes() == g.interpolate(stack[1], x).tobytes()
+
+
 @pytest.mark.parametrize("n", [64, 768])
 def test_evaluator_rows_at_their_own_points_are_bit_identical(n):
     g = make_grid(n, length=5.0)
