@@ -16,6 +16,8 @@ from .errors import MonotonicityError
 from .spectral import SpectralGrid, _require_finite
 
 JACOBIAN_FLOOR = 1e-6
+# Newton steps of MonotoneMap.inverse at most; maps with |h_ap - 1| = 0.99 took six
+NEWTON_CAP = 8
 
 
 # -- monotone reparametrization maps ---------------------------------------
@@ -62,8 +64,8 @@ class MonotoneMap:
         return x + self.grid.interpolate(self.deviation, x)
 
     def inverse(self):
-        """Inverse map, solved per node by dense lookup plus Newton polish;
-        computed on the first call and kept."""
+        """Inverse map, solved per node by Newton until h(h^{-1}(a)) - a is at
+        rounding level; computed on the first call and kept."""
         return self._inverse
 
     @cached_property
@@ -79,20 +81,17 @@ class MonotoneMap:
     @cached_property
     def _inverse(self):
         grid = self.grid
-        n, L = grid.n, grid.length
-        n_dense = 8 * n
-        dense_x = (L / n_dense) * np.arange(n_dense)
-        dense_h = dense_x + grid.resample(self.deviation, n_dense).real
-        # extend a full period on both sides so every target is bracketed
-        x_ext = np.concatenate([dense_x - L, dense_x, dense_x + L])
-        h_ext = np.concatenate([dense_h - L, dense_h, dense_h + L])
-        x0 = np.interp(grid.nodes, h_ext, x_ext)
-        dev = grid.evaluator(np.stack([self.deviation, grid.deriv(self.deviation).real]))
-        for _ in range(4):
-            d, d_ap = dev(x0)
-            res = x0 + d - grid.nodes
-            x0 = x0 - res / (1.0 + d_ap)
-        return MonotoneMap(grid, x0 - grid.nodes)
+        L, nodes, h = grid.length, grid.nodes, self.values
+        # h is increasing, so its node values a period either side bracket every node
+        x = np.interp(nodes, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
+        dev = grid.evaluator(np.stack([self.deviation, self.jacobian()]))
+        for _ in range(NEWTON_CAP):
+            d, h_ap = dev(x)
+            res = x + d - nodes
+            if np.max(np.abs(res)) <= 8.0 * np.spacing(L):
+                break
+            x = x - res / h_ap
+        return MonotoneMap(grid, x - nodes)
 
 
 def compose_maps(outer, inner):

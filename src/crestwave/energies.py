@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import compose_map_apply
-from .evolution import compute_derived
+from .evolution import derive_states
 
 
 @dataclass
@@ -262,23 +262,25 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     and Delta(b_ap).
 
     Delta(h_alpha o h^-1) is (h_a,ap - h_b,ap) o h_a^{-1}: with
-    htilde = h_b o h_a^{-1}, as co_step and init_pair build it,
+    htilde = h_b o h_a^{-1}, the definition PairState.map_tilde builds,
     (h_b,ap o h_b^{-1}) o htilde = h_b,ap o h_a^{-1}.  So the term is one
-    real pull-back through the inverse of h_a that the pair keeps, and no
-    inverse of h_b is built.
+    real pull-back through the inverse of h_a, which building htilde kept
+    on map_a, and no inverse of h_b is built.  Unless both derived_a and
+    derived_b are given, the compute_derived fields of the two solutions
+    come from one derive_states pass.
     """
     a, b = pair.state_a, pair.state_b
     grid = a.grid
-    der_a = derived_a if derived_a is not None else compute_derived(a)
-    der_b = derived_b if derived_b is not None else compute_derived(b)
+    if derived_a is None or derived_b is None:
+        derived_a, derived_b = derive_states((a, b))
 
     def fields(st, der):
-        return (st.Zt, der.Ztt, 1.0 / st.Zp, grid.deriv(st.Zt) / st.Zp, der.A1, der.b_ap)
+        return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1, der.b_ap)
 
     # all fields of b go through htilde in one stacked pull-back; the real
     # ones (A1, b_ap) keep the real part
-    fields_a = fields(a, der_a)
-    pulled = compose_map_apply(grid, np.stack(fields(b, der_b)), pair.map_tilde)
+    fields_a = fields(a, derived_a)
+    pulled = compose_map_apply(grid, np.stack(fields(b, derived_b)), pair.map_tilde)
     d_Zt, d_Ztt, d_invZp, d_DapZt, d_A1, d_bap = (
         fa - (fb.real if np.isrealobj(fa) else fb) for fa, fb in zip(fields_a, pulled)
     )

@@ -8,14 +8,15 @@ class CrestwaveError(Exception):
 
 
 @contextmanager
-def at_step(i, n_steps, time):
-    """Add " (step i + 1 of n_steps, t = time)" to the message of a
-    CrestwaveError raised in the block: step i of a loop, started at time."""
+def at(where):
+    """Add " (where)" to the message of a CrestwaveError raised in the
+    block, where names the place of the block in a run, such as
+    "step 3 of 16, t = 0.25"."""
     try:
         yield
     except CrestwaveError as exc:
         message = str(exc.args[0]) if exc.args else ""
-        exc.args = (f"{message} (step {i + 1} of {n_steps}, t = {time:.6g})",) + exc.args[1:]
+        exc.args = (f"{message} ({where})",) + exc.args[1:]
         raise
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at_step
+from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at
 from .spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
@@ -426,14 +426,20 @@ def step_rk4(state, cfg, dt):
 def drive(x, step, cfg, dt, n_steps, record, record_every):
     """n_steps steps x = step(x, cfg, dt) of a state or a pair x, returning
     the last x; record(x) runs at the start, after every record_every-th
-    step and after the last.  Each step runs inside errors.at_step, so its
-    CrestwaveError names the step and the time it started from."""
-    record(x)
+    step and after the last.  Each step and each record runs inside
+    errors.at, so a CrestwaveError of a step names the step and the time it
+    started from, and one of a record names the record and its time."""
+
+    def recorded(x):
+        with at(f"record at t = {x.time:.6g}"):
+            record(x)
+
+    recorded(x)
     for i in range(n_steps):
-        with at_step(i, n_steps, x.time):
+        with at(f"step {i + 1} of {n_steps}, t = {x.time:.6g}"):
             x = step(x, cfg, dt)
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            record(x)
+            recorded(x)
     return x
 
 

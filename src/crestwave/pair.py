@@ -6,14 +6,14 @@ Both solutions share one grid and one time step (the stiffer sigma-CFL
 governs).  A pair step is evolution.advance, the RK4 step of step_rk4, on
 the two-row stack of the solutions, with the deviations of h_a and h_b
 carried by each row's drift b, so the flow maps see stage-consistent drift
-fields; htilde = h_b o h_a^{-1} is then recomputed from its definition.
+fields; htilde = h_b o h_a^{-1} is built where a record first reads it.
 Differences are always Delta(f) = f_a - f_b o htilde.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,11 +31,24 @@ class PairState:
     state_b: WaveState
     map_a: MonotoneMap
     map_b: MonotoneMap
-    map_tilde: MonotoneMap
 
     @property
     def time(self):
         return self.state_a.time
+
+    @cached_property
+    def map_tilde(self):
+        """htilde = h_b o h_a^{-1}, built on the first read and kept; its
+        MonotonicityError, or that of h_a^{-1}, starts with "[htilde] "."""
+        return _tagged("[htilde] ", lambda: compose_maps(self.map_b, self.map_a.inverse()))
+
+
+def _tagged(tag, build):
+    """build(), with tag in front of the message of its MonotonicityError."""
+    try:
+        return build()
+    except MonotonicityError as exc:
+        raise MonotonicityError(tag + str(exc)) from None
 
 
 def init_pair(state_a, state_b):
@@ -47,7 +60,7 @@ def init_pair(state_a, state_b):
     if state_a.time != state_b.time:
         raise ValueError("pair members must carry equal times")
     ident = MonotoneMap.identity(state_a.grid)
-    return PairState(state_a, state_b, ident, ident, MonotoneMap.identity(state_a.grid))
+    return PairState(state_a, state_b, ident, ident)
 
 
 # what the message of an error from each solution starts with
@@ -59,18 +72,13 @@ def co_step(pair, cfg, dt):
 
     The two solutions and the deviations of h_a and h_b are one two-row
     stack of evolution.advance, so the maps see stage-consistent drift
-    fields; htilde is then rebuilt from its definition.
+    fields; no inverse and no composition is built.
     """
     maps = np.array([pair.map_a.deviation, pair.map_b.deviation])
     states, deviations = advance((pair.state_a, pair.state_b), cfg, dt, maps, _TAGS)
-    maps = []
-    for tag, dev in zip(_TAGS, deviations):
-        try:
-            maps.append(MonotoneMap(pair.state_a.grid, dev))
-        except MonotonicityError as exc:
-            raise MonotonicityError(tag + str(exc)) from None
-    map_a, map_b = maps
-    return PairState(*states, map_a, map_b, compose_maps(map_b, map_a.inverse()))
+    grid = pair.state_a.grid
+    maps = [_tagged(tag, partial(MonotoneMap, grid, dev)) for tag, dev in zip(_TAGS, deviations)]
+    return PairState(*states, *maps)
 
 
 # -- convergence studies --------------------------------------------------------

@@ -26,6 +26,16 @@ def random_real_field(grid, rng, n_modes=8, amp=1.0, decay=2.0):
     return grid.from_coeffs(c).real
 
 
+def folding_maps(grid):
+    """(h_a, h_b) on a grid of length 2 pi, each monotone, whose
+    htilde = h_b o h_a^{-1} is not: at a = pi, h_a,ap = 1.9 and
+    h_b,ap = 1.5e-6, so htilde_ap = 7.9e-7 there, below JACOBIAN_FLOOR."""
+    return (
+        MonotoneMap(grid, -0.9 * np.sin(grid.nodes)),
+        MonotoneMap(grid, (1.0 - 1.5e-6) * np.sin(grid.nodes)),
+    )
+
+
 def random_smooth_state(grid, rng, sigma=0.0, amp=0.25):
     """Admissible random state: holomorphic Zp - 1 and Zbar_t, |Zp| away
     from zero, consistent Zdev."""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crestwave.brackets import (
@@ -197,8 +197,13 @@ def test_invert_map_roundtrip():
     max_slope=st.floats(0.01, 0.9),
     n=st.sampled_from([64, 128, 256]),
 )
+# steep maps, |h_ap - 1| = 0.99, whose inverses need six and five Newton
+# steps from their seeds: these pin the cap (four leave 3.6e-7 and 5.2e-9)
+@example(seed=197, n_modes=9, max_slope=0.99, n=64)
+@example(seed=72, n_modes=7, max_slope=0.99, n=64)
 def test_map_of_inverse_is_identity(seed, n_modes, max_slope, n):
-    # h(h^{-1}(a)) = a for monotone maps with |h_ap - 1| up to 0.9
+    # h(h^{-1}(a)) = a for monotone maps with |h_ap - 1| up to 0.9, and the
+    # steep examples
     g = make_grid(n)
     m = random_monotone_map(g, np.random.default_rng(seed), n_modes=n_modes, max_slope=max_slope)
     inv = m.inverse()

@@ -1,20 +1,22 @@
 import json
 import os
+import re
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crestwave import cli
 from crestwave.checkpoint import load_checkpoint, save_checkpoint
 from crestwave.cli import _study_specs, main
 from crestwave.config import parse_config
 from crestwave.errors import ConfigError
 from crestwave.evolution import StepperConfig, cfl_bound, flat_state, step_rk4
-from crestwave.pair import build_pair
+from crestwave.pair import PairState, build_pair
 from crestwave.spectral import make_grid
 
-from helpers import random_smooth_state
+from helpers import folding_maps, random_smooth_state
 
 RNG = np.random.default_rng(88)
 
@@ -495,3 +497,32 @@ filter_on = false
     err = capsys.readouterr().err
     assert err.startswith("holomorphicity failure: projected")
     assert err.rstrip().endswith(" (step 1 of 1, t = 0)")
+
+
+def test_pair_exits_4_on_a_record_whose_htilde_is_not_monotone(tmp_path, capsys, monkeypatch):
+    # the pair of the config, with flow maps whose composition folds
+    monkeypatch.setattr(
+        cli, "init_pair", lambda a, b: PairState(a, b, *folding_maps(a.grid))
+    )
+    ini = """
+[grid]
+n_points = 64
+
+[data]
+kind = crest
+nu = 0.35
+epsilon = 0.2
+vel_amp_im = 0.05
+
+[physics]
+sigma = 1e-3
+t_final = 0.05
+"""
+    cfgp = _write(tmp_path, "folding.ini", ini)
+    assert main(["pair", "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"degeneracy failure \(map\): \[htilde\] min h_ap = \S+ below floor 1e-06 "
+        r"\(record at t = 0\)\n",
+        err,
+    ), err

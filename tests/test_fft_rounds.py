@@ -54,24 +54,26 @@ def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
 def test_co_step_transform_calls(stepped, fft_calls):
     # per stage one three-round derive of both solutions and one spread of
     # both drifts (the rfft/irfft pairs); then one dealias and one
-    # projection of both solutions, and the map Jacobians, inverse and
-    # composition
+    # projection of both solutions, and the Jacobians of h_a and h_b; no
+    # inverse and no composition
     pair, cfg, dt = stepped
     co_step(pair, cfg, dt)
-    assert fft_calls == {"fft": 20, "ifft": 20, "rfft": 6, "irfft": 6}
+    assert fft_calls == {"fft": 16, "ifft": 16, "rfft": 4, "irfft": 4}
 
 
 def test_record_transform_calls(stepped, fft_calls):
     # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records:
-    # 16 multiplier calls (the five stacked block rounds of both states,
-    # D Theta and D(htilde_ap - 1), the five derive rounds, D Z_t and b_ap
-    # of each state), 10 H^1/2 norms, four sup norms (the two real ones as
-    # one stack) and three spreads (the two stacks through htilde, the real
-    # h_alpha term through h_a^{-1})
+    # 12 multiplier calls (the five stacked block rounds of both states,
+    # D Theta and D(htilde_ap - 1), the three rounds of one derive of both
+    # states, b_ap of each state), the Jacobians of h_a^{-1} and htilde,
+    # 10 H^1/2 norms, four sup norms (the two real ones as one stack), the
+    # two complex spreads through htilde and three real ones (the Newton
+    # loop of h_a^{-1}, the composition of htilde, the h_alpha term through
+    # h_a^{-1})
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 32, "ifft": 21, "rfft": 1, "irfft": 2}
-    # the h_alpha term goes through the inverse of h_a that co_step kept
+    assert fft_calls == {"fft": 30, "ifft": 19, "rfft": 3, "irfft": 4}
+    # the h_alpha term goes through the inverse of h_a that htilde built
     assert "_inverse" not in vars(pair.map_b)

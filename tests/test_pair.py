@@ -3,7 +3,8 @@ import pytest
 from dataclasses import replace
 
 from crestwave import brackets
-from crestwave.brackets import MonotoneMap, commutator_bracket, htilcal_apply
+from crestwave import pair as pair_module
+from crestwave.brackets import MonotoneMap, commutator_bracket, compose_maps, htilcal_apply
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
 from crestwave.evolution import (
@@ -27,7 +28,7 @@ from crestwave.pair import (
 )
 from crestwave.spectral import make_grid
 
-from helpers import random_smooth_state
+from helpers import folding_maps, random_smooth_state
 from oracles import SELECTORS, delta_field
 
 
@@ -156,6 +157,43 @@ def test_halpha_term_matches_the_route_through_both_inverses():
     oracle = pair.state_a.grid.l2_norm(delta_field(pair, "h_alpha"))
     assert value > 1e-6
     assert abs(value - oracle) <= 1e-12
+
+
+def test_htilde_and_the_inverse_of_h_a_are_built_once_by_a_record(monkeypatch):
+    # co_step builds neither; energy_delta builds each once, and
+    # f_delta_norm and energy_sigma reuse them
+    pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
+                                  n_points=128))
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    pair = co_step(pair, cfg, dt)
+    assert "map_tilde" not in vars(pair)
+    assert "_inverse" not in vars(pair.map_a)
+    composed = []
+
+    def counted(outer, inner):
+        composed.append((outer, inner))
+        return compose_maps(outer, inner)
+
+    monkeypatch.setattr(pair_module, "compose_maps", counted)
+    energy_delta(pair)
+    inverse, htilde = vars(pair.map_a)["_inverse"], vars(pair)["map_tilde"]
+    f_delta_norm(pair)
+    energy_sigma(pair.state_a)
+    assert len(composed) == 1
+    assert composed[0][0] is pair.map_b and composed[0][1] is inverse
+    assert vars(pair.map_a)["_inverse"] is inverse and vars(pair)["map_tilde"] is htilde
+    assert "_inverse" not in vars(pair.map_b)
+
+
+def test_a_record_whose_htilde_is_not_monotone_names_htilde_and_its_time():
+    spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=64)
+    built = build_pair(spec)
+    states = [replace(st, time=0.5) for st in (built.state_a, built.state_b)]
+    pair = PairState(*states, *folding_maps(built.state_a.grid))
+    with pytest.raises(MonotonicityError, match=r"^\[htilde\] min h_ap = \S+ below floor 1e-06 "
+                       r"\(record at t = 0\.5\)$"):
+        drive_pair(pair, StepperConfig(), PairRunResult(spec))
 
 
 def test_co_step_guards_holomorphicity_per_solution():
@@ -300,8 +338,8 @@ def test_energy_reports_match_a_rebuilt_pair():
     grid = make_grid(128)
     states = [make_state(grid, s.Zdev.copy(), s.Zp.copy(), s.Zt.copy(), s.sigma, s.time, s.g.copy())
               for s in (pair.state_a, pair.state_b)]
-    maps = [MonotoneMap(grid, m.deviation.copy())
-            for m in (pair.map_a, pair.map_b, pair.map_tilde)]
+    # the copy derives its own htilde from the two maps
+    maps = [MonotoneMap(grid, m.deviation.copy()) for m in (pair.map_a, pair.map_b)]
     copy = PairState(*states, *maps)
     rebuilt = (energy_delta(copy), f_delta_norm(copy), energy_sigma(copy.state_a))
     for reps in (again, rebuilt):
