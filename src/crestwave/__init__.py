@@ -39,7 +39,6 @@ from .evolution import (
     derive_states,
     flat_state,
     make_state,
-    rhs_eulerian,
     step_rk4,
     validate_state,
 )
@@ -71,7 +70,7 @@ __all__ = [
     "htilcal_apply",
     # evolution
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",
-    "compute_derived", "derive_states", "curvature_field", "rhs_eulerian", "cfl_bound", "step_rk4",
+    "compute_derived", "derive_states", "curvature_field", "cfl_bound", "step_rk4",
     "validate_state",
     # energies and initial data
     "EnergyReport", "energy_sigma", "energy_high", "energy_aux", "energy_delta", "f_delta_norm",

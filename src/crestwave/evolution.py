@@ -170,7 +170,7 @@ def derive_states(states, check=True, prefixes=None):
     """compute_derived of each of states, which share one grid.
 
     The states whose fields are not yet kept are derived together in one
-    stacked pass, three rounds of independent Fourier multipliers with one
+    stacked pass, two rounds of independent Fourier multipliers with one
     FFT pair each, and row r of every field is bit-identical to deriving
     that state alone.  check=True applies the |Z_ap| floor to every state
     before any field is computed, to the kept ones first; the error of
@@ -216,8 +216,9 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma):
     sigma, capillary rows (sigma != 0) first: the capillary transforms run
     on those rows only.
 
-    The inputs of each round are written into the rows of one stack, which
-    one multiply_symbol call transforms with a per-row symbol table.
+    The inputs of each of the two rounds are written into the rows of one
+    stack, which one multiply_symbol call transforms with a per-row symbol
+    table.
     """
     m, n = Zp.shape
     n_cap = sum(s != 0.0 for s in sigma)
@@ -236,9 +237,10 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma):
     d_omega = out[2 * m :]
     b = (ratio - h_ratio).real
 
-    # round 2: D flux, H conj(Z_tap), H prod and H curv_im; dt Z = flux =
-    # Z_t - b Z_ap, and dt Z_ap = D flux keeps mean(Z_ap) and the
-    # d_a Z = Z_ap consistency exact instead of only up to aliasing
+    # round 2: D flux, H conj(Z_tap), H prod and D (I + H) curv_im, the
+    # last as the one symbol i k (1 - sgn k); dt Z = flux = Z_t - b Z_ap,
+    # and dt Z_ap = D flux keeps mean(Z_ap) and the d_a Z = Z_ap
+    # consistency exact instead of only up to aliasing
     stack = np.empty((3 * m + n_cap, n), dtype=np.complex128)
     flux, Ztbar_ap, prod = stack[: 3 * m].reshape(3, m, n)
     curv_im = stack[3 * m :]
@@ -246,17 +248,13 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma):
     np.conj(Ztap, out=Ztbar_ap)
     np.multiply(Zt, Ztbar_ap, out=prod)
     curv_im[...] = (inv_Zp[:n_cap] * d_omega).imag
-    kinds = ("deriv",) * m + ("hilbert",) * (2 * m + n_cap)
+    kinds = ("deriv",) * m + ("hilbert",) * (2 * m) + ("deriv_hplus",) * n_cap
     out = grid.multiply_symbol(stack, grid.symbol_table(kinds))
     flux_ap, h_Ztbar_ap, h_prod = out[: 3 * m].reshape(3, m, n)
-    h_curv_im = out[3 * m :]
     A1 = 1.0 - (Zt * h_Ztbar_ap - h_prod).imag
 
     capillary = np.zeros_like(Zp)
-    if n_cap:
-        # round 3: D (curv_im + H curv_im)
-        sigma_cap = np.array(sigma[:n_cap])[:, None]
-        capillary[:n_cap] = sigma_cap * inv_Zp[:n_cap] * grid.deriv(curv_im + h_curv_im)
+    capillary[:n_cap] = np.array(sigma[:n_cap])[:, None] * inv_Zp[:n_cap] * out[3 * m :]
     Ztt = np.conj(1j - 1j * A1 * inv_Zp + capillary)
     # copies, so that the rates an RK4 stage keeps do not hold the round stacks
     return b, A1, omega, Ztt, Ztap, flux.copy(), flux_ap.copy()
@@ -271,12 +269,6 @@ def _rates(b, Ztt, Ztap, flux, flux_ap):
     """(dt Zdev, dt Z_ap, dt Z_t) from the right-hand-side fields of one
     state or of an (m, n) stack."""
     return flux, flux_ap, -b * Ztap + Ztt
-
-
-def rhs_eulerian(state):
-    """Time derivatives (dt Zdev, dt Z_ap, dt Z_t) on the fixed grid."""
-    d = compute_derived(state)
-    return _rates(d.b, d.Ztt, d.Ztap, d.flux, d.flux_ap)
 
 
 @dataclass
@@ -349,9 +341,10 @@ def advance(states, cfg, dt, maps=None, tags=None):
     whose row r is carried by the drift b of state r.
 
     Returns the new states and the new map deviations (None without maps).
-    Every stage and the finish (one dealias, one projection) take the states
-    as one stack.  Raises, state by state, CFLViolationError when dt is not
-    within dt_safety times the bound of the state (a NaN bound or dt fails),
+    Every stage and the finish take the states as one stack; the finish,
+    grid.finish_step (dealias and projection), is one FFT pair.  Raises,
+    state by state, CFLViolationError when dt is not within dt_safety
+    times the bound of the state (a NaN bound or dt fails),
     DegenerateJacobianError on a degenerate or NaN Z_ap, and
     HolomorphicityError on projected mass above holo_tolerance times the
     size of the state, or NaN mass; an error of state r starts with tags[r]
@@ -389,12 +382,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
     kept = [np.array([getattr(d, name) for d in derived]) for name in names]
     Zdev, Zp, Zt, *dev = rk4(y0, rhs, dt, rhs(y0, kept))
 
-    if cfg.filter_on:
-        Zdev, Zp, Zt = grid.dealias(np.concatenate([Zdev, Zp, Zt])).reshape(3, m, grid.n)
-    out, mass = grid.remove_positive_modes(np.concatenate([Zp - 1.0, np.conj(Zt)]))
-    dev_p, Ztbar = out.reshape(2, m, grid.n)
-    masses = zip(*mass.reshape(2, m).tolist())
-    Zp, Zt = 1.0 + dev_p, np.conj(Ztbar)
+    (Zdev, Zp, Zt), mass = grid.finish_step((Zdev, Zp, Zt), cfg.filter_on)
+    masses = zip(*mass.tolist())
     new = []
     for st, tag, Zdev_r, Zp_r, Zt_r, (res_Zp, res_Zt) in zip(
         states, tags, Zdev, Zp, Zt, masses

@@ -87,7 +87,6 @@ class SpectralGrid:
         self._proj_h = mask_h.astype(np.complex128)
         self._proj_a = (1.0 - mask_h).astype(np.complex128)
         self._nonpositive = k_int <= 0
-        self._nonpositive_symbol = self._nonpositive.astype(np.complex128)
         cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
         self._dealias_symbol = (np.abs(k_int) <= cutoff).astype(np.complex128)
         self._deconv = None
@@ -114,8 +113,9 @@ class SpectralGrid:
 
     def symbol_table(self, kinds):
         """(len(kinds), n) table whose row r is the symbol named kinds[r],
-        'deriv' (first derivative), 'hilbert' or 'dealias'; built once for
-        a tuple of kinds and all grids equal to this one, so a run that
+        'deriv' (first derivative), 'hilbert', 'deriv_hplus' (D (I + H),
+        the symbol i k (1 - sgn k), 0 at Nyquist) or 'dealias'; built once
+        for a tuple of kinds and all grids equal to this one, so a run that
         builds a new grid for each pair builds each table once."""
         return _symbol_table(self, kinds)
 
@@ -153,25 +153,43 @@ class SpectralGrid:
     def dealias(self, f):
         return self.multiply_symbol(f, self._dealias_symbol)
 
-    def remove_positive_modes(self, f):
-        """f without its k > 0 content (Nyquist included), and the L2 mass
-        removed, from one transform along the last axis.  Used to enforce
-        holomorphicity; note this keeps the k = 0 mode in full, unlike P_H.
+    def finish_step(self, rows, dealias):
+        """The end of an RK4 step from one FFT pair.  rows is (Zdev, Z_ap,
+        Z_t), three (m, n) stacks or three fields; all are dealiased when
+        dealias is set, and Z_ap - 1 and Zbar_t lose their k > 0 content
+        (Nyquist included; the k = 0 mode is kept in full, unlike P_H).
+        Returns the (3, m, n) stack of the new rows and the (2, m) L2 masses
+        removed from Z_ap - 1 and from Zbar_t.  The modes k > 0 of Zbar_t
+        are the conjugates of the modes k < 0 of Z_t, so both masses come
+        from the one spectrum of (Zdev, Z_ap - 1, Z_t); transforming
+        Z_ap - 1, not Z_ap, keeps the rounding of the transform relative to
+        the deviation.
 
-        For an (m, n) stack the mass is an array of the m row masses; each
-        row and its mass are bit-identical to a single-field call.
+        For (m, n) stacks each row and its masses are bit-identical to a
+        call on that row alone.
         """
-        c = np.fft.fft(f)
-        return np.fft.ifft(self._nonpositive_symbol * c), self._positive_mass(c / self.n)
+        Zdev, Zp, Zt = rows
+        c = np.fft.fft((Zdev, Zp - 1.0, Zt))
+        if dealias:
+            c *= self._dealias_symbol
+        half = self.n // 2
+        # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
+        zp_pos, zt_neg = c[1, ..., 1 : half + 1], c[2, ..., half:]
+        mass = np.stack([self._mass(zp_pos / self.n), self._mass(zt_neg / self.n)])
+        zp_pos[...] = 0.0
+        zt_neg[...] = 0.0
+        out = np.fft.ifft(c)
+        out[1] += 1.0
+        return out, mass
 
     def positive_mode_mass(self, f):
         """L2 mass carried by modes k > 0 (Nyquist included)."""
-        return float(self._positive_mass(self.coeffs(f)))
-
-    def _positive_mass(self, c):
         # the modes k > 0 are the slots 1..n/2 of the fft layout
-        positive = c[..., 1 : self.n // 2 + 1]
-        return np.sqrt(self.length * np.sum(np.abs(positive) ** 2, axis=-1))
+        return float(self._mass(self.coeffs(f)[1 : self.n // 2 + 1]))
+
+    def _mass(self, c):
+        """L2 mass of the modes with coefficients c, along the last axis."""
+        return np.sqrt(self.length * np.sum(np.abs(c) ** 2, axis=-1))
 
     # -- norms ----------------------------------------------------------
 
@@ -425,19 +443,6 @@ class SpectralGrid:
             cp[..., -half] = 0.5 * c[..., half]
         return cp
 
-    def resample(self, f, n_new):
-        """Fourier resampling onto a grid with n_new points, same period."""
-        if n_new == self.n:
-            return np.asarray(f, dtype=np.complex128).copy()
-        c = self.coeffs(f)
-        c_new = np.zeros(n_new, dtype=np.complex128)
-        half = min(self.n, n_new) // 2
-        # copy k = 0..half-1 and k = -1..-(half-1); the source Nyquist mode
-        # is dropped rather than split
-        c_new[:half] = c[:half]
-        c_new[-(half - 1):] = c[-(half - 1):]
-        return np.fft.ifft(c_new * n_new)
-
     def extend_to_depth(self, f, depth, tol=1e-10):
         """Harmonic extension of a holomorphic boundary field to y = depth < 0.
 
@@ -481,6 +486,7 @@ def _symbol_table(grid, kinds):
     named = {
         "deriv": grid._deriv_symbol,
         "hilbert": grid._hilbert_symbol,
+        "deriv_hplus": grid._deriv_symbol * (1.0 + grid._hilbert_symbol),
         "dealias": grid._dealias_symbol,
     }
     return np.stack([named[kind] for kind in kinds])

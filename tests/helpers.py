@@ -6,6 +6,8 @@ from crestwave.brackets import MonotoneMap
 from crestwave.evolution import StepperConfig, cfl_bound, make_state, step_rk4
 from crestwave.spectral import SpectralGrid
 
+from oracles import rhs_eulerian
+
 
 def random_holomorphic(grid, rng, n_modes=6, amp=0.3, decay=2.0):
     """Random field with Fourier support k in {-n_modes, ..., -1}."""
@@ -69,14 +71,26 @@ def random_monotone_map(grid, rng, amp=0.2, n_modes=4, max_slope=None):
     return MonotoneMap(grid, dev)
 
 
+def resample(grid, f, n_new):
+    """Fourier resampling of f onto a grid with n_new points, same period."""
+    if n_new == grid.n:
+        return np.asarray(f, dtype=np.complex128).copy()
+    c = grid.coeffs(f)
+    c_new = np.zeros(n_new, dtype=np.complex128)
+    half = min(grid.n, n_new) // 2
+    # copy k = 0..half-1 and k = -1..-(half-1); the source Nyquist mode
+    # is dropped rather than split
+    c_new[:half] = c[:half]
+    c_new[-(half - 1):] = c[-(half - 1):]
+    return np.fft.ifft(c_new * n_new)
+
+
 def refine_state(state, n_new):
     """Fourier-resample a state onto a finer grid (spectral convergence
     studies); sigma and time carry over, the angle branch is seeded anew."""
     grid = state.grid
     g2 = SpectralGrid(n_new, grid.length, grid.dealias_fraction)
-    Zdev = grid.resample(state.Zdev, n_new)
-    Zp = grid.resample(state.Zp, n_new)
-    Zt = grid.resample(state.Zt, n_new)
+    Zdev, Zp, Zt = (resample(grid, f, n_new) for f in (state.Zdev, state.Zp, state.Zt))
     return make_state(g2, Zdev, Zp, Zt, state.sigma, state.time)
 
 
@@ -131,8 +145,6 @@ def measure_mode_frequency(grid, k, sigma, amp=1e-6, periods=8.0, dt_safety=0.4)
 def linearized_frequency_fd(grid, k, sigma, h=1e-7):
     """Independent oracle: eigenfrequency of the flat-state linearization
     restricted to one wavenumber, via finite-difference Jacobian."""
-    from crestwave.evolution import rhs_eulerian
-
     n = grid.n
     a = grid.nodes
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from crestwave.brackets import compose_map_apply
 from crestwave.errors import DegenerateJacobianError
-from crestwave.evolution import ABS_ZP_FLOOR, compute_derived
+from crestwave.evolution import ABS_ZP_FLOOR, _rates, compute_derived
 
 
 # -- spectral ------------------------------------------------------------------
@@ -223,7 +223,9 @@ def derived_unbatched(state):
     omega = Zp / abs_Zp
     if sigma != 0.0:
         curv_im = (inv_Zp * grid.deriv(omega)).imag
-        capillary = sigma * inv_Zp * grid.deriv(curv_im + grid.hilbert(curv_im))
+        # D (I + H) as its one symbol i k (1 - sgn k), as compute_derived applies it
+        deriv_hplus = grid.symbol_table(("deriv_hplus",))[0]
+        capillary = sigma * inv_Zp * grid.multiply_symbol(curv_im, deriv_hplus)
     else:
         capillary = 0.0
     Ztt = np.conj(1j - 1j * A1 * inv_Zp + capillary)
@@ -232,6 +234,31 @@ def derived_unbatched(state):
         "b": b, "A1": A1, "omega": omega, "Ztt": Ztt, "Ztap": Ztap, "flux": flux,
         "flux_ap": grid.deriv(flux), "min_abs_Zp": float(abs_Zp.min()),
     }
+
+
+def rhs_eulerian(state):
+    """Time derivatives (dt Zdev, dt Z_ap, dt Z_t) of one state on the fixed
+    grid, from its derived fields by the rate formula of the stepper's
+    stages."""
+    d = compute_derived(state)
+    return _rates(d.b, d.Ztt, d.Ztap, d.flux, d.flux_ap)
+
+
+def finish_unfused(grid, rows, dealias):
+    """grid.finish_step(rows, dealias) as two FFT pairs per row: the dealias
+    of each of the three row blocks (Zdev, Z_ap, Z_t), then the removal of
+    the k > 0 modes of Z_ap - 1 and of Zbar_t, with the L2 mass each loses
+    measured on its own spectrum."""
+    out = [grid.dealias(f) if dealias else np.asarray(f, dtype=np.complex128) for f in rows]
+    keep = grid.k_int <= 0
+    mass = []
+    for r, f in ((1, out[1] - 1.0), (2, np.conj(out[2]))):
+        c = grid.coeffs(f)
+        mass.append(np.sqrt(grid.length * np.sum(np.abs(c[..., ~keep]) ** 2, axis=-1)))
+        out[r] = grid.from_coeffs(np.where(keep, c, 0.0))
+    out[1] = 1.0 + out[1]
+    out[2] = np.conj(out[2])
+    return np.array(out), np.array(mass)
 
 
 def weighted_norm(state, f, kind):

@@ -1,6 +1,6 @@
 """Raw FFT calls of one step and one pair record: each round of independent
-Fourier multipliers is one stacked transform, so these counts only grow if a
-round is split."""
+Fourier multipliers is one stacked transform, a derive is two rounds and a
+step's finish one FFT pair, so these counts only grow if a round is split."""
 
 import numpy as np
 import pytest
@@ -39,11 +39,11 @@ def stepped():
     return co_step(pair, cfg, dt), cfg, dt
 
 
-# per step: four derives of three rounds (two at sigma = 0), one stacked
-# dealias and one stacked projection
+# per step: four derives of two rounds, at any sigma, and one finish
+# (dealias and projection as one FFT pair)
 @pytest.mark.parametrize("member, expected", [
-    ("state_a", {"fft": 14, "ifft": 14, "rfft": 0, "irfft": 0}),
-    ("state_b", {"fft": 10, "ifft": 10, "rfft": 0, "irfft": 0}),
+    ("state_a", {"fft": 9, "ifft": 9, "rfft": 0, "irfft": 0}),
+    ("state_b", {"fft": 9, "ifft": 9, "rfft": 0, "irfft": 0}),
 ])
 def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
     pair, cfg, dt = stepped
@@ -52,19 +52,18 @@ def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
 
 
 def test_co_step_transform_calls(stepped, fft_calls):
-    # per stage one three-round derive of both solutions and one spread of
-    # both drifts (the rfft/irfft pairs); then one dealias and one
-    # projection of both solutions, and the Jacobians of h_a and h_b; no
-    # inverse and no composition
+    # per stage one two-round derive of both solutions and one spread of
+    # both drifts (the rfft/irfft pairs); then one finish of both solutions
+    # and the Jacobians of h_a and h_b; no inverse and no composition
     pair, cfg, dt = stepped
     co_step(pair, cfg, dt)
-    assert fft_calls == {"fft": 16, "ifft": 16, "rfft": 4, "irfft": 4}
+    assert fft_calls == {"fft": 11, "ifft": 11, "rfft": 4, "irfft": 4}
 
 
 def test_record_transform_calls(stepped, fft_calls):
     # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records:
-    # 12 multiplier calls (the five stacked block rounds of both states,
-    # D Theta and D(htilde_ap - 1), the three rounds of one derive of both
+    # 11 multiplier calls (the five stacked block rounds of both states,
+    # D Theta and D(htilde_ap - 1), the two rounds of one derive of both
     # states, b_ap of each state), the Jacobians of h_a^{-1} and htilde,
     # 10 H^1/2 norms, four sup norms (the two real ones as one stack), the
     # two complex spreads through htilde and three real ones (the Newton
@@ -74,6 +73,6 @@ def test_record_transform_calls(stepped, fft_calls):
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 30, "ifft": 19, "rfft": 3, "irfft": 4}
+    assert fft_calls == {"fft": 29, "ifft": 18, "rfft": 3, "irfft": 4}
     # the h_alpha term goes through the inverse of h_a that htilde built
     assert "_inverse" not in vars(pair.map_b)

@@ -15,7 +15,7 @@ from crestwave.spectral import (
 )
 
 from helpers import harmonic_extension_norms, random_holomorphic, random_real_field
-from oracles import hhalf_double_sum, interpolate_direct
+from oracles import finish_unfused, hhalf_double_sum, interpolate_direct
 
 SEED = 20240817
 
@@ -426,18 +426,58 @@ def test_evaluator_rows_at_their_own_points_are_bit_identical(n):
 
 
 @pytest.mark.parametrize("n", [64, 768])
-def test_stacked_remove_positive_modes_rows_match_single_calls(n):
+def test_stacked_finish_step_rows_match_single_calls(n):
     g = make_grid(n)
     rng = np.random.default_rng(n + 2)
-    stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    kept, mass = g.remove_positive_modes(stack)
-    assert kept.shape == (3, n) and mass.shape == (3,)
-    for f, row, row_mass in zip(stack, kept, mass):
-        one, one_mass = g.remove_positive_modes(f)
-        assert row.tobytes() == one.tobytes()
-        assert row_mass.tobytes() == np.float64(one_mass).tobytes()
-        # the mass of the modes k > 0, Nyquist included, and none left there
-        c = g.coeffs(f)
-        exact = np.sqrt(g.length * np.sum(np.abs(c[g.k_int > 0]) ** 2))
-        assert abs(row_mass - exact) <= 1e-13 * exact
-        assert g.positive_mode_mass(row) <= 1e-13 * row_mass
+    rows = rng.standard_normal((3, 3, n)) + 1j * rng.standard_normal((3, 3, n))
+    for dealias in (True, False):
+        out, mass = g.finish_step(rows, dealias)
+        assert out.shape == (3, 3, n) and mass.shape == (2, 3)
+        for r in range(3):
+            one, one_mass = g.finish_step(rows[:, r], dealias)
+            assert out[:, r].tobytes() == one.tobytes()
+            assert mass[:, r].tobytes() == one_mass.tobytes()
+            # the mass of the modes k > 0 of Z_ap - 1 and of Zbar_t, Nyquist
+            # included, and none left there
+            kept = [g.dealias(f) if dealias else f for f in rows[:, r]]
+            for f, row, row_mass in ((kept[1] - 1.0, out[1, r] - 1.0, mass[0, r]),
+                                     (np.conj(kept[2]), np.conj(out[2, r]), mass[1, r])):
+                c = g.coeffs(f)
+                exact = np.sqrt(g.length * np.sum(np.abs(c[g.k_int > 0]) ** 2))
+                assert abs(row_mass - exact) <= 1e-13 * exact
+                assert g.positive_mode_mass(row) <= 1e-13 * row_mass
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("n", [64, 256, 768])
+def test_finish_step_matches_the_dealias_then_projection_path(n, dealias):
+    # the fused finish of a step against its two FFT pairs per row: the rows
+    # and the removed masses agree to rounding, here on rows whose removed
+    # masses are of the size of the rows
+    g = make_grid(n)
+    rng = np.random.default_rng(n + 7)
+    rows = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
+    rows[1] += 1.0
+    out, mass = g.finish_step(rows, dealias)
+    ref, ref_mass = finish_unfused(g, rows, dealias)
+    assert mass.shape == ref_mass.shape == (2, 4)
+    for block, ref_block in zip(out, ref):
+        assert np.max(np.abs(block - ref_block)) <= 1e-14 * np.max(np.abs(ref_block))
+    assert np.all(np.abs(mass - ref_mass) <= 1e-14 * ref_mass)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([64, 256, 768]), length=st.floats(0.1, 100.0),
+       seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 256), decay=st.floats(0.5, 3.0))
+def test_deriv_hplus_symbol_is_the_derivative_of_f_plus_its_hilbert_transform(
+    n, length, seed, n_modes, decay
+):
+    # the one symbol i k (1 - sgn k) against D applied after I + H; the
+    # composed route rounds H f and D then multiplies that rounding by up to
+    # k_max, so the scale is k_max sup|f|, which bounds sup|D f| (Bernstein)
+    g = make_grid(n, length)
+    f = random_real_field(g, np.random.default_rng(seed), min(n_modes, n // 3), 1.0, decay)
+    fused = g.multiply_symbol(f, g.symbol_table(("deriv_hplus",))[0])
+    composed = g.deriv(f + g.hilbert(f))
+    scale = np.max(np.abs(g.k)) * np.max(np.abs(f))
+    assert np.max(np.abs(fused - composed)) <= 1e-14 * scale
