@@ -51,20 +51,11 @@ from .pair import (
     run_convergence_study,
     run_pair_once,
 )
-from .spectral import (
-    SpectralGrid,
-    apply_multiplier,
-    dealias_filter,
-    hilbert,
-    make_grid,
-    poisson_smooth,
-    project_holomorphic,
-)
+from .spectral import SpectralGrid, make_grid
 
 __all__ = [
     # spectral
-    "SpectralGrid", "make_grid", "apply_multiplier", "hilbert", "project_holomorphic",
-    "poisson_smooth", "dealias_filter",
+    "SpectralGrid", "make_grid",
     # brackets
     "MonotoneMap", "compose_maps", "compose_map_apply", "commutator_bracket", "hcal_apply",
     "htilcal_apply",

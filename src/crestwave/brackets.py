@@ -84,9 +84,9 @@ class MonotoneMap:
         L, nodes, h = grid.length, grid.nodes, self.values
         # h is increasing, so its node values a period either side bracket every node
         x = np.interp(nodes, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
-        dev = grid.evaluator(np.stack([self.deviation, self.jacobian()]))
+        gather = grid.spread(np.stack([self.deviation, self.jacobian()]))
         for _ in range(NEWTON_CAP):
-            d, h_ap = dev(x)
+            d, h_ap = gather([grid.nufft_kernel(x)])
             res = x + d - nodes
             if np.max(np.abs(res)) <= 8.0 * np.spacing(L):
                 break
@@ -95,12 +95,12 @@ class MonotoneMap:
 
 
 def compose_maps(outer, inner):
-    """outer o inner as a MonotoneMap on the shared grid; outer is evaluated
-    with the kept kernel weights of inner."""
+    """outer o inner as a MonotoneMap on the shared grid: the deviation of
+    outer pulled back through inner, with the kept kernel weights of inner."""
     if outer.grid != inner.grid:
         raise ValueError("maps live on different grids")
     grid = outer.grid
-    vals = inner.values + grid.interpolate_kernel(outer.deviation, inner._kernel)
+    vals = inner.values + compose_map_apply(grid, outer.deviation, inner)
     return MonotoneMap(grid, vals - grid.nodes)
 
 
@@ -111,7 +111,7 @@ def compose_map_apply(grid, f, map_):
     f may be one field or an (m, n) stack of fields, all real or all
     complex; a stack is spread once and row r of the result is U_h f[r].
     """
-    return grid.interpolate_kernel(f, map_._kernel)
+    return grid.spread(f)([map_._kernel])
 
 
 # -- commutator ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import compose_map_apply
-from .evolution import derive_states
+from .evolution import continue_angle, derive_states
 
 
 @dataclass
@@ -101,9 +101,7 @@ def _build_blocks(states):
     # round 5: the third derivative of 1/Z_ap,band
     d3 = grid.deriv(d2)
     Theta = 1j * q - 1j * (q - h_q).real
-    raw_angle = np.angle(Zp_band)
-    g = np.array([st.g for st in states])
-    g_band = raw_angle + 2.0 * np.pi * np.round((g - raw_angle) / (2.0 * np.pi))
+    g_band = continue_angle(Zp_band, np.array([st.g for st in states]))
     log_Zp = np.log(np.abs(Zp_band)) + 1j * g_band
     names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
     rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)

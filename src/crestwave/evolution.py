@@ -374,7 +374,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
         else:
             b, Ztt, Ztap, flux, flux_ap = fields
         rates = _rates(b, Ztt, Ztap, flux, flux_ap)
-        return (*rates, *(grid.evaluator(b)(grid.nodes + d) for d in dev))
+        return (*rates, *(grid.interpolate(b, grid.nodes + d) for d in dev))
 
     y0 = [np.array([getattr(st, name) for st in states]) for name in ("Zdev", "Zp", "Zt")]
     y0 += [] if maps is None else [maps]

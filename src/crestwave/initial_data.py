@@ -43,8 +43,8 @@ class CrestSpec:
     def __post_init__(self):
         if not (0.0 < self.nu < 0.5):
             raise ValueError(f"nu must lie in (0, 1/2), got {self.nu}")
-        if self.regularization_delta < 0.0:
-            raise ValueError("regularization_delta must be >= 0")
+        if not self.regularization_delta >= 0.0:
+            raise ValueError(f"regularization_delta must be >= 0, got {self.regularization_delta}")
         if self.velocity_mode >= 0:
             raise ValueError("velocity_mode must be a negative integer")
 
@@ -101,8 +101,9 @@ def crest_data(spec, grid, sigma=0.0):
 def mollify_data(state, eps):
     """Poisson mollification of (Z, Z_t) at scale eps; Z_ap is recomputed
     spectrally from the mollified Z so holomorphicity is preserved."""
-    if eps < 0.0:
-        raise ValueError("mollification scale must be >= 0")
+    # written so that a NaN scale fails too
+    if not eps >= 0.0:
+        raise ValueError(f"mollification scale must be >= 0, got {eps}")
     grid = state.grid
     Zdev = grid.poisson_smooth(state.Zdev, eps)
     Zt = np.conj(grid.poisson_smooth(np.conj(state.Zt), eps))
@@ -126,8 +127,9 @@ def estimate_M(state, depth_ladder=None):
     """
     grid = state.grid
     depths = tuple(depth_ladder) if depth_ladder is not None else DEFAULT_DEPTH_LADDER
-    if any(y >= 0 for y in depths):
-        raise ValueError("all ladder depths must be negative")
+    # written so that a NaN depth fails too
+    if not (depths and all(y < 0 for y in depths)):
+        raise ValueError(f"the depth ladder must be non-empty and all negative, got {depths}")
 
     for name, f in (("Z_ap - 1", state.Zp - 1.0), ("Zbar_t", np.conj(state.Zt))):
         mass = grid.positive_mode_mass(f)

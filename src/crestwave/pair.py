@@ -143,7 +143,7 @@ def build_pair(spec):
         velocity_mode=spec.velocity_mode,
     )
     base = crest_data(cs, grid)
-    if spec.epsilon > 0:
+    if spec.epsilon != 0:
         base = mollify_data(base, spec.epsilon)
     state_a = replace(base, sigma=float(spec.sigma))
     state_b = replace(base, sigma=0.0)

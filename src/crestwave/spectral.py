@@ -103,7 +103,7 @@ class SpectralGrid:
     def multiply_symbol(self, f, symbol):
         """ifft(symbol * fft(f)) along the last axis, unchecked: the symbol must
         be finite, over self.k, of shape (n,) or a (k, n) table for a (k, n)
-        stack f; symbols from outside go through crestwave.apply_multiplier.
+        stack f.
 
         Rows of a stack transform in one call and are bit-identical to
         single-field calls, so a round of independent multipliers costs one
@@ -306,44 +306,29 @@ class SpectralGrid:
         interpolant pairs the Nyquist coefficient with cos(k_nyq x), so real
         f gives a real result.  Matches the direct Fourier sum to about 1e-14
         relative to sup|f|, Nyquist mode included; on large grids the
-        rounding of the target coordinate adds up to k_max |x| eps.  To
-        evaluate one field at several point sets, use evaluator(f) instead;
-        to evaluate fields at one point set again and again, keep
-        nufft_kernel(x) and use interpolate_kernel.
-        """
-        return self.evaluator(f)(x)
+        rounding of the target coordinate adds up to k_max |x| eps.
 
-    def evaluator(self, f):
-        """Spread f once onto the fine grid of interpolate(); the returned
-        callable evaluates the trigonometric interpolant of f at any array
-        of points, exactly as interpolate(f, x) does.
-
-        f may also be an (m, n) stack of fields, all real or all complex.
-        The stack is spread by one batched transform, the kernel weights
-        of a point set are computed once for all rows, and the result has
-        a leading axis of length m whose row r is bit-identical to
-        interpolate(f[r], x).  An (m, p) point array x instead gives each
-        row its own points: row r of the result is then bit-identical to
-        interpolate(f[r], x[r]).
+        f may also be an (m, n) stack of fields, all real or all complex,
+        spread by one batched transform; the result has a leading axis of
+        length m whose row r is bit-identical to interpolate(f[r], x).  An
+        (m, p) point array x instead gives each row its own points: row r
+        of the result is then bit-identical to interpolate(f[r], x[r]).  The
+        kernel weights of such an array are built one row at a time, which
+        keeps their temporaries below the size at which the allocator maps
+        fresh pages for each.  To evaluate at one point set again and again,
+        keep nufft_kernel(x) and gather with spread(f).
         """
-        gather = self._spread(f)
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         lead = np.shape(f)[:-1]
-
-        def evaluate(x):
-            x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-            if lead and x.shape[:-1] == lead:
-                # an (m, p) point array gives row r of an (m, n) stack its own points
-                return gather([self.nufft_kernel(row) for row in x.reshape(-1, x.shape[-1])])
-            return gather([self.nufft_kernel(x)])
-
-        return evaluate
+        rows = x.reshape(-1, x.shape[-1]) if lead and x.shape[:-1] == lead else [x]
+        return self.spread(f)([self.nufft_kernel(row) for row in rows])
 
     def nufft_kernel(self, x):
         """Kernel weights of interpolate() at the points x, of shape
         x.shape + (_NUFFT_WIDTH,), and the first fine-grid node each point
         sees.  A caller that evaluates at one point set again and again
-        keeps them and passes them to interpolate_kernel; a MonotoneMap
-        keeps those of its values."""
+        keeps them and passes them to the gather of spread(f); a
+        MonotoneMap keeps those of its values."""
         w, n_fine = _NUFFT_WIDTH, 2 * self.n
         t = (n_fine / self.length) * np.atleast_1d(np.asarray(x, dtype=np.float64))
         base = np.floor(t)
@@ -353,16 +338,12 @@ class SpectralGrid:
         weights = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
         return weights, (base.astype(np.int64) - (w // 2 - 1)) % n_fine
 
-    def interpolate_kernel(self, f, kernel):
-        """interpolate(f, x), bit for bit, from kernel = nufft_kernel(x);
-        f may be an (m, n) stack, as for evaluator."""
-        return self._spread(f)([kernel])
-
-    def _spread(self, f):
-        """Spread f (one field or an (m, n) stack) onto the fine grid; the
-        returned gather(kernels) sums the kernel-weighted fine values at
-        the points of kernels, a list of nufft_kernel results: one for all
-        rows, or one per row."""
+    def spread(self, f):
+        """Spread f (one field or an (m, n) stack) onto the fine grid of
+        interpolate(); the returned gather(kernels) sums the kernel-weighted
+        fine values at the points of kernels, a list of nufft_kernel
+        results: one for all rows, or one per row.  gather([nufft_kernel(x)])
+        is interpolate(f, x), bit for bit."""
         f = np.asarray(f)
         n, half, w = self.n, self.n // 2, _NUFFT_WIDTH
         n_fine = 2 * n
@@ -492,35 +473,9 @@ def _symbol_table(grid, kinds):
     return np.stack([named[kind] for kind in kinds])
 
 
-# -- spec-level operation surface ----------------------------------------
+# -- constructor ------------------------------------------------------------
 
 
 def make_grid(n_points, length=TWO_PI, dealias_fraction=2.0 / 3.0):
     """Build a SpectralGrid; rejects odd/tiny point counts and bad lengths."""
     return SpectralGrid(n_points, length, dealias_fraction)
-
-
-def apply_multiplier(grid, f, symbol):
-    """Apply a Fourier multiplier.  `symbol` is an array over grid.k or a
-    callable evaluated on it (must be finite everywhere, k = 0 included)."""
-    f = _require_finite(f)
-    symbol = np.asarray(symbol(grid.k) if callable(symbol) else symbol, dtype=np.complex128)
-    if symbol.shape != (grid.n,):
-        raise ValueError(f"symbol must have shape ({grid.n},), got {symbol.shape}")
-    return grid.multiply_symbol(f, _require_finite(symbol, "multiplier symbol"))
-
-
-def hilbert(grid, f):
-    return grid.hilbert(_require_finite(f))
-
-
-def project_holomorphic(grid, f, side="H"):
-    return grid.project(_require_finite(f), side)
-
-
-def poisson_smooth(grid, f, eps):
-    return grid.poisson_smooth(_require_finite(f), eps)
-
-
-def dealias_filter(grid, f):
-    return grid.dealias(_require_finite(f))

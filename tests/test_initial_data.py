@@ -24,6 +24,8 @@ def test_crest_spec_validation():
         CrestSpec(nu=0.3, regularization_delta=-0.1)
     with pytest.raises(ValueError):
         CrestSpec(nu=0.3, velocity_mode=1)
+    with pytest.raises(ValueError, match="regularization_delta"):
+        CrestSpec(nu=0.3, regularization_delta=float("nan"))
 
 
 def test_degenerate_exponent_limit_is_flat():
@@ -74,6 +76,13 @@ def test_mollify_identity_and_semigroup():
     two = mollify_data(st, 0.2)
     assert np.max(np.abs(one.Zp - two.Zp)) < 1e-12
     assert np.max(np.abs(one.Zt - two.Zt)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [-0.05, float("nan")])
+def test_mollify_refuses_a_negative_or_nan_scale(eps):
+    st = crest_data(CrestSpec(nu=0.35), make_grid(64))
+    with pytest.raises(ValueError, match="mollification scale must be >= 0"):
+        mollify_data(st, eps)
 
 
 def test_mollified_crest_regular_and_curvature_growth():
@@ -132,3 +141,11 @@ def test_estimate_m_rejects_nonholomorphic():
     st = make_state(g, np.zeros(256, complex), Zp, np.zeros(256, complex), 0.0)
     with pytest.raises(HolomorphicityError):
         estimate_M(st)
+
+
+@pytest.mark.parametrize("ladder", [[-0.5, float("nan")], [], [-0.5, 0.0]])
+def test_estimate_m_refuses_a_nan_nonnegative_or_empty_ladder(ladder):
+    # a NaN depth would otherwise be dropped and an empty ladder give 0
+    st = crest_data(CrestSpec(nu=0.35, regularization_delta=0.05), make_grid(64))
+    with pytest.raises(ValueError, match="depth ladder"):
+        estimate_M(st, depth_ladder=ladder)

@@ -290,6 +290,13 @@ def test_delta_zero_stability_long_run():
     assert 0.9 < mins <= maxs < 1.1
 
 
+@pytest.mark.parametrize("epsilon", [-0.05, float("nan")])
+def test_build_pair_refuses_a_negative_or_nan_epsilon(epsilon):
+    # such a label used to run the unmollified crest of epsilon = 0
+    with pytest.raises(ValueError, match="mollification scale must be >= 0"):
+        build_pair(PairRunSpec(sigma=1e-2, epsilon=epsilon, n_points=64))
+
+
 def test_run_pair_once_failure_is_captured():
     spec = PairRunSpec(sigma=1.0, epsilon=0.2, n_points=64, t_final=10.0,
                        min_steps=4, max_steps=8)
