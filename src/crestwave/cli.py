@@ -66,15 +66,6 @@ EXIT_HOLOMORPHICITY = 5
 EXIT_PARTIAL = 6
 
 
-def _stepper(cfg):
-    s = cfg.stepper
-    return StepperConfig(
-        dt_safety=s.dt_safety,
-        filter_on=s.filter_on,
-        holo_tolerance=s.holo_tolerance,
-    )
-
-
 def build_initial_state(cfg):
     """Initial WaveState from the [grid]/[data]/[physics] blocks; a
     checkpoint that cannot be loaded, or whose grid is not the [grid] grid,
@@ -109,7 +100,7 @@ def build_initial_state(cfg):
 
 def cmd_simulate(cfg, outdir, seed):
     state = build_initial_state(cfg)
-    stepper = _stepper(cfg)
+    stepper = StepperConfig(cfg.stepper.dt_safety)
     dt, n_steps = plan_steps(
         cfl_bound(state), cfg.physics.t_final, stepper.dt_safety, 1, cfg.stepper.max_steps
     )
@@ -149,7 +140,7 @@ def cmd_pair(cfg, outdir, seed):
     base = build_initial_state(cfg)
     pair = init_pair(replace(base, sigma=spec.sigma), replace(base, sigma=0.0))
     result = PairRunResult(spec)
-    drive_pair(pair, _stepper(cfg), result)
+    drive_pair(pair, result)
 
     os.makedirs(outdir, exist_ok=True)
     write_reports_csv(os.path.join(outdir, "energy_delta.csv"), result.delta_reports)
@@ -207,8 +198,10 @@ def cmd_sweep(cfg, outdir, seed, jobs):
     if cfg.data.kind != "crest":
         # every sweep run builds its pair from the crest of [data]
         raise ConfigError([f"sweep takes data.kind = crest only, got {cfg.data.kind!r}"])
+    if cfg.study.couple == "eps32" and not cfg.study.epsilon_list:
+        raise ConfigError(["sweep with study.couple = eps32 needs a study.epsilon_list"])
     specs = _study_specs(cfg)
-    result = run_convergence_study(specs, stepper=_stepper(cfg), jobs=jobs)
+    result = run_convergence_study(specs, jobs=jobs)
     os.makedirs(outdir, exist_ok=True)
 
     long_rows = []
@@ -343,8 +336,8 @@ def main(argv=None):
         if args.command == "crest-scaling":
             return cmd_crest_scaling(cfg, outdir, args.seed)
     except ConfigError as exc:
-        # a checkpoint that cannot be loaded or has another grid, or a sweep
-        # of data other than crest
+        # a checkpoint that cannot be loaded or has another grid, a sweep of
+        # data other than crest, or an eps32 sweep without epsilons
         return _config_failure(exc)
     except CFLViolationError as exc:
         print(f"CFL failure: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ Schema (all keys optional, unknown sections or keys are rejected):
     [data]     kind = flat | crest | checkpoint, nu, delta, epsilon,
                vel_amp_re, vel_amp_im, vel_mode, checkpoint
     [physics]  sigma, t_final
-    [stepper]  dt_safety, filter_on, holo_tolerance, max_steps
+    [stepper]  dt_safety, max_steps
     [output]   directory, families, record_interval
     [study]    sigma_list, epsilon_list, couple = product | eps32, jobs,
                min_steps
@@ -14,7 +14,8 @@ Schema (all keys optional, unknown sections or keys are rejected):
 Environment variables CRESTWAVE_<SECTION>_<KEY> override file values.
 Every number must be finite.  Validation reports every violation at once.
 The CLI also requires a kind = checkpoint file to hold the [grid] grid,
-and sweep to run kind = crest data.
+and sweep to run kind = crest data, with a study.epsilon_list when
+couple = eps32.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ import numpy as np
 
 from .energies import STATE_FAMILIES
 from .errors import ConfigError
-
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 @dataclass
@@ -60,8 +58,6 @@ class PhysicsBlock:
 @dataclass
 class StepperBlock:
     dt_safety: float = 0.5
-    filter_on: bool = True
-    holo_tolerance: float = 1e-8
     max_steps: int = 200000
 
 
@@ -104,13 +100,6 @@ _SCHEMA = {
 def _parse_value(name, raw, default, errors):
     raw = raw.strip()
     try:
-        if isinstance(default, bool):
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -143,7 +132,7 @@ def parse_config(path, env=None):
     """
     env = os.environ if env is None else env
     errors = []
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -191,7 +180,8 @@ def _validate(cfg, errors):
 
     if d.kind not in ("flat", "crest", "checkpoint"):
         errors.append(f"data.kind must be flat | crest | checkpoint, got {d.kind!r}")
-    if d.kind == "crest" and not (0.0 < d.nu < 0.5):
+    # every kind: crest-scaling builds a crest from [data] whatever the kind
+    if not (0.0 < d.nu < 0.5):
         errors.append(f"data.nu must lie in (0, 1/2), got {d.nu}")
     if d.delta < 0:
         errors.append(f"data.delta must be >= 0, got {d.delta}")
@@ -199,6 +189,11 @@ def _validate(cfg, errors):
         errors.append(f"data.epsilon must be >= 0, got {d.epsilon}")
     if d.vel_mode >= 0:
         errors.append(f"data.vel_mode must be a negative integer, got {d.vel_mode}")
+    elif (d.vel_amp_re or d.vel_amp_im) and -d.vel_mode > g.n_points // 2 - 1:
+        errors.append(
+            f"data.vel_mode must be >= {1 - g.n_points // 2} on n_points = {g.n_points} "
+            f"when a velocity amplitude is set, got {d.vel_mode}"
+        )
     if d.kind == "checkpoint":
         if not d.checkpoint:
             errors.append("data.checkpoint path required for kind = checkpoint")
@@ -212,8 +207,6 @@ def _validate(cfg, errors):
 
     if not (0 < st.dt_safety <= 1):
         errors.append(f"stepper.dt_safety must lie in (0, 1], got {st.dt_safety}")
-    if not st.holo_tolerance > 0:
-        errors.append(f"stepper.holo_tolerance must be positive, got {st.holo_tolerance}")
     if st.max_steps < 1:
         errors.append(f"stepper.max_steps must be >= 1, got {st.max_steps}")
 

@@ -29,6 +29,8 @@ from .spectral import SpectralGrid
 TWO_PI = 2.0 * np.pi
 ABS_ZP_FLOOR = 1e-8
 A1_FLOOR_TOL = 1e-8
+# removed positive-mode mass a step may project out, relative to the state
+HOLO_TOLERANCE = 1e-8
 
 
 def seed_angle(grid, Zp, ref_index=None):
@@ -155,45 +157,38 @@ class DerivedFields:
         return float(np.max(np.abs(self.Theta - Theta_alt)))
 
 
-def compute_derived(state, check=True):
+def compute_derived(state):
     """The right-hand-side fields of the system for one state; the
     diagnostics of DerivedFields follow on demand.
 
-    The fields are computed once per state and kept on it.  check=True
-    applies the |Z_ap| floor on every call, served from that store or not,
-    and before any field is computed.
+    The fields are computed once per state and kept on it, and only after
+    the state passed the |Z_ap| floor.
     """
-    return derive_states((state,), check)[0]
+    return derive_states((state,))[0]
 
 
-def derive_states(states, check=True, prefixes=None):
+def derive_states(states, prefixes=None):
     """compute_derived of each of states, which share one grid.
 
     The states whose fields are not yet kept are derived together in one
     stacked pass, two rounds of independent Fourier multipliers with one
     FFT pair each, and row r of every field is bit-identical to deriving
-    that state alone.  check=True applies the |Z_ap| floor to every state
-    before any field is computed, to the kept ones first; the error of
-    state r then starts with prefixes[r] when prefixes is given.  The first
-    RK4 stage of advance comes from here; its later stages call _derive.
+    that state alone.  Each of those states must pass the |Z_ap| floor
+    before any field is computed; the error of state r then starts with
+    prefixes[r] when prefixes is given.  The first RK4 stage of advance
+    comes from here; its later stages call _derive.
     """
     if prefixes is None:
         prefixes = ("",) * len(states)
-    kept = [st._memo.get("derived") for st in states]
-    new = [(st, prefix) for st, d, prefix in zip(states, kept, prefixes) if d is None]
-    if check:
-        for d, prefix in zip(kept, prefixes):
-            if d is not None:
-                _require_floor(d.min_abs_Zp, prefix)
+    new = [(st, prefix) for st, prefix in zip(states, prefixes) if "derived" not in st._memo]
     if new:
         # capillary states first, so that the capillary rounds take leading rows
         new.sort(key=lambda item: item[0].sigma == 0.0)
         Zp = np.array([st.Zp for st, _ in new])
         abs_Zp = np.abs(Zp)
         min_abs = abs_Zp.min(axis=-1).tolist()
-        if check:
-            for (_, prefix), min_r in zip(new, min_abs):
-                _require_floor(min_r, prefix)
+        for (_, prefix), min_r in zip(new, min_abs):
+            _require_floor(min_r, prefix)
         fields = _derive(
             states[0].grid, Zp, abs_Zp, [st.Zt for st, _ in new], [st.sigma for st, _ in new]
         )
@@ -274,14 +269,10 @@ def _rates(b, Ztt, Ztap, flux, flux_ap):
 @dataclass
 class StepperConfig:
     dt_safety: float = 0.5
-    filter_on: bool = True
-    holo_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.dt_safety <= 1.0):
             raise ValueError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
-        if not self.holo_tolerance > 0:
-            raise ValueError("holo_tolerance must be positive")
 
 
 def cfl_bound(state):
@@ -346,7 +337,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
     state by state, CFLViolationError when dt is not within dt_safety
     times the bound of the state (a NaN bound or dt fails),
     DegenerateJacobianError on a degenerate or NaN Z_ap, and
-    HolomorphicityError on projected mass above holo_tolerance times the
+    HolomorphicityError on projected mass above HOLO_TOLERANCE times the
     size of the state, or NaN mass; an error of state r starts with tags[r]
     when tags is given.
     """
@@ -382,7 +373,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
     kept = [np.array([getattr(d, name) for d in derived]) for name in names]
     Zdev, Zp, Zt, *dev = rk4(y0, rhs, dt, rhs(y0, kept))
 
-    (Zdev, Zp, Zt), mass = grid.finish_step((Zdev, Zp, Zt), cfg.filter_on)
+    (Zdev, Zp, Zt), mass = grid.finish_step((Zdev, Zp, Zt))
     masses = zip(*mass.tolist())
     new = []
     for st, tag, Zdev_r, Zp_r, Zt_r, (res_Zp, res_Zt) in zip(
@@ -394,10 +385,10 @@ def advance(states, cfg, dt, maps=None, tags=None):
         res, name = max(
             (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda r: (np.isnan(r[0]), r)
         )
-        if not res <= cfg.holo_tolerance * scale:
+        if not res <= HOLO_TOLERANCE * scale:
             raise HolomorphicityError(
                 f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
-                f"{cfg.holo_tolerance:.1e} * {scale:.3e}"
+                f"{HOLO_TOLERANCE:.1e} * {scale:.3e}"
             )
         g_new = continue_angle(Zp_r, st.g)
         new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt, g_new))
@@ -449,19 +440,23 @@ def validate_state(state, tol=1e-8):
     res_Zp = grid.positive_mode_mass(state.Zp - 1.0)
     res_Zt = grid.positive_mode_mass(np.conj(state.Zt))
     cons = float(np.max(np.abs(grid.deriv(state.Zdev) - (state.Zp - 1.0))))
-    d = compute_derived(state, check=False)
+    # not kept, so that a state below the |Z_ap| floor is reported, not refused
+    abs_Zp = np.abs(state.Zp)
+    min_abs_Zp = float(abs_Zp.min())
+    A1 = _derive(grid, state.Zp[None], abs_Zp[None], state.Zt[None], [state.sigma])[1]
+    a1_min = float(A1.min())
     scale = max(1.0, grid.l2_norm(state.Zp - 1.0) + grid.l2_norm(state.Zt))
     passed = (
-        d.min_abs_Zp >= ABS_ZP_FLOOR
+        min_abs_Zp >= ABS_ZP_FLOOR
         and max(res_Zp, res_Zt) <= tol * scale
         and cons <= max(tol, tol * scale)
-        and float(d.A1.min()) >= 1.0 - A1_FLOOR_TOL
+        and a1_min >= 1.0 - A1_FLOOR_TOL
     )
     return StateDiagnostics(
-        min_abs_Zp=d.min_abs_Zp,
+        min_abs_Zp=min_abs_Zp,
         holo_residual_Zp=res_Zp,
         holo_residual_Ztbar=res_Zt,
         dZ_consistency=cons,
-        a1_min=float(d.A1.min()),
+        a1_min=a1_min,
         passed=bool(passed),
     )

@@ -150,17 +150,18 @@ def build_pair(spec):
     return init_pair(state_a, state_b)
 
 
-def drive_pair(pair, stepper, result):
+def drive_pair(pair, result):
     """Co-evolve a built pair to t_final, filling `result`.
 
-    t_final, min_steps, max_steps and record_every come from result.spec;
-    dt is fixed by plan_steps from the pair's bound at the start.  The
-    steps run through evolution.drive, which appends E_delta, F_delta and
-    E_sigma of solution a to `result` at the start, every record_every steps
-    and at the end; a CrestwaveError propagates with its step and time, and
-    what was recorded before it stays in `result`.
+    dt_safety, t_final, min_steps, max_steps and record_every come from
+    result.spec; dt is fixed by plan_steps from the pair's bound at the
+    start.  The steps run through evolution.drive, which appends E_delta,
+    F_delta and E_sigma of solution a to `result` at the start, every
+    record_every steps and at the end; a CrestwaveError propagates with its
+    step and time, and what was recorded before it stays in `result`.
     """
     spec = result.spec
+    stepper = StepperConfig(spec.dt_safety)
     bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
     result.dt, n_steps = plan_steps(
         bound, spec.t_final, stepper.dt_safety, spec.min_steps, spec.max_steps
@@ -176,23 +177,15 @@ def drive_pair(pair, stepper, result):
     result.ok = True
 
 
-def run_pair_once(spec, stepper=None):
+def run_pair_once(spec):
     """Run one pair to t_final, recording difference energies on the way.
 
     Failures are captured in the result rather than raised so studies can
-    continue.  A stepper whose dt_safety differs from spec.dt_safety is
-    refused with a ValueError.
+    continue.
     """
-    if stepper is None:
-        stepper = StepperConfig(dt_safety=spec.dt_safety)
-    elif stepper.dt_safety != spec.dt_safety:
-        raise ValueError(
-            f"stepper dt_safety = {stepper.dt_safety} differs from "
-            f"spec dt_safety = {spec.dt_safety}"
-        )
     result = PairRunResult(spec)
     try:
-        drive_pair(build_pair(spec), stepper, result)
+        drive_pair(build_pair(spec), result)
     except CrestwaveError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
     return result
@@ -239,18 +232,17 @@ class StudyResult:
         return rows
 
 
-def run_convergence_study(specs, stepper=None, jobs=1):
+def run_convergence_study(specs, jobs=1):
     """Run a list of PairRunSpec, merge deterministically by (sigma, epsilon)
     and fit the scaling diagnostics of the sweep."""
     specs = sorted(specs, key=lambda s: (s.sigma, s.epsilon))
-    run = partial(run_pair_once, stepper=stepper)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(run, specs))
+            runs = list(pool.map(run_pair_once, specs))
     else:
-        runs = [run(s) for s in specs]
+        runs = [run_pair_once(s) for s in specs]
     runs.sort(key=lambda r: (r.spec.sigma, r.spec.epsilon))
 
     ok = [r for r in runs if r.ok]

@@ -144,7 +144,8 @@ class SpectralGrid:
 
     def poisson_smooth(self, f, eps):
         """Poisson mollification, i.e. the multiplier exp(-eps |k|)."""
-        if eps < 0.0:
+        # written so that a NaN width fails too
+        if not eps >= 0.0:
             raise ValueError(f"Poisson smoothing width must be >= 0, got {eps}")
         if eps == 0.0:
             return np.asarray(f, dtype=np.complex128).copy()
@@ -153,11 +154,12 @@ class SpectralGrid:
     def dealias(self, f):
         return self.multiply_symbol(f, self._dealias_symbol)
 
-    def finish_step(self, rows, dealias):
+    def finish_step(self, rows):
         """The end of an RK4 step from one FFT pair.  rows is (Zdev, Z_ap,
-        Z_t), three (m, n) stacks or three fields; all are dealiased when
-        dealias is set, and Z_ap - 1 and Zbar_t lose their k > 0 content
-        (Nyquist included; the k = 0 mode is kept in full, unlike P_H).
+        Z_t), three (m, n) stacks or three fields; all are dealiased (a
+        dealias_fraction = 1 grid keeps every mode), and Z_ap - 1 and
+        Zbar_t lose their k > 0 content (Nyquist included; the k = 0 mode
+        is kept in full, unlike P_H).
         Returns the (3, m, n) stack of the new rows and the (2, m) L2 masses
         removed from Z_ap - 1 and from Zbar_t.  The modes k > 0 of Zbar_t
         are the conjugates of the modes k < 0 of Z_t, so both masses come
@@ -170,8 +172,7 @@ class SpectralGrid:
         """
         Zdev, Zp, Zt = rows
         c = np.fft.fft((Zdev, Zp - 1.0, Zt))
-        if dealias:
-            c *= self._dealias_symbol
+        c *= self._dealias_symbol
         half = self.n // 2
         # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
         zp_pos, zt_neg = c[1, ..., 1 : half + 1], c[2, ..., half:]

@@ -244,12 +244,12 @@ def rhs_eulerian(state):
     return _rates(d.b, d.Ztt, d.Ztap, d.flux, d.flux_ap)
 
 
-def finish_unfused(grid, rows, dealias):
-    """grid.finish_step(rows, dealias) as two FFT pairs per row: the dealias
+def finish_unfused(grid, rows):
+    """grid.finish_step(rows) as two FFT pairs per row: the dealias
     of each of the three row blocks (Zdev, Z_ap, Z_t), then the removal of
     the k > 0 modes of Z_ap - 1 and of Zbar_t, with the L2 mass each loses
     measured on its own spectrum."""
-    out = [grid.dealias(f) if dealias else np.asarray(f, dtype=np.complex128) for f in rows]
+    out = [grid.dealias(f) for f in rows]
     keep = grid.k_int <= 0
     mass = []
     for r, f in ((1, out[1] - 1.0), (2, np.conj(out[2]))):

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ def test_config_rejects_unknown_keys(tmp_path):
     msgs = "\n".join(err.value.violations)
     assert "unknown key grid.n_pionts" in msgs
     assert "unknown section [nope]" in msgs
+
+
+def test_readme_example_config_parses(tmp_path):
+    # the ```ini block under "## CLI", inline "; ..." comments included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1]
+    block = cli_section.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(_write(tmp_path, "readme.ini", block), env={})
+    assert cfg.grid.n_points == 512 and cfg.data.kind == "crest"
+    assert cfg.data.checkpoint == "" and cfg.output.families == ("sigma",)
+
+
+@pytest.mark.parametrize("key", ["filter_on = false", "holo_tolerance = 1e-8"])
+def test_removed_stepper_keys_are_unknown(tmp_path, capsys, key):
+    cfgp = _write(tmp_path, "old.ini", f"[grid]\nn_points = 64\n\n[stepper]\n{key}\n")
+    assert main(["validate-config", "--config", cfgp]) == 2
+    name = key.split(" =")[0]
+    assert capsys.readouterr().err == f"config error: unknown key stepper.{name}\n"
 
 
 def test_env_override(tmp_path):
@@ -459,6 +478,42 @@ def test_sweep_refuses_data_other_than_crest(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_eps32_sweep_without_epsilons_is_a_config_error(tmp_path, capsys):
+    ini = PAIR_VS_SWEEP_INI.replace("epsilon_list = 0.2", "couple = eps32")
+    cfgp = _write(tmp_path, "eps32.ini", ini)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep with study.couple = eps32 needs a study.epsilon_list\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_velocity_mode_outside_the_grid_is_a_config_error(tmp_path, capsys, command):
+    ini = PAIR_VS_SWEEP_INI.replace("n_points = 128", "n_points = 64").replace(
+        "vel_amp_im = 0.05", "vel_amp_im = 0.05\nvel_mode = -40"
+    )
+    cfgp = _write(tmp_path, "mode.ini", ini)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: data.vel_mode must be >= -31 on n_points = 64 when a velocity "
+        "amplitude is set, got -40\n"
+    )
+    assert not out.exists()
+
+
+def test_crest_scaling_refuses_a_bad_nu_of_any_kind(tmp_path, capsys):
+    # crest-scaling builds a crest from [data] whatever its kind
+    ini = "[grid]\nn_points = 64\n\n[data]\nkind = flat\nnu = 0.7\n"
+    cfgp = _write(tmp_path, "nu.ini", ini)
+    out = tmp_path / "o"
+    assert main(["crest-scaling", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: data.nu must lie in (0, 1/2), got 0.7\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["simulate", "--jobs", "2"], ["pair", "--jobs", "2"], ["crest-scaling", "--jobs", "2"],
@@ -478,6 +533,7 @@ def test_simulate_failure_names_its_step_and_time(tmp_path, capsys):
     ini = """
 [grid]
 n_points = 64
+dealias = 1
 
 [data]
 kind = crest
@@ -488,9 +544,6 @@ vel_amp_im = 0.05
 [physics]
 sigma = 1e-3
 t_final = 0.05
-
-[stepper]
-filter_on = false
 """
     cfgp = _write(tmp_path, "unfiltered.ini", ini)
     assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 5

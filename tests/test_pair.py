@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from crestwave import brackets
+from crestwave import brackets, evolution
 from crestwave import pair as pair_module
 from crestwave.brackets import MonotoneMap, commutator_bracket, compose_maps, htilcal_apply
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
@@ -193,18 +193,18 @@ def test_a_record_whose_htilde_is_not_monotone_names_htilde_and_its_time():
     pair = PairState(*states, *folding_maps(built.state_a.grid))
     with pytest.raises(MonotonicityError, match=r"^\[htilde\] min h_ap = \S+ below floor 1e-06 "
                        r"\(record at t = 0\.5\)$"):
-        drive_pair(pair, StepperConfig(), PairRunResult(spec))
+        drive_pair(pair, PairRunResult(spec))
 
 
-def test_co_step_guards_holomorphicity_per_solution():
+def test_co_step_guards_holomorphicity_per_solution(monkeypatch):
     pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
                                   n_points=64))
-    cfg = StepperConfig(holo_tolerance=1e-30)
+    monkeypatch.setattr(evolution, "HOLO_TOLERANCE", 1e-30)
     dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
     # the message names the field, its removed mass and tolerance * scale
     with pytest.raises(HolomorphicityError, match=r"^\[solution a\] projected positive-mode mass "
                        r"\S+ of Z_ap - 1 above tolerance 1\.0e-30 \* \S+$"):
-        co_step(pair, cfg, dt)
+        co_step(pair, StepperConfig(), dt)
 
 
 def test_co_step_tags_a_degenerate_solution_b():
@@ -218,15 +218,16 @@ def test_co_step_tags_a_degenerate_solution_b():
         co_step(pair, StepperConfig(), 1e-4)
 
 
-def test_co_step_tags_a_post_step_failure_of_solution_b():
+def test_co_step_tags_a_post_step_failure_of_solution_b(monkeypatch):
     # a flat solution a stays exactly flat and removes no mass; b does
+    monkeypatch.setattr(evolution, "HOLO_TOLERANCE", 1e-30)
     g = make_grid(64)
     st_b = random_smooth_state(g, np.random.default_rng(5), amp=0.1)
     pair = init_pair(flat_state(g, 1e-2), st_b)
     dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
     with pytest.raises(HolomorphicityError, match=r"^\[solution b\] projected positive-mode mass "
                        r"\S+ of (Z_ap - 1|Zbar_t) above tolerance 1\.0e-30 \* \S+$"):
-        co_step(pair, StepperConfig(holo_tolerance=1e-30), dt)
+        co_step(pair, StepperConfig(), dt)
 
 
 def test_co_step_tags_a_map_failure_of_solution_b(monkeypatch):
@@ -305,27 +306,14 @@ def test_run_pair_once_failure_is_captured():
     assert "CFLViolationError" in res.error
 
 
-def test_run_pair_once_refuses_a_stepper_with_another_dt_safety():
-    spec = PairRunSpec(sigma=1e-3, epsilon=0.2, velocity_amplitude=0.05j, n_points=128,
-                       t_final=0.02, min_steps=4, record_every=2, dt_safety=0.4)
-    with pytest.raises(ValueError, match=r"dt_safety = 0\.3 .* dt_safety = 0\.4"):
-        run_pair_once(spec, StepperConfig(dt_safety=0.3))
-    given = run_pair_once(spec, StepperConfig(dt_safety=0.4))
-    default = run_pair_once(spec)
-    assert given.ok and default.ok
-    assert (given.dt, given.n_steps) == (default.dt, default.n_steps)
-    assert [r.total for r in given.delta_reports] == [r.total for r in default.delta_reports]
-
-
 def test_pair_failure_names_its_step_and_time():
     # the unfiltered n=64 crest leaves positive-mode mass far above tolerance
     spec = PairRunSpec(sigma=1e-3, epsilon=0.2, velocity_amplitude=0.05j, n_points=64,
-                       t_final=0.05, min_steps=16)
-    stepper = StepperConfig(filter_on=False)
+                       dealias=1.0, t_final=0.05, min_steps=16)
     with pytest.raises(HolomorphicityError,
                        match=r"^\[solution [ab]\] projected .* \(step 1 of 16, t = 0\)$"):
-        drive_pair(build_pair(spec), stepper, PairRunResult(spec))
-    res = run_pair_once(spec, stepper)
+        drive_pair(build_pair(spec), PairRunResult(spec))
+    res = run_pair_once(spec)
     assert not res.ok
     assert res.error.endswith(" (step 1 of 16, t = 0)")
 
@@ -375,17 +363,16 @@ def test_small_study_slopes():
 
 
 def test_parallel_study_matches_serial():
-    # the stepper configuration reaches the worker processes; n = 128
+    # the unfiltered grid of the specs reaches the worker processes; n = 128
     # because unfiltered steps at n = 64 leave more positive-mode mass than
     # the holomorphicity guard admits
     specs = [
         PairRunSpec(sigma=s, epsilon=0.2, nu=0.35, velocity_amplitude=0.05j,
-                    n_points=128, t_final=0.05, min_steps=8, record_every=4)
+                    n_points=128, dealias=1.0, t_final=0.05, min_steps=8, record_every=4)
         for s in (1e-2, 1e-3)
     ]
-    stepper = StepperConfig(filter_on=False)
-    serial = run_convergence_study(specs, stepper=stepper, jobs=1)
-    parallel = run_convergence_study(specs, stepper=stepper, jobs=2)
+    serial = run_convergence_study(specs, jobs=1)
+    parallel = run_convergence_study(specs, jobs=2)
     for rs, rp in zip(serial.runs, parallel.runs, strict=True):
         assert rs.ok and rp.ok
         assert rs.n_steps == rp.n_steps and rs.dt == rp.dt

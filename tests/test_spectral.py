@@ -174,6 +174,8 @@ def test_poisson_examples():
     assert np.array_equal(g.poisson_smooth(f2, 0.0), f2)
     with pytest.raises(ValueError):
         g.poisson_smooth(f2, -0.1)
+    with pytest.raises(ValueError, match="width must be >= 0, got nan"):
+        g.poisson_smooth(f2, float("nan"))
 
 
 def test_poisson_semigroup():
@@ -431,19 +433,19 @@ def test_rows_at_their_own_points_get_one_kernel_each(monkeypatch):
 
 @pytest.mark.parametrize("n", [64, 768])
 def test_stacked_finish_step_rows_match_single_calls(n):
-    g = make_grid(n)
     rng = np.random.default_rng(n + 2)
     rows = rng.standard_normal((3, 3, n)) + 1j * rng.standard_normal((3, 3, n))
-    for dealias in (True, False):
-        out, mass = g.finish_step(rows, dealias)
+    # the default filter, and a dealias_fraction = 1 grid that keeps every mode
+    for g in (make_grid(n), make_grid(n, dealias_fraction=1.0)):
+        out, mass = g.finish_step(rows)
         assert out.shape == (3, 3, n) and mass.shape == (2, 3)
         for r in range(3):
-            one, one_mass = g.finish_step(rows[:, r], dealias)
+            one, one_mass = g.finish_step(rows[:, r])
             assert out[:, r].tobytes() == one.tobytes()
             assert mass[:, r].tobytes() == one_mass.tobytes()
             # the mass of the modes k > 0 of Z_ap - 1 and of Zbar_t, Nyquist
             # included, and none left there
-            kept = [g.dealias(f) if dealias else f for f in rows[:, r]]
+            kept = [g.dealias(f) for f in rows[:, r]]
             for f, row, row_mass in ((kept[1] - 1.0, out[1, r] - 1.0, mass[0, r]),
                                      (np.conj(kept[2]), np.conj(out[2, r]), mass[1, r])):
                 c = g.coeffs(f)
@@ -457,13 +459,14 @@ def test_stacked_finish_step_rows_match_single_calls(n):
 def test_finish_step_matches_the_dealias_then_projection_path(n, dealias):
     # the fused finish of a step against its two FFT pairs per row: the rows
     # and the removed masses agree to rounding, here on rows whose removed
-    # masses are of the size of the rows
-    g = make_grid(n)
+    # masses are of the size of the rows; a dealias_fraction = 1 grid keeps
+    # every mode
+    g = make_grid(n) if dealias else make_grid(n, dealias_fraction=1.0)
     rng = np.random.default_rng(n + 7)
     rows = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
     rows[1] += 1.0
-    out, mass = g.finish_step(rows, dealias)
-    ref, ref_mass = finish_unfused(g, rows, dealias)
+    out, mass = g.finish_step(rows)
+    ref, ref_mass = finish_unfused(g, rows)
     assert mass.shape == ref_mass.shape == (2, 4)
     for block, ref_block in zip(out, ref):
         assert np.max(np.abs(block - ref_block)) <= 1e-14 * np.max(np.abs(ref_block))
