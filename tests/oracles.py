@@ -10,6 +10,7 @@ import numpy as np
 from crestwave.brackets import compose_map_apply
 from crestwave.errors import DegenerateJacobianError
 from crestwave.evolution import ABS_ZP_FLOOR, _rates, compute_derived
+from crestwave.spectral import _NUFFT_BETA, _NUFFT_WIDTH
 
 
 # -- spectral ------------------------------------------------------------------
@@ -54,6 +55,19 @@ def interpolate_direct(grid, f, x):
     out = phases @ c[keep]
     out = out + c[i_ny] * np.cos(grid.k[i_ny] * x)
     return out
+
+
+def nufft_kernel_formula(grid, x):
+    """SpectralGrid.nufft_kernel from the kernel formula: the weights
+    exp(beta (sqrt(1 - z^2) - 1)) of the fine nodes base - w/2 + 1, ...,
+    base + w/2 around each point t = (2n / L) x, at the kernel coordinates
+    z = 2 (t - node) / w, and the first of those nodes."""
+    w, n_fine = _NUFFT_WIDTH, 2 * grid.n
+    t = (n_fine / grid.length) * np.atleast_1d(np.asarray(x, dtype=np.float64))
+    base = np.floor(t)
+    z = ((2.0 / w) * (t - base) + (1.0 - 2.0 / w))[..., None] - (2.0 / w) * np.arange(w)
+    weights = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+    return weights, (base.astype(np.int64) - (w // 2 - 1)) % n_fine
 
 
 # -- periodic triple bracket ---------------------------------------------------

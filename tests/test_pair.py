@@ -159,6 +159,18 @@ def test_halpha_term_matches_the_route_through_both_inverses():
     assert abs(value - oracle) <= 1e-12
 
 
+@pytest.mark.parametrize("n, sigma, epsilon", [(768, 0.05 ** 1.5, 0.05), (2048, 1e-5, 0.1)])
+def test_differences_of_a_new_pair_are_at_rounding_level(n, sigma, epsilon):
+    # both maps are the identity and both solutions hold the same data, so
+    # every difference but the sigma term of Z_tt is rounding: the pull-backs
+    # evaluate at the grid nodes, where a misweighting kernel would show
+    pair = build_pair(PairRunSpec(sigma=sigma, epsilon=epsilon, velocity_amplitude=0.05j,
+                                  n_points=n))
+    comp = dict(f_delta_norm(pair).components)
+    assert comp.pop("fd_delta_Ztt_Hhalf") > 1e-6
+    assert max(comp.values()) < 1e-12, comp
+
+
 def test_htilde_and_the_inverse_of_h_a_are_built_once_by_a_record(monkeypatch):
     # co_step builds neither; energy_delta builds each once, and
     # f_delta_norm and energy_sigma reuse them

@@ -7,7 +7,7 @@ from crestwave.errors import HolomorphicityError
 from crestwave.spectral import TWO_PI, SpectralGrid, make_grid
 
 from helpers import harmonic_extension_norms, random_holomorphic, random_real_field
-from oracles import finish_unfused, hhalf_double_sum, interpolate_direct
+from oracles import finish_unfused, hhalf_double_sum, interpolate_direct, nufft_kernel_formula
 
 SEED = 20240817
 
@@ -306,6 +306,67 @@ def test_spread_is_bit_identical_to_interpolate():
         gather = g.spread(f)
         for x in (rng.uniform(-g.length, 2 * g.length, 50), g.nodes, 0.7):
             assert np.array_equal(gather([g.nufft_kernel(x)]), g.interpolate(f, x))
+
+
+@pytest.mark.parametrize("n", [64, 768, 2048])
+def test_kernel_weights_match_the_formula(n):
+    # on a grid of length 2n the fine-grid coordinate t is x itself, so the
+    # offsets t - floor(t) include 0 and the double just below 1 exactly
+    offsets = np.append(np.linspace(0.0, 1.0, 20001)[:-1], np.nextafter(1.0, 0.0))
+    fine = make_grid(n, length=2.0 * n)
+    x = np.concatenate([offsets, offsets + 7.0, offsets - 3.0, offsets + (2 * n - 1)])
+    # and points anywhere on a 2 pi grid
+    g = make_grid(n)
+    y = np.random.default_rng(n).uniform(-g.length, 2 * g.length, 5000)
+    for grid, points in ((fine, x), (g, y), (g, g.nodes)):
+        weights, start = grid.nufft_kernel(points)
+        exact, exact_start = nufft_kernel_formula(grid, points)
+        assert weights.shape == exact.shape == points.shape + (16,)
+        assert np.array_equal(start, exact_start)
+        assert np.max(np.abs(weights - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 768, 2048])
+def test_kernel_weights_of_a_point_do_not_depend_on_its_batch(n):
+    g = make_grid(n)
+    x = np.random.default_rng(n + 1).uniform(-g.length, 2 * g.length, n)
+    weights, start = g.nufft_kernel(x)
+    for p in (1, 2, 17, n):
+        for i in sorted({0, 1, 5, (n - p) // 2, n - p}):
+            part, part_start = g.nufft_kernel(x[i : i + p])
+            assert part.tobytes() == weights[i : i + p].tobytes(), (p, i)
+            assert np.array_equal(part_start, start[i : i + p])
+    # a single point given as a scalar
+    one, one_start = g.nufft_kernel(x[3])
+    assert one.tobytes() == weights[3:4].tobytes() and np.array_equal(one_start, start[3:4])
+
+
+def test_interpolate_at_the_grid_nodes_is_exact_to_rounding():
+    # 1.96e-15 sup|f| with the kernel formula, 1.93e-15 from its table
+    g = make_grid(768)
+    f = np.exp(np.cos(g.nodes)) * np.exp(1j * np.sin(2 * g.nodes))
+    assert np.max(np.abs(g.interpolate(f, g.nodes) - f)) <= 4e-15 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, f: g.extend_to_depth(f, np.nan),
+        lambda g, f: g.extend_to_depth(f, 0.0),
+        lambda g, f: g.lp_norm(f, np.nan),
+        lambda g, f: g.lp_norm(f, 0.0),
+        lambda g, f: g.sobolev_norm(f, np.nan),
+        lambda g, f: g.sobolev_norm(f, np.inf),
+        lambda g, f: g.deriv(f, -1),
+        lambda g, f: g.deriv(f, 1.5),
+    ],
+    ids=["depth-nan", "depth-zero", "p-nan", "p-zero", "s-nan", "s-inf", "order-negative",
+         "order-fractional"],
+)
+def test_grid_helpers_refuse_bad_parameters(call):
+    g = make_grid(16)
+    with pytest.raises(ValueError):
+        call(g, np.exp(-1j * g.nodes))
 
 
 @pytest.mark.parametrize("n", [8, 128, 768])
