@@ -4,6 +4,7 @@ harness for the zero-surface-tension limit."""
 
 from . import pair
 from .brackets import (
+    InverseFlowMap,
     MonotoneMap,
     commutator_bracket,
     compose_map_apply,
@@ -57,7 +58,7 @@ __all__ = [
     # spectral
     "SpectralGrid", "make_grid",
     # brackets
-    "MonotoneMap", "compose_maps", "compose_map_apply", "commutator_bracket", "hcal_apply",
+    "MonotoneMap", "InverseFlowMap", "compose_maps", "compose_map_apply", "commutator_bracket", "hcal_apply",
     "htilcal_apply",
     # evolution
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",

@@ -42,9 +42,11 @@ class MonotoneMap:
             raise ValueError("deviation length must match the grid")
         _require_finite(dev, "map deviation")
         object.__setattr__(self, "deviation", dev)
-        jmin = float(np.min(self.jacobian()))
-        if jmin < JACOBIAN_FLOOR:
-            raise MonotonicityError(f"min h_ap = {jmin:.3e} below floor {JACOBIAN_FLOOR:.0e}")
+        self._require_monotone()
+
+    def _require_monotone(self):
+        """Refuse h_ap below JACOBIAN_FLOOR."""
+        _require_floor(float(np.min(self.jacobian())))
 
     @classmethod
     def identity(cls, grid):
@@ -57,11 +59,6 @@ class MonotoneMap:
     def jacobian(self):
         """h_ap = 1 + dev' on the grid nodes (spectral derivative), kept."""
         return self._jacobian
-
-    def __call__(self, x):
-        """Evaluate h at arbitrary points via trigonometric interpolation."""
-        x = np.asarray(x, dtype=np.float64)
-        return x + self.grid.interpolate(self.deviation, x)
 
     def inverse(self):
         """Inverse map, solved per node by Newton until h(h^{-1}(a)) - a is at
@@ -86,12 +83,38 @@ class MonotoneMap:
         x = np.interp(nodes, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
         gather = grid.spread(np.stack([self.deviation, self.jacobian()]))
         for _ in range(NEWTON_CAP):
-            d, h_ap = gather([grid.nufft_kernel(x)])
+            d, h_ap = gather(grid.nufft_kernel(x))
             res = x + d - nodes
             if np.max(np.abs(res)) <= 8.0 * np.spacing(L):
                 break
             x = x - res / h_ap
         return MonotoneMap(grid, x - nodes)
+
+
+class InverseFlowMap(MonotoneMap):
+    """The inverse k = h^{-1} of a Lagrangian flow map h, which takes a
+    conformal label to the Lagrangian label it holds, stored like any
+    MonotoneMap.
+
+    Its guard is that of h: h_ap = 1 / k_ap o k, so JACOBIAN_FLOOR <= h_ap
+    <= 1 / JACOBIAN_FLOOR is the same bound on k_ap, and a failure reads
+    as one of h (min h_ap = 1 / max k_ap, max h_ap = 1 / min k_ap).  Its
+    inverse is h, a plain MonotoneMap.
+    """
+
+    def _require_monotone(self):
+        k_ap = self.jacobian()
+        _require_floor(1.0 / float(np.max(k_ap)))
+        k_min = float(np.min(k_ap))
+        # a k_ap at or below 0 is a fold of k, where h_ap is unbounded
+        h_max = 1.0 / k_min if k_min > 0.0 else np.inf
+        if h_max > 1.0 / JACOBIAN_FLOOR:
+            raise MonotonicityError(f"max h_ap = {h_max:.3e} above {1.0 / JACOBIAN_FLOOR:.3g}")
+
+
+def _require_floor(h_min):
+    if h_min < JACOBIAN_FLOOR:
+        raise MonotonicityError(f"min h_ap = {h_min:.3e} below floor {JACOBIAN_FLOOR:.0e}")
 
 
 def compose_maps(outer, inner):
@@ -111,7 +134,7 @@ def compose_map_apply(grid, f, map_):
     f may be one field or an (m, n) stack of fields, all real or all
     complex; a stack is spread once and row r of the result is U_h f[r].
     """
-    return grid.spread(f)([map_._kernel])
+    return grid.spread(f)(map_._kernel)
 
 
 # -- commutator ----------------------------------------------------------------

@@ -259,31 +259,29 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     Delta(1/Z_ap); L2 of Delta(h_alpha o h^-1), Delta(D_a Z_t), Delta(A1)
     and Delta(b_ap).
 
-    Delta(h_alpha o h^-1) is (h_a,ap - h_b,ap) o h_a^{-1}: with
-    htilde = h_b o h_a^{-1}, the definition PairState.map_tilde builds,
-    (h_b,ap o h_b^{-1}) o htilde = h_b,ap o h_a^{-1}.  So the term is one
-    real pull-back through the inverse of h_a, which building htilde kept
-    on map_a, and no inverse of h_b is built.  Unless both derived_a and
-    derived_b are given, the compute_derived fields of the two solutions
-    come from one derive_states pass.
+    With k = h^{-1}, the map the pair holds, h_alpha o h^{-1} = 1 / k_alpha
+    on the grid, so Delta(h_alpha o h^-1) is 1/k_a,alpha -
+    (1/k_b,alpha) o htilde: one more row of the pull-back through htilde,
+    and no inverse is built beyond the one of htilde.  Unless both
+    derived_a and derived_b are given, the compute_derived fields of the
+    two solutions come from one derive_states pass.
     """
     a, b = pair.state_a, pair.state_b
     grid = a.grid
     if derived_a is None or derived_b is None:
         derived_a, derived_b = derive_states((a, b))
 
-    def fields(st, der):
-        return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1, der.b_ap)
+    def fields(st, der, k):
+        return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1, der.b_ap,
+                1.0 / k.jacobian())
 
     # all fields of b go through htilde in one stacked pull-back; the real
-    # ones (A1, b_ap) keep the real part
-    fields_a = fields(a, derived_a)
-    pulled = compose_map_apply(grid, np.stack(fields(b, derived_b)), pair.map_tilde)
-    d_Zt, d_Ztt, d_invZp, d_DapZt, d_A1, d_bap = (
+    # ones (A1, b_ap, 1/k_alpha) keep the real part
+    fields_a = fields(a, derived_a, pair.k_a)
+    pulled = compose_map_apply(grid, np.stack(fields(b, derived_b, pair.k_b)), pair.map_tilde)
+    d_Zt, d_Ztt, d_invZp, d_DapZt, d_A1, d_bap, d_halpha = (
         fa - (fb.real if np.isrealobj(fa) else fb) for fa, fb in zip(fields_a, pulled)
     )
-    d_jac = pair.map_a.jacobian() - pair.map_b.jacobian()
-    d_halpha = compose_map_apply(grid, d_jac, pair.map_a.inverse())
     comp = {
         "fd_delta_Zt_Hhalf": grid.hhalf_norm(d_Zt),
         "fd_delta_Ztt_Hhalf": grid.hhalf_norm(d_Ztt),

@@ -205,11 +205,12 @@ def _require_floor(min_abs, prefix):
         )
 
 
-def _derive(grid, Zp, abs_Zp, Zt_rows, sigma):
+def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
     """The (m, n) stacks (b, A1, omega, Ztt, Ztap, flux, flux_ap), in the
     order of DerivedFields, of the rows Zp, Zt_rows with surface tensions
     sigma, capillary rows (sigma != 0) first: the capillary transforms run
-    on those rows only.
+    on those rows only.  With k_dev, a (p, n) stack of map deviations, an
+    eighth stack follows: the Jacobians 1 + D k_dev, from round 1.
 
     The inputs of each of the two rounds are written into the rows of one
     stack, which one multiply_symbol call transforms with a per-row symbol
@@ -217,19 +218,23 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma):
     """
     m, n = Zp.shape
     n_cap = sum(s != 0.0 for s in sigma)
+    p = 0 if k_dev is None else len(k_dev)
     inv_Zp = 1.0 / Zp
 
-    # round 1: D Z_t, H ratio and D omega; omega is filled for every row,
-    # the transform stops after the capillary ones
-    stack = np.empty((3 * m, n), dtype=np.complex128)
-    Zt, ratio, omega = stack.reshape(3, m, n)
+    # round 1: D k_dev, D Z_t, H ratio and D omega; omega is filled for
+    # every row, the transform stops after the capillary ones
+    stack = np.empty((p + 3 * m, n), dtype=np.complex128)
+    if k_dev is not None:
+        stack[:p] = k_dev
+    Zt, ratio, omega = stack[p:].reshape(3, m, n)
     Zt[...] = Zt_rows
     np.multiply(Zt, inv_Zp, out=ratio)
     np.divide(Zp, abs_Zp, out=omega)
-    kinds = ("deriv",) * m + ("hilbert",) * m + ("deriv",) * n_cap
-    out = grid.multiply_symbol(stack[: 2 * m + n_cap], grid.symbol_table(kinds))
-    Ztap, h_ratio = out[: 2 * m].reshape(2, m, n)
-    d_omega = out[2 * m :]
+    kinds = ("deriv",) * (p + m) + ("hilbert",) * m + ("deriv",) * n_cap
+    out = grid.multiply_symbol(stack[: p + 2 * m + n_cap], grid.symbol_table(kinds))
+    Ztap, h_ratio = out[p : p + 2 * m].reshape(2, m, n)
+    d_omega = out[p + 2 * m :]
+    k_ap = None if k_dev is None else 1.0 + out[:p].real
     b = (ratio - h_ratio).real
 
     # round 2: D flux, H conj(Z_tap), H prod and D (I + H) curv_im, the
@@ -252,7 +257,8 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma):
     capillary[:n_cap] = np.array(sigma[:n_cap])[:, None] * inv_Zp[:n_cap] * out[3 * m :]
     Ztt = np.conj(1j - 1j * A1 * inv_Zp + capillary)
     # copies, so that the rates an RK4 stage keeps do not hold the round stacks
-    return b, A1, omega, Ztt, Ztap, flux.copy(), flux_ap.copy()
+    fields = (b, A1, omega, Ztt, Ztap, flux.copy(), flux_ap.copy())
+    return fields if k_ap is None else (*fields, k_ap)
 
 
 def curvature_field(derived):
@@ -328,12 +334,23 @@ def rk4(y0, rhs, dt, k1):
 
 def advance(states, cfg, dt, maps=None, tags=None):
     """One classical RK4 step of m states on one grid, capillary states
-    (sigma != 0) first, and of maps, an (m, n) stack of map deviations
-    whose row r is carried by the drift b of state r.
+    (sigma != 0) first, and of maps, m inverse flow maps k = h^{-1}
+    (brackets.InverseFlowMap) of which map r is transported by the drift b
+    of state r.
 
-    Returns the new states and the new map deviations (None without maps).
-    Every stage and the finish take the states as one stack; the finish,
-    grid.finish_step (dealias and projection), is one FFT pair.  Raises,
+    A flow map moves by h_t = b o h, so its inverse obeys k_t + b k_ap = 0,
+    which needs only fields on the grid: the deviation of map r moves at
+    the rate -b_r (1 + D k_dev,r).  Stage 1 takes 1 + D k_dev from the
+    map's kept jacobian(); stages 2 to 4 add the D k_dev rows to round 1
+    of their derive, so the maps cost no FFT call of their own and no
+    interpolation.
+
+    Returns the new states and the (m, n) stack of new map deviations
+    (None without maps).  Every stage and the finish take the states as
+    one stack; the finish, grid.finish_step (dealias and projection), is
+    one FFT pair, and it dealiases the map deviations too: the products
+    b k_ap alias like those of the states, and without the filter their
+    debris piles up at the top modes of k over long runs.  Raises,
     state by state, CFLViolationError when dt is not within dt_safety
     times the bound of the state (a NaN bound or dt fails),
     DegenerateJacobianError on a degenerate or NaN Z_ap, and
@@ -361,19 +378,21 @@ def advance(states, cfg, dt, maps=None, tags=None):
             abs_Zp = np.abs(Zp)
             for min_r, tag in zip(abs_Zp.min(axis=-1).tolist(), tags):
                 _require_floor(min_r, tag)
-            b, _, _, Ztt, Ztap, flux, flux_ap = _derive(grid, Zp, abs_Zp, Zt, sigma)
+            b, _, _, Ztt, Ztap, flux, flux_ap, *k_ap = _derive(grid, Zp, abs_Zp, Zt, sigma, *dev)
         else:
-            b, Ztt, Ztap, flux, flux_ap = fields
+            b, Ztt, Ztap, flux, flux_ap, *k_ap = fields
         rates = _rates(b, Ztt, Ztap, flux, flux_ap)
-        return (*rates, *(grid.interpolate(b, grid.nodes + d) for d in dev))
+        return (*rates, *(-b * j for j in k_ap))
 
     y0 = [np.array([getattr(st, name) for st in states]) for name in ("Zdev", "Zp", "Zt")]
-    y0 += [] if maps is None else [maps]
     names = ("b", "Ztt", "Ztap", "flux", "flux_ap")
     kept = [np.array([getattr(d, name) for d in derived]) for name in names]
+    if maps is not None:
+        y0.append(np.array([k.deviation for k in maps]))
+        kept.append(np.array([k.jacobian() for k in maps]))
     Zdev, Zp, Zt, *dev = rk4(y0, rhs, dt, rhs(y0, kept))
 
-    (Zdev, Zp, Zt), mass = grid.finish_step((Zdev, Zp, Zt))
+    (Zdev, Zp, Zt, *dev), mass = grid.finish_step((Zdev, Zp, Zt, *dev))
     masses = zip(*mass.tolist())
     new = []
     for st, tag, Zdev_r, Zp_r, Zt_r, (res_Zp, res_Zt) in zip(
@@ -392,7 +411,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
             )
         g_new = continue_angle(Zp_r, st.g)
         new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt, g_new))
-    return new, (dev[0] if dev else None)
+    return new, (dev[0].real if dev else None)
 
 
 def step_rk4(state, cfg, dt):

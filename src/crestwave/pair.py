@@ -3,11 +3,14 @@ solution (b), with Lagrangian flow maps, the pair run driver and
 convergence studies.
 
 Both solutions share one grid and one time step (the stiffer sigma-CFL
-governs).  A pair step is evolution.advance, the RK4 step of step_rk4, on
-the two-row stack of the solutions, with the deviations of h_a and h_b
-carried by each row's drift b, so the flow maps see stage-consistent drift
-fields; htilde = h_b o h_a^{-1} is built where a record first reads it.
-Differences are always Delta(f) = f_a - f_b o htilde.
+governs).  The flow map h of a solution (Lagrangian label -> conformal
+label, h_t = b o h) is held as its inverse k = h^{-1}, which obeys the
+transport equation k_t + b k_ap = 0 on the uniform grid.  A pair step is
+evolution.advance, the RK4 step of step_rk4, on the two-row stack of the
+solutions, with k_a and k_b transported by each row's drift b, so the maps
+see stage-consistent drift fields and the step interpolates nothing;
+htilde = h_b o h_a^{-1} = k_b^{-1} o k_a is built where a record first
+reads it.  Differences are always Delta(f) = f_a - f_b o htilde.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .brackets import MonotoneMap, compose_maps
+from .brackets import InverseFlowMap, compose_maps
 from .energies import energy_delta, energy_sigma, f_delta_norm
 from .errors import CrestwaveError, MonotonicityError
 from .evolution import StepperConfig, WaveState, advance, cfl_bound, drive, plan_steps
@@ -27,10 +30,13 @@ from .spectral import SpectralGrid
 
 @dataclass(frozen=True)
 class PairState:
+    """Two solutions and the inverses k_a = h_a^{-1} and k_b = h_b^{-1} of
+    their flow maps."""
+
     state_a: WaveState
     state_b: WaveState
-    map_a: MonotoneMap
-    map_b: MonotoneMap
+    k_a: InverseFlowMap
+    k_b: InverseFlowMap
 
     @property
     def time(self):
@@ -38,9 +44,11 @@ class PairState:
 
     @cached_property
     def map_tilde(self):
-        """htilde = h_b o h_a^{-1}, built on the first read and kept; its
-        MonotonicityError, or that of h_a^{-1}, starts with "[htilde] "."""
-        return _tagged("[htilde] ", lambda: compose_maps(self.map_b, self.map_a.inverse()))
+        """htilde = h_b o h_a^{-1} = k_b^{-1} o k_a, built on the first read
+        and kept: one Newton inversion (of k_b) and one pull-back through the
+        kept kernel weights of k_a.  Its MonotonicityError, or that of
+        k_b^{-1}, starts with "[htilde] "."""
+        return _tagged("[htilde] ", lambda: compose_maps(self.k_b.inverse(), self.k_a))
 
 
 def _tagged(tag, build):
@@ -59,7 +67,7 @@ def init_pair(state_a, state_b):
         raise ValueError(f"solution b must have zero surface tension, got {state_b.sigma}")
     if state_a.time != state_b.time:
         raise ValueError("pair members must carry equal times")
-    ident = MonotoneMap.identity(state_a.grid)
+    ident = InverseFlowMap.identity(state_a.grid)
     return PairState(state_a, state_b, ident, ident)
 
 
@@ -70,14 +78,19 @@ _TAGS = ("[solution a] ", "[solution b] ")
 def co_step(pair, cfg, dt):
     """Advance both solutions and both flow maps by one shared RK4 step.
 
-    The two solutions and the deviations of h_a and h_b are one two-row
-    stack of evolution.advance, so the maps see stage-consistent drift
-    fields; no inverse and no composition is built.
+    The two solutions and k_a, k_b are one two-row stack of
+    evolution.advance, so the maps see stage-consistent drift fields; no
+    interpolation, no inverse and no composition is made.  A new map whose
+    h_ap leaves [JACOBIAN_FLOOR, 1 / JACOBIAN_FLOOR] raises the
+    MonotonicityError of InverseFlowMap, tagged with its solution.
     """
-    maps = np.array([pair.map_a.deviation, pair.map_b.deviation])
-    states, deviations = advance((pair.state_a, pair.state_b), cfg, dt, maps, _TAGS)
+    states, deviations = advance(
+        (pair.state_a, pair.state_b), cfg, dt, (pair.k_a, pair.k_b), _TAGS
+    )
     grid = pair.state_a.grid
-    maps = [_tagged(tag, partial(MonotoneMap, grid, dev)) for tag, dev in zip(_TAGS, deviations)]
+    maps = [
+        _tagged(tag, partial(InverseFlowMap, grid, dev)) for tag, dev in zip(_TAGS, deviations)
+    ]
     return PairState(*states, *maps)
 
 

@@ -162,22 +162,23 @@ class SpectralGrid:
 
     def finish_step(self, rows):
         """The end of an RK4 step from one FFT pair.  rows is (Zdev, Z_ap,
-        Z_t), three (m, n) stacks or three fields; all are dealiased (a
-        dealias_fraction = 1 grid keeps every mode), and Z_ap - 1 and
+        Z_t, *more), (m, n) stacks or fields of one shape; all are dealiased
+        (a dealias_fraction = 1 grid keeps every mode), and Z_ap - 1 and
         Zbar_t lose their k > 0 content (Nyquist included; the k = 0 mode
-        is kept in full, unlike P_H).
-        Returns the (3, m, n) stack of the new rows and the (2, m) L2 masses
-        removed from Z_ap - 1 and from Zbar_t.  The modes k > 0 of Zbar_t
-        are the conjugates of the modes k < 0 of Z_t, so both masses come
-        from the one spectrum of (Zdev, Z_ap - 1, Z_t); transforming
-        Z_ap - 1, not Z_ap, keeps the rounding of the transform relative to
-        the deviation.
+        is kept in full, unlike P_H).  Further rows, such as the map
+        deviations of a pair step, are only dealiased.
+        Returns the (len(rows), m, n) stack of the new rows and the (2, m)
+        L2 masses removed from Z_ap - 1 and from Zbar_t.  The modes k > 0
+        of Zbar_t are the conjugates of the modes k < 0 of Z_t, so both
+        masses come from the one spectrum of (Zdev, Z_ap - 1, Z_t);
+        transforming Z_ap - 1, not Z_ap, keeps the rounding of the
+        transform relative to the deviation.
 
         For (m, n) stacks each row and its masses are bit-identical to a
         call on that row alone.
         """
-        Zdev, Zp, Zt = rows
-        c = np.fft.fft((Zdev, Zp - 1.0, Zt))
+        Zdev, Zp, Zt, *more = rows
+        c = np.fft.fft((Zdev, Zp - 1.0, Zt, *more))
         c *= self._dealias_symbol
         half = self.n // 2
         # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
@@ -320,25 +321,19 @@ class SpectralGrid:
 
         f may also be an (m, n) stack of fields, all real or all complex,
         spread by one batched transform; the result has a leading axis of
-        length m whose row r is bit-identical to interpolate(f[r], x).  An
-        (m, p) point array x instead gives each row its own points: row r
-        of the result is then bit-identical to interpolate(f[r], x[r]).  The
-        kernel weights of such an array are built one row at a time, which
-        keeps their temporaries below the size at which the allocator maps
-        fresh pages for each.  To evaluate at one point set again and again,
-        keep nufft_kernel(x) and gather with spread(f).
+        length m whose row r is bit-identical to interpolate(f[r], x).  To
+        evaluate at one point set again and again, keep nufft_kernel(x) and
+        gather with spread(f).
         """
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        lead = np.shape(f)[:-1]
-        rows = x.reshape(-1, x.shape[-1]) if lead and x.shape[:-1] == lead else [x]
-        return self.spread(f)([self.nufft_kernel(row) for row in rows])
+        return self.spread(f)(self.nufft_kernel(x))
 
     def nufft_kernel(self, x):
         """Kernel weights of interpolate() at the points x, of shape
         x.shape + (_NUFFT_WIDTH,), and the first fine-grid node each point
         sees.  A caller that evaluates at one point set again and again
         keeps them and passes them to the gather of spread(f); a
-        MonotoneMap keeps those of its values.
+        MonotoneMap keeps those of its values.  A scalar x counts as one
+        point.
 
         The weights of a point depend only on its offset s in [0, 1) from
         the fine node below it.  They are one product V.T @ C of the
@@ -369,10 +364,10 @@ class SpectralGrid:
 
     def spread(self, f):
         """Spread f (one field or an (m, n) stack) onto the fine grid of
-        interpolate(); the returned gather(kernels) sums the kernel-weighted
-        fine values at the points of kernels, a list of nufft_kernel
-        results: one for all rows, or one per row.  gather([nufft_kernel(x)])
-        is interpolate(f, x), bit for bit."""
+        interpolate(); the returned gather(kernel) sums the kernel-weighted
+        fine values of every row at the points of kernel, a nufft_kernel
+        result.  gather(nufft_kernel(x)) is interpolate(f, x), bit for
+        bit."""
         f = np.asarray(f)
         n, half, w = self.n, self.n // 2, _NUFFT_WIDTH
         n_fine = 2 * n
@@ -391,24 +386,19 @@ class SpectralGrid:
             fine = np.fft.ifft(spec)
             # real and imaginary parts apart, so real weights multiply real data
             fine = np.stack([fine.real, fine.imag])
-        # windows[p, r, j] holds fine values j, ..., j + w - 1 (periodically)
-        # of row r: its real values, or p = 0 its real and p = 1 its
-        # imaginary part
-        rows = int(np.prod(lead))
+        # windows[i] holds fine values j, ..., j + w - 1 (periodically) of
+        # row i of the real values, or of the real parts then the
+        # imaginary parts
         windows = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([fine, fine[..., : w - 1]], axis=-1), w, axis=-1
-        ).reshape(-1, rows, n_fine, w)
+        ).reshape(-1, n_fine, w)
 
-        def gather(kernels):
-            shape = kernels[0][1].shape
-            out = np.empty(windows.shape[:2] + shape)
-            for r in range(rows):
-                # one kernel serves every row, or each row has its own
-                weights, start = kernels[r % len(kernels)]
-                # one row at a time keeps the gathered windows to len(x) * w values
-                for win, row in zip(windows[:, r], out[:, r]):
-                    np.einsum("...j,...j->...", weights, win[start], out=row)
-            out = out.reshape(fine.shape[:-1] + shape)
+        def gather(kernel):
+            weights, start = kernel
+            out = np.empty(fine.shape[:-1] + start.shape)
+            # one row at a time keeps the gathered windows to len(x) * w values
+            for win, row in zip(windows, out.reshape((len(windows),) + start.shape)):
+                np.einsum("...j,...j->...", weights, win[start], out=row)
             return out if real else out[0] + 1j * out[1]
 
         return gather

@@ -29,12 +29,13 @@ def random_real_field(grid, rng, n_modes=8, amp=1.0, decay=2.0):
 
 
 def folding_maps(grid):
-    """(h_a, h_b) on a grid of length 2 pi, each monotone, whose
-    htilde = h_b o h_a^{-1} is not: at a = pi, h_a,ap = 1.9 and
-    h_b,ap = 1.5e-6, so htilde_ap = 7.9e-7 there, below JACOBIAN_FLOOR."""
+    """Inverse flow maps (k_a, k_b) on a grid of length 2 pi, each
+    monotone, whose htilde = k_b^{-1} o k_a is not: at x = pi,
+    k_a,x = 1.5e-6 and k_b,x = 1.9, so htilde_ap = 7.9e-7 there, below
+    JACOBIAN_FLOOR."""
     return (
-        MonotoneMap(grid, -0.9 * np.sin(grid.nodes)),
         MonotoneMap(grid, (1.0 - 1.5e-6) * np.sin(grid.nodes)),
+        MonotoneMap(grid, -0.9 * np.sin(grid.nodes)),
     )
 
 

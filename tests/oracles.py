@@ -313,10 +313,17 @@ def _dt_theta(state, derived):
     return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
 
 
-def lagrangian_jacobian(map_):
-    """(h_alpha o h^{-1}) on the grid nodes: the Jacobian of map_ in the
-    labels of its image, through the inverse of map_ itself."""
-    return compose_map_apply(map_.grid, map_.jacobian(), map_.inverse())
+def map_at(map_, x):
+    """map_ at arbitrary points x, through the trigonometric interpolant of
+    its deviation."""
+    x = np.asarray(x, dtype=np.float64)
+    return x + map_.grid.interpolate(map_.deviation, x)
+
+
+def lagrangian_jacobian(k):
+    """(h_alpha o h^{-1}) on the grid nodes for the inverse flow map
+    k = h^{-1}: differentiating k(h(alpha)) = alpha gives 1 / k_alpha."""
+    return 1.0 / k.jacobian()
 
 
 # name -> f(grid, state, derived, map) of every field whose difference the
@@ -346,6 +353,6 @@ def delta_field(pair, name):
     """Delta(f) = f_a - U_htilde f_b for the field SELECTORS[name]."""
     select = SELECTORS[name]
     a, b = pair.state_a, pair.state_b
-    fa = select(a.grid, a, compute_derived(a), pair.map_a)
-    fb = select(b.grid, b, compute_derived(b), pair.map_b)
+    fa = select(a.grid, a, compute_derived(a), pair.k_a)
+    fb = select(b.grid, b, compute_derived(b), pair.k_b)
     return fa - compose_map_apply(a.grid, fb, pair.map_tilde)

@@ -19,7 +19,6 @@ from crestwave.spectral import make_grid
 
 from helpers import folding_maps, random_smooth_state
 
-RNG = np.random.default_rng(88)
 
 
 def _write(tmp_path, name, text):
@@ -194,8 +193,9 @@ def test_simulate_refuses_a_repeated_family(tmp_path, capsys):
 
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
+    rng = np.random.default_rng(88)
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=3e-3, amp=0.2)
+    st = random_smooth_state(g, rng, sigma=3e-3, amp=0.2)
     p = str(tmp_path / "st.ckpt")
     save_checkpoint(p, st)
     st2 = load_checkpoint(p)
@@ -251,18 +251,20 @@ HEADER_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
     ],
 )
 def test_checkpoint_refuses_wrong_length(tmp_path, damage, match):
+    rng = np.random.default_rng(88)
     # a file of the wrong length or with a malformed header is refused
     g = make_grid(64)
     p = tmp_path / "st.ckpt"
-    save_checkpoint(str(p), random_smooth_state(g, RNG, amp=0.1))
+    save_checkpoint(str(p), random_smooth_state(g, rng, amp=0.1))
     p.write_bytes(damage(p.read_bytes(), g.n))
     with pytest.raises(ValueError, match=match):
         load_checkpoint(str(p))
 
 
 def test_checkpoint_refuses_nan_field(tmp_path):
+    rng = np.random.default_rng(88)
     g = make_grid(64)
-    st = random_smooth_state(g, RNG, amp=0.1)
+    st = random_smooth_state(g, rng, amp=0.1)
     Zt = st.Zt.copy()
     Zt[5] = np.nan
     p = str(tmp_path / "nan.ckpt")
@@ -304,8 +306,9 @@ def test_checkpoint_with_another_grid_is_a_config_error(tmp_path, capsys, comman
 
 
 def test_resume_equals_uninterrupted(tmp_path):
+    rng = np.random.default_rng(88)
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=1e-2, amp=0.1)
+    st = random_smooth_state(g, rng, sigma=1e-2, amp=0.1)
     cfg = StepperConfig()
     dt = 0.4 * cfl_bound(st)
     mid = st

@@ -18,7 +18,6 @@ from crestwave.spectral import make_grid
 from helpers import random_real_field, random_smooth_state, refine_state
 from oracles import weighted_norm
 
-RNG = np.random.default_rng(404)
 TWO_PI = 2 * np.pi
 
 
@@ -38,24 +37,26 @@ def test_norm_examples():
 
 
 def test_wspace_product_inequality():
+    rng = np.random.default_rng(404)
     # ||w1 w2||_W <= ||w1||_W ||w2||_W pointwise product rule gives this
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, amp=0.2)
+    st = random_smooth_state(g, rng, amp=0.2)
     for _ in range(50):
-        w1 = g.dealias(random_real_field(g, RNG, 5, 0.8) + 1j * random_real_field(g, RNG, 5, 0.8))
-        w2 = g.dealias(random_real_field(g, RNG, 5, 0.8) + 1j * random_real_field(g, RNG, 5, 0.8))
+        w1 = g.dealias(random_real_field(g, rng, 5, 0.8) + 1j * random_real_field(g, rng, 5, 0.8))
+        w2 = g.dealias(random_real_field(g, rng, 5, 0.8) + 1j * random_real_field(g, rng, 5, 0.8))
         lhs = weighted_norm(st, w1 * w2, "Wspace")
         rhs = weighted_norm(st, w1, "Wspace") * weighted_norm(st, w2, "Wspace")
         assert lhs <= rhs * (1 + 1e-9)
 
 
 def test_linfty_hhalf_weighted_interpolation():
+    rng = np.random.default_rng(404)
     # ||f||_inf^2 <= C ||f/w||_2 ||w f'||_2 with weights away from zero
     g = make_grid(256)
     ratios = []
     for _ in range(60):
-        f = g.dealias(random_real_field(g, RNG, 8, 1.0) + 1j * random_real_field(g, RNG, 8, 1.0))
-        w = 1.0 + 0.6 * np.sin(g.nodes + RNG.uniform(0, TWO_PI))
+        f = g.dealias(random_real_field(g, rng, 8, 1.0) + 1j * random_real_field(g, rng, 8, 1.0))
+        w = 1.0 + 0.6 * np.sin(g.nodes + rng.uniform(0, TWO_PI))
         num = g.linf_norm(f) ** 2
         den = g.l2_norm(f / w) * g.l2_norm(w * g.deriv(f))
         if den > 1e-14:
@@ -75,8 +76,9 @@ def test_flat_energies_vanish():
 
 
 def test_sigma_zero_leaves_four_terms():
+    rng = np.random.default_rng(404)
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=0.0)
+    st = random_smooth_state(g, rng, sigma=0.0)
     rep = energy_sigma(st)
     nonzero = {k for k, v in rep.components.items() if v > 1e-20}
     assert nonzero == {
@@ -88,9 +90,10 @@ def test_sigma_zero_leaves_four_terms():
 
 
 def test_state_with_kept_energy_results_pickles():
+    rng = np.random.default_rng(404)
     # what the energies keep on a state holds no closures, so the state
     # still crosses a process boundary
-    st = random_smooth_state(make_grid(64), RNG, sigma=1e-2)
+    st = random_smooth_state(make_grid(64), rng, sigma=1e-2)
     ref = [energy_sigma(st), energy_high(st), compute_derived(st).Ztt]
     back = pickle.loads(pickle.dumps(st))
     assert energy_sigma(back).components == ref[0].components
@@ -116,8 +119,9 @@ def test_blocks_of_a_pair_built_in_one_pass_equal_blocks_built_alone():
 
 
 def test_sigma_energy_monotone_in_sigma():
+    rng = np.random.default_rng(404)
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=0.0)
+    st = random_smooth_state(g, rng, sigma=0.0)
     values = []
     for s in (0.0, 1e-4, 1e-3, 1e-2, 1e-1):
         values.append(energy_sigma(replace(st, sigma=s)).total)
@@ -138,8 +142,9 @@ def test_energy_high_single_mode_frozen_values():
 
 
 def test_energy_aux_term_structure():
+    rng = np.random.default_rng(404)
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=0.0)
+    st = random_smooth_state(g, rng, sigma=0.0)
     st = replace(st, Zt=np.zeros(128, complex))
     rep = energy_aux(st)
     for name in ("invZp12_dap_Ztapbar_L2sq", "invZp52_dap2_Ztapbar_L2sq",
@@ -166,8 +171,9 @@ def test_spectral_convergence_on_refinement():
 
 
 def test_identical_pair_zero_delta_energy():
+    rng = np.random.default_rng(404)
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=0.0)
+    st = random_smooth_state(g, rng, sigma=0.0)
     pair = init_pair(st, replace(st, sigma=0.0))
     rep = energy_delta(pair)
     assert rep.total < 1e-25
@@ -176,8 +182,9 @@ def test_identical_pair_zero_delta_energy():
 
 
 def test_identical_data_sigma_weighted_terms_only():
+    rng = np.random.default_rng(404)
     g = make_grid(128)
-    st = random_smooth_state(g, RNG, sigma=0.0)
+    st = random_smooth_state(g, rng, sigma=0.0)
     pair = init_pair(replace(st, sigma=1e-3), st)
     rep = energy_delta(pair)
     for name, val in rep.components.items():
@@ -209,8 +216,9 @@ def test_f_delta_velocity_mode_closed_forms():
 
 
 def test_csv_round_trip(tmp_path):
+    rng = np.random.default_rng(404)
     g = make_grid(64)
-    st = random_smooth_state(g, RNG, sigma=1e-2, amp=0.1)
+    st = random_smooth_state(g, rng, sigma=1e-2, amp=0.1)
     reports = [energy_sigma(st)]
     path = tmp_path / "energy_sigma.csv"
     write_reports_csv(path, reports)

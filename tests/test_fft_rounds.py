@@ -8,6 +8,7 @@ import pytest
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
 from crestwave.pair import PairRunSpec, build_pair, co_step
+from crestwave.spectral import SpectralGrid
 
 TRANSFORMS = ("fft", "ifft", "rfft", "irfft")
 
@@ -52,27 +53,48 @@ def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
 
 
 def test_co_step_transform_calls(stepped, fft_calls):
-    # per stage one two-round derive of both solutions and one spread of
-    # both drifts (the rfft/irfft pairs); then one finish of both solutions
-    # and the Jacobians of h_a and h_b; no inverse and no composition
+    # per stage one two-round derive of both solutions, whose first round
+    # also differentiates k_a and k_b in stages 2 to 4; then one finish of
+    # both solutions and both maps, and the Jacobians of the new k_a and
+    # k_b; no spread (the rfft/irfft pairs), no inverse and no composition
     pair, cfg, dt = stepped
     co_step(pair, cfg, dt)
-    assert fft_calls == {"fft": 11, "ifft": 11, "rfft": 4, "irfft": 4}
+    assert fft_calls == {"fft": 11, "ifft": 11, "rfft": 0, "irfft": 0}
+
+
+def test_co_step_makes_no_nufft_call(stepped, monkeypatch):
+    # the maps are transported on the grid: no kernel weights, no spread
+    # and no interpolation anywhere in a pair step
+    pair, cfg, dt = stepped
+    calls = []
+    for name in ("nufft_kernel", "spread", "interpolate"):
+        method = getattr(SpectralGrid, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(SpectralGrid, name, counted)
+    co_step(pair, cfg, dt)
+    assert calls == []
+    # the counters see the calls of a record
+    pair.map_tilde
+    assert "nufft_kernel" in calls and "spread" in calls
 
 
 def test_record_transform_calls(stepped, fft_calls):
     # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records:
     # 11 multiplier calls (the five stacked block rounds of both states,
     # D Theta and D(htilde_ap - 1), the two rounds of one derive of both
-    # states, b_ap of each state), the Jacobians of h_a^{-1} and htilde,
+    # states, b_ap of each state), the Jacobians of k_b^{-1} and htilde,
     # 10 H^1/2 norms, four sup norms (the two real ones as one stack), the
-    # two complex spreads through htilde and three real ones (the Newton
-    # loop of h_a^{-1}, the composition of htilde, the h_alpha term through
-    # h_a^{-1})
+    # two complex spreads through htilde (the h_alpha term rides in the one
+    # of f_delta_norm) and two real ones (the Newton loop of k_b^{-1}, the
+    # composition of htilde)
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 29, "ifft": 18, "rfft": 3, "irfft": 4}
-    # the h_alpha term goes through the inverse of h_a that htilde built
-    assert "_inverse" not in vars(pair.map_b)
+    assert fft_calls == {"fft": 29, "ifft": 18, "rfft": 2, "irfft": 3}
+    # k_a, the inner map of htilde, is never inverted
+    assert "_inverse" not in vars(pair.k_a)

@@ -12,7 +12,6 @@ from crestwave.initial_data import (
 )
 from crestwave.spectral import make_grid
 
-RNG = np.random.default_rng(52)
 
 
 def test_crest_spec_validation():

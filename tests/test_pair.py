@@ -4,7 +4,13 @@ from dataclasses import replace
 
 from crestwave import brackets, evolution
 from crestwave import pair as pair_module
-from crestwave.brackets import MonotoneMap, commutator_bracket, compose_maps, htilcal_apply
+from crestwave.brackets import (
+    InverseFlowMap,
+    commutator_bracket,
+    compose_map_apply,
+    compose_maps,
+    htilcal_apply,
+)
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
 from crestwave.evolution import (
@@ -144,8 +150,9 @@ def test_material_derivative_commutes_with_composition():
 
 
 def test_halpha_term_matches_the_route_through_both_inverses():
-    # f_delta_norm pulls (h_a,ap - h_b,ap) back through h_a^{-1}; the oracle
-    # composes h_b,ap o h_b^{-1} with htilde = h_b o h_a^{-1}
+    # f_delta_norm pulls 1 / k_b,alpha back through htilde in its stack of
+    # b fields; the oracle takes h_alpha o h^{-1} = 1 / k_alpha of each
+    # solution and pulls it back on its own
     pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.1, velocity_amplitude=0.05j,
                                   n_points=256))
     cfg = StepperConfig()
@@ -153,10 +160,17 @@ def test_halpha_term_matches_the_route_through_both_inverses():
     for _ in range(20):
         pair = co_step(pair, cfg, dt)
     value = f_delta_norm(pair).components["fd_delta_halpha_L2"]
-    assert "_inverse" not in vars(pair.map_b)
+    assert "_inverse" not in vars(pair.k_a)
     oracle = pair.state_a.grid.l2_norm(delta_field(pair, "h_alpha"))
     assert value > 1e-6
     assert abs(value - oracle) <= 1e-12
+    # the Lagrangian route to the same field: h = k^{-1} by Newton, and its
+    # spectral Jacobian pulled back through k; the two routes differ by the
+    # truncation of the maps, whose modes at the dealias cutoff are 2e-9
+    # here (3.5e-9 measured)
+    for k in (pair.k_a, pair.k_b):
+        lagrangian = compose_map_apply(k.grid, k.inverse().jacobian(), k)
+        assert np.max(np.abs(lagrangian - 1.0 / k.jacobian())) <= 1e-8
 
 
 @pytest.mark.parametrize("n, sigma, epsilon", [(768, 0.05 ** 1.5, 0.05), (2048, 1e-5, 0.1)])
@@ -171,16 +185,16 @@ def test_differences_of_a_new_pair_are_at_rounding_level(n, sigma, epsilon):
     assert max(comp.values()) < 1e-12, comp
 
 
-def test_htilde_and_the_inverse_of_h_a_are_built_once_by_a_record(monkeypatch):
+def test_htilde_and_the_inverse_of_k_b_are_built_once_by_a_record(monkeypatch):
     # co_step builds neither; energy_delta builds each once, and
-    # f_delta_norm and energy_sigma reuse them
+    # f_delta_norm and energy_sigma reuse them; k_a is never inverted
     pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
                                   n_points=128))
     cfg = StepperConfig()
     dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
     pair = co_step(pair, cfg, dt)
     assert "map_tilde" not in vars(pair)
-    assert "_inverse" not in vars(pair.map_a)
+    assert "_inverse" not in vars(pair.k_b)
     composed = []
 
     def counted(outer, inner):
@@ -189,13 +203,13 @@ def test_htilde_and_the_inverse_of_h_a_are_built_once_by_a_record(monkeypatch):
 
     monkeypatch.setattr(pair_module, "compose_maps", counted)
     energy_delta(pair)
-    inverse, htilde = vars(pair.map_a)["_inverse"], vars(pair)["map_tilde"]
+    inverse, htilde = vars(pair.k_b)["_inverse"], vars(pair)["map_tilde"]
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert len(composed) == 1
-    assert composed[0][0] is pair.map_b and composed[0][1] is inverse
-    assert vars(pair.map_a)["_inverse"] is inverse and vars(pair)["map_tilde"] is htilde
-    assert "_inverse" not in vars(pair.map_b)
+    assert composed == [(pair.k_b.inverse(), pair.k_a)]
+    assert composed[0][0] is inverse and composed[0][1] is pair.k_a
+    assert vars(pair.k_b)["_inverse"] is inverse and vars(pair)["map_tilde"] is htilde
+    assert "_inverse" not in vars(pair.k_a)
 
 
 def test_a_record_whose_htilde_is_not_monotone_names_htilde_and_its_time():
@@ -243,8 +257,9 @@ def test_co_step_tags_a_post_step_failure_of_solution_b(monkeypatch):
 
 
 def test_co_step_tags_a_map_failure_of_solution_b(monkeypatch):
-    # with the floor at 1, the first map whose Jacobian dips below 1 fails:
-    # h_a of a flat solution a stays the identity, h_b moves
+    # with the floor at 1, the guard admits only k_ap = 1: k_a of a flat
+    # solution a stays the identity, k_b moves and fails first on its
+    # largest k_ap, as min h_ap = 1 / max k_ap below the floor
     g = make_grid(64)
     st_b = random_smooth_state(g, np.random.default_rng(5), amp=0.1)
     pair = init_pair(flat_state(g, 1e-2), st_b)
@@ -252,6 +267,34 @@ def test_co_step_tags_a_map_failure_of_solution_b(monkeypatch):
     monkeypatch.setattr(brackets, "JACOBIAN_FLOOR", 1.0)
     with pytest.raises(MonotonicityError, match=r"^\[solution b\] min h_ap = \S+ below floor"):
         co_step(pair, StepperConfig(), dt)
+
+
+def _skewed_deviation(grid):
+    """A map deviation with Jacobian 1 + (cos x + cos 2x / 2) / 2, whose
+    range [0.625, 1.75] is lopsided (and [0.25, 1.375] for its negative),
+    so that a floor can fail one side alone."""
+    x = grid.nodes
+    return 0.5 * (np.sin(x) + 0.25 * np.sin(2.0 * x))
+
+
+@pytest.mark.parametrize("sign, floor, message", [
+    # k_ap in [0.625, 1.75]: max k_ap above 1 / 0.6, min k_ap above 0.6
+    (1.0, 0.6, r"^min h_ap = 5\.714e-01 below floor 6e-01$"),
+    # k_ap in [0.25, 1.375]: min k_ap below 0.5, max k_ap below 1 / 0.5
+    (-1.0, 0.5, r"^max h_ap = 4\.000e\+00 above 2$"),
+])
+def test_inverse_flow_map_guard_bounds_k_ap_from_both_sides(monkeypatch, sign, floor, message):
+    # h_ap = 1 / k_ap o k, so the floor on h_ap bounds k_ap from above and
+    # the ceiling 1 / floor on h_ap bounds it from below
+    g = make_grid(64)
+    dev = sign * _skewed_deviation(g)
+    k_ap = InverseFlowMap(g, dev).jacobian()
+    low, high = (0.625, 1.75) if sign > 0 else (0.25, 1.375)
+    # the extreme at x = 0 is a node; the other lies between nodes
+    assert abs(k_ap.min() - low) < 1e-3 and abs(k_ap.max() - high) < 1e-3
+    monkeypatch.setattr(brackets, "JACOBIAN_FLOOR", floor)
+    with pytest.raises(MonotonicityError, match=message):
+        InverseFlowMap(g, dev)
 
 
 def test_each_member_steps_as_it_would_alone():
@@ -346,7 +389,7 @@ def test_energy_reports_match_a_rebuilt_pair():
     states = [make_state(grid, s.Zdev.copy(), s.Zp.copy(), s.Zt.copy(), s.sigma, s.time, s.g.copy())
               for s in (pair.state_a, pair.state_b)]
     # the copy derives its own htilde from the two maps
-    maps = [MonotoneMap(grid, m.deviation.copy()) for m in (pair.map_a, pair.map_b)]
+    maps = [InverseFlowMap(grid, k.deviation.copy()) for k in (pair.k_a, pair.k_b)]
     copy = PairState(*states, *maps)
     rebuilt = (energy_delta(copy), f_delta_norm(copy), energy_sigma(copy.state_a))
     for reps in (again, rebuilt):

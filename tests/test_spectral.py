@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crestwave.errors import HolomorphicityError
-from crestwave.spectral import TWO_PI, SpectralGrid, make_grid
+from crestwave.spectral import TWO_PI, make_grid
 
 from helpers import harmonic_extension_norms, random_holomorphic, random_real_field
 from oracles import finish_unfused, hhalf_double_sum, interpolate_direct, nufft_kernel_formula
@@ -305,7 +305,7 @@ def test_spread_is_bit_identical_to_interpolate():
     for f in _nyquist_fields(g):
         gather = g.spread(f)
         for x in (rng.uniform(-g.length, 2 * g.length, 50), g.nodes, 0.7):
-            assert np.array_equal(gather([g.nufft_kernel(x)]), g.interpolate(f, x))
+            assert np.array_equal(gather(g.nufft_kernel(x)), g.interpolate(f, x))
 
 
 @pytest.mark.parametrize("n", [64, 768, 2048])
@@ -453,43 +453,8 @@ def test_kept_kernel_weights_give_interpolate_bit_for_bit(n):
     kernel = g.nufft_kernel(x)
     real = rng.standard_normal((3, n))
     for stack in (real, real + 1j * rng.standard_normal((3, n))):
-        assert g.spread(stack)([kernel]).tobytes() == g.interpolate(stack, x).tobytes()
-        assert g.spread(stack[1])([kernel]).tobytes() == g.interpolate(stack[1], x).tobytes()
-
-
-@pytest.mark.parametrize("n", [64, 768])
-def test_evaluator_rows_at_their_own_points_are_bit_identical(n):
-    g = make_grid(n, length=5.0)
-    rng = np.random.default_rng(n + 3)
-    x = rng.uniform(-g.length, 2 * g.length, (4, 200))
-    real = rng.standard_normal((4, n))
-    for stack in (real, real + 1j * rng.standard_normal((4, n))):
-        out = g.interpolate(stack, x)
-        assert out.shape == (4, 200)
-        assert np.iscomplexobj(out) == np.iscomplexobj(stack)
-        for row, f, points in zip(out, stack, x):
-            assert row.tobytes() == g.interpolate(f, points).tobytes()
-
-
-def test_rows_at_their_own_points_get_one_kernel_each(monkeypatch):
-    # one kernel for a whole (m, p) point array has m times larger
-    # temporaries, above glibc's mmap threshold: on a 2-core Xeon at
-    # n = 2048, co_step then took about 1300 minor page faults per step
-    # instead of 290 to 360, and ran at 75 instead of 82 to 105 steps/s
-    g = make_grid(64)
-    rng = np.random.default_rng(11)
-    x = rng.uniform(0.0, g.length, (3, 40))
-    stack = rng.standard_normal((3, 64))
-    shapes = []
-    kernel = SpectralGrid.nufft_kernel
-
-    def recorded(self, points):
-        shapes.append(np.shape(points))
-        return kernel(self, points)
-
-    monkeypatch.setattr(SpectralGrid, "nufft_kernel", recorded)
-    g.interpolate(stack, x)
-    assert shapes == [(40,)] * 3
+        assert g.spread(stack)(kernel).tobytes() == g.interpolate(stack, x).tobytes()
+        assert g.spread(stack[1])(kernel).tobytes() == g.interpolate(stack[1], x).tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 768])
