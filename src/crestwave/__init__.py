@@ -8,7 +8,6 @@ from .brackets import (
     MonotoneMap,
     commutator_bracket,
     compose_map_apply,
-    compose_maps,
     hcal_apply,
     htilcal_apply,
 )
@@ -58,7 +57,7 @@ __all__ = [
     # spectral
     "SpectralGrid", "make_grid",
     # brackets
-    "MonotoneMap", "InverseFlowMap", "compose_maps", "compose_map_apply", "commutator_bracket", "hcal_apply",
+    "MonotoneMap", "InverseFlowMap", "compose_map_apply", "commutator_bracket", "hcal_apply",
     "htilcal_apply",
     # evolution
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",

@@ -1,8 +1,9 @@
 """Commutators, monotone maps and composed Hilbert operators.
 
-The quadrature oracles that certify these operators in the test suite
-(triple brackets, line-window oracles, singular quadrature of the composed
-Hilbert operator) live in tests/oracles.py.
+Maps compose through MonotoneMap.preimage: h^{-1} o g is the point x with
+h(x) = g(a).  The quadrature oracles that certify these operators (triple
+brackets, line-window oracles, singular quadrature of the composed Hilbert
+operator) and composition by pull-back live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import MonotonicityError
 from .spectral import SpectralGrid, _require_finite
 
 JACOBIAN_FLOOR = 1e-6
-# Newton steps of MonotoneMap.inverse at most; maps with |h_ap - 1| = 0.99 took six
+# Newton steps of MonotoneMap.preimage at most; maps with |h_ap - 1| = 0.99 took six
 NEWTON_CAP = 8
 
 
@@ -61,8 +62,8 @@ class MonotoneMap:
         return self._jacobian
 
     def inverse(self):
-        """Inverse map, solved per node by Newton until h(h^{-1}(a)) - a is at
-        rounding level; computed on the first call and kept."""
+        """Inverse map, the preimage of the grid nodes; computed on the first
+        call and kept."""
         return self._inverse
 
     @cached_property
@@ -77,18 +78,27 @@ class MonotoneMap:
 
     @cached_property
     def _inverse(self):
+        nodes = self.grid.nodes
+        return MonotoneMap(self.grid, self.preimage(nodes) - nodes)
+
+    def preimage(self, y):
+        """The points x with h(x) = y for real targets y, by Newton until
+        h(x) - y is at rounding level (at most NEWTON_CAP steps)."""
         grid = self.grid
         L, nodes, h = grid.length, grid.nodes, self.values
-        # h is increasing, so its node values a period either side bracket every node
-        x = np.interp(nodes, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
+        y = np.asarray(y, dtype=np.float64)
+        # h is increasing, so its node values a period either side bracket
+        # every target shifted into [0, L)
+        shift = L * np.floor(y / L)
+        x = shift + np.interp(y - shift, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
         gather = grid.spread(np.stack([self.deviation, self.jacobian()]))
         for _ in range(NEWTON_CAP):
             d, h_ap = gather(grid.nufft_kernel(x))
-            res = x + d - nodes
+            res = x + d - y
             if np.max(np.abs(res)) <= 8.0 * np.spacing(L):
                 break
             x = x - res / h_ap
-        return MonotoneMap(grid, x - nodes)
+        return x
 
 
 class InverseFlowMap(MonotoneMap):
@@ -117,16 +127,6 @@ def _require_floor(h_min):
         raise MonotonicityError(f"min h_ap = {h_min:.3e} below floor {JACOBIAN_FLOOR:.0e}")
 
 
-def compose_maps(outer, inner):
-    """outer o inner as a MonotoneMap on the shared grid: the deviation of
-    outer pulled back through inner, with the kept kernel weights of inner."""
-    if outer.grid != inner.grid:
-        raise ValueError("maps live on different grids")
-    grid = outer.grid
-    vals = inner.values + compose_map_apply(grid, outer.deviation, inner)
-    return MonotoneMap(grid, vals - grid.nodes)
-
-
 def compose_map_apply(grid, f, map_):
     """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points,
     with the kernel weights the map keeps.
@@ -134,6 +134,8 @@ def compose_map_apply(grid, f, map_):
     f may be one field or an (m, n) stack of fields, all real or all
     complex; a stack is spread once and row r of the result is U_h f[r].
     """
+    if map_.grid != grid:
+        raise ValueError("the field and the map live on different grids")
     return grid.spread(f)(map_._kernel)
 
 

@@ -49,6 +49,7 @@ from .evolution import (
 )
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .pair import (
+    SUMMARY_COLUMNS,
     PairRunResult,
     PairRunSpec,
     drive_pair,
@@ -225,15 +226,9 @@ def cmd_sweep(cfg, outdir, seed, jobs):
 
     with open(os.path.join(outdir, "study_summary.csv"), "w") as fh:
         fh.write("# crestwave-csv v1 study-summary\n")
-        cols = (
-            "sigma,epsilon,ok,error,n_steps,dt,e_delta_initial,e_delta_sup,"
-            "growth_ratio,f_delta_sup"
-        )
-        fh.write(cols + "\n")
+        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for row in result.summary_rows():
-            fh.write(
-                ",".join(str(row[c]).replace(",", ";") for c in cols.split(",")) + "\n"
-            )
+            fh.write(",".join(str(v).replace(",", ";") for v in row.values()) + "\n")
 
     fits = {
         "command": "sweep",

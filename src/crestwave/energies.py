@@ -73,33 +73,25 @@ def _state_blocks(*states):
     return [st._memo["energy_blocks"] for st in states]
 
 
+# the symbols dealias D^j, j = 0..3, of the derivative ladders of the blocks
+_LADDER = ("dealias", "dealias_deriv", "dealias_deriv2", "dealias_deriv3")
+
+
 def _build_blocks(states):
-    """Blocks of each of states, in five rounds of independent Fourier
-    multipliers, each one multiply_symbol call on a stack of all states."""
+    """Blocks of each of states from four multiply_symbol calls on stacks of
+    all states: the band Z_ap,band = 1 + dealias(Z_ap - 1), the ladders
+    dealias D^j of conj(Z_t) (j = 1..3) and of 1/Z_ap,band (j = 0..3), each
+    from one forward transform, and H q."""
     grid = states[0].grid
-    m = len(states)
-    Zp = np.array([st.Zp for st in states])
-    stack = np.concatenate([Zp - 1.0, np.conj(np.array([st.Zt for st in states]))])
-    # round 1: dealias (Z_ap - 1) and D conj(Z_t)
-    out = grid.multiply_symbol(stack, grid.symbol_table(("dealias",) * m + ("deriv",) * m))
-    Zp_band = 1.0 + out[:m]
-    # round 2: dealias 1/Z_ap,band and D conj(Z_t)
-    stack = np.concatenate([1.0 / Zp_band, out[m:]])
-    inv, Ztb1 = grid.multiply_symbol(stack, grid.symbol_table(("dealias",) * (2 * m))).reshape(
-        2, m, grid.n
+    Zp_band = 1.0 + grid.dealias(np.array([st.Zp for st in states]) - 1.0)
+    Ztb1, Ztb2, Ztb3 = grid.multiply_symbol(
+        np.conj(np.array([st.Zt for st in states])), grid.symbol_table(_LADDER[1:])[:, None]
     )
-    # round 3: D 1/Z_ap,band and D Ztb1
-    d1, Ztb2 = grid.multiply_symbol(
-        np.concatenate([inv, Ztb1]), grid.symbol_table(("deriv",) * (2 * m))
-    ).reshape(2, m, grid.n)
-    # round 4: their derivatives again and H q, q = omega D 1/Z_ap,band
+    inv, d1, d2, d3 = grid.multiply_symbol(1.0 / Zp_band, grid.symbol_table(_LADDER)[:, None])
+    # H q, q = omega D 1/Z_ap,band
     omega = Zp_band / np.abs(Zp_band)
     q = omega * d1
-    d2, Ztb3, h_q = grid.multiply_symbol(
-        np.concatenate([d1, Ztb2, q]), grid.symbol_table(("deriv",) * (2 * m) + ("hilbert",) * m)
-    ).reshape(3, m, grid.n)
-    # round 5: the third derivative of 1/Z_ap,band
-    d3 = grid.deriv(d2)
+    h_q = grid.hilbert(q)
     Theta = 1j * q - 1j * (q - h_q).real
     g_band = continue_angle(Zp_band, np.array([st.g for st in states]))
     log_Zp = np.log(np.abs(Zp_band)) + 1j * g_band

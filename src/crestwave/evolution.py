@@ -350,8 +350,9 @@ def advance(states, cfg, dt, maps=None, tags=None):
     one stack; the finish, grid.finish_step (dealias and projection), is
     one FFT pair, and it dealiases the map deviations too: the products
     b k_ap alias like those of the states, and without the filter their
-    debris piles up at the top modes of k over long runs.  Raises,
-    state by state, CFLViolationError when dt is not within dt_safety
+    debris piles up at the top modes of k over long runs.  Raises
+    ValueError if a capillary state follows one with sigma = 0, and, state
+    by state, CFLViolationError when dt is not within dt_safety
     times the bound of the state (a NaN bound or dt fails),
     DegenerateJacobianError on a degenerate or NaN Z_ap, and
     HolomorphicityError on projected mass above HOLO_TOLERANCE times the
@@ -361,6 +362,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
     m = len(states)
     grid = states[0].grid
     sigma = [st.sigma for st in states]
+    if any(s0 == 0.0 and s1 != 0.0 for s0, s1 in zip(sigma, sigma[1:])):
+        raise ValueError(f"capillary states (sigma != 0) must come first, got sigmas {sigma}")
     tags = ("",) * m if tags is None else tags
     derived = derive_states(states, prefixes=tags)
     for st, tag in zip(states, tags):

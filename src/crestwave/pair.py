@@ -10,7 +10,8 @@ evolution.advance, the RK4 step of step_rk4, on the two-row stack of the
 solutions, with k_a and k_b transported by each row's drift b, so the maps
 see stage-consistent drift fields and the step interpolates nothing;
 htilde = h_b o h_a^{-1} = k_b^{-1} o k_a is built where a record first
-reads it.  Differences are always Delta(f) = f_a - f_b o htilde.
+reads it, by solving k_b(x) = k_a(alpha).  Differences are always
+Delta(f) = f_a - f_b o htilde.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .brackets import InverseFlowMap, compose_maps
+from .brackets import InverseFlowMap, MonotoneMap
 from .energies import energy_delta, energy_sigma, f_delta_norm
 from .errors import CrestwaveError, MonotonicityError
 from .evolution import StepperConfig, WaveState, advance, cfl_bound, drive, plan_steps
@@ -45,10 +46,12 @@ class PairState:
     @cached_property
     def map_tilde(self):
         """htilde = h_b o h_a^{-1} = k_b^{-1} o k_a, built on the first read
-        and kept: one Newton inversion (of k_b) and one pull-back through the
-        kept kernel weights of k_a.  Its MonotonicityError, or that of
-        k_b^{-1}, starts with "[htilde] "."""
-        return _tagged("[htilde] ", lambda: compose_maps(self.k_b.inverse(), self.k_a))
+        and kept: htilde(alpha) is the point x with k_b(x) = k_a(alpha), one
+        Newton solve of k_b.preimage at the values of k_a, so no inverse map
+        is built.  Its MonotonicityError starts with "[htilde] "."""
+        grid = self.k_a.grid
+        deviation = self.k_b.preimage(self.k_a.values) - grid.nodes
+        return _tagged("[htilde] ", partial(MonotoneMap, grid, deviation))
 
 
 def _tagged(tag, build):
@@ -215,6 +218,13 @@ def fit_loglog(x, y):
     return float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
 
 
+# the keys of StudyResult.summary_rows, in order: the columns of study_summary.csv
+SUMMARY_COLUMNS = (
+    "sigma", "epsilon", "ok", "error", "n_steps", "dt",
+    "e_delta_initial", "e_delta_sup", "growth_ratio", "f_delta_sup",
+)
+
+
 @dataclass
 class StudyResult:
     runs: list
@@ -226,22 +236,12 @@ class StudyResult:
     growth_uniformity: float | None = None  # max/min growth ratio across runs
 
     def summary_rows(self):
+        """One dict per run, keyed by SUMMARY_COLUMNS in order."""
         rows = []
         for r in self.runs:
-            rows.append(
-                {
-                    "sigma": r.spec.sigma,
-                    "epsilon": r.spec.epsilon,
-                    "ok": int(r.ok),
-                    "error": r.error,
-                    "n_steps": r.n_steps,
-                    "dt": r.dt,
-                    "e_delta_initial": r.e_delta_initial,
-                    "e_delta_sup": r.e_delta_sup,
-                    "growth_ratio": r.growth_ratio,
-                    "f_delta_sup": r.f_delta_sup,
-                }
-            )
+            values = (r.spec.sigma, r.spec.epsilon, int(r.ok), r.error, r.n_steps, r.dt,
+                      r.e_delta_initial, r.e_delta_sup, r.growth_ratio, r.f_delta_sup)
+            rows.append(dict(zip(SUMMARY_COLUMNS, values, strict=True)))
         return rows
 
 

@@ -106,8 +106,9 @@ class SpectralGrid:
 
     def multiply_symbol(self, f, symbol):
         """ifft(symbol * fft(f)) along the last axis, unchecked: the symbol must
-        be finite, over self.k, of shape (n,) or a (k, n) table for a (k, n)
-        stack f.
+        be finite, over self.k, of shape (n,), a (k, n) table for a (k, n)
+        stack f, or a (j, 1, n) table, which applies j symbols to each row of
+        an (m, n) stack f from one forward transform ((j, m, n) result).
 
         Rows of a stack transform in one call and are bit-identical to
         single-field calls, so a round of independent multipliers costs one
@@ -118,7 +119,9 @@ class SpectralGrid:
     def symbol_table(self, kinds):
         """(len(kinds), n) table whose row r is the symbol named kinds[r],
         'deriv' (first derivative), 'hilbert', 'deriv_hplus' (D (I + H),
-        the symbol i k (1 - sgn k), 0 at Nyquist) or 'dealias'; built once
+        the symbol i k (1 - sgn k), 0 at Nyquist), 'dealias', or
+        'dealias_deriv', 'dealias_deriv2', 'dealias_deriv3' (dealias times
+        'deriv' to the power 1, 2, 3, so 0 at Nyquist); built once
         for a tuple of kinds and all grids equal to this one, so a run that
         builds a new grid for each pair builds each table once."""
         return _symbol_table(self, kinds)
@@ -484,11 +487,15 @@ class SpectralGrid:
 
 @functools.lru_cache(maxsize=256)
 def _symbol_table(grid, kinds):
+    deriv, dealias = grid._deriv_symbol, grid._dealias_symbol
     named = {
-        "deriv": grid._deriv_symbol,
+        "deriv": deriv,
         "hilbert": grid._hilbert_symbol,
-        "deriv_hplus": grid._deriv_symbol * (1.0 + grid._hilbert_symbol),
-        "dealias": grid._dealias_symbol,
+        "deriv_hplus": deriv * (1.0 + grid._hilbert_symbol),
+        "dealias": dealias,
+        "dealias_deriv": dealias * deriv,
+        "dealias_deriv2": dealias * deriv ** 2,
+        "dealias_deriv3": dealias * deriv ** 3,
     }
     return np.stack([named[kind] for kind in kinds])
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crestwave.brackets import compose_map_apply
+from crestwave.brackets import MonotoneMap, compose_map_apply
 from crestwave.errors import DegenerateJacobianError
 from crestwave.evolution import ABS_ZP_FLOOR, _rates, compute_derived
 from crestwave.spectral import _NUFFT_BETA, _NUFFT_WIDTH
@@ -299,6 +299,27 @@ def weighted_norm(state, f, kind):
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def blocks_chained(state):
+    """The energy blocks of energies._build_blocks by the chain of rounds
+    that its derivative ladders replace: Z_ap,band = 1 + dealias(Z_ap - 1),
+    inv = dealias(1 / Z_ap,band), d_j = D d_(j-1); Ztb1 = dealias(D conj
+    Z_t), Ztb_j = D Ztb_(j-1); each derivative a transform of its own."""
+    grid = state.grid
+    Zp_band = 1.0 + grid.dealias(state.Zp - 1.0)
+    inv = grid.dealias(1.0 / Zp_band)
+    d1 = grid.deriv(inv)
+    d2 = grid.deriv(d1)
+    Ztb1 = grid.dealias(grid.deriv(np.conj(state.Zt)))
+    Ztb2 = grid.deriv(Ztb1)
+    omega = Zp_band / np.abs(Zp_band)
+    q = omega * d1
+    return {
+        "inv": inv, "d1": d1, "d2": d2, "d3": grid.deriv(d2),
+        "Ztb1": Ztb1, "Ztb2": Ztb2, "Ztb3": grid.deriv(Ztb2), "omega": omega,
+        "Theta": 1j * q - 1j * (q - grid.hilbert(q)).real,
+    }
+
+
 # -- difference fields of a pair ---------------------------------------------------
 
 
@@ -311,6 +332,18 @@ def _dt_theta(state, derived):
     dTheta = grid.deriv(derived.Theta)
     c = derived.b * grid.hilbert(dTheta) - grid.hilbert(derived.b * dTheta)
     return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
+
+
+def compose_maps(outer, inner):
+    """outer o inner as a MonotoneMap on the shared grid: the deviation of
+    outer pulled back through inner.  The route to htilde = k_b^{-1} o k_a
+    through the whole inverse of k_b, which PairState.map_tilde replaces by
+    one preimage solve."""
+    if outer.grid != inner.grid:
+        raise ValueError("maps live on different grids")
+    grid = outer.grid
+    vals = inner.values + compose_map_apply(grid, outer.deviation, inner)
+    return MonotoneMap(grid, vals - grid.nodes)
 
 
 def map_at(map_, x):

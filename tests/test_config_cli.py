@@ -381,8 +381,13 @@ record_interval = 8
     cfgp = _write(tmp_path, "sweep.ini", ini)
     out = str(tmp_path / "sout")
     assert main(["sweep", "--config", cfgp, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "study_summary.csv"))
     assert os.path.exists(os.path.join(out, "study_long.csv"))
+    lines = open(os.path.join(out, "study_summary.csv")).read().splitlines()
+    assert lines[:2] == [
+        "# crestwave-csv v1 study-summary",
+        "sigma,epsilon,ok,error,n_steps,dt,e_delta_initial,e_delta_sup,growth_ratio,f_delta_sup",
+    ]
+    assert len(lines) == 4
     import json
 
     fits = json.load(open(os.path.join(out, "study_fits.json")))

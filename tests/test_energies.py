@@ -2,8 +2,10 @@ import pickle
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from crestwave.energies import (
+    _state_blocks,
     energy_aux,
     energy_delta,
     energy_high,
@@ -12,11 +14,11 @@ from crestwave.energies import (
     write_reports_csv,
 )
 from crestwave.evolution import compute_derived, flat_state, make_state
-from crestwave.pair import init_pair
+from crestwave.pair import PairRunSpec, build_pair, init_pair
 from crestwave.spectral import make_grid
 
 from helpers import random_real_field, random_smooth_state, refine_state
-from oracles import weighted_norm
+from oracles import blocks_chained, weighted_norm
 
 TWO_PI = 2 * np.pi
 
@@ -116,6 +118,35 @@ def test_blocks_of_a_pair_built_in_one_pass_equal_blocks_built_alone():
         for name in ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp"):
             assert kept[name].tobytes() == ref[name].tobytes(), name
         assert energy_sigma(st).components == energy_sigma(alone).components
+
+
+@pytest.mark.parametrize("n, fraction", [(256, 2 / 3), (768, 2 / 3), (256, 1.0)])
+def test_block_ladders_match_the_chain_of_first_derivatives(n, fraction):
+    # each ladder takes dealias D^j of one spectrum; the chain transforms
+    # back and forth between derivatives, and its round trips leave rounding
+    # at every mode that D^j amplifies by up to k_cut^j (measured up to 3x
+    # eps k_cut^j sup|f|, 2.6e-9 relative on d3 at n = 768).  The eps = 0.05
+    # crest keeps content above the dealias cutoff in 1/Z_ap,band, so a
+    # ladder without the filter fails; on a dealias_fraction = 1 grid, D^j
+    # zeroes the Nyquist mode as the chain does
+    pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.05, velocity_amplitude=0.05j,
+                                  n_points=n, dealias=fraction))
+    a, b = pair.state_a, pair.state_b
+    g = a.grid
+    eps = np.finfo(float).eps
+    k_cut = np.max(np.abs(g.k)[g.symbol_table(("dealias",))[0].real > 0])
+    for st, blocks in zip((a, b), _state_blocks(a, b)):
+        ref = blocks_chained(st)
+        # the band, its filtered inverse and omega take the same transforms
+        for name in ("inv", "omega"):
+            assert np.array_equal(blocks[name], ref[name]), name
+        sup_inv, sup_Ztb = np.max(np.abs(ref["inv"])), np.max(np.abs(st.Zt))
+        for name, f_sup, j in (("d1", sup_inv, 1), ("d2", sup_inv, 2), ("d3", sup_inv, 3),
+                               ("Ztb1", sup_Ztb, 1), ("Ztb2", sup_Ztb, 2), ("Ztb3", sup_Ztb, 3)):
+            gap = np.max(np.abs(blocks[name] - ref[name]))
+            assert gap <= 8 * eps * k_cut ** j * f_sup, (name, gap)
+        gap = np.max(np.abs(blocks["Theta"] - ref["Theta"])) / np.max(np.abs(ref["Theta"]))
+        assert gap <= 1e-12
 
 
 def test_sigma_energy_monotone_in_sigma():

@@ -210,6 +210,21 @@ def test_cfl_violation_raises():
         step_rk4(st, StepperConfig(), 100.0 * cfl_bound(st))
 
 
+def test_advance_refuses_a_capillary_state_behind_a_sigma_zero_one():
+    # the capillary transforms run on the leading rows only, so (b, a) would
+    # step a without its surface tension (1.0e-4 off in Z_t after one step)
+    g = make_grid(128)
+    b = random_smooth_state(g, np.random.default_rng(8), amp=0.1)
+    a = replace(b, sigma=0.01)
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(a), cfl_bound(b))
+    with pytest.raises(ValueError, match=r"capillary states \(sigma != 0\) must come first"):
+        evolution.advance((b, a), cfg, dt)
+    (new_a, new_b), _ = evolution.advance((a, b), cfg, dt)
+    for new, old in ((new_a, a), (new_b, b)):
+        assert np.max(np.abs(new.Zt - step_rk4(old, cfg, dt).Zt)) < 1e-14
+
+
 def test_steps_refuse_a_nan_surface_tension(monkeypatch):
     # replace bypasses make_state; the CFL check must refuse the NaN bound
     # before any RK4 stage runs

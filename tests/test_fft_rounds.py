@@ -84,17 +84,17 @@ def test_co_step_makes_no_nufft_call(stepped, monkeypatch):
 
 def test_record_transform_calls(stepped, fft_calls):
     # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records:
-    # 11 multiplier calls (the five stacked block rounds of both states,
-    # D Theta and D(htilde_ap - 1), the two rounds of one derive of both
-    # states, b_ap of each state), the Jacobians of k_b^{-1} and htilde,
-    # 10 H^1/2 norms, four sup norms (the two real ones as one stack), the
-    # two complex spreads through htilde (the h_alpha term rides in the one
-    # of f_delta_norm) and two real ones (the Newton loop of k_b^{-1}, the
-    # composition of htilde)
+    # 10 multiplier calls (the four stacked block calls of both states, D
+    # Theta and D(htilde_ap - 1), the two rounds of one derive of both
+    # states, b_ap of each state), the Jacobian of htilde, 10 H^1/2 norms,
+    # four sup norms (the two real ones as one stack), the two complex
+    # spreads through htilde (the h_alpha term rides in the one of
+    # f_delta_norm) and one real one (the Newton solve of k_b(x) =
+    # k_a(alpha) that builds htilde)
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 29, "ifft": 18, "rfft": 2, "irfft": 3}
-    # k_a, the inner map of htilde, is never inverted
-    assert "_inverse" not in vars(pair.k_a)
+    assert fft_calls == {"fft": 27, "ifft": 16, "rfft": 1, "irfft": 2}
+    # no map is inverted on the way
+    assert "_inverse" not in vars(pair.k_a) and "_inverse" not in vars(pair.k_b)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from dataclasses import replace
 
 from crestwave import brackets, evolution
-from crestwave import pair as pair_module
 from crestwave.brackets import (
     InverseFlowMap,
+    MonotoneMap,
     commutator_bracket,
     compose_map_apply,
-    compose_maps,
     htilcal_apply,
 )
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
@@ -34,8 +35,8 @@ from crestwave.pair import (
 )
 from crestwave.spectral import make_grid
 
-from helpers import folding_maps, random_smooth_state
-from oracles import SELECTORS, delta_field
+from helpers import folding_maps, random_monotone_map, random_smooth_state
+from oracles import SELECTORS, compose_maps, delta_field
 
 
 def _smooth_pair(grid, rng, sigma_a=0.0, same=True, amp=0.15):
@@ -185,31 +186,67 @@ def test_differences_of_a_new_pair_are_at_rounding_level(n, sigma, epsilon):
     assert max(comp.values()) < 1e-12, comp
 
 
-def test_htilde_and_the_inverse_of_k_b_are_built_once_by_a_record(monkeypatch):
-    # co_step builds neither; energy_delta builds each once, and
-    # f_delta_norm and energy_sigma reuse them; k_a is never inverted
+def test_htilde_is_built_once_by_a_record(monkeypatch):
+    # co_step does not build it; energy_delta builds it by one preimage
+    # solve of k_b at the values of k_a, and f_delta_norm and energy_sigma
+    # reuse it; no map is inverted and neither map keeps kernel weights
     pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
                                   n_points=128))
     cfg = StepperConfig()
     dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
     pair = co_step(pair, cfg, dt)
     assert "map_tilde" not in vars(pair)
-    assert "_inverse" not in vars(pair.k_b)
-    composed = []
+    solved = []
+    preimage = MonotoneMap.preimage
 
-    def counted(outer, inner):
-        composed.append((outer, inner))
-        return compose_maps(outer, inner)
+    def counted(self, y):
+        solved.append((self, y))
+        return preimage(self, y)
 
-    monkeypatch.setattr(pair_module, "compose_maps", counted)
+    monkeypatch.setattr(MonotoneMap, "preimage", counted)
     energy_delta(pair)
-    inverse, htilde = vars(pair.k_b)["_inverse"], vars(pair)["map_tilde"]
+    htilde = vars(pair)["map_tilde"]
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert composed == [(pair.k_b.inverse(), pair.k_a)]
-    assert composed[0][0] is inverse and composed[0][1] is pair.k_a
-    assert vars(pair.k_b)["_inverse"] is inverse and vars(pair)["map_tilde"] is htilde
-    assert "_inverse" not in vars(pair.k_a)
+    assert len(solved) == 1 and solved[0][0] is pair.k_b
+    assert np.array_equal(solved[0][1], pair.k_a.values)
+    assert vars(pair)["map_tilde"] is htilde
+    for k in (pair.k_a, pair.k_b):
+        assert "_inverse" not in vars(k) and "_kernel" not in vars(k)
+
+
+def test_htilde_of_folding_maps_matches_the_route_through_the_inverse_of_k_b():
+    # the oracle inverts k_b as a map and pulls its deviation back through
+    # k_a, so it carries the truncation of that inverse, whose modes decay
+    # like exp(-0.031 |k|) for k_b,x = 1 - 0.9 cos x: 4096 points resolve it
+    # (1024 points leave 3e-12).  Both routes refuse the folded htilde
+    g = make_grid(4096)
+    k_a, k_b = folding_maps(g)
+    pair = PairState(None, None, k_a, k_b)
+    with pytest.raises(MonotonicityError, match=r"^\[htilde\] min h_ap"):
+        pair.map_tilde
+    with pytest.raises(MonotonicityError):
+        compose_maps(k_b.inverse(), k_a)
+    oracle = k_a.values + compose_map_apply(g, k_b.inverse().deviation, k_a)
+    assert np.max(np.abs(k_b.preimage(k_a.values) - oracle)) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n_modes=hst.integers(1, 8),
+    max_slope=hst.floats(0.01, 0.6),
+)
+def test_htilde_of_random_maps_matches_the_route_through_the_inverse_of_k_b(
+    seed, n_modes, max_slope
+):
+    # 512 points resolve the inverses of these maps (256 leave 3e-8)
+    g = make_grid(512)
+    rng = np.random.default_rng(seed)
+    k_a, k_b = (random_monotone_map(g, rng, n_modes=n_modes, max_slope=max_slope) for _ in "ab")
+    htilde = PairState(None, None, k_a, k_b).map_tilde
+    oracle = compose_maps(k_b.inverse(), k_a)
+    assert np.max(np.abs(htilde.deviation - oracle.deviation)) <= 1e-13
 
 
 def test_a_record_whose_htilde_is_not_monotone_names_htilde_and_its_time():
