@@ -40,7 +40,6 @@ from .evolution import (
     flat_state,
     make_state,
     step_rk4,
-    validate_state,
 )
 from .initial_data import CrestSpec, crest_data, estimate_M, mollify_data
 from .pair import (
@@ -62,7 +61,6 @@ __all__ = [
     # evolution
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",
     "compute_derived", "derive_states", "curvature_field", "cfl_bound", "step_rk4",
-    "validate_state",
     # energies and initial data
     "EnergyReport", "energy_sigma", "energy_high", "energy_aux", "energy_delta", "f_delta_norm",
     "CrestSpec", "crest_data", "mollify_data", "estimate_M",

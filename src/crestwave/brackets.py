@@ -29,9 +29,9 @@ class MonotoneMap:
     """Strictly increasing map h with h(a + L) = h(a) + L.
 
     Stored as the periodic deviation from the identity, h(a) = a + dev(a).
-    The map is immutable: its Jacobian, its inverse and the NUFFT kernel
-    weights of its values are computed once, on first use, and kept on the
-    map (their arrays are never written in place).
+    The map is immutable: its Jacobian and the NUFFT kernel weights of its
+    values are computed once, on first use, and kept on the map (their
+    arrays are never written in place).
     """
 
     grid: SpectralGrid
@@ -61,11 +61,6 @@ class MonotoneMap:
         """h_ap = 1 + dev' on the grid nodes (spectral derivative), kept."""
         return self._jacobian
 
-    def inverse(self):
-        """Inverse map, the preimage of the grid nodes; computed on the first
-        call and kept."""
-        return self._inverse
-
     @cached_property
     def _kernel(self):
         """grid.nufft_kernel(values): what every evaluation at the map's
@@ -75,11 +70,6 @@ class MonotoneMap:
     @cached_property
     def _jacobian(self):
         return 1.0 + self.grid.deriv(self.deviation).real
-
-    @cached_property
-    def _inverse(self):
-        nodes = self.grid.nodes
-        return MonotoneMap(self.grid, self.preimage(nodes) - nodes)
 
     def preimage(self, y):
         """The points x with h(x) = y for real targets y, by Newton until
@@ -108,8 +98,7 @@ class InverseFlowMap(MonotoneMap):
 
     Its guard is that of h: h_ap = 1 / k_ap o k, so JACOBIAN_FLOOR <= h_ap
     <= 1 / JACOBIAN_FLOOR is the same bound on k_ap, and a failure reads
-    as one of h (min h_ap = 1 / max k_ap, max h_ap = 1 / min k_ap).  Its
-    inverse is h, a plain MonotoneMap.
+    as one of h (min h_ap = 1 / max k_ap, max h_ap = 1 / min k_ap).
     """
 
     def _require_monotone(self):
@@ -134,9 +123,13 @@ def compose_map_apply(grid, f, map_):
     f may be one field or an (m, n) stack of fields, all real or all
     complex; a stack is spread once and row r of the result is U_h f[r].
     """
+    _require_same_grid(grid, map_)
+    return grid.spread(f)(map_._kernel)
+
+
+def _require_same_grid(grid, map_):
     if map_.grid != grid:
         raise ValueError("the field and the map live on different grids")
-    return grid.spread(f)(map_._kernel)
 
 
 # -- commutator ----------------------------------------------------------------
@@ -156,9 +149,11 @@ def hcal_apply(grid, f, map_):
 
     With U f = f o h, the kernel form with the h' (Jacobian) factor inside
     satisfies Hcal U = U H, hence Hcal = U H U^{-1}; this turns the singular
-    integral into interpolation plus the FFT Hilbert transform.
+    integral into interpolation plus the FFT Hilbert transform.  U^{-1} f
+    is f at the preimages of the grid nodes.
     """
-    pulled = compose_map_apply(grid, f, map_.inverse())
+    _require_same_grid(grid, map_)
+    pulled = grid.interpolate(f, map_.preimage(grid.nodes))
     return compose_map_apply(grid, grid.hilbert(pulled), map_)
 
 
@@ -166,4 +161,5 @@ def htilcal_apply(grid, f, map_):
     """Jacobian-free variant: Htilcal(g) = Hcal(g / h_ap), so that
     Htilcal(h_ap f) = Hcal(f) holds identically; h_ap >= JACOBIAN_FLOOR
     holds for every MonotoneMap."""
+    _require_same_grid(grid, map_)
     return hcal_apply(grid, f / map_.jacobian(), map_)

@@ -99,17 +99,16 @@ def build_initial_state(cfg):
     return state
 
 
-def cmd_simulate(cfg, outdir, seed):
+def cmd_simulate(cfg, outdir, args):
     state = build_initial_state(cfg)
     stepper = StepperConfig(cfg.stepper.dt_safety)
     dt, n_steps = plan_steps(
         cfl_bound(state), cfg.physics.t_final, stepper.dt_safety, 1, cfg.stepper.max_steps
     )
-    families = list(cfg.output.families) or ["sigma"]
-    if families == ["sigma"] and cfg.physics.sigma == 0.0:
-        # zero-surface-tension runs record the higher-order and auxiliary
-        # energies alongside by default
-        families = ["sigma", "high", "aux"]
+    # by default, zero-surface-tension runs record the higher-order and
+    # auxiliary energies alongside
+    default = ["sigma", "high", "aux"] if cfg.physics.sigma == 0.0 else ["sigma"]
+    families = list(cfg.output.families) or default
     series = {f: [] for f in families}
 
     def record(st):
@@ -124,7 +123,7 @@ def cmd_simulate(cfg, outdir, seed):
     save_checkpoint(os.path.join(outdir, "final.ckpt"), state)
     report = {
         "command": "simulate",
-        "seed": seed,
+        "seed": args.seed,
         "n_steps": n_steps,
         "dt": dt,
         "t_final": state.time,
@@ -136,7 +135,7 @@ def cmd_simulate(cfg, outdir, seed):
     return EXIT_OK
 
 
-def cmd_pair(cfg, outdir, seed):
+def cmd_pair(cfg, outdir, args):
     spec = _pair_spec(cfg, cfg.physics.sigma, cfg.data.epsilon)
     base = build_initial_state(cfg)
     pair = init_pair(replace(base, sigma=spec.sigma), replace(base, sigma=0.0))
@@ -149,7 +148,7 @@ def cmd_pair(cfg, outdir, seed):
     write_reports_csv(os.path.join(outdir, "energy_sigma_a.csv"), result.sigma_a_reports)
     report = {
         "command": "pair",
-        "seed": seed,
+        "seed": args.seed,
         "sigma": spec.sigma,
         "n_steps": result.n_steps,
         "dt": result.dt,
@@ -195,14 +194,14 @@ def _study_specs(cfg):
     return [_pair_spec(cfg, s, e) for s, e in pairs]
 
 
-def cmd_sweep(cfg, outdir, seed, jobs):
+def cmd_sweep(cfg, outdir, args):
     if cfg.data.kind != "crest":
         # every sweep run builds its pair from the crest of [data]
         raise ConfigError([f"sweep takes data.kind = crest only, got {cfg.data.kind!r}"])
     if cfg.study.couple == "eps32" and not cfg.study.epsilon_list:
         raise ConfigError(["sweep with study.couple = eps32 needs a study.epsilon_list"])
     specs = _study_specs(cfg)
-    result = run_convergence_study(specs, jobs=jobs)
+    result = run_convergence_study(specs, jobs=args.jobs or cfg.study.jobs)
     os.makedirs(outdir, exist_ok=True)
 
     long_rows = []
@@ -232,7 +231,7 @@ def cmd_sweep(cfg, outdir, seed, jobs):
 
     fits = {
         "command": "sweep",
-        "seed": seed,
+        "seed": args.seed,
         "slope_e0_vs_sigma": result.slope_e0_vs_sigma,
         "slope_e0_vs_scaling": result.slope_e0_vs_scaling,
         "slope_supf_vs_sigma": result.slope_supf_vs_sigma,
@@ -252,7 +251,7 @@ def cmd_sweep(cfg, outdir, seed, jobs):
     return EXIT_PARTIAL if fits["n_failed"] else EXIT_OK
 
 
-def cmd_crest_scaling(cfg, outdir, seed):
+def cmd_crest_scaling(cfg, outdir, args):
     d = cfg.data
     # the unmollified crest of [data]; each study epsilon mollifies it
     base = build_initial_state(replace(cfg, data=replace(d, kind="crest", epsilon=0.0)))
@@ -270,13 +269,33 @@ def cmd_crest_scaling(cfg, outdir, seed):
             fh.write(f"{eps:.17g},{kap:.17g}\n")
     with open(os.path.join(outdir, "crest_scaling.json"), "w") as fh:
         json.dump(
-            {"command": "crest-scaling", "seed": seed, "nu": d.nu, "slope": slope,
+            {"command": "crest-scaling", "seed": args.seed, "nu": d.nu, "slope": slope,
              "target": -d.nu, "rows": rows},
             fh,
             indent=2,
             sort_keys=True,
         )
     return EXIT_OK
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "pair": cmd_pair,
+    "sweep": cmd_sweep,
+    "crest-scaling": cmd_crest_scaling,
+}
+
+# (error kind, stderr label, exit code) of a failed run; the first kind that
+# matches wins, so the base class comes last.  A ConfigError (a checkpoint
+# that cannot be loaded or has another grid, a sweep of data other than
+# crest, or an eps32 sweep without epsilons) prints its violations instead.
+FAILURES = (
+    (CFLViolationError, "CFL failure", EXIT_CFL),
+    (DegenerateJacobianError, "degeneracy failure", EXIT_DEGENERACY),
+    (HolomorphicityError, "holomorphicity failure", EXIT_HOLOMORPHICITY),
+    (MonotonicityError, "degeneracy failure (map)", EXIT_DEGENERACY),
+    (CrestwaveError, "run failure", 1),
+)
 
 
 def build_parser():
@@ -286,7 +305,7 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "pair", "sweep", "crest-scaling", "validate-config"):
+    for name in (*COMMANDS, "validate-config"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--out", default=None, help="output directory (overrides [output])")
@@ -322,34 +341,13 @@ def main(argv=None):
 
     outdir = args.out or cfg.output.directory
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, outdir, args.seed)
-        if args.command == "pair":
-            return cmd_pair(cfg, outdir, args.seed)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, args.seed, args.jobs or cfg.study.jobs)
-        if args.command == "crest-scaling":
-            return cmd_crest_scaling(cfg, outdir, args.seed)
+        return COMMANDS[args.command](cfg, outdir, args)
     except ConfigError as exc:
-        # a checkpoint that cannot be loaded or has another grid, a sweep of
-        # data other than crest, or an eps32 sweep without epsilons
         return _config_failure(exc)
-    except CFLViolationError as exc:
-        print(f"CFL failure: {exc}", file=sys.stderr)
-        return EXIT_CFL
-    except DegenerateJacobianError as exc:
-        print(f"degeneracy failure: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
-    except (HolomorphicityError,) as exc:
-        print(f"holomorphicity failure: {exc}", file=sys.stderr)
-        return EXIT_HOLOMORPHICITY
-    except MonotonicityError as exc:
-        print(f"degeneracy failure (map): {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
     except CrestwaveError as exc:
-        print(f"run failure: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError(f"unhandled command {args.command}")
+        label, code = next((lab, code) for kind, lab, code in FAILURES if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

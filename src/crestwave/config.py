@@ -64,7 +64,8 @@ class StepperBlock:
 @dataclass
 class OutputBlock:
     directory: str = "out"
-    families: tuple = ("sigma",)
+    # () records by sigma: sigma, or sigma, high and aux when sigma = 0
+    families: tuple = ()
     record_interval: int = 10
 
 

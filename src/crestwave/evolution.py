@@ -28,7 +28,6 @@ from .spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
 ABS_ZP_FLOOR = 1e-8
-A1_FLOOR_TOL = 1e-8
 # removed positive-mode mass a step may project out, relative to the state
 HOLO_TOLERANCE = 1e-8
 
@@ -443,42 +442,3 @@ def drive(x, step, cfg, dt, n_steps, record, record_every):
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             recorded(x)
     return x
-
-
-@dataclass
-class StateDiagnostics:
-    min_abs_Zp: float
-    holo_residual_Zp: float
-    holo_residual_Ztbar: float
-    dZ_consistency: float
-    a1_min: float
-    passed: bool
-
-
-def validate_state(state, tol=1e-8):
-    """Pure diagnostic: degeneracy margin, holomorphicity residuals,
-    consistency of the redundant Z evolution, and the Taylor-sign floor."""
-    grid = state.grid
-    res_Zp = grid.positive_mode_mass(state.Zp - 1.0)
-    res_Zt = grid.positive_mode_mass(np.conj(state.Zt))
-    cons = float(np.max(np.abs(grid.deriv(state.Zdev) - (state.Zp - 1.0))))
-    # not kept, so that a state below the |Z_ap| floor is reported, not refused
-    abs_Zp = np.abs(state.Zp)
-    min_abs_Zp = float(abs_Zp.min())
-    A1 = _derive(grid, state.Zp[None], abs_Zp[None], state.Zt[None], [state.sigma])[1]
-    a1_min = float(A1.min())
-    scale = max(1.0, grid.l2_norm(state.Zp - 1.0) + grid.l2_norm(state.Zt))
-    passed = (
-        min_abs_Zp >= ABS_ZP_FLOOR
-        and max(res_Zp, res_Zt) <= tol * scale
-        and cons <= max(tol, tol * scale)
-        and a1_min >= 1.0 - A1_FLOOR_TOL
-    )
-    return StateDiagnostics(
-        min_abs_Zp=min_abs_Zp,
-        holo_residual_Zp=res_Zp,
-        holo_residual_Ztbar=res_Zt,
-        dZ_consistency=cons,
-        a1_min=a1_min,
-        passed=bool(passed),
-    )

@@ -126,16 +126,9 @@ class SpectralGrid:
         builds a new grid for each pair builds each table once."""
         return _symbol_table(self, kinds)
 
-    def deriv(self, f, order=1):
-        """Spectral d^m/dx^m; odd orders zero the Nyquist mode."""
-        if not (isinstance(order, (int, np.integer)) and order >= 0):
-            raise ValueError(f"derivative order must be a non-negative integer, got {order!r}")
-        if order == 1:
-            return self.multiply_symbol(f, self._deriv_symbol)
-        sym = (1j * self.k) ** order
-        if order % 2 == 1:
-            sym[self.nyquist_index] = 0.0
-        return self.multiply_symbol(f, sym)
+    def deriv(self, f):
+        """Spectral first derivative d/dx; zeroes the Nyquist mode."""
+        return self.multiply_symbol(f, self._deriv_symbol)
 
     def hilbert(self, f):
         """Hilbert transform: multiplier -sgn(k), sgn(0) = 0."""

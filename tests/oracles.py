@@ -346,6 +346,13 @@ def compose_maps(outer, inner):
     return MonotoneMap(grid, vals - grid.nodes)
 
 
+def inverse_map(m):
+    """The inverse of the map m as a MonotoneMap: the preimages of the grid
+    nodes."""
+    nodes = m.grid.nodes
+    return MonotoneMap(m.grid, m.preimage(nodes) - nodes)
+
+
 def map_at(map_, x):
     """map_ at arbitrary points x, through the trigonometric interpolant of
     its deviation."""

@@ -19,6 +19,7 @@ from oracles import (
     commutator_line_oracle,
     hcal_quadrature_oracle,
     interpolate_direct,
+    inverse_map,
     map_at,
     triple_bracket_line_oracle,
     triple_bracket_periodic,
@@ -187,11 +188,11 @@ def test_chain_rule_under_composition():
 def test_invert_map_roundtrip():
     g = make_grid(256)
     ident = MonotoneMap.identity(g)
-    assert np.max(np.abs(ident.inverse().deviation)) < 1e-12
+    assert np.max(np.abs(inverse_map(ident).deviation)) < 1e-12
     m = MonotoneMap(g, 0.05 * g.nodes * 0 + 0.3 * np.sin(g.nodes) + 0.1)
-    inv = m.inverse()
+    inv = inverse_map(m)
     assert np.max(np.abs(map_at(m, inv.values) - g.nodes)) < 1e-10
-    twice = inv.inverse()
+    twice = inverse_map(inv)
     assert np.max(np.abs(twice.deviation - m.deviation)) < 1e-9
 
 
@@ -211,7 +212,7 @@ def test_map_of_inverse_is_identity(seed, n_modes, max_slope, n):
     # steep examples
     g = make_grid(n)
     m = random_monotone_map(g, np.random.default_rng(seed), n_modes=n_modes, max_slope=max_slope)
-    inv = m.inverse()
+    inv = inverse_map(m)
     assert np.max(np.abs(map_at(m, inv.values) - g.nodes)) < 1e-12
 
 
@@ -238,10 +239,16 @@ def test_preimage_meets_the_map_at_random_targets(seed, n_modes, max_slope, n):
 
 
 def test_preimage_of_the_nodes_is_the_inverse():
-    rng = np.random.default_rng(92)
+    # h(a) = 2 arctan(tan(a/2) e^s) has the inverse 2 arctan(tan(x/2) e^{-s})
     g = make_grid(128)
-    m = random_monotone_map(g, rng, max_slope=0.8)
-    assert np.array_equal(m.preimage(g.nodes) - g.nodes, m.inverse().deviation)
+    s = 0.3
+
+    def flow(a, s):
+        x = 2.0 * np.arctan(np.tan(a / 2.0) * np.exp(s))
+        return np.where(a > np.pi, x + 2.0 * np.pi, x)
+
+    m = MonotoneMap(g, flow(g.nodes, s) - g.nodes)
+    assert np.max(np.abs(m.preimage(g.nodes) - flow(g.nodes, -s))) <= 16 * np.spacing(g.length)
 
 
 def test_monotonicity_rejection():
@@ -257,12 +264,9 @@ def test_pull_back_refuses_a_map_on_another_grid(map_points):
     g, other = make_grid(64), make_grid(map_points)
     m = MonotoneMap(other, 0.1 * np.sin(other.nodes))
     f = np.cos(g.nodes)
-    for apply in (compose_map_apply, hcal_apply):
-        with pytest.raises(ValueError, match="different grids"):
+    for apply in (compose_map_apply, hcal_apply, htilcal_apply):
+        with pytest.raises(ValueError, match="^the field and the map live on different grids$"):
             apply(g, f, m)
-    # htilcal_apply divides by the map's Jacobian first, which numpy refuses
-    with pytest.raises(ValueError):
-        htilcal_apply(g, f, m)
 
 
 # -- composed Hilbert operators ----------------------------------------------------
@@ -274,6 +278,25 @@ def test_hcal_identity_map_is_hilbert():
     ident = MonotoneMap.identity(g)
     f = g.dealias(rng.standard_normal(128) + 1j * rng.standard_normal(128))
     assert np.max(np.abs(hcal_apply(g, f, ident) - g.hilbert(f))) < 1e-11
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.integers(1, 12),
+    max_slope=st.floats(0.01, 0.9),
+    n=st.sampled_from([128, 256, 768]),
+)
+def test_hcal_matches_the_route_through_the_inverse_map(seed, n_modes, max_slope, n):
+    # U H U^{-1} f with U^{-1} f = f at the preimages of the nodes, against
+    # U^{-1} as the pull-back through the inverse map: the two differ only
+    # in the rounding of the inverse's node values (4.9e-15 sup|f| measured)
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    m = random_monotone_map(g, rng, n_modes=n_modes, max_slope=max_slope)
+    f = g.dealias(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    oracle = compose_map_apply(g, g.hilbert(compose_map_apply(g, f, inverse_map(m))), m)
+    assert np.max(np.abs(hcal_apply(g, f, m) - oracle)) <= 1e-13 * np.max(np.abs(f))
 
 
 def test_hcal_matches_singular_quadrature():
@@ -327,13 +350,12 @@ def test_hilbert_hcal_difference_scaling():
     assert max(ratios) < 10.0
 
 
-def test_map_keeps_its_inverse_and_jacobian():
+def test_map_keeps_its_jacobian():
     rng = np.random.default_rng(91)
     g = make_grid(128)
     m = random_monotone_map(g, rng)
-    assert m.inverse() is m.inverse()
     assert m.jacobian() is m.jacobian()
-    # a new map with the same deviation starts without them
+    # a new map with the same deviation computes its own
     twin = MonotoneMap(g, m.deviation.copy())
-    assert twin.inverse() is not m.inverse()
-    assert np.array_equal(twin.inverse().deviation, m.inverse().deviation)
+    assert twin.jacobian() is not m.jacobian()
+    assert np.array_equal(twin.jacobian(), m.jacobian())

@@ -12,7 +12,14 @@ from crestwave import cli
 from crestwave.checkpoint import load_checkpoint, save_checkpoint
 from crestwave.cli import _study_specs, main
 from crestwave.config import parse_config
-from crestwave.errors import ConfigError
+from crestwave.errors import (
+    CFLViolationError,
+    ConfigError,
+    CrestwaveError,
+    DegenerateJacobianError,
+    HolomorphicityError,
+    MonotonicityError,
+)
 from crestwave.evolution import StepperConfig, cfl_bound, flat_state, step_rk4
 from crestwave.pair import PairState, build_pair
 from crestwave.spectral import make_grid
@@ -33,7 +40,8 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.grid.n_points == 64
     assert cfg.data.kind == "flat"
     assert cfg.stepper.dt_safety == 0.5
-    assert cfg.output.families == ("sigma",)
+    # empty: simulate picks the families by sigma
+    assert cfg.output.families == ()
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -134,6 +142,25 @@ def test_simulate_flat_run(tmp_path):
     assert os.path.exists(os.path.join(out, "final.ckpt"))
 
 
+@pytest.mark.parametrize(
+    "sigma, families, written",
+    [
+        ("0.0", "", ["sigma", "high", "aux"]),
+        ("0.0", "families = sigma\n", ["sigma"]),
+        ("0.01", "", ["sigma"]),
+    ],
+    ids=["zero-default", "zero-explicit-sigma", "capillary-default"],
+)
+def test_simulate_records_the_families_by_sigma_unless_listed(tmp_path, sigma, families, written):
+    ini = FLAT_INI.replace("sigma = 0.01", f"sigma = {sigma}") + families
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, "f.ini", ini), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("energy_*.csv")) == sorted(
+        f"energy_{f}.csv" for f in written
+    )
+    assert json.loads((out / "run_report.json").read_text())["families"] == written
+
+
 def test_simulate_determinism(tmp_path):
     cfgp = _write(tmp_path, "flat.ini", FLAT_INI)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -152,6 +179,30 @@ def test_cfl_exit_code(tmp_path):
         "[stepper]\nmax_steps = 10\n",
     )
     assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize(
+    "error, err, code",
+    [
+        (CFLViolationError("x"), "CFL failure: x\n", 3),
+        (DegenerateJacobianError("x"), "degeneracy failure: x\n", 4),
+        (HolomorphicityError("x"), "holomorphicity failure: x\n", 5),
+        (MonotonicityError("x"), "degeneracy failure (map): x\n", 4),
+        (CrestwaveError("x"), "run failure: x\n", 1),
+        (ConfigError(["x", "y"]), "config error: x\nconfig error: y\n", 2),
+    ],
+    ids=["cfl", "degenerate", "holomorphicity", "monotonicity", "crestwave", "config"],
+)
+def test_each_failure_kind_has_its_stderr_label_and_exit_code(
+    tmp_path, capsys, monkeypatch, error, err, code
+):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "build_initial_state", fail)
+    cfgp = _write(tmp_path, "flat.ini", FLAT_INI)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_validate_config_exit_codes(tmp_path):

@@ -32,3 +32,13 @@ def test_benchmark_names_are_exported():
         "load_checkpoint", "save_checkpoint", "CrestwaveError", "HolomorphicityError", "pair",
     } <= used
     assert used <= set(cw.__all__), sorted(used - set(cw.__all__))
+
+
+def test_star_import_binds_every_export_once():
+    # a name deleted from a module but left in __all__ fails the star import
+    assert len(cw.__all__) == len(set(cw.__all__))
+    namespace = {}
+    exec("from crestwave import *", namespace)
+    assert {name: namespace[name] for name in cw.__all__} == {
+        name: getattr(cw, name) for name in cw.__all__
+    }
