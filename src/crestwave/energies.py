@@ -98,7 +98,8 @@ def _build_blocks(states):
     names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
     rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)
     return [
-        {"grid": grid, "powers": {}, **dict(zip(names, fields))} for fields in zip(*rows)
+        {"grid": grid, "powers": {}, "sup_Zp12_d1": None, **dict(zip(names, fields))}
+        for fields in zip(*rows)
     ]
 
 
@@ -115,6 +116,23 @@ def _powers(B):
     return power
 
 
+def _sup_norms(grid, rows, blocks):
+    """sup_norm of each of rows, real or complex, and the sup
+    |Z_ap^(1/2) D(1/Z_ap)| of each of blocks, from one stacked sup_norm call.
+
+    That sup is kept in the blocks, unscaled, for the sigma and aux
+    families, and only the blocks that lack it add a row to the stack.
+    Rows of a stack are bit-identical to single calls, so a kept value does
+    not depend on which call filled it.
+    """
+    missing = [B for B in blocks if B["sup_Zp12_d1"] is None]
+    stack = [*rows, *(_powers(B)(0.5) * B["d1"] for B in missing)]
+    sups = grid.sup_norm(np.array(stack, dtype=np.complex128)).tolist() if stack else []
+    for B, sup in zip(missing, sups[len(rows):]):
+        B["sup_Zp12_d1"] = sup
+    return sups[: len(rows)], [B["sup_Zp12_d1"] for B in blocks]
+
+
 def energy_sigma(state):
     """The thirteen-term capillary-gravity energy of one solution; its
     components are computed once per state and kept on it."""
@@ -128,12 +146,13 @@ def _sigma_components(state):
     grid, inv, d1, d2, d3 = B["grid"], B["inv"], B["d1"], B["d2"], B["d3"]
     pw = _powers(B)
     dTheta = grid.deriv(B["Theta"])
+    _, (sup_Zp12_d1,) = _sup_norms(grid, (), (B,))
     return {
         "dap_invZp_L2sq": grid.l2_norm(d1) ** 2,
         "invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(inv * d1) ** 2,
         "sigma_dap_Theta_Hhalfsq": grid.hhalf_norm(s * dTheta) ** 2,
         "sigma16_Zp12_dap_invZp_L2p6": grid.l2_norm(s ** (1 / 6) * pw(0.5) * d1) ** 6,
-        "sigma12_Zp12_dap_invZp_Linfsq": grid.sup_norm(np.sqrt(s) * pw(0.5) * d1) ** 2,
+        "sigma12_Zp12_dap_invZp_Linfsq": s * sup_Zp12_d1 ** 2,
         "sigma12_invZp12_dap2_invZp_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * d2) ** 2,
         "sigma12_invZp32_dap2_invZp_Hhalfsq": grid.hhalf_norm(np.sqrt(s) * pw(-1.5) * d2) ** 2,
         "sigma_invZp_dap3_invZp_L2sq": grid.l2_norm(s * inv * d3) ** 2,
@@ -163,8 +182,9 @@ def energy_aux(state):
     """Six-term auxiliary energy for the zero-surface-tension solution."""
     (B,) = _state_blocks(state)
     grid, pw = B["grid"], _powers(B)
+    _, (sup_Zp12_d1,) = _sup_norms(grid, (), (B,))
     comp = {
-        "Zp12_dap_invZp_Linfsq": grid.sup_norm(pw(0.5) * B["d1"]) ** 2,
+        "Zp12_dap_invZp_Linfsq": sup_Zp12_d1 ** 2,
         "invZp12_dap2_invZp_L2sq": grid.l2_norm(pw(-0.5) * B["d2"]) ** 2,
         "invZp52_dap3_invZp_L2sq": grid.l2_norm(pw(-2.5) * B["d3"]) ** 2,
         "invZp12_dap_Ztapbar_L2sq": grid.l2_norm(pw(-0.5) * B["Ztb2"]) ** 2,
@@ -221,12 +241,13 @@ def energy_delta(pair):
     htil_ap = htil.jacobian()
     dev_j = htil_ap - 1.0
 
-    # the two real sup norms as one stack
-    sup_dev_j, sup_abs_ratio = grid.sup_norm(
-        np.stack([dev_j, abs_a * util_inv_abs_b - 1.0])
-    ).tolist()
+    # the record's one sup_norm call: these three rows, and the kept sups of
+    # a and b that energy_sigma(a) and energy_aux(b) read below
+    (sup_d_omega, sup_dev_j, sup_abs_ratio), _ = _sup_norms(
+        grid, (d_omega, dev_j, abs_a * util_inv_abs_b - 1.0), (Ba, Bb)
+    )
     comp = {
-        "d0_delta_omega_Linfsq": grid.sup_norm(d_omega) ** 2,
+        "d0_delta_omega_Linfsq": sup_d_omega ** 2,
         "d0_htilap_minus1_LinfHhalfsq": (sup_dev_j + grid.hhalf_norm(dev_j)) ** 2,
         "d0_Dapa_htilap_minus1_L2sq": grid.l2_norm(grid.deriv(dev_j) / abs_a) ** 2,
         "d0_absZpa_Util_invabsZpb_minus1_Linfsq": sup_abs_ratio ** 2,

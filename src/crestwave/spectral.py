@@ -39,10 +39,14 @@ _NUFFT_QUAD_NODES = 100
 # kernel weights of nufft_kernel: within 7e-15 of the formula (degree 10 is
 # 1e-12 off, and 12 to 18 all level off at 5e-15 to 9e-15)
 _NUFFT_CHEB_DEGREE = 14
-# sup_norm: refinement of its seed grid, most peaks polished, Newton steps
-_SUP_OVERSAMPLE = 8
+# sup_norm: refinement of its seed grid, most peaks polished per row, and
+# Newton steps.  On white noise over the full band |k| < n/2, a 4x grid
+# with 4 steps is within 5.4e-16 of a 64x Newton-polished oracle (120
+# fields for each n in 64, 256, 768, 2048); 3 steps leave up to 1.5e-13,
+# and a 2x grid misses peaks (4.6e-2 off at n = 256)
+_SUP_OVERSAMPLE = 4
 _SUP_SEEDS = 8
-_SUP_NEWTON_STEPS = 3
+_SUP_NEWTON_STEPS = 4
 
 
 def _require_finite(f, what="field"):
@@ -209,73 +213,95 @@ class SpectralGrid:
         The grid max undershoots the true peak by O((k dx)^2).  Here the
         peak is seeded on a grid _SUP_OVERSAMPLE times finer and polished by
         _SUP_NEWTON_STEPS Newton steps on |f|^2, making the value insensitive
-        to the collocation offset.  Every local maximum of the fine grid
+        to the collocation offset.  Every local maximum of the seed grid
         (spacing h) within the Bernstein bound (k_nyq h)^2 / 8 of its largest
         value is polished (the highest _SUP_SEEDS of them), so a neighbouring
-        peak that the fine grid happens to sample better cannot hide the true
+        peak that the seed grid happens to sample better cannot hide the true
         one.  The polish evaluates f, f' and f'' at its points by direct
         Fourier sums, with the Nyquist coefficient paired with cos(k_nyq x).
-        A seed at which Newton takes no step (a flat or constant field) keeps
-        its value as computed on the fine grid.  A real f is seeded by an
-        inverse real FFT of the half spectrum.
+        The sums run about each point's seed node, whose phases come from an
+        exactly reduced integer, so the rounding of k x at large k x (up to
+        1.2e-13 relative on white noise over the full band at n = 2048)
+        does not enter.  A seed at which Newton takes no step (a flat or
+        constant field) keeps its value as computed on the seed grid.  A
+        real f is seeded by an inverse real FFT of the half spectrum.
 
-        For an (m, n) stack, all rows real or all complex, the result is an
-        array of the m row values, each bit-identical to a single-field
-        call: the stack shares one coefficient and one fine-grid transform,
-        and each row is polished on its own.
+        f may also be an (m, n) stack, all rows real or all complex; the
+        result is then an array of the m row values, each bit-identical to
+        a single-field call.  The stack shares one coefficient transform;
+        each row's seed grid is transformed and searched on its own, which
+        keeps the seed temporaries one row in size; and one Newton loop
+        polishes the seeds of all rows together, with each point's Fourier
+        sums taken along k on their own, so no row sees the others.
         """
         f = np.asarray(f)
         real = np.isrealobj(f)
-        c = self.coeffs(f)
+        rows = f.reshape(-1, self.n)
+        c = self.coeffs(rows)
         n2 = _SUP_OVERSAMPLE * self.n
-        padded = self._padded_coeffs(c, n2, real) * n2
-        mag = np.abs(np.fft.irfft(padded, n2) if real else np.fft.ifft(padded))
-        if f.ndim == 1:
-            return self._polish_peak(f, c, mag)
-        return np.array([self._polish_peak(*row) for row in zip(f, c, mag)])
-
-    def _polish_peak(self, f, c, mag):
-        """sup_norm of the field f with coefficients c, from |f| on its fine
-        seed grid, mag."""
-        h = self.length / mag.size
+        h = self.length / n2
         k, i_ny = self.k, self.nyquist_index
-        c_ny, k_ny = c[i_ny], k[i_ny]
-        # a fine node within h/2 of the true peak is below it by at most
-        # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'')
-        floor = mag.max() * (1.0 - (k_ny * h) ** 2 / 8.0)
-        peaks = np.flatnonzero((mag >= np.roll(mag, 1)) & (mag > np.roll(mag, -1)) & (mag >= floor))
-        if peaks.size == 0:
-            peaks = np.array([int(np.argmax(mag))])
-        seeds = peaks[np.argsort(mag[peaks])[::-1][:_SUP_SEEDS]]
-        # derivative orders 0, 1, 2 of the non-Nyquist modes; the Nyquist
-        # mode, paired with cos(k_nyq x), is added apart
-        c_rest = c.copy()
-        c_rest[i_ny] = 0.0
-        rows = np.stack([c_rest, 1j * k * c_rest, -k * k * c_rest])
+        k_ny = k[i_ny]
+        seeds, seed_rows, seed_mags = [], [], []
+        for r, c_row in enumerate(c):
+            padded = self._padded_coeffs(c_row, n2, real) * n2
+            mag = np.abs(np.fft.irfft(padded, n2) if real else np.fft.ifft(padded))
+            # a seed node within h/2 of the true peak is below it by at most
+            # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'');
+            # only the nodes above that floor are tested for a local maximum
+            high = np.flatnonzero(mag >= mag.max() * (1.0 - (k_ny * h) ** 2 / 8.0))
+            top = mag[high]
+            peaks = high[(top >= mag[high - 1]) & (top > mag[(high + 1) % n2])]
+            if peaks.size == 0:
+                peaks = np.array([int(np.argmax(mag))])
+            peaks = peaks[np.argsort(mag[peaks])[::-1][:_SUP_SEEDS]]
+            seeds.append(peaks)
+            seed_rows.append(np.full(peaks.size, r))
+            seed_mags.append(mag[peaks])
+        row = np.concatenate(seed_rows)
+        seed = np.concatenate(seeds)
+        # each point's coefficients turned to its seed node s h by the phases
+        # exp(i k s h) = exp(2 pi i (k s mod n2) / n2), whose integer part
+        # is reduced exactly, so that the sums below take exp(i k y) of the
+        # small offset y from the node; derivative orders 0, 1, 2 come from
+        # k * (c exp(i k y)).  The Nyquist mode, paired with cos(k_nyq x),
+        # is added apart
+        turn = _unit_roots(n2)[(self.k_int * seed[:, None]) % n2]
+        c_pts = c[row] * turn
+        c_ny, turn_ny = c[row, i_ny], turn[:, i_ny]
+        c_pts[:, i_ny] = 0.0
 
-        def values(x):
-            # exp(i k x) of the modes k < 0 are the conjugates of those of
+        def values(y):
+            # exp(i k y) of the modes k < 0 are the conjugates of those of
             # k > 0 (bit for bit, as cos is even and sin odd in libm), so
             # only half of the phases are computed
-            half = np.exp(1j * np.outer(k[: i_ny + 1], x))
-            v, vp, vpp = rows @ np.concatenate([half, np.conj(half[i_ny - 1 : 0 : -1])])
-            cos, sin = np.cos(k_ny * x), np.sin(k_ny * x)
-            return v + c_ny * cos, vp - k_ny * c_ny * sin, vpp - k_ny * k_ny * c_ny * cos
+            half = np.exp(1j * np.outer(y, k[: i_ny + 1]))
+            terms = c_pts * np.concatenate([half, np.conj(half[:, i_ny - 1 : 0 : -1])], axis=1)
+            k_terms = k * terms
+            # exp(i k_nyq x), whose real part is cos(k_nyq x)
+            cis_ny = turn_ny * half[:, i_ny]
+            return (
+                terms.sum(axis=1) + c_ny * cis_ny.real,
+                1j * k_terms.sum(axis=1) - k_ny * c_ny * cis_ny.imag,
+                -(k * k_terms).sum(axis=1) - k_ny * k_ny * c_ny * cis_ny.real,
+            )
 
-        x = h * seeds
-        active = np.ones(x.size, dtype=bool)
-        moved = np.zeros(x.size, dtype=bool)
+        y = np.zeros(seed.size)
+        active = np.ones(seed.size, dtype=bool)
+        moved = np.zeros(seed.size, dtype=bool)
         for _ in range(_SUP_NEWTON_STEPS):
-            v, vp, vpp = values(x)
+            v, vp, vpp = values(y)
             u1 = 2.0 * (np.conj(v) * vp).real
             u2 = 2.0 * (np.abs(vp) ** 2 + (np.conj(v) * vpp).real)
             active &= u2 < 0.0
             if not active.any():
                 break
-            x = np.where(active, x - u1 / np.where(active, u2, -1.0), x)
+            y = np.where(active, y - u1 / np.where(active, u2, -1.0), y)
             moved |= active
-        val = np.where(moved, np.abs(values(x)[0]), mag[seeds])
-        return float(max(val.max(), np.max(np.abs(f))))
+        val = np.where(moved, np.abs(values(y)[0]), np.concatenate(seed_mags))
+        sup = np.abs(rows).max(axis=1)
+        np.maximum.at(sup, row, val)
+        return float(sup[0]) if f.ndim == 1 else sup
 
     def lp_norm(self, f, p):
         if p == np.inf:
@@ -491,6 +517,14 @@ def _symbol_table(grid, kinds):
         "dealias_deriv3": dealias * deriv ** 3,
     }
     return np.stack([named[kind] for kind in kinds])
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_roots(m):
+    """exp(2 pi i q / m) for q = 0..m-1, read-only; built once per m."""
+    roots = np.exp((2j * np.pi / m) * np.arange(m))
+    roots.flags.writeable = False
+    return roots
 
 
 @functools.lru_cache(maxsize=None)

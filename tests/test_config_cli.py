@@ -22,7 +22,7 @@ from crestwave.errors import (
 )
 from crestwave.evolution import StepperConfig, cfl_bound, flat_state, step_rk4
 from crestwave.pair import PairState, build_pair
-from crestwave.spectral import make_grid
+from crestwave.spectral import SpectralGrid, make_grid
 
 from helpers import folding_maps, random_smooth_state
 
@@ -159,6 +159,25 @@ def test_simulate_records_the_families_by_sigma_unless_listed(tmp_path, sigma, f
         f"energy_{f}.csv" for f in written
     )
     assert json.loads((out / "run_report.json").read_text())["families"] == written
+
+
+def test_zero_sigma_simulate_takes_one_sup_norm_per_record(tmp_path, monkeypatch):
+    # energy_sigma keeps sup |Z_ap^(1/2) D(1/Z_ap)| on the state unscaled
+    # and energy_aux reads it, so no sup norm is taken of sqrt(0) times it
+    calls = []
+    sup_norm = SpectralGrid.sup_norm
+
+    def counted(self, f):
+        calls.append(np.shape(f))
+        return sup_norm(self, f)
+
+    monkeypatch.setattr(SpectralGrid, "sup_norm", counted)
+    ini = FLAT_INI.replace("sigma = 0.01", "sigma = 0.0")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, "z.ini", ini), "--out", str(out)]) == 0
+    records = len((out / "energy_aux.csv").read_text().splitlines()) - 2
+    assert records > 1
+    assert calls == [(1, 128)] * records
 
 
 def test_simulate_determinism(tmp_path):

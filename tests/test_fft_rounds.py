@@ -1,11 +1,14 @@
 """Raw FFT calls of one step and one pair record: each round of independent
-Fourier multipliers is one stacked transform, a derive is two rounds and a
-step's finish one FFT pair, so these counts only grow if a round is split."""
+Fourier multipliers is one stacked transform, a derive is two rounds, a
+step's finish one FFT pair and a record's sup norms one stacked call, so
+these counts only grow if a round is split."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
+from crestwave.energies import energy_aux, energy_delta, energy_sigma, f_delta_norm
 from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
 from crestwave.pair import PairRunSpec, build_pair, co_step
 from crestwave.spectral import SpectralGrid
@@ -87,12 +90,39 @@ def test_record_transform_calls(stepped, fft_calls):
     # 10 multiplier calls (the four stacked block calls of both states, D
     # Theta and D(htilde_ap - 1), the two rounds of one derive of both
     # states, b_ap of each state), the Jacobian of htilde, 10 H^1/2 norms,
-    # four sup norms (the two real ones as one stack), the two complex
-    # spreads through htilde (the h_alpha term rides in the one of
+    # one stacked sup norm of five complex rows (one coefficient transform
+    # for the stack, then the seed grid of each row on its own), the two
+    # complex spreads through htilde (the h_alpha term rides in the one of
     # f_delta_norm) and one real one (the Newton solve of k_b(x) =
     # k_a(alpha) that builds htilde)
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 27, "ifft": 16, "rfft": 1, "irfft": 2}
+    assert fft_calls == {"fft": 24, "ifft": 18, "rfft": 1, "irfft": 1}
+
+
+def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):
+    # energy_delta stacks its three rows with sup |Z_ap^(1/2) D(1/Z_ap)| of
+    # a and of b, and keeps those two on the states for energy_sigma(a)
+    # and energy_aux(b), which then take no sup norm of their own
+    pair, _, _ = stepped
+    a, b = pair.state_a, pair.state_b
+    shapes = []
+    sup_norm = SpectralGrid.sup_norm
+
+    def counted(self, f):
+        shapes.append(np.shape(f))
+        return sup_norm(self, f)
+
+    monkeypatch.setattr(SpectralGrid, "sup_norm", counted)
+    delta = energy_delta(pair)
+    f_delta_norm(pair)
+    sigma_a = energy_sigma(a)
+    aux_b = energy_aux(b)
+    assert shapes == [(5, a.grid.n)]
+    assert delta.components["coupling_sigma_aux_b"] == a.sigma * aux_b.total
+    # the kept values are those of one-row calls on fresh states
+    assert energy_sigma(replace(a)).components == sigma_a.components
+    assert energy_aux(replace(b)).components == aux_b.components
+    assert shapes[1:] == [(1, a.grid.n), (1, a.grid.n)]
