@@ -127,7 +127,7 @@ def _sup_norms(grid, rows, blocks):
     """
     missing = [B for B in blocks if B["sup_Zp12_d1"] is None]
     stack = [*rows, *(_powers(B)(0.5) * B["d1"] for B in missing)]
-    sups = grid.sup_norm(np.array(stack, dtype=np.complex128)).tolist() if stack else []
+    sups = grid.sup_norm(np.array(stack)).tolist() if stack else []
     for B, sup in zip(missing, sups[len(rows):]):
         B["sup_Zp12_d1"] = sup
     return sups[: len(rows)], [B["sup_Zp12_d1"] for B in blocks]

@@ -128,8 +128,8 @@ def estimate_M(state, depth_ladder=None):
     grid = state.grid
     depths = tuple(depth_ladder) if depth_ladder is not None else DEFAULT_DEPTH_LADDER
     # written so that a NaN depth fails too
-    if not (depths and all(y < 0 for y in depths)):
-        raise ValueError(f"the depth ladder must be non-empty and all negative, got {depths}")
+    if not (depths and all(-np.inf < y < 0 for y in depths)):
+        raise ValueError(f"the depth ladder must be non-empty, finite and negative, got {depths}")
 
     for name, f in (("Z_ap - 1", state.Zp - 1.0), ("Zbar_t", np.conj(state.Zt))):
         mass = grid.positive_mode_mass(f)

@@ -97,7 +97,6 @@ class SpectralGrid:
         self._nonpositive = k_int <= 0
         cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
         self._dealias_symbol = (np.abs(k_int) <= cutoff).astype(np.complex128)
-        self._deconv = None
 
     # -- transforms ----------------------------------------------------
 
@@ -153,6 +152,8 @@ class SpectralGrid:
         # written so that a NaN width fails too
         if not eps >= 0.0:
             raise ValueError(f"Poisson smoothing width must be >= 0, got {eps}")
+        if eps == np.inf:
+            raise ValueError("Poisson smoothing width must be finite, got inf")
         if eps == 0.0:
             return np.asarray(f, dtype=np.complex128).copy()
         return self.multiply_symbol(f, np.exp(-eps * np.abs(self.k)))
@@ -223,19 +224,20 @@ class SpectralGrid:
         exactly reduced integer, so the rounding of k x at large k x (up to
         1.2e-13 relative on white noise over the full band at n = 2048)
         does not enter.  A seed at which Newton takes no step (a flat or
-        constant field) keeps its value as computed on the seed grid.  A
-        real f is seeded by an inverse real FFT of the half spectrum.
+        constant field) keeps its value as computed on the seed grid.  Every
+        f, real or complex, is seeded the same way: |f| on the seed grid is
+        sqrt(re^2 + im^2) of its real and imaginary parts refined by
+        _refine, so a real f and f + 0j give the same bits.
 
-        f may also be an (m, n) stack, all rows real or all complex; the
-        result is then an array of the m row values, each bit-identical to
-        a single-field call.  The stack shares one coefficient transform;
-        each row's seed grid is transformed and searched on its own, which
-        keeps the seed temporaries one row in size; and one Newton loop
-        polishes the seeds of all rows together, with each point's Fourier
-        sums taken along k on their own, so no row sees the others.
+        f may also be an (m, n) stack; the result is then an array of the m
+        row values, each bit-identical to a single-field call.  The stack
+        shares one coefficient transform; each row's seed grid is
+        transformed and searched on its own, which keeps the seed
+        temporaries one row in size; and one Newton loop polishes the seeds
+        of all rows together, with each point's Fourier sums taken along k
+        on their own, so no row sees the others.
         """
         f = np.asarray(f)
-        real = np.isrealobj(f)
         rows = f.reshape(-1, self.n)
         c = self.coeffs(rows)
         n2 = _SUP_OVERSAMPLE * self.n
@@ -243,9 +245,10 @@ class SpectralGrid:
         k, i_ny = self.k, self.nyquist_index
         k_ny = k[i_ny]
         seeds, seed_rows, seed_mags = [], [], []
-        for r, c_row in enumerate(c):
-            padded = self._padded_coeffs(c_row, n2, real) * n2
-            mag = np.abs(np.fft.irfft(padded, n2) if real else np.fft.ifft(padded))
+        for r, f_row in enumerate(rows):
+            parts = self._refine(np.stack([f_row.real, f_row.imag]), _SUP_OVERSAMPLE)
+            parts *= parts
+            mag = np.sqrt(parts[0] + parts[1])
             # a seed node within h/2 of the true peak is below it by at most
             # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'');
             # only the nodes above that floor are tested for a local maximum
@@ -337,13 +340,15 @@ class SpectralGrid:
         grid twice as fine and transformed once; each target then sums
         _NUFFT_WIDTH = 16 fine-grid values weighted by the kernel.  The
         interpolant pairs the Nyquist coefficient with cos(k_nyq x), so real
-        f gives a real result.  Matches the direct Fourier sum to about 1e-14
-        relative to sup|f|, Nyquist mode included; on large grids the
-        rounding of the target coordinate adds up to k_max |x| eps.
+        f gives a real result.  A complex f is interpolated as its real and
+        imaginary parts, so each part gives the bits it gives alone.
+        Matches the direct Fourier sum to about 1e-14 relative to sup|f|,
+        Nyquist mode included; on large grids the rounding of the target
+        coordinate adds up to k_max |x| eps.
 
-        f may also be an (m, n) stack of fields, all real or all complex,
-        spread by one batched transform; the result has a leading axis of
-        length m whose row r is bit-identical to interpolate(f[r], x).  To
+        f may also be an (m, n) stack of fields, real or complex, spread by
+        one batched transform; the result has a leading axis of length m
+        whose row r is bit-identical to interpolate(f[r], x).  To
         evaluate at one point set again and again, keep nufft_kernel(x) and
         gather with spread(f).
         """
@@ -389,25 +394,18 @@ class SpectralGrid:
         interpolate(); the returned gather(kernel) sums the kernel-weighted
         fine values of every row at the points of kernel, a nufft_kernel
         result.  gather(nufft_kernel(x)) is interpolate(f, x), bit for
-        bit."""
+        bit.
+
+        The rows are deconvolved and refined to the fine grid by _refine.  A
+        complex f goes through as the rows of its real parts, then its
+        imaginary parts, so real weights multiply real data, and its result
+        is bit for bit that of its real parts plus 1j times that of its
+        imaginary parts."""
         f = np.asarray(f)
-        n, half, w = self.n, self.n // 2, _NUFFT_WIDTH
-        n_fine = 2 * n
-        deconv = self._nufft_deconvolution()
-        lead = f.shape[:-1]
+        w, n_fine = _NUFFT_WIDTH, 2 * self.n
         real = np.isrealobj(f)
-        if real:
-            spec = np.zeros(lead + (n + 1,), dtype=np.complex128)
-            spec[..., : half + 1] = np.fft.rfft(f) * deconv
-            fine = np.fft.irfft(spec, n_fine)
-        else:
-            c = np.fft.fft(f)
-            spec = np.zeros(lead + (n_fine,), dtype=np.complex128)
-            spec[..., : half + 1] = c[..., : half + 1] * deconv
-            spec[..., -half:] = c[..., half:] * deconv[half:0:-1]
-            fine = np.fft.ifft(spec)
-            # real and imaginary parts apart, so real weights multiply real data
-            fine = np.stack([fine.real, fine.imag])
+        rows = f if real else np.stack([f.real, f.imag])
+        fine = self._refine(rows, 2, _nufft_deconvolution(self.n))
         # windows[i] holds fine values j, ..., j + w - 1 (periodically) of
         # row i of the real values, or of the real parts then the
         # imaginary parts
@@ -425,45 +423,19 @@ class SpectralGrid:
 
         return gather
 
-    def _nufft_deconvolution(self):
-        """1 / (n psihat_m) for m = 0..n/2, the Nyquist entry halved.
-
-        psihat_m is the Fourier coefficient of the kernel placed at one fine
-        node; it is (w / 4n) Phi(pi w m / 2n), with Phi the kernel's Fourier
-        transform, so the entries are 4 / (w Phi).  Phi is computed by
-        Gauss-Legendre in theta after z = sin(theta), which removes the
-        square-root behaviour at the kernel's edges.  Built on first use and
-        cached on the grid.
-        """
-        if self._deconv is None:
-            w, half = _NUFFT_WIDTH, self.n // 2
-            nodes, weights = np.polynomial.legendre.leggauss(_NUFFT_QUAD_NODES)
-            theta = 0.5 * np.pi * nodes
-            # dz = cos(theta) dtheta and sqrt(1 - z^2) = cos(theta)
-            kernel = np.exp(_NUFFT_BETA * (np.cos(theta) - 1.0))
-            weights = 0.5 * np.pi * weights * np.cos(theta) * kernel
-            xi = (np.pi * w / (2.0 * self.n)) * np.arange(half + 1)
-            phi_hat = np.cos(np.outer(xi, np.sin(theta))) @ weights
-            deconv = 4.0 / (w * phi_hat)
-            deconv[half] *= 0.5
-            self._deconv = deconv
-        return self._deconv
-
-    def _padded_coeffs(self, c, n_dense, half_spectrum=False):
-        """Coefficients c of this grid (along the last axis) zero-padded to
-        n_dense modes; with half_spectrum, only the modes k = 0..n_dense/2
-        that irfft reads."""
+    def _refine(self, rows, factor, weights=None):
+        """Values on a grid factor times finer of the trigonometric
+        interpolants of the real rows (along the last axis), their modes k =
+        0..n/2 first scaled by weights (by default factor, which gives the
+        values themselves): one rfft, then the Nyquist mode halved, which
+        pairs it with cos(k_nyq x), and one irfft of the zero-padded
+        spectrum.  The only zero-padding of a spectrum in this module: the
+        NUFFT spread and the sup-norm seeds both go through it."""
         half = self.n // 2
-        size = n_dense // 2 + 1 if half_spectrum else n_dense
-        cp = np.zeros(c.shape[:-1] + (size,), dtype=np.complex128)
-        cp[..., :half] = c[..., :half]
-        # split the Nyquist coefficient evenly; equivalent to pairing it
-        # with cos(k_nyq x)
-        cp[..., half] = 0.5 * c[..., half]
-        if not half_spectrum:
-            cp[..., -(half - 1):] = c[..., -(half - 1):]
-            cp[..., -half] = 0.5 * c[..., half]
-        return cp
+        spec = np.zeros(rows.shape[:-1] + (factor * half + 1,), dtype=np.complex128)
+        spec[..., : half + 1] = np.fft.rfft(rows) * (factor if weights is None else weights)
+        spec[..., half] *= 0.5
+        return np.fft.irfft(spec, factor * self.n)
 
     def extend_to_depth(self, f, depth, tol=1e-10):
         """Harmonic extension of a holomorphic boundary field to y = depth < 0.
@@ -472,8 +444,8 @@ class SpectralGrid:
         L2 size); the extension multiplies mode k by exp(-|k| |y|).
         """
         # written so that a NaN depth fails too
-        if not depth < 0.0:
-            raise ValueError(f"depth must be negative, got {depth}")
+        if not -np.inf < depth < 0.0:
+            raise ValueError(f"depth must be finite and negative, got {depth}")
         scale = self.l2_norm(f) + 1e-300
         bad = self.positive_mode_mass(f)
         if bad > tol * max(scale, 1.0):
@@ -525,6 +497,31 @@ def _unit_roots(m):
     roots = np.exp((2j * np.pi / m) * np.arange(m))
     roots.flags.writeable = False
     return roots
+
+
+@functools.lru_cache(maxsize=None)
+def _nufft_deconvolution(n):
+    """1 / (n psihat_m) for m = 0..n/2 on a grid of n points, read-only;
+    built once per n, so equal grids share one table.  _refine halves the
+    Nyquist mode.
+
+    psihat_m is the Fourier coefficient of the kernel placed at one fine
+    node; it is (w / 4n) Phi(pi w m / 2n), with Phi the kernel's Fourier
+    transform, so the entries are 4 / (w Phi).  Phi is computed by
+    Gauss-Legendre in theta after z = sin(theta), which removes the
+    square-root behaviour at the kernel's edges.
+    """
+    w = _NUFFT_WIDTH
+    nodes, weights = np.polynomial.legendre.leggauss(_NUFFT_QUAD_NODES)
+    theta = 0.5 * np.pi * nodes
+    # dz = cos(theta) dtheta and sqrt(1 - z^2) = cos(theta)
+    kernel = np.exp(_NUFFT_BETA * (np.cos(theta) - 1.0))
+    weights = 0.5 * np.pi * weights * np.cos(theta) * kernel
+    xi = (np.pi * w / (2.0 * n)) * np.arange(n // 2 + 1)
+    phi_hat = np.cos(np.outer(xi, np.sin(theta))) @ weights
+    deconv = 4.0 / (w * phi_hat)
+    deconv.flags.writeable = False
+    return deconv
 
 
 @functools.lru_cache(maxsize=None)

@@ -90,16 +90,17 @@ def test_record_transform_calls(stepped, fft_calls):
     # 10 multiplier calls (the four stacked block calls of both states, D
     # Theta and D(htilde_ap - 1), the two rounds of one derive of both
     # states, b_ap of each state), the Jacobian of htilde, 10 H^1/2 norms,
-    # one stacked sup norm of five complex rows (one coefficient transform
-    # for the stack, then the seed grid of each row on its own), the two
-    # complex spreads through htilde (the h_alpha term rides in the one of
-    # f_delta_norm) and one real one (the Newton solve of k_b(x) =
-    # k_a(alpha) that builds htilde)
+    # and one stacked sup norm of five complex rows (one coefficient
+    # transform for the stack); then one rfft/irfft pair for each of the
+    # five seed grids (the real and imaginary parts of one row) and for each
+    # of the three spreads: the two complex ones through htilde (the h_alpha
+    # term rides in the one of f_delta_norm) and the real one of the Newton
+    # solve of k_b(x) = k_a(alpha) that builds htilde
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 24, "ifft": 18, "rfft": 1, "irfft": 1}
+    assert fft_calls == {"fft": 22, "ifft": 11, "rfft": 8, "irfft": 8}
 
 
 def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):

@@ -141,9 +141,10 @@ def test_estimate_m_rejects_nonholomorphic():
         estimate_M(st)
 
 
-@pytest.mark.parametrize("ladder", [[-0.5, float("nan")], [], [-0.5, 0.0]])
+@pytest.mark.parametrize("ladder", [[-0.5, float("nan")], [], [-0.5, 0.0], [-0.5, -float("inf")]])
 def test_estimate_m_refuses_a_nan_nonnegative_or_empty_ladder(ladder):
-    # a NaN depth would otherwise be dropped and an empty ladder give 0
+    # a NaN or infinite depth would otherwise be dropped and an empty
+    # ladder give 0
     st = crest_data(CrestSpec(nu=0.35, regularization_delta=0.05), make_grid(64))
     with pytest.raises(ValueError, match="depth ladder"):
         estimate_M(st, depth_ladder=ladder)

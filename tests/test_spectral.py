@@ -353,12 +353,14 @@ def test_interpolate_at_the_grid_nodes_is_exact_to_rounding():
     [
         lambda g, f: g.extend_to_depth(f, np.nan),
         lambda g, f: g.extend_to_depth(f, 0.0),
+        lambda g, f: g.extend_to_depth(f, -np.inf),
+        lambda g, f: g.poisson_smooth(f, np.inf),
         lambda g, f: g.lp_norm(f, np.nan),
         lambda g, f: g.lp_norm(f, 0.0),
         lambda g, f: g.sobolev_norm(f, np.nan),
         lambda g, f: g.sobolev_norm(f, np.inf),
     ],
-    ids=["depth-nan", "depth-zero", "p-nan", "p-zero", "s-nan", "s-inf"],
+    ids=["depth-nan", "depth-zero", "depth-inf", "width-inf", "p-nan", "p-zero", "s-nan", "s-inf"],
 )
 def test_grid_helpers_refuse_bad_parameters(call):
     g = make_grid(16)
@@ -384,18 +386,28 @@ def test_stacked_evaluator_rows_are_bit_identical_to_interpolate(n):
     rng = np.random.default_rng(n + 1)
     x = rng.uniform(-g.length, 2 * g.length, 300)
     real = rng.standard_normal((5, n))
-    for stack in (real, real + 1j * rng.standard_normal((5, n))):
+    imag = rng.standard_normal((5, n))
+    for stack in (real, real + 1j * imag):
         out = g.interpolate(stack, x)
         assert out.shape == (5, 300)
         assert np.iscomplexobj(out) == np.iscomplexobj(stack)
         for row, f in zip(out, stack):
             assert np.array_equal(row, g.interpolate(f, x))
+    # a complex stack is its real parts and its imaginary parts, and a real
+    # row cast to complex pulls back with the bits of the real row
+    parts = g.interpolate(real, x) + 1j * g.interpolate(imag, x)
+    assert g.interpolate(real + 1j * imag, x).tobytes() == parts.tobytes()
+    assert np.array_equal(g.interpolate(real[2] + 0j, x), g.interpolate(real[2], x))
 
 
 def _dense_sup_oracle(g, f, oversample=64, newton_steps=6):
-    """max |f| of the trigonometric interpolant: argmax on a grid
-    `oversample` times finer, then Newton on |f|^2 with every value, first
-    and second derivative taken by direct Fourier sums about that node.
+    """max |f| of the trigonometric interpolant: every local maximum of |f|
+    on a grid `oversample` times finer (spacing h) within the Bernstein
+    bound (k_nyq h)^2 / 8 of the grid's largest value, each polished by
+    Newton on |f|^2 with every value, first and second derivative taken by
+    direct Fourier sums about its node, and the largest polished value.
+    Polishing only the grid's argmax can polish the lower of two nearly
+    equal peaks.
 
     The sums see only the offset y from the node j L / n2: the coefficients
     are first turned by exp(2 pi i (k j mod n2) / n2), whose integer phase
@@ -407,14 +419,16 @@ def _dense_sup_oracle(g, f, oversample=64, newton_steps=6):
     c = np.fft.fft(f) / g.n
     cp = np.zeros(n2, dtype=complex)
     cp[g.k_int % n2] = c  # the fields below carry no Nyquist content
-    j = int(np.argmax(np.abs(np.fft.ifft(cp) * n2)))
-    c = c * np.exp(2j * np.pi * ((g.k_int * j) % n2) / n2)
-    y = 0.0
+    mag = np.abs(np.fft.ifft(cp) * n2)
+    floor = mag.max() * (1.0 - (g.k[g.nyquist_index] * g.length / n2) ** 2 / 8.0)
+    nodes = np.flatnonzero((mag >= floor) & (mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1)))
+    c = c * np.exp(2j * np.pi * ((g.k_int * nodes[:, None]) % n2) / n2)
+    y = np.zeros((len(nodes), 1))
     for _ in range(newton_steps):
         terms = c * np.exp(1j * g.k * y)
-        v, vp, vpp = terms.sum(), (1j * g.k * terms).sum(), (-g.k * g.k * terms).sum()
-        y -= (np.conj(v) * vp).real / (abs(vp) ** 2 + (np.conj(v) * vpp).real)
-    return abs((c * np.exp(1j * g.k * y)).sum())
+        v, vp, vpp = terms.sum(1), (1j * g.k * terms).sum(1), (-g.k * g.k * terms).sum(1)
+        y -= ((np.conj(v) * vp).real / (abs(vp) ** 2 + (np.conj(v) * vpp).real))[:, None]
+    return np.abs((c * np.exp(1j * g.k * y)).sum(1)).max()
 
 
 @pytest.mark.parametrize("n", [64, 256, 768, 2048])
@@ -438,6 +452,23 @@ def test_sup_norm_of_band_limited_fields_matches_dense_oracle(n):
             assert abs(g.sup_norm(f) - exact) <= 1e-13 * exact, (top, trial)
 
 
+def test_dense_sup_oracle_polishes_every_near_top_peak():
+    # field 201 of real full-band white noise drawn as above from
+    # default_rng(1768) at n = 768: two peaks of nearly equal height, where
+    # polishing only the argmax of the oracle's grid gives 88.679164
+    n = 768
+    g = make_grid(n, length=3.0)
+    rng = np.random.default_rng(1768)
+    band = np.abs(g.k_int) <= n // 2 - 1
+    for _ in range(202):
+        c = np.zeros(n, dtype=complex)
+        c[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
+    f = (np.fft.ifft(c) * n).real
+    exact = _dense_sup_oracle(g, f)
+    assert abs(exact - 88.684415) <= 1e-6
+    assert abs(g.sup_norm(f) - exact) <= 1e-13 * exact
+
+
 @pytest.mark.parametrize("n", [64, 768, 2048])
 def test_stacked_sup_norm_rows_are_bit_identical_to_single_calls(n):
     g = make_grid(n, length=3.0)
@@ -457,6 +488,9 @@ def test_stacked_sup_norm_rows_are_bit_identical_to_single_calls(n):
         assert sups.shape == (len(stack),)
         for f, sup in zip(stack, sups):
             assert sup.tobytes() == np.float64(g.sup_norm(f)).tobytes()
+    # one seed path: a real field and the same field cast to complex
+    for f in complex_stack.real:
+        assert np.float64(g.sup_norm(f)).tobytes() == np.float64(g.sup_norm(f + 0j)).tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 768])

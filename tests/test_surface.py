@@ -2,7 +2,10 @@
 what the benchmark reaches."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import crestwave as cw
 
@@ -14,6 +17,25 @@ def test_every_export_imports_and_is_documented():
     for name in cw.__all__:
         getattr(cw, name)
         assert f"`{name}`" in readme or f"crestwave.{name}`" in readme, name
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # numpy is the one dependency; scipy or hypothesis may be installed, so
+    # a stray import of either would pass every other test.  A fresh
+    # interpreter compares its modules before and after the import, since
+    # start-up may load site packages of its own through .pth files
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import crestwave, crestwave.cli\n"
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert {"crestwave", "numpy"} <= added
+    assert added - set(sys.stdlib_module_names) - {"numpy", "crestwave"} == set()
 
 
 def test_benchmark_names_are_exported():
