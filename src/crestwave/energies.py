@@ -1,7 +1,5 @@
 """The energy functionals.
 
-Families:
-
 * ``sigma``   capillary-gravity energy; thirteen weighted terms (nine in the
               first group, four velocity terms), sigma-weighted ones vanish
               identically at sigma = 0
@@ -12,14 +10,16 @@ Families:
               Delta(f) = f_a - U(f_b), plus the coupling term sigma * aux(b)
 * ``f_delta`` uniqueness-grade difference norm (seven first-power terms)
 
-Every report carries its named components separately; totals are sums of
-the stored components.  Fractional powers of Z_ap use the continuous
-branch of log Z_ap carried by the state.
+Each family is a table of terms (column name, norm, field builder) in the
+order of its components, which the CSV header reads too; totals are sums of
+the components.  Fractional powers of Z_ap use the continuous branch of log
+Z_ap carried by the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,39 +37,36 @@ class EnergyReport:
     def total(self):
         return float(sum(self.components.values()))
 
+    @property
+    def columns(self):
+        """The component names of the family, from its term table."""
+        return tuple(column for column, _, _ in _TABLES[self.family])
+
     def csv_header(self):
-        return "time," + ",".join(self.components) + ",total"
+        return "time," + ",".join(self.columns) + ",total"
 
     def csv_row(self):
         vals = [self.time, *self.components.values(), self.total]
         return ",".join("%.17g" % v for v in vals)
 
     def to_json_dict(self):
-        return {
-            "family": self.family,
-            "time": self.time,
-            "components": {k: float(v) for k, v in self.components.items()},
-            "total": self.total,
-        }
+        components = {k: float(v) for k, v in self.components.items()}
+        return {"family": self.family, "time": self.time, "components": components,
+                "total": self.total}
 
 
 def _state_blocks(*states):
     """Shared ingredients of all families for states on one grid, kept on
-    each state.
-
-    The states whose blocks are not yet kept are built together in one
-    stacked pass, and the blocks of each are bit-identical to building
-    that state alone.  The numerical solution lives on the dealiased band,
-    so every nonlinear ingredient is rebuilt band-limited before
-    derivatives are taken: the ringing that pointwise division leaves
-    above the filter cutoff is representation debris, and the
-    k^3-amplified weighted norms would otherwise be dominated by it on
-    marginally resolved states.
-    """
+    each state; those not yet kept are built in one stacked pass, and each
+    state's are bit-identical to building it alone.  The numerical solution
+    lives on the dealiased band, so every nonlinear ingredient is rebuilt
+    band-limited before derivatives are taken: the ringing that pointwise
+    division leaves above the filter cutoff is representation debris, and
+    the k^3-amplified weighted norms would otherwise be dominated by it on
+    marginally resolved states."""
     new = [st for st in states if "energy_blocks" not in st._memo]
-    if new:
-        for st, blocks in zip(new, _build_blocks(new)):
-            st._memo["energy_blocks"] = blocks
+    for st, blocks in zip(new, _build_blocks(new) if new else ()):
+        st._memo["energy_blocks"] = blocks
     return [st._memo["energy_blocks"] for st in states]
 
 
@@ -91,16 +88,12 @@ def _build_blocks(states):
     # H q, q = omega D 1/Z_ap,band
     omega = Zp_band / np.abs(Zp_band)
     q = omega * d1
-    h_q = grid.hilbert(q)
-    Theta = 1j * q - 1j * (q - h_q).real
+    Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
     g_band = continue_angle(Zp_band, np.array([st.g for st in states]))
     log_Zp = np.log(np.abs(Zp_band)) + 1j * g_band
     names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
     rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)
-    return [
-        {"grid": grid, "powers": {}, "sup_Zp12_d1": None, **dict(zip(names, fields))}
-        for fields in zip(*rows)
-    ]
+    return [{"grid": grid, "powers": {}, **dict(zip(names, fields))} for fields in zip(*rows)]
 
 
 def _powers(B):
@@ -116,152 +109,166 @@ def _powers(B):
     return power
 
 
-def _sup_norms(grid, rows, blocks):
-    """sup_norm of each of rows, real or complex, and the sup
-    |Z_ap^(1/2) D(1/Z_ap)| of each of blocks, from one stacked sup_norm call.
+# a term is w * (sum of the norms kinds of its field) ** power, w the sigma
+# of its state if weighted, else 1; a zero weight takes no norm
+_NORMS = {
+    "L2": (("L2",), 1, False), "L2sq": (("L2",), 2, False), "L2p6": (("L2",), 6, False),
+    "Hhalf": (("Hhalf",), 1, False), "Hhalfsq": (("Hhalf",), 2, False),
+    "Linfsq": (("Linf",), 2, False), "sigma Linfsq": (("Linf",), 2, True),
+    "(Linf + Hhalf)sq": (("Linf", "Hhalf"), 2, False),
+}
+# the families of one state: a builder reads its blocks, its sigma s and
+# its powers pw of Z_ap
+_SIGMA = (
+    ("dap_invZp_L2sq", "L2sq", lambda x: x.d1),
+    ("invZp_dap_invZp_Hhalfsq", "Hhalfsq", lambda x: x.inv * x.d1),
+    ("sigma_dap_Theta_Hhalfsq", "Hhalfsq", lambda x: x.s * x.grid.deriv(x.Theta)),
+    ("sigma16_Zp12_dap_invZp_L2p6", "L2p6", lambda x: x.s ** (1 / 6) * x.pw(0.5) * x.d1),
+    ("sigma12_Zp12_dap_invZp_Linfsq", "sigma Linfsq", lambda x: x.pw(0.5) * x.d1),
+    ("sigma12_invZp12_dap2_invZp_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw(-0.5) * x.d2),
+    ("sigma12_invZp32_dap2_invZp_Hhalfsq", "Hhalfsq", lambda x: np.sqrt(x.s) * x.pw(-1.5) * x.d2),
+    ("sigma_invZp_dap3_invZp_L2sq", "L2sq", lambda x: x.s * x.inv * x.d3),
+    ("sigma_invZp2_dap3_invZp_Hhalfsq", "Hhalfsq", lambda x: x.s * x.pw(-2.0) * x.d3),
+    ("Ztapbar_L2sq", "L2sq", lambda x: x.Ztb1),
+    ("invZp2_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-2.0) * x.Ztb2),
+    ("sigma12_invZp12_dap_Ztapbar_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw(-0.5) * x.Ztb2),
+    ("sigma12_invZp52_dap2_Ztapbar_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw(-2.5) * x.Ztb3),
+)
+_HIGH = (
+    ("dap_invZp_L2sq", "L2sq", lambda x: x.d1),
+    ("invZp2_dap2_invZp_L2sq", "L2sq", lambda x: x.pw(-2.0) * x.d2),
+    ("Ztapbar_L2sq", "L2sq", lambda x: x.Ztb1),
+    ("invZp2_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-2.0) * x.Ztb2),
+    ("invZp3_dap_Ztapbar_Hhalfsq", "Hhalfsq", lambda x: x.pw(-3.0) * x.Ztb2),
+)
+_AUX = (
+    ("Zp12_dap_invZp_Linfsq", "Linfsq", lambda x: x.pw(0.5) * x.d1),
+    ("invZp12_dap2_invZp_L2sq", "L2sq", lambda x: x.pw(-0.5) * x.d2),
+    ("invZp52_dap3_invZp_L2sq", "L2sq", lambda x: x.pw(-2.5) * x.d3),
+    ("invZp12_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-0.5) * x.Ztb2),
+    ("invZp52_dap2_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-2.5) * x.Ztb3),
+    ("invZp72_dap2_Ztapbar_Hhalfsq", "Hhalfsq", lambda x: x.pw(-3.5) * x.Ztb3),
+)
+# the difference energy in the order of the display: its own terms, of the
+# fields that energy_delta prepares, those of energy_sigma(a) ("sigma(a)")
+# by their column there, and the coupling sigma_a E_aux(b)
+_DELTA = (
+    ("d0_delta_omega_Linfsq", "Linfsq", lambda x: x.omega),
+    ("d0_htilap_minus1_LinfHhalfsq", "(Linf + Hhalf)sq", lambda x: x.dev_j),
+    ("d0_Dapa_htilap_minus1_L2sq", "L2sq", lambda x: x.grid.deriv(x.dev_j) / x.abs_a),
+    ("d0_absZpa_Util_invabsZpb_minus1_Linfsq", "Linfsq", lambda x: x.abs_a * x.inv_abs - 1.0),
+    ("d1_delta_dap_invZp_L2sq", "L2sq", lambda x: x.d1),
+    ("d1_delta_invZp_dap_invZp_Hhalfsq", "Hhalfsq", lambda x: x.inv_d1),
+    *(("d1_a_" + name, "sigma(a)", name) for name in (
+        "sigma16_Zp12_dap_invZp_L2p6", "sigma12_Zp12_dap_invZp_Linfsq",
+        "sigma12_invZp12_dap2_invZp_L2sq", "sigma12_invZp32_dap2_invZp_Hhalfsq",
+        "sigma_dap_Theta_Hhalfsq", "sigma_invZp_dap3_invZp_L2sq",
+        "sigma_invZp2_dap3_invZp_Hhalfsq")),
+    ("d2_delta_Ztapbar_L2sq", "L2sq", lambda x: x.Ztb1),
+    ("d2_delta_invZp2_dap_Ztapbar_L2sq", "L2sq", lambda x: x.Ztb2),
+    *(("d2_a_" + name, "sigma(a)", name) for name in (
+        "sigma12_invZp12_dap_Ztapbar_L2sq", "sigma12_invZp52_dap2_Ztapbar_L2sq")),
+    ("coupling_sigma_aux_b", "coupling", None),
+)
+# the uniqueness-grade norm, of the differences that f_delta_norm prepares
+_F_DELTA = (
+    ("fd_delta_Zt_Hhalf", "Hhalf", lambda x: x.Zt),
+    ("fd_delta_Ztt_Hhalf", "Hhalf", lambda x: x.Ztt),
+    ("fd_delta_invZp_Hhalf", "Hhalf", lambda x: x.invZp),
+    ("fd_delta_halpha_L2", "L2", lambda x: x.halpha),
+    ("fd_delta_DapZt_L2", "L2", lambda x: x.DapZt),
+    ("fd_delta_A1_L2", "L2", lambda x: x.A1),
+    ("fd_delta_bap_L2", "L2", lambda x: x.bap),
+)
+_TABLES = {"sigma": _SIGMA, "high": _HIGH, "aux": _AUX, "delta": _DELTA, "f_delta": _F_DELTA}
 
-    That sup is kept in the blocks, unscaled, for the sigma and aux
-    families, and only the blocks that lack it add a row to the stack.
-    Rows of a stack are bit-identical to single calls, so a kept value does
-    not depend on which call filled it.
-    """
-    missing = [B for B in blocks if B["sup_Zp12_d1"] is None]
-    stack = [*rows, *(_powers(B)(0.5) * B["d1"] for B in missing)]
-    sups = grid.sup_norm(np.array(stack)).tolist() if stack else []
-    for B, sup in zip(missing, sups[len(rows):]):
-        B["sup_Zp12_d1"] = sup
-    return sups[: len(rows)], [B["sup_Zp12_d1"] for B in blocks]
+
+def _evaluate(grid, families, pair_jobs=()):
+    """The components of each of families, (state, family name) pairs, and
+    of each of pair_jobs, (terms, x) with x what the builders of terms read,
+    from one pass over the pair jobs and the families not yet kept on their
+    states, which are then kept: L2 norms one field at a time, all H^1/2
+    norms from one stacked hhalf_norm call and all L-infinity norms from one
+    stacked sup_norm call, whose rows give the bits of single-field calls."""
+    new = [(st, name) for st, name in families if "energy_" + name not in st._memo]
+    jobs = [*pair_jobs, *((_TABLES[name], SimpleNamespace(**B, s=st.sigma, pw=_powers(B)))
+                          for (st, name), B in zip(new, _state_blocks(*(st for st, _ in new))))]
+    terms = []
+    for j, (table, x) in enumerate(jobs):
+        for column, norm, build in table:
+            kinds, power, weighted = _NORMS[norm]
+            w = x.s if weighted else 1.0
+            terms.append((j, column, kinds if w else (), power, w, build(x) if w else None))
+    stacked = {}
+    for kind, norm_of in (("Hhalf", grid.hhalf_norm), ("Linf", grid.sup_norm)):
+        fields = [f for _, _, kinds, _, _, f in terms if kind in kinds]
+        stacked[kind] = iter(norm_of(np.array(fields)).tolist() if fields else ())
+    comps = [{} for _ in jobs]
+    for j, column, kinds, power, w, f in terms:
+        v = sum(grid.l2_norm(f) if kind == "L2" else next(stacked[kind]) for kind in kinds)
+        comps[j][column] = w * v ** power
+    for (st, name), comp in zip(new, comps[len(pair_jobs):]):
+        st._memo["energy_" + name] = comp
+    return [st._memo["energy_" + name] for st, name in families], comps[: len(pair_jobs)]
+
+
+def _state_report(state, family):
+    (comp,), _ = _evaluate(state.grid, [(state, family)])
+    return EnergyReport(family, state.time, dict(comp))
 
 
 def energy_sigma(state):
-    """The thirteen-term capillary-gravity energy of one solution; its
-    components are computed once per state and kept on it."""
-    comp = state._cached("energy_sigma", _sigma_components)
-    return EnergyReport("sigma", state.time, dict(comp))
-
-
-def _sigma_components(state):
-    s = state.sigma
-    (B,) = _state_blocks(state)
-    grid, inv, d1, d2, d3 = B["grid"], B["inv"], B["d1"], B["d2"], B["d3"]
-    pw = _powers(B)
-    dTheta = grid.deriv(B["Theta"])
-    _, (sup_Zp12_d1,) = _sup_norms(grid, (), (B,))
-    return {
-        "dap_invZp_L2sq": grid.l2_norm(d1) ** 2,
-        "invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(inv * d1) ** 2,
-        "sigma_dap_Theta_Hhalfsq": grid.hhalf_norm(s * dTheta) ** 2,
-        "sigma16_Zp12_dap_invZp_L2p6": grid.l2_norm(s ** (1 / 6) * pw(0.5) * d1) ** 6,
-        "sigma12_Zp12_dap_invZp_Linfsq": s * sup_Zp12_d1 ** 2,
-        "sigma12_invZp12_dap2_invZp_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * d2) ** 2,
-        "sigma12_invZp32_dap2_invZp_Hhalfsq": grid.hhalf_norm(np.sqrt(s) * pw(-1.5) * d2) ** 2,
-        "sigma_invZp_dap3_invZp_L2sq": grid.l2_norm(s * inv * d3) ** 2,
-        "sigma_invZp2_dap3_invZp_Hhalfsq": grid.hhalf_norm(s * pw(-2.0) * d3) ** 2,
-        "Ztapbar_L2sq": grid.l2_norm(B["Ztb1"]) ** 2,
-        "invZp2_dap_Ztapbar_L2sq": grid.l2_norm(pw(-2.0) * B["Ztb2"]) ** 2,
-        "sigma12_invZp12_dap_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * B["Ztb2"]) ** 2,
-        "sigma12_invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-2.5) * B["Ztb3"]) ** 2,
-    }
+    """The thirteen-term capillary-gravity energy of one solution."""
+    return _state_report(state, "sigma")
 
 
 def energy_high(state):
     """Five-term higher-order energy for zero surface tension."""
-    (B,) = _state_blocks(state)
-    grid, pw = B["grid"], _powers(B)
-    comp = {
-        "dap_invZp_L2sq": grid.l2_norm(B["d1"]) ** 2,
-        "invZp2_dap2_invZp_L2sq": grid.l2_norm(pw(-2.0) * B["d2"]) ** 2,
-        "Ztapbar_L2sq": grid.l2_norm(B["Ztb1"]) ** 2,
-        "invZp2_dap_Ztapbar_L2sq": grid.l2_norm(pw(-2.0) * B["Ztb2"]) ** 2,
-        "invZp3_dap_Ztapbar_Hhalfsq": grid.hhalf_norm(pw(-3.0) * B["Ztb2"]) ** 2,
-    }
-    return EnergyReport("high", state.time, comp)
+    return _state_report(state, "high")
 
 
 def energy_aux(state):
     """Six-term auxiliary energy for the zero-surface-tension solution."""
-    (B,) = _state_blocks(state)
-    grid, pw = B["grid"], _powers(B)
-    _, (sup_Zp12_d1,) = _sup_norms(grid, (), (B,))
-    comp = {
-        "Zp12_dap_invZp_Linfsq": sup_Zp12_d1 ** 2,
-        "invZp12_dap2_invZp_L2sq": grid.l2_norm(pw(-0.5) * B["d2"]) ** 2,
-        "invZp52_dap3_invZp_L2sq": grid.l2_norm(pw(-2.5) * B["d3"]) ** 2,
-        "invZp12_dap_Ztapbar_L2sq": grid.l2_norm(pw(-0.5) * B["Ztb2"]) ** 2,
-        "invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(pw(-2.5) * B["Ztb3"]) ** 2,
-        "invZp72_dap2_Ztapbar_Hhalfsq": grid.hhalf_norm(pw(-3.5) * B["Ztb3"]) ** 2,
-    }
-    return EnergyReport("aux", state.time, comp)
+    return _state_report(state, "aux")
 
 
-# the families of one solution, by name: those that `simulate` records and
-# that [output] families may list
+# the families of one solution by name, which `simulate` records and [output] lists
 STATE_FAMILIES = {"sigma": energy_sigma, "high": energy_high, "aux": energy_aux}
 
 
-# term names of energy_sigma reused verbatim for the sigma-weighted part of
-# the difference energy (solution a only), in the order of the display
-_DELTA1_SIGMA_TERMS = (
-    "sigma16_Zp12_dap_invZp_L2p6",
-    "sigma12_Zp12_dap_invZp_Linfsq",
-    "sigma12_invZp12_dap2_invZp_L2sq",
-    "sigma12_invZp32_dap2_invZp_Hhalfsq",
-    "sigma_dap_Theta_Hhalfsq",
-    "sigma_invZp_dap3_invZp_L2sq",
-    "sigma_invZp2_dap3_invZp_Hhalfsq",
-)
-_DELTA2_SIGMA_TERMS = (
-    "sigma12_invZp12_dap_Ztapbar_L2sq",
-    "sigma12_invZp52_dap2_Ztapbar_L2sq",
-)
+def _differences(grid, fields_a, fields_b, htil):
+    """Delta(f) = f_a - f_b o htilde by name, as a namespace; a field of b
+    without a partner in fields_a comes back as f_b o htilde.  The fields of
+    b go through htilde in one stacked pull-back of real rows, a complex one
+    as its real and its imaginary row, a real one as one row, so each comes
+    back bit for bit as pulled back alone."""
+    rows = [r for f in fields_b.values()
+            for r in ((f.real, f.imag) if np.iscomplexobj(f) else (f,))]
+    pulled = iter(compose_map_apply(grid, np.array(rows), htil))
+    x = SimpleNamespace(grid=grid)
+    for name, f in fields_b.items():
+        f_b = next(pulled) + 1j * next(pulled) if np.iscomplexobj(f) else next(pulled)
+        setattr(x, name, fields_a[name] - f_b if name in fields_a else f_b)
+    return x
 
 
 def energy_delta(pair):
-    """Full difference energy for a (sigma, 0) solution pair.
-
-    Delta-terms subtract in Lagrangian labels through the composed map
-    (Delta(f) = f_a - f_b o htilde); the htilde-terms live on the composed
-    map itself, and the coupling term is sigma_a times the auxiliary energy
-    of the zero-surface-tension solution.
-    """
+    """Full difference energy for a (sigma, 0) solution pair, evaluated in
+    one pass with energy_sigma(a) and energy_aux(b).  Delta-terms subtract
+    in Lagrangian labels through the composed map (Delta(f) = f_a - f_b o
+    htilde); the htilde-terms live on the composed map itself, and the
+    coupling term is sigma_a times the auxiliary energy of solution b."""
     a, b = pair.state_a, pair.state_b
-    grid = a.grid
-    Ba, Bb = _state_blocks(a, b)
-    pwa, pwb = _powers(Ba), _powers(Bb)
     htil = pair.map_tilde
-
-    # all fields of b go through htilde in one stacked pull-back
-    fields_a = (Ba["omega"], Ba["d1"], Ba["inv"] * Ba["d1"], Ba["Ztb1"], pwa(-2.0) * Ba["Ztb2"])
-    fields_b = (Bb["omega"], Bb["d1"], Bb["inv"] * Bb["d1"], Bb["Ztb1"], pwb(-2.0) * Bb["Ztb2"])
-    pulled = compose_map_apply(grid, np.stack(fields_b + (1.0 / np.abs(b.Zp),)), htil)
-    d_omega, d_d1, d_inv_d1, d_Ztb1, d_Ztb2 = (fa - fb for fa, fb in zip(fields_a, pulled))
-    util_inv_abs_b = pulled[-1].real
-
-    abs_a = np.abs(a.Zp)
-    htil_ap = htil.jacobian()
-    dev_j = htil_ap - 1.0
-
-    # the record's one sup_norm call: these three rows, and the kept sups of
-    # a and b that energy_sigma(a) and energy_aux(b) read below
-    (sup_d_omega, sup_dev_j, sup_abs_ratio), _ = _sup_norms(
-        grid, (d_omega, dev_j, abs_a * util_inv_abs_b - 1.0), (Ba, Bb)
-    )
-    comp = {
-        "d0_delta_omega_Linfsq": sup_d_omega ** 2,
-        "d0_htilap_minus1_LinfHhalfsq": (sup_dev_j + grid.hhalf_norm(dev_j)) ** 2,
-        "d0_Dapa_htilap_minus1_L2sq": grid.l2_norm(grid.deriv(dev_j) / abs_a) ** 2,
-        "d0_absZpa_Util_invabsZpb_minus1_Linfsq": sup_abs_ratio ** 2,
-        "d1_delta_dap_invZp_L2sq": grid.l2_norm(d_d1) ** 2,
-        "d1_delta_invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(d_inv_d1) ** 2,
-    }
-    sig_a = energy_sigma(a)
-    for name in _DELTA1_SIGMA_TERMS:
-        comp["d1_a_" + name] = sig_a.components[name]
-    comp["d2_delta_Ztapbar_L2sq"] = grid.l2_norm(d_Ztb1) ** 2
-    comp["d2_delta_invZp2_dap_Ztapbar_L2sq"] = grid.l2_norm(d_Ztb2) ** 2
-    for name in _DELTA2_SIGMA_TERMS:
-        comp["d2_a_" + name] = sig_a.components[name]
-    comp["coupling_sigma_aux_b"] = a.sigma * energy_aux(b).total
+    fa, fb = ({"omega": B["omega"], "d1": B["d1"], "inv_d1": B["inv"] * B["d1"], "Ztb1": B["Ztb1"],
+               "Ztb2": _powers(B)(-2.0) * B["Ztb2"]} for B in _state_blocks(a, b))
+    fb["inv_abs"] = 1.0 / np.abs(b.Zp)
+    x = _differences(a.grid, fa, fb, htil)
+    x.abs_a, x.dev_j = np.abs(a.Zp), htil.jacobian() - 1.0
+    own_terms = [term for term in _DELTA if term[1] in _NORMS]
+    (sigma_a, aux_b), (own,) = _evaluate(a.grid, [(a, "sigma"), (b, "aux")], [(own_terms, x)])
+    own["coupling_sigma_aux_b"] = a.sigma * sum(aux_b.values())
+    comp = {c: sigma_a[name] if norm == "sigma(a)" else own[c] for c, norm, name in _DELTA}
     return EnergyReport("delta", pair.time, comp)
 
 
@@ -269,55 +276,44 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     """Uniqueness-grade difference norm in the conformal frame of solution a.
 
     Seven first-power components: H^1/2 of Delta(Z_t), Delta(Z_tt),
-    Delta(1/Z_ap); L2 of Delta(h_alpha o h^-1), Delta(D_a Z_t), Delta(A1)
-    and Delta(b_ap).
-
-    With k = h^{-1}, the map the pair holds, h_alpha o h^{-1} = 1 / k_alpha
-    on the grid, so Delta(h_alpha o h^-1) is 1/k_a,alpha -
-    (1/k_b,alpha) o htilde: one more row of the pull-back through htilde,
-    and no inverse is built beyond the one of htilde.  Unless both
-    derived_a and derived_b are given, the compute_derived fields of the
-    two solutions come from one derive_states pass.
+    Delta(1/Z_ap); L2 of Delta(h_alpha o h^-1) (with k = h^{-1}, the map
+    the pair holds, h_alpha o h^{-1} = 1 / k_alpha on the grid),
+    Delta(D_a Z_t), Delta(A1) and Delta(b_ap).  derived_a and derived_b,
+    the compute_derived fields of the pair's states, are given together or
+    not at all (then one derive_states pass makes them); ValueError
+    otherwise, or if they belong to other states.
     """
     a, b = pair.state_a, pair.state_b
-    grid = a.grid
-    if derived_a is None or derived_b is None:
+    if (derived_a is None) != (derived_b is None):
+        raise ValueError("f_delta_norm takes derived_a and derived_b together or neither")
+    if derived_a is None:
         derived_a, derived_b = derive_states((a, b))
-
-    def fields(st, der, k):
-        return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1, der.b_ap,
-                1.0 / k.jacobian())
-
-    # all fields of b go through htilde in one stacked pull-back; the real
-    # ones (A1, b_ap, 1/k_alpha) keep the real part
-    fields_a = fields(a, derived_a, pair.k_a)
-    pulled = compose_map_apply(grid, np.stack(fields(b, derived_b, pair.k_b)), pair.map_tilde)
-    d_Zt, d_Ztt, d_invZp, d_DapZt, d_A1, d_bap, d_halpha = (
-        fa - (fb.real if np.isrealobj(fa) else fb) for fa, fb in zip(fields_a, pulled)
-    )
-    comp = {
-        "fd_delta_Zt_Hhalf": grid.hhalf_norm(d_Zt),
-        "fd_delta_Ztt_Hhalf": grid.hhalf_norm(d_Ztt),
-        "fd_delta_invZp_Hhalf": grid.hhalf_norm(d_invZp),
-        "fd_delta_halpha_L2": grid.l2_norm(d_halpha),
-        "fd_delta_DapZt_L2": grid.l2_norm(d_DapZt),
-        "fd_delta_A1_L2": grid.l2_norm(d_A1),
-        "fd_delta_bap_L2": grid.l2_norm(d_bap),
-    }
+    for name, st, der in (("derived_a", a, derived_a), ("derived_b", b, derived_b)):
+        if der.Zp is not st.Zp or der.Zt is not st.Zt:
+            raise ValueError(f"{name} holds the derived fields of another state")
+    fa, fb = ({"Zt": st.Zt, "Ztt": der.Ztt, "invZp": 1.0 / st.Zp, "DapZt": der.Ztap / st.Zp,
+               "A1": der.A1, "bap": der.b_ap, "halpha": 1.0 / k.jacobian()}
+              for st, der, k in ((a, derived_a, pair.k_a), (b, derived_b, pair.k_b)))
+    x = _differences(a.grid, fa, fb, pair.map_tilde)
+    _, (comp,) = _evaluate(a.grid, (), [(_F_DELTA, x)])
     return EnergyReport("f_delta", pair.time, comp)
 
 
 def write_reports_csv(path, reports):
     """One CSV per family: header comment with the schema version, then one
-    row per time with the named components in stable order."""
+    row per time with the named components in stable order.  The reports
+    must all be of one family and carry its columns in order; this is
+    checked before the file is opened, so a refused list writes nothing."""
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to write")
     family = reports[0].family
+    for r in reports:
+        if r.family != family or tuple(r.components) != r.columns:
+            raise ValueError(f"a {family} CSV takes {family} reports with its columns only, "
+                             f"not the {r.family} report at t = {r.time:.6g}")
     with open(path, "w") as fh:
         fh.write(f"# crestwave-csv v1 family={family}\n")
         fh.write(reports[0].csv_header() + "\n")
         for r in reports:
-            if r.family != family:
-                raise ValueError("mixed families in one CSV")
             fh.write(r.csv_row() + "\n")

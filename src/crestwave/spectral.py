@@ -23,6 +23,7 @@ fields never see the difference.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -40,10 +41,10 @@ _NUFFT_QUAD_NODES = 100
 # 1e-12 off, and 12 to 18 all level off at 5e-15 to 9e-15)
 _NUFFT_CHEB_DEGREE = 14
 # sup_norm: refinement of its seed grid, most peaks polished per row, and
-# Newton steps.  On white noise over the full band |k| < n/2, a 4x grid
-# with 4 steps is within 5.4e-16 of a 64x Newton-polished oracle (120
-# fields for each n in 64, 256, 768, 2048); 3 steps leave up to 1.5e-13,
-# and a 2x grid misses peaks (4.6e-2 off at n = 256)
+# Newton steps at most.  On white noise over the full band |k| < n/2, a 4x
+# grid with 4 steps is within 8.0e-16 of a 64x Newton-polished oracle (120
+# fields, half of them real, for each n in 64, 256, 768, 2048); 3 steps
+# leave up to 2.2e-12, and a 2x grid misses peaks (4.6e-2 off at n = 256)
 _SUP_OVERSAMPLE = 4
 _SUP_SEEDS = 8
 _SUP_NEWTON_STEPS = 4
@@ -167,13 +168,14 @@ class SpectralGrid:
         (a dealias_fraction = 1 grid keeps every mode), and Z_ap - 1 and
         Zbar_t lose their k > 0 content (Nyquist included; the k = 0 mode
         is kept in full, unlike P_H).  Further rows, such as the map
-        deviations of a pair step, are only dealiased.
-        Returns the (len(rows), m, n) stack of the new rows and the (2, m)
-        L2 masses removed from Z_ap - 1 and from Zbar_t.  The modes k > 0
-        of Zbar_t are the conjugates of the modes k < 0 of Z_t, so both
-        masses come from the one spectrum of (Zdev, Z_ap - 1, Z_t);
-        transforming Z_ap - 1, not Z_ap, keeps the rounding of the
-        transform relative to the deviation.
+        deviations of a pair step, are only dealiased, and the derivatives
+        D of the dealiased further rows follow them, from the same spectrum.
+        Returns the (len(rows) + len(more), m, n) stack of the new rows and
+        those derivatives, and the (2, m) L2 masses removed from Z_ap - 1
+        and from Zbar_t.  The modes k > 0 of Zbar_t are the conjugates of
+        the modes k < 0 of Z_t, so both masses come from the one spectrum of
+        (Zdev, Z_ap - 1, Z_t); transforming Z_ap - 1, not Z_ap, keeps the
+        rounding of the transform relative to the deviation.
 
         For (m, n) stacks each row and its masses are bit-identical to a
         call on that row alone.
@@ -181,6 +183,8 @@ class SpectralGrid:
         Zdev, Zp, Zt, *more = rows
         c = np.fft.fft((Zdev, Zp - 1.0, Zt, *more))
         c *= self._dealias_symbol
+        if more:
+            c = np.concatenate([c, c[3:] * self._deriv_symbol])
         half = self.n // 2
         # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
         zp_pos, zt_neg = c[1, ..., 1 : half + 1], c[2, ..., half:]
@@ -212,99 +216,146 @@ class SpectralGrid:
         """Supremum of |f| for the trigonometric interpolant of f.
 
         The grid max undershoots the true peak by O((k dx)^2).  Here the
-        peak is seeded on a grid _SUP_OVERSAMPLE times finer and polished by
-        _SUP_NEWTON_STEPS Newton steps on |f|^2, making the value insensitive
-        to the collocation offset.  Every local maximum of the seed grid
-        (spacing h) within the Bernstein bound (k_nyq h)^2 / 8 of its largest
-        value is polished (the highest _SUP_SEEDS of them), so a neighbouring
-        peak that the seed grid happens to sample better cannot hide the true
-        one.  The polish evaluates f, f' and f'' at its points by direct
-        Fourier sums, with the Nyquist coefficient paired with cos(k_nyq x).
-        The sums run about each point's seed node, whose phases come from an
-        exactly reduced integer, so the rounding of k x at large k x (up to
-        1.2e-13 relative on white noise over the full band at n = 2048)
-        does not enter.  A seed at which Newton takes no step (a flat or
-        constant field) keeps its value as computed on the seed grid.  Every
-        f, real or complex, is seeded the same way: |f| on the seed grid is
-        sqrt(re^2 + im^2) of its real and imaginary parts refined by
-        _refine, so a real f and f + 0j give the same bits.
+        peak is seeded on a grid _SUP_OVERSAMPLE times finer (_sup_seeds)
+        and polished by at most _SUP_NEWTON_STEPS Newton steps on |f|^2,
+        making the value insensitive to the collocation offset.  The polish evaluates
+        f, f' and f'' at its points by direct Fourier sums, with the Nyquist
+        coefficient paired with cos(k_nyq x).  The sums run about each
+        point's seed node, whose phases come from an exactly reduced
+        integer, so the rounding of k x at large k x (up to 1.2e-13 relative
+        on white noise over the full band at n = 2048) does not enter.  The
+        phases exp(i k y) of the offset y from the node are products of a
+        coarse and a fine table, exp(i k_qB y) exp(i k_r y) for k = k_(qB +
+        r), formed with real arithmetic, so that each point takes about
+        sqrt(n) complex exponentials, not n / 2.  A seed at which Newton
+        takes no step (a flat or constant field) keeps its value as
+        computed on the seed grid.
 
         f may also be an (m, n) stack; the result is then an array of the m
         row values, each bit-identical to a single-field call.  The stack
-        shares one coefficient transform; each row's seed grid is
-        transformed and searched on its own, which keeps the seed
-        temporaries one row in size; and one Newton loop polishes the seeds
-        of all rows together, with each point's Fourier sums taken along k
-        on their own, so no row sees the others.
+        shares one coefficient transform and one refinement; each row's seed
+        grid is searched on its own; and one Newton loop polishes the seeds
+        of all rows together, with each point's sums one matrix product of
+        its own, so no row sees the others.
         """
         f = np.asarray(f)
         rows = f.reshape(-1, self.n)
         c = self.coeffs(rows)
+        row, seed, seed_mag = self._sup_seeds(c)
         n2 = _SUP_OVERSAMPLE * self.n
-        h = self.length / n2
-        k, i_ny = self.k, self.nyquist_index
-        k_ny = k[i_ny]
-        seeds, seed_rows, seed_mags = [], [], []
-        for r, f_row in enumerate(rows):
-            parts = self._refine(np.stack([f_row.real, f_row.imag]), _SUP_OVERSAMPLE)
-            parts *= parts
-            mag = np.sqrt(parts[0] + parts[1])
-            # a seed node within h/2 of the true peak is below it by at most
-            # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'');
-            # only the nodes above that floor are tested for a local maximum
-            high = np.flatnonzero(mag >= mag.max() * (1.0 - (k_ny * h) ** 2 / 8.0))
-            top = mag[high]
-            peaks = high[(top >= mag[high - 1]) & (top > mag[(high + 1) % n2])]
-            if peaks.size == 0:
-                peaks = np.array([int(np.argmax(mag))])
-            peaks = peaks[np.argsort(mag[peaks])[::-1][:_SUP_SEEDS]]
-            seeds.append(peaks)
-            seed_rows.append(np.full(peaks.size, r))
-            seed_mags.append(mag[peaks])
-        row = np.concatenate(seed_rows)
-        seed = np.concatenate(seeds)
+        i_ny = self.nyquist_index
         # each point's coefficients turned to its seed node s h by the phases
         # exp(i k s h) = exp(2 pi i (k s mod n2) / n2), whose integer part
-        # is reduced exactly, so that the sums below take exp(i k y) of the
-        # small offset y from the node; derivative orders 0, 1, 2 come from
-        # k * (c exp(i k y)).  The Nyquist mode, paired with cos(k_nyq x),
-        # is added apart
+        # is reduced exactly, so that the sums below take p_k = exp(i k y) =
+        # a_k + i b_k of the small offset y from the node.  As p_-k is the
+        # conjugate of p_k, f is the sum over k = 0..n/2 of A a + B b, with
+        # A = c_k + c_-k and B = i (c_k - c_-k) (c_-0 = 0), and f' and f''
+        # are those of A (-k b) + B (k a) and -(A k^2 a + B k^2 b).  The
+        # Nyquist mode, paired with cos(k_nyq x), has A = c_nyq Re t and
+        # B = -c_nyq Im t, with t its turn
         turn = _unit_roots(n2)[(self.k_int * seed[:, None]) % n2]
         c_pts = c[row] * turn
-        c_ny, turn_ny = c[row, i_ny], turn[:, i_ny]
-        c_pts[:, i_ny] = 0.0
+        neg = c_pts[:, : i_ny : -1]
+        A, B = c_pts[:, :i_ny].copy(), c_pts[:, :i_ny].copy()
+        A[:, 1:] += neg
+        B[:, 1:] -= neg
+        B *= 1j
+        c_ny, t_ny = c[row, i_ny], turn[:, i_ny]
+        # modes 0..n/2 as q B + r: the coarse wavenumbers k_qB and the fine k_r
+        fine_size = math.isqrt(i_ny) + 1
+        q_r = np.arange(0, i_ny + 1, fine_size)
+        k_coarse, k_fine = self.k[q_r], self.k[:fine_size]
+        width = q_r.size * fine_size
+        k_table = (TWO_PI / self.length) * np.arange(width)
+        # coefs[point, part] is the real (part 0) or imaginary part of [A |
+        # B], zero above Nyquist; x[point] has the columns [a | b], [-k b |
+        # k a] and [k^2 a | k^2 b], so that coefs @ x gives f, f' and -f''
+        coefs = np.zeros((seed.size, 2, 2, width))
+        for part, of in enumerate((np.real, np.imag)):
+            coefs[:, part, 0, :i_ny], coefs[:, part, 1, :i_ny] = of(A), of(B)
+            coefs[:, part, 0, i_ny] = of(c_ny) * t_ny.real
+            coefs[:, part, 1, i_ny] = -of(c_ny) * t_ny.imag
+        coefs = coefs.reshape(seed.size, 2, 2 * width)
+        # freed before the Newton loop, whose arrays then reuse their memory
+        del turn, c_pts, neg, A, B
+        x = np.empty((seed.size, 2, width, 3))
+        weights = (-k_table, k_table, k_table * k_table)
 
         def values(y):
-            # exp(i k y) of the modes k < 0 are the conjugates of those of
-            # k > 0 (bit for bit, as cos is even and sin odd in libm), so
-            # only half of the phases are computed
-            half = np.exp(1j * np.outer(y, k[: i_ny + 1]))
-            terms = c_pts * np.concatenate([half, np.conj(half[:, i_ny - 1 : 0 : -1])], axis=1)
-            k_terms = k * terms
-            # exp(i k_nyq x), whose real part is cos(k_nyq x)
-            cis_ny = turn_ny * half[:, i_ny]
-            return (
-                terms.sum(axis=1) + c_ny * cis_ny.real,
-                1j * k_terms.sum(axis=1) - k_ny * c_ny * cis_ny.imag,
-                -(k * k_terms).sum(axis=1) - k_ny * k_ny * c_ny * cis_ny.real,
-            )
+            """The (real, imaginary) parts of f, f' and -f'' at the offsets y
+            from the seed nodes, as (3, points) arrays."""
+            coarse = np.exp(1j * np.outer(y, k_coarse))[:, :, None]
+            fine = np.exp(1j * np.outer(y, k_fine))[:, None, :]
+            a, b = x[:, 0, :, 0], x[:, 1, :, 0]
+            a3, b3 = (t.reshape(y.size, q_r.size, fine_size) for t in (a, b))
+            np.multiply(coarse.real, fine.real, out=a3)
+            a3 -= coarse.imag * fine.imag
+            np.multiply(coarse.real, fine.imag, out=b3)
+            b3 += coarse.imag * fine.real
+            np.multiply(weights[0], b, out=x[:, 0, :, 1])
+            np.multiply(weights[1], a, out=x[:, 1, :, 1])
+            np.multiply(weights[2], a, out=x[:, 0, :, 2])
+            np.multiply(weights[2], b, out=x[:, 1, :, 2])
+            sums = coefs @ x.reshape(y.size, 2 * width, 3)
+            return sums[:, 0].T, sums[:, 1].T
 
+        # a point steps while |f|^2 is concave there and the rise u1^2 / 2|u2|
+        # that Newton predicts for the step is above 1e-17 |f|^2, a change of
+        # |f| far below an ulp; the value of a point is that of its last
+        # evaluation, which is at its last y whichever way the loop ends
         y = np.zeros(seed.size)
-        active = np.ones(seed.size, dtype=bool)
         moved = np.zeros(seed.size, dtype=bool)
         for _ in range(_SUP_NEWTON_STEPS):
-            v, vp, vpp = values(y)
-            u1 = 2.0 * (np.conj(v) * vp).real
-            u2 = 2.0 * (np.abs(vp) ** 2 + (np.conj(v) * vpp).real)
-            active &= u2 < 0.0
-            if not active.any():
+            (vr, pr, qr), (vi, pi, qi) = values(y)
+            u1 = 2.0 * (vr * pr + vi * pi)
+            u2 = 2.0 * (pr * pr + pi * pi - vr * qr - vi * qi)
+            step = (u2 < 0.0) & (u1 * u1 > -u2 * 2e-17 * (vr * vr + vi * vi))
+            if not step.any():
                 break
-            y = np.where(active, y - u1 / np.where(active, u2, -1.0), y)
-            moved |= active
-        val = np.where(moved, np.abs(values(y)[0]), np.concatenate(seed_mags))
+            y = np.where(step, y - u1 / np.where(step, u2, -1.0), y)
+            moved |= step
+        else:
+            (vr, _, _), (vi, _, _) = values(y)
+        val = np.where(moved, np.sqrt(vr * vr + vi * vi), seed_mag)
         sup = np.abs(rows).max(axis=1)
         np.maximum.at(sup, row, val)
         return float(sup[0]) if f.ndim == 1 else sup
+
+    def _sup_seeds(self, c):
+        """The seeds of sup_norm for the rows of coefficients c: the row, the
+        seed-grid node and |f| there of each seed.  The half spectra of the
+        real and imaginary parts of each row, (c_k + conj c_-k) / 2 and (c_k
+        - conj c_-k) / 2i, are refined by one _refine of all rows, and |f|
+        on the seed grid (spacing h) is sqrt(re^2 + im^2).  Every local
+        maximum within the Bernstein bound (k_nyq h)^2 / 8 of the row's
+        largest value is a seed (the highest _SUP_SEEDS of them)."""
+        n2, i_ny = _SUP_OVERSAMPLE * self.n, self.nyquist_index
+        floor = 1.0 - (self.k[i_ny] * self.length / n2) ** 2 / 8.0
+        pos = c[:, : i_ny + 1]
+        neg = np.conj(c[:, -np.arange(i_ny + 1) % self.n])
+        spec = np.stack([pos + neg, (pos - neg) * -1j])
+        spec *= 0.5 * _SUP_OVERSAMPLE * self.n
+        parts = self._refine(spec, _SUP_OVERSAMPLE)
+        parts *= parts
+        mags = np.add(parts[0], parts[1], out=parts[0])
+        np.sqrt(mags, out=mags)
+        # a seed node within h/2 of the true peak is below it by at most
+        # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'');
+        # only the nodes above that floor are tested for a local maximum
+        row, node = np.nonzero(mags >= mags.max(axis=1, keepdims=True) * floor)
+        top = mags[row, node]
+        peak = (top >= mags[row, node - 1]) & (top > mags[row, (node + 1) % n2])
+        # a row without a local maximum (a constant field) is seeded at its
+        # largest value
+        flat = np.setdiff1d(np.arange(len(mags)), row[peak])
+        row = np.concatenate([row[peak], flat])
+        node = np.concatenate([node[peak], mags[flat].argmax(axis=1)])
+        top = mags[row, node]
+        # the highest _SUP_SEEDS of each row
+        order = np.lexsort((-top, row))
+        row, node, top = row[order], node[order], top[order]
+        keep = np.arange(row.size) - np.searchsorted(row, row) < _SUP_SEEDS
+        return row[keep], node[keep], top[keep]
 
     def lp_norm(self, f, p):
         if p == np.inf:
@@ -315,9 +366,13 @@ class SpectralGrid:
         return float((self.dx * np.sum(np.abs(f) ** p)) ** (1.0 / p))
 
     def hhalf_norm(self, f):
-        """Homogeneous H^{1/2} seminorm, computed on the Fourier side."""
+        """Homogeneous H^{1/2} seminorm, computed on the Fourier side.  f
+        may also be an (m, n) stack, real or complex rows; the result is
+        then an array of the m row values from one coefficient transform,
+        each bit-identical to a single-field call."""
         c = self.coeffs(f)
-        return float(np.sqrt(self.length * np.sum(np.abs(self.k) * np.abs(c) ** 2)))
+        norm = np.sqrt(self.length * np.sum(np.abs(self.k) * np.abs(c) ** 2, axis=-1))
+        return float(norm) if np.ndim(f) == 1 else norm
 
     def sobolev_norm(self, f, s):
         """Inhomogeneous H^s norm with weight (1 + k^2)^s on |c_k|^2."""
@@ -405,7 +460,7 @@ class SpectralGrid:
         w, n_fine = _NUFFT_WIDTH, 2 * self.n
         real = np.isrealobj(f)
         rows = f if real else np.stack([f.real, f.imag])
-        fine = self._refine(rows, 2, _nufft_deconvolution(self.n))
+        fine = self._refine(np.fft.rfft(rows) * _nufft_deconvolution(self.n), 2)
         # windows[i] holds fine values j, ..., j + w - 1 (periodically) of
         # row i of the real values, or of the real parts then the
         # imaginary parts
@@ -423,18 +478,16 @@ class SpectralGrid:
 
         return gather
 
-    def _refine(self, rows, factor, weights=None):
-        """Values on a grid factor times finer of the trigonometric
-        interpolants of the real rows (along the last axis), their modes k =
-        0..n/2 first scaled by weights (by default factor, which gives the
-        values themselves): one rfft, then the Nyquist mode halved, which
-        pairs it with cos(k_nyq x), and one irfft of the zero-padded
+    def _refine(self, spec, factor):
+        """Values on a grid factor times finer of the real trigonometric
+        interpolants whose half spectra (modes k = 0..n/2, along the last
+        axis) are spec / factor, in the scaling of rfft; weights multiplied
+        into spec, such as the deconvolution of spread, scale the modes.
+        The Nyquist mode of spec is halved in place, which pairs it with
+        cos(k_nyq x), and one irfft of length factor n zero-pads the
         spectrum.  The only zero-padding of a spectrum in this module: the
         NUFFT spread and the sup-norm seeds both go through it."""
-        half = self.n // 2
-        spec = np.zeros(rows.shape[:-1] + (factor * half + 1,), dtype=np.complex128)
-        spec[..., : half + 1] = np.fft.rfft(rows) * (factor if weights is None else weights)
-        spec[..., half] *= 0.5
+        spec[..., self.n // 2] *= 0.5
         return np.fft.irfft(spec, factor * self.n)
 
     def extend_to_depth(self, f, depth, tol=1e-10):

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from crestwave.brackets import MonotoneMap, compose_map_apply
+from crestwave.energies import _powers, _state_blocks
 from crestwave.errors import DegenerateJacobianError
-from crestwave.evolution import ABS_ZP_FLOOR, _rates, compute_derived
+from crestwave.evolution import ABS_ZP_FLOOR, _rates, compute_derived, derive_states
 from crestwave.spectral import _NUFFT_BETA, _NUFFT_WIDTH
 
 
@@ -396,3 +397,131 @@ def delta_field(pair, name):
     fa = select(a.grid, a, compute_derived(a), pair.k_a)
     fb = select(b.grid, b, compute_derived(b), pair.k_b)
     return fa - compose_map_apply(a.grid, fb, pair.map_tilde)
+
+
+# -- energy families term by term ---------------------------------------------------
+#
+# The families as written before their term tables: each component its own
+# norm call, every L-infinity norm a single-field sup_norm call.  The blocks
+# and powers are those of crestwave.energies.
+
+
+def energy_sigma_terms(state):
+    """The thirteen components of energy_sigma, term by term."""
+    s = state.sigma
+    (B,) = _state_blocks(state)
+    grid, inv, d1, d2, d3 = B["grid"], B["inv"], B["d1"], B["d2"], B["d3"]
+    pw = _powers(B)
+    dTheta = grid.deriv(B["Theta"])
+    sup_Zp12_d1 = grid.sup_norm(pw(0.5) * d1)
+    return {
+        "dap_invZp_L2sq": grid.l2_norm(d1) ** 2,
+        "invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(inv * d1) ** 2,
+        "sigma_dap_Theta_Hhalfsq": grid.hhalf_norm(s * dTheta) ** 2,
+        "sigma16_Zp12_dap_invZp_L2p6": grid.l2_norm(s ** (1 / 6) * pw(0.5) * d1) ** 6,
+        "sigma12_Zp12_dap_invZp_Linfsq": s * sup_Zp12_d1 ** 2,
+        "sigma12_invZp12_dap2_invZp_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * d2) ** 2,
+        "sigma12_invZp32_dap2_invZp_Hhalfsq": grid.hhalf_norm(np.sqrt(s) * pw(-1.5) * d2) ** 2,
+        "sigma_invZp_dap3_invZp_L2sq": grid.l2_norm(s * inv * d3) ** 2,
+        "sigma_invZp2_dap3_invZp_Hhalfsq": grid.hhalf_norm(s * pw(-2.0) * d3) ** 2,
+        "Ztapbar_L2sq": grid.l2_norm(B["Ztb1"]) ** 2,
+        "invZp2_dap_Ztapbar_L2sq": grid.l2_norm(pw(-2.0) * B["Ztb2"]) ** 2,
+        "sigma12_invZp12_dap_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * B["Ztb2"]) ** 2,
+        "sigma12_invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-2.5) * B["Ztb3"]) ** 2,
+    }
+
+
+def energy_aux_terms(state):
+    """The six components of energy_aux, term by term."""
+    (B,) = _state_blocks(state)
+    grid, pw = B["grid"], _powers(B)
+    return {
+        "Zp12_dap_invZp_Linfsq": grid.sup_norm(pw(0.5) * B["d1"]) ** 2,
+        "invZp12_dap2_invZp_L2sq": grid.l2_norm(pw(-0.5) * B["d2"]) ** 2,
+        "invZp52_dap3_invZp_L2sq": grid.l2_norm(pw(-2.5) * B["d3"]) ** 2,
+        "invZp12_dap_Ztapbar_L2sq": grid.l2_norm(pw(-0.5) * B["Ztb2"]) ** 2,
+        "invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(pw(-2.5) * B["Ztb3"]) ** 2,
+        "invZp72_dap2_Ztapbar_Hhalfsq": grid.hhalf_norm(pw(-3.5) * B["Ztb3"]) ** 2,
+    }
+
+
+# term names of energy_sigma reused verbatim for the sigma-weighted part of
+# the difference energy (solution a only), in the order of the display
+_DELTA1_SIGMA_TERMS = (
+    "sigma16_Zp12_dap_invZp_L2p6",
+    "sigma12_Zp12_dap_invZp_Linfsq",
+    "sigma12_invZp12_dap2_invZp_L2sq",
+    "sigma12_invZp32_dap2_invZp_Hhalfsq",
+    "sigma_dap_Theta_Hhalfsq",
+    "sigma_invZp_dap3_invZp_L2sq",
+    "sigma_invZp2_dap3_invZp_Hhalfsq",
+)
+_DELTA2_SIGMA_TERMS = (
+    "sigma12_invZp12_dap_Ztapbar_L2sq",
+    "sigma12_invZp52_dap2_Ztapbar_L2sq",
+)
+
+
+def energy_delta_terms(pair):
+    """The components of energy_delta, term by term, with the fields of b
+    pulled back through htilde as one complex stack."""
+    a, b = pair.state_a, pair.state_b
+    grid = a.grid
+    Ba, Bb = _state_blocks(a, b)
+    pwa, pwb = _powers(Ba), _powers(Bb)
+    htil = pair.map_tilde
+
+    fields_a = (Ba["omega"], Ba["d1"], Ba["inv"] * Ba["d1"], Ba["Ztb1"], pwa(-2.0) * Ba["Ztb2"])
+    fields_b = (Bb["omega"], Bb["d1"], Bb["inv"] * Bb["d1"], Bb["Ztb1"], pwb(-2.0) * Bb["Ztb2"])
+    pulled = compose_map_apply(grid, np.stack(fields_b + (1.0 / np.abs(b.Zp),)), htil)
+    d_omega, d_d1, d_inv_d1, d_Ztb1, d_Ztb2 = (fa - fb for fa, fb in zip(fields_a, pulled))
+    util_inv_abs_b = pulled[-1].real
+
+    abs_a = np.abs(a.Zp)
+    htil_ap = htil.jacobian()
+    dev_j = htil_ap - 1.0
+    comp = {
+        "d0_delta_omega_Linfsq": grid.sup_norm(d_omega) ** 2,
+        "d0_htilap_minus1_LinfHhalfsq": (grid.sup_norm(dev_j) + grid.hhalf_norm(dev_j)) ** 2,
+        "d0_Dapa_htilap_minus1_L2sq": grid.l2_norm(grid.deriv(dev_j) / abs_a) ** 2,
+        "d0_absZpa_Util_invabsZpb_minus1_Linfsq":
+            grid.sup_norm(abs_a * util_inv_abs_b - 1.0) ** 2,
+        "d1_delta_dap_invZp_L2sq": grid.l2_norm(d_d1) ** 2,
+        "d1_delta_invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(d_inv_d1) ** 2,
+    }
+    sig_a = energy_sigma_terms(a)
+    for name in _DELTA1_SIGMA_TERMS:
+        comp["d1_a_" + name] = sig_a[name]
+    comp["d2_delta_Ztapbar_L2sq"] = grid.l2_norm(d_Ztb1) ** 2
+    comp["d2_delta_invZp2_dap_Ztapbar_L2sq"] = grid.l2_norm(d_Ztb2) ** 2
+    for name in _DELTA2_SIGMA_TERMS:
+        comp["d2_a_" + name] = sig_a[name]
+    comp["coupling_sigma_aux_b"] = a.sigma * float(sum(energy_aux_terms(b).values()))
+    return comp
+
+
+def f_delta_norm_terms(pair):
+    """The components of f_delta_norm, term by term, with the fields of b
+    pulled back through htilde as one complex stack."""
+    a, b = pair.state_a, pair.state_b
+    grid = a.grid
+    derived_a, derived_b = derive_states((a, b))
+
+    def fields(st, der, k):
+        return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1, der.b_ap,
+                1.0 / k.jacobian())
+
+    fields_a = fields(a, derived_a, pair.k_a)
+    pulled = compose_map_apply(grid, np.stack(fields(b, derived_b, pair.k_b)), pair.map_tilde)
+    d_Zt, d_Ztt, d_invZp, d_DapZt, d_A1, d_bap, d_halpha = (
+        fa - (fb.real if np.isrealobj(fa) else fb) for fa, fb in zip(fields_a, pulled)
+    )
+    return {
+        "fd_delta_Zt_Hhalf": grid.hhalf_norm(d_Zt),
+        "fd_delta_Ztt_Hhalf": grid.hhalf_norm(d_Ztt),
+        "fd_delta_invZp_Hhalf": grid.hhalf_norm(d_invZp),
+        "fd_delta_halpha_L2": grid.l2_norm(d_halpha),
+        "fd_delta_DapZt_L2": grid.l2_norm(d_DapZt),
+        "fd_delta_A1_L2": grid.l2_norm(d_A1),
+        "fd_delta_bap_L2": grid.l2_norm(d_bap),
+    }

@@ -162,8 +162,9 @@ def test_simulate_records_the_families_by_sigma_unless_listed(tmp_path, sigma, f
 
 
 def test_zero_sigma_simulate_takes_one_sup_norm_per_record(tmp_path, monkeypatch):
-    # energy_sigma keeps sup |Z_ap^(1/2) D(1/Z_ap)| on the state unscaled
-    # and energy_aux reads it, so no sup norm is taken of sqrt(0) times it
+    # the L-infinity term of energy_sigma is sigma times sup |Z_ap^(1/2)
+    # D(1/Z_ap)|^2, and a term of zero weight takes no norm, so at sigma = 0
+    # only energy_aux takes that sup
     calls = []
     sup_norm = SpectralGrid.sup_norm
 

@@ -13,12 +13,19 @@ from crestwave.energies import (
     f_delta_norm,
     write_reports_csv,
 )
-from crestwave.evolution import compute_derived, flat_state, make_state
-from crestwave.pair import PairRunSpec, build_pair, init_pair
+from crestwave.evolution import StepperConfig, cfl_bound, compute_derived, flat_state, make_state
+from crestwave.pair import PairRunSpec, PairState, build_pair, co_step, init_pair
 from crestwave.spectral import make_grid
 
 from helpers import random_real_field, random_smooth_state, refine_state
-from oracles import blocks_chained, weighted_norm
+from oracles import (
+    blocks_chained,
+    energy_aux_terms,
+    energy_delta_terms,
+    energy_sigma_terms,
+    f_delta_norm_terms,
+    weighted_norm,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -260,3 +267,67 @@ def test_csv_round_trip(tmp_path):
     assert header[0] == "time" and header[-1] == "total"
     assert len(header) == len(row) == 2 + len(reports[0].components)
     assert abs(float(row[-1]) - reports[0].total) < 1e-15
+
+def test_write_reports_csv_refuses_before_opening(tmp_path):
+    # a list of two families, and one whose report lacks a column of its
+    # family, are refused before the file is opened: no truncated CSV
+    st = random_smooth_state(make_grid(64), np.random.default_rng(404), sigma=1e-2, amp=0.1)
+    sigma = energy_sigma(st)
+    short = replace(sigma, components=dict(list(sigma.components.items())[1:]))
+    for name, reports in (("mixed", [sigma, energy_high(st)]), ("short", [sigma, short])):
+        path = tmp_path / f"{name}.csv"
+        with pytest.raises(ValueError, match="sigma CSV takes sigma reports"):
+            write_reports_csv(path, reports)
+        assert not path.exists()
+    # the header is the column list of the family's term table
+    write_reports_csv(tmp_path / "ok.csv", [sigma])
+    header = (tmp_path / "ok.csv").read_text().splitlines()[1]
+    assert header == "time," + ",".join(sigma.columns) + ",total"
+
+
+def test_f_delta_norm_refuses_foreign_or_lone_derived_fields():
+    pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=64))
+    a, b = pair.state_a, pair.state_b
+    der_a, der_b = compute_derived(a), compute_derived(b)
+    assert f_delta_norm(pair, der_a, der_b).components == f_delta_norm(pair).components
+    with pytest.raises(ValueError, match="together or neither"):
+        f_delta_norm(pair, der_a)
+    with pytest.raises(ValueError, match="together or neither"):
+        f_delta_norm(pair, derived_b=der_b)
+    # the fields of another state, here one whose velocity differs, are
+    # refused, as are those of a state with equal but other arrays
+    other = replace(b, Zt=b.Zt + 1e-3)
+    with pytest.raises(ValueError, match="derived_b holds the derived fields of another state"):
+        f_delta_norm(pair, der_a, compute_derived(other))
+    twin = replace(a, Zp=a.Zp.copy())
+    with pytest.raises(ValueError, match="derived_a holds the derived fields of another state"):
+        f_delta_norm(pair, compute_derived(twin), der_b)
+
+
+def test_term_tables_match_the_term_by_term_families():
+    # the families of a stepped n = 256 pair from their term tables, one
+    # pass per record, against the families written term by term on a
+    # fresh copy of the pair: equal bit for bit but for the L-infinity
+    # terms, whose stacked sup norms may round apart from single ones
+    spec = PairRunSpec(sigma=1e-2, epsilon=0.1, velocity_amplitude=0.05j, n_points=256)
+    pair = build_pair(spec)
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    for _ in range(4):
+        pair = co_step(pair, cfg, dt)
+    copy = PairState(replace(pair.state_a), replace(pair.state_b), pair.k_a, pair.k_b)
+    checks = (
+        (energy_delta(pair), energy_delta_terms(copy)),
+        (f_delta_norm(pair), f_delta_norm_terms(copy)),
+        (energy_sigma(pair.state_a), energy_sigma_terms(copy.state_a)),
+        (energy_aux(pair.state_b), energy_aux_terms(copy.state_b)),
+        (energy_aux(pair.state_a), energy_aux_terms(copy.state_a)),
+    )
+    for report, ref in checks:
+        assert tuple(report.components) == tuple(ref) == report.columns
+        for name, value in report.components.items():
+            if "Linf" in name or name == "coupling_sigma_aux_b":
+                assert abs(value - ref[name]) <= 1e-15 * abs(ref[name]), (report.family, name)
+            else:
+                assert np.float64(value).tobytes() == np.float64(ref[name]).tobytes(), name
+        assert any(value > 0 for value in report.components.values())

@@ -58,11 +58,12 @@ def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
 def test_co_step_transform_calls(stepped, fft_calls):
     # per stage one two-round derive of both solutions, whose first round
     # also differentiates k_a and k_b in stages 2 to 4; then one finish of
-    # both solutions and both maps, and the Jacobians of the new k_a and
-    # k_b; no spread (the rfft/irfft pairs), no inverse and no composition
+    # both solutions and both maps, whose inverse transform also gives the
+    # Jacobians of the new k_a and k_b; no spread (the rfft/irfft pairs),
+    # no inverse and no composition
     pair, cfg, dt = stepped
     co_step(pair, cfg, dt)
-    assert fft_calls == {"fft": 11, "ifft": 11, "rfft": 0, "irfft": 0}
+    assert fft_calls == {"fft": 9, "ifft": 9, "rfft": 0, "irfft": 0}
 
 
 def test_co_step_makes_no_nufft_call(stepped, monkeypatch):
@@ -87,26 +88,49 @@ def test_co_step_makes_no_nufft_call(stepped, monkeypatch):
 
 def test_record_transform_calls(stepped, fft_calls):
     # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records:
-    # 10 multiplier calls (the four stacked block calls of both states, D
+    # 11 multiplier calls (the four stacked block calls of both states, D
     # Theta and D(htilde_ap - 1), the two rounds of one derive of both
-    # states, b_ap of each state), the Jacobian of htilde, 10 H^1/2 norms,
-    # and one stacked sup norm of five complex rows (one coefficient
-    # transform for the stack); then one rfft/irfft pair for each of the
-    # five seed grids (the real and imaginary parts of one row) and for each
-    # of the three spreads: the two complex ones through htilde (the h_alpha
-    # term rides in the one of f_delta_norm) and the real one of the Newton
-    # solve of k_b(x) = k_a(alpha) that builds htilde
+    # states, b_ap of each state and the Jacobian of htilde), one stacked
+    # H^1/2 transform for each of the two passes (energy_delta with
+    # energy_sigma(a) and energy_aux(b), and f_delta_norm) and one
+    # coefficient transform for the one stacked sup norm; then one rfft for
+    # each of the three spreads (the two pull-backs through htilde, each a
+    # stack of real rows, and the one of the Newton solve of k_b(x) =
+    # k_a(alpha) that builds htilde) and one irfft for each spread and for
+    # the sup norm's seed grids, which it refines from its own coefficients
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 22, "ifft": 11, "rfft": 8, "irfft": 8}
+    assert fft_calls == {"fft": 14, "ifft": 11, "rfft": 3, "irfft": 4}
+
+
+def test_record_refines_once_per_spread_and_sup_norm(stepped, monkeypatch):
+    # _refine, the one zero-padding routine, runs once for each of the two
+    # pull-backs through htilde, once for the spread of the Newton solve
+    # that builds htilde, and once for the seed grids of the one stacked
+    # sup norm; each spread is a stack of real rows, 11 for each pull-back
+    pair, _, _ = stepped
+    shapes = []
+    refine = SpectralGrid._refine
+
+    def counted(self, spec, factor):
+        shapes.append((spec.shape, factor))
+        return refine(self, spec, factor)
+
+    monkeypatch.setattr(SpectralGrid, "_refine", counted)
+    energy_delta(pair)
+    f_delta_norm(pair)
+    energy_sigma(pair.state_a)
+    half = pair.state_a.grid.n // 2 + 1
+    assert shapes == [((2, half), 2), ((11, half), 2), ((2, 5, half), 4), ((11, half), 2)]
 
 
 def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):
     # energy_delta stacks its three rows with sup |Z_ap^(1/2) D(1/Z_ap)| of
-    # a and of b, and keeps those two on the states for energy_sigma(a)
-    # and energy_aux(b), which then take no sup norm of their own
+    # a and of b, as it evaluates energy_sigma(a) and energy_aux(b) in its
+    # pass and keeps them on the states, which then take no sup norm of
+    # their own
     pair, _, _ = stepped
     a, b = pair.state_a, pair.state_b
     shapes = []

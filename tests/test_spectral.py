@@ -505,6 +505,22 @@ def test_kept_kernel_weights_give_interpolate_bit_for_bit(n):
         assert g.spread(stack[1])(kernel).tobytes() == g.interpolate(stack[1], x).tobytes()
 
 
+@pytest.mark.parametrize("n", [64, 768, 2048])
+def test_stacked_hhalf_norm_rows_are_bit_identical_to_single_calls(n):
+    g = make_grid(n, length=3.0)
+    rng = np.random.default_rng(n + 5)
+    real = rng.standard_normal((3, n))
+    stacks = (real, real + 1j * rng.standard_normal((3, n)))
+    # a stack of a record: complex rows and real rows cast to complex
+    mixed = np.array([stacks[1][0], real[1], stacks[1][2]], dtype=complex)
+    for stack in (*stacks, mixed):
+        norms = g.hhalf_norm(stack)
+        assert norms.shape == (3,)
+        for f, norm in zip(stack, norms):
+            assert norm.tobytes() == np.float64(g.hhalf_norm(f)).tobytes()
+    assert np.float64(g.hhalf_norm(real[1])).tobytes() == norms[1].tobytes()
+
+
 @pytest.mark.parametrize("n", [64, 768])
 def test_stacked_finish_step_rows_match_single_calls(n):
     rng = np.random.default_rng(n + 2)
