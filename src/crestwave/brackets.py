@@ -101,16 +101,6 @@ class InverseFlowMap(MonotoneMap):
     as one of h (min h_ap = 1 / max k_ap, max h_ap = 1 / min k_ap).
     """
 
-    @classmethod
-    def _stepped(cls, grid, deviation, jacobian):
-        """The map of deviation with its Jacobian given, as the finish of a
-        pair step takes it from the spectrum of the step (within rounding of
-        1 + D deviation); the guard applies to it as to any map."""
-        k = cls.__new__(cls)
-        k.__dict__["_jacobian"] = jacobian
-        k.__init__(grid, deviation)
-        return k
-
     def _require_monotone(self):
         k_ap = self.jacobian()
         _require_floor(1.0 / float(np.max(k_ap)))

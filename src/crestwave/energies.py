@@ -39,11 +39,13 @@ class EnergyReport:
 
     @property
     def columns(self):
-        """The component names of the family, from its term table."""
-        return tuple(column for column, _, _ in _TABLES[self.family])
+        """The component names of the family, from its term table; a family
+        without a table names its own components."""
+        table = _TABLES.get(self.family)
+        return tuple(self.components) if table is None else tuple(c for c, _, _ in table)
 
     def csv_header(self):
-        return "time," + ",".join(self.columns) + ",total"
+        return "time," + ",".join(self.components) + ",total"
 
     def csv_row(self):
         vals = [self.time, *self.components.values(), self.total]
@@ -302,14 +304,15 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
 def write_reports_csv(path, reports):
     """One CSV per family: header comment with the schema version, then one
     row per time with the named components in stable order.  The reports
-    must all be of one family and carry its columns in order; this is
-    checked before the file is opened, so a refused list writes nothing."""
+    must all be of one family and carry its columns in order, so the header
+    is the family's term table; this is checked before the file is opened,
+    so a refused list writes nothing."""
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to write")
-    family = reports[0].family
+    family, columns = reports[0].family, reports[0].columns
     for r in reports:
-        if r.family != family or tuple(r.components) != r.columns:
+        if r.family != family or tuple(r.components) != columns:
             raise ValueError(f"a {family} CSV takes {family} reports with its columns only, "
                              f"not the {r.family} report at t = {r.time:.6g}")
     with open(path, "w") as fh:

@@ -344,14 +344,12 @@ def advance(states, cfg, dt, maps=None, tags=None):
     of their derive, so the maps cost no FFT call of their own and no
     interpolation.
 
-    Returns the new states and, with maps, the (m, n) stacks of the new
-    map deviations and of their Jacobians 1 + D k_dev (None without maps).
-    Every stage and the finish take the states as one stack; the finish,
-    grid.finish_step (dealias and projection), is one FFT pair, and it
-    dealiases the map deviations too (the products b k_ap alias like those
-    of the states, and without the filter their debris piles up at the top
-    modes of k over long runs) and differentiates them from the same
-    spectrum.  Raises
+    Returns the new states and the (m, n) stack of new map deviations
+    (None without maps).  Every stage and the finish take the states as
+    one stack; the finish, grid.finish_step (dealias and projection), is
+    one FFT pair, and it dealiases the map deviations too: the products
+    b k_ap alias like those of the states, and without the filter their
+    debris piles up at the top modes of k over long runs.  Raises
     ValueError if a capillary state follows one with sigma = 0, and, state
     by state, CFLViolationError when dt is not within dt_safety
     times the bound of the state (a NaN bound or dt fails),
@@ -415,7 +413,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
             )
         g_new = continue_angle(Zp_r, st.g)
         new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt, g_new))
-    return new, ((dev[0].real, 1.0 + dev[1].real) if dev else None)
+    return new, (dev[0].real if dev else None)
 
 
 def step_rk4(state, cfg, dt):

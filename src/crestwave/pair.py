@@ -83,18 +83,16 @@ def co_step(pair, cfg, dt):
 
     The two solutions and k_a, k_b are one two-row stack of
     evolution.advance, so the maps see stage-consistent drift fields; no
-    interpolation, no inverse and no composition is made, and the new maps
-    take their Jacobians from the finish of the step.  A new map whose
+    interpolation, no inverse and no composition is made.  A new map whose
     h_ap leaves [JACOBIAN_FLOOR, 1 / JACOBIAN_FLOOR] raises the
     MonotonicityError of InverseFlowMap, tagged with its solution.
     """
-    states, (deviations, jacobians) = advance(
+    states, deviations = advance(
         (pair.state_a, pair.state_b), cfg, dt, (pair.k_a, pair.k_b), _TAGS
     )
     grid = pair.state_a.grid
     maps = [
-        _tagged(tag, partial(InverseFlowMap._stepped, grid, dev, jac))
-        for tag, dev, jac in zip(_TAGS, deviations, jacobians)
+        _tagged(tag, partial(InverseFlowMap, grid, dev)) for tag, dev in zip(_TAGS, deviations)
     ]
     return PairState(*states, *maps)
 

@@ -168,14 +168,13 @@ class SpectralGrid:
         (a dealias_fraction = 1 grid keeps every mode), and Z_ap - 1 and
         Zbar_t lose their k > 0 content (Nyquist included; the k = 0 mode
         is kept in full, unlike P_H).  Further rows, such as the map
-        deviations of a pair step, are only dealiased, and the derivatives
-        D of the dealiased further rows follow them, from the same spectrum.
-        Returns the (len(rows) + len(more), m, n) stack of the new rows and
-        those derivatives, and the (2, m) L2 masses removed from Z_ap - 1
-        and from Zbar_t.  The modes k > 0 of Zbar_t are the conjugates of
-        the modes k < 0 of Z_t, so both masses come from the one spectrum of
-        (Zdev, Z_ap - 1, Z_t); transforming Z_ap - 1, not Z_ap, keeps the
-        rounding of the transform relative to the deviation.
+        deviations of a pair step, are only dealiased.
+        Returns the (len(rows), m, n) stack of the new rows and the (2, m)
+        L2 masses removed from Z_ap - 1 and from Zbar_t.  The modes k > 0
+        of Zbar_t are the conjugates of the modes k < 0 of Z_t, so both
+        masses come from the one spectrum of (Zdev, Z_ap - 1, Z_t);
+        transforming Z_ap - 1, not Z_ap, keeps the rounding of the
+        transform relative to the deviation.
 
         For (m, n) stacks each row and its masses are bit-identical to a
         call on that row alone.
@@ -183,8 +182,6 @@ class SpectralGrid:
         Zdev, Zp, Zt, *more = rows
         c = np.fft.fft((Zdev, Zp - 1.0, Zt, *more))
         c *= self._dealias_symbol
-        if more:
-            c = np.concatenate([c, c[3:] * self._deriv_symbol])
         half = self.n // 2
         # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
         zp_pos, zt_neg = c[1, ..., 1 : half + 1], c[2, ..., half:]

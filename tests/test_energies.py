@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crestwave.energies import (
+    EnergyReport,
     _state_blocks,
     energy_aux,
     energy_delta,
@@ -283,6 +284,23 @@ def test_write_reports_csv_refuses_before_opening(tmp_path):
     write_reports_csv(tmp_path / "ok.csv", [sigma])
     header = (tmp_path / "ok.csv").read_text().splitlines()[1]
     assert header == "time," + ",".join(sigma.columns) + ",total"
+
+
+def test_reports_without_a_term_table_name_their_own_columns(tmp_path):
+    # a family with no term table names its components, and every header
+    # lines up with its row, also that of a report short of its columns
+    custom = EnergyReport("custom", 0.5, {"x": 1.0, "y": 2.0})
+    assert custom.columns == ("x", "y")
+    assert custom.csv_header() == "time,x,y,total"
+    write_reports_csv(tmp_path / "custom.csv", [custom, replace(custom, time=1.0)])
+    lines = (tmp_path / "custom.csv").read_text().splitlines()
+    assert lines[1:] == ["time,x,y,total", "0.5,1,2,3", "1,1,2,3"]
+    with pytest.raises(ValueError, match="custom CSV takes custom reports"):
+        write_reports_csv(tmp_path / "other.csv", [custom, replace(custom, components={"x": 1.0})])
+    st = random_smooth_state(make_grid(64), np.random.default_rng(405), sigma=1e-2, amp=0.1)
+    sigma = energy_sigma(st)
+    short = replace(sigma, components=dict(list(sigma.components.items())[1:]))
+    assert len(short.csv_header().split(",")) == len(short.csv_row().split(","))
 
 
 def test_f_delta_norm_refuses_foreign_or_lone_derived_fields():

@@ -334,27 +334,6 @@ def test_inverse_flow_map_guard_bounds_k_ap_from_both_sides(monkeypatch, sign, f
         InverseFlowMap(g, dev)
 
 
-def test_stepped_maps_take_their_jacobians_from_the_finish_of_the_step():
-    # the new maps of co_step hold 1 + D k_dev from the spectrum of the
-    # step's finish, which equals the derivative of the new deviation to
-    # rounding; the guard of InverseFlowMap still refuses a folded map
-    # given its Jacobian that way
-    spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=256)
-    pair = build_pair(spec)
-    cfg = StepperConfig()
-    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
-    for _ in range(3):
-        pair = co_step(pair, cfg, dt)
-    g = pair.state_a.grid
-    for k in (pair.k_a, pair.k_b):
-        ref = 1.0 + g.deriv(k.deviation).real
-        assert np.max(np.abs(k.jacobian() - ref)) <= 1e-13
-        assert np.max(np.abs(k.deviation)) > 0.0
-    dev = 1.5 * np.sin(g.nodes)
-    with pytest.raises(MonotonicityError, match=r"^max h_ap = inf above"):
-        InverseFlowMap._stepped(g, dev, 1.0 + g.deriv(dev).real)
-
-
 def test_each_member_steps_as_it_would_alone():
     # neither the partner nor the maps enter a solution's own step
     g = make_grid(128)
@@ -446,11 +425,8 @@ def test_energy_reports_match_a_rebuilt_pair():
     grid = make_grid(128)
     states = [make_state(grid, s.Zdev.copy(), s.Zp.copy(), s.Zt.copy(), s.sigma, s.time, s.g.copy())
               for s in (pair.state_a, pair.state_b)]
-    # the copy derives its own htilde from the two maps; a map of a step
-    # holds the Jacobian that the finish of the step gave it, so the copy
-    # takes it along with the deviation
-    maps = [InverseFlowMap._stepped(grid, k.deviation.copy(), k.jacobian().copy())
-            for k in (pair.k_a, pair.k_b)]
+    # the copy derives its own htilde from the two maps
+    maps = [InverseFlowMap(grid, k.deviation.copy()) for k in (pair.k_a, pair.k_b)]
     copy = PairState(*states, *maps)
     rebuilt = (energy_delta(copy), f_delta_norm(copy), energy_sigma(copy.state_a))
     for reps in (again, rebuilt):
