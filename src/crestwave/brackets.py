@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MonotonicityError
-from .spectral import SpectralGrid, _require_finite
+from .spectral import SpectralGrid, _require_finite, same_bytes
 
 JACOBIAN_FLOOR = 1e-6
 # Newton steps of MonotoneMap.preimage at most; maps with |h_ap - 1| = 0.99 took six
@@ -24,30 +24,51 @@ NEWTON_CAP = 8
 # -- monotone reparametrization maps ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneMap:
     """Strictly increasing map h with h(a + L) = h(a) + L.
 
-    Stored as the periodic deviation from the identity, h(a) = a + dev(a).
-    The map is immutable: its Jacobian and the NUFFT kernel weights of its
-    values are computed once, on first use, and kept on the map (their
-    arrays are never written in place).
+    Stored as the periodic deviation from the identity, h(a) = a + dev(a),
+    and its Jacobian h_ap on the grid nodes, jac; without jac the map takes
+    1 + dev' (spectral derivative).  The map is immutable: the NUFFT kernel
+    weights of its values are computed once, on first use, and kept on the
+    map (their arrays, like its own, are never written in place).  Two maps
+    are equal when their type, grid and the bytes of their arrays are, and
+    a map is not hashable.
     """
 
     grid: SpectralGrid
     deviation: np.ndarray = field(repr=False)
+    jac: np.ndarray | None = field(default=None, repr=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         dev = np.asarray(self.deviation, dtype=np.float64)
         if dev.shape != (self.grid.n,):
             raise ValueError("deviation length must match the grid")
         _require_finite(dev, "map deviation")
+        if self.jac is None:
+            jac = 1.0 + self.grid.deriv(dev).real
+        else:
+            jac = np.asarray(self.jac, dtype=np.float64)
+            if jac.shape != (self.grid.n,):
+                raise ValueError("Jacobian length must match the grid")
+            _require_finite(jac, "map Jacobian")
         object.__setattr__(self, "deviation", dev)
+        object.__setattr__(self, "jac", jac)
         self._require_monotone()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.grid == other.grid and same_bytes(
+            (self.deviation, self.jac), (other.deviation, other.jac)
+        )
 
     def _require_monotone(self):
         """Refuse h_ap below JACOBIAN_FLOOR."""
-        _require_floor(float(np.min(self.jacobian())))
+        _require_floor(float(np.min(self.jac)))
 
     @classmethod
     def identity(cls, grid):
@@ -58,8 +79,8 @@ class MonotoneMap:
         return self.grid.nodes + self.deviation
 
     def jacobian(self):
-        """h_ap = 1 + dev' on the grid nodes (spectral derivative), kept."""
-        return self._jacobian
+        """h_ap on the grid nodes, the map's jac."""
+        return self.jac
 
     @cached_property
     def _kernel(self):
@@ -67,13 +88,10 @@ class MonotoneMap:
         points shares."""
         return self.grid.nufft_kernel(self.values)
 
-    @cached_property
-    def _jacobian(self):
-        return 1.0 + self.grid.deriv(self.deviation).real
-
     def preimage(self, y):
         """The points x with h(x) = y for real targets y, by Newton until
-        h(x) - y is at rounding level (at most NEWTON_CAP steps)."""
+        h(x) - y is at rounding level; raises MonotonicityError, naming the
+        largest residual, when NEWTON_CAP steps do not get there."""
         grid = self.grid
         L, nodes, h = grid.length, grid.nodes, self.values
         y = np.asarray(y, dtype=np.float64)
@@ -81,14 +99,20 @@ class MonotoneMap:
         # every target shifted into [0, L)
         shift = L * np.floor(y / L)
         x = shift + np.interp(y - shift, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
-        gather = grid.spread(np.stack([self.deviation, self.jacobian()]))
-        for _ in range(NEWTON_CAP):
+        gather = grid.spread(np.stack([self.deviation, self.jac]))
+        for steps in range(NEWTON_CAP + 1):
             d, h_ap = gather(grid.nufft_kernel(x))
             res = x + d - y
-            if np.max(np.abs(res)) <= 8.0 * np.spacing(L):
-                break
+            worst = float(np.max(np.abs(res)))
+            # written so that a NaN residual fails too
+            if worst <= 8.0 * np.spacing(L):
+                return x
+            if steps == NEWTON_CAP:
+                raise MonotonicityError(
+                    f"preimage not converged after {NEWTON_CAP} Newton steps: "
+                    f"largest residual {worst:.3e}"
+                )
             x = x - res / h_ap
-        return x
 
 
 class InverseFlowMap(MonotoneMap):
@@ -102,7 +126,7 @@ class InverseFlowMap(MonotoneMap):
     """
 
     def _require_monotone(self):
-        k_ap = self.jacobian()
+        k_ap = self.jac
         _require_floor(1.0 / float(np.max(k_ap)))
         k_min = float(np.min(k_ap))
         # a k_ap at or below 0 is a fold of k, where h_ap is unbounded

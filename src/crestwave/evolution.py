@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, same_bytes
 
 TWO_PI = 2.0 * np.pi
 ABS_ZP_FLOOR = 1e-8
@@ -53,7 +53,7 @@ def continue_angle(Zp, g_prev):
     return raw + TWO_PI * np.round((g_prev - raw) / TWO_PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveState:
     """Immutable snapshot of one solution.
 
@@ -62,7 +62,9 @@ class WaveState:
     What is computed from a state is kept on it: the compute_derived
     fields, and the energy blocks and energy_sigma components of energies.
     Their arrays, like the state's own, are never written in place, and
-    dataclasses.replace starts with nothing kept.
+    dataclasses.replace starts with nothing kept.  Two states are equal
+    when their grid, sigma, time and the bytes of their arrays are, whatever
+    each keeps; a state is not hashable.
     """
 
     grid: SpectralGrid
@@ -73,6 +75,16 @@ class WaveState:
     time: float
     g: np.ndarray = field(repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        arrays = ("Zdev", "Zp", "Zt", "g")
+        return (self.grid, self.sigma, self.time) == (other.grid, other.sigma, other.time) and (
+            same_bytes([getattr(self, a) for a in arrays], [getattr(other, a) for a in arrays])
+        )
 
     def _cached(self, key, build):
         """build(self), computed on the first call for `key` and kept."""
@@ -208,8 +220,9 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
     """The (m, n) stacks (b, A1, omega, Ztt, Ztap, flux, flux_ap), in the
     order of DerivedFields, of the rows Zp, Zt_rows with surface tensions
     sigma, capillary rows (sigma != 0) first: the capillary transforms run
-    on those rows only.  With k_dev, a (p, n) stack of map deviations, an
-    eighth stack follows: the Jacobians 1 + D k_dev, from round 1.
+    on those rows only.  With k_dev, a (q, n) stack of packed map
+    deviations (_pack), an eighth stack follows: their Jacobians
+    1 + D k_dev, packed alike, from round 1.
 
     The inputs of each of the two rounds are written into the rows of one
     stack, which one multiply_symbol call transforms with a per-row symbol
@@ -217,23 +230,23 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
     """
     m, n = Zp.shape
     n_cap = sum(s != 0.0 for s in sigma)
-    p = 0 if k_dev is None else len(k_dev)
+    q = 0 if k_dev is None else len(k_dev)
     inv_Zp = 1.0 / Zp
 
     # round 1: D k_dev, D Z_t, H ratio and D omega; omega is filled for
     # every row, the transform stops after the capillary ones
-    stack = np.empty((p + 3 * m, n), dtype=np.complex128)
+    stack = np.empty((q + 3 * m, n), dtype=np.complex128)
     if k_dev is not None:
-        stack[:p] = k_dev
-    Zt, ratio, omega = stack[p:].reshape(3, m, n)
+        stack[:q] = k_dev
+    Zt, ratio, omega = stack[q:].reshape(3, m, n)
     Zt[...] = Zt_rows
     np.multiply(Zt, inv_Zp, out=ratio)
     np.divide(Zp, abs_Zp, out=omega)
-    kinds = ("deriv",) * (p + m) + ("hilbert",) * m + ("deriv",) * n_cap
-    out = grid.multiply_symbol(stack[: p + 2 * m + n_cap], grid.symbol_table(kinds))
-    Ztap, h_ratio = out[p : p + 2 * m].reshape(2, m, n)
-    d_omega = out[p + 2 * m :]
-    k_ap = None if k_dev is None else 1.0 + out[:p].real
+    kinds = ("deriv",) * (q + m) + ("hilbert",) * m + ("deriv",) * n_cap
+    out = grid.multiply_symbol(stack[: q + 2 * m + n_cap], grid.symbol_table(kinds))
+    Ztap, h_ratio = out[q : q + 2 * m].reshape(2, m, n)
+    d_omega = out[q + 2 * m :]
+    k_ap = None if k_dev is None else out[:q] + (1.0 + 1.0j)
     b = (ratio - h_ratio).real
 
     # round 2: D flux, H conj(Z_tap), H prod and D (I + H) curv_im, the
@@ -258,6 +271,26 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
     # copies, so that the rates an RK4 stage keeps do not hold the round stacks
     fields = (b, A1, omega, Ztt, Ztap, flux.copy(), flux_ap.copy())
     return fields if k_ap is None else (*fields, k_ap)
+
+
+def _pack(rows):
+    """The (p, n) real rows as (p + 1) // 2 complex rows, rows 2r and 2r + 1
+    the real and imaginary parts of row r (0 for an odd last row).  D maps
+    real rows to real rows, so the parts of D of a packed row are the
+    derivatives of its two rows; and the float64 view of a packed stack
+    interleaves its rows' values, so a product of two views multiplies
+    the rows of one by those of the other."""
+    p, n = rows.shape
+    packed = np.zeros(((p + 1) // 2, n), dtype=np.complex128)
+    packed.real = rows[0::2]
+    packed.imag[: p // 2] = rows[1::2]
+    return packed
+
+
+def _unpack(packed, p):
+    """The first p real rows of a _pack result, as one (p, n) array."""
+    q, n = packed.shape
+    return np.stack((packed.real, packed.imag), axis=1).reshape(2 * q, n)[:p]
 
 
 def curvature_field(derived):
@@ -339,17 +372,21 @@ def advance(states, cfg, dt, maps=None, tags=None):
 
     A flow map moves by h_t = b o h, so its inverse obeys k_t + b k_ap = 0,
     which needs only fields on the grid: the deviation of map r moves at
-    the rate -b_r (1 + D k_dev,r).  Stage 1 takes 1 + D k_dev from the
-    map's kept jacobian(); stages 2 to 4 add the D k_dev rows to round 1
-    of their derive, so the maps cost no FFT call of their own and no
-    interpolation.
+    the rate -b_r (1 + D k_dev,r).  The maps travel through the step as
+    packed rows (_pack), k_dev of maps 2r and 2r + 1 as the real and
+    imaginary parts of one complex row, never beside a state in a row.
+    Stage 1 takes 1 + D k_dev from the maps' kept Jacobians; stages 2 to 4
+    add the packed rows to round 1 of their derive, so the maps cost no FFT
+    call of their own and no interpolation.
 
-    Returns the new states and the (m, n) stack of new map deviations
-    (None without maps).  Every stage and the finish take the states as
-    one stack; the finish, grid.finish_step (dealias and projection), is
-    one FFT pair, and it dealiases the map deviations too: the products
-    b k_ap alias like those of the states, and without the filter their
-    debris piles up at the top modes of k over long runs.  Raises
+    Returns the new states and, with maps, the (m, n) stacks of the new map
+    deviations and of their Jacobians 1 + D k_dev (None without maps).
+    Every stage and the finish take the states as one stack; the finish,
+    grid.finish_step (dealias and projection), is one FFT pair, and it
+    dealiases the packed map rows too, whose derivatives it returns from
+    the same spectrum: the products b k_ap alias like those of the states,
+    and without the filter their debris piles up at the top modes of k over
+    long runs.  Raises
     ValueError if a capillary state follows one with sigma = 0, and, state
     by state, CFLViolationError when dt is not within dt_safety
     times the bound of the state (a NaN bound or dt fails),
@@ -384,14 +421,14 @@ def advance(states, cfg, dt, maps=None, tags=None):
         else:
             b, Ztt, Ztap, flux, flux_ap, *k_ap = fields
         rates = _rates(b, Ztt, Ztap, flux, flux_ap)
-        return (*rates, *(-b * j for j in k_ap))
+        return (*rates, *(_map_rates(b, j) for j in k_ap))
 
     y0 = [np.array([getattr(st, name) for st in states]) for name in ("Zdev", "Zp", "Zt")]
     names = ("b", "Ztt", "Ztap", "flux", "flux_ap")
     kept = [np.array([getattr(d, name) for d in derived]) for name in names]
     if maps is not None:
-        y0.append(np.array([k.deviation for k in maps]))
-        kept.append(np.array([k.jacobian() for k in maps]))
+        y0.append(_pack(np.array([k.deviation for k in maps])))
+        kept.append(_pack(np.array([k.jacobian() for k in maps])))
     Zdev, Zp, Zt, *dev = rk4(y0, rhs, dt, rhs(y0, kept))
 
     (Zdev, Zp, Zt, *dev), mass = grid.finish_step((Zdev, Zp, Zt, *dev))
@@ -413,7 +450,21 @@ def advance(states, cfg, dt, maps=None, tags=None):
             )
         g_new = continue_angle(Zp_r, st.g)
         new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt, g_new))
-    return new, (dev[0].real if dev else None)
+    if not dev:
+        return new, None
+    packed, d_packed = dev
+    return new, (_unpack(packed, m), 1.0 + _unpack(d_packed, m))
+
+
+def _map_rates(b, k_ap):
+    """The rates -b_r k_ap,r of the maps whose packed Jacobians are k_ap,
+    packed alike, from the (m, n) drifts b: a product of float64 views of
+    packed rows is the product of each map's own rows."""
+    rates = _pack(b)
+    view = rates.view(np.float64)
+    np.multiply(view, k_ap.view(np.float64), out=view)
+    np.negative(view, out=view)
+    return rates
 
 
 def step_rk4(state, cfg, dt):

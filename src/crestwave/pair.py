@@ -29,15 +29,25 @@ from .initial_data import CrestSpec, crest_data, mollify_data
 from .spectral import SpectralGrid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairState:
     """Two solutions and the inverses k_a = h_a^{-1} and k_b = h_b^{-1} of
-    their flow maps."""
+    their flow maps.  Two pairs are equal when their members are; a pair is
+    not hashable."""
 
     state_a: WaveState
     state_b: WaveState
     k_a: InverseFlowMap
     k_b: InverseFlowMap
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.state_a, self.state_b, self.k_a, self.k_b) == (
+            other.state_a, other.state_b, other.k_a, other.k_b
+        )
 
     @property
     def time(self):
@@ -48,10 +58,12 @@ class PairState:
         """htilde = h_b o h_a^{-1} = k_b^{-1} o k_a, built on the first read
         and kept: htilde(alpha) is the point x with k_b(x) = k_a(alpha), one
         Newton solve of k_b.preimage at the values of k_a, so no inverse map
-        is built.  Its MonotonicityError starts with "[htilde] "."""
-        grid = self.k_a.grid
-        deviation = self.k_b.preimage(self.k_a.values) - grid.nodes
-        return _tagged("[htilde] ", partial(MonotoneMap, grid, deviation))
+        is built.  A MonotonicityError of the solve or of the map starts
+        with "[htilde] "."""
+        grid, k_a, k_b = self.k_a.grid, self.k_a, self.k_b
+        return _tagged(
+            "[htilde] ", lambda: MonotoneMap(grid, k_b.preimage(k_a.values) - grid.nodes)
+        )
 
 
 def _tagged(tag, build):
@@ -83,16 +95,19 @@ def co_step(pair, cfg, dt):
 
     The two solutions and k_a, k_b are one two-row stack of
     evolution.advance, so the maps see stage-consistent drift fields; no
-    interpolation, no inverse and no composition is made.  A new map whose
-    h_ap leaves [JACOBIAN_FLOOR, 1 / JACOBIAN_FLOOR] raises the
-    MonotonicityError of InverseFlowMap, tagged with its solution.
+    interpolation, no inverse and no composition is made.  Each new map
+    takes the Jacobian 1 + D k_dev that the step's finish gives it as its
+    data.  A new map whose h_ap leaves [JACOBIAN_FLOOR, 1 / JACOBIAN_FLOOR]
+    raises the MonotonicityError of InverseFlowMap, tagged with its
+    solution.
     """
-    states, deviations = advance(
+    states, (deviations, jacobians) = advance(
         (pair.state_a, pair.state_b), cfg, dt, (pair.k_a, pair.k_b), _TAGS
     )
     grid = pair.state_a.grid
     maps = [
-        _tagged(tag, partial(InverseFlowMap, grid, dev)) for tag, dev in zip(_TAGS, deviations)
+        _tagged(tag, partial(InverseFlowMap, grid, dev, jac))
+        for tag, dev, jac in zip(_TAGS, deviations, jacobians)
     ]
     return PairState(*states, *maps)
 

@@ -57,6 +57,15 @@ def _require_finite(f, what="field"):
     return f
 
 
+def same_bytes(arrays, others):
+    """Whether the arrays pairwise share dtype, shape and bytes, so that
+    signed zeros and NaNs count as they are stored."""
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(arrays, others, strict=True)
+    )
+
+
 class SpectralGrid:
     """Uniform periodic grid; wavenumbers and multiplier symbols built once.
 
@@ -164,33 +173,48 @@ class SpectralGrid:
 
     def finish_step(self, rows):
         """The end of an RK4 step from one FFT pair.  rows is (Zdev, Z_ap,
-        Z_t, *more), (m, n) stacks or fields of one shape; all are dealiased
-        (a dealias_fraction = 1 grid keeps every mode), and Z_ap - 1 and
-        Zbar_t lose their k > 0 content (Nyquist included; the k = 0 mode
-        is kept in full, unlike P_H).  Further rows, such as the map
-        deviations of a pair step, are only dealiased.
-        Returns the (len(rows), m, n) stack of the new rows and the (2, m)
-        L2 masses removed from Z_ap - 1 and from Zbar_t.  The modes k > 0
-        of Zbar_t are the conjugates of the modes k < 0 of Z_t, so both
-        masses come from the one spectrum of (Zdev, Z_ap - 1, Z_t);
+        Z_t, *maps): three (m, n) stacks or fields of one shape, and maps, at
+        most one (q, n) stack of further rows, such as the packed map
+        deviations of a pair step.  All are dealiased (a dealias_fraction = 1
+        grid keeps every mode), and Z_ap - 1 and Zbar_t lose their k > 0
+        content (Nyquist included; the k = 0 mode is kept in full, unlike
+        P_H).  The further rows are only dealiased, and their derivatives,
+        D of the dealiased rows, come from the same spectrum in the one
+        inverse transform.
+        Returns the tuple of the new rows (Zdev, Z_ap, Z_t, *maps, *D maps),
+        each of the shape of its input block, and the (2, m) L2 masses
+        removed from Z_ap - 1 and from Zbar_t ((2,) for fields).  The modes
+        k > 0 of Zbar_t are the conjugates of the modes k < 0 of Z_t, so
+        both masses come from the one spectrum of (Zdev, Z_ap - 1, Z_t);
         transforming Z_ap - 1, not Z_ap, keeps the rounding of the
         transform relative to the deviation.
 
         For (m, n) stacks each row and its masses are bit-identical to a
         call on that row alone.
         """
-        Zdev, Zp, Zt, *more = rows
-        c = np.fft.fft((Zdev, Zp - 1.0, Zt, *more))
-        c *= self._dealias_symbol
-        half = self.n // 2
+        Zdev, Zp, Zt, *maps = rows
+        n, half = self.n, self.n // 2
+        shape = np.shape(Zdev)
+        m = np.size(Zdev) // n
+        stack = np.concatenate((Zdev, Zp - 1.0, Zt, *maps)).reshape(-1, n)
+        r = len(stack)
+        # the spectra of the r rows, then room for those of the derivatives
+        c = np.empty((2 * r - 3 * m, n), dtype=np.complex128)
+        np.fft.fft(stack, out=c[:r])
+        c[:r] *= self._dealias_symbol
         # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
-        zp_pos, zt_neg = c[1, ..., 1 : half + 1], c[2, ..., half:]
-        mass = np.stack([self._mass(zp_pos / self.n), self._mass(zt_neg / self.n)])
+        zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
+        mass = np.stack([self._mass(zp_pos / n), self._mass(zt_neg / n)])
         zp_pos[...] = 0.0
         zt_neg[...] = 0.0
+        if maps:
+            np.multiply(c[3 * m : r], self._deriv_symbol, out=c[r:])
         out = np.fft.ifft(c)
-        out[1] += 1.0
-        return out, mass
+        out[m : 2 * m] += 1.0
+        new = tuple(out[: 3 * m].reshape((3,) + shape))
+        if maps:
+            new += (out[3 * m : r], out[r:])
+        return new, mass.reshape((2,) + shape[:-1])
 
     def positive_mode_mass(self, f):
         """L2 mass carried by modes k > 0 (Nyquist included)."""

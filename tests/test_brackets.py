@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crestwave import brackets
 from crestwave.brackets import (
+    InverseFlowMap,
     MonotoneMap,
     commutator_bracket,
     compose_map_apply,
@@ -359,3 +361,50 @@ def test_map_keeps_its_jacobian():
     twin = MonotoneMap(g, m.deviation.copy())
     assert twin.jacobian() is not m.jacobian()
     assert np.array_equal(twin.jacobian(), m.jacobian())
+
+
+def test_map_takes_a_jacobian_as_data():
+    # a given Jacobian is the map's, checked for shape, finiteness and the
+    # floor; without one the map derives 1 + dev'
+    g = make_grid(64)
+    dev = 0.3 * np.sin(g.nodes)
+    jac = 1.0 + 0.3 * np.cos(g.nodes)
+    m = MonotoneMap(g, dev, jac)
+    assert m.jacobian() is m.jac and np.array_equal(m.jac, jac)
+    assert np.max(np.abs(MonotoneMap(g, dev).jacobian() - jac)) < 1e-14
+    with pytest.raises(ValueError, match="Jacobian length"):
+        MonotoneMap(g, dev, jac[:-1])
+    with pytest.raises(ValueError, match="map Jacobian contains non-finite"):
+        MonotoneMap(g, dev, np.where(g.nodes > 1.0, np.nan, jac))
+    with pytest.raises(MonotonicityError, match="below floor"):
+        MonotoneMap(g, dev, jac - 1.0)
+
+
+def test_maps_compare_by_type_grid_and_bytes():
+    g = make_grid(64)
+    m = MonotoneMap(g, 0.3 * np.sin(g.nodes))
+    twin = MonotoneMap(g, m.deviation.copy(), m.jacobian().copy())
+    assert m == twin and not m != twin
+    # a map that differs from m only in its Jacobian, by one ulp at one node
+    jac = m.jacobian().copy()
+    jac[3] = np.nextafter(jac[3], 2.0)
+    assert m != MonotoneMap(g, m.deviation, jac)
+    assert m != MonotoneMap(make_grid(64, 2.0 * np.pi + 1e-9), m.deviation, m.jacobian())
+    assert m != InverseFlowMap(g, m.deviation, m.jacobian())
+    for one in (m, InverseFlowMap.identity(g)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(one)
+
+
+def test_preimage_refuses_to_return_unconverged_points(monkeypatch):
+    # a strongly deformed map (h_ap from 0.1 to 1.9) needs several Newton
+    # steps; with one allowed, the solve names its largest residual
+    g = make_grid(128)
+    m = MonotoneMap(g, 0.9 * np.sin(g.nodes))
+    y = np.linspace(0.0, 2.0 * np.pi, 37)
+    x = m.preimage(y)
+    assert np.max(np.abs(map_at(m, x) - y)) < 1e-12
+    monkeypatch.setattr(brackets, "NEWTON_CAP", 1)
+    with pytest.raises(MonotonicityError,
+                       match=r"^preimage not converged after 1 Newton steps: largest residual "):
+        m.preimage(y)

@@ -16,20 +16,30 @@ from crestwave.spectral import SpectralGrid
 TRANSFORMS = ("fft", "ifft", "rfft", "irfft")
 
 
+class TransformCalls(dict):
+    """The number of calls of each numpy.fft transform, and in rows the
+    (transform, row count) of every call, in order."""
+
+    def __init__(self):
+        super().__init__(dict.fromkeys(TRANSFORMS, 0))
+        self.rows = []
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts of the numpy.fft transforms called from its set-up on; tests
-    request it after the fixtures that build their inputs."""
-    counts = dict.fromkeys(TRANSFORMS, 0)
+    """The numpy.fft transforms called from its set-up on; tests request it
+    after the fixtures that build their inputs."""
+    calls = TransformCalls()
     for name in TRANSFORMS:
         transform = getattr(np.fft, name)
 
-        def counted(*args, _name=name, _transform=transform, **kwargs):
-            counts[_name] += 1
-            return _transform(*args, **kwargs)
+        def counted(a, *args, _name=name, _transform=transform, **kwargs):
+            calls[_name] += 1
+            calls.rows.append((_name, int(np.prod(np.shape(a)[:-1]))))
+            return _transform(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    return counts
+    return calls
 
 
 @pytest.fixture
@@ -53,16 +63,27 @@ def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
     pair, cfg, dt = stepped
     step_rk4(getattr(pair, member), cfg, dt)
     assert fft_calls == expected
+    assert max(rows for _, rows in fft_calls.rows) <= 4
 
 
 def test_co_step_transform_calls(stepped, fft_calls):
     # per stage one two-round derive of both solutions, whose first round
-    # also differentiates k_a and k_b in stages 2 to 4; then one finish of
-    # both solutions and both maps, and the Jacobians of the new k_a and
-    # k_b; no spread (the rfft/irfft pairs), no inverse and no composition
+    # also differentiates the packed row k_a + i k_b in stages 2 to 4; then
+    # one finish of both solutions and that row, which also gives the new
+    # maps' Jacobians; no spread (the rfft/irfft pairs), no inverse and no
+    # composition
     pair, cfg, dt = stepped
     co_step(pair, cfg, dt)
-    assert fft_calls == {"fft": 11, "ifft": 11, "rfft": 0, "irfft": 0}
+    assert fft_calls == {"fft": 9, "ifft": 9, "rfft": 0, "irfft": 0}
+    # round 1 transforms Z_t, ratio and the capillary omega (and k_a + i k_b
+    # in stages 2 to 4); round 2 flux, conj(Z_tap), prod and the capillary
+    # curv_im; the finish takes Zdev, Z_ap - 1, Z_t and the packed row
+    # forward and gives them back with D of the packed row
+    first = [("fft", 5), ("ifft", 5), ("fft", 7), ("ifft", 7)]
+    stage = [("fft", 6), ("ifft", 6), ("fft", 7), ("ifft", 7)]
+    assert fft_calls.rows == first + 3 * stage + [("fft", 7), ("ifft", 8)]
+    assert max(rows for _, rows in fft_calls.rows) <= 8
+    assert sum(rows for _, rows in fft_calls.rows) == 117
 
 
 def test_co_step_makes_no_nufft_call(stepped, monkeypatch):

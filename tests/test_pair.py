@@ -425,8 +425,10 @@ def test_energy_reports_match_a_rebuilt_pair():
     grid = make_grid(128)
     states = [make_state(grid, s.Zdev.copy(), s.Zp.copy(), s.Zt.copy(), s.sigma, s.time, s.g.copy())
               for s in (pair.state_a, pair.state_b)]
-    # the copy derives its own htilde from the two maps
-    maps = [InverseFlowMap(grid, k.deviation.copy()) for k in (pair.k_a, pair.k_b)]
+    # the copy derives its own htilde from the two maps, each rebuilt from
+    # its data: the deviation and the Jacobian that the step's finish gave it
+    maps = [InverseFlowMap(grid, k.deviation.copy(), k.jacobian().copy())
+            for k in (pair.k_a, pair.k_b)]
     copy = PairState(*states, *maps)
     rebuilt = (energy_delta(copy), f_delta_norm(copy), energy_sigma(copy.state_a))
     for reps in (again, rebuilt):
@@ -472,3 +474,67 @@ def test_parallel_study_matches_serial():
             assert [r.to_json_dict() for r in getattr(rs, family)] == [
                 r.to_json_dict() for r in getattr(rp, family)
             ]
+
+
+def test_stepped_maps_carry_the_jacobians_of_their_deviations():
+    # the finish gives each new map 1 + D k_dev from the spectrum of its
+    # step; a map built from the deviation alone takes 1 + deriv(k_dev),
+    # which differs by rounding only
+    spec = PairRunSpec(sigma=1e-3, epsilon=0.2, velocity_amplitude=0.05j, n_points=128)
+    pair = build_pair(spec)
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    for _ in range(20):
+        pair = co_step(pair, cfg, dt)
+    for k in (pair.k_a, pair.k_b):
+        alone = InverseFlowMap(k.grid, k.deviation)
+        assert np.max(np.abs(k.jacobian() - 1.0)) > 1e-4
+        assert np.max(np.abs(alone.jacobian() - k.jacobian())) <= 1e-12
+
+
+@pytest.mark.parametrize("k_ap_min", [0.0, -0.5])
+def test_inverse_flow_map_guard_refuses_a_given_folded_jacobian(k_ap_min):
+    # k_ap <= 0 is a fold of k, where h_ap is unbounded, whatever the
+    # deviation says
+    g = make_grid(64)
+    dev = 0.1 * np.sin(g.nodes)
+    jac = 1.0 + 0.1 * np.cos(g.nodes)
+    jac[7] = k_ap_min
+    with pytest.raises(MonotonicityError, match=r"^max h_ap = inf above "):
+        InverseFlowMap(g, dev, jac)
+
+
+def test_htilde_names_a_preimage_solve_that_does_not_converge(monkeypatch):
+    g = make_grid(128)
+    st = random_smooth_state(g, np.random.default_rng(4), amp=0.1)
+    pair = PairState(st, replace(st), InverseFlowMap.identity(g),
+                     InverseFlowMap(g, 0.9 * np.sin(g.nodes)))
+    monkeypatch.setattr(brackets, "NEWTON_CAP", 1)
+    with pytest.raises(MonotonicityError,
+                       match=r"^\[htilde\] preimage not converged after 1 Newton steps"):
+        pair.map_tilde
+
+
+def test_states_maps_and_pairs_compare_by_their_data():
+    # equal copies are equal whatever each keeps, a one-ulp change of one
+    # array is not, and none of them hashes
+    g = make_grid(64)
+    pair = _smooth_pair(g, np.random.default_rng(6), sigma_a=1e-2, same=False)
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    pair = co_step(pair, StepperConfig(), dt)
+    energy_delta(pair)
+    a, k = pair.state_a, pair.k_b
+    state_copy = make_state(g, a.Zdev.copy(), a.Zp.copy(), a.Zt.copy(), a.sigma, a.time, a.g.copy())
+    map_copy = InverseFlowMap(g, k.deviation.copy(), k.jacobian().copy())
+    assert a == state_copy and k == map_copy
+    assert pair == PairState(state_copy, pair.state_b, pair.k_a, map_copy)
+    Zt = a.Zt.copy()
+    Zt[5] = complex(np.nextafter(Zt[5].real, np.inf), Zt[5].imag)
+    assert a != replace(a, Zt=Zt) and a != replace(a, time=a.time + dt)
+    assert a != pair.state_b and pair != PairState(*(pair.state_b, a), pair.k_a, pair.k_b)
+    jac = k.jacobian().copy()
+    jac[0] = np.nextafter(jac[0], 0.0)
+    assert pair != PairState(pair.state_a, pair.state_b, pair.k_a, InverseFlowMap(g, k.deviation, jac))
+    for obj in (a, k, pair):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)

@@ -527,11 +527,13 @@ def test_stacked_finish_step_rows_match_single_calls(n):
     rows = rng.standard_normal((3, 3, n)) + 1j * rng.standard_normal((3, 3, n))
     # the default filter, and a dealias_fraction = 1 grid that keeps every mode
     for g in (make_grid(n), make_grid(n, dealias_fraction=1.0)):
+        # the new rows come as a tuple of blocks
         out, mass = g.finish_step(rows)
+        out = np.stack(out)
         assert out.shape == (3, 3, n) and mass.shape == (2, 3)
         for r in range(3):
             one, one_mass = g.finish_step(rows[:, r])
-            assert out[:, r].tobytes() == one.tobytes()
+            assert out[:, r].tobytes() == np.stack(one).tobytes()
             assert mass[:, r].tobytes() == one_mass.tobytes()
             # the mass of the modes k > 0 of Z_ap - 1 and of Zbar_t, Nyquist
             # included, and none left there
@@ -542,6 +544,25 @@ def test_stacked_finish_step_rows_match_single_calls(n):
                 exact = np.sqrt(g.length * np.sum(np.abs(c[g.k_int > 0]) ** 2))
                 assert abs(row_mass - exact) <= 1e-13 * exact
                 assert g.positive_mode_mass(row) <= 1e-13 * row_mass
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_finish_step_derives_further_rows_from_its_one_spectrum(n):
+    # a (q, n) block after (Zdev, Z_ap, Z_t) comes back dealiased and
+    # followed by its derivative, from the one FFT pair, and the state rows
+    # do not see it
+    g = make_grid(n)
+    rng = np.random.default_rng(n + 5)
+    rows = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+    more = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+    (*states, kept, d_kept), mass = g.finish_step((*rows, more))
+    alone, alone_mass = g.finish_step(rows)
+    assert np.stack(states).tobytes() == np.stack(alone).tobytes()
+    assert mass.tobytes() == alone_mass.tobytes()
+    assert kept.shape == d_kept.shape == (1, n)
+    assert np.max(np.abs(kept - g.dealias(more))) <= 1e-14 * np.max(np.abs(more))
+    scale = np.max(np.abs(g.k)) * np.max(np.abs(kept))
+    assert np.max(np.abs(d_kept - g.deriv(kept))) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -578,3 +599,60 @@ def test_deriv_hplus_symbol_is_the_derivative_of_f_plus_its_hilbert_transform(
     composed = g.deriv(f + g.hilbert(f))
     scale = np.max(np.abs(g.k)) * np.max(np.abs(f))
     assert np.max(np.abs(fused - composed)) <= 1e-14 * scale
+
+
+# the identities that let a derive pack rows or transform fewer of them:
+# even n up to 2048, any period, and a band of modes |k| <= band * n/2
+# (the Nyquist mode included when band = 1)
+IDENTITIES = dict(
+    n=st.sampled_from([8, 64, 256, 768, 2048]),
+    length=st.floats(0.1, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+    band=st.floats(0.0, 1.0),
+)
+
+
+def _band_fields(g, seed, band, count):
+    """count complex fields of random modes |k| <= band * n/2, at least one."""
+    rng = np.random.default_rng(seed)
+    top = max(1, round(band * (g.n // 2)))
+    c = rng.standard_normal((count, g.n)) + 1j * rng.standard_normal((count, g.n))
+    c[:, np.abs(g.k_int) > top] = 0.0
+    return np.fft.ifft(c)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**IDENTITIES)
+def test_hilbert_of_a_conjugate_is_minus_the_conjugate_of_the_hilbert_transform(
+    n, length, seed, band
+):
+    # the multiplier -sgn k is odd and real, so H conj f = -conj(H f)
+    g = make_grid(n, length)
+    f, = _band_fields(g, seed, band, 1)
+    gap = g.hilbert(np.conj(f)) + np.conj(g.hilbert(f))
+    assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(f))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**IDENTITIES)
+def test_derivative_of_a_packed_row_splits_into_those_of_its_parts(n, length, seed, band):
+    # D maps real rows to real rows, so D(u + i v) = D u + i D v part by
+    # part; D rounds on the scale k_max sup|f|, which bounds sup|D f|
+    g = make_grid(n, length)
+    u, v = _band_fields(g, seed, band, 2).real
+    packed = g.deriv(u + 1j * v)
+    scale = np.max(np.abs(g.k)) * max(np.max(np.abs(u)), np.max(np.abs(v)))
+    assert np.max(np.abs(packed.real - g.deriv(u).real)) <= 1e-14 * scale
+    assert np.max(np.abs(packed.imag - g.deriv(v).real)) <= 1e-14 * scale
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**IDENTITIES)
+def test_one_part_of_a_hilbert_transform_reads_one_part_of_the_field(n, length, seed, band):
+    # H maps real rows to imaginary rows and imaginary rows to real ones, so
+    # Re H r = Re H(i Im r) and Im H p = Im H(Re p)
+    g = make_grid(n, length)
+    r, p = _band_fields(g, seed, band, 2)
+    for f, part, kept in ((r, np.real, 1j * r.imag), (p, np.imag, p.real + 0j)):
+        gap = part(g.hilbert(f)) - part(g.hilbert(kept))
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(f))
