@@ -30,11 +30,12 @@ class MonotoneMap:
 
     Stored as the periodic deviation from the identity, h(a) = a + dev(a),
     and its Jacobian h_ap on the grid nodes, jac; without jac the map takes
-    1 + dev' (spectral derivative).  The map is immutable: the NUFFT kernel
-    weights of its values are computed once, on first use, and kept on the
-    map (their arrays, like its own, are never written in place).  Two maps
-    are equal when their type, grid and the bytes of their arrays are, and
-    a map is not hashable.
+    1 + dev' (spectral derivative), so dataclasses.replace with a new
+    deviation must pass jac=None or keep the old Jacobian.  The map is
+    immutable: the NUFFT kernel weights of its values are computed once, on
+    first use, and kept on the map (their arrays, like its own, are never
+    written in place).  Two maps are equal when their type, grid and the
+    bytes of their arrays are, and a map is not hashable.
     """
 
     grid: SpectralGrid

@@ -5,15 +5,15 @@ Layout (documented here and in the README):
     bytes 0..7    magic b"CWCHKPT1"
     bytes 8..11   uint32 little-endian header length H
     bytes 12..    H bytes of UTF-8 JSON header:
-                  {"version": 1, "n_points": n, "length": L,
+                  {"version": 2, "n_points": n, "length": L,
                    "dealias_fraction": d, "sigma": s, "time": t,
-                   "fields": ["Zdev", "Zp", "Zt"], "angle_field": true}
+                   "fields": ["Zdev", "Zp", "Zt"]}
     then          three complex fields, each n little-endian float64
-                  (re, im) pairs in grid order, followed by the tracked
-                  angle branch g as n little-endian float64, and nothing
-                  after it
+                  (re, im) pairs in grid order, and nothing after them
 
-Round-trips are bit-exact; a file of any other length is refused.
+Round-trips are bit-exact; a file of any other length is refused.  Version
+1 adds the branch g of arg(Z_ap) as n little-endian float64; it loads only
+if g is bit for bit seed_angle of its Z_ap, the branch the state derives.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .evolution import make_state
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, same_bytes
 
 MAGIC = b"CWCHKPT1"
 _FLOAT_MAX = sys.float_info.max
@@ -34,14 +34,13 @@ _FLOAT_MAX = sys.float_info.max
 def save_checkpoint(path, state):
     grid = state.grid
     header = {
-        "version": 1,
+        "version": 2,
         "n_points": grid.n,
         "length": grid.length,
         "dealias_fraction": grid.dealias_fraction,
         "sigma": state.sigma,
         "time": state.time,
         "fields": ["Zdev", "Zp", "Zt"],
-        "angle_field": True,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -50,14 +49,14 @@ def save_checkpoint(path, state):
         fh.write(blob)
         for arr in (state.Zdev, state.Zp, state.Zt):
             fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(state.g, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
     """State stored by save_checkpoint; raises ValueError on a file that is
     not a checkpoint, is cut short or has trailing bytes, on a header that
-    is not a JSON object with numeric grid, sigma and time fields, and on
-    fields that make_state rejects."""
+    is not a JSON object with numeric grid, sigma and time fields, on
+    fields that make_state rejects and on a version 1 angle block that is
+    not the branch of its Z_ap."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != MAGIC:
@@ -70,17 +69,20 @@ def load_checkpoint(path):
     header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
-    if header.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+    version = header.get("version")
+    if version not in (1, 2):
+        raise ValueError(f"unsupported checkpoint version {version}")
     n, length, dealias, sigma, time = (_header_number(header, key) for key in _NUMBERS)
     body = data[12 + hlen :]
-    if len(body) != 56 * n:
-        raise ValueError(f"checkpoint fields take {len(body)} bytes, expected {56 * n} for n = {n}")
+    size = (48 + 8 * (version == 1)) * n
+    if len(body) != size:
+        raise ValueError(f"checkpoint fields take {len(body)} bytes, expected {size} for n = {n}")
     grid = SpectralGrid(n, length, dealias)
     fields = np.frombuffer(body, dtype="<c16", count=3 * n).astype(np.complex128).reshape(3, n)
-    g = np.frombuffer(body, dtype="<f8", offset=48 * n).astype(np.float64)
-    Zdev, Zp, Zt = fields
-    return make_state(grid, Zdev, Zp, Zt, sigma, time, g)
+    state = make_state(grid, *fields, sigma, time)
+    if version == 1 and not same_bytes((np.frombuffer(body, "<f8", offset=48 * n),), (state.g,)):
+        raise ValueError("checkpoint angle block is not the branch seed_angle takes from Z_ap")
+    return state
 
 
 # the numeric header fields, in the order load_checkpoint reads them

@@ -32,23 +32,21 @@ ABS_ZP_FLOOR = 1e-8
 HOLO_TOLERANCE = 1e-8
 
 
-def seed_angle(grid, Zp, ref_index=None):
-    """Unwrapped branch of arg(Z_ap), anchored near zero far from features.
-
-    The reference node defaults to the point where |Z_ap - 1| is smallest
-    (for localized crest data this is the node farthest from the crest).
-    """
+def seed_angle(grid, Zp):
+    """The branch raw + 2 pi k of arg(Z_ap) continuous along the grid: k
+    undoes the turns of the principal angle raw between adjacent nodes, and
+    the node where |Z_ap - 1| is least (far from a crest) lies in [-pi, pi].
+    Z_ap does not vanish and tends to 1 at depth, so arg(Z_ap) winds zero
+    times over a period and this branch is a function of Z_ap alone."""
     raw = np.angle(Zp)
-    if ref_index is None:
-        ref_index = int(np.argmin(np.abs(Zp - 1.0)))
-    rolled = np.unwrap(np.roll(raw, -ref_index))
-    g = np.roll(rolled, ref_index)
-    g = g - TWO_PI * np.round(g[ref_index] / TWO_PI)
-    return g
+    turns = np.zeros(raw.shape)
+    np.cumsum(np.rint(np.diff(raw) / TWO_PI), out=turns[1:])
+    anchor = int(np.argmin(np.abs(Zp - 1.0)))
+    return raw + TWO_PI * (turns[anchor] - turns)
 
 
 def continue_angle(Zp, g_prev):
-    """Branch of arg(Z_ap) continuous in time against the previous step."""
+    """Branch of arg(Z_ap) within half a turn of g_prev at each node."""
     raw = np.angle(Zp)
     return raw + TWO_PI * np.round((g_prev - raw) / TWO_PI)
 
@@ -58,13 +56,13 @@ class WaveState:
     """Immutable snapshot of one solution.
 
     Zdev holds Z - a' (periodic part of the interface), Zp holds Z_ap,
-    Zt the complex velocity Z_t; g is the tracked branch of arg(Z_ap).
-    What is computed from a state is kept on it: the compute_derived
-    fields, and the energy blocks and energy_sigma components of energies.
-    Their arrays, like the state's own, are never written in place, and
-    dataclasses.replace starts with nothing kept.  Two states are equal
-    when their grid, sigma, time and the bytes of their arrays are, whatever
-    each keeps; a state is not hashable.
+    Zt the complex velocity Z_t.  What is computed from a state is kept on
+    it: the branch g of arg(Z_ap), the compute_derived fields, and the
+    energy blocks and energy_sigma components of energies.  Their arrays,
+    like the state's own, are never written in place, and
+    dataclasses.replace starts with nothing kept.  Two states are equal when
+    their grid, sigma, time and the bytes of their arrays are, whatever each
+    keeps; a state is not hashable.
     """
 
     grid: SpectralGrid
@@ -73,7 +71,6 @@ class WaveState:
     Zt: np.ndarray = field(repr=False)
     sigma: float
     time: float
-    g: np.ndarray = field(repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __hash__ = None
@@ -81,7 +78,7 @@ class WaveState:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        arrays = ("Zdev", "Zp", "Zt", "g")
+        arrays = ("Zdev", "Zp", "Zt")
         return (self.grid, self.sigma, self.time) == (other.grid, other.sigma, other.time) and (
             same_bytes([getattr(self, a) for a in arrays], [getattr(other, a) for a in arrays])
         )
@@ -97,13 +94,17 @@ class WaveState:
     def Z(self):
         return self.grid.nodes + self.Zdev
 
+    @property
+    def g(self):
+        """The branch of arg(Z_ap), seed_angle of Z_ap."""
+        return self._cached("angle", lambda st: seed_angle(st.grid, st.Zp))
 
-def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0, g=None):
+
+def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0):
     Zdev = np.asarray(Zdev, dtype=np.complex128)
     Zp = np.asarray(Zp, dtype=np.complex128)
     Zt = np.asarray(Zt, dtype=np.complex128)
-    g = seed_angle(grid, Zp) if g is None else np.asarray(g, dtype=np.float64)
-    for name, arr in (("Zdev", Zdev), ("Zp", Zp), ("Zt", Zt), ("g", g)):
+    for name, arr in (("Zdev", Zdev), ("Zp", Zp), ("Zt", Zt)):
         if arr.shape != (grid.n,):
             raise ValueError(f"{name} must have shape ({grid.n},)")
         if not np.all(np.isfinite(arr)):
@@ -112,7 +113,7 @@ def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0, g=None):
         raise ValueError(f"surface tension must be finite and >= 0, got {sigma}")
     if not np.isfinite(time):
         raise ValueError(f"time must be finite, got {time}")
-    return WaveState(grid, Zdev, Zp, Zt, float(sigma), float(time), g)
+    return WaveState(grid, Zdev, Zp, Zt, float(sigma), float(time))
 
 
 def flat_state(grid, sigma=0.0):
@@ -448,8 +449,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
                 f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
                 f"{HOLO_TOLERANCE:.1e} * {scale:.3e}"
             )
-        g_new = continue_angle(Zp_r, st.g)
-        new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt, g_new))
+        new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt))
     if not dev:
         return new, None
     packed, d_packed = dev

@@ -90,12 +90,7 @@ def crest_data(spec, grid, sigma=0.0):
         if -mode > n_neg:
             raise ValueError(f"velocity_mode {mode} is outside the grid spectrum")
         c_Ztbar[mode % n] = spec.velocity_amplitude
-    Zt = np.conj(grid.from_coeffs(c_Ztbar))
-
-    # anchor the angle branch at the node farthest from the crest
-    ref = int(np.round(((a_c + 0.5 * L) % L) / grid.dx)) % n
-    g = seed_angle(grid, Zp, ref_index=ref)
-    return make_state(grid, Zdev, Zp, Zt, sigma, g=g)
+    return make_state(grid, Zdev, Zp, np.conj(grid.from_coeffs(c_Ztbar)), sigma)
 
 
 def mollify_data(state, eps):

@@ -335,6 +335,19 @@ def _dt_theta(state, derived):
     return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
 
 
+def seed_angle_unwrapped(Zp):
+    """The branch of arg(Z_ap) by np.unwrap of the principal angle rolled to
+    start at the node where |Z_ap - 1| is least, rolled back and shifted so
+    that node lies in [-pi, pi].  Its corrections mod(d + pi, 2 pi) - pi - d
+    are rounded before they are summed, so on a row past +-pi it can sit
+    about 1e-15 off raw + 2 pi k; evolution.seed_angle counts the same
+    whole turns."""
+    raw = np.angle(Zp)
+    ref = int(np.argmin(np.abs(Zp - 1.0)))
+    g = np.roll(np.unwrap(np.roll(raw, -ref)), ref)
+    return g - 2.0 * np.pi * np.round(g[ref] / (2.0 * np.pi))
+
+
 def compose_maps(outer, inner):
     """outer o inner as a MonotoneMap on the shared grid: the deviation of
     outer pulled back through inner.  The route to htilde = k_b^{-1} o k_a

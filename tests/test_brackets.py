@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -408,3 +410,14 @@ def test_preimage_refuses_to_return_unconverged_points(monkeypatch):
     with pytest.raises(MonotonicityError,
                        match=r"^preimage not converged after 1 Newton steps: largest residual "):
         m.preimage(y)
+
+
+@pytest.mark.parametrize("cls", [MonotoneMap, InverseFlowMap])
+def test_replacing_the_deviation_with_no_jacobian_derives_the_new_one(cls):
+    # replace keeps every field it is not given, the old jac too, so a new
+    # deviation comes with jac=None and the map derives 1 + D dev again
+    g = make_grid(64)
+    old = cls(g, 0.1 * np.sin(g.nodes))
+    new = replace(old, deviation=0.3 * np.sin(g.nodes), jac=None)
+    assert np.array_equal(new.jac, 1.0 + g.deriv(new.deviation).real)
+    assert new == cls(g, 0.3 * np.sin(g.nodes)) and new != old

@@ -20,7 +20,7 @@ from crestwave.errors import (
     HolomorphicityError,
     MonotonicityError,
 )
-from crestwave.evolution import StepperConfig, cfl_bound, flat_state, step_rk4
+from crestwave.evolution import StepperConfig, cfl_bound, flat_state, seed_angle, step_rk4
 from crestwave.pair import PairState, build_pair
 from crestwave.spectral import SpectralGrid, make_grid
 
@@ -274,6 +274,46 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert st2.sigma == st.sigma and st2.time == st.time
     for a, b in ((st.Zdev, st2.Zdev), (st.Zp, st2.Zp), (st.Zt, st2.Zt), (st.g, st2.g)):
         assert np.array_equal(a, b)
+    # layout version 2: the three complex fields and no angle block
+    raw = Path(p).read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    assert json.loads(raw[12 : 12 + hlen])["version"] == 2
+    assert len(raw) == 12 + hlen + 48 * g.n
+
+
+def _write_version_1(path, state, g):
+    """A layout version 1 checkpoint of state whose angle block is g, written
+    byte by byte: magic, header length, header, the three complex fields,
+    then g as n little-endian float64."""
+    grid = state.grid
+    header = {
+        "version": 1, "n_points": grid.n, "length": grid.length,
+        "dealias_fraction": grid.dealias_fraction, "sigma": state.sigma, "time": state.time,
+        "fields": ["Zdev", "Zp", "Zt"], "angle_field": True,
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = [np.asarray(a, dtype="<c16") for a in (state.Zdev, state.Zp, state.Zt)]
+    body.append(np.asarray(g, dtype="<f8"))
+    path.write_bytes(
+        b"CWCHKPT1" + struct.pack("<I", len(blob)) + blob + b"".join(a.tobytes() for a in body)
+    )
+
+
+def test_version_1_checkpoint_loads_only_with_the_branch_of_its_z_ap(tmp_path):
+    rng = np.random.default_rng(88)
+    st = random_smooth_state(make_grid(128), rng, sigma=3e-3, amp=0.2)
+    st = step_rk4(st, StepperConfig(), 0.4 * cfl_bound(st))
+    p = tmp_path / "v1.ckpt"
+    _write_version_1(p, st, seed_angle(st.grid, st.Zp))
+    loaded = load_checkpoint(str(p))
+    assert loaded == st and loaded.g.tobytes() == st.g.tobytes()
+    # another whole turn at one node, or one ulp more, is not that branch
+    for damage in (lambda x: x + 2.0 * np.pi, lambda x: np.nextafter(x, np.inf)):
+        g = seed_angle(st.grid, st.Zp)
+        g[17] = damage(g[17])
+        _write_version_1(p, st, g)
+        with pytest.raises(ValueError, match="angle block"):
+            load_checkpoint(str(p))
 
 
 def _edit_header(edit):
@@ -302,7 +342,8 @@ HEADER_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
     "damage, match",
     [
         (lambda raw, n: raw[:-16], "bytes"),  # cut at a 16-byte boundary
-        (lambda raw, n: raw[: -8 * n], "bytes"),  # angle block missing
+        (_setting("version", 1), "bytes"),  # a version 1 file without its angle block
+        (lambda raw, n: raw[: -8 * n], "bytes"),  # cut by the size of an angle block
         (lambda raw, n: raw + b"\x00", "bytes"),  # one trailing byte
         (lambda raw, n: raw[:8] + struct.pack("<I", len(raw)) + raw[12:], "runs past the end"),
         (_edit_header(lambda h: [1]), "not a JSON object"),
@@ -314,8 +355,8 @@ HEADER_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
         (_setting("time", True), "time = True is not a finite number"),
     ],
     ids=[
-        "cut_16_bytes", "no_angle_block", "trailing_byte", "header_past_end", "header_list",
-        "header_version_only",
+        "cut_16_bytes", "no_angle_block", "cut_8n_bytes", "trailing_byte", "header_past_end",
+        "header_list", "header_version_only",
         *[f"no_{key}" for key in HEADER_NUMBERS],
         *[f"string_{key}" for key in HEADER_NUMBERS],
         "float_n_points", "nan_sigma", "bool_time",

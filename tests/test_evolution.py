@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from crestwave import evolution
 from crestwave.brackets import MonotoneMap
@@ -14,19 +16,33 @@ from crestwave.evolution import (
     StepperConfig,
     cfl_bound,
     compute_derived,
+    continue_angle,
     curvature_field,
     derive_states,
     flat_state,
     make_state,
     plan_steps,
     rk4,
+    seed_angle,
     step_rk4,
 )
 from crestwave.pair import co_step, init_pair
 from crestwave.spectral import SpectralGrid, make_grid
 
-from helpers import evolve_series, material_derivative_fd, random_smooth_state, refine_state
-from oracles import curvature_geometric, derived_unbatched, inverse_map, rhs_eulerian
+from helpers import (
+    evolve_series,
+    material_derivative_fd,
+    random_real_field,
+    random_smooth_state,
+    refine_state,
+)
+from oracles import (
+    curvature_geometric,
+    derived_unbatched,
+    inverse_map,
+    rhs_eulerian,
+    seed_angle_unwrapped,
+)
 
 
 # -- derived fields ------------------------------------------------------------
@@ -311,7 +327,8 @@ def dynamic_identity_residuals(st0, n_steps, dt):
     prev_, mid, next_ = states[i - 1], states[i], states[i + 1]
     d = compute_derived(mid)
     res = {}
-    # D_t g = -Im( (1/Zbar_ap) d_a Zbar_t )
+    # D_t g = -Im( (1/Zbar_ap) d_a Zbar_t ), g the branch of arg(Z_ap) that
+    # each state derives from its own Z_ap (seed_angle)
     lhs = material_derivative_fd(g, prev_.g, next_.g, d.b, mid.g, dt).real
     rhs = -(g.deriv(np.conj(mid.Zt)) / np.conj(mid.Zp)).imag
     res["Dtg"] = float(np.max(np.abs(lhs - rhs)))
@@ -485,3 +502,40 @@ def test_refine_state_preserves_fields():
     st2 = refine_state(st, 128)
     assert st2.grid.n == 128
     assert np.max(np.abs(st2.Zp[::2] - st.Zp)) < 1e-12
+
+
+# -- the branch of arg(Z_ap) ---------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n_modes=hst.integers(1, 4),
+    height=hst.floats(1.2, 3.0),
+)
+def test_seed_angle_of_a_row_winding_past_pi(seed, n_modes, height):
+    # Z_ap = r exp(i theta) with theta of zero mean and height pi * height,
+    # so its principal angle wraps past +-pi while arg winds zero times; by
+    # Bernstein, 4 modes of height 3 pi move at most 0.93 between the 256
+    # nodes
+    grid = make_grid(256)
+    rng = np.random.default_rng(seed)
+    theta = random_real_field(grid, rng, n_modes=n_modes)
+    theta -= theta.mean()
+    theta *= np.pi * height / np.max(np.abs(theta))
+    Zp = np.exp(0.3 * random_real_field(grid, rng, n_modes=n_modes) + 1j * theta)
+    raw = np.angle(Zp)
+    assert np.max(np.abs(np.diff(raw))) > np.pi
+    g = seed_angle(grid, Zp)
+    assert np.max(np.abs(np.diff(np.append(g, g[0])))) < np.pi
+    anchor = int(np.argmin(np.abs(Zp - 1.0)))
+    assert g[anchor] == raw[anchor]
+    # g = raw + 2 pi k rounds once, off by half an ulp of g and k times the
+    # error of the double 2 pi; exp and the angle add a few 1e-16
+    err = np.abs(np.exp(1j * g) - Zp / np.abs(Zp))
+    assert np.all(err <= 1e-15 + 4.0 * np.spacing(np.abs(g)))
+    # the same whole turns as the np.unwrap form, whose rounded corrections
+    # leave it about 1e-15 off: continued from it, or from g itself, the
+    # branch lands on g bit for bit
+    for prev in (seed_angle_unwrapped(Zp), g):
+        assert continue_angle(Zp, prev).tobytes() == g.tobytes()

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crestwave import energies, evolution
 from crestwave.energies import energy_aux, energy_delta, energy_sigma, f_delta_norm
 from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
 from crestwave.pair import PairRunSpec, build_pair, co_step
@@ -104,6 +105,29 @@ def test_co_step_makes_no_nufft_call(stepped, monkeypatch):
     # the counters see the calls of a record
     pair.map_tilde
     assert "nufft_kernel" in calls and "spread" in calls
+
+
+def test_steps_seed_and_continue_no_angle_branch(stepped, monkeypatch):
+    # a state derives its branch of arg(Z_ap) when it is read, so no step
+    # seeds or continues one
+    pair, cfg, dt = stepped
+    calls = []
+    for module, name in ((evolution, "seed_angle"), (evolution, "continue_angle"),
+                         (energies, "continue_angle")):
+        function = getattr(module, name)
+
+        def counted(*args, _name=name, _function=function):
+            calls.append(_name)
+            return _function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    step_rk4(pair.state_a, cfg, dt)
+    co_step(pair, cfg, dt)
+    assert calls == []
+    # the counters see the reads of a record: the blocks continue the
+    # state's branch, seeded on the first read, to the band of Z_ap
+    energy_sigma(pair.state_a)
+    assert calls == ["seed_angle", "continue_angle"]
 
 
 def test_record_transform_calls(stepped, fft_calls):

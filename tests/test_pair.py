@@ -18,6 +18,7 @@ from crestwave.evolution import (
     StepperConfig,
     cfl_bound,
     compute_derived,
+    continue_angle,
     flat_state,
     make_state,
     step_rk4,
@@ -347,8 +348,23 @@ def test_each_member_steps_as_it_would_alone():
         alone_b = step_rk4(alone_b, cfg, dt)
     for member, alone in ((pair.state_a, alone_a), (pair.state_b, alone_b)):
         assert member.time == alone.time
+        # g, the branch of arg(Z_ap), is derived from Zp and read as a property
         for name in ("Zdev", "Zp", "Zt", "g"):
             assert getattr(member, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_branch_continued_in_time_is_the_branch_each_state_derives():
+    # continuity in time: the previous step's branch continued pointwise to
+    # the new Z_ap is the branch the new state seeds on its own
+    pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
+                                  n_points=256))
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    for _ in range(60):
+        new = co_step(pair, cfg, dt)
+        for old, member in ((pair.state_a, new.state_a), (pair.state_b, new.state_b)):
+            assert continue_angle(member.Zp, old.g).tobytes() == member.g.tobytes()
+        pair = new
 
 
 def test_flat_pair_stays_flat():
@@ -423,7 +439,7 @@ def test_energy_reports_match_a_rebuilt_pair():
     first = (energy_delta(pair), f_delta_norm(pair), energy_sigma(pair.state_a))
     again = (energy_delta(pair), f_delta_norm(pair), energy_sigma(pair.state_a))
     grid = make_grid(128)
-    states = [make_state(grid, s.Zdev.copy(), s.Zp.copy(), s.Zt.copy(), s.sigma, s.time, s.g.copy())
+    states = [make_state(grid, s.Zdev.copy(), s.Zp.copy(), s.Zt.copy(), s.sigma, s.time)
               for s in (pair.state_a, pair.state_b)]
     # the copy derives its own htilde from the two maps, each rebuilt from
     # its data: the deviation and the Jacobian that the step's finish gave it
@@ -524,7 +540,7 @@ def test_states_maps_and_pairs_compare_by_their_data():
     pair = co_step(pair, StepperConfig(), dt)
     energy_delta(pair)
     a, k = pair.state_a, pair.k_b
-    state_copy = make_state(g, a.Zdev.copy(), a.Zp.copy(), a.Zt.copy(), a.sigma, a.time, a.g.copy())
+    state_copy = make_state(g, a.Zdev.copy(), a.Zp.copy(), a.Zt.copy(), a.sigma, a.time)
     map_copy = InverseFlowMap(g, k.deviation.copy(), k.jacobian().copy())
     assert a == state_copy and k == map_copy
     assert pair == PairState(state_copy, pair.state_b, pair.k_a, map_copy)
