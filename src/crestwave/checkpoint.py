@@ -54,9 +54,9 @@ def save_checkpoint(path, state):
 def load_checkpoint(path):
     """State stored by save_checkpoint; raises ValueError on a file that is
     not a checkpoint, is cut short or has trailing bytes, on a header that
-    is not a JSON object with numeric grid, sigma and time fields, on
-    fields that make_state rejects and on a version 1 angle block that is
-    not the branch of its Z_ap."""
+    is not a JSON object with version 1 or 2 (an integer) and numeric grid,
+    sigma and time fields, on fields that make_state rejects and on a
+    version 1 angle block that is not the branch of its Z_ap."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != MAGIC:
@@ -70,8 +70,9 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
     version = header.get("version")
-    if version not in (1, 2):
-        raise ValueError(f"unsupported checkpoint version {version}")
+    # an exact int: True and 1.0 compare equal to 1 but are no version
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"unsupported checkpoint version {version!r}")
     n, length, dealias, sigma, time = (_header_number(header, key) for key in _NUMBERS)
     body = data[12 + hlen :]
     size = (48 + 8 * (version == 1)) * n

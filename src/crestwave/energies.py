@@ -13,7 +13,7 @@
 Each family is a table of terms (column name, norm, field builder) in the
 order of its components, which the CSV header reads too; totals are sums of
 the components.  Fractional powers of Z_ap use the continuous branch of log
-Z_ap carried by the state.
+Z_ap on the band, whose angle is seed_angle of Z_ap,band.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .brackets import compose_map_apply
-from .evolution import continue_angle, derive_states
+from .evolution import derive_states, seed_angle
 
 
 @dataclass
@@ -91,7 +91,7 @@ def _build_blocks(states):
     omega = Zp_band / np.abs(Zp_band)
     q = omega * d1
     Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
-    g_band = continue_angle(Zp_band, np.array([st.g for st in states]))
+    g_band = np.array([seed_angle(grid, row) for row in Zp_band])
     log_Zp = np.log(np.abs(Zp_band)) + 1j * g_band
     names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
     rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)

@@ -45,12 +45,6 @@ def seed_angle(grid, Zp):
     return raw + TWO_PI * (turns[anchor] - turns)
 
 
-def continue_angle(Zp, g_prev):
-    """Branch of arg(Z_ap) within half a turn of g_prev at each node."""
-    raw = np.angle(Zp)
-    return raw + TWO_PI * np.round((g_prev - raw) / TWO_PI)
-
-
 @dataclass(frozen=True, eq=False)
 class WaveState:
     """Immutable snapshot of one solution.
@@ -217,7 +211,7 @@ def _require_floor(min_abs, prefix):
         )
 
 
-def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
+def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     """The (m, n) stacks (b, A1, omega, Ztt, Ztap, flux, flux_ap), in the
     order of DerivedFields, of the rows Zp, Zt_rows with surface tensions
     sigma, capillary rows (sigma != 0) first: the capillary transforms run
@@ -227,7 +221,9 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
 
     The inputs of each of the two rounds are written into the rows of one
     stack, which one multiply_symbol call transforms with a per-row symbol
-    table.
+    table.  flux and flux_ap are the two halves of fluxes, a (2m, n) array
+    (a new one when not given), such as the first rows of an RK4 stage's
+    rates, so that they do not hold the round-2 stacks.
     """
     m, n = Zp.shape
     n_cap = sum(s != 0.0 for s in sigma)
@@ -248,7 +244,7 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
     Ztap, h_ratio = out[q : q + 2 * m].reshape(2, m, n)
     d_omega = out[q + 2 * m :]
     k_ap = None if k_dev is None else out[:q] + (1.0 + 1.0j)
-    b = (ratio - h_ratio).real
+    b = ratio.real - h_ratio.real
 
     # round 2: D flux, H conj(Z_tap), H prod and D (I + H) curv_im, the
     # last as the one symbol i k (1 - sgn k); dt Z = flux = Z_t - b Z_ap,
@@ -266,25 +262,32 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None):
     flux_ap, h_Ztbar_ap, h_prod = out[: 3 * m].reshape(3, m, n)
     A1 = 1.0 - (Zt * h_Ztbar_ap - h_prod).imag
 
-    capillary = np.zeros_like(Zp)
-    capillary[:n_cap] = np.array(sigma[:n_cap])[:, None] * inv_Zp[:n_cap] * out[3 * m :]
-    Ztt = np.conj(1j - 1j * A1 * inv_Zp + capillary)
-    # copies, so that the rates an RK4 stage keeps do not hold the round stacks
-    fields = (b, A1, omega, Ztt, Ztap, flux.copy(), flux_ap.copy())
+    # only the capillary rows take the capillary term: neither part of
+    # 1j - x is ever -0.0, so adding a zero term would change no bit
+    Ztt = 1j - 1j * A1 * inv_Zp
+    if n_cap:
+        Ztt[:n_cap] += np.array(sigma[:n_cap])[:, None] * inv_Zp[:n_cap] * out[3 * m :]
+    np.conj(Ztt, out=Ztt)
+    if fluxes is None:
+        fluxes = np.empty((2 * m, n), dtype=np.complex128)
+    fluxes[:m] = flux
+    fluxes[m:] = flux_ap
+    fields = (b, A1, omega, Ztt, Ztap, fluxes[:m], fluxes[m:])
     return fields if k_ap is None else (*fields, k_ap)
 
 
-def _pack(rows):
+def _pack(rows, out=None):
     """The (p, n) real rows as (p + 1) // 2 complex rows, rows 2r and 2r + 1
-    the real and imaginary parts of row r (0 for an odd last row).  D maps
-    real rows to real rows, so the parts of D of a packed row are the
-    derivatives of its two rows; and the float64 view of a packed stack
-    interleaves its rows' values, so a product of two views multiplies
-    the rows of one by those of the other."""
+    the real and imaginary parts of row r (0 for an odd last row), written
+    into out when given.  D maps real rows to real rows, so the parts of D
+    of a packed row are the derivatives of its two rows; and the float64
+    view of a packed stack interleaves its rows' values, so a product of
+    two views multiplies the rows of one by those of the other."""
     p, n = rows.shape
-    packed = np.zeros(((p + 1) // 2, n), dtype=np.complex128)
+    packed = np.empty(((p + 1) // 2, n), dtype=np.complex128) if out is None else out
     packed.real = rows[0::2]
     packed.imag[: p // 2] = rows[1::2]
+    packed.imag[p // 2 :] = 0.0
     return packed
 
 
@@ -299,10 +302,23 @@ def curvature_field(derived):
     return derived.Theta.real
 
 
-def _rates(b, Ztt, Ztap, flux, flux_ap):
-    """(dt Zdev, dt Z_ap, dt Z_t) from the right-hand-side fields of one
-    state or of an (m, n) stack."""
-    return flux, flux_ap, -b * Ztap + Ztt
+def _rates(rates, b, Ztt, Ztap, k_ap=None):
+    """rates, the time derivatives of an RK4 stage as one (3m + q, n) stack,
+    completed from the right-hand-side (m, n) fields of m states: its first
+    2m rows hold dt Zdev = flux and dt Z_ap = flux_ap, the next m rows get
+    dt Z_t = -b Z_tap + Z_tt, and with k_ap, the q packed Jacobians of the
+    maps (_pack), the last q rows get the rates -b_r k_ap,r of their packed
+    deviations: a product of float64 views of packed rows is the product
+    of each map's own rows."""
+    m = len(b)
+    dt_Zt = rates[2 * m : 3 * m]
+    np.multiply(-b, Ztap, out=dt_Zt)
+    dt_Zt += Ztt
+    if k_ap is not None:
+        view = _pack(b, rates[3 * m :]).view(np.float64)
+        np.multiply(view, k_ap.view(np.float64), out=view)
+        np.negative(view, out=view)
+    return rates
 
 
 @dataclass
@@ -354,15 +370,14 @@ def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
 
 
 def rk4(y0, rhs, dt, k1):
-    """One classical RK4 step of the tuple of arrays y0; rhs maps a tuple
-    of fields to the tuple of their time derivatives and k1 = rhs(y0)."""
-    k2 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
-    k3 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
-    k4 = rhs(tuple(y + dt * k for y, k in zip(y0, k3)))
-    return tuple(
-        y + (dt / 6.0) * (a + 2.0 * b_ + 2.0 * c + e)
-        for y, a, b_, c, e in zip(y0, k1, k2, k3, k4)
-    )
+    """One classical RK4 step of the array y0; rhs maps an array of the
+    shape of y0 to its time derivative and k1 = rhs(y0).  Each operation is
+    one numpy call on the whole array, so a stack of fields steps as each
+    of its rows would alone."""
+    k2 = rhs(y0 + 0.5 * dt * k1)
+    k3 = rhs(y0 + 0.5 * dt * k2)
+    k4 = rhs(y0 + dt * k3)
+    return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def advance(states, cfg, dt, maps=None, tags=None):
@@ -371,23 +386,27 @@ def advance(states, cfg, dt, maps=None, tags=None):
     (brackets.InverseFlowMap) of which map r is transported by the drift b
     of state r.
 
+    The step holds everything it advances as one (3m + q, n) complex
+    stack, the rows Zdev | Z_ap | Z_t of the states, then with maps the
+    q = (m + 1) // 2 packed rows of their deviations (_pack), k_dev of maps
+    2r and 2r + 1 as the real and imaginary parts of one row, never beside
+    a state in a row.  rk4 combines the stages on that one array, and each
+    stage's rates (_rates) come as one stack of the same rows.
+
     A flow map moves by h_t = b o h, so its inverse obeys k_t + b k_ap = 0,
     which needs only fields on the grid: the deviation of map r moves at
-    the rate -b_r (1 + D k_dev,r).  The maps travel through the step as
-    packed rows (_pack), k_dev of maps 2r and 2r + 1 as the real and
-    imaginary parts of one complex row, never beside a state in a row.
-    Stage 1 takes 1 + D k_dev from the maps' kept Jacobians; stages 2 to 4
-    add the packed rows to round 1 of their derive, so the maps cost no FFT
-    call of their own and no interpolation.
+    the rate -b_r (1 + D k_dev,r).  Stage 1 takes 1 + D k_dev from the
+    maps' kept Jacobians; stages 2 to 4 add the packed rows to round 1 of
+    their derive, so the maps cost no FFT call of their own and no
+    interpolation.
 
     Returns the new states and, with maps, the (m, n) stacks of the new map
     deviations and of their Jacobians 1 + D k_dev (None without maps).
-    Every stage and the finish take the states as one stack; the finish,
-    grid.finish_step (dealias and projection), is one FFT pair, and it
-    dealiases the packed map rows too, whose derivatives it returns from
-    the same spectrum: the products b k_ap alias like those of the states,
-    and without the filter their debris piles up at the top modes of k over
-    long runs.  Raises
+    The finish, grid.finish_step (dealias and projection) of the stack, is
+    one FFT pair, and it dealiases the packed map rows too, whose
+    derivatives it returns from the same spectrum: the products b k_ap
+    alias like those of the states, and without the filter their debris
+    piles up at the top modes of k over long runs.  Raises
     ValueError if a capillary state follows one with sigma = 0, and, state
     by state, CFLViolationError when dt is not within dt_safety
     times the bound of the state (a NaN bound or dt fails),
@@ -412,59 +431,51 @@ def advance(states, cfg, dt, maps=None, tags=None):
                 f"{cfg.dt_safety * bound:.3e}"
             )
 
-    def rhs(y, fields=None):
-        Zdev, Zp, Zt, *dev = y
-        if fields is None:
-            abs_Zp = np.abs(Zp)
-            for min_r, tag in zip(abs_Zp.min(axis=-1).tolist(), tags):
-                _require_floor(min_r, tag)
-            b, _, _, Ztt, Ztap, flux, flux_ap, *k_ap = _derive(grid, Zp, abs_Zp, Zt, sigma, *dev)
-        else:
-            b, Ztt, Ztap, flux, flux_ap, *k_ap = fields
-        rates = _rates(b, Ztt, Ztap, flux, flux_ap)
-        return (*rates, *(_map_rates(b, j) for j in k_ap))
+    def rhs(y):
+        Zp = y[m : 2 * m]
+        abs_Zp = np.abs(Zp)
+        for min_r, tag in zip(abs_Zp.min(axis=-1).tolist(), tags):
+            _require_floor(min_r, tag)
+        k_dev = None if maps is None else y[3 * m :]
+        rates = np.empty_like(y)
+        b, _, _, Ztt, Ztap, _, _, *k_ap = _derive(
+            grid, Zp, abs_Zp, y[2 * m : 3 * m], sigma, k_dev, rates[: 2 * m]
+        )
+        return _rates(rates, b, Ztt, Ztap, *k_ap)
 
-    y0 = [np.array([getattr(st, name) for st in states]) for name in ("Zdev", "Zp", "Zt")]
-    names = ("b", "Ztt", "Ztap", "flux", "flux_ap")
-    kept = [np.array([getattr(d, name) for d in derived]) for name in names]
+    y0 = np.array([getattr(st, name) for name in ("Zdev", "Zp", "Zt") for st in states])
+    kept = [np.array([getattr(d, name) for d in derived]) for name in ("b", "Ztt", "Ztap")]
     if maps is not None:
-        y0.append(_pack(np.array([k.deviation for k in maps])))
+        y0 = np.concatenate((y0, _pack(np.array([k.deviation for k in maps]))))
         kept.append(_pack(np.array([k.jacobian() for k in maps])))
-    Zdev, Zp, Zt, *dev = rk4(y0, rhs, dt, rhs(y0, kept))
+    k1 = np.empty_like(y0)
+    k1[: 2 * m] = [getattr(d, name) for name in ("flux", "flux_ap") for d in derived]
+    out, mass = grid.finish_step(rk4(y0, rhs, dt, _rates(k1, *kept)), m)
 
-    (Zdev, Zp, Zt, *dev), mass = grid.finish_step((Zdev, Zp, Zt, *dev))
-    masses = zip(*mass.tolist())
+    Zdev, Zp, Zt = out[: 3 * m].reshape(3, m, grid.n)
+    min_abs = np.abs(Zp).min(axis=-1).tolist()
+    deviation = out[m : 3 * m].copy()
+    deviation[:m] -= 1.0
+    # |conj(Z_t)| is |Z_t|, so one stack gives the sizes of Z_ap - 1 and Zbar_t
+    size_Zp, size_Zt = grid.l2_norm(deviation).reshape(2, m).tolist()
     new = []
-    for st, tag, Zdev_r, Zp_r, Zt_r, (res_Zp, res_Zt) in zip(
-        states, tags, Zdev, Zp, Zt, masses
-    ):
-        _require_floor(float(np.min(np.abs(Zp_r))), f"{tag}post-step ")
-        scale = max(1.0, grid.l2_norm(Zp_r - 1.0) + grid.l2_norm(np.conj(Zt_r)))
+    for r, (st, tag, res_Zp, res_Zt) in enumerate(zip(states, tags, *mass.tolist())):
+        _require_floor(min_abs[r], f"{tag}post-step ")
+        scale = max(1.0, size_Zp[r] + size_Zt[r])
         # the larger removed mass, a NaN one before any number
         res, name = max(
-            (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda r: (np.isnan(r[0]), r)
+            (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda x: (np.isnan(x[0]), x)
         )
         if not res <= HOLO_TOLERANCE * scale:
             raise HolomorphicityError(
                 f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
                 f"{HOLO_TOLERANCE:.1e} * {scale:.3e}"
             )
-        new.append(WaveState(grid, Zdev_r, Zp_r, Zt_r, st.sigma, st.time + dt))
-    if not dev:
+        new.append(WaveState(grid, Zdev[r], Zp[r], Zt[r], st.sigma, st.time + dt))
+    if maps is None:
         return new, None
-    packed, d_packed = dev
+    packed, d_packed = out[3 * m :].reshape(2, -1, grid.n)
     return new, (_unpack(packed, m), 1.0 + _unpack(d_packed, m))
-
-
-def _map_rates(b, k_ap):
-    """The rates -b_r k_ap,r of the maps whose packed Jacobians are k_ap,
-    packed alike, from the (m, n) drifts b: a product of float64 views of
-    packed rows is the product of each map's own rows."""
-    rates = _pack(b)
-    view = rates.view(np.float64)
-    np.multiply(view, k_ap.view(np.float64), out=view)
-    np.negative(view, out=view)
-    return rates
 
 
 def step_rk4(state, cfg, dt):

@@ -171,50 +171,44 @@ class SpectralGrid:
     def dealias(self, f):
         return self.multiply_symbol(f, self._dealias_symbol)
 
-    def finish_step(self, rows):
-        """The end of an RK4 step from one FFT pair.  rows is (Zdev, Z_ap,
-        Z_t, *maps): three (m, n) stacks or fields of one shape, and maps, at
-        most one (q, n) stack of further rows, such as the packed map
-        deviations of a pair step.  All are dealiased (a dealias_fraction = 1
-        grid keeps every mode), and Z_ap - 1 and Zbar_t lose their k > 0
-        content (Nyquist included; the k = 0 mode is kept in full, unlike
-        P_H).  The further rows are only dealiased, and their derivatives,
-        D of the dealiased rows, come from the same spectrum in the one
-        inverse transform.
-        Returns the tuple of the new rows (Zdev, Z_ap, Z_t, *maps, *D maps),
-        each of the shape of its input block, and the (2, m) L2 masses
-        removed from Z_ap - 1 and from Zbar_t ((2,) for fields).  The modes
-        k > 0 of Zbar_t are the conjugates of the modes k < 0 of Z_t, so
-        both masses come from the one spectrum of (Zdev, Z_ap - 1, Z_t);
-        transforming Z_ap - 1, not Z_ap, keeps the rounding of the
-        transform relative to the deviation.
+    def finish_step(self, stack, m):
+        """The end of an RK4 step from one FFT pair.  stack is a (3m + q, n)
+        array of the rows Zdev | Z_ap | Z_t of m states, then q further rows,
+        such as the packed map deviations of a pair step.  All rows are
+        dealiased (a dealias_fraction = 1 grid keeps every mode), and Z_ap - 1
+        and Zbar_t lose their k > 0 content (Nyquist included; the k = 0 mode
+        is kept in full, unlike P_H).  The further rows are only dealiased,
+        and their derivatives, D of the dealiased rows, come from the same
+        spectrum in the one inverse transform.
+        Returns the (3m + 2q, n) array of the new rows, those of stack in
+        its order followed by the q derivatives, and the (2, m) L2 masses
+        removed from Z_ap - 1 and from Zbar_t.  The modes k > 0 of Zbar_t
+        are the conjugates of the modes k < 0 of Z_t, so both masses come
+        from the one spectrum of (Zdev, Z_ap - 1, Z_t); transforming
+        Z_ap - 1, not Z_ap, keeps the rounding of the transform relative to
+        the deviation.
 
-        For (m, n) stacks each row and its masses are bit-identical to a
-        call on that row alone.
+        Each row and its masses are bit-identical to a call on that state's
+        rows alone.
         """
-        Zdev, Zp, Zt, *maps = rows
         n, half = self.n, self.n // 2
-        shape = np.shape(Zdev)
-        m = np.size(Zdev) // n
-        stack = np.concatenate((Zdev, Zp - 1.0, Zt, *maps)).reshape(-1, n)
         r = len(stack)
+        rows = stack.copy()
+        rows[m : 2 * m] -= 1.0
         # the spectra of the r rows, then room for those of the derivatives
         c = np.empty((2 * r - 3 * m, n), dtype=np.complex128)
-        np.fft.fft(stack, out=c[:r])
+        np.fft.fft(rows, out=c[:r])
         c[:r] *= self._dealias_symbol
         # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
         zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
-        mass = np.stack([self._mass(zp_pos / n), self._mass(zt_neg / n)])
+        mass = self._mass(np.concatenate((zp_pos, zt_neg)) / n).reshape(2, m)
         zp_pos[...] = 0.0
         zt_neg[...] = 0.0
-        if maps:
+        if r > 3 * m:
             np.multiply(c[3 * m : r], self._deriv_symbol, out=c[r:])
         out = np.fft.ifft(c)
         out[m : 2 * m] += 1.0
-        new = tuple(out[: 3 * m].reshape((3,) + shape))
-        if maps:
-            new += (out[3 * m : r], out[r:])
-        return new, mass.reshape((2,) + shape[:-1])
+        return out, mass
 
     def positive_mode_mass(self, f):
         """L2 mass carried by modes k > 0 (Nyquist included)."""
@@ -228,7 +222,11 @@ class SpectralGrid:
     # -- norms ----------------------------------------------------------
 
     def l2_norm(self, f):
-        return float(np.sqrt(self.dx * np.sum(np.abs(f) ** 2)))
+        """L2 norm.  f may also be an (m, n) stack; the result is then an
+        array of the m row norms from one reduction, each bit-identical to
+        a single-field call."""
+        norm = np.sqrt(self.dx * np.sum(np.abs(f) ** 2, axis=-1))
+        return float(norm) if np.ndim(f) == 1 else norm
 
     def linf_norm(self, f):
         return float(np.max(np.abs(f)))

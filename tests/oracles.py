@@ -10,7 +10,7 @@ import numpy as np
 from crestwave.brackets import MonotoneMap, compose_map_apply
 from crestwave.energies import _powers, _state_blocks
 from crestwave.errors import DegenerateJacobianError
-from crestwave.evolution import ABS_ZP_FLOOR, _rates, compute_derived, derive_states
+from crestwave.evolution import ABS_ZP_FLOOR, TWO_PI, _rates, compute_derived, derive_states
 from crestwave.spectral import _NUFFT_BETA, _NUFFT_WIDTH
 
 
@@ -254,14 +254,39 @@ def derived_unbatched(state):
 def rhs_eulerian(state):
     """Time derivatives (dt Zdev, dt Z_ap, dt Z_t) of one state on the fixed
     grid, from its derived fields by the rate formula of the stepper's
-    stages."""
+    stages, as the rows of one (3, n) array."""
     d = compute_derived(state)
-    return _rates(d.b, d.Ztt, d.Ztap, d.flux, d.flux_ap)
+    rates = np.empty((3, state.grid.n), dtype=np.complex128)
+    rates[:2] = d.flux, d.flux_ap
+    return _rates(rates, d.b[None], d.Ztt[None], d.Ztap[None])
+
+
+def rk4_by_blocks(y0, rhs, dt, k1, bounds):
+    """evolution.rk4 with its stage combinations taken block by block: y0,
+    k1 and each stage's rates split at the row indices bounds (the blocks
+    Zdev, Z_ap, Z_t and the packed map rows of an advance stack), each
+    block combined by numpy calls of its own in the expression order of
+    rk4; rhs still takes and returns whole stacks."""
+
+    def split(y):
+        return np.split(y, bounds)
+
+    def rates(blocks):
+        return split(rhs(np.concatenate(blocks)))
+
+    y0, k1 = split(y0), split(k1)
+    k2 = rates([y + 0.5 * dt * k for y, k in zip(y0, k1)])
+    k3 = rates([y + 0.5 * dt * k for y, k in zip(y0, k2)])
+    k4 = rates([y + dt * k for y, k in zip(y0, k3)])
+    return np.concatenate([
+        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+        for y, a, b, c, e in zip(y0, k1, k2, k3, k4)
+    ])
 
 
 def finish_unfused(grid, rows):
-    """grid.finish_step(rows) as two FFT pairs per row: the dealias
-    of each of the three row blocks (Zdev, Z_ap, Z_t), then the removal of
+    """grid.finish_step of the stacked blocks rows = (Zdev, Z_ap, Z_t) as two
+    FFT pairs per row: the dealias of each block, then the removal of
     the k > 0 modes of Z_ap - 1 and of Zbar_t, with the L2 mass each loses
     measured on its own spectrum."""
     out = [grid.dealias(f) for f in rows]
@@ -333,6 +358,13 @@ def _dt_theta(state, derived):
     dTheta = grid.deriv(derived.Theta)
     c = derived.b * grid.hilbert(dTheta) - grid.hilbert(derived.b * dTheta)
     return 1j * u - 1j * (u - grid.hilbert(u)).real + 1j * c.imag
+
+
+def continue_angle(Zp, g_prev):
+    """Branch of arg(Z_ap) within half a turn of g_prev at each node: the
+    branch a state once carried from step to step."""
+    raw = np.angle(Zp)
+    return raw + TWO_PI * np.round((g_prev - raw) / TWO_PI)
 
 
 def seed_angle_unwrapped(Zp):

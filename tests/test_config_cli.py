@@ -373,6 +373,24 @@ def test_checkpoint_refuses_wrong_length(tmp_path, damage, match):
         load_checkpoint(str(p))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, 2.0, "2"],
+                         ids=["true", "float_1", "float_2", "string_2"])
+def test_checkpoint_refuses_a_version_that_is_not_an_exact_int(tmp_path, version):
+    # True and 1.0 compare equal to 1 and 2.0 to 2, so each goes on a file
+    # that is valid in the layout of that version: only the header differs
+    rng = np.random.default_rng(88)
+    st = random_smooth_state(make_grid(64), rng, amp=0.1)
+    p = tmp_path / "st.ckpt"
+    if version == 1:
+        _write_version_1(p, st, seed_angle(st.grid, st.Zp))
+    else:
+        save_checkpoint(str(p), st)
+    assert load_checkpoint(str(p)) == st
+    p.write_bytes(_setting("version", version)(p.read_bytes(), st.grid.n))
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version!r}"):
+        load_checkpoint(str(p))
+
+
 def test_checkpoint_refuses_nan_field(tmp_path):
     rng = np.random.default_rng(88)
     g = make_grid(64)

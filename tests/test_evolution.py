@@ -16,7 +16,6 @@ from crestwave.evolution import (
     StepperConfig,
     cfl_bound,
     compute_derived,
-    continue_angle,
     curvature_field,
     derive_states,
     flat_state,
@@ -26,7 +25,7 @@ from crestwave.evolution import (
     seed_angle,
     step_rk4,
 )
-from crestwave.pair import co_step, init_pair
+from crestwave.pair import PairRunSpec, build_pair, co_step, init_pair
 from crestwave.spectral import SpectralGrid, make_grid
 
 from helpers import (
@@ -37,10 +36,12 @@ from helpers import (
     refine_state,
 )
 from oracles import (
+    continue_angle,
     curvature_geometric,
     derived_unbatched,
     inverse_map,
     rhs_eulerian,
+    rk4_by_blocks,
     seed_angle_unwrapped,
 )
 
@@ -264,8 +265,8 @@ def test_holomorphicity_guard_refuses_a_nan_mass(monkeypatch):
     st = random_smooth_state(g, np.random.default_rng(12), sigma=1e-2, amp=0.1)
     finish = SpectralGrid.finish_step
 
-    def nan_mass_of_zbar_t(self, rows):
-        out, mass = finish(self, rows)
+    def nan_mass_of_zbar_t(self, stack, m):
+        out, mass = finish(self, stack, m)
         mass[1, -1] = np.nan
         return out, mass
 
@@ -369,6 +370,48 @@ def test_dynamic_identities_second_order():
     assert fine["commutator"] < 1e-10
 
 
+@pytest.mark.parametrize("case", ["capillary", "gravity", "crest_pair"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), amp=hst.floats(0.02, 0.12))
+def test_stacked_rk4_steps_as_its_blocks_would_alone(case, seed, amp):
+    # advance combines its RK4 stages on one stack of the rows Zdev | Z_ap |
+    # Z_t (| packed map rows); combined block by block instead, by numpy
+    # calls of each block's own, 20 steps give the same bytes: the states,
+    # and for the pair its maps
+    rng = np.random.default_rng(seed)
+    if case == "crest_pair":
+        phase = np.exp(2j * np.pi * rng.random())
+        spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.5j * amp * phase,
+                           n_points=128)
+        x0 = build_pair(spec)
+        step, bounds = co_step, (2, 4, 6)
+        dt = 0.3 * min(cfl_bound(x0.state_a), cfl_bound(x0.state_b))
+    else:
+        x0 = random_smooth_state(make_grid(128), rng, sigma=1e-2 if case == "capillary" else 0.0,
+                                 amp=amp)
+        step, bounds = step_rk4, (1, 2)
+        dt = 0.3 * cfl_bound(x0)
+    cfg = StepperConfig()
+    stacked = [x0]
+    for _ in range(20):
+        stacked.append(step(stacked[-1], cfg, dt))
+    calls = []
+
+    def by_blocks(y0, rhs, dt, k1):
+        calls.append(y0.shape)
+        return rk4_by_blocks(y0, rhs, dt, k1, bounds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "rk4", by_blocks)
+        x = x0
+        for expected in stacked[1:]:
+            x = step(x, cfg, dt)
+            assert x == expected
+    # one stack per step, whose last block (Z_t of one state, or the packed
+    # row of two maps) is one row
+    assert calls == [(bounds[-1] + 1, 128)] * 20
+
+
 # -- Lagrangian map advance by the shared RK4 ---------------------------------------
 
 
@@ -377,11 +420,10 @@ def advance_map(map_, b_field, dt):
     g = map_.grid
 
     def drift(y):
-        return (g.interpolate(b_field, g.nodes + y[0]),)
+        return g.interpolate(b_field, g.nodes + y)
 
-    y0 = (map_.deviation,)
-    (dev,) = rk4(y0, drift, dt, drift(y0))
-    return MonotoneMap(g, dev)
+    y0 = map_.deviation
+    return MonotoneMap(g, rk4(y0, drift, dt, drift(y0)))
 
 
 def test_advance_map_trivial_flows():
@@ -419,9 +461,9 @@ def transport_map(k, b_field, dt):
     g = k.grid
 
     def rate(y):
-        return (-b_field * (1.0 + g.deriv(y[0]).real),)
+        return -b_field * (1.0 + g.deriv(y).real)
 
-    (dev,) = rk4((k.deviation,), rate, dt, rate((k.deviation,)))
+    dev = rk4(k.deviation, rate, dt, rate(k.deviation))
     return MonotoneMap(g, g.dealias(dev).real)
 
 

@@ -109,25 +109,25 @@ def test_co_step_makes_no_nufft_call(stepped, monkeypatch):
 
 def test_steps_seed_and_continue_no_angle_branch(stepped, monkeypatch):
     # a state derives its branch of arg(Z_ap) when it is read, so no step
-    # seeds or continues one
+    # seeds one (the package has no routine that continues one)
     pair, cfg, dt = stepped
     calls = []
-    for module, name in ((evolution, "seed_angle"), (evolution, "continue_angle"),
-                         (energies, "continue_angle")):
-        function = getattr(module, name)
+    for module in (evolution, energies):
+        function = module.seed_angle
 
-        def counted(*args, _name=name, _function=function):
-            calls.append(_name)
+        def counted(*args, _function=function):
+            calls.append("seed_angle")
             return _function(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, "seed_angle", counted)
     step_rk4(pair.state_a, cfg, dt)
     co_step(pair, cfg, dt)
     assert calls == []
-    # the counters see the reads of a record: the blocks continue the
-    # state's branch, seeded on the first read, to the band of Z_ap
+    # the counters see the reads of a record: the blocks seed the branch of
+    # the band of Z_ap, once per state, and do not read the state's own
     energy_sigma(pair.state_a)
-    assert calls == ["seed_angle", "continue_angle"]
+    assert calls == ["seed_angle"]
+    assert "angle" not in pair.state_a._memo
 
 
 def test_record_transform_calls(stepped, fft_calls):

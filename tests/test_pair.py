@@ -18,7 +18,6 @@ from crestwave.evolution import (
     StepperConfig,
     cfl_bound,
     compute_derived,
-    continue_angle,
     flat_state,
     make_state,
     step_rk4,
@@ -37,7 +36,7 @@ from crestwave.pair import (
 from crestwave.spectral import make_grid
 
 from helpers import folding_maps, random_monotone_map, random_smooth_state
-from oracles import SELECTORS, compose_maps, delta_field, inverse_map
+from oracles import SELECTORS, compose_maps, continue_angle, delta_field, inverse_map
 
 
 def _smooth_pair(grid, rng, sigma_a=0.0, same=True, amp=0.15):

@@ -521,20 +521,34 @@ def test_stacked_hhalf_norm_rows_are_bit_identical_to_single_calls(n):
     assert np.float64(g.hhalf_norm(real[1])).tobytes() == norms[1].tobytes()
 
 
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_stacked_l2_norm_rows_are_bit_identical_to_single_calls(n):
+    g = make_grid(n, length=3.0)
+    rng = np.random.default_rng(n + 9)
+    stack = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    for rows in (stack, stack.real.copy()):
+        norms = g.l2_norm(rows)
+        assert norms.shape == (4,)
+        for f, norm in zip(rows, norms):
+            assert norm.tobytes() == np.float64(g.l2_norm(f)).tobytes()
+    assert isinstance(g.l2_norm(stack[0]), float)
+
+
 @pytest.mark.parametrize("n", [64, 768])
 def test_stacked_finish_step_rows_match_single_calls(n):
     rng = np.random.default_rng(n + 2)
     rows = rng.standard_normal((3, 3, n)) + 1j * rng.standard_normal((3, 3, n))
     # the default filter, and a dealias_fraction = 1 grid that keeps every mode
     for g in (make_grid(n), make_grid(n, dealias_fraction=1.0)):
-        # the new rows come as a tuple of blocks
-        out, mass = g.finish_step(rows)
-        out = np.stack(out)
-        assert out.shape == (3, 3, n) and mass.shape == (2, 3)
+        # the new rows come as one array, in the order of the stack
+        out, mass = g.finish_step(rows.reshape(9, n), 3)
+        out = out.reshape(3, 3, n)
+        assert mass.shape == (2, 3)
         for r in range(3):
-            one, one_mass = g.finish_step(rows[:, r])
-            assert out[:, r].tobytes() == np.stack(one).tobytes()
-            assert mass[:, r].tobytes() == one_mass.tobytes()
+            one, one_mass = g.finish_step(rows[:, r], 1)
+            assert one.shape == (3, n) and one_mass.shape == (2, 1)
+            assert out[:, r].tobytes() == one.tobytes()
+            assert mass[:, r].tobytes() == one_mass[:, 0].tobytes()
             # the mass of the modes k > 0 of Z_ap - 1 and of Zbar_t, Nyquist
             # included, and none left there
             kept = [g.dealias(f) for f in rows[:, r]]
@@ -548,21 +562,31 @@ def test_stacked_finish_step_rows_match_single_calls(n):
 
 @pytest.mark.parametrize("n", [64, 2048])
 def test_finish_step_derives_further_rows_from_its_one_spectrum(n):
-    # a (q, n) block after (Zdev, Z_ap, Z_t) comes back dealiased and
-    # followed by its derivative, from the one FFT pair, and the state rows
-    # do not see it
+    # q rows after (Zdev, Z_ap, Z_t) come back dealiased and followed by
+    # their derivatives, from the one FFT pair, and the state rows do not
+    # see them
     g = make_grid(n)
     rng = np.random.default_rng(n + 5)
-    rows = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+    rows = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
     more = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
-    (*states, kept, d_kept), mass = g.finish_step((*rows, more))
-    alone, alone_mass = g.finish_step(rows)
-    assert np.stack(states).tobytes() == np.stack(alone).tobytes()
+    out, mass = g.finish_step(np.concatenate((rows, more)), 2)
+    alone, alone_mass = g.finish_step(rows, 2)
+    assert out.shape == (8, n)
+    assert out[:6].tobytes() == alone.tobytes()
     assert mass.tobytes() == alone_mass.tobytes()
-    assert kept.shape == d_kept.shape == (1, n)
+    kept, d_kept = out[6:7], out[7:]
     assert np.max(np.abs(kept - g.dealias(more))) <= 1e-14 * np.max(np.abs(more))
     scale = np.max(np.abs(g.k)) * np.max(np.abs(kept))
     assert np.max(np.abs(d_kept - g.deriv(kept))) <= 1e-14 * scale
+
+
+def test_finish_step_leaves_its_stack_as_it_was():
+    g = make_grid(64)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((7, 64)) + 1j * rng.standard_normal((7, 64))
+    before = stack.copy()
+    g.finish_step(stack, 2)
+    assert stack.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -576,10 +600,10 @@ def test_finish_step_matches_the_dealias_then_projection_path(n, dealias):
     rng = np.random.default_rng(n + 7)
     rows = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
     rows[1] += 1.0
-    out, mass = g.finish_step(rows)
+    out, mass = g.finish_step(rows.reshape(12, n), 4)
     ref, ref_mass = finish_unfused(g, rows)
     assert mass.shape == ref_mass.shape == (2, 4)
-    for block, ref_block in zip(out, ref):
+    for block, ref_block in zip(out.reshape(3, 4, n), ref):
         assert np.max(np.abs(block - ref_block)) <= 1e-14 * np.max(np.abs(ref_block))
     assert np.all(np.abs(mass - ref_mass) <= 1e-14 * ref_mass)
 
