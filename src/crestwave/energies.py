@@ -12,8 +12,9 @@
 
 Each family is a table of terms (column name, norm, field builder) in the
 order of its components, which the CSV header reads too; totals are sums of
-the components.  Fractional powers of Z_ap use the continuous branch of log
-Z_ap on the band, whose angle is seed_angle of Z_ap,band.
+the components.  The two pair families come from one record pass per pair,
+kept on the PairState.  Fractional powers of Z_ap use the continuous branch
+of log Z_ap on the band, whose angle is seed_angle of Z_ap,band.
 """
 
 from __future__ import annotations
@@ -77,16 +78,26 @@ _LADDER = ("dealias", "dealias_deriv", "dealias_deriv2", "dealias_deriv3")
 
 
 def _build_blocks(states):
-    """Blocks of each of states from four multiply_symbol calls on stacks of
-    all states: the band Z_ap,band = 1 + dealias(Z_ap - 1), the ladders
-    dealias D^j of conj(Z_t) (j = 1..3) and of 1/Z_ap,band (j = 0..3), each
-    from one forward transform, and H q."""
-    grid = states[0].grid
-    Zp_band = 1.0 + grid.dealias(np.array([st.Zp for st in states]) - 1.0)
-    Ztb1, Ztb2, Ztb3 = grid.multiply_symbol(
-        np.conj(np.array([st.Zt for st in states])), grid.symbol_table(_LADDER[1:])[:, None]
-    )
-    inv, d1, d2, d3 = grid.multiply_symbol(1.0 / Zp_band, grid.symbol_table(_LADDER)[:, None])
+    """Blocks of each of states from three rounds of Fourier multipliers on
+    stacks of all states: the band Z_ap,band = 1 + dealias(Z_ap - 1) and
+    the ladder dealias D^j of conj(Z_t) (j = 1..3) from one FFT pair, the
+    ladder dealias D^j of 1/Z_ap,band (j = 0..3) from one forward
+    transform, and H q.  Each row is bit-identical to its own multiply_symbol
+    call."""
+    grid, m = states[0].grid, len(states)
+    table = grid.symbol_table(_LADDER)
+    rows = np.empty((2 * m, grid.n), dtype=np.complex128)
+    rows[:m] = [st.Zp for st in states]
+    rows[:m] -= 1.0
+    np.conj([st.Zt for st in states], out=rows[m:])
+    spec = np.fft.fft(rows)
+    # symbol 0 (dealias) on Z_ap - 1, symbols 1..3 on conj(Z_t)
+    products = np.empty((4, m, grid.n), dtype=np.complex128)
+    np.multiply(table[0], spec[:m], out=products[0])
+    np.multiply(table[1:, None], spec[m:], out=products[1:])
+    band, Ztb1, Ztb2, Ztb3 = np.fft.ifft(products)
+    Zp_band = 1.0 + band
+    inv, d1, d2, d3 = grid.multiply_symbol(1.0 / Zp_band, table[:, None])
     # H q, q = omega D 1/Z_ap,band
     omega = Zp_band / np.abs(Zp_band)
     q = omega * d1
@@ -189,9 +200,10 @@ def _evaluate(grid, families, pair_jobs=()):
     """The components of each of families, (state, family name) pairs, and
     of each of pair_jobs, (terms, x) with x what the builders of terms read,
     from one pass over the pair jobs and the families not yet kept on their
-    states, which are then kept: L2 norms one field at a time, all H^1/2
-    norms from one stacked hhalf_norm call and all L-infinity norms from one
-    stacked sup_norm call, whose rows give the bits of single-field calls."""
+    states, which are then kept: all L2 norms from one stacked l2_norm call,
+    all H^1/2 norms from one stacked hhalf_norm call and all L-infinity
+    norms from one stacked sup_norm call, whose rows give the bits of
+    single-field calls."""
     new = [(st, name) for st, name in families if "energy_" + name not in st._memo]
     jobs = [*pair_jobs, *((_TABLES[name], SimpleNamespace(**B, s=st.sigma, pw=_powers(B)))
                           for (st, name), B in zip(new, _state_blocks(*(st for st, _ in new))))]
@@ -202,12 +214,13 @@ def _evaluate(grid, families, pair_jobs=()):
             w = x.s if weighted else 1.0
             terms.append((j, column, kinds if w else (), power, w, build(x) if w else None))
     stacked = {}
-    for kind, norm_of in (("Hhalf", grid.hhalf_norm), ("Linf", grid.sup_norm)):
+    for kind, norm_of in (("L2", grid.l2_norm), ("Hhalf", grid.hhalf_norm),
+                          ("Linf", grid.sup_norm)):
         fields = [f for _, _, kinds, _, _, f in terms if kind in kinds]
         stacked[kind] = iter(norm_of(np.array(fields)).tolist() if fields else ())
     comps = [{} for _ in jobs]
     for j, column, kinds, power, w, f in terms:
-        v = sum(grid.l2_norm(f) if kind == "L2" else next(stacked[kind]) for kind in kinds)
+        v = sum(next(stacked[kind]) for kind in kinds)
         comps[j][column] = w * v ** power
     for (st, name), comp in zip(new, comps[len(pair_jobs):]):
         st._memo["energy_" + name] = comp
@@ -254,24 +267,50 @@ def _differences(grid, fields_a, fields_b, htil):
     return x
 
 
-def energy_delta(pair):
-    """Full difference energy for a (sigma, 0) solution pair, evaluated in
-    one pass with energy_sigma(a) and energy_aux(b).  Delta-terms subtract
-    in Lagrangian labels through the composed map (Delta(f) = f_a - f_b o
-    htilde); the htilde-terms live on the composed map itself, and the
-    coupling term is sigma_a times the auxiliary energy of solution b."""
+def _pair_record(pair):
+    """The components of the delta and f_delta families of pair, from one
+    pass that is kept on the pair: one derive_states of both states, one
+    _differences that pulls the fields of b of both families back through
+    htilde as one stack, and one _evaluate of the terms of both families
+    with those of energy_sigma(a) and energy_aux(b), which stay kept on
+    their states."""
+    memo = pair._memo
+    if "record" in memo:
+        return memo["record"]
     a, b = pair.state_a, pair.state_b
     htil = pair.map_tilde
+    derived = derive_states((a, b))
+    # b_ap of both states from one stacked derivative: each row has the
+    # bits of DerivedFields.b_ap
+    b_ap = a.grid.deriv(np.array([der.b for der in derived])).real
     fa, fb = ({"omega": B["omega"], "d1": B["d1"], "inv_d1": B["inv"] * B["d1"], "Ztb1": B["Ztb1"],
-               "Ztb2": _powers(B)(-2.0) * B["Ztb2"]} for B in _state_blocks(a, b))
+               "Ztb2": _powers(B)(-2.0) * B["Ztb2"], "Zt": st.Zt, "Ztt": der.Ztt,
+               "invZp": 1.0 / st.Zp, "DapZt": der.Ztap / st.Zp, "A1": der.A1, "bap": bap,
+               "halpha": 1.0 / k.jacobian()}
+              for st, der, bap, k, B in zip((a, b), derived, b_ap, (pair.k_a, pair.k_b),
+                                            _state_blocks(a, b)))
     fb["inv_abs"] = 1.0 / np.abs(b.Zp)
     x = _differences(a.grid, fa, fb, htil)
     x.abs_a, x.dev_j = np.abs(a.Zp), htil.jacobian() - 1.0
     own_terms = [term for term in _DELTA if term[1] in _NORMS]
-    (sigma_a, aux_b), (own,) = _evaluate(a.grid, [(a, "sigma"), (b, "aux")], [(own_terms, x)])
+    (sigma_a, aux_b), (own, f_delta) = _evaluate(
+        a.grid, [(a, "sigma"), (b, "aux")], [(own_terms, x), (_F_DELTA, x)]
+    )
     own["coupling_sigma_aux_b"] = a.sigma * sum(aux_b.values())
-    comp = {c: sigma_a[name] if norm == "sigma(a)" else own[c] for c, norm, name in _DELTA}
-    return EnergyReport("delta", pair.time, comp)
+    delta = {c: sigma_a[name] if norm == "sigma(a)" else own[c] for c, norm, name in _DELTA}
+    memo["record"] = delta, f_delta
+    return delta, f_delta
+
+
+def energy_delta(pair):
+    """Full difference energy for a (sigma, 0) solution pair.  Delta-terms
+    subtract in Lagrangian labels through the composed map (Delta(f) = f_a
+    - f_b o htilde); the htilde-terms live on the composed map itself, and
+    the coupling term is sigma_a times the auxiliary energy of solution b.
+    The components come from the pair's record pass (_pair_record), which
+    the first of energy_delta and f_delta_norm runs and the other reads."""
+    delta, _ = _pair_record(pair)
+    return EnergyReport("delta", pair.time, dict(delta))
 
 
 def f_delta_norm(pair, derived_a=None, derived_b=None):
@@ -280,25 +319,24 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     Seven first-power components: H^1/2 of Delta(Z_t), Delta(Z_tt),
     Delta(1/Z_ap); L2 of Delta(h_alpha o h^-1) (with k = h^{-1}, the map
     the pair holds, h_alpha o h^{-1} = 1 / k_alpha on the grid),
-    Delta(D_a Z_t), Delta(A1) and Delta(b_ap).  derived_a and derived_b,
-    the compute_derived fields of the pair's states, are given together or
-    not at all (then one derive_states pass makes them); ValueError
-    otherwise, or if they belong to other states.
+    Delta(D_a Z_t), Delta(A1) and Delta(b_ap).  The components come from
+    the pair's record pass (_pair_record), which the first of energy_delta
+    and f_delta_norm runs and the other reads; it takes the compute_derived
+    fields that derive_states keeps on the states.  derived_a and
+    derived_b, the compute_derived fields of the pair's states, may be
+    passed by a caller that holds them; they are given together or not at
+    all, and ValueError is raised otherwise, or if they belong to other
+    states.
     """
     a, b = pair.state_a, pair.state_b
     if (derived_a is None) != (derived_b is None):
         raise ValueError("f_delta_norm takes derived_a and derived_b together or neither")
-    if derived_a is None:
-        derived_a, derived_b = derive_states((a, b))
-    for name, st, der in (("derived_a", a, derived_a), ("derived_b", b, derived_b)):
-        if der.Zp is not st.Zp or der.Zt is not st.Zt:
-            raise ValueError(f"{name} holds the derived fields of another state")
-    fa, fb = ({"Zt": st.Zt, "Ztt": der.Ztt, "invZp": 1.0 / st.Zp, "DapZt": der.Ztap / st.Zp,
-               "A1": der.A1, "bap": der.b_ap, "halpha": 1.0 / k.jacobian()}
-              for st, der, k in ((a, derived_a, pair.k_a), (b, derived_b, pair.k_b)))
-    x = _differences(a.grid, fa, fb, pair.map_tilde)
-    _, (comp,) = _evaluate(a.grid, (), [(_F_DELTA, x)])
-    return EnergyReport("f_delta", pair.time, comp)
+    if derived_a is not None:
+        for name, st, der in (("derived_a", a, derived_a), ("derived_b", b, derived_b)):
+            if der.Zp is not st.Zp or der.Zt is not st.Zt:
+                raise ValueError(f"{name} holds the derived fields of another state")
+    _, f_delta = _pair_record(pair)
+    return EnergyReport("f_delta", pair.time, dict(f_delta))
 
 
 def write_reports_csv(path, reports):

@@ -85,10 +85,6 @@ class WaveState:
         return memo[key]
 
     @property
-    def Z(self):
-        return self.grid.nodes + self.Zdev
-
-    @property
     def g(self):
         """The branch of arg(Z_ap), seed_angle of Z_ap."""
         return self._cached("angle", lambda st: seed_angle(st.grid, st.Zp))

@@ -32,13 +32,16 @@ from .spectral import SpectralGrid
 @dataclass(frozen=True, eq=False)
 class PairState:
     """Two solutions and the inverses k_a = h_a^{-1} and k_b = h_b^{-1} of
-    their flow maps.  Two pairs are equal when their members are; a pair is
-    not hashable."""
+    their flow maps.  What is computed from a pair is kept on it, like on a
+    WaveState: htilde and the components of its record pass, which
+    energy_delta and f_delta_norm share.  Two pairs are equal when their
+    members are, whatever each keeps; a pair is not hashable."""
 
     state_a: WaveState
     state_b: WaveState
     k_a: InverseFlowMap
     k_b: InverseFlowMap
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __hash__ = None
 

@@ -305,12 +305,14 @@ class SpectralGrid:
             from the seed nodes, as (3, points) arrays."""
             coarse = np.exp(1j * np.outer(y, k_coarse))[:, :, None]
             fine = np.exp(1j * np.outer(y, k_fine))[:, None, :]
-            a, b = x[:, 0, :, 0], x[:, 1, :, 0]
-            a3, b3 = (t.reshape(y.size, q_r.size, fine_size) for t in (a, b))
-            np.multiply(coarse.real, fine.real, out=a3)
-            a3 -= coarse.imag * fine.imag
-            np.multiply(coarse.real, fine.imag, out=b3)
-            b3 += coarse.imag * fine.real
+            # a and b are built contiguous and copied into x, which is faster
+            # than writing the products through x's strided columns
+            a = coarse.real * fine.real
+            a -= coarse.imag * fine.imag
+            b = coarse.real * fine.imag
+            b += coarse.imag * fine.real
+            a, b = a.reshape(y.size, width), b.reshape(y.size, width)
+            x[:, 0, :, 0], x[:, 1, :, 0] = a, b
             np.multiply(weights[0], b, out=x[:, 0, :, 1])
             np.multiply(weights[1], a, out=x[:, 1, :, 1])
             np.multiply(weights[2], a, out=x[:, 0, :, 2])
@@ -366,7 +368,9 @@ class SpectralGrid:
         peak = (top >= mags[row, node - 1]) & (top > mags[row, (node + 1) % n2])
         # a row without a local maximum (a constant field) is seeded at its
         # largest value
-        flat = np.setdiff1d(np.arange(len(mags)), row[peak])
+        seeded = np.zeros(len(mags), dtype=bool)
+        seeded[row[peak]] = True
+        flat = np.flatnonzero(~seeded)
         row = np.concatenate([row[peak], flat])
         node = np.concatenate([node[peak], mags[flat].argmax(axis=1)])
         top = mags[row, node]

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crestwave import energies
 from crestwave.energies import (
     EnergyReport,
     _state_blocks,
@@ -14,7 +15,14 @@ from crestwave.energies import (
     f_delta_norm,
     write_reports_csv,
 )
-from crestwave.evolution import StepperConfig, cfl_bound, compute_derived, flat_state, make_state
+from crestwave.evolution import (
+    StepperConfig,
+    cfl_bound,
+    compute_derived,
+    derive_states,
+    flat_state,
+    make_state,
+)
 from crestwave.pair import PairRunSpec, PairState, build_pair, co_step, init_pair
 from crestwave.spectral import make_grid
 
@@ -320,6 +328,45 @@ def test_f_delta_norm_refuses_foreign_or_lone_derived_fields():
     twin = replace(a, Zp=a.Zp.copy())
     with pytest.raises(ValueError, match="derived_a holds the derived fields of another state"):
         f_delta_norm(pair, compute_derived(twin), der_b)
+
+
+def test_pair_record_is_one_pass_whichever_family_is_read_first(monkeypatch):
+    # energy_delta and f_delta_norm read one pass kept on the pair: the same
+    # component bytes whichever is called first, and with or without the
+    # derived fields, from one pull-back through htilde per pair
+    spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=128)
+    pair = build_pair(spec)
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    pair = co_step(pair, StepperConfig(), dt)
+    pulls = []
+    pull_back = energies.compose_map_apply
+
+    def counted(grid, f, map_):
+        pulls.append(len(f))
+        return pull_back(grid, f, map_)
+
+    monkeypatch.setattr(energies, "compose_map_apply", counted)
+
+    def fresh():
+        return PairState(replace(pair.state_a), replace(pair.state_b), pair.k_a, pair.k_b)
+
+    def as_bytes(report):
+        return tuple(report.components), np.array(list(report.components.values())).tobytes()
+
+    delta_first = fresh()
+    delta_1, f_delta_1 = energy_delta(delta_first), f_delta_norm(delta_first)
+    f_delta_first = fresh()
+    derived = derive_states((f_delta_first.state_a, f_delta_first.state_b))
+    f_delta_2 = f_delta_norm(f_delta_first, *derived)
+    delta_2 = energy_delta(f_delta_first)
+    assert as_bytes(delta_1) == as_bytes(delta_2)
+    assert as_bytes(f_delta_1) == as_bytes(f_delta_2)
+    # without the derived fields
+    assert as_bytes(f_delta_norm(fresh())) == as_bytes(f_delta_1)
+    # a second read of either family takes no pass
+    energy_delta(delta_first)
+    f_delta_norm(f_delta_first)
+    assert pulls == [22, 22, 22]
 
 
 def test_term_tables_match_the_term_by_term_families():

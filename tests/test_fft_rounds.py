@@ -131,29 +131,30 @@ def test_steps_seed_and_continue_no_angle_branch(stepped, monkeypatch):
 
 
 def test_record_transform_calls(stepped, fft_calls):
-    # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records:
-    # 11 multiplier calls (the four stacked block calls of both states, D
-    # Theta and D(htilde_ap - 1), the two rounds of one derive of both
-    # states, b_ap of each state and the Jacobian of htilde), one stacked
-    # H^1/2 transform for each of the two passes (energy_delta with
-    # energy_sigma(a) and energy_aux(b), and f_delta_norm) and one
-    # coefficient transform for the one stacked sup norm; then one rfft for
-    # each of the three spreads (the two pull-backs through htilde, each a
-    # stack of real rows, and the one of the Newton solve of k_b(x) =
-    # k_a(alpha) that builds htilde) and one irfft for each spread and for
-    # the sup norm's seed grids, which it refines from its own coefficients
+    # energy_delta, f_delta_norm and energy_sigma(a), as drive_pair records,
+    # from one pass kept on the pair: 9 multiplier FFT pairs (the three
+    # stacked block rounds of both states, whose first takes Z_ap - 1 and
+    # conj(Z_t) forward in one call, D Theta and D(htilde_ap - 1), the two
+    # rounds of one derive of both states, b_ap of both states from one
+    # stacked derivative and the Jacobian of htilde), one stacked H^1/2
+    # transform and one coefficient transform for the one stacked sup norm;
+    # then one rfft for each of the two spreads (the one pull-back through
+    # htilde, a stack of real rows, and the one of the Newton solve of
+    # k_b(x) = k_a(alpha) that builds htilde) and one irfft for each spread
+    # and for the sup norm's seed grids, which it refines from its own
+    # coefficients
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 14, "ifft": 11, "rfft": 3, "irfft": 4}
+    assert fft_calls == {"fft": 11, "ifft": 9, "rfft": 2, "irfft": 3}
 
 
 def test_record_refines_once_per_spread_and_sup_norm(stepped, monkeypatch):
-    # _refine, the one zero-padding routine, runs once for each of the two
-    # pull-backs through htilde, once for the spread of the Newton solve
-    # that builds htilde, and once for the seed grids of the one stacked
-    # sup norm; each spread is a stack of real rows, 11 for each pull-back
+    # _refine, the one zero-padding routine, runs once for the spread of
+    # the Newton solve that builds htilde, once for the one pull-back
+    # through htilde, a stack of the 22 real rows of b of both families,
+    # and once for the seed grids of the one stacked sup norm
     pair, _, _ = stepped
     shapes = []
     refine = SpectralGrid._refine
@@ -167,7 +168,7 @@ def test_record_refines_once_per_spread_and_sup_norm(stepped, monkeypatch):
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
     half = pair.state_a.grid.n // 2 + 1
-    assert shapes == [((2, half), 2), ((11, half), 2), ((2, 5, half), 4), ((11, half), 2)]
+    assert shapes == [((2, half), 2), ((22, half), 2), ((2, 5, half), 4)]
 
 
 def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):
