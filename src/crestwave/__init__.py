@@ -9,7 +9,6 @@ from .brackets import (
     commutator_bracket,
     compose_map_apply,
     hcal_apply,
-    htilcal_apply,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
@@ -41,7 +40,7 @@ from .evolution import (
     make_state,
     step_rk4,
 )
-from .initial_data import CrestSpec, crest_data, estimate_M, mollify_data
+from .initial_data import CrestSpec, crest_data, mollify_data
 from .pair import (
     PairRunSpec,
     PairState,
@@ -57,13 +56,12 @@ __all__ = [
     "SpectralGrid", "make_grid",
     # brackets
     "MonotoneMap", "InverseFlowMap", "compose_map_apply", "commutator_bracket", "hcal_apply",
-    "htilcal_apply",
     # evolution
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",
     "compute_derived", "derive_states", "curvature_field", "cfl_bound", "step_rk4",
     # energies and initial data
     "EnergyReport", "energy_sigma", "energy_high", "energy_aux", "energy_delta", "f_delta_norm",
-    "CrestSpec", "crest_data", "mollify_data", "estimate_M",
+    "CrestSpec", "crest_data", "mollify_data",
     # pair
     "pair", "PairState", "PairRunSpec", "init_pair", "co_step", "run_pair_once",
     "run_convergence_study",

@@ -3,7 +3,8 @@
 Maps compose through MonotoneMap.preimage: h^{-1} o g is the point x with
 h(x) = g(a).  The quadrature oracles that certify these operators (triple
 brackets, line-window oracles, singular quadrature of the composed Hilbert
-operator) and composition by pull-back live in tests/oracles.py.
+operator), its Jacobian-free variant Htilcal and composition by pull-back
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -180,11 +181,3 @@ def hcal_apply(grid, f, map_):
     _require_same_grid(grid, map_)
     pulled = grid.interpolate(f, map_.preimage(grid.nodes))
     return compose_map_apply(grid, grid.hilbert(pulled), map_)
-
-
-def htilcal_apply(grid, f, map_):
-    """Jacobian-free variant: Htilcal(g) = Hcal(g / h_ap), so that
-    Htilcal(h_ap f) = Hcal(f) holds identically; h_ap >= JACOBIAN_FLOOR
-    holds for every MonotoneMap."""
-    _require_same_grid(grid, map_)
-    return hcal_apply(grid, f / map_.jacobian(), map_)

@@ -88,16 +88,6 @@ class RunConfig:
     study: StudyBlock = field(default_factory=StudyBlock)
 
 
-_SCHEMA = {
-    "grid": GridBlock,
-    "data": DataBlock,
-    "physics": PhysicsBlock,
-    "stepper": StepperBlock,
-    "output": OutputBlock,
-    "study": StudyBlock,
-}
-
-
 def _parse_value(name, raw, default, errors):
     raw = raw.strip()
     try:
@@ -144,11 +134,12 @@ def parse_config(path, env=None):
         raise ConfigError([f"cannot read config file {path!r}"])
 
     cfg = RunConfig()
+    sections = vars(cfg)
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             errors.append(f"unknown section [{section}]")
             continue
-        block = getattr(cfg, section)
+        block = sections[section]
         for key, raw in parser.items(section):
             if not hasattr(block, key):
                 errors.append(f"unknown key {section}.{key}")
@@ -156,12 +147,11 @@ def parse_config(path, env=None):
             default = getattr(block, key)
             setattr(block, key, _parse_value(f"{section}.{key}", raw, default, errors))
 
-    for section, blocktype in _SCHEMA.items():
-        block = getattr(cfg, section)
+    for section, block in sections.items():
         for key in vars(block):
             ev = env.get(f"CRESTWAVE_{section.upper()}_{key.upper()}")
             if ev is not None:
-                default = getattr(blocktype(), key)
+                default = getattr(type(block)(), key)
                 setattr(block, key, _parse_value(f"{section}.{key}", ev, default, errors))
 
     _validate(cfg, errors)

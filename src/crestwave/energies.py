@@ -280,8 +280,8 @@ def _pair_record(pair):
     a, b = pair.state_a, pair.state_b
     htil = pair.map_tilde
     derived = derive_states((a, b))
-    # b_ap of both states from one stacked derivative: each row has the
-    # bits of DerivedFields.b_ap
+    # b_ap = D_a b of both states from one stacked derivative: each row has
+    # the bits of grid.deriv(der.b).real of its state alone
     b_ap = a.grid.deriv(np.array([der.b for der in derived])).real
     fa, fb = ({"omega": B["omega"], "d1": B["d1"], "inv_d1": B["inv"] * B["d1"], "Ztb1": B["Ztb1"],
                "Ztb2": _powers(B)(-2.0) * B["Ztb2"], "Zt": st.Zt, "Ztt": der.Ztt,

@@ -52,11 +52,11 @@ class WaveState:
     Zdev holds Z - a' (periodic part of the interface), Zp holds Z_ap,
     Zt the complex velocity Z_t.  What is computed from a state is kept on
     it: the branch g of arg(Z_ap), the compute_derived fields, and the
-    energy blocks and energy_sigma components of energies.  Their arrays,
-    like the state's own, are never written in place, and
-    dataclasses.replace starts with nothing kept.  Two states are equal when
-    their grid, sigma, time and the bytes of their arrays are, whatever each
-    keeps; a state is not hashable.
+    energy blocks and the components of every state family (sigma, high,
+    aux) of energies.  Their arrays, like the state's own, are never
+    written in place, and dataclasses.replace starts with nothing kept.  Two
+    states are equal when their grid, sigma, time and the bytes of their
+    arrays are, whatever each keeps; a state is not hashable.
     """
 
     grid: SpectralGrid
@@ -77,17 +77,13 @@ class WaveState:
             same_bytes([getattr(self, a) for a in arrays], [getattr(other, a) for a in arrays])
         )
 
-    def _cached(self, key, build):
-        """build(self), computed on the first call for `key` and kept."""
-        memo = self._memo
-        if key not in memo:
-            memo[key] = build(self)
-        return memo[key]
-
     @property
     def g(self):
-        """The branch of arg(Z_ap), seed_angle of Z_ap."""
-        return self._cached("angle", lambda st: seed_angle(st.grid, st.Zp))
+        """The branch of arg(Z_ap), seed_angle of Z_ap, computed on first
+        read and kept."""
+        if "angle" not in self._memo:
+            self._memo["angle"] = seed_angle(self.grid, self.Zp)
+        return self._memo["angle"]
 
 
 def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0):
@@ -117,8 +113,9 @@ class DerivedFields:
 
     The right-hand-side set (b, A1, omega, Ztap, Ztt, and the flux
     Z_t - b Z_ap with its derivative flux_ap) is computed by compute_derived;
-    b_ap, Theta and the A1/Theta route gaps are diagnostics, computed on
-    first read.
+    Theta and the A1/Theta route gaps are diagnostics, computed on first
+    read.  b_ap = D_a b is not kept: a pair record takes it for both states
+    from one stacked derivative.
     """
 
     grid: SpectralGrid
@@ -132,10 +129,6 @@ class DerivedFields:
     flux: np.ndarray
     flux_ap: np.ndarray
     min_abs_Zp: float
-
-    @cached_property
-    def b_ap(self):
-        return self.grid.deriv(self.b).real
 
     @cached_property
     def Theta(self):

@@ -1,5 +1,4 @@
-"""Model angled-crest initial data, Poisson mollification and the M
-diagnostic of the admissible singular data class.
+"""Model angled-crest initial data and its Poisson mollification.
 
 The crest model is
 
@@ -16,15 +15,11 @@ holomorphic mode of Zbar_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateJacobianError, HolomorphicityError
-from .evolution import make_state, seed_angle
-DEFAULT_DEPTH_LADDER = tuple(-(2.0 ** -j) for j in range(1, 9))
-# positive-mode tolerance of estimate_M: on the data and at each depth
-_M_HOLO_TOL = 1e-8
+from .evolution import make_state
 
 
 @dataclass
@@ -104,70 +99,3 @@ def mollify_data(state, eps):
     Zt = np.conj(grid.poisson_smooth(np.conj(state.Zt), eps))
     Zp = 1.0 + grid.deriv(Zdev)
     return make_state(grid, Zdev, Zp, Zt, state.sigma, state.time)
-
-
-@dataclass
-class MEstimate:
-    total: float
-    components: dict = field(default_factory=dict)
-    depths: tuple = ()
-
-
-def estimate_M(state, depth_ladder=None):
-    """Ladder approximation of the nine-term admissibility functional.
-
-    Each term sup_{y < 0} ||...||_{L^p} is approximated from below by the
-    maximum over a finite ladder of depths; fields at depth come from the
-    exact harmonic-extension multiplier on the k <= 0 spectrum.
-    """
-    grid = state.grid
-    depths = tuple(depth_ladder) if depth_ladder is not None else DEFAULT_DEPTH_LADDER
-    # written so that a NaN depth fails too
-    if not (depths and all(-np.inf < y < 0 for y in depths)):
-        raise ValueError(f"the depth ladder must be non-empty, finite and negative, got {depths}")
-
-    for name, f in (("Z_ap - 1", state.Zp - 1.0), ("Zbar_t", np.conj(state.Zt))):
-        mass = grid.positive_mode_mass(f)
-        if mass > _M_HOLO_TOL * max(1.0, grid.l2_norm(f)):
-            raise HolomorphicityError(f"{name} has positive-mode mass {mass:.3e}")
-
-    names = (
-        "Psi34_dz_invPsi_L8over7",
-        "Psi12_dz_invPsi_L4over3",
-        "dz_invPsi_L2",
-        "invPsi_dz_invPsi_Linf",
-        "invPsi_dz2_invPsi_L1",
-        "invPsi2_dz2_invPsi_L2",
-        "invPsi3_dz3_invPsi_L1",
-        "invPsi_minus1_L2",
-        "U_H3p5",
-    )
-    best = dict.fromkeys(names, 0.0)
-    dev_Zp = state.Zp - 1.0
-    Ztbar = np.conj(state.Zt)
-    for y in depths:
-        Psi = 1.0 + grid.extend_to_depth(dev_Zp, y, tol=_M_HOLO_TOL)
-        if float(np.min(np.abs(Psi))) < 1e-10:
-            raise DegenerateJacobianError(f"extended Z_ap vanishes at depth {y}")
-        inv = 1.0 / Psi
-        d1 = grid.deriv(inv)
-        d2 = grid.deriv(d1)
-        d3 = grid.deriv(d2)
-        logPsi = np.log(np.abs(Psi)) + 1j * seed_angle(grid, Psi)
-        p34 = np.exp(0.75 * logPsi)
-        p12 = np.exp(0.5 * logPsi)
-        U = grid.extend_to_depth(Ztbar, y, tol=_M_HOLO_TOL)
-        vals = {
-            "Psi34_dz_invPsi_L8over7": grid.lp_norm(p34 * d1, 8.0 / 7.0),
-            "Psi12_dz_invPsi_L4over3": grid.lp_norm(p12 * d1, 4.0 / 3.0),
-            "dz_invPsi_L2": grid.l2_norm(d1),
-            "invPsi_dz_invPsi_Linf": grid.sup_norm(inv * d1),
-            "invPsi_dz2_invPsi_L1": grid.lp_norm(inv * d2, 1.0),
-            "invPsi2_dz2_invPsi_L2": grid.l2_norm(inv ** 2 * d2),
-            "invPsi3_dz3_invPsi_L1": grid.lp_norm(inv ** 3 * d3, 1.0),
-            "invPsi_minus1_L2": grid.l2_norm(inv - 1.0),
-            "U_H3p5": grid.sobolev_norm(U, 3.5),
-        }
-        for k in names:
-            best[k] = max(best[k], vals[k])
-    return MEstimate(total=float(sum(best.values())), components=best, depths=depths)

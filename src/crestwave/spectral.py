@@ -27,8 +27,6 @@ import math
 
 import numpy as np
 
-from .errors import HolomorphicityError
-
 TWO_PI = 2.0 * np.pi
 
 # non-uniform FFT of SpectralGrid.interpolate: kernel width in fine-grid
@@ -104,7 +102,6 @@ class SpectralGrid:
         mask_h = np.where(k_int < 0, 1.0, np.where(k_int == 0, 0.5, 0.0))
         self._proj_h = mask_h.astype(np.complex128)
         self._proj_a = (1.0 - mask_h).astype(np.complex128)
-        self._nonpositive = k_int <= 0
         cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
         self._dealias_symbol = (np.abs(k_int) <= cutoff).astype(np.complex128)
 
@@ -209,11 +206,6 @@ class SpectralGrid:
         out = np.fft.ifft(c)
         out[m : 2 * m] += 1.0
         return out, mass
-
-    def positive_mode_mass(self, f):
-        """L2 mass carried by modes k > 0 (Nyquist included)."""
-        # the modes k > 0 are the slots 1..n/2 of the fft layout
-        return float(self._mass(self.coeffs(f)[1 : self.n // 2 + 1]))
 
     def _mass(self, c):
         """L2 mass of the modes with coefficients c, along the last axis."""
@@ -380,14 +372,6 @@ class SpectralGrid:
         keep = np.arange(row.size) - np.searchsorted(row, row) < _SUP_SEEDS
         return row[keep], node[keep], top[keep]
 
-    def lp_norm(self, f, p):
-        if p == np.inf:
-            return self.linf_norm(f)
-        # written so that a NaN exponent fails too
-        if not p > 0:
-            raise ValueError(f"norm exponent must be positive, got {p}")
-        return float((self.dx * np.sum(np.abs(f) ** p)) ** (1.0 / p))
-
     def hhalf_norm(self, f):
         """Homogeneous H^{1/2} seminorm, computed on the Fourier side.  f
         may also be an (m, n) stack, real or complex rows; the result is
@@ -397,15 +381,7 @@ class SpectralGrid:
         norm = np.sqrt(self.length * np.sum(np.abs(self.k) * np.abs(c) ** 2, axis=-1))
         return float(norm) if np.ndim(f) == 1 else norm
 
-    def sobolev_norm(self, f, s):
-        """Inhomogeneous H^s norm with weight (1 + k^2)^s on |c_k|^2."""
-        if not np.isfinite(s):
-            raise ValueError(f"Sobolev index must be finite, got {s}")
-        c = self.coeffs(f)
-        w = (1.0 + self.k ** 2) ** s
-        return float(np.sqrt(self.length * np.sum(w * np.abs(c) ** 2)))
-
-    # -- interpolation and extension -------------------------------------
+    # -- interpolation ----------------------------------------------------
 
     def interpolate(self, f, x):
         """Evaluate the trigonometric interpolant of f at arbitrary points.
@@ -512,25 +488,6 @@ class SpectralGrid:
         NUFFT spread and the sup-norm seeds both go through it."""
         spec[..., self.n // 2] *= 0.5
         return np.fft.irfft(spec, factor * self.n)
-
-    def extend_to_depth(self, f, depth, tol=1e-10):
-        """Harmonic extension of a holomorphic boundary field to y = depth < 0.
-
-        f must have Fourier support in k <= 0 up to `tol` (relative to its
-        L2 size); the extension multiplies mode k by exp(-|k| |y|).
-        """
-        # written so that a NaN depth fails too
-        if not -np.inf < depth < 0.0:
-            raise ValueError(f"depth must be finite and negative, got {depth}")
-        scale = self.l2_norm(f) + 1e-300
-        bad = self.positive_mode_mass(f)
-        if bad > tol * max(scale, 1.0):
-            raise HolomorphicityError(
-                f"positive-mode mass {bad:.3e} exceeds tolerance {tol:.1e} * {max(scale, 1.0):.3e}"
-            )
-        c = self.coeffs(f)
-        c = np.where(self._nonpositive, c * np.exp(-np.abs(self.k) * abs(depth)), 0.0)
-        return self.from_coeffs(c)
 
     # -- misc -------------------------------------------------------------
 

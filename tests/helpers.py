@@ -1,9 +1,12 @@
 """Shared constructors and oracles for the test suite."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from crestwave.brackets import MonotoneMap
-from crestwave.evolution import StepperConfig, cfl_bound, make_state, step_rk4
+from crestwave.errors import DegenerateJacobianError, HolomorphicityError
+from crestwave.evolution import StepperConfig, cfl_bound, make_state, seed_angle, step_rk4
 from crestwave.spectral import SpectralGrid
 
 from oracles import rhs_eulerian
@@ -95,9 +98,129 @@ def refine_state(state, n_new):
     return make_state(g2, Zdev, Zp, Zt, state.sigma, state.time)
 
 
+# -- harmonic extension and the admissibility functional M ---------------------
+
+DEFAULT_DEPTH_LADDER = tuple(-(2.0 ** -j) for j in range(1, 9))
+# positive-mode tolerance of estimate_M: on the data and at each depth
+_M_HOLO_TOL = 1e-8
+
+
+def positive_mode_mass(grid, f):
+    """L2 mass carried by modes k > 0 (Nyquist included)."""
+    # the modes k > 0 are the slots 1..n/2 of the fft layout
+    c = grid.coeffs(f)[1 : grid.n // 2 + 1]
+    return float(np.sqrt(grid.length * np.sum(np.abs(c) ** 2)))
+
+
+def lp_norm(grid, f, p):
+    if p == np.inf:
+        return grid.linf_norm(f)
+    # written so that a NaN exponent fails too
+    if not p > 0:
+        raise ValueError(f"norm exponent must be positive, got {p}")
+    return float((grid.dx * np.sum(np.abs(f) ** p)) ** (1.0 / p))
+
+
+def sobolev_norm(grid, f, s):
+    """Inhomogeneous H^s norm with weight (1 + k^2)^s on |c_k|^2."""
+    if not np.isfinite(s):
+        raise ValueError(f"Sobolev index must be finite, got {s}")
+    c = grid.coeffs(f)
+    w = (1.0 + grid.k ** 2) ** s
+    return float(np.sqrt(grid.length * np.sum(w * np.abs(c) ** 2)))
+
+
+def extend_to_depth(grid, f, depth, tol=1e-10):
+    """Harmonic extension of a holomorphic boundary field to y = depth < 0.
+
+    f must have Fourier support in k <= 0 up to `tol` (relative to its
+    L2 size); the extension multiplies mode k by exp(-|k| |y|).
+    """
+    # written so that a NaN depth fails too
+    if not -np.inf < depth < 0.0:
+        raise ValueError(f"depth must be finite and negative, got {depth}")
+    scale = grid.l2_norm(f) + 1e-300
+    bad = positive_mode_mass(grid, f)
+    if bad > tol * max(scale, 1.0):
+        raise HolomorphicityError(
+            f"positive-mode mass {bad:.3e} exceeds tolerance {tol:.1e} * {max(scale, 1.0):.3e}"
+        )
+    c = grid.coeffs(f)
+    c = np.where(grid.k_int <= 0, c * np.exp(-np.abs(grid.k) * abs(depth)), 0.0)
+    return grid.from_coeffs(c)
+
+
 def harmonic_extension_norms(grid, f, depths, p=2, tol=1e-10):
     """L^p norms of the harmonic extension of f on a ladder of depths y < 0."""
-    return [grid.lp_norm(grid.extend_to_depth(f, y, tol=tol), p) for y in depths]
+    return [lp_norm(grid, extend_to_depth(grid, f, y, tol=tol), p) for y in depths]
+
+
+@dataclass
+class MEstimate:
+    total: float
+    components: dict = field(default_factory=dict)
+    depths: tuple = ()
+
+
+def estimate_M(state, depth_ladder=None):
+    """Ladder approximation of the nine-term admissibility functional M of
+    the angled-crest data class (Kinsey & Wu 2018; Agrawal 2019).
+
+    Each term sup_{y < 0} ||...||_{L^p} is approximated from below by the
+    maximum over a finite ladder of depths; fields at depth come from the
+    exact harmonic-extension multiplier on the k <= 0 spectrum.
+    """
+    grid = state.grid
+    depths = tuple(depth_ladder) if depth_ladder is not None else DEFAULT_DEPTH_LADDER
+    # written so that a NaN depth fails too
+    if not (depths and all(-np.inf < y < 0 for y in depths)):
+        raise ValueError(f"the depth ladder must be non-empty, finite and negative, got {depths}")
+
+    for name, f in (("Z_ap - 1", state.Zp - 1.0), ("Zbar_t", np.conj(state.Zt))):
+        mass = positive_mode_mass(grid, f)
+        if mass > _M_HOLO_TOL * max(1.0, grid.l2_norm(f)):
+            raise HolomorphicityError(f"{name} has positive-mode mass {mass:.3e}")
+
+    names = (
+        "Psi34_dz_invPsi_L8over7",
+        "Psi12_dz_invPsi_L4over3",
+        "dz_invPsi_L2",
+        "invPsi_dz_invPsi_Linf",
+        "invPsi_dz2_invPsi_L1",
+        "invPsi2_dz2_invPsi_L2",
+        "invPsi3_dz3_invPsi_L1",
+        "invPsi_minus1_L2",
+        "U_H3p5",
+    )
+    best = dict.fromkeys(names, 0.0)
+    dev_Zp = state.Zp - 1.0
+    Ztbar = np.conj(state.Zt)
+    for y in depths:
+        Psi = 1.0 + extend_to_depth(grid, dev_Zp, y, tol=_M_HOLO_TOL)
+        if float(np.min(np.abs(Psi))) < 1e-10:
+            raise DegenerateJacobianError(f"extended Z_ap vanishes at depth {y}")
+        inv = 1.0 / Psi
+        d1 = grid.deriv(inv)
+        d2 = grid.deriv(d1)
+        d3 = grid.deriv(d2)
+        logPsi = np.log(np.abs(Psi)) + 1j * seed_angle(grid, Psi)
+        p34 = np.exp(0.75 * logPsi)
+        p12 = np.exp(0.5 * logPsi)
+        U = extend_to_depth(grid, Ztbar, y, tol=_M_HOLO_TOL)
+        vals = {
+            "Psi34_dz_invPsi_L8over7": lp_norm(grid, p34 * d1, 8.0 / 7.0),
+            "Psi12_dz_invPsi_L4over3": lp_norm(grid, p12 * d1, 4.0 / 3.0),
+            "dz_invPsi_L2": grid.l2_norm(d1),
+            "invPsi_dz_invPsi_Linf": grid.sup_norm(inv * d1),
+            "invPsi_dz2_invPsi_L1": lp_norm(grid, inv * d2, 1.0),
+            "invPsi2_dz2_invPsi_L2": grid.l2_norm(inv ** 2 * d2),
+            "invPsi3_dz3_invPsi_L1": lp_norm(grid, inv ** 3 * d3, 1.0),
+            "invPsi_minus1_L2": grid.l2_norm(inv - 1.0),
+            "U_H3p5": sobolev_norm(grid, U, 3.5),
+        }
+        for k in names:
+            best[k] = max(best[k], vals[k])
+    return MEstimate(total=float(sum(best.values())), components=best, depths=depths)
 
 
 def evolve_series(state, n_steps, dt=None, cfg=None, keep_every=1):

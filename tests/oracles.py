@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crestwave.brackets import MonotoneMap, compose_map_apply
+from crestwave.brackets import MonotoneMap, _require_same_grid, compose_map_apply, hcal_apply
 from crestwave.energies import _powers, _state_blocks
 from crestwave.errors import DegenerateJacobianError
 from crestwave.evolution import ABS_ZP_FLOOR, TWO_PI, _rates, compute_derived, derive_states
@@ -207,6 +207,14 @@ def hcal_quadrature_oracle(grid, f, map_):
     weights = np.where(parity, kern * hp[None, :], 0.0)
     f = np.asarray(f, dtype=np.complex128)
     return (2.0 * dx / (1j * L)) * weights @ f
+
+
+def htilcal_apply(grid, f, map_):
+    """Jacobian-free variant: Htilcal(g) = Hcal(g / h_ap), so that
+    Htilcal(h_ap f) = Hcal(f) holds identically; h_ap >= JACOBIAN_FLOOR
+    holds for every MonotoneMap."""
+    _require_same_grid(grid, map_)
+    return hcal_apply(grid, f / map_.jacobian(), map_)
 
 
 # -- state geometry and weighted norms -------------------------------------------
@@ -425,7 +433,7 @@ SELECTORS = {
     "invZp2_dap_Ztapbar": lambda grid, st, der, mp: st.Zp ** -2 * grid.deriv(np.conj(der.Ztap)),
     "omega": lambda grid, st, der, mp: der.omega,
     "A1": lambda grid, st, der, mp: der.A1 + 0j,
-    "b_ap": lambda grid, st, der, mp: der.b_ap + 0j,
+    "b_ap": lambda grid, st, der, mp: grid.deriv(der.b).real + 0j,
     "Theta": lambda grid, st, der, mp: der.Theta,
     "DtTheta": lambda grid, st, der, mp: _dt_theta(st, der),
     "Ztt": lambda grid, st, der, mp: der.Ztt,
@@ -553,8 +561,8 @@ def f_delta_norm_terms(pair):
     derived_a, derived_b = derive_states((a, b))
 
     def fields(st, der, k):
-        return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1, der.b_ap,
-                1.0 / k.jacobian())
+        return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1,
+                grid.deriv(der.b).real, 1.0 / k.jacobian())
 
     fields_a = fields(a, derived_a, pair.k_a)
     pulled = compose_map_apply(grid, np.stack(fields(b, derived_b, pair.k_b)), pair.map_tilde)

@@ -12,7 +12,6 @@ from crestwave.brackets import (
     commutator_bracket,
     compose_map_apply,
     hcal_apply,
-    htilcal_apply,
 )
 from crestwave.errors import MonotonicityError
 from crestwave.spectral import make_grid
@@ -22,6 +21,7 @@ from oracles import (
     BracketKernelConfig,
     commutator_line_oracle,
     hcal_quadrature_oracle,
+    htilcal_apply,
     interpolate_direct,
     inverse_map,
     map_at,

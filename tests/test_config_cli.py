@@ -134,7 +134,7 @@ def test_simulate_flat_run(tmp_path):
     cfgp = _write(tmp_path, "flat.ini", FLAT_INI)
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfgp, "--out", out]) == 0
-    csv = open(os.path.join(out, "energy_sigma.csv")).read().splitlines()
+    csv = Path(out, "energy_sigma.csv").read_text().splitlines()
     assert csv[0].startswith("# crestwave-csv")
     for line in csv[2:]:
         vals = [float(x) for x in line.split(",")[1:]]
@@ -186,8 +186,8 @@ def test_simulate_determinism(tmp_path):
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["simulate", "--config", cfgp, "--out", out1, "--seed", "7"]) == 0
     assert main(["simulate", "--config", cfgp, "--out", out2, "--seed", "7"]) == 0
-    b1 = open(os.path.join(out1, "energy_sigma.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "energy_sigma.csv"), "rb").read()
+    b1 = Path(out1, "energy_sigma.csv").read_bytes()
+    b2 = Path(out2, "energy_sigma.csv").read_bytes()
     assert b1 == b2
 
 
@@ -483,7 +483,7 @@ min_steps = 16
     assert os.path.exists(os.path.join(out, "energy_f_delta.csv"))
     import json
 
-    rep = json.load(open(os.path.join(out, "pair_report.json")))
+    rep = json.loads(Path(out, "pair_report.json").read_text())
     assert rep["e_delta_initial"] > 0
 
 
@@ -512,7 +512,7 @@ record_interval = 8
     out = str(tmp_path / "sout")
     assert main(["sweep", "--config", cfgp, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "study_long.csv"))
-    lines = open(os.path.join(out, "study_summary.csv")).read().splitlines()
+    lines = Path(out, "study_summary.csv").read_text().splitlines()
     assert lines[:2] == [
         "# crestwave-csv v1 study-summary",
         "sigma,epsilon,ok,error,n_steps,dt,e_delta_initial,e_delta_sup,growth_ratio,f_delta_sup",
@@ -520,7 +520,7 @@ record_interval = 8
     assert len(lines) == 4
     import json
 
-    fits = json.load(open(os.path.join(out, "study_fits.json")))
+    fits = json.loads(Path(out, "study_fits.json").read_text())
     assert 0.9 < fits["slope_e0_vs_sigma"] < 1.1
 
 
@@ -530,7 +530,7 @@ def test_crest_scaling_of_one_distinct_epsilon_fits_no_slope(tmp_path, eps_list)
     cfgp = _write(tmp_path, "cs.ini", ini)
     out = tmp_path / "cs"
     assert main(["crest-scaling", "--config", cfgp, "--out", str(out)]) == 0
-    assert json.load(open(out / "crest_scaling.json"))["slope"] is None
+    assert json.loads((out / "crest_scaling.json").read_text())["slope"] is None
 
 
 def test_crest_scaling_command(tmp_path):
@@ -551,7 +551,7 @@ epsilon_list = 0.2, 0.1, 0.05
     assert main(["crest-scaling", "--config", cfgp, "--out", out]) == 0
     import json
 
-    rep = json.load(open(os.path.join(out, "crest_scaling.json")))
+    rep = json.loads(Path(out, "crest_scaling.json").read_text())
     assert abs(rep["slope"] - (-0.35)) < 0.1 * 0.35
 
 
@@ -585,8 +585,8 @@ def test_pair_and_one_point_sweep_share_the_dt_policy(tmp_path):
     pout, sout = str(tmp_path / "pair"), str(tmp_path / "sweep")
     assert main(["pair", "--config", cfgp, "--out", pout]) == 0
     assert main(["sweep", "--config", cfgp, "--out", sout]) == 0
-    rep = json.load(open(os.path.join(pout, "pair_report.json")))
-    lines = open(os.path.join(sout, "study_summary.csv")).read().splitlines()
+    rep = json.loads(Path(pout, "pair_report.json").read_text())
+    lines = Path(sout, "study_summary.csv").read_text().splitlines()
     row = dict(zip(lines[1].split(","), lines[2].split(",")))
     assert (int(row["n_steps"]), float(row["dt"])) == (rep["n_steps"], rep["dt"])
     for fam in ("delta", "f_delta"):

@@ -179,7 +179,7 @@ def _identity_residuals(state):
         + state.Zt * g.deriv(inv)
         - 1j * g.deriv(ratio.imag + g.hilbert(ratio.imag))
     )
-    res["b_ap"] = np.max(np.abs(d.b_ap - bap_formula))
+    res["b_ap"] = np.max(np.abs(g.deriv(d.b).real - bap_formula))
     # acceleration cross-route: sigma D_a Theta versus the system form
     Ztt_bar_cross = 1j - 1j * d.A1 * inv + state.sigma * inv * g.deriv(d.Theta)
     res["ztt_routes"] = np.max(np.abs(np.conj(d.Ztt) - Ztt_bar_cross))
@@ -327,6 +327,7 @@ def dynamic_identity_residuals(st0, n_steps, dt):
     i = n_steps // 2
     prev_, mid, next_ = states[i - 1], states[i], states[i + 1]
     d = compute_derived(mid)
+    b_ap = g.deriv(d.b).real
     res = {}
     # D_t g = -Im( (1/Zbar_ap) d_a Zbar_t ), g the branch of arg(Z_ap) that
     # each state derives from its own Z_ap (seed_angle)
@@ -337,11 +338,11 @@ def dynamic_identity_residuals(st0, n_steps, dt):
     lhs = material_derivative_fd(
         g, np.abs(prev_.Zp), np.abs(next_.Zp), d.b, np.abs(mid.Zp), dt
     ).real
-    rhs = np.abs(mid.Zp) * ((d.Ztap / mid.Zp).real - d.b_ap)
+    rhs = np.abs(mid.Zp) * ((d.Ztap / mid.Zp).real - b_ap)
     res["DtZapabs"] = float(np.max(np.abs(lhs - rhs)))
     # D_t (1/Z_ap) = -(1/Z_ap)(D_a Z_t - b_ap)
     lhs = material_derivative_fd(g, 1 / prev_.Zp, 1 / next_.Zp, d.b, 1 / mid.Zp, dt)
-    rhs = -(1 / mid.Zp) * (d.Ztap / mid.Zp - d.b_ap)
+    rhs = -(1 / mid.Zp) * (d.Ztap / mid.Zp - b_ap)
     res["DtoneoverZap"] = float(np.max(np.abs(lhs - rhs)))
     # [d_a, D_t] f = b_ap d_a f on the probe f = Zbar_t; with the centered
     # material derivative the time parts commute with d_a exactly, so this
@@ -352,7 +353,7 @@ def dynamic_identity_residuals(st0, n_steps, dt):
         g, g.deriv(probe[0]), g.deriv(probe[2]), d.b, g.deriv(probe[1]), dt
     )
     comm = g.deriv(dt_f) - dt_df
-    res["commutator"] = float(np.max(np.abs(comm - d.b_ap * g.deriv(probe[1]))))
+    res["commutator"] = float(np.max(np.abs(comm - b_ap * g.deriv(probe[1]))))
     return res
 
 

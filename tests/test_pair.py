@@ -10,7 +10,6 @@ from crestwave.brackets import (
     MonotoneMap,
     commutator_bracket,
     compose_map_apply,
-    htilcal_apply,
 )
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
@@ -36,7 +35,14 @@ from crestwave.pair import (
 from crestwave.spectral import make_grid
 
 from helpers import folding_maps, random_monotone_map, random_smooth_state
-from oracles import SELECTORS, compose_maps, continue_angle, delta_field, inverse_map
+from oracles import (
+    SELECTORS,
+    compose_maps,
+    continue_angle,
+    delta_field,
+    htilcal_apply,
+    inverse_map,
+)
 
 
 def _smooth_pair(grid, rng, sigma_a=0.0, same=True, amp=0.15):
