@@ -34,7 +34,6 @@ from .evolution import (
     WaveState,
     cfl_bound,
     compute_derived,
-    curvature_field,
     derive_states,
     flat_state,
     make_state,
@@ -58,7 +57,7 @@ __all__ = [
     "MonotoneMap", "InverseFlowMap", "compose_map_apply", "commutator_bracket", "hcal_apply",
     # evolution
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",
-    "compute_derived", "derive_states", "curvature_field", "cfl_bound", "step_rk4",
+    "compute_derived", "derive_states", "cfl_bound", "step_rk4",
     # energies and initial data
     "EnergyReport", "energy_sigma", "energy_high", "energy_aux", "energy_delta", "f_delta_norm",
     "CrestSpec", "crest_data", "mollify_data",

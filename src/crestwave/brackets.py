@@ -10,7 +10,6 @@ live in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +32,9 @@ class MonotoneMap:
     and its Jacobian h_ap on the grid nodes, jac; without jac the map takes
     1 + dev' (spectral derivative), so dataclasses.replace with a new
     deviation must pass jac=None or keep the old Jacobian.  The map is
-    immutable: the NUFFT kernel weights of its values are computed once, on
-    first use, and kept on the map (their arrays, like its own, are never
-    written in place).  Two maps are equal when their type, grid and the
-    bytes of their arrays are, and a map is not hashable.
+    immutable and keeps nothing else: its arrays are never written in
+    place.  Two maps are equal when their type, grid and the bytes of their
+    arrays are, and a map is not hashable.
     """
 
     grid: SpectralGrid
@@ -80,16 +78,6 @@ class MonotoneMap:
     def values(self):
         return self.grid.nodes + self.deviation
 
-    def jacobian(self):
-        """h_ap on the grid nodes, the map's jac."""
-        return self.jac
-
-    @cached_property
-    def _kernel(self):
-        """grid.nufft_kernel(values): what every evaluation at the map's
-        points shares."""
-        return self.grid.nufft_kernel(self.values)
-
     def preimage(self, y):
         """The points x with h(x) = y for real targets y, by Newton until
         h(x) - y is at rounding level; raises MonotonicityError, naming the
@@ -103,7 +91,7 @@ class MonotoneMap:
         x = shift + np.interp(y - shift, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
         gather = grid.spread(np.stack([self.deviation, self.jac]))
         for steps in range(NEWTON_CAP + 1):
-            d, h_ap = gather(grid.nufft_kernel(x))
+            d, h_ap = gather(x)
             res = x + d - y
             worst = float(np.max(np.abs(res)))
             # written so that a NaN residual fails too
@@ -143,14 +131,13 @@ def _require_floor(h_min):
 
 
 def compose_map_apply(grid, f, map_):
-    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points,
-    with the kernel weights the map keeps.
+    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points.
 
     f may be one field or an (m, n) stack of fields, all real or all
     complex; a stack is spread once and row r of the result is U_h f[r].
     """
     _require_same_grid(grid, map_)
-    return grid.spread(f)(map_._kernel)
+    return grid.interpolate(f, map_.values)
 
 
 def _require_same_grid(grid, map_):

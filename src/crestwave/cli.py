@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .evolution import (
     StepperConfig,
     cfl_bound,
     compute_derived,
-    curvature_field,
     drive,
     flat_state,
     plan_steps,
@@ -232,12 +231,8 @@ def cmd_sweep(cfg, outdir, args):
     fits = {
         "command": "sweep",
         "seed": args.seed,
-        "slope_e0_vs_sigma": result.slope_e0_vs_sigma,
-        "slope_e0_vs_scaling": result.slope_e0_vs_scaling,
-        "slope_supf_vs_sigma": result.slope_supf_vs_sigma,
-        "e0_max_over_min": result.e0_max_over_min,
-        "growth_ratio_max": result.growth_ratio_max,
-        "growth_uniformity": result.growth_uniformity,
+        # the fits of the study, by their StudyResult field names
+        **{f.name: getattr(result, f.name) for f in fields(result) if f.name != "runs"},
         "n_runs": len(result.runs),
         "n_failed": sum(1 for r in result.runs if not r.ok),
         "failures": {
@@ -259,7 +254,7 @@ def cmd_crest_scaling(cfg, outdir, args):
     rows = []
     for eps in eps_list:
         st = mollify_data(base, eps)
-        rows.append((eps, float(np.max(np.abs(curvature_field(compute_derived(st)))))))
+        rows.append((eps, float(np.max(np.abs(compute_derived(st).Theta.real)))))
     slope = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "crest_scaling.csv"), "w") as fh:

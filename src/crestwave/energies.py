@@ -286,12 +286,12 @@ def _pair_record(pair):
     fa, fb = ({"omega": B["omega"], "d1": B["d1"], "inv_d1": B["inv"] * B["d1"], "Ztb1": B["Ztb1"],
                "Ztb2": _powers(B)(-2.0) * B["Ztb2"], "Zt": st.Zt, "Ztt": der.Ztt,
                "invZp": 1.0 / st.Zp, "DapZt": der.Ztap / st.Zp, "A1": der.A1, "bap": bap,
-               "halpha": 1.0 / k.jacobian()}
+               "halpha": 1.0 / k.jac}
               for st, der, bap, k, B in zip((a, b), derived, b_ap, (pair.k_a, pair.k_b),
                                             _state_blocks(a, b)))
     fb["inv_abs"] = 1.0 / np.abs(b.Zp)
     x = _differences(a.grid, fa, fb, htil)
-    x.abs_a, x.dev_j = np.abs(a.Zp), htil.jacobian() - 1.0
+    x.abs_a, x.dev_j = np.abs(a.Zp), htil.jac - 1.0
     own_terms = [term for term in _DELTA if term[1] in _NORMS]
     (sigma_a, aux_b), (own, f_delta) = _evaluate(
         a.grid, [(a, "sigma"), (b, "aux")], [(own_terms, x), (_F_DELTA, x)]

@@ -50,13 +50,14 @@ class WaveState:
     """Immutable snapshot of one solution.
 
     Zdev holds Z - a' (periodic part of the interface), Zp holds Z_ap,
-    Zt the complex velocity Z_t.  What is computed from a state is kept on
-    it: the branch g of arg(Z_ap), the compute_derived fields, and the
-    energy blocks and the components of every state family (sigma, high,
-    aux) of energies.  Their arrays, like the state's own, are never
-    written in place, and dataclasses.replace starts with nothing kept.  Two
-    states are equal when their grid, sigma, time and the bytes of their
-    arrays are, whatever each keeps; a state is not hashable.
+    Zt the complex velocity Z_t.  What stacked passes compute from a state
+    is kept on it: the compute_derived fields, and the energy blocks and
+    the components of every state family (sigma, high, aux) of energies;
+    the branch g of arg(Z_ap) is computed on each read.  Kept arrays, like
+    the state's own, are never written in place, and dataclasses.replace
+    starts with nothing kept.  Two states are equal when their grid, sigma,
+    time and the bytes of their arrays are, whatever each keeps; a state is
+    not hashable.
     """
 
     grid: SpectralGrid
@@ -79,11 +80,9 @@ class WaveState:
 
     @property
     def g(self):
-        """The branch of arg(Z_ap), seed_angle of Z_ap, computed on first
-        read and kept."""
-        if "angle" not in self._memo:
-            self._memo["angle"] = seed_angle(self.grid, self.Zp)
-        return self._memo["angle"]
+        """The branch of arg(Z_ap), seed_angle of Z_ap, computed on each
+        read."""
+        return seed_angle(self.grid, self.Zp)
 
 
 def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0):
@@ -286,11 +285,6 @@ def _unpack(packed, p):
     return np.stack((packed.real, packed.imag), axis=1).reshape(2 * q, n)[:p]
 
 
-def curvature_field(derived):
-    """Interface curvature in conformal coordinates, Re Theta."""
-    return derived.Theta.real
-
-
 def _rates(rates, b, Ztt, Ztap, k_ap=None):
     """rates, the time derivatives of an RK4 stage as one (3m + q, n) stack,
     completed from the right-hand-side (m, n) fields of m states: its first
@@ -436,7 +430,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
     kept = [np.array([getattr(d, name) for d in derived]) for name in ("b", "Ztt", "Ztap")]
     if maps is not None:
         y0 = np.concatenate((y0, _pack(np.array([k.deviation for k in maps]))))
-        kept.append(_pack(np.array([k.jacobian() for k in maps])))
+        kept.append(_pack(np.array([k.jac for k in maps])))
     k1 = np.empty_like(y0)
     k1[: 2 * m] = [getattr(d, name) for name in ("flux", "flux_ap") for d in derived]
     out, mass = grid.finish_step(rk4(y0, rhs, dt, _rates(k1, *kept)), m)

@@ -402,19 +402,16 @@ class SpectralGrid:
 
         f may also be an (m, n) stack of fields, real or complex, spread by
         one batched transform; the result has a leading axis of length m
-        whose row r is bit-identical to interpolate(f[r], x).  To
-        evaluate at one point set again and again, keep nufft_kernel(x) and
-        gather with spread(f).
+        whose row r is bit-identical to interpolate(f[r], x).  To evaluate
+        one f at several point sets, keep spread(f) and gather at each.
         """
-        return self.spread(f)(self.nufft_kernel(x))
+        return self.spread(f)(x)
 
     def nufft_kernel(self, x):
         """Kernel weights of interpolate() at the points x, of shape
         x.shape + (_NUFFT_WIDTH,), and the first fine-grid node each point
-        sees.  A caller that evaluates at one point set again and again
-        keeps them and passes them to the gather of spread(f); a
-        MonotoneMap keeps those of its values.  A scalar x counts as one
-        point.
+        sees; the gather of spread(f) computes them for its points.  A
+        scalar x counts as one point.
 
         The weights of a point depend only on its offset s in [0, 1) from
         the fine node below it.  They are one product V.T @ C of the
@@ -445,10 +442,10 @@ class SpectralGrid:
 
     def spread(self, f):
         """Spread f (one field or an (m, n) stack) onto the fine grid of
-        interpolate(); the returned gather(kernel) sums the kernel-weighted
-        fine values of every row at the points of kernel, a nufft_kernel
-        result.  gather(nufft_kernel(x)) is interpolate(f, x), bit for
-        bit.
+        interpolate(); the returned gather(x) sums the fine values of every
+        row at the points x, weighted by nufft_kernel(x).  gather(x) is
+        interpolate(f, x), bit for bit, so a caller that evaluates one f at
+        several point sets spreads it once.
 
         The rows are deconvolved and refined to the fine grid by _refine.  A
         complex f goes through as the rows of its real parts, then its
@@ -467,8 +464,8 @@ class SpectralGrid:
             np.concatenate([fine, fine[..., : w - 1]], axis=-1), w, axis=-1
         ).reshape(-1, n_fine, w)
 
-        def gather(kernel):
-            weights, start = kernel
+        def gather(x):
+            weights, start = self.nufft_kernel(x)
             out = np.empty(fine.shape[:-1] + start.shape)
             # one row at a time keeps the gathered windows to len(x) * w values
             for win, row in zip(windows, out.reshape((len(windows),) + start.shape)):

@@ -199,7 +199,7 @@ def hcal_quadrature_oracle(grid, f, map_):
     """
     n, L, dx = grid.n, grid.length, grid.dx
     h_vals = map_.values
-    hp = map_.jacobian()
+    hp = map_.jac
     diff = h_vals[:, None] - h_vals[None, :]
     np.fill_diagonal(diff, 1.0)  # masked by parity below
     kern = np.cos(np.pi * diff / L) / np.sin(np.pi * diff / L)
@@ -214,7 +214,7 @@ def htilcal_apply(grid, f, map_):
     Htilcal(h_ap f) = Hcal(f) holds identically; h_ap >= JACOBIAN_FLOOR
     holds for every MonotoneMap."""
     _require_same_grid(grid, map_)
-    return hcal_apply(grid, f / map_.jacobian(), map_)
+    return hcal_apply(grid, f / map_.jac, map_)
 
 
 # -- state geometry and weighted norms -------------------------------------------
@@ -222,7 +222,7 @@ def htilcal_apply(grid, f, map_):
 
 def curvature_geometric(state):
     """Differential-geometry route Im(d_a Z_ap conj(Z_ap)) / |Z_ap|^3,
-    an independent cross-check of curvature_field."""
+    an independent cross-check of Re Theta."""
     grid = state.grid
     num = (grid.deriv(state.Zp) * np.conj(state.Zp)).imag
     return num / np.abs(state.Zp) ** 3
@@ -417,7 +417,7 @@ def map_at(map_, x):
 def lagrangian_jacobian(k):
     """(h_alpha o h^{-1}) on the grid nodes for the inverse flow map
     k = h^{-1}: differentiating k(h(alpha)) = alpha gives 1 / k_alpha."""
-    return 1.0 / k.jacobian()
+    return 1.0 / k.jac
 
 
 # name -> f(grid, state, derived, map) of every field whose difference the
@@ -531,7 +531,7 @@ def energy_delta_terms(pair):
     util_inv_abs_b = pulled[-1].real
 
     abs_a = np.abs(a.Zp)
-    htil_ap = htil.jacobian()
+    htil_ap = htil.jac
     dev_j = htil_ap - 1.0
     comp = {
         "d0_delta_omega_Linfsq": grid.sup_norm(d_omega) ** 2,
@@ -562,7 +562,7 @@ def f_delta_norm_terms(pair):
 
     def fields(st, der, k):
         return (st.Zt, der.Ztt, 1.0 / st.Zp, der.Ztap / st.Zp, der.A1,
-                grid.deriv(der.b).real, 1.0 / k.jacobian())
+                grid.deriv(der.b).real, 1.0 / k.jac)
 
     fields_a = fields(a, derived_a, pair.k_a)
     pulled = compose_map_apply(grid, np.stack(fields(b, derived_b, pair.k_b)), pair.map_tilde)

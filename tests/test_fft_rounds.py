@@ -3,7 +3,7 @@ Fourier multipliers is one stacked transform, a derive is two rounds, a
 step's finish one FFT pair and a record's sup norms one stacked call, so
 these counts only grow if a round is split."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -169,6 +169,30 @@ def test_record_refines_once_per_spread_and_sup_norm(stepped, monkeypatch):
     energy_sigma(pair.state_a)
     half = pair.state_a.grid.n // 2 + 1
     assert shapes == [((2, half), 2), ((22, half), 2), ((2, 5, half), 4)]
+
+
+def test_record_pulls_back_through_one_interpolate_and_keeps_no_map_state(stepped, monkeypatch):
+    # the one spread of the Newton solve that builds htilde, then the one
+    # pull-back through htilde: an interpolate of the 22 real rows of b of
+    # both families, which spreads them once; no map keeps anything beyond
+    # its fields
+    pair, _, _ = stepped
+    n = pair.state_a.grid.n
+    calls = []
+    for name in ("spread", "interpolate"):
+        method = getattr(SpectralGrid, name)
+
+        def counted(self, f, *args, _name=name, _method=method):
+            calls.append((_name, np.shape(f)))
+            return _method(self, f, *args)
+
+        monkeypatch.setattr(SpectralGrid, name, counted)
+    energy_delta(pair)
+    f_delta_norm(pair)
+    energy_sigma(pair.state_a)
+    assert calls == [("spread", (2, n)), ("interpolate", (22, n)), ("spread", (22, n))]
+    for k in (pair.k_a, pair.k_b, pair.map_tilde):
+        assert vars(k).keys() == {f.name for f in fields(k)}
 
 
 def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):

@@ -175,8 +175,8 @@ def test_halpha_term_matches_the_route_through_both_inverses():
     # truncation of the maps, whose modes at the dealias cutoff are 2e-9
     # here (3.5e-9 measured)
     for k in (pair.k_a, pair.k_b):
-        lagrangian = compose_map_apply(k.grid, inverse_map(k).jacobian(), k)
-        assert np.max(np.abs(lagrangian - 1.0 / k.jacobian())) <= 1e-8
+        lagrangian = compose_map_apply(k.grid, inverse_map(k).jac, k)
+        assert np.max(np.abs(lagrangian - 1.0 / k.jac)) <= 1e-8
 
 
 @pytest.mark.parametrize("n, sigma, epsilon", [(768, 0.05 ** 1.5, 0.05), (2048, 1e-5, 0.1)])
@@ -194,7 +194,7 @@ def test_differences_of_a_new_pair_are_at_rounding_level(n, sigma, epsilon):
 def test_htilde_is_built_once_by_a_record(monkeypatch):
     # co_step does not build it; energy_delta builds it by one preimage
     # solve of k_b at the values of k_a, and f_delta_norm and energy_sigma
-    # reuse it; no map is inverted and neither map keeps kernel weights
+    # reuse it; no map is inverted
     pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
                                   n_points=128))
     cfg = StepperConfig()
@@ -216,8 +216,6 @@ def test_htilde_is_built_once_by_a_record(monkeypatch):
     assert len(solved) == 1 and solved[0][0] is pair.k_b
     assert np.array_equal(solved[0][1], pair.k_a.values)
     assert vars(pair)["map_tilde"] is htilde
-    for k in (pair.k_a, pair.k_b):
-        assert "_kernel" not in vars(k)
 
 
 def test_htilde_of_folding_maps_matches_the_route_through_the_inverse_of_k_b():
@@ -331,7 +329,7 @@ def test_inverse_flow_map_guard_bounds_k_ap_from_both_sides(monkeypatch, sign, f
     # the ceiling 1 / floor on h_ap bounds it from below
     g = make_grid(64)
     dev = sign * _skewed_deviation(g)
-    k_ap = InverseFlowMap(g, dev).jacobian()
+    k_ap = InverseFlowMap(g, dev).jac
     low, high = (0.625, 1.75) if sign > 0 else (0.25, 1.375)
     # the extreme at x = 0 is a node; the other lies between nodes
     assert abs(k_ap.min() - low) < 1e-3 and abs(k_ap.max() - high) < 1e-3
@@ -394,7 +392,7 @@ def test_delta_zero_stability_long_run():
     jac_bounds = []
     for _ in range(1000):
         pair = co_step(pair, cfg, dt)
-        jac = pair.map_tilde.jacobian()
+        jac = pair.map_tilde.jac
         jac_bounds.append((jac.min(), jac.max()))
     for name in ("Zt", "one_over_Zp", "A1"):
         assert np.max(np.abs(delta_field(pair, name))) < 1e-9, name
@@ -448,7 +446,7 @@ def test_energy_reports_match_a_rebuilt_pair():
               for s in (pair.state_a, pair.state_b)]
     # the copy derives its own htilde from the two maps, each rebuilt from
     # its data: the deviation and the Jacobian that the step's finish gave it
-    maps = [InverseFlowMap(grid, k.deviation.copy(), k.jacobian().copy())
+    maps = [InverseFlowMap(grid, k.deviation.copy(), k.jac.copy())
             for k in (pair.k_a, pair.k_b)]
     copy = PairState(*states, *maps)
     rebuilt = (energy_delta(copy), f_delta_norm(copy), energy_sigma(copy.state_a))
@@ -509,8 +507,8 @@ def test_stepped_maps_carry_the_jacobians_of_their_deviations():
         pair = co_step(pair, cfg, dt)
     for k in (pair.k_a, pair.k_b):
         alone = InverseFlowMap(k.grid, k.deviation)
-        assert np.max(np.abs(k.jacobian() - 1.0)) > 1e-4
-        assert np.max(np.abs(alone.jacobian() - k.jacobian())) <= 1e-12
+        assert np.max(np.abs(k.jac - 1.0)) > 1e-4
+        assert np.max(np.abs(alone.jac - k.jac)) <= 1e-12
 
 
 @pytest.mark.parametrize("k_ap_min", [0.0, -0.5])
@@ -546,14 +544,14 @@ def test_states_maps_and_pairs_compare_by_their_data():
     energy_delta(pair)
     a, k = pair.state_a, pair.k_b
     state_copy = make_state(g, a.Zdev.copy(), a.Zp.copy(), a.Zt.copy(), a.sigma, a.time)
-    map_copy = InverseFlowMap(g, k.deviation.copy(), k.jacobian().copy())
+    map_copy = InverseFlowMap(g, k.deviation.copy(), k.jac.copy())
     assert a == state_copy and k == map_copy
     assert pair == PairState(state_copy, pair.state_b, pair.k_a, map_copy)
     Zt = a.Zt.copy()
     Zt[5] = complex(np.nextafter(Zt[5].real, np.inf), Zt[5].imag)
     assert a != replace(a, Zt=Zt) and a != replace(a, time=a.time + dt)
     assert a != pair.state_b and pair != PairState(*(pair.state_b, a), pair.k_a, pair.k_b)
-    jac = k.jacobian().copy()
+    jac = k.jac.copy()
     jac[0] = np.nextafter(jac[0], 0.0)
     assert pair != PairState(pair.state_a, pair.state_b, pair.k_a, InverseFlowMap(g, k.deviation, jac))
     for obj in (a, k, pair):
