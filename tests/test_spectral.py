@@ -361,6 +361,23 @@ def test_kernel_weights_of_a_point_do_not_depend_on_its_batch(n):
     assert one.tobytes() == weights[3:4].tobytes() and np.array_equal(one_start, start[3:4])
 
 
+@pytest.mark.parametrize("n", [64, 768])
+def test_kept_kernel_weights_give_interpolate_bit_for_bit(n, monkeypatch):
+    # weights kept from an earlier nufft_kernel call, handed to a gather in
+    # place of the ones it computes, give the bits of a fresh interpolate
+    g = make_grid(n, length=5.0)
+    rng = np.random.default_rng(n + 5)
+    x = rng.uniform(-g.length, 2 * g.length, 300)
+    kernel = g.nufft_kernel(x)
+    real = rng.standard_normal((3, n))
+    stacks = (real, real + 1j * rng.standard_normal((3, n)))
+    expected = [(g.interpolate(s, x), g.interpolate(s[1], x)) for s in stacks]
+    monkeypatch.setattr(type(g), "nufft_kernel", lambda self, points: kernel)
+    for stack, (whole, row) in zip(stacks, expected):
+        assert g.spread(stack)(x).tobytes() == whole.tobytes()
+        assert g.spread(stack[1])(x).tobytes() == row.tobytes()
+
+
 def test_interpolate_at_the_grid_nodes_is_exact_to_rounding():
     # 1.96e-15 sup|f| with the kernel formula, 1.93e-15 from its table
     g = make_grid(768)
