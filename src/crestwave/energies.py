@@ -24,6 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import spectral
 from .brackets import compose_map_apply
 from .evolution import derive_states, seed_angle
 
@@ -90,12 +91,12 @@ def _build_blocks(states):
     rows[:m] = [st.Zp for st in states]
     rows[:m] -= 1.0
     np.conj([st.Zt for st in states], out=rows[m:])
-    spec = np.fft.fft(rows)
+    spec = spectral._fft(rows, out=rows)
     # symbol 0 (dealias) on Z_ap - 1, symbols 1..3 on conj(Z_t)
     products = np.empty((4, m, grid.n), dtype=np.complex128)
     np.multiply(table[0], spec[:m], out=products[0])
     np.multiply(table[1:, None], spec[m:], out=products[1:])
-    band, Ztb1, Ztb2, Ztb3 = np.fft.ifft(products)
+    band, Ztb1, Ztb2, Ztb3 = spectral._ifft(products, out=products)
     Zp_band = 1.0 + band
     inv, d1, d2, d3 = grid.multiply_symbol(1.0 / Zp_band, table[:, None])
     # H q, q = omega D 1/Z_ap,band

@@ -26,6 +26,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +54,43 @@ def _require_finite(f, what="field"):
     if not np.all(np.isfinite(f)):
         raise ValueError(f"{what} contains non-finite entries")
     return f
+
+
+# -- transforms ----------------------------------------------------------------
+# Every transform of the package goes through these four.  Each is the
+# numpy.fft function of its name along the last axis of an array (_fft also
+# takes a list), in double precision and bit for bit: it calls the pocketfft
+# gufunc that numpy.fft dispatches to (numpy >= 2.0), with numpy.fft's scale,
+# 1 forward and 1 / n inverse (n the output length), and writes into out, a
+# new array when not given.  numpy.fft's own argument handling costs about
+# 4 us a call, a third of a transform at the grid sizes of a run.  The names
+# are private so that tracing the public functions of this module adds no
+# span per transform.
+
+
+def _fft(a, out=None):
+    a = np.asarray(a)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+    return _pocketfft.fft(a, 1, out=out)
+
+
+def _ifft(a, out=None):
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
+
+
+def _rfft(a):
+    """The half spectrum, modes 0..n/2, of rows of even length n."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), dtype=np.complex128)
+    return _pocketfft.rfft_n_even(a, 1, out=out)
+
+
+def _irfft(a, n):
+    """Real rows of n points from half spectra, zero-padded to modes 0..n/2."""
+    out = np.empty(a.shape[:-1] + (n,), dtype=np.float64)
+    return _pocketfft.irfft(a, 1.0 / n, out=out)
 
 
 def same_bytes(arrays, others):
@@ -84,6 +122,8 @@ class SpectralGrid:
         self.n = int(n_points)
         self.length = float(length)
         self.dealias_fraction = float(dealias_fraction)
+        # kept, as the symbol tables' cache hashes the grid on every lookup
+        self._hash = hash((self.n, self.length, self.dealias_fraction))
 
         n = self.n
         self.dx = self.length / n
@@ -109,10 +149,12 @@ class SpectralGrid:
 
     def coeffs(self, f):
         """Fourier coefficients c_k with f(x) = sum_k c_k exp(i k x)."""
-        return np.fft.fft(f) / self.n
+        c = _fft(f)
+        c /= self.n
+        return c
 
     def from_coeffs(self, c):
-        return np.fft.ifft(c * self.n)
+        return _ifft(c * self.n)
 
     def multiply_symbol(self, f, symbol):
         """ifft(symbol * fft(f)) along the last axis, unchecked: the symbol must
@@ -122,9 +164,15 @@ class SpectralGrid:
 
         Rows of a stack transform in one call and are bit-identical to
         single-field calls, so a round of independent multipliers costs one
-        FFT pair.
+        FFT pair.  Unless the symbol adds axes, the product and the inverse
+        transform are written over the spectrum.
         """
-        return np.fft.ifft(symbol * np.fft.fft(f))
+        spec = _fft(f)
+        if np.ndim(symbol) > spec.ndim:
+            spec = symbol * spec
+        else:
+            np.multiply(symbol, spec, out=spec)
+        return _ifft(spec, out=spec)
 
     def symbol_table(self, kinds):
         """(len(kinds), n) table whose row r is the symbol named kinds[r],
@@ -194,7 +242,7 @@ class SpectralGrid:
         rows[m : 2 * m] -= 1.0
         # the spectra of the r rows, then room for those of the derivatives
         c = np.empty((2 * r - 3 * m, n), dtype=np.complex128)
-        np.fft.fft(rows, out=c[:r])
+        _fft(rows, out=c[:r])
         c[:r] *= self._dealias_symbol
         # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
         zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
@@ -203,9 +251,9 @@ class SpectralGrid:
         zt_neg[...] = 0.0
         if r > 3 * m:
             np.multiply(c[3 * m : r], self._deriv_symbol, out=c[r:])
-        out = np.fft.ifft(c)
-        out[m : 2 * m] += 1.0
-        return out, mass
+        _ifft(c, out=c)
+        c[m : 2 * m] += 1.0
+        return c, mass
 
     def _mass(self, c):
         """L2 mass of the modes with coefficients c, along the last axis."""
@@ -456,7 +504,9 @@ class SpectralGrid:
         w, n_fine = _NUFFT_WIDTH, 2 * self.n
         real = np.isrealobj(f)
         rows = f if real else np.stack([f.real, f.imag])
-        fine = self._refine(np.fft.rfft(rows) * _nufft_deconvolution(self.n), 2)
+        spec = _rfft(rows)
+        spec *= _nufft_deconvolution(self.n)
+        fine = self._refine(spec, 2)
         # windows[i] holds fine values j, ..., j + w - 1 (periodically) of
         # row i of the real values, or of the real parts then the
         # imaginary parts
@@ -484,7 +534,7 @@ class SpectralGrid:
         spectrum.  The only zero-padding of a spectrum in this module: the
         NUFFT spread and the sup-norm seeds both go through it."""
         spec[..., self.n // 2] *= 0.5
-        return np.fft.irfft(spec, factor * self.n)
+        return _irfft(spec, factor * self.n)
 
     # -- misc -------------------------------------------------------------
 
@@ -497,7 +547,7 @@ class SpectralGrid:
         )
 
     def __hash__(self):
-        return hash((self.n, self.length, self.dealias_fraction))
+        return self._hash
 
     def __repr__(self):
         return (

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from crestwave import energies, evolution
+from crestwave import energies, evolution, spectral
 from crestwave.energies import energy_aux, energy_delta, energy_sigma, f_delta_norm
 from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
 from crestwave.pair import PairRunSpec, build_pair, co_step
@@ -18,8 +18,8 @@ TRANSFORMS = ("fft", "ifft", "rfft", "irfft")
 
 
 class TransformCalls(dict):
-    """The number of calls of each numpy.fft transform, and in rows the
-    (transform, row count) of every call, in order."""
+    """The number of calls of each transform, and in rows the (transform,
+    row count) of every call, in order."""
 
     def __init__(self):
         super().__init__(dict.fromkeys(TRANSFORMS, 0))
@@ -28,18 +28,20 @@ class TransformCalls(dict):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """The numpy.fft transforms called from its set-up on; tests request it
-    after the fixtures that build their inputs."""
+    """The transforms called from its set-up on, counted at spectral's entry
+    points (_fft, _ifft, _rfft, _irfft), through which every transform of
+    the package goes; tests request it after the fixtures that build their
+    inputs."""
     calls = TransformCalls()
     for name in TRANSFORMS:
-        transform = getattr(np.fft, name)
+        transform = getattr(spectral, "_" + name)
 
         def counted(a, *args, _name=name, _transform=transform, **kwargs):
             calls[_name] += 1
             calls.rows.append((_name, int(np.prod(np.shape(a)[:-1]))))
             return _transform(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(spectral, "_" + name, counted)
     return calls
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crestwave.errors import HolomorphicityError
-from crestwave.spectral import TWO_PI, make_grid
+from crestwave import spectral
+from crestwave.spectral import TWO_PI, make_grid, same_bytes
 
 from helpers import (
     extend_to_depth,
@@ -44,6 +45,15 @@ def test_make_grid_roundtrip():
     g = make_grid(256)
     f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     assert np.max(np.abs(g.from_coeffs(g.coeffs(f)) - f)) < 1e-13
+
+
+def test_equal_grids_hash_equally_and_share_their_symbol_tables():
+    # the hash is kept from construction; a grid built from numpy scalars
+    # equals and hashes as one built from Python numbers
+    g, h = make_grid(64), make_grid(np.int64(64), np.float64(TWO_PI), 2.0 / 3.0)
+    assert g == h and hash(g) == hash(h)
+    assert g.symbol_table(("deriv", "hilbert")) is h.symbol_table(("deriv", "hilbert"))
+    assert g != make_grid(64, 1.0)
 
 
 @pytest.mark.parametrize("n", [7, 9, 6, 2])
@@ -705,3 +715,68 @@ def test_one_part_of_a_hilbert_transform_reads_one_part_of_the_field(n, length, 
     for f, part, kept in ((r, np.real, 1j * r.imag), (p, np.imag, p.real + 0j)):
         gap = part(g.hilbert(f)) - part(g.hilbert(kept))
         assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(f))
+
+
+# the transform entry points against public numpy.fft: the sizes of the
+# workloads and the smallest grid; a 1-D field, an (m, n) or a (j, m, n) stack
+ENTRIES = dict(
+    n=st.sampled_from([8, 256, 768, 2048]),
+    lead=st.sampled_from([(), (3,), (2, 3)]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _rows(lead, n, real, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(lead + (n,))
+    return f if real else f + 1j * rng.standard_normal(lead + (n,))
+
+
+def _in_larger(shape):
+    """A complex out of the given shape that is the leading rows of a larger
+    array, as finish_step passes, and that array, filled with NaN."""
+    rows = int(np.prod(shape[:-1]))
+    big = np.full((2 * rows + 1, shape[-1]), np.nan, dtype=np.complex128)
+    return big[:rows].reshape(shape), big
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**ENTRIES)
+def test_transform_entries_are_numpy_fft_bit_for_bit(n, lead, real, seed):
+    f = _rows(lead, n, real, seed)
+    got = [spectral._fft(f), spectral._ifft(f)]
+    assert same_bytes(got, [np.fft.fft(f), np.fft.ifft(f)])
+    for entry, transform in ((spectral._fft, np.fft.fft), (spectral._ifft, np.fft.ifft)):
+        out, big = _in_larger(f.shape)
+        assert entry(f, out=out) is out
+        assert same_bytes([out], [transform(f)])
+        assert np.isnan(big[out.size // n :]).all()
+    if real:
+        assert same_bytes([spectral._rfft(f)], [np.fft.rfft(f)])
+    # the zero-padding of _refine: n/2 + 1 modes to n, 2n and 4n points
+    half = np.fft.rfft(f.real)
+    for size in (n, 2 * n, 4 * n):
+        assert same_bytes([spectral._irfft(half, size)], [np.fft.irfft(half, size)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**ENTRIES)
+def test_multiply_symbol_and_coefficients_are_the_numpy_fft_expressions(n, lead, real, seed):
+    # multiply_symbol writes the product and the inverse over the spectrum
+    # when the symbol has its shape, but gives the bits of the expression
+    g = make_grid(n)
+    f = _rows(lead, n, real, seed)
+    rows = f.reshape(-1, n)
+    # an (n,) symbol, a (k, n) table for a (k, n) stack and a (j, 1, n)
+    # table for an (m, n) stack
+    cases = [
+        (f, _rows((), n, False, seed + 1)),
+        (rows, _rows(rows.shape[:-1], n, False, seed + 2)),
+        (rows, _rows((2, 1), n, False, seed + 3)),
+    ]
+    for field, symbol in cases:
+        expected = np.fft.ifft(symbol * np.fft.fft(field))
+        assert same_bytes([g.multiply_symbol(field, symbol)], [expected])
+    c = np.fft.fft(f) / n
+    assert same_bytes([g.coeffs(f), g.from_coeffs(c)], [c, np.fft.ifft(c * n)])

@@ -113,3 +113,40 @@ def test_every_package_function_is_reached():
     assert left == []
     # each allowed name is still defined and unreached, so the list stays current
     assert set(UNREACHED_ALLOWED) <= {name for _, name in unreached}
+
+
+# the one numpy.fft name a module reads itself, for the grid's wavenumbers;
+# every transform goes through the four entry points of spectral, which
+# alone call numpy's pocketfft gufuncs, so tests/test_fft_rounds.py counts
+# them all there
+FFT_NAMES_ALLOWED = {"fftfreq"}
+TRANSFORM_ENTRIES = {"_fft", "_ifft", "_rfft", "_irfft"}
+
+
+def test_every_transform_goes_through_the_entry_points_of_spectral():
+    package = ROOT / "src" / "crestwave"
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")
+            ):
+                assert node.attr in FFT_NAMES_ALLOWED, (path.name, node.attr)
+            elif isinstance(node, ast.Import):
+                imports += [(path.name, a.name, a.asname) for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports += [(path.name, f"{node.module}.{a.name}", a.asname) for a in node.names]
+    imports = [i for i in imports if i[1].startswith("numpy.fft")]
+    assert imports == [("spectral.py", "numpy.fft._pocketfft_umath", "_pocketfft")]
+    tree = ast.parse((package / "spectral.py").read_text())
+    reads = {
+        node.name: _reads(node)["_pocketfft"]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in TRANSFORM_ENTRIES
+    }
+    assert reads == dict.fromkeys(TRANSFORM_ENTRIES, 1)
+    assert _reads(tree)["_pocketfft"] == len(TRANSFORM_ENTRIES)
