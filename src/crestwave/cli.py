@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_config
-from .energies import STATE_FAMILIES, write_reports_csv
+from .energies import STATE_FAMILIES
 from .errors import (
     CFLViolationError,
     ConfigError,
@@ -48,7 +48,6 @@ from .evolution import (
 )
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .pair import (
-    SUMMARY_COLUMNS,
     PairRunResult,
     PairRunSpec,
     drive_pair,
@@ -64,6 +63,44 @@ EXIT_CFL = 3
 EXIT_DEGENERACY = 4
 EXIT_HOLOMORPHICITY = 5
 EXIT_PARTIAL = 6
+
+
+def write_csv(path, kind, header, rows):
+    """The package's one CSV writer, which makes the directory of path: the
+    schema line naming kind, the header line, then one line per row of text
+    cells."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(f"# crestwave-csv v1 {kind}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def write_reports_csv(path, reports):
+    """One CSV per family: header `time,<columns>,total`, then one row per
+    report at full precision.  The reports must all be of one family and
+    carry its columns in order, so the header is the family's term table;
+    this is checked before the file is opened, so a refused list writes
+    nothing."""
+    reports = list(reports)
+    if not reports:
+        raise ValueError("no reports to write")
+    family, columns = reports[0].family, reports[0].columns
+    for r in reports:
+        if r.family != family or tuple(r.components) != columns:
+            raise ValueError(f"a {family} CSV takes {family} reports with its columns only, "
+                             f"not the {r.family} report at t = {r.time:.6g}")
+    write_csv(path, f"family={family}", ("time", *columns, "total"),
+              (["%.17g" % v for v in (r.time, *r.components.values(), r.total)] for r in reports))
+
+
+def _write_report(outdir, name, args, **report):
+    """Write the JSON report `name` of a command, after its CSVs have made
+    outdir: the fields of report with the subcommand and --seed of args."""
+    with open(os.path.join(outdir, name), "w") as fh:
+        json.dump({"command": args.command, "seed": args.seed, **report}, fh,
+                  indent=2, sort_keys=True)
 
 
 def build_initial_state(cfg):
@@ -116,21 +153,17 @@ def cmd_simulate(cfg, outdir, args):
 
     state = drive(state, step_rk4, stepper, dt, n_steps, record, cfg.output.record_interval)
 
-    os.makedirs(outdir, exist_ok=True)
     for f in families:
         write_reports_csv(os.path.join(outdir, f"energy_{f}.csv"), series[f])
     save_checkpoint(os.path.join(outdir, "final.ckpt"), state)
-    report = {
-        "command": "simulate",
-        "seed": args.seed,
-        "n_steps": n_steps,
-        "dt": dt,
-        "t_final": state.time,
-        "families": families,
-        "final_energy": {f: series[f][-1].to_json_dict() for f in families},
-    }
-    with open(os.path.join(outdir, "run_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_report(
+        outdir, "run_report.json", args,
+        n_steps=n_steps,
+        dt=dt,
+        t_final=state.time,
+        families=families,
+        final_energy={f: series[f][-1].to_json_dict() for f in families},
+    )
     return EXIT_OK
 
 
@@ -141,23 +174,19 @@ def cmd_pair(cfg, outdir, args):
     result = PairRunResult(spec)
     drive_pair(pair, result)
 
-    os.makedirs(outdir, exist_ok=True)
     write_reports_csv(os.path.join(outdir, "energy_delta.csv"), result.delta_reports)
     write_reports_csv(os.path.join(outdir, "energy_f_delta.csv"), result.f_delta_reports)
     write_reports_csv(os.path.join(outdir, "energy_sigma_a.csv"), result.sigma_a_reports)
-    report = {
-        "command": "pair",
-        "seed": args.seed,
-        "sigma": spec.sigma,
-        "n_steps": result.n_steps,
-        "dt": result.dt,
-        "e_delta_initial": result.e_delta_initial,
-        "e_delta_sup": result.e_delta_sup,
-        "growth_ratio": result.growth_ratio if result.e_delta_initial > 0 else None,
-        "f_delta_sup": result.f_delta_sup,
-    }
-    with open(os.path.join(outdir, "pair_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_report(
+        outdir, "pair_report.json", args,
+        sigma=spec.sigma,
+        n_steps=result.n_steps,
+        dt=result.dt,
+        e_delta_initial=result.e_delta_initial,
+        e_delta_sup=result.e_delta_sup,
+        growth_ratio=result.growth_ratio if result.e_delta_initial > 0 else None,
+        f_delta_sup=result.f_delta_sup,
+    )
     return EXIT_OK
 
 
@@ -201,7 +230,6 @@ def cmd_sweep(cfg, outdir, args):
         raise ConfigError(["sweep with study.couple = eps32 needs a study.epsilon_list"])
     specs = _study_specs(cfg)
     result = run_convergence_study(specs, jobs=args.jobs or cfg.study.jobs)
-    os.makedirs(outdir, exist_ok=True)
 
     long_rows = []
     for idx, run in enumerate(result.runs):
@@ -212,38 +240,36 @@ def cmd_sweep(cfg, outdir, args):
         for fam, reports in (("delta", run.delta_reports), ("f_delta", run.f_delta_reports)):
             for rep in reports:
                 for comp, val in rep.components.items():
-                    long_rows.append(
-                        (idx, run.spec.sigma, run.spec.epsilon, rep.time, fam, comp, val)
-                    )
+                    long_rows.append([str(x) for x in (idx, run.spec.sigma, run.spec.epsilon,
+                                                       rep.time, fam, comp, val)])
+    write_csv(os.path.join(outdir, "study_long.csv"), "study-long",
+              ("run", "sigma", "epsilon", "time", "family", "component", "value"), long_rows)
 
-    with open(os.path.join(outdir, "study_long.csv"), "w") as fh:
-        fh.write("# crestwave-csv v1 study-long\n")
-        fh.write("run,sigma,epsilon,time,family,component,value\n")
-        for row in long_rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+    # one row per run; the error message keeps its commas as semicolons
+    write_csv(
+        os.path.join(outdir, "study_summary.csv"), "study-summary",
+        ("sigma", "epsilon", "ok", "error", "n_steps", "dt",
+         "e_delta_initial", "e_delta_sup", "growth_ratio", "f_delta_sup"),
+        ([str(v).replace(",", ";") for v in (
+            r.spec.sigma, r.spec.epsilon, int(r.ok), r.error, r.n_steps, r.dt,
+            r.e_delta_initial, r.e_delta_sup, r.growth_ratio, r.f_delta_sup)]
+         for r in result.runs),
+    )
 
-    with open(os.path.join(outdir, "study_summary.csv"), "w") as fh:
-        fh.write("# crestwave-csv v1 study-summary\n")
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in result.summary_rows():
-            fh.write(",".join(str(v).replace(",", ";") for v in row.values()) + "\n")
-
-    fits = {
-        "command": "sweep",
-        "seed": args.seed,
+    n_failed = sum(1 for r in result.runs if not r.ok)
+    _write_report(
+        outdir, "study_fits.json", args,
         # the fits of the study, by their StudyResult field names
         **{f.name: getattr(result, f.name) for f in fields(result) if f.name != "runs"},
-        "n_runs": len(result.runs),
-        "n_failed": sum(1 for r in result.runs if not r.ok),
-        "failures": {
+        n_runs=len(result.runs),
+        n_failed=n_failed,
+        failures={
             f"sigma={r.spec.sigma:g},eps={r.spec.epsilon:g}": r.error
             for r in result.runs
             if not r.ok
         },
-    }
-    with open(os.path.join(outdir, "study_fits.json"), "w") as fh:
-        json.dump(fits, fh, indent=2, sort_keys=True)
-    return EXIT_PARTIAL if fits["n_failed"] else EXIT_OK
+    )
+    return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
 def cmd_crest_scaling(cfg, outdir, args):
@@ -256,20 +282,10 @@ def cmd_crest_scaling(cfg, outdir, args):
         st = mollify_data(base, eps)
         rows.append((eps, float(np.max(np.abs(compute_derived(st).Theta.real)))))
     slope = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "crest_scaling.csv"), "w") as fh:
-        fh.write("# crestwave-csv v1 crest-scaling\n")
-        fh.write("epsilon,curvature_sup\n")
-        for eps, kap in rows:
-            fh.write(f"{eps:.17g},{kap:.17g}\n")
-    with open(os.path.join(outdir, "crest_scaling.json"), "w") as fh:
-        json.dump(
-            {"command": "crest-scaling", "seed": args.seed, "nu": d.nu, "slope": slope,
-             "target": -d.nu, "rows": rows},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+    write_csv(os.path.join(outdir, "crest_scaling.csv"), "crest-scaling",
+              ("epsilon", "curvature_sup"), (["%.17g" % v for v in row] for row in rows))
+    _write_report(outdir, "crest_scaling.json", args,
+                  nu=d.nu, slope=slope, target=-d.nu, rows=rows)
     return EXIT_OK
 
 

@@ -46,13 +46,6 @@ class EnergyReport:
         table = _TABLES.get(self.family)
         return tuple(self.components) if table is None else tuple(c for c, _, _ in table)
 
-    def csv_header(self):
-        return "time," + ",".join(self.components) + ",total"
-
-    def csv_row(self):
-        vals = [self.time, *self.components.values(), self.total]
-        return ",".join("%.17g" % v for v in vals)
-
     def to_json_dict(self):
         components = {k: float(v) for k, v in self.components.items()}
         return {"family": self.family, "time": self.time, "components": components,
@@ -339,23 +332,3 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     _, f_delta = _pair_record(pair)
     return EnergyReport("f_delta", pair.time, dict(f_delta))
 
-
-def write_reports_csv(path, reports):
-    """One CSV per family: header comment with the schema version, then one
-    row per time with the named components in stable order.  The reports
-    must all be of one family and carry its columns in order, so the header
-    is the family's term table; this is checked before the file is opened,
-    so a refused list writes nothing."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to write")
-    family, columns = reports[0].family, reports[0].columns
-    for r in reports:
-        if r.family != family or tuple(r.components) != columns:
-            raise ValueError(f"a {family} CSV takes {family} reports with its columns only, "
-                             f"not the {r.family} report at t = {r.time:.6g}")
-    with open(path, "w") as fh:
-        fh.write(f"# crestwave-csv v1 family={family}\n")
-        fh.write(reports[0].csv_header() + "\n")
-        for r in reports:
-            fh.write(r.csv_row() + "\n")

@@ -236,13 +236,6 @@ def fit_loglog(x, y):
     return float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
 
 
-# the keys of StudyResult.summary_rows, in order: the columns of study_summary.csv
-SUMMARY_COLUMNS = (
-    "sigma", "epsilon", "ok", "error", "n_steps", "dt",
-    "e_delta_initial", "e_delta_sup", "growth_ratio", "f_delta_sup",
-)
-
-
 @dataclass
 class StudyResult:
     runs: list
@@ -253,19 +246,11 @@ class StudyResult:
     growth_ratio_max: float | None = None
     growth_uniformity: float | None = None  # max/min growth ratio across runs
 
-    def summary_rows(self):
-        """One dict per run, keyed by SUMMARY_COLUMNS in order."""
-        rows = []
-        for r in self.runs:
-            values = (r.spec.sigma, r.spec.epsilon, int(r.ok), r.error, r.n_steps, r.dt,
-                      r.e_delta_initial, r.e_delta_sup, r.growth_ratio, r.f_delta_sup)
-            rows.append(dict(zip(SUMMARY_COLUMNS, values, strict=True)))
-        return rows
-
 
 def run_convergence_study(specs, jobs=1):
-    """Run a list of PairRunSpec, merge deterministically by (sigma, epsilon)
-    and fit the scaling diagnostics of the sweep."""
+    """Run a list of PairRunSpec sorted by (sigma, epsilon), an order that
+    pool.map keeps as the serial loop does, and fit the scaling diagnostics
+    of the sweep."""
     specs = sorted(specs, key=lambda s: (s.sigma, s.epsilon))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -274,7 +259,6 @@ def run_convergence_study(specs, jobs=1):
             runs = list(pool.map(run_pair_once, specs))
     else:
         runs = [run_pair_once(s) for s in specs]
-    runs.sort(key=lambda r: (r.spec.sigma, r.spec.epsilon))
 
     ok = [r for r in runs if r.ok]
     out = StudyResult(runs=runs)

@@ -555,6 +555,68 @@ epsilon_list = 0.2, 0.1, 0.05
     assert abs(rep["slope"] - (-0.35)) < 0.1 * 0.35
 
 
+OUTPUTS_INI = """
+[grid]
+n_points = 128
+
+[data]
+kind = crest
+nu = 0.35
+epsilon = 0.2
+vel_amp_im = 0.05
+
+[physics]
+sigma = 1e-3
+t_final = 0.05
+
+[study]
+sigma_list = 1e-3
+epsilon_list = 0.2, 0.1
+min_steps = 16
+
+[output]
+record_interval = 8
+"""
+
+# (exit code, JSON report, {CSV: the kind on its schema line}) of each
+# command on OUTPUTS_INI; the sweep run at eps 0.1 fails at step 1 with a
+# HolomorphicityError, after its first record
+RUN_TAGS = ("run_000_sigma1.000e-03_eps1.000e-01", "run_001_sigma1.000e-03_eps2.000e-01")
+OUTPUTS = {
+    "simulate": (0, "run_report.json", {"energy_sigma.csv": "family=sigma"}),
+    "pair": (0, "pair_report.json", {
+        "energy_delta.csv": "family=delta",
+        "energy_f_delta.csv": "family=f_delta",
+        "energy_sigma_a.csv": "family=sigma",
+    }),
+    "sweep": (6, "study_fits.json", {
+        **{f"{tag}_{fam}.csv": f"family={fam}" for tag in RUN_TAGS for fam in ("delta", "f_delta")},
+        "study_long.csv": "study-long",
+        "study_summary.csv": "study-summary",
+    }),
+    "crest-scaling": (0, "crest_scaling.json", {"crest_scaling.csv": "crest-scaling"}),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_each_command_writes_its_files_in_their_formats(tmp_path, command):
+    code, report, csvs = OUTPUTS[command]
+    cfgp = _write(tmp_path, "outputs.ini", OUTPUTS_INI)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfgp, "--out", str(out), "--seed", "17"]) == code
+    written = {p.name for p in out.iterdir()}
+    assert written == {report, *csvs} | ({"final.ckpt"} if command == "simulate" else set())
+    for name, kind in csvs.items():
+        schema, header, *rows = (out / name).read_text().splitlines()
+        assert schema == f"# crestwave-csv v1 {kind}"
+        assert rows and all(len(row.split(",")) == len(header.split(",")) for row in rows)
+    rep = json.loads((out / report).read_text())
+    assert (rep["command"], rep["seed"]) == (command, 17)
+    if command == "sweep":
+        assert (rep["n_runs"], rep["n_failed"]) == (2, 1)
+        assert list(rep["failures"].values())[0].startswith("HolomorphicityError")
+
+
 PAIR_VS_SWEEP_INI = """
 [grid]
 n_points = 128

@@ -150,3 +150,25 @@ def test_every_transform_goes_through_the_entry_points_of_spectral():
     }
     assert reads == dict.fromkeys(TRANSFORM_ENTRIES, 1)
     assert _reads(tree)["_pocketfft"] == len(TRANSFORM_ENTRIES)
+
+
+# each output format has one writer in cli.py: the CSV schema line is spelled
+# once in the package, and only the two writers dump JSON or make the output
+# directory (the checkpoint's json.dumps header is a format of its own)
+WRITER_CALLS = [("cli.py", "_write_report", "json.dump"), ("cli.py", "write_csv", "os.makedirs")]
+
+
+def test_each_output_format_has_one_writer():
+    package = ROOT / "src" / "crestwave"
+    texts = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert sum(text.count("crestwave-csv v1") for text in texts.values()) == 1
+    assert "crestwave-csv v1" in texts["cli.py"]
+    calls = [
+        (name, func.name, ast.unparse(node.func))
+        for name, text in texts.items()
+        for func in ast.walk(ast.parse(text)) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dump", "os.makedirs")
+    ]
+    assert sorted(calls) == WRITER_CALLS
+    assert sum(text.count("json.dump(") + text.count("makedirs(") for text in texts.values()) == 2
