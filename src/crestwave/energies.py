@@ -319,15 +319,16 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     fields that derive_states keeps on the states.  derived_a and
     derived_b, the compute_derived fields of the pair's states, may be
     passed by a caller that holds them; they are given together or not at
-    all, and ValueError is raised otherwise, or if they belong to other
-    states.
+    all, and ValueError is raised otherwise, or if either is not the object
+    kept on its state, such as the fields of a state that shares its
+    arrays but not its sigma.
     """
     a, b = pair.state_a, pair.state_b
     if (derived_a is None) != (derived_b is None):
         raise ValueError("f_delta_norm takes derived_a and derived_b together or neither")
     if derived_a is not None:
         for name, st, der in (("derived_a", a, derived_a), ("derived_b", b, derived_b)):
-            if der.Zp is not st.Zp or der.Zt is not st.Zt:
+            if der is not st._memo.get("derived"):
                 raise ValueError(f"{name} holds the derived fields of another state")
     _, f_delta = _pair_record(pair)
     return EnergyReport("f_delta", pair.time, dict(f_delta))

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import spectral
 from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at
 from .spectral import SpectralGrid, same_bytes
 
@@ -363,6 +364,34 @@ def rk4(y0, rhs, dt, k1):
     return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _finish(grid, y, m):
+    """The finish of a step of advance, written over y, the (3m + q, n)
+    stack of rows that rk4 returns.  Returns the (3m + 2q, n) new rows,
+    those of y in its order followed by the derivatives of the q further
+    rows, and the (2, m) masses removed from Z_ap - 1 and from Zbar_t.
+    Each row and its masses are bit-identical to a call on that state's
+    rows alone."""
+    n, half = grid.n, grid.n // 2
+    r = len(y)
+    dealias, deriv = grid.symbol_table(("dealias", "deriv"))
+    y[m : 2 * m] -= 1.0
+    # the spectra of the r rows, then room for those of the derivatives
+    c = np.empty((2 * r - 3 * m, n), dtype=np.complex128)
+    spectral._fft(y, out=c[:r])
+    c[:r] *= dealias
+    # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
+    zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
+    removed = np.concatenate((zp_pos, zt_neg)) / n
+    mass = np.sqrt(grid.length * np.sum(np.abs(removed) ** 2, axis=-1)).reshape(2, m)
+    zp_pos[...] = 0.0
+    zt_neg[...] = 0.0
+    if r > 3 * m:
+        np.multiply(c[3 * m : r], deriv, out=c[r:])
+    spectral._ifft(c, out=c)
+    c[m : 2 * m] += 1.0
+    return c, mass
+
+
 def advance(states, cfg, dt, maps=None, tags=None):
     """One classical RK4 step of m states on one grid, capillary states
     (sigma != 0) first, and of maps, m inverse flow maps k = h^{-1}
@@ -383,15 +412,22 @@ def advance(states, cfg, dt, maps=None, tags=None):
     their derive, so the maps cost no FFT call of their own and no
     interpolation.
 
+    The finish (_finish) is one FFT pair of the whole new stack.  It
+    dealiases every row (a dealias_fraction = 1 grid keeps every mode) and
+    drops the modes k > 0, Nyquist included, of Z_ap - 1 and Zbar_t; the
+    k = 0 mode is kept in full, unlike P_H.  It reads the masses removed
+    from that one spectrum: the modes k > 0 of Zbar_t are the conjugates of
+    the modes k < 0 of Z_t, and transforming Z_ap - 1, not Z_ap, keeps the
+    rounding of the transform relative to the deviation.  The packed map
+    rows are only dealiased, and the same inverse transform gives their
+    derivatives, D of the dealiased rows: the products b k_ap alias like
+    those of the states, and without the filter their debris piles up at
+    the top modes of k over long runs.
+
     Returns the new states and, with maps, the (m, n) stacks of the new map
     deviations and of their Jacobians 1 + D k_dev (None without maps).
-    The finish, grid.finish_step (dealias and projection) of the stack, is
-    one FFT pair, and it dealiases the packed map rows too, whose
-    derivatives it returns from the same spectrum: the products b k_ap
-    alias like those of the states, and without the filter their debris
-    piles up at the top modes of k over long runs.  Raises
-    ValueError if a capillary state follows one with sigma = 0, and, state
-    by state, CFLViolationError when dt is not within dt_safety
+    Raises ValueError if a capillary state follows one with sigma = 0,
+    and, state by state, CFLViolationError when dt is not within dt_safety
     times the bound of the state (a NaN bound or dt fails),
     DegenerateJacobianError on a degenerate or NaN Z_ap, and
     HolomorphicityError on projected mass above HOLO_TOLERANCE times the
@@ -433,7 +469,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
         kept.append(_pack(np.array([k.jac for k in maps])))
     k1 = np.empty_like(y0)
     k1[: 2 * m] = [getattr(d, name) for name in ("flux", "flux_ap") for d in derived]
-    out, mass = grid.finish_step(rk4(y0, rhs, dt, _rates(k1, *kept)), m)
+    out, mass = _finish(grid, rk4(y0, rhs, dt, _rates(k1, *kept)), m)
 
     Zdev, Zp, Zt = out[: 3 * m].reshape(3, m, grid.n)
     min_abs = np.abs(Zp).min(axis=-1).tolist()

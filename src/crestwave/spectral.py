@@ -216,49 +216,6 @@ class SpectralGrid:
     def dealias(self, f):
         return self.multiply_symbol(f, self._dealias_symbol)
 
-    def finish_step(self, stack, m):
-        """The end of an RK4 step from one FFT pair.  stack is a (3m + q, n)
-        array of the rows Zdev | Z_ap | Z_t of m states, then q further rows,
-        such as the packed map deviations of a pair step.  All rows are
-        dealiased (a dealias_fraction = 1 grid keeps every mode), and Z_ap - 1
-        and Zbar_t lose their k > 0 content (Nyquist included; the k = 0 mode
-        is kept in full, unlike P_H).  The further rows are only dealiased,
-        and their derivatives, D of the dealiased rows, come from the same
-        spectrum in the one inverse transform.
-        Returns the (3m + 2q, n) array of the new rows, those of stack in
-        its order followed by the q derivatives, and the (2, m) L2 masses
-        removed from Z_ap - 1 and from Zbar_t.  The modes k > 0 of Zbar_t
-        are the conjugates of the modes k < 0 of Z_t, so both masses come
-        from the one spectrum of (Zdev, Z_ap - 1, Z_t); transforming
-        Z_ap - 1, not Z_ap, keeps the rounding of the transform relative to
-        the deviation.
-
-        Each row and its masses are bit-identical to a call on that state's
-        rows alone.
-        """
-        n, half = self.n, self.n // 2
-        r = len(stack)
-        rows = stack.copy()
-        rows[m : 2 * m] -= 1.0
-        # the spectra of the r rows, then room for those of the derivatives
-        c = np.empty((2 * r - 3 * m, n), dtype=np.complex128)
-        _fft(rows, out=c[:r])
-        c[:r] *= self._dealias_symbol
-        # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
-        zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
-        mass = self._mass(np.concatenate((zp_pos, zt_neg)) / n).reshape(2, m)
-        zp_pos[...] = 0.0
-        zt_neg[...] = 0.0
-        if r > 3 * m:
-            np.multiply(c[3 * m : r], self._deriv_symbol, out=c[r:])
-        _ifft(c, out=c)
-        c[m : 2 * m] += 1.0
-        return c, mass
-
-    def _mass(self, c):
-        """L2 mass of the modes with coefficients c, along the last axis."""
-        return np.sqrt(self.length * np.sum(np.abs(c) ** 2, axis=-1))
-
     # -- norms ----------------------------------------------------------
 
     def l2_norm(self, f):

@@ -293,7 +293,7 @@ def rk4_by_blocks(y0, rhs, dt, k1, bounds):
 
 
 def finish_unfused(grid, rows):
-    """grid.finish_step of the stacked blocks rows = (Zdev, Z_ap, Z_t) as two
+    """evolution._finish of the stacked blocks rows = (Zdev, Z_ap, Z_t) as two
     FFT pairs per row: the dealias of each block, then the removal of
     the k > 0 modes of Z_ap - 1 and of Zbar_t, with the L2 mass each loses
     measured on its own spectrum."""

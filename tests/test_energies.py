@@ -323,6 +323,11 @@ def test_f_delta_norm_refuses_foreign_or_lone_derived_fields():
     twin = replace(a, Zp=a.Zp.copy())
     with pytest.raises(ValueError, match="derived_a holds the derived fields of another state"):
         f_delta_norm(pair, compute_derived(twin), der_b)
+    # and so are those of a state that shares the arrays of a but not its
+    # sigma, whose Z_tt differs
+    doubled = replace(a, sigma=2 * a.sigma)
+    with pytest.raises(ValueError, match="derived_a holds the derived fields of another state"):
+        f_delta_norm(pair, compute_derived(doubled), der_b)
 
 
 def test_pair_record_is_one_pass_whichever_family_is_read_first(monkeypatch):

@@ -25,7 +25,7 @@ from crestwave.evolution import (
     step_rk4,
 )
 from crestwave.pair import PairRunSpec, build_pair, co_step, init_pair
-from crestwave.spectral import SpectralGrid, make_grid
+from crestwave.spectral import make_grid, same_bytes
 
 from helpers import (
     evolve_series,
@@ -262,16 +262,37 @@ def test_holomorphicity_guard_refuses_a_nan_mass(monkeypatch):
     # a NaN removed mass of Zbar_t beside a finite one of Z_ap - 1
     g = make_grid(64)
     st = random_smooth_state(g, np.random.default_rng(12), sigma=1e-2, amp=0.1)
-    finish = SpectralGrid.finish_step
+    finish = evolution._finish
 
-    def nan_mass_of_zbar_t(self, stack, m):
-        out, mass = finish(self, stack, m)
+    def nan_mass_of_zbar_t(grid, y, m):
+        out, mass = finish(grid, y, m)
         mass[1, -1] = np.nan
         return out, mass
 
-    monkeypatch.setattr(SpectralGrid, "finish_step", nan_mass_of_zbar_t)
+    monkeypatch.setattr(evolution, "_finish", nan_mass_of_zbar_t)
     with pytest.raises(HolomorphicityError, match="mass nan of Zbar_t"):
         step_rk4(st, StepperConfig(), 0.4 * cfl_bound(st))
+
+
+def test_steps_leave_their_input_states_and_maps_as_they_were():
+    # the finish writes over the stack that rk4 returns, never over what a
+    # step is given: the arrays of the states, of their kept derived fields
+    # and of the maps keep their bytes; the states and maps of a co_step
+    # are views of its finish's array, and are stepped again here
+    spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=128)
+    pair = build_pair(spec)
+    cfg = StepperConfig()
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    pair = co_step(pair, cfg, dt)
+    derived = derive_states((pair.state_a, pair.state_b))
+    held = (pair.state_a, pair.state_b, *derived, pair.k_a, pair.k_b)
+    arrays = [v for x in held for v in vars(x).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2 * 3 + 2 * 9 + 2 * 2
+    before = [a.copy() for a in arrays]
+    step_rk4(pair.state_a, cfg, dt)
+    step_rk4(pair.state_b, cfg, dt)
+    co_step(pair, cfg, dt)
+    assert same_bytes(arrays, before)
 
 
 @pytest.mark.parametrize("bad", [{"sigma": float("nan")}, {"sigma": float("inf")},

@@ -6,6 +6,7 @@ import ast
 import collections
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -150,6 +151,26 @@ def test_every_transform_goes_through_the_entry_points_of_spectral():
     }
     assert reads == dict.fromkeys(TRANSFORM_ENTRIES, 1)
     assert _reads(tree)["_pocketfft"] == len(TRANSFORM_ENTRIES)
+
+
+# the fields of a state, whose rows in a step's stack evolution alone lays out
+STATE_FIELDS = ("Zdev", "Zp", "Zt", "Z_ap", "Z_t", "Zbar_t")
+
+
+def test_spectral_names_no_state_field_and_no_module_imports_its_transforms():
+    # spectral holds grid operators only; and a transform imported by name
+    # would be bound before tests/test_fft_rounds.py patches spectral's
+    # attributes, so its calls would go uncounted
+    text = (ROOT / "src" / "crestwave" / "spectral.py").read_text()
+    assert re.findall(r"\b(?:%s)\b" % "|".join(STATE_FIELDS), text) == []
+    imported = [
+        (path.name, a.name)
+        for d in ("src/crestwave", "benchmarks", "tests") for path in sorted((ROOT / d).glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "spectral"
+        for a in node.names if a.name in TRANSFORM_ENTRIES
+    ]
+    assert imported == []
 
 
 # each output format has one writer in cli.py: the CSV schema line is spelled
