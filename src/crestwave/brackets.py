@@ -68,7 +68,7 @@ class MonotoneMap:
 
     def _require_monotone(self):
         """Refuse h_ap below JACOBIAN_FLOOR."""
-        _require_floor(float(np.min(self.jac)))
+        _require_floor(float(self.jac.min()))
 
     @classmethod
     def identity(cls, grid):
@@ -117,8 +117,8 @@ class InverseFlowMap(MonotoneMap):
 
     def _require_monotone(self):
         k_ap = self.jac
-        _require_floor(1.0 / float(np.max(k_ap)))
-        k_min = float(np.min(k_ap))
+        _require_floor(1.0 / float(k_ap.max()))
+        k_min = float(k_ap.min())
         # a k_ap at or below 0 is a fold of k, where h_ap is unbounded
         h_max = 1.0 / k_min if k_min > 0.0 else np.inf
         if h_max > 1.0 / JACOBIAN_FLOOR:

@@ -179,17 +179,24 @@ def derive_states(states, prefixes=None):
     if new:
         # capillary states first, so that the capillary rounds take leading rows
         new.sort(key=lambda item: item[0].sigma == 0.0)
-        Zp = np.array([st.Zp for st, _ in new])
+        Zp = _stack([st.Zp for st, _ in new])
         abs_Zp = np.abs(Zp)
         min_abs = abs_Zp.min(axis=-1).tolist()
         for (_, prefix), min_r in zip(new, min_abs):
             _require_floor(min_r, prefix)
         fields = _derive(
-            states[0].grid, Zp, abs_Zp, [st.Zt for st, _ in new], [st.sigma for st, _ in new]
+            states[0].grid, Zp, abs_Zp, _stack([st.Zt for st, _ in new]),
+            [st.sigma for st, _ in new],
         )
         for (st, _), min_r, *rows in zip(new, min_abs, *fields):
             st._memo["derived"] = DerivedFields(st.grid, st.Zp, st.Zt, *rows, min_r)
     return [st._memo["derived"] for st in states]
+
+
+def _stack(rows):
+    """The (m, n) stack of the m arrays rows, a view of a lone row: a step
+    of one state copies none of its fields to read them as a stack."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
 def _require_floor(min_abs, prefix):
@@ -202,20 +209,28 @@ def _require_floor(min_abs, prefix):
 
 def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     """The (m, n) stacks (b, A1, omega, Ztt, Ztap, flux, flux_ap), in the
-    order of DerivedFields, of the rows Zp, Zt_rows with surface tensions
-    sigma, capillary rows (sigma != 0) first: the capillary transforms run
-    on those rows only.  With k_dev, a (q, n) stack of packed map
-    deviations (_pack), an eighth stack follows: their Jacobians
-    1 + D k_dev, packed alike, from round 1.
+    order of DerivedFields, of the (m, n) rows Zp and Zt_rows with surface
+    tensions sigma, capillary rows (sigma != 0) first: the capillary
+    transforms run on those rows only.  abs_Zp, |Zp|, is written over with
+    its reciprocal.  With k_dev, a (q, n) stack of packed map deviations
+    (_pack), an eighth stack follows: their Jacobians 1 + D k_dev, packed
+    alike, from round 1.
 
     The inputs of each of the two rounds are written into the rows of one
-    stack, which one multiply_symbol call transforms with a per-row symbol
-    table.  flux and flux_ap are the two halves of fluxes, a (2m, n) array
-    (a new one when not given), such as the first rows of an RK4 stage's
-    rates, so that they do not hold the round-2 stacks.
+    stack, which goes through spectral's transform entries directly, one
+    FFT pair per round, its spectrum multiplied in place by a per-row
+    symbol table (symbol * spectrum, as in multiply_symbol).  omega =
+    Z_ap / |Z_ap| is computed as Z_ap * (1 / |Z_ap|), the same bytes with
+    one real division: numpy divides by a complex number with zero
+    imaginary part as a reciprocal and a multiply (Smith's method), and the
+    two differ only in the sign of a zero part, at a -0.0 part of Z_ap or a
+    part that underflows.  flux and flux_ap are the two halves of
+    fluxes, a (2m, n) array (a new one when not given), such as the first
+    rows of an RK4 stage's rates, so that they do not hold the round-2
+    stacks.
     """
     m, n = Zp.shape
-    n_cap = sum(s != 0.0 for s in sigma)
+    n_cap = len(sigma) - sigma.count(0.0)
     q = 0 if k_dev is None else len(k_dev)
     inv_Zp = 1.0 / Zp
 
@@ -224,14 +239,13 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     stack = np.empty((q + 3 * m, n), dtype=np.complex128)
     if k_dev is not None:
         stack[:q] = k_dev
-    Zt, ratio, omega = stack[q:].reshape(3, m, n)
+    Zt, ratio, omega = stack[q : q + m], stack[q + m : q + 2 * m], stack[q + 2 * m :]
     Zt[...] = Zt_rows
     np.multiply(Zt, inv_Zp, out=ratio)
-    np.divide(Zp, abs_Zp, out=omega)
+    np.multiply(Zp, np.divide(1.0, abs_Zp, out=abs_Zp), out=omega)
     kinds = ("deriv",) * (q + m) + ("hilbert",) * m + ("deriv",) * n_cap
-    out = grid.multiply_symbol(stack[: q + 2 * m + n_cap], grid.symbol_table(kinds))
-    Ztap, h_ratio = out[q : q + 2 * m].reshape(2, m, n)
-    d_omega = out[q + 2 * m :]
+    out = _transform(grid, stack[: q + 2 * m + n_cap], kinds)
+    Ztap, h_ratio, d_omega = out[q : q + m], out[q + m : q + 2 * m], out[q + 2 * m :]
     k_ap = None if k_dev is None else out[:q] + (1.0 + 1.0j)
     b = ratio.real - h_ratio.real
 
@@ -240,22 +254,25 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     # and dt Z_ap = D flux keeps mean(Z_ap) and the d_a Z = Z_ap
     # consistency exact instead of only up to aliasing
     stack = np.empty((3 * m + n_cap, n), dtype=np.complex128)
-    flux, Ztbar_ap, prod = stack[: 3 * m].reshape(3, m, n)
-    curv_im = stack[3 * m :]
+    flux, Ztbar_ap, prod = stack[:m], stack[m : 2 * m], stack[2 * m : 3 * m]
     np.subtract(Zt, b * Zp, out=flux)
     np.conj(Ztap, out=Ztbar_ap)
     np.multiply(Zt, Ztbar_ap, out=prod)
-    curv_im[...] = (inv_Zp[:n_cap] * d_omega).imag
+    np.multiply(inv_Zp[:n_cap], d_omega, out=d_omega)
+    stack[3 * m :] = d_omega.imag
     kinds = ("deriv",) * m + ("hilbert",) * (2 * m) + ("deriv_hplus",) * n_cap
-    out = grid.multiply_symbol(stack, grid.symbol_table(kinds))
-    flux_ap, h_Ztbar_ap, h_prod = out[: 3 * m].reshape(3, m, n)
-    A1 = 1.0 - (Zt * h_Ztbar_ap - h_prod).imag
+    out = _transform(grid, stack, kinds)
+    flux_ap, h_Ztbar_ap, h_prod = out[:m], out[m : 2 * m], out[2 * m : 3 * m]
+    np.multiply(Zt, h_Ztbar_ap, out=h_Ztbar_ap)
+    A1 = 1.0 - np.subtract(h_Ztbar_ap, h_prod, out=h_Ztbar_ap).imag
 
     # only the capillary rows take the capillary term: neither part of
     # 1j - x is ever -0.0, so adding a zero term would change no bit
-    Ztt = 1j - 1j * A1 * inv_Zp
-    if n_cap:
-        Ztt[:n_cap] += np.array(sigma[:n_cap])[:, None] * inv_Zp[:n_cap] * out[3 * m :]
+    Ztt = 1j * A1
+    np.multiply(Ztt, inv_Zp, out=Ztt)
+    np.subtract(1j, Ztt, out=Ztt)
+    for r in range(n_cap):
+        Ztt[r] += sigma[r] * inv_Zp[r] * out[3 * m + r]
     np.conj(Ztt, out=Ztt)
     if fluxes is None:
         fluxes = np.empty((2 * m, n), dtype=np.complex128)
@@ -265,25 +282,37 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     return fields if k_ap is None else (*fields, k_ap)
 
 
+def _transform(grid, stack, kinds):
+    """grid.multiply_symbol(stack, grid.symbol_table(kinds)), bit for bit,
+    from spectral's transform entries: the product and the inverse
+    transform are written over a new spectrum."""
+    spec = spectral._fft(stack)
+    np.multiply(grid.symbol_table(kinds), spec, out=spec)
+    return spectral._ifft(spec, out=spec)
+
+
 def _pack(rows, out=None):
-    """The (p, n) real rows as (p + 1) // 2 complex rows, rows 2r and 2r + 1
-    the real and imaginary parts of row r (0 for an odd last row), written
-    into out when given.  D maps real rows to real rows, so the parts of D
+    """The p real rows of n points, a (p, n) array or a sequence of rows,
+    as (p + 1) // 2 complex rows, rows 2r and 2r + 1 the real and
+    imaginary parts of row r (0 for an odd last row), written into out
+    when given.  D maps real rows to real rows, so the parts of D
     of a packed row are the derivatives of its two rows; and the float64
     view of a packed stack interleaves its rows' values, so a product of
     two views multiplies the rows of one by those of the other."""
-    p, n = rows.shape
+    p, n = len(rows), len(rows[0])
     packed = np.empty(((p + 1) // 2, n), dtype=np.complex128) if out is None else out
-    packed.real = rows[0::2]
-    packed.imag[: p // 2] = rows[1::2]
+    for r, row in enumerate(rows):
+        (packed.imag if r % 2 else packed.real)[r // 2] = row
     packed.imag[p // 2 :] = 0.0
     return packed
 
 
 def _unpack(packed, p):
-    """The first p real rows of a _pack result, as one (p, n) array."""
-    q, n = packed.shape
-    return np.stack((packed.real, packed.imag), axis=1).reshape(2 * q, n)[:p]
+    """The first p real rows of a _pack result, as one new (p, n) array."""
+    rows = np.empty((p, packed.shape[1]))
+    rows[0::2] = packed.real[: (p + 1) // 2]
+    rows[1::2] = packed.imag[: p // 2]
+    return rows
 
 
 def _rates(rates, b, Ztt, Ztap, k_ap=None):
@@ -320,17 +349,21 @@ def cfl_bound(state):
     Multiply by StepperConfig.dt_safety for the admissible step.  The
     dispersive part is the linear capillary-gravity frequency at the grid
     Nyquist wavenumber, so the cost of resolving surface tension scales
-    like sigma^{1/2} N^{3/2}.  A NaN sigma gives a NaN bound.
+    like sigma^{1/2} N^{3/2}.  A NaN sigma, or a negative one that makes
+    k_max + sigma k_max^3 negative, gives a NaN bound.
+
+    max|b| is one reduction of the b that compute_derived keeps on the
+    state, and the rest is arithmetic on Python floats, so a step's CFL
+    check costs no transform and no numpy call on a scalar.
     """
     grid = state.grid
-    d = compute_derived(state)
+    bmax = float(np.abs(compute_derived(state).b).max())
+    adv = grid.dx / bmax if bmax > 0 else math.inf
     k_max = (TWO_PI / grid.length) * (grid.n // 2)
-    disp = 1.0 / np.sqrt(k_max + state.sigma * k_max ** 3)
-    bmax = float(np.max(np.abs(d.b)))
-    adv = grid.dx / bmax if bmax > 0 else np.inf
-    if math.isnan(disp):
-        return float(disp)
-    return float(min(adv, disp))
+    disp2 = k_max + state.sigma * k_max ** 3
+    # written so that a NaN sigma gives a NaN bound
+    disp = 1.0 / math.sqrt(disp2) if disp2 >= 0.0 else math.nan
+    return disp if math.isnan(disp) else min(adv, disp)
 
 
 def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
@@ -354,14 +387,25 @@ def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
 
 
 def rk4(y0, rhs, dt, k1):
-    """One classical RK4 step of the array y0; rhs maps an array of the
-    shape of y0 to its time derivative and k1 = rhs(y0).  Each operation is
-    one numpy call on the whole array, so a stack of fields steps as each
-    of its rows would alone."""
-    k2 = rhs(y0 + 0.5 * dt * k1)
-    k3 = rhs(y0 + 0.5 * dt * k2)
-    k4 = rhs(y0 + dt * k3)
-    return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of the array y0, returned as a new array;
+    rhs maps an array of the shape of y0 to its time derivative, a new
+    array, and k1 = rhs(y0).  Each operation is one numpy call on the whole
+    array, so a stack of fields steps as each of its rows would alone.
+
+    The operations are those of y0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with
+    the stage inputs y0 + (dt / 2) k1, y0 + (dt / 2) k2 and y0 + dt k3, in
+    that expression order, written with out= into one stage buffer and over
+    the rates k2 to k4 that rhs returns, so that a step allocates one array
+    beyond those of rhs."""
+    h = 0.5 * dt
+    y = np.multiply(h, k1)
+    k2 = rhs(np.add(y0, y, out=y))
+    k3 = rhs(np.add(y0, np.multiply(h, k2, out=y), out=y))
+    k4 = rhs(np.add(y0, np.multiply(dt, k3, out=y), out=y))
+    acc = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+    np.add(acc, np.multiply(2.0, k3, out=k3), out=acc)
+    np.add(acc, k4, out=acc)
+    return np.add(y0, np.multiply(dt / 6.0, acc, out=acc), out=acc)
 
 
 def _finish(grid, y, m):
@@ -382,7 +426,7 @@ def _finish(grid, y, m):
     # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
     zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
     removed = np.concatenate((zp_pos, zt_neg)) / n
-    mass = np.sqrt(grid.length * np.sum(np.abs(removed) ** 2, axis=-1)).reshape(2, m)
+    mass = np.sqrt(grid.length * (np.abs(removed) ** 2).sum(axis=-1)).reshape(2, m)
     zp_pos[...] = 0.0
     zt_neg[...] = 0.0
     if r > 3 * m:
@@ -435,7 +479,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
     when tags is given.
     """
     m = len(states)
-    grid = states[0].grid
+    grid, n = states[0].grid, states[0].grid.n
     sigma = [st.sigma for st in states]
     if any(s0 == 0.0 and s1 != 0.0 for s0, s1 in zip(sigma, sigma[1:])):
         raise ValueError(f"capillary states (sigma != 0) must come first, got sigmas {sigma}")
@@ -462,16 +506,20 @@ def advance(states, cfg, dt, maps=None, tags=None):
         )
         return _rates(rates, b, Ztt, Ztap, *k_ap)
 
-    y0 = np.array([getattr(st, name) for name in ("Zdev", "Zp", "Zt") for st in states])
-    kept = [np.array([getattr(d, name) for d in derived]) for name in ("b", "Ztt", "Ztap")]
-    if maps is not None:
-        y0 = np.concatenate((y0, _pack(np.array([k.deviation for k in maps]))))
-        kept.append(_pack(np.array([k.jac for k in maps])))
+    # the rows of y0, and stage 1's rates from the kept fields
+    q = 0 if maps is None else (m + 1) // 2
+    y0 = np.empty((3 * m + q, n), dtype=np.complex128)
     k1 = np.empty_like(y0)
-    k1[: 2 * m] = [getattr(d, name) for name in ("flux", "flux_ap") for d in derived]
+    for r, (st, d) in enumerate(zip(states, derived)):
+        y0[r], y0[m + r], y0[2 * m + r] = st.Zdev, st.Zp, st.Zt
+        k1[r], k1[m + r] = d.flux, d.flux_ap
+    kept = [_stack([getattr(d, name) for d in derived]) for name in ("b", "Ztt", "Ztap")]
+    if maps is not None:
+        _pack([k.deviation for k in maps], out=y0[3 * m :])
+        kept.append(_pack([k.jac for k in maps]))
     out, mass = _finish(grid, rk4(y0, rhs, dt, _rates(k1, *kept)), m)
 
-    Zdev, Zp, Zt = out[: 3 * m].reshape(3, m, grid.n)
+    Zdev, Zp, Zt = out[:m], out[m : 2 * m], out[2 * m : 3 * m]
     min_abs = np.abs(Zp).min(axis=-1).tolist()
     deviation = out[m : 3 * m].copy()
     deviation[:m] -= 1.0
@@ -483,7 +531,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
         scale = max(1.0, size_Zp[r] + size_Zt[r])
         # the larger removed mass, a NaN one before any number
         res, name = max(
-            (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda x: (np.isnan(x[0]), x)
+            (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda x: (math.isnan(x[0]), x)
         )
         if not res <= HOLO_TOLERANCE * scale:
             raise HolomorphicityError(
@@ -493,8 +541,10 @@ def advance(states, cfg, dt, maps=None, tags=None):
         new.append(WaveState(grid, Zdev[r], Zp[r], Zt[r], st.sigma, st.time + dt))
     if maps is None:
         return new, None
-    packed, d_packed = out[3 * m :].reshape(2, -1, grid.n)
-    return new, (_unpack(packed, m), 1.0 + _unpack(d_packed, m))
+    packed, d_packed = out[3 * m :].reshape(2, -1, n)
+    jac = _unpack(d_packed, m)
+    jac += 1.0
+    return new, (_unpack(packed, m), jac)
 
 
 def step_rk4(state, cfg, dt):

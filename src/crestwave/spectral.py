@@ -51,7 +51,7 @@ _SUP_NEWTON_STEPS = 4
 
 def _require_finite(f, what="field"):
     f = np.asarray(f)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError(f"{what} contains non-finite entries")
     return f
 
@@ -222,8 +222,8 @@ class SpectralGrid:
         """L2 norm.  f may also be an (m, n) stack; the result is then an
         array of the m row norms from one reduction, each bit-identical to
         a single-field call."""
-        norm = np.sqrt(self.dx * np.sum(np.abs(f) ** 2, axis=-1))
-        return float(norm) if np.ndim(f) == 1 else norm
+        norm = np.sqrt(self.dx * (np.abs(f) ** 2).sum(axis=-1))
+        return float(norm) if norm.ndim == 0 else norm
 
     def linf_norm(self, f):
         return float(np.max(np.abs(f)))

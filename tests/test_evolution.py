@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from crestwave import evolution
-from crestwave.brackets import MonotoneMap
+from crestwave import evolution, spectral
+from crestwave.brackets import InverseFlowMap, MonotoneMap
 from crestwave.errors import (
     CFLViolationError,
     DegenerateJacobianError,
@@ -24,7 +24,7 @@ from crestwave.evolution import (
     seed_angle,
     step_rk4,
 )
-from crestwave.pair import PairRunSpec, build_pair, co_step, init_pair
+from crestwave.pair import PairRunSpec, PairState, build_pair, co_step, init_pair
 from crestwave.spectral import make_grid, same_bytes
 
 from helpers import (
@@ -602,3 +602,150 @@ def test_seed_angle_of_a_row_winding_past_pi(seed, n_modes, height):
     # branch lands on g bit for bit
     for prev in (seed_angle_unwrapped(Zp), g):
         assert continue_angle(Zp, prev).tobytes() == g.tobytes()
+
+
+# -- the step's plumbing against numpy, a symmetry and call order --------------------
+
+# a part of a complex number: +0.0, or a magnitude in [1e-150, 1e150] of
+# either sign, so that no part of z / |z| underflows
+_PART = hst.one_of(hst.just(0.0), hst.floats(1e-150, 1e150), hst.floats(-1e150, -1e-150))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parts=hst.lists(hst.tuples(_PART, _PART).filter(any), min_size=1, max_size=40))
+def test_omega_by_a_real_reciprocal_is_the_complex_quotient_bit_for_bit(parts):
+    """_derive takes omega = Z_ap / |Z_ap| as Z_ap * (1 / |Z_ap|).  numpy
+    divides by a complex number with a zero imaginary part by Smith's
+    method: it forms the reciprocal scl = 1 / |z| and multiplies each part,
+    (re + im * 0) scl and (im - re * 0) scl, so each part of the quotient
+    is one rounding of the product, as in the multiply.  The two differ
+    only in the sign of a zero part of the result: at a part of z that is
+    -0.0 (for z = -1 - 0j the quotient is -1 + 0j, the product -1 - 0j),
+    or at a part whose product underflows to -0.0, which the magnitudes
+    drawn here rule out.  Arrays of up to 40 values take numpy's vector
+    loops and their tails."""
+    z = np.array([complex(re, im) for re, im in parts])
+    abs_z = np.abs(z)
+    assert same_bytes([z * (1.0 / abs_z)], [z / abs_z])
+
+
+def _rolled_state(state, j):
+    """state with its labels shifted by j nodes: Z(a + j dx) = a + j dx +
+    Zdev(a + j dx), so Zdev rolls and gains j dx, and Z_ap and Z_t roll."""
+    g = state.grid
+    return make_state(g, np.roll(state.Zdev, -j) + j * g.dx, np.roll(state.Zp, -j),
+                      np.roll(state.Zt, -j), state.sigma, state.time)
+
+
+def _rolled_pair(pair, j):
+    """pair with the labels of both solutions and both maps shifted by j
+    nodes: the map deviations and Jacobians roll."""
+    maps = (InverseFlowMap(k.grid, np.roll(k.deviation, -j), np.roll(k.jac, -j))
+            for k in (pair.k_a, pair.k_b))
+    return PairState(_rolled_state(pair.state_a, j), _rolled_state(pair.state_b, j), *maps)
+
+
+def _step_arrays(x):
+    """The arrays of a state, or of a pair's states and maps."""
+    if isinstance(x, PairState):
+        return [*_step_arrays(x.state_a), *_step_arrays(x.state_b),
+                x.k_a.deviation, x.k_a.jac, x.k_b.deviation, x.k_b.jac]
+    return [x.Zdev, x.Zp, x.Zt]
+
+
+# a step and a roll of the labels commute up to rounding: each array within
+# ROLL_TOLERANCE times its size (at least 1); measured at most 4.4e-15 on
+# Zdev, whose values reach 2 pi + j dx, and 5e-16 on every other array
+ROLL_TOLERANCE = 1e-14
+
+
+@pytest.mark.parametrize("case", ["capillary", "crest_pair"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=hst.sampled_from([64, 128, 256]), j=hst.integers(1, 255),
+       seed=hst.integers(0, 2**32 - 1))
+def test_steps_commute_with_a_roll_of_the_labels(case, n, j, seed):
+    # the system is autonomous and translation invariant in the label, so
+    # stepping a rolled state or pair gives the rolled step; the crest
+    # pair is stepped once first, so that its maps are not the identity
+    j %= n
+    rng = np.random.default_rng(seed)
+    cfg = StepperConfig()
+    if case == "crest_pair":
+        phase = np.exp(2j * np.pi * rng.random())
+        x = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.5, velocity_amplitude=0.05j * phase,
+                                   n_points=n))
+        step, roll = co_step, _rolled_pair
+        dt = 0.3 * min(cfl_bound(x.state_a), cfl_bound(x.state_b))
+        x = co_step(x, cfg, dt)
+    else:
+        x = random_smooth_state(make_grid(n), rng, sigma=1e-2, amp=0.12)
+        step, roll = step_rk4, _rolled_state
+        dt = 0.3 * cfl_bound(x)
+    want = _step_arrays(roll(step(x, cfg, dt), j))
+    got = _step_arrays(step(roll(x, j), cfg, dt))
+    for a, b in zip(got, want, strict=True):
+        assert np.max(np.abs(a - b)) <= ROLL_TOLERANCE * max(1.0, np.max(np.abs(b)))
+
+
+# the arrays that a derive computes, which derived_unbatched also gives
+_DERIVED_ARRAYS = ("b", "A1", "omega", "Ztt", "Ztap", "flux", "flux_ap")
+
+
+def _fresh(x):
+    """x with nothing kept: a state or pair as made, sharing the arrays."""
+    if isinstance(x, PairState):
+        return PairState(replace(x.state_a), replace(x.state_b), x.k_a, x.k_b)
+    return replace(x)
+
+
+def _derived(states):
+    return [getattr(d, name) for d in derive_states(states) for name in _DERIVED_ARRAYS]
+
+
+def _order_calls():
+    """name -> (call, derived states): derives and steps of a capillary
+    state, a gravity state and a crest pair on grids of 64 and 128 points,
+    each call on fresh copies of its inputs, returning the arrays it gives;
+    a derive also names its states."""
+    cfg = StepperConfig()
+    calls = {}
+    for n in (64, 128):
+        rng = np.random.default_rng(n)
+        grid = make_grid(n)
+        for name, sigma in (("capillary", 1e-2), ("gravity", 0.0)):
+            st = random_smooth_state(grid, rng, sigma=sigma, amp=0.1)
+            dt = 0.3 * cfl_bound(st)
+            calls[f"derive {name} {n}"] = (lambda st=st: _derived((_fresh(st),)), (st,))
+            calls[f"step {name} {n}"] = (
+                lambda st=st, dt=dt: _step_arrays(step_rk4(_fresh(st), cfg, dt)), ())
+        pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.5, velocity_amplitude=0.05j,
+                                      n_points=n))
+        dt = 0.3 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+        pair = co_step(pair, cfg, dt)
+        states = (pair.state_a, pair.state_b)
+        calls[f"derive pair {n}"] = (
+            lambda states=states: _derived(tuple(map(_fresh, states))), states)
+        calls[f"co_step {n}"] = (
+            lambda pair=pair, dt=dt: _step_arrays(co_step(_fresh(pair), cfg, dt)), ())
+    return calls
+
+
+def test_derives_and_steps_do_not_depend_on_the_calls_before_them():
+    # whatever a derive or a step may keep or reuse between calls (today
+    # the symbol tables, cached by grid and kinds) must not leak into the
+    # next call: each call, interleaved with the others across grids, map
+    # counts and sigmas, gives the bytes it gives when it runs first
+    calls = _order_calls()
+    first = {}
+    for name, (call, _) in calls.items():
+        spectral._symbol_table.cache_clear()
+        first[name] = call()
+    names = list(calls)
+    interleaved = names[1::2] + names[::-2] + names[::3] + names
+    for name in interleaved:
+        assert same_bytes(calls[name][0](), first[name]), name
+    for name, (_, states) in calls.items():
+        if states:
+            want = [ref for st in states
+                    for ref in map(derived_unbatched(st).get, _DERIVED_ARRAYS)]
+            assert same_bytes(first[name], want), name
