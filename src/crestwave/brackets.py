@@ -78,31 +78,49 @@ class MonotoneMap:
     def values(self):
         return self.grid.nodes + self.deviation
 
-    def preimage(self, y):
+    def preimage(self, y, fields=None):
         """The points x with h(x) = y for real targets y, by Newton until
         h(x) - y is at rounding level; raises MonotonicityError, naming the
-        largest residual, when NEWTON_CAP steps do not get there."""
+        largest residual, when NEWTON_CAP steps do not get there.
+
+        With fields, a sequence of real fields on the grid, it returns x
+        and pull, where pull(points) is interpolate(fields, points) bit for
+        bit: the fields are spread in one stack with the map's own two
+        rows, and pull at points of the values of x takes the kernel
+        weights of the solve's last check."""
         grid = self.grid
         L, nodes, h = grid.length, grid.nodes, self.values
         y = np.asarray(y, dtype=np.float64)
         # h is increasing, so its node values a period either side bracket
         # every target shifted into [0, L)
         shift = L * np.floor(y / L)
-        x = shift + np.interp(y - shift, np.r_[h - L, h, h + L], np.r_[nodes - L, nodes, nodes + L])
-        gather = grid.spread(np.stack([self.deviation, self.jac]))
+        x = shift + np.interp(y - shift, np.concatenate((h - L, h, h + L)),
+                              np.concatenate((nodes - L, nodes, nodes + L)))
+        rows = [self.deviation, self.jac, *(() if fields is None else fields)]
+        gather = grid.spread(np.array(rows))
         for steps in range(NEWTON_CAP + 1):
-            d, h_ap = gather(x)
+            # the deviation at x, and the Jacobian only for a step
+            kernel = grid.nufft_kernel(x)
+            (d,) = gather(x, kernel, slice(1))
             res = x + d - y
             worst = float(np.max(np.abs(res)))
             # written so that a NaN residual fails too
             if worst <= 8.0 * np.spacing(L):
-                return x
+                break
             if steps == NEWTON_CAP:
                 raise MonotonicityError(
                     f"preimage not converged after {NEWTON_CAP} Newton steps: "
                     f"largest residual {worst:.3e}"
                 )
+            (h_ap,) = gather(x, kernel, slice(1, 2))
             x = x - res / h_ap
+        if fields is None:
+            return x
+
+        def pull(points):
+            return gather(points, kernel if np.array_equal(points, x) else None, slice(2, None))
+
+        return x, pull
 
 
 class InverseFlowMap(MonotoneMap):

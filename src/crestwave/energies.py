@@ -25,7 +25,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import spectral
-from .brackets import compose_map_apply
 from .evolution import derive_states, seed_angle
 
 
@@ -93,11 +92,11 @@ def _build_blocks(states):
     Zp_band = 1.0 + band
     inv, d1, d2, d3 = grid.multiply_symbol(1.0 / Zp_band, table[:, None])
     # H q, q = omega D 1/Z_ap,band
-    omega = Zp_band / np.abs(Zp_band)
+    abs_band = np.abs(Zp_band)
+    omega = Zp_band / abs_band
     q = omega * d1
     Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
-    g_band = np.array([seed_angle(grid, row) for row in Zp_band])
-    log_Zp = np.log(np.abs(Zp_band)) + 1j * g_band
+    log_Zp = np.log(abs_band) + 1j * seed_angle(grid, Zp_band)
     names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
     rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)
     return [{"grid": grid, "powers": {}, **dict(zip(names, fields))} for fields in zip(*rows)]
@@ -245,34 +244,42 @@ def energy_aux(state):
 STATE_FAMILIES = {"sigma": energy_sigma, "high": energy_high, "aux": energy_aux}
 
 
-def _differences(grid, fields_a, fields_b, htil):
+def _differences(fields_a, fields_b, pulled):
     """Delta(f) = f_a - f_b o htilde by name, as a namespace; a field of b
-    without a partner in fields_a comes back as f_b o htilde.  The fields of
-    b go through htilde in one stacked pull-back of real rows, a complex one
-    as its real and its imaginary row, a real one as one row, so each comes
-    back bit for bit as pulled back alone."""
-    rows = [r for f in fields_b.values()
-            for r in ((f.real, f.imag) if np.iscomplexobj(f) else (f,))]
-    pulled = iter(compose_map_apply(grid, np.array(rows), htil))
-    x = SimpleNamespace(grid=grid)
+    without a partner in fields_a comes back as f_b o htilde.  pulled holds
+    the fields of b pulled back through htilde as real rows (_rows), a
+    complex one as its real and its imaginary row, so each comes back bit
+    for bit as pulled back alone."""
+    pulled = iter(pulled)
+    x = SimpleNamespace()
     for name, f in fields_b.items():
-        f_b = next(pulled) + 1j * next(pulled) if np.iscomplexobj(f) else next(pulled)
-        setattr(x, name, fields_a[name] - f_b if name in fields_a else f_b)
+        f_b = next(pulled)
+        if np.iscomplexobj(f):
+            # re + 1j im, summed in place: the sum commutes bit for bit
+            re, f_b = f_b, np.multiply(1j, next(pulled))
+            f_b += re
+        setattr(x, name, np.subtract(fields_a[name], f_b, out=f_b) if name in fields_a else f_b)
     return x
+
+
+def _rows(fields):
+    """The real rows of fields, a complex field as its real and its
+    imaginary part."""
+    return [r for f in fields for r in ((f.real, f.imag) if np.iscomplexobj(f) else (f,))]
 
 
 def _pair_record(pair):
     """The components of the delta and f_delta families of pair, from one
     pass that is kept on the pair: one derive_states of both states, one
-    _differences that pulls the fields of b of both families back through
-    htilde as one stack, and one _evaluate of the terms of both families
-    with those of energy_sigma(a) and energy_aux(b), which stay kept on
-    their states."""
+    pull-back of the fields of b of both families through htilde as one
+    stack, which rides along the solve that builds htilde
+    (PairState._pull_back), and one _evaluate of the terms of both
+    families with those of energy_sigma(a) and energy_aux(b), which stay
+    kept on their states."""
     memo = pair._memo
     if "record" in memo:
         return memo["record"]
     a, b = pair.state_a, pair.state_b
-    htil = pair.map_tilde
     derived = derive_states((a, b))
     # b_ap = D_a b of both states from one stacked derivative: each row has
     # the bits of grid.deriv(der.b).real of its state alone
@@ -284,8 +291,9 @@ def _pair_record(pair):
               for st, der, bap, k, B in zip((a, b), derived, b_ap, (pair.k_a, pair.k_b),
                                             _state_blocks(a, b)))
     fb["inv_abs"] = 1.0 / np.abs(b.Zp)
-    x = _differences(a.grid, fa, fb, htil)
-    x.abs_a, x.dev_j = np.abs(a.Zp), htil.jac - 1.0
+    htil, pulled = pair._pull_back(_rows(fb.values()))
+    x = _differences(fa, fb, pulled)
+    x.grid, x.abs_a, x.dev_j = a.grid, np.abs(a.Zp), htil.jac - 1.0
     own_terms = [term for term in _DELTA if term[1] in _NORMS]
     (sigma_a, aux_b), (own, f_delta) = _evaluate(
         a.grid, [(a, "sigma"), (b, "aux")], [(own_terms, x), (_F_DELTA, x)]

@@ -38,12 +38,14 @@ def seed_angle(grid, Zp):
     undoes the turns of the principal angle raw between adjacent nodes, and
     the node where |Z_ap - 1| is least (far from a crest) lies in [-pi, pi].
     Z_ap does not vanish and tends to 1 at depth, so arg(Z_ap) winds zero
-    times over a period and this branch is a function of Z_ap alone."""
+    times over a period and this branch is a function of Z_ap alone.  Zp
+    may also be an (m, n) stack; row r of the result is then bit-identical
+    to a call on Zp[r]."""
     raw = np.angle(Zp)
     turns = np.zeros(raw.shape)
-    np.cumsum(np.rint(np.diff(raw) / TWO_PI), out=turns[1:])
-    anchor = int(np.argmin(np.abs(Zp - 1.0)))
-    return raw + TWO_PI * (turns[anchor] - turns)
+    np.cumsum(np.rint(np.diff(raw) / TWO_PI), axis=-1, out=turns[..., 1:])
+    anchor = np.argmin(np.abs(Zp - 1.0), axis=-1)[..., None]
+    return raw + TWO_PI * (np.take_along_axis(turns, anchor, axis=-1) - turns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +56,9 @@ class WaveState:
     Zt the complex velocity Z_t.  What stacked passes compute from a state
     is kept on it: the compute_derived fields, and the energy blocks and
     the components of every state family (sigma, high, aux) of energies;
-    the branch g of arg(Z_ap) is computed on each read.  Kept arrays, like
+    a state that advance made keeps the min |Z_ap| of its post-step check
+    until its derive takes it over; the branch g of arg(Z_ap) is computed
+    on each read.  Kept arrays, like
     the state's own, are never written in place, and dataclasses.replace
     starts with nothing kept.  Two states are equal when their grid, sigma,
     time and the bytes of their arrays are, whatever each keeps; a state is
@@ -170,7 +174,9 @@ def derive_states(states, prefixes=None):
     FFT pair each, and row r of every field is bit-identical to deriving
     that state alone.  Each of those states must pass the |Z_ap| floor
     before any field is computed; the error of state r then starts with
-    prefixes[r] when prefixes is given.  The first RK4 stage of advance
+    prefixes[r] when prefixes is given.  A state that advance made brings
+    the min |Z_ap| of its post-step check, which the floor check reads;
+    |Z_ap| is reduced only for the others.  The first RK4 stage of advance
     comes from here; its later stages call _derive.
     """
     if prefixes is None:
@@ -181,7 +187,11 @@ def derive_states(states, prefixes=None):
         new.sort(key=lambda item: item[0].sigma == 0.0)
         Zp = _stack([st.Zp for st, _ in new])
         abs_Zp = np.abs(Zp)
-        min_abs = abs_Zp.min(axis=-1).tolist()
+        # the minimum that advance's post-step check took, for a state it made
+        min_abs = [st._memo.pop("min_abs_Zp", None) for st, _ in new]
+        if None in min_abs:
+            reduced = abs_Zp.min(axis=-1).tolist()
+            min_abs = [r if kept is None else kept for kept, r in zip(min_abs, reduced)]
         for (_, prefix), min_r in zip(new, min_abs):
             _require_floor(min_r, prefix)
         fields = _derive(
@@ -468,7 +478,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
     those of the states, and without the filter their debris piles up at
     the top modes of k over long runs.
 
-    Returns the new states and, with maps, the (m, n) stacks of the new map
+    Returns the new states, each keeping the min |Z_ap| of its post-step
+    check for its derive, and, with maps, the (m, n) stacks of the new map
     deviations and of their Jacobians 1 + D k_dev (None without maps).
     Raises ValueError if a capillary state follows one with sigma = 0,
     and, state by state, CFLViolationError when dt is not within dt_safety
@@ -538,7 +549,9 @@ def advance(states, cfg, dt, maps=None, tags=None):
                 f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
                 f"{HOLO_TOLERANCE:.1e} * {scale:.3e}"
             )
-        new.append(WaveState(grid, Zdev[r], Zp[r], Zt[r], st.sigma, st.time + dt))
+        state = WaveState(grid, Zdev[r], Zp[r], Zt[r], st.sigma, st.time + dt)
+        state._memo["min_abs_Zp"] = min_abs[r]
+        new.append(state)
     if maps is None:
         return new, None
     packed, d_packed = out[3 * m :].reshape(2, -1, n)

@@ -10,8 +10,9 @@ evolution.advance, the RK4 step of step_rk4, on the two-row stack of the
 solutions, with k_a and k_b transported by each row's drift b, so the maps
 see stage-consistent drift fields and the step interpolates nothing;
 htilde = h_b o h_a^{-1} = k_b^{-1} o k_a is built where a record first
-reads it, by solving k_b(x) = k_a(alpha).  Differences are always
-Delta(f) = f_a - f_b o htilde.
+reads it, by solving k_b(x) = k_a(alpha), and the fields of b that the
+record pulls back through htilde ride along that solve.  Differences are
+always Delta(f) = f_a - f_b o htilde.
 """
 
 from __future__ import annotations
@@ -63,10 +64,24 @@ class PairState:
         Newton solve of k_b.preimage at the values of k_a, so no inverse map
         is built.  A MonotonicityError of the solve or of the map starts
         with "[htilde] "."""
+        return self._pull_back(())[0]
+
+    def _pull_back(self, fields):
+        """htilde, kept as map_tilde, and fields, real rows on the grid,
+        pulled back through it: compose_map_apply of their stack, bit for
+        bit.  The fields ride along the Newton solve that builds htilde, one
+        spread of both, and their gather at the values of htilde, which are
+        those of the solve's last check, takes its kernel weights; a pair
+        that already keeps htilde solves it again and keeps its own."""
         grid, k_a, k_b = self.k_a.grid, self.k_a, self.k_b
-        return _tagged(
-            "[htilde] ", lambda: MonotoneMap(grid, k_b.preimage(k_a.values) - grid.nodes)
-        )
+
+        def build():
+            x, pull = k_b.preimage(k_a.values, fields)
+            return MonotoneMap(grid, x - grid.nodes), pull
+
+        htilde, pull = _tagged("[htilde] ", build)
+        htilde = vars(self).setdefault("map_tilde", htilde)
+        return htilde, pull(htilde.values)
 
 
 def _tagged(tag, build):

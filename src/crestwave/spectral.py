@@ -87,9 +87,10 @@ def _rfft(a):
     return _pocketfft.rfft_n_even(a, 1, out=out)
 
 
-def _irfft(a, n):
+def _irfft(a, n, out=None):
     """Real rows of n points from half spectra, zero-padded to modes 0..n/2."""
-    out = np.empty(a.shape[:-1] + (n,), dtype=np.float64)
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n,), dtype=np.float64)
     return _pocketfft.irfft(a, 1.0 / n, out=out)
 
 
@@ -280,7 +281,8 @@ class SpectralGrid:
         # modes 0..n/2 as q B + r: the coarse wavenumbers k_qB and the fine k_r
         fine_size = math.isqrt(i_ny) + 1
         q_r = np.arange(0, i_ny + 1, fine_size)
-        k_coarse, k_fine = self.k[q_r], self.k[:fine_size]
+        # the coarse then the fine wavenumbers, whose phases come from one exp
+        k_both = np.concatenate((self.k[q_r], self.k[:fine_size]))
         width = q_r.size * fine_size
         k_table = (TWO_PI / self.length) * np.arange(width)
         # coefs[point, part] is the real (part 0) or imaginary part of [A |
@@ -298,10 +300,11 @@ class SpectralGrid:
         weights = (-k_table, k_table, k_table * k_table)
 
         def values(y):
-            """The (real, imaginary) parts of f, f' and -f'' at the offsets y
-            from the seed nodes, as (3, points) arrays."""
-            coarse = np.exp(1j * np.outer(y, k_coarse))[:, :, None]
-            fine = np.exp(1j * np.outer(y, k_fine))[:, None, :]
+            """The sums [[Re f, Re f', -Re f''], [Im f, Im f', -Im f'']] of
+            each point at the offsets y from the seed nodes, as a (points,
+            2, 3) array."""
+            phases = np.exp(1j * (y[:, None] * k_both))
+            coarse, fine = phases[:, : q_r.size, None], phases[:, None, q_r.size :]
             # a and b are built contiguous and copied into x, which is faster
             # than writing the products through x's strided columns
             a = coarse.real * fine.real
@@ -314,26 +317,30 @@ class SpectralGrid:
             np.multiply(weights[1], a, out=x[:, 1, :, 1])
             np.multiply(weights[2], a, out=x[:, 0, :, 2])
             np.multiply(weights[2], b, out=x[:, 1, :, 2])
-            sums = coefs @ x.reshape(y.size, 2 * width, 3)
-            return sums[:, 0].T, sums[:, 1].T
+            return coefs @ x.reshape(y.size, 2 * width, 3)
 
         # a point steps while |f|^2 is concave there and the rise u1^2 / 2|u2|
         # that Newton predicts for the step is above 1e-17 |f|^2, a change of
         # |f| far below an ulp; the value of a point is that of its last
-        # evaluation, which is at its last y whichever way the loop ends
-        y = np.zeros(seed.size)
-        moved = np.zeros(seed.size, dtype=bool)
+        # evaluation, which is at its last y whichever way the loop ends.
+        # The steps of the few points are taken on Python floats, whose
+        # operations round as numpy's do
+        y = [0.0] * seed.size
+        moved = [False] * seed.size
         for _ in range(_SUP_NEWTON_STEPS):
-            (vr, pr, qr), (vi, pi, qi) = values(y)
-            u1 = 2.0 * (vr * pr + vi * pi)
-            u2 = 2.0 * (pr * pr + pi * pi - vr * qr - vi * qi)
-            step = (u2 < 0.0) & (u1 * u1 > -u2 * 2e-17 * (vr * vr + vi * vi))
-            if not step.any():
+            sums = values(np.array(y))
+            stepped = False
+            for i, ((vr, pr, qr), (vi, pi, qi)) in enumerate(sums.tolist()):
+                u1 = 2.0 * (vr * pr + vi * pi)
+                u2 = 2.0 * (pr * pr + pi * pi - vr * qr - vi * qi)
+                if u2 < 0.0 and u1 * u1 > -u2 * 2e-17 * (vr * vr + vi * vi):
+                    y[i] -= u1 / u2
+                    moved[i] = stepped = True
+            if not stepped:
                 break
-            y = np.where(step, y - u1 / np.where(step, u2, -1.0), y)
-            moved |= step
         else:
-            (vr, _, _), (vi, _, _) = values(y)
+            sums = values(np.array(y))
+        vr, vi = sums[:, 0, 0], sums[:, 1, 0]
         val = np.where(moved, np.sqrt(vr * vr + vi * vi), seed_mag)
         sup = np.abs(rows).max(axis=1)
         np.maximum.at(sup, row, val)
@@ -349,9 +356,13 @@ class SpectralGrid:
         largest value is a seed (the highest _SUP_SEEDS of them)."""
         n2, i_ny = _SUP_OVERSAMPLE * self.n, self.nyquist_index
         floor = 1.0 - (self.k[i_ny] * self.length / n2) ** 2 / 8.0
-        pos = c[:, : i_ny + 1]
-        neg = np.conj(c[:, -np.arange(i_ny + 1) % self.n])
-        spec = np.stack([pos + neg, (pos - neg) * -1j])
+        # c_-k for k = 0..n/2: c_0, then c_(n-1) down to c_(n/2)
+        pos, neg = c[:, : i_ny + 1], np.empty((len(c), i_ny + 1), dtype=np.complex128)
+        neg[:, 0], neg[:, 1:] = c[:, 0], c[:, : i_ny - 1 : -1]
+        np.conj(neg, out=neg)
+        spec = np.empty((2,) + neg.shape, dtype=np.complex128)
+        np.add(pos, neg, out=spec[0])
+        np.multiply(np.subtract(pos, neg, out=spec[1]), -1j, out=spec[1])
         spec *= 0.5 * _SUP_OVERSAMPLE * self.n
         parts = self._refine(spec, _SUP_OVERSAMPLE)
         parts *= parts
@@ -450,7 +461,10 @@ class SpectralGrid:
         interpolate(); the returned gather(x) sums the fine values of every
         row at the points x, weighted by nufft_kernel(x).  gather(x) is
         interpolate(f, x), bit for bit, so a caller that evaluates one f at
-        several point sets spreads it once.
+        several point sets spreads it once.  gather(x, kernel) takes
+        kernel, the result of nufft_kernel(x), instead of computing it, and
+        for a real stack f, gather(x, kernel, select) sums only the rows of
+        f that the slice select picks, as an array of those rows.
 
         The rows are deconvolved and refined to the fine grid by _refine.  A
         complex f goes through as the rows of its real parts, then its
@@ -463,25 +477,34 @@ class SpectralGrid:
         rows = f if real else np.stack([f.real, f.imag])
         spec = _rfft(rows)
         spec *= _nufft_deconvolution(self.n)
-        fine = self._refine(spec, 2)
-        # windows[i] holds fine values j, ..., j + w - 1 (periodically) of
-        # row i of the real values, or of the real parts then the
-        # imaginary parts
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([fine, fine[..., : w - 1]], axis=-1), w, axis=-1
-        ).reshape(-1, n_fine, w)
+        # each row is refined into the first n_fine of n_fine + w - 1 values
+        # and its first w - 1 values follow them, so that windows[i, j]
+        # holds fine values j, ..., j + w - 1 (periodically) of row i of the
+        # real values, or of the real parts then the imaginary parts
+        lead = rows.shape[:-1]
+        wrapped = np.empty(lead + (n_fine + w - 1,))
+        self._refine(spec, 2, out=wrapped[..., :n_fine])
+        wrapped[..., n_fine:] = wrapped[..., : w - 1]
+        wrapped = wrapped.reshape(-1, n_fine + w - 1)
+        step = wrapped.itemsize
+        windows = np.ndarray((len(wrapped), n_fine, w), buffer=wrapped,
+                             strides=(wrapped.strides[0], step, step))
 
-        def gather(x):
-            weights, start = self.nufft_kernel(x)
-            out = np.empty(fine.shape[:-1] + start.shape)
+        def gather(x, kernel=None, select=None):
+            weights, start = self.nufft_kernel(x) if kernel is None else kernel
+            picked = windows if select is None else windows[select]
+            out = np.empty((len(picked),) + start.shape)
             # one row at a time keeps the gathered windows to len(x) * w values
-            for win, row in zip(windows, out.reshape((len(windows),) + start.shape)):
+            for win, row in zip(picked, out):
                 np.einsum("...j,...j->...", weights, win[start], out=row)
+            if select is not None:
+                return out
+            out = out.reshape(lead + start.shape)
             return out if real else out[0] + 1j * out[1]
 
         return gather
 
-    def _refine(self, spec, factor):
+    def _refine(self, spec, factor, out=None):
         """Values on a grid factor times finer of the real trigonometric
         interpolants whose half spectra (modes k = 0..n/2, along the last
         axis) are spec / factor, in the scaling of rfft; weights multiplied
@@ -489,9 +512,10 @@ class SpectralGrid:
         The Nyquist mode of spec is halved in place, which pairs it with
         cos(k_nyq x), and one irfft of length factor n zero-pads the
         spectrum.  The only zero-padding of a spectrum in this module: the
-        NUFFT spread and the sup-norm seeds both go through it."""
+        NUFFT spread and the sup-norm seeds both go through it.  The values
+        are written into out when given."""
         spec[..., self.n // 2] *= 0.5
-        return _irfft(spec, factor * self.n)
+        return _irfft(spec, factor * self.n, out)
 
     # -- misc -------------------------------------------------------------
 

@@ -4,9 +4,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from crestwave.brackets import MonotoneMap
+from crestwave.brackets import InverseFlowMap, MonotoneMap
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError
 from crestwave.evolution import StepperConfig, cfl_bound, make_state, seed_angle, step_rk4
+from crestwave.pair import PairState
 from crestwave.spectral import SpectralGrid
 
 from oracles import rhs_eulerian
@@ -58,6 +59,22 @@ def random_smooth_state(grid, rng, sigma=0.0, amp=0.25):
     Zdev = grid.from_coeffs(cdev)
     Zt = np.conj(random_holomorphic(grid, rng, n_modes=5, amp=0.6 * amp))
     return make_state(grid, Zdev, Zp, Zt, sigma)
+
+
+def rolled_state(state, j):
+    """state with its labels shifted by j nodes: Z(a + j dx) = a + j dx +
+    Zdev(a + j dx), so Zdev rolls and gains j dx, and Z_ap and Z_t roll."""
+    g = state.grid
+    return make_state(g, np.roll(state.Zdev, -j) + j * g.dx, np.roll(state.Zp, -j),
+                      np.roll(state.Zt, -j), state.sigma, state.time)
+
+
+def rolled_pair(pair, j):
+    """pair with the labels of both solutions and both maps shifted by j
+    nodes: the map deviations and Jacobians roll."""
+    maps = (InverseFlowMap(k.grid, np.roll(k.deviation, -j), np.roll(k.jac, -j))
+            for k in (pair.k_a, pair.k_b))
+    return PairState(rolled_state(pair.state_a, j), rolled_state(pair.state_b, j), *maps)
 
 
 def random_monotone_map(grid, rng, amp=0.2, n_modes=4, max_slope=None):

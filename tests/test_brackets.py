@@ -242,6 +242,36 @@ def test_preimage_meets_the_map_at_random_targets(seed, n_modes, max_slope, n):
     assert np.max(np.abs(direct - y)) <= 16 * np.spacing(L)
 
 
+@pytest.mark.parametrize("n", [64, 768])
+def test_preimage_pulls_fields_with_the_bits_of_interpolate(n, monkeypatch):
+    # fields spread with the map's rows: the same points with or without
+    # them, and the fields at any points with the bits of interpolate; at
+    # the points of the solve the kernel weights of its last check serve,
+    # elsewhere (here the targets) new ones are taken
+    g = make_grid(n)
+    rng = np.random.default_rng(n)
+    m = random_monotone_map(g, rng, n_modes=5, max_slope=0.6)
+    y = rng.uniform(-g.length, 2 * g.length, 200)
+    fields = [rng.standard_normal(n) for _ in range(3)]
+    kernels = []
+    kernel = type(g).nufft_kernel
+
+    def counted(self, x):
+        kernels.append(np.array(x))
+        return kernel(self, x)
+
+    monkeypatch.setattr(type(g), "nufft_kernel", counted)
+    x, pull = m.preimage(y, fields)
+    checks = len(kernels)
+    assert x.tobytes() == m.preimage(y).tobytes()
+    for points, new_kernels in ((x, 0), (x.copy(), 0), (y, 1)):
+        before = len(kernels)
+        assert pull(points).tobytes() == g.interpolate(np.array(fields), points).tobytes()
+        # interpolate takes one kernel of its own
+        assert len(kernels) - before == new_kernels + 1
+    assert checks >= 2 and kernels[checks - 1].tobytes() == x.tobytes()
+
+
 def test_preimage_of_the_nodes_is_the_inverse():
     # h(a) = 2 arctan(tan(a/2) e^s) has the inverse 2 arctan(tan(x/2) e^{-s})
     g = make_grid(128)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from crestwave import evolution, spectral
-from crestwave.brackets import InverseFlowMap, MonotoneMap
+from crestwave.brackets import MonotoneMap
 from crestwave.errors import (
     CFLViolationError,
     DegenerateJacobianError,
@@ -33,6 +33,8 @@ from helpers import (
     random_real_field,
     random_smooth_state,
     refine_state,
+    rolled_pair,
+    rolled_state,
 )
 from oracles import (
     continue_angle,
@@ -604,6 +606,36 @@ def test_seed_angle_of_a_row_winding_past_pi(seed, n_modes, height):
         assert continue_angle(Zp, prev).tobytes() == g.tobytes()
 
 
+def test_seed_angle_of_a_stack_is_that_of_each_row():
+    # rows that wind past +-pi and rows that do not, each as seeded alone
+    grid = make_grid(256)
+    rng = np.random.default_rng(11)
+    rows = []
+    for height in (0.5, 2.0, 3.0):
+        theta = random_real_field(grid, rng, n_modes=4)
+        theta *= np.pi * height / np.max(np.abs(theta - theta.mean()))
+        rows.append(np.exp(0.3 * random_real_field(grid, rng, n_modes=4) + 1j * theta))
+    stack = np.array(rows)
+    for row, seeded in zip(stack, seed_angle(grid, stack), strict=True):
+        assert seeded.tobytes() == seed_angle(grid, row).tobytes()
+
+
+def test_a_stepped_state_hands_its_floor_minimum_to_its_derive():
+    # advance keeps the min |Z_ap| of its post-step check on each new state,
+    # and the derive of that state takes it instead of reducing |Z_ap| once
+    # more (a planted value shows which it reads); a state from elsewhere
+    # reduces its own
+    rng = np.random.default_rng(3)
+    st = random_smooth_state(make_grid(64), rng, sigma=1e-2, amp=0.1)
+    new = step_rk4(st, StepperConfig(), 0.3 * cfl_bound(st))
+    kept = new._memo["min_abs_Zp"]
+    assert kept == float(np.abs(new.Zp).min())
+    assert compute_derived(replace(new)).min_abs_Zp == kept
+    new._memo["min_abs_Zp"] = 0.5
+    assert compute_derived(new).min_abs_Zp == 0.5
+    assert "min_abs_Zp" not in new._memo
+
+
 # -- the step's plumbing against numpy, a symmetry and call order --------------------
 
 # a part of a complex number: +0.0, or a magnitude in [1e-150, 1e150] of
@@ -627,22 +659,6 @@ def test_omega_by_a_real_reciprocal_is_the_complex_quotient_bit_for_bit(parts):
     z = np.array([complex(re, im) for re, im in parts])
     abs_z = np.abs(z)
     assert same_bytes([z * (1.0 / abs_z)], [z / abs_z])
-
-
-def _rolled_state(state, j):
-    """state with its labels shifted by j nodes: Z(a + j dx) = a + j dx +
-    Zdev(a + j dx), so Zdev rolls and gains j dx, and Z_ap and Z_t roll."""
-    g = state.grid
-    return make_state(g, np.roll(state.Zdev, -j) + j * g.dx, np.roll(state.Zp, -j),
-                      np.roll(state.Zt, -j), state.sigma, state.time)
-
-
-def _rolled_pair(pair, j):
-    """pair with the labels of both solutions and both maps shifted by j
-    nodes: the map deviations and Jacobians roll."""
-    maps = (InverseFlowMap(k.grid, np.roll(k.deviation, -j), np.roll(k.jac, -j))
-            for k in (pair.k_a, pair.k_b))
-    return PairState(_rolled_state(pair.state_a, j), _rolled_state(pair.state_b, j), *maps)
 
 
 def _step_arrays(x):
@@ -674,12 +690,12 @@ def test_steps_commute_with_a_roll_of_the_labels(case, n, j, seed):
         phase = np.exp(2j * np.pi * rng.random())
         x = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.5, velocity_amplitude=0.05j * phase,
                                    n_points=n))
-        step, roll = co_step, _rolled_pair
+        step, roll = co_step, rolled_pair
         dt = 0.3 * min(cfl_bound(x.state_a), cfl_bound(x.state_b))
         x = co_step(x, cfg, dt)
     else:
         x = random_smooth_state(make_grid(n), rng, sigma=1e-2, amp=0.12)
-        step, roll = step_rk4, _rolled_state
+        step, roll = step_rk4, rolled_state
         dt = 0.3 * cfl_bound(x)
     want = _step_arrays(roll(step(x, cfg, dt), j))
     got = _step_arrays(step(roll(x, j), cfg, dt))

@@ -126,7 +126,8 @@ def test_steps_seed_and_continue_no_angle_branch(stepped, monkeypatch):
     co_step(pair, cfg, dt)
     assert calls == []
     # the counters see the reads of a record: the blocks seed the branch of
-    # the band of Z_ap, once per state, and do not read the state's own
+    # the band of Z_ap, once for the states they are built for, and do not
+    # read the state's own
     energy_sigma(pair.state_a)
     assert calls == ["seed_angle"]
     assert "angle" not in pair.state_a._memo
@@ -140,59 +141,67 @@ def test_record_transform_calls(stepped, fft_calls):
     # rounds of one derive of both states, b_ap of both states from one
     # stacked derivative and the Jacobian of htilde), one stacked H^1/2
     # transform and one coefficient transform for the one stacked sup norm;
-    # then one rfft for each of the two spreads (the one pull-back through
-    # htilde, a stack of real rows, and the one of the Newton solve of
-    # k_b(x) = k_a(alpha) that builds htilde) and one irfft for each spread
-    # and for the sup norm's seed grids, which it refines from its own
+    # then one rfft and one irfft for the one spread, which carries the rows
+    # of k_b for the Newton solve of k_b(x) = k_a(alpha) that builds htilde
+    # and the rows of b that the record pulls back through it, and one
+    # irfft for the sup norm's seed grids, which it refines from its own
     # coefficients
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert fft_calls == {"fft": 11, "ifft": 9, "rfft": 2, "irfft": 3}
+    assert fft_calls == {"fft": 11, "ifft": 9, "rfft": 1, "irfft": 2}
 
 
 def test_record_refines_once_per_spread_and_sup_norm(stepped, monkeypatch):
-    # _refine, the one zero-padding routine, runs once for the spread of
-    # the Newton solve that builds htilde, once for the one pull-back
-    # through htilde, a stack of the 22 real rows of b of both families,
-    # and once for the seed grids of the one stacked sup norm
+    # _refine, the one zero-padding routine, runs once for the one spread,
+    # the 2 rows of k_b with the 22 real rows of b of both families, and
+    # once for the seed grids of the one stacked sup norm
     pair, _, _ = stepped
     shapes = []
     refine = SpectralGrid._refine
 
-    def counted(self, spec, factor):
+    def counted(self, spec, factor, out=None):
         shapes.append((spec.shape, factor))
-        return refine(self, spec, factor)
+        return refine(self, spec, factor, out)
 
     monkeypatch.setattr(SpectralGrid, "_refine", counted)
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
     half = pair.state_a.grid.n // 2 + 1
-    assert shapes == [((2, half), 2), ((22, half), 2), ((2, 5, half), 4)]
+    assert shapes == [((24, half), 2), ((2, 5, half), 4)]
 
 
-def test_record_pulls_back_through_one_interpolate_and_keeps_no_map_state(stepped, monkeypatch):
-    # the one spread of the Newton solve that builds htilde, then the one
-    # pull-back through htilde: an interpolate of the 22 real rows of b of
-    # both families, which spreads them once; no map keeps anything beyond
+def test_record_pulls_back_through_the_solves_spread_and_keeps_no_map_state(
+    stepped, monkeypatch
+):
+    # one spread of the 2 rows of k_b and the 22 real rows of b of both
+    # families; the Newton solve that builds htilde evaluates the kernel
+    # weights once per iterate, and the pull-back gathers at the values of
+    # htilde, those of the last iterate, with its weights: no interpolate
+    # and no kernel evaluation of its own.  No map keeps anything beyond
     # its fields
     pair, _, _ = stepped
     n = pair.state_a.grid.n
-    calls = []
-    for name in ("spread", "interpolate"):
+    calls, points = [], []
+    for name in ("spread", "interpolate", "nufft_kernel"):
         method = getattr(SpectralGrid, name)
 
         def counted(self, f, *args, _name=name, _method=method):
             calls.append((_name, np.shape(f)))
+            if _name == "nufft_kernel":
+                points.append(np.array(f))
             return _method(self, f, *args)
 
         monkeypatch.setattr(SpectralGrid, name, counted)
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert calls == [("spread", (2, n)), ("interpolate", (22, n)), ("spread", (22, n))]
+    assert calls == [("spread", (24, n)), ("nufft_kernel", (n,)), ("nufft_kernel", (n,))]
+    # each evaluation is at a new iterate, the last at the values of htilde
+    assert not np.array_equal(points[0], points[1])
+    assert points[-1].tobytes() == pair.map_tilde.values.tobytes()
     for k in (pair.k_a, pair.k_b, pair.map_tilde):
         assert vars(k).keys() == {f.name for f in fields(k)}
 

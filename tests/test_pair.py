@@ -193,8 +193,9 @@ def test_differences_of_a_new_pair_are_at_rounding_level(n, sigma, epsilon):
 
 def test_htilde_is_built_once_by_a_record(monkeypatch):
     # co_step does not build it; energy_delta builds it by one preimage
-    # solve of k_b at the values of k_a, and f_delta_norm and energy_sigma
-    # reuse it; no map is inverted
+    # solve of k_b at the values of k_a, which carries the 22 real rows of b
+    # that the record pulls back, and f_delta_norm and energy_sigma reuse
+    # it; no map is inverted
     pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
                                   n_points=128))
     cfg = StepperConfig()
@@ -204,9 +205,9 @@ def test_htilde_is_built_once_by_a_record(monkeypatch):
     solved = []
     preimage = MonotoneMap.preimage
 
-    def counted(self, y):
-        solved.append((self, y))
-        return preimage(self, y)
+    def counted(self, y, fields=None):
+        solved.append((self, y, fields))
+        return preimage(self, y, fields)
 
     monkeypatch.setattr(MonotoneMap, "preimage", counted)
     energy_delta(pair)
@@ -215,7 +216,29 @@ def test_htilde_is_built_once_by_a_record(monkeypatch):
     energy_sigma(pair.state_a)
     assert len(solved) == 1 and solved[0][0] is pair.k_b
     assert np.array_equal(solved[0][1], pair.k_a.values)
+    assert len(solved[0][2]) == 22
     assert vars(pair)["map_tilde"] is htilde
+
+
+def test_pull_back_has_the_bits_of_compose_map_apply_whether_htilde_is_kept_or_not():
+    # on a pair without htilde the fields ride along the solve that builds
+    # it, which the pair then keeps; on a pair that keeps it they are
+    # pulled back through it alone; both give compose_map_apply bit for bit
+    pair = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
+                                  n_points=128))
+    dt = 0.5 * min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
+    pair = co_step(pair, StepperConfig(), dt)
+    g = pair.state_a.grid
+    fields = np.random.default_rng(5).standard_normal((4, g.n))
+    solved = PairState(*(replace(st) for st in (pair.state_a, pair.state_b)), pair.k_a, pair.k_b)
+    htilde, pulled = solved._pull_back(list(fields))
+    assert vars(solved)["map_tilde"] is htilde
+    expected = compose_map_apply(g, fields, htilde).tobytes()
+    assert pulled.tobytes() == expected
+    kept = PairState(*(replace(st) for st in (pair.state_a, pair.state_b)), pair.k_a, pair.k_b)
+    htilde_kept = kept.map_tilde
+    assert kept._pull_back(list(fields))[0] is htilde_kept and htilde_kept == htilde
+    assert kept._pull_back(list(fields))[1].tobytes() == expected
 
 
 def test_htilde_of_folding_maps_matches_the_route_through_the_inverse_of_k_b():

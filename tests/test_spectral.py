@@ -388,6 +388,20 @@ def test_kept_kernel_weights_give_interpolate_bit_for_bit(n, monkeypatch):
         assert g.spread(stack[1])(x).tobytes() == row.tobytes()
 
 
+def test_a_gather_of_some_rows_with_given_weights_is_bit_identical():
+    # a gather handed the kernel weights of its points, of all the rows of
+    # a real stack or of a slice of them, gives the bits of the plain gather
+    g = make_grid(128, length=5.0)
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((5, g.n))
+    x = rng.uniform(-g.length, 2 * g.length, 90)
+    gather = g.spread(stack)
+    whole, kernel = gather(x), g.nufft_kernel(x)
+    assert gather(x, kernel).tobytes() == whole.tobytes()
+    for rows in (slice(1), slice(1, 3), slice(2, None)):
+        assert gather(x, kernel, rows).tobytes() == whole[rows].tobytes()
+
+
 def test_interpolate_at_the_grid_nodes_is_exact_to_rounding():
     # 1.96e-15 sup|f| with the kernel formula, 1.93e-15 from its table
     g = make_grid(768)
