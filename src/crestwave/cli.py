@@ -113,13 +113,7 @@ def build_initial_state(cfg):
     if d.kind == "flat":
         state = flat_state(grid, cfg.physics.sigma)
     elif d.kind == "crest":
-        spec = CrestSpec(
-            nu=d.nu,
-            regularization_delta=d.delta,
-            velocity_amplitude=complex(d.vel_amp_re, d.vel_amp_im),
-            velocity_mode=d.vel_mode,
-        )
-        state = crest_data(spec, grid, sigma=cfg.physics.sigma)
+        state = crest_data(_crest_spec(d), grid, sigma=cfg.physics.sigma)
         if d.epsilon > 0:
             state = mollify_data(state, d.epsilon)
     else:
@@ -133,6 +127,17 @@ def build_initial_state(cfg):
             )
         state = replace(state, sigma=cfg.physics.sigma)
     return state
+
+
+def _crest_spec(d):
+    """The CrestSpec of the crest keys of [data] block d, the one place they
+    are mapped: a single run and every pair run build their crest from it."""
+    return CrestSpec(
+        nu=d.nu,
+        regularization_delta=d.delta,
+        velocity_amplitude=complex(d.vel_amp_re, d.vel_amp_im),
+        velocity_mode=d.vel_mode,
+    )
 
 
 def cmd_simulate(cfg, outdir, args):
@@ -192,14 +197,11 @@ def cmd_pair(cfg, outdir, args):
 
 def _pair_spec(cfg, sigma, epsilon):
     """PairRunSpec of one (sigma, epsilon) point of the config."""
-    d, g = cfg.data, cfg.grid
+    g = cfg.grid
     return PairRunSpec(
         sigma=sigma,
         epsilon=epsilon,
-        nu=d.nu,
-        regularization_delta=d.delta,
-        velocity_amplitude=complex(d.vel_amp_re, d.vel_amp_im),
-        velocity_mode=d.vel_mode,
+        **vars(_crest_spec(cfg.data)),
         n_points=g.n_points,
         length=g.length,
         dealias=g.dealias,
@@ -231,9 +233,11 @@ def cmd_sweep(cfg, outdir, args):
     specs = _study_specs(cfg)
     result = run_convergence_study(specs, jobs=args.jobs or cfg.study.jobs)
 
+    # each run's tag names its CSVs and, for a failed run, its failure
+    tags = [f"run_{idx:03d}_sigma{run.spec.sigma:.3e}_eps{run.spec.epsilon:.3e}"
+            for idx, run in enumerate(result.runs)]
     long_rows = []
-    for idx, run in enumerate(result.runs):
-        tag = f"run_{idx:03d}_sigma{run.spec.sigma:.3e}_eps{run.spec.epsilon:.3e}"
+    for idx, (tag, run) in enumerate(zip(tags, result.runs)):
         if run.delta_reports:
             write_reports_csv(os.path.join(outdir, tag + "_delta.csv"), run.delta_reports)
             write_reports_csv(os.path.join(outdir, tag + "_f_delta.csv"), run.f_delta_reports)
@@ -263,11 +267,7 @@ def cmd_sweep(cfg, outdir, args):
         **{f.name: getattr(result, f.name) for f in fields(result) if f.name != "runs"},
         n_runs=len(result.runs),
         n_failed=n_failed,
-        failures={
-            f"sigma={r.spec.sigma:g},eps={r.spec.epsilon:g}": r.error
-            for r in result.runs
-            if not r.ok
-        },
+        failures={tag: r.error for tag, r in zip(tags, result.runs) if not r.ok},
     )
     return EXIT_PARTIAL if n_failed else EXIT_OK
 

@@ -28,13 +28,14 @@ import numpy as np
 
 from .energies import STATE_FAMILIES
 from .errors import ConfigError
+from .spectral import DEFAULT_DEALIAS_FRACTION, DEFAULT_LENGTH
 
 
 @dataclass
 class GridBlock:
     n_points: int = 256
-    length: float = 2.0 * np.pi
-    dealias: float = 2.0 / 3.0
+    length: float = DEFAULT_LENGTH
+    dealias: float = DEFAULT_DEALIAS_FRACTION
 
 
 @dataclass

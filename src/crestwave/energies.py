@@ -96,7 +96,7 @@ def _build_blocks(states):
     omega = Zp_band / abs_band
     q = omega * d1
     Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
-    log_Zp = np.log(abs_band) + 1j * seed_angle(grid, Zp_band)
+    log_Zp = np.log(abs_band) + 1j * seed_angle(Zp_band)
     names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
     rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)
     return [{"grid": grid, "powers": {}, **dict(zip(names, fields))} for fields in zip(*rows)]

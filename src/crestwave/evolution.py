@@ -33,7 +33,7 @@ ABS_ZP_FLOOR = 1e-8
 HOLO_TOLERANCE = 1e-8
 
 
-def seed_angle(grid, Zp):
+def seed_angle(Zp):
     """The branch raw + 2 pi k of arg(Z_ap) continuous along the grid: k
     undoes the turns of the principal angle raw between adjacent nodes, and
     the node where |Z_ap - 1| is least (far from a crest) lies in [-pi, pi].
@@ -87,7 +87,7 @@ class WaveState:
     def g(self):
         """The branch of arg(Z_ap), seed_angle of Z_ap, computed on each
         read."""
-        return seed_angle(self.grid, self.Zp)
+        return seed_angle(self.Zp)
 
 
 def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0):
@@ -227,9 +227,8 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     alike, from round 1.
 
     The inputs of each of the two rounds are written into the rows of one
-    stack, which goes through spectral's transform entries directly, one
-    FFT pair per round, its spectrum multiplied in place by a per-row
-    symbol table (symbol * spectrum, as in multiply_symbol).  omega =
+    stack, which goes through one multiply_symbol with a per-row symbol
+    table, one FFT pair per round.  omega =
     Z_ap / |Z_ap| is computed as Z_ap * (1 / |Z_ap|), the same bytes with
     one real division: numpy divides by a complex number with zero
     imaginary part as a reciprocal and a multiply (Smith's method), and the
@@ -254,7 +253,7 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     np.multiply(Zt, inv_Zp, out=ratio)
     np.multiply(Zp, np.divide(1.0, abs_Zp, out=abs_Zp), out=omega)
     kinds = ("deriv",) * (q + m) + ("hilbert",) * m + ("deriv",) * n_cap
-    out = _transform(grid, stack[: q + 2 * m + n_cap], kinds)
+    out = grid.multiply_symbol(stack[: q + 2 * m + n_cap], grid.symbol_table(kinds))
     Ztap, h_ratio, d_omega = out[q : q + m], out[q + m : q + 2 * m], out[q + 2 * m :]
     k_ap = None if k_dev is None else out[:q] + (1.0 + 1.0j)
     b = ratio.real - h_ratio.real
@@ -271,7 +270,7 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     np.multiply(inv_Zp[:n_cap], d_omega, out=d_omega)
     stack[3 * m :] = d_omega.imag
     kinds = ("deriv",) * m + ("hilbert",) * (2 * m) + ("deriv_hplus",) * n_cap
-    out = _transform(grid, stack, kinds)
+    out = grid.multiply_symbol(stack, grid.symbol_table(kinds))
     flux_ap, h_Ztbar_ap, h_prod = out[:m], out[m : 2 * m], out[2 * m : 3 * m]
     np.multiply(Zt, h_Ztbar_ap, out=h_Ztbar_ap)
     A1 = 1.0 - np.subtract(h_Ztbar_ap, h_prod, out=h_Ztbar_ap).imag
@@ -290,15 +289,6 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     fluxes[m:] = flux_ap
     fields = (b, A1, omega, Ztt, Ztap, fluxes[:m], fluxes[m:])
     return fields if k_ap is None else (*fields, k_ap)
-
-
-def _transform(grid, stack, kinds):
-    """grid.multiply_symbol(stack, grid.symbol_table(kinds)), bit for bit,
-    from spectral's transform entries: the product and the inverse
-    transform are written over a new spectrum."""
-    spec = spectral._fft(stack)
-    np.multiply(grid.symbol_table(kinds), spec, out=spec)
-    return spectral._ifft(spec, out=spec)
 
 
 def _pack(rows, out=None):

@@ -17,7 +17,7 @@ always Delta(f) = f_a - f_b o htilde.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -27,7 +27,7 @@ from .energies import energy_delta, energy_sigma, f_delta_norm
 from .errors import CrestwaveError, MonotonicityError
 from .evolution import StepperConfig, WaveState, advance, cfl_bound, drive, plan_steps
 from .initial_data import CrestSpec, crest_data, mollify_data
-from .spectral import SpectralGrid
+from .spectral import DEFAULT_DEALIAS_FRACTION, DEFAULT_LENGTH, SpectralGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +144,8 @@ class PairRunSpec:
     velocity_amplitude: complex = 0.0
     velocity_mode: int = -1
     n_points: int = 512
-    length: float = 2.0 * np.pi
-    dealias: float = 2.0 / 3.0
+    length: float = DEFAULT_LENGTH
+    dealias: float = DEFAULT_DEALIAS_FRACTION
     t_final: float = 0.25
     dt_safety: float = 0.5
     min_steps: int = 64
@@ -183,15 +183,11 @@ class PairRunResult:
 
 
 def build_pair(spec):
-    """Mollified-crest pair with identical data, sigma on solution a only."""
+    """Mollified-crest pair with identical data, sigma on solution a only;
+    the crest is the CrestSpec of spec's fields of the same names."""
     grid = SpectralGrid(spec.n_points, spec.length, spec.dealias)
-    cs = CrestSpec(
-        nu=spec.nu,
-        regularization_delta=spec.regularization_delta,
-        velocity_amplitude=spec.velocity_amplitude,
-        velocity_mode=spec.velocity_mode,
-    )
-    base = crest_data(cs, grid)
+    crest = CrestSpec(**{f.name: getattr(spec, f.name) for f in fields(CrestSpec)})
+    base = crest_data(crest, grid)
     if spec.epsilon != 0:
         base = mollify_data(base, spec.epsilon)
     state_a = replace(base, sigma=float(spec.sigma))

@@ -29,6 +29,10 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * np.pi
+# the defaults of a grid: one period of 2 pi, and a dealias filter keeping
+# |k| up to 2/3 of k_max
+DEFAULT_LENGTH = TWO_PI
+DEFAULT_DEALIAS_FRACTION = 2.0 / 3.0
 
 # non-uniform FFT of SpectralGrid.interpolate: kernel width in fine-grid
 # points, kernel shape parameter, and the Gauss-Legendre size of its transform
@@ -104,7 +108,8 @@ def same_bytes(arrays, others):
 
 
 class SpectralGrid:
-    """Uniform periodic grid; wavenumbers and multiplier symbols built once.
+    """Uniform periodic grid with its wavenumbers; the multiplier symbols
+    live in the tables of symbol_table.
 
     Parameters
     ----------
@@ -113,7 +118,7 @@ class SpectralGrid:
     dealias_fraction : fraction of k_max kept by the dealias filter
     """
 
-    def __init__(self, n_points, length=TWO_PI, dealias_fraction=2.0 / 3.0):
+    def __init__(self, n_points, length=DEFAULT_LENGTH, dealias_fraction=DEFAULT_DEALIAS_FRACTION):
         if n_points < 8 or n_points % 2 != 0:
             raise ValueError(f"n_points must be even and >= 8, got {n_points}")
         if not (length > 0.0 and np.isfinite(length)):
@@ -136,15 +141,6 @@ class SpectralGrid:
         self.k_int = k_int
         self.k = (TWO_PI / self.length) * k_int.astype(np.float64)
         self.nyquist_index = n // 2
-
-        nyquist = k_int == n // 2
-        self._deriv_symbol = np.where(nyquist, 0.0, 1j * self.k)
-        self._hilbert_symbol = (-np.where(nyquist, 0.0, np.sign(k_int))).astype(np.complex128)
-        mask_h = np.where(k_int < 0, 1.0, np.where(k_int == 0, 0.5, 0.0))
-        self._proj_h = mask_h.astype(np.complex128)
-        self._proj_a = (1.0 - mask_h).astype(np.complex128)
-        cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
-        self._dealias_symbol = (np.abs(k_int) <= cutoff).astype(np.complex128)
 
     # -- transforms ----------------------------------------------------
 
@@ -177,31 +173,29 @@ class SpectralGrid:
 
     def symbol_table(self, kinds):
         """(len(kinds), n) table whose row r is the symbol named kinds[r],
-        'deriv' (first derivative), 'hilbert', 'deriv_hplus' (D (I + H),
-        the symbol i k (1 - sgn k), 0 at Nyquist), 'dealias', or
-        'dealias_deriv', 'dealias_deriv2', 'dealias_deriv3' (dealias times
-        'deriv' to the power 1, 2, 3, so 0 at Nyquist); built once
-        for a tuple of kinds and all grids equal to this one, so a run that
-        builds a new grid for each pair builds each table once."""
+        'deriv' (first derivative), 'hilbert', 'proj_h' and 'proj_a' (P_H
+        and P_A), 'deriv_hplus' (D (I + H), the symbol i k (1 - sgn k), 0
+        at Nyquist), 'dealias', or 'dealias_deriv', 'dealias_deriv2',
+        'dealias_deriv3' (dealias times 'deriv' to the power 1, 2, 3, so 0
+        at Nyquist); built once for a tuple of kinds and all grids equal to
+        this one, so a run that builds a new grid for each pair builds each
+        table once.  Each symbol is defined once, by _symbol, and the
+        operators below multiply by rows of these tables."""
         return _symbol_table(self, kinds)
 
     def deriv(self, f):
         """Spectral first derivative d/dx; zeroes the Nyquist mode."""
-        return self.multiply_symbol(f, self._deriv_symbol)
+        return self.multiply_symbol(f, _symbol_table(self, ("deriv",))[0])
 
     def hilbert(self, f):
         """Hilbert transform: multiplier -sgn(k), sgn(0) = 0."""
-        return self.multiply_symbol(f, self._hilbert_symbol)
+        return self.multiply_symbol(f, _symbol_table(self, ("hilbert",))[0])
 
     def project(self, f, side):
         """Holomorphic ('H', support k <= 0) or antiholomorphic ('A') part."""
-        if side == "H":
-            mask = self._proj_h
-        elif side == "A":
-            mask = self._proj_a
-        else:
+        if side not in ("H", "A"):
             raise ValueError(f"side must be 'H' or 'A', got {side!r}")
-        return self.multiply_symbol(f, mask)
+        return self.multiply_symbol(f, _symbol_table(self, ("proj_" + side.lower(),))[0])
 
     def poisson_smooth(self, f, eps):
         """Poisson mollification, i.e. the multiplier exp(-eps |k|)."""
@@ -215,7 +209,7 @@ class SpectralGrid:
         return self.multiply_symbol(f, np.exp(-eps * np.abs(self.k)))
 
     def dealias(self, f):
-        return self.multiply_symbol(f, self._dealias_symbol)
+        return self.multiply_symbol(f, _symbol_table(self, ("dealias",))[0])
 
     # -- norms ----------------------------------------------------------
 
@@ -539,17 +533,28 @@ class SpectralGrid:
 
 @functools.lru_cache(maxsize=256)
 def _symbol_table(grid, kinds):
-    deriv, dealias = grid._deriv_symbol, grid._dealias_symbol
-    named = {
-        "deriv": deriv,
-        "hilbert": grid._hilbert_symbol,
-        "deriv_hplus": deriv * (1.0 + grid._hilbert_symbol),
-        "dealias": dealias,
-        "dealias_deriv": dealias * deriv,
-        "dealias_deriv2": dealias * deriv ** 2,
-        "dealias_deriv3": dealias * deriv ** 3,
-    }
-    return np.stack([named[kind] for kind in kinds])
+    return np.stack([_symbol(grid, kind) for kind in kinds])
+
+
+def _symbol(grid, kind):
+    """The symbol named kind (see SpectralGrid.symbol_table) over grid.k,
+    built from the symbols it is made of alone."""
+    k_int, half = grid.k_int, grid.n // 2
+    if kind == "deriv":
+        return np.where(k_int == half, 0.0, 1j * grid.k)
+    if kind == "hilbert":
+        return (-np.where(k_int == half, 0.0, np.sign(k_int))).astype(np.complex128)
+    if kind in ("proj_h", "proj_a"):
+        mask_h = np.where(k_int < 0, 1.0, np.where(k_int == 0, 0.5, 0.0))
+        return (mask_h if kind == "proj_h" else 1.0 - mask_h).astype(np.complex128)
+    if kind == "dealias":
+        cutoff = int(np.floor(grid.dealias_fraction * half))
+        return (np.abs(k_int) <= cutoff).astype(np.complex128)
+    if kind == "deriv_hplus":
+        return _symbol(grid, "deriv") * (1.0 + _symbol(grid, "hilbert"))
+    power = {"dealias_deriv": 1, "dealias_deriv2": 2, "dealias_deriv3": 3}[kind]
+    deriv = _symbol(grid, "deriv")
+    return _symbol(grid, "dealias") * (deriv if power == 1 else deriv ** power)
 
 
 @functools.lru_cache(maxsize=None)
@@ -605,6 +610,6 @@ def _nufft_kernel_table():
 # -- constructor ------------------------------------------------------------
 
 
-def make_grid(n_points, length=TWO_PI, dealias_fraction=2.0 / 3.0):
+def make_grid(n_points, length=DEFAULT_LENGTH, dealias_fraction=DEFAULT_DEALIAS_FRACTION):
     """Build a SpectralGrid; rejects odd/tiny point counts and bad lengths."""
     return SpectralGrid(n_points, length, dealias_fraction)

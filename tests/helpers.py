@@ -220,7 +220,7 @@ def estimate_M(state, depth_ladder=None):
         d1 = grid.deriv(inv)
         d2 = grid.deriv(d1)
         d3 = grid.deriv(d2)
-        logPsi = np.log(np.abs(Psi)) + 1j * seed_angle(grid, Psi)
+        logPsi = np.log(np.abs(Psi)) + 1j * seed_angle(Psi)
         p34 = np.exp(0.75 * logPsi)
         p12 = np.exp(0.5 * logPsi)
         U = extend_to_depth(grid, Ztbar, y, tol=_M_HOLO_TOL)

@@ -304,12 +304,12 @@ def test_version_1_checkpoint_loads_only_with_the_branch_of_its_z_ap(tmp_path):
     st = random_smooth_state(make_grid(128), rng, sigma=3e-3, amp=0.2)
     st = step_rk4(st, StepperConfig(), 0.4 * cfl_bound(st))
     p = tmp_path / "v1.ckpt"
-    _write_version_1(p, st, seed_angle(st.grid, st.Zp))
+    _write_version_1(p, st, seed_angle(st.Zp))
     loaded = load_checkpoint(str(p))
     assert loaded == st and loaded.g.tobytes() == st.g.tobytes()
     # another whole turn at one node, or one ulp more, is not that branch
     for damage in (lambda x: x + 2.0 * np.pi, lambda x: np.nextafter(x, np.inf)):
-        g = seed_angle(st.grid, st.Zp)
+        g = seed_angle(st.Zp)
         g[17] = damage(g[17])
         _write_version_1(p, st, g)
         with pytest.raises(ValueError, match="angle block"):
@@ -382,7 +382,7 @@ def test_checkpoint_refuses_a_version_that_is_not_an_exact_int(tmp_path, version
     st = random_smooth_state(make_grid(64), rng, amp=0.1)
     p = tmp_path / "st.ckpt"
     if version == 1:
-        _write_version_1(p, st, seed_angle(st.grid, st.Zp))
+        _write_version_1(p, st, seed_angle(st.Zp))
     else:
         save_checkpoint(str(p), st)
     assert load_checkpoint(str(p)) == st
@@ -615,6 +615,22 @@ def test_each_command_writes_its_files_in_their_formats(tmp_path, command):
     if command == "sweep":
         assert (rep["n_runs"], rep["n_failed"]) == (2, 1)
         assert list(rep["failures"].values())[0].startswith("HolomorphicityError")
+
+
+def test_each_failed_sweep_run_keeps_its_own_failure(tmp_path):
+    # two runs of one (sigma, eps) point fail alike at step 1; each failure
+    # is keyed by its run's tag, the tag of its CSVs, so neither hides the other
+    text = OUTPUTS_INI.replace("sigma_list = 1e-3\nepsilon_list = 0.2, 0.1",
+                               "sigma_list = 1e-3, 1e-3\nepsilon_list = 0.1")
+    assert text != OUTPUTS_INI
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path, "twice.ini", text), "--out", str(out)]) == 6
+    rep = json.loads((out / "study_fits.json").read_text())
+    tags = [f"run_{i:03d}_sigma1.000e-03_eps1.000e-01" for i in range(2)]
+    assert rep["n_failed"] == len(rep["failures"]) == 2
+    assert sorted(rep["failures"]) == tags
+    assert all(error.startswith("HolomorphicityError") for error in rep["failures"].values())
+    assert {f"{tag}_delta.csv" for tag in tags} <= {p.name for p in out.iterdir()}
 
 
 PAIR_VS_SWEEP_INI = """

@@ -10,6 +10,8 @@ import re
 import subprocess
 import sys
 
+import numpy as np
+
 import crestwave as cw
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -73,7 +75,10 @@ def test_star_import_binds_every_export_once():
 UNREACHED_ALLOWED = {
     "commutator_bracket": "paper operator, certified by acceptance criterion 8",
     "hcal_apply": "paper operator, certified by acceptance criterion 8",
+    "compose_map_apply": "paper operator f o h, certified by acceptance criterion 8",
+    "_require_same_grid": "the grid check of compose_map_apply and hcal_apply",
     "project": "paper operator (P_H, P_A), certified by acceptance criterion 8",
+    "dealias": "the filter as an operator for acceptance criterion 8; a step applies its symbol",
     "linf_norm": "paper norm, certified by acceptance criterion 8",
     "a1_route_gap": "A1 route-gap column a run's health report is to carry",
     "theta_route_gap": "Theta route-gap column a run's health report is to carry",
@@ -91,27 +96,79 @@ def _reads(node):
     return reads
 
 
+def _function_reads(node, fields):
+    """How often each function name is read in node, by the way a read can
+    reach a function: ("name", x) a loaded name x, ("attr", x) any
+    attribute x, and ("call", x) an attribute x that is no field name (an
+    annotated class attribute) or is called, as grid.dealias(f) is and
+    spec.dealias is not."""
+    called = {id(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+    reads = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads["name", sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            reads["attr", sub.attr] += 1
+            if sub.attr not in fields or id(sub) in called:
+                reads["call", sub.attr] += 1
+    return reads
+
+
 def unreached_functions(package, readers):
     """(file name, function name) of every function, method and property
-    defined under package whose name is read nowhere in package or readers
-    outside its own definition."""
+    defined under package, dunder methods aside, that nothing in package or
+    readers reads outside its own definition and the definitions of the
+    other unreached functions.  A property counts every attribute read of
+    its name, a method the attribute reads that may be its own (not those
+    of a same-named field), and a function those and the loaded names."""
     trees = {path: ast.parse(path.read_text()) for d in (package, *readers)
              for path in sorted(d.glob("*.py"))}
-    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
-    return [
-        (path.name, node.name)
-        for path, tree in trees.items() if path.parent == package
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and reads[node.name] == _reads(node)[node.name]
-    ]
+    fields = {
+        stmt.target.id
+        for tree in trees.values() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    # (file name, definition, the definitions around it, the reads that reach it)
+    defs, stack = [], [(tree, path.name, (), False) for path, tree in trees.items()
+                       if path.parent == package]
+    while stack:
+        node, name, outer, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(ast.unparse(d).endswith("property") for d in child.decorator_list):
+                    ways = (("attr", child.name),)
+                elif in_class:
+                    ways = (("call", child.name),)
+                else:
+                    ways = (("name", child.name), ("call", child.name))
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    defs.append((name, child, set(outer), ways))
+                stack.append((child, name, (*outer, child), False))
+            else:
+                stack.append((child, name, outer, isinstance(child, ast.ClassDef)))
+    total = sum((_function_reads(t, fields) for t in trees.values()), collections.Counter())
+    inside = {node: _function_reads(node, fields) for _, node, _, _ in defs}
+    outer_of = {node: outer for _, node, outer, _ in defs}
+    unreached = set()
+    while True:
+        found = set()
+        for _, node, _, ways in defs:
+            if node in unreached:
+                continue
+            # the reads in the outermost of node and the unreached functions
+            skipped = unreached | {node}
+            skipped = [d for d in skipped if not outer_of[d] & skipped]
+            if sum(total[w] - sum(inside[d][w] for d in skipped) for w in ways) == 0:
+                found.add(node)
+        if not found:
+            return sorted((name, node.name) for name, node, _, _ in defs if node in unreached)
+        unreached |= found
 
 
 def test_every_package_function_is_reached():
     unreached = unreached_functions(ROOT / "src" / "crestwave", [ROOT / "benchmarks"])
-    left = [(path, name) for path, name in unreached if name not in UNREACHED_ALLOWED
-            and not (name.startswith("__") and name.endswith("__"))]
-    assert left == []
+    assert [(path, name) for path, name in unreached if name not in UNREACHED_ALLOWED] == []
     # each allowed name is still defined and unreached, so the list stays current
     assert set(UNREACHED_ALLOWED) <= {name for _, name in unreached}
 
@@ -193,3 +250,57 @@ def test_each_output_format_has_one_writer():
     ]
     assert sorted(calls) == WRITER_CALLS
     assert sum(text.count("json.dump(") + text.count("makedirs(") for text in texts.values()) == 2
+
+
+def _functions_reading(path, names):
+    """{top-level function of the file: its reads of names}, for the
+    functions that read any of names."""
+    out = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            reads = {name: count for name, count in _reads(node).items() if name in names}
+            if reads:
+                out[node.name] = reads
+    return out
+
+
+def test_a_grid_keeps_its_nodes_and_wavenumbers_and_no_symbol():
+    # each fixed symbol is defined once, as a row kind of spectral's symbol
+    # tables; a grid keeps no symbol array of its own
+    grid = cw.make_grid(64, 3.0, 0.5)
+    arrays = {name for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
+    assert arrays == {"nodes", "k_int", "k"}
+    assert not any(np.iscomplexobj(value) for value in vars(grid).values())
+
+
+def test_only_the_finish_of_a_step_reads_the_transform_entries_in_evolution():
+    # the derive's two rounds are multiply_symbol calls with a symbol table
+    path = ROOT / "src" / "crestwave" / "evolution.py"
+    assert _functions_reading(path, {"_fft", "_ifft"}) == {"_finish": {"_fft": 1, "_ifft": 1}}
+    assert _functions_reading(path, {"multiply_symbol"}) == {"_derive": {"multiply_symbol": 2}}
+
+
+def test_the_data_crest_keys_are_mapped_to_a_crest_spec_once():
+    # cli._crest_spec maps the [data] crest keys, for a single run and for
+    # every PairRunSpec; a CrestSpec built elsewhere outside initial_data.py
+    # copies the fields of its own names, CrestSpec(**{f.name: getattr(x,
+    # f.name) for f in fields(CrestSpec)})
+    package = ROOT / "src" / "crestwave"
+    mapped, copied = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "initial_data.py":
+            continue
+        for func in ast.parse(path.read_text()).body:
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "CrestSpec":
+                    named = node.args or any(kw.arg is not None for kw in node.keywords)
+                    (mapped if named else copied).append((path.name, func.name))
+                    if not named:
+                        (spread,) = node.keywords
+                        assert "for f in fields(CrestSpec)" in ast.unparse(spread.value)
+    assert mapped == [("cli.py", "_crest_spec")]
+    assert copied == [("pair.py", "build_pair")]
+    cli = package / "cli.py"
+    assert _functions_reading(cli, {"vel_amp_re", "vel_amp_im"}) == {
+        "_crest_spec": {"vel_amp_re": 1, "vel_amp_im": 1}
+    }
