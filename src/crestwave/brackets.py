@@ -72,7 +72,8 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, grid):
-        return cls(grid, np.zeros(grid.n))
+        # the Jacobian 1 + D 0, given so that no zeros are transformed
+        return cls(grid, np.zeros(grid.n), np.ones(grid.n))
 
     @property
     def values(self):

@@ -97,7 +97,7 @@ def make_state(grid, Zdev, Zp, Zt, sigma, time=0.0):
     for name, arr in (("Zdev", Zdev), ("Zp", Zp), ("Zt", Zt)):
         if arr.shape != (grid.n,):
             raise ValueError(f"{name} must have shape ({grid.n},)")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name} contains non-finite entries")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"surface tension must be finite and >= 0, got {sigma}")

@@ -16,6 +16,7 @@ holomorphic mode of Zbar_t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,12 +46,11 @@ class CrestSpec:
 
 
 def _binomial_series(mu, n_terms):
-    """Coefficients a_m of (1 - w)^mu = sum_m a_m w^m."""
-    a = np.empty(n_terms)
-    a[0] = 1.0
-    for m in range(1, n_terms):
-        a[m] = a[m - 1] * (m - 1 - mu) / m
-    return a
+    """Coefficients a_m of (1 - w)^mu = sum_m a_m w^m, by the recurrence
+    a_m = a_(m-1) (m - 1 - mu) / m on Python floats, whose operations round
+    as numpy's do."""
+    terms = accumulate(range(1, n_terms), lambda a, m: a * (m - 1 - mu) / m, initial=1.0)
+    return np.fromiter(terms, dtype=np.float64, count=n_terms)
 
 
 def crest_data(spec, grid, sigma=0.0):
@@ -69,23 +69,19 @@ def crest_data(spec, grid, sigma=0.0):
     m = np.arange(n_neg + 1)
     series = a_m * np.exp(-delta * k1 * m) * np.exp(1j * k1 * m * a_c)
 
-    c_Zp = np.zeros(n, dtype=np.complex128)
-    c_Zp[0] = series[0]  # = 1, exact unit mean
-    c_Zp[-n_neg:] = series[1:][::-1]
-    Zp = grid.from_coeffs(c_Zp)
-
-    c_dev = np.zeros(n, dtype=np.complex128)
+    # the spectra of Z_ap, Zdev and Zbar_t, brought back in one transform
+    c = np.zeros((3, n), dtype=np.complex128)
+    c[0, 0] = series[0]  # = 1, exact unit mean
+    c[0, -n_neg:] = series[1:][::-1]
     kneg = -k1 * m[1:]
-    c_dev[-n_neg:] = (series[1:] / (1j * kneg))[::-1]
-    Zdev = grid.from_coeffs(c_dev)
-
-    c_Ztbar = np.zeros(n, dtype=np.complex128)
+    c[1, -n_neg:] = (series[1:] / (1j * kneg))[::-1]
     if spec.velocity_amplitude != 0:
         mode = spec.velocity_mode
         if -mode > n_neg:
             raise ValueError(f"velocity_mode {mode} is outside the grid spectrum")
-        c_Ztbar[mode % n] = spec.velocity_amplitude
-    return make_state(grid, Zdev, Zp, np.conj(grid.from_coeffs(c_Ztbar)), sigma)
+        c[2, mode % n] = spec.velocity_amplitude
+    Zp, Zdev, Ztbar = grid.from_coeffs(c)
+    return make_state(grid, Zdev, Zp, np.conj(Ztbar), sigma)
 
 
 def mollify_data(state, eps):
@@ -95,7 +91,6 @@ def mollify_data(state, eps):
     if not eps >= 0.0:
         raise ValueError(f"mollification scale must be >= 0, got {eps}")
     grid = state.grid
-    Zdev = grid.poisson_smooth(state.Zdev, eps)
-    Zt = np.conj(grid.poisson_smooth(np.conj(state.Zt), eps))
+    Zdev, Ztbar = grid.poisson_smooth(np.array([state.Zdev, np.conj(state.Zt)]), eps)
     Zp = 1.0 + grid.deriv(Zdev)
-    return make_state(grid, Zdev, Zp, Zt, state.sigma, state.time)
+    return make_state(grid, Zdev, Zp, np.conj(Ztbar), state.sigma, state.time)

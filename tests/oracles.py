@@ -71,6 +71,16 @@ def nufft_kernel_formula(grid, x):
     return weights, (base.astype(np.int64) - (w // 2 - 1)) % n_fine
 
 
+def binomial_series_scalar(mu, n_terms):
+    """Coefficients a_m of (1 - w)^mu = sum_m a_m w^m, by the recurrence
+    on numpy scalars written into an array, term by term."""
+    a = np.empty(n_terms)
+    a[0] = 1.0
+    for m in range(1, n_terms):
+        a[m] = a[m - 1] * (m - 1 - mu) / m
+    return a
+
+
 # -- periodic triple bracket ---------------------------------------------------
 
 

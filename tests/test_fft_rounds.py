@@ -56,6 +56,16 @@ def stepped():
     return co_step(pair, cfg, dt), cfg, dt
 
 
+def test_build_pair_transform_calls(fft_calls):
+    # the crest's three spectra (Z_ap, Zdev, Zbar_t) come back in one
+    # inverse transform, the mollification of Zdev and conj(Z_t) is one
+    # multiplier round and Z_ap of the mollified Zdev one more; the identity
+    # maps carry their Jacobian, so no zeros are transformed
+    spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=128)
+    build_pair(spec)
+    assert fft_calls.rows == [("ifft", 3), ("fft", 2), ("ifft", 2), ("fft", 1), ("ifft", 1)]
+
+
 # per step: four derives of two rounds, at any sigma, and one finish
 # (dealias and projection as one FFT pair)
 @pytest.mark.parametrize("member, expected", [

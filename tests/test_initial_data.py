@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from crestwave.errors import HolomorphicityError
 from crestwave.evolution import compute_derived
@@ -7,6 +9,7 @@ from crestwave.initial_data import CrestSpec, _binomial_series, crest_data, moll
 from crestwave.spectral import make_grid
 
 from helpers import estimate_M, positive_mode_mass
+from oracles import binomial_series_scalar
 
 
 
@@ -30,6 +33,15 @@ def test_degenerate_exponent_limit_is_flat():
     assert np.max(np.abs(coef[1:])) == 0.0
     coef2 = _binomial_series(-1e-12, 32)
     assert np.max(np.abs(coef2[1:])) < 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mu=hst.floats(-1.0, 0.0), n=hst.integers(1, 1025))
+@example(mu=0.0, n=1025)
+@example(mu=-1e-12, n=1025)
+def test_binomial_series_has_the_bytes_of_the_scalar_recurrence(mu, n):
+    # the recurrence on Python floats rounds as the numpy-scalar loop does
+    assert _binomial_series(mu, n).tobytes() == binomial_series_scalar(mu, n).tobytes()
 
 
 def test_crest_holomorphic_by_construction():
