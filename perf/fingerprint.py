@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import crestwave as cw  # noqa: E402
+from crestwave.evolution import drive  # noqa: E402
 
 
 def _feed(h, *arrays):
@@ -45,11 +46,11 @@ def _feed_report(h, report):
 
 
 def feed_pair_run(h, pair, cfg, dt, n_steps, record_every):
-    """Step pair by n_steps co_steps of dt and feed h with both states and
-    both maps after every step, and with htilde and the components of
-    E_delta, F_delta and E_sigma(a) at each record: at the start, every
-    record_every steps and after the last, the calls of the benchmark's
-    pair record in its order.  Returns the last pair."""
+    """Step pair through evolution.drive by n_steps co_steps of dt and feed
+    h with both states and both maps after every step, and with htilde and
+    the components of E_delta, F_delta and E_sigma(a) at each record: at
+    the start, every record_every steps and after the last, the calls of
+    the benchmark's pair record in its order.  Returns the last pair."""
 
     def record(p):
         der_a, der_b = cw.compute_derived(p.state_a), cw.compute_derived(p.state_b)
@@ -62,27 +63,28 @@ def feed_pair_run(h, pair, cfg, dt, n_steps, record_every):
         _feed_state(h, p.state_a)
         _feed_state(h, p.state_b)
         _feed(h, p.k_a.deviation, p.k_a.jac, p.k_b.deviation, p.k_b.jac)
+        return p
 
-    feed(pair)
-    record(pair)
-    for step in range(n_steps):
-        pair = cw.co_step(pair, cfg, dt)
-        feed(pair)
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            record(pair)
-    return pair
+    def step(p, cfg, dt):
+        return feed(cw.co_step(p, cfg, dt))
+
+    return drive(feed(pair), step, cfg, dt, n_steps, record, record_every)
 
 
 def feed_dispersion_run(h, state, cfg, dt, n_steps, k):
-    """Step state by n_steps step_rk4s of dt and feed h with the state and
-    the benchmark's record, the real part of mode -k of conj(Z_t), after
-    every step.  Returns the last state."""
+    """Step state through evolution.drive by n_steps step_rk4s of dt and
+    feed h with the state and the benchmark's record, the real part of mode
+    -k of conj(Z_t), after every step, so drive records nothing.  Returns
+    the last state."""
+
+    def step(s, cfg, dt):
+        s = cw.step_rk4(s, cfg, dt)
+        _feed_state(h, s)
+        _feed(h, np.float64(s.grid.coeffs(np.conj(s.Zt))[-k].real))
+        return s
+
     _feed_state(h, state)
-    for _ in range(n_steps):
-        state = cw.step_rk4(state, cfg, dt)
-        _feed_state(h, state)
-        _feed(h, np.float64(state.grid.coeffs(np.conj(state.Zt))[-k].real))
-    return state
+    return drive(state, step, cfg, dt, n_steps, lambda s: None, n_steps)
 
 
 def workload_digests(seed=0):

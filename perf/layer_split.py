@@ -1,0 +1,223 @@
+"""Where a pair set-up's and a pair record's time go, layer by layer.
+
+Run from the repository root:
+
+    python3 perf/layer_split.py
+
+For the seed-0 runs of the benchmark's two pair workloads (pair_eps05 and
+pair_record_n2048 of benchmarks/workloads.py) it prints two tables, with
+timers around the functions of each layer.  The set-up table runs the
+workload's own set-up SETUPS times, each building every object anew:
+
+* ``grid``           the SpectralGrid constructor that build_pair calls
+* ``crest_data``     the crest data of the spec
+* ``mollify_data``   its Poisson mollification
+* ``identity map``   InverseFlowMap.identity, the map of init_pair
+* ``build_pair``     the whole pair build, the four layers above included
+* ``cfl_bound a``    the step bound of solution a, the first cfl_bound call
+* ``cfl_bound b``    the step bound of solution b, the second
+* ``set-up``         the whole set-up, as the benchmark's setup phase times it
+
+The record table steps the run through evolution.drive and keeps the pair
+of every record.  It then makes the benchmark's record calls on each again,
+RECORD_REPEATS times, on a fresh copy of that pair whose states keep
+nothing: compute_derived of both states, energy_delta, f_delta_norm with
+those derived fields and energy_sigma of solution a.
+
+* ``htilde build``   the Newton solve of MonotoneMap.preimage that builds
+                     htilde, with the spread of the fields it carries
+* ``pull-back``      the gather of the fields of b at the values of htilde,
+                     the pull that preimage returns with htilde
+* ``blocks``         energies._build_blocks
+* ``stacked norms``  the l2_norm, hhalf_norm and sup_norm calls of the grid
+* ``record``         the whole record
+
+It prints each layer's median time per set-up or per record, raw and scaled
+to REF_S by the reference kernel of benchmarks/timing.py, timed before and
+after each.  crestwave is imported from src/; benchmarks/ is only read.
+"""
+
+from __future__ import annotations
+
+import platform
+import sys
+import time
+from dataclasses import replace
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import crestwave as cw  # noqa: E402
+from crestwave import brackets, energies, pair  # noqa: E402
+from crestwave.evolution import drive  # noqa: E402
+from crestwave.spectral import SpectralGrid  # noqa: E402
+from timing import REF_S, ReferenceKernel  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+WORKLOAD_NAMES = ("pair_eps05", "pair_record_n2048")
+CFL_LAYERS = ("cfl_bound a", "cfl_bound b")
+SETUP_LAYERS = ("grid", "crest_data", "mollify_data", "identity map", "build_pair",
+                *CFL_LAYERS, "set-up")
+RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "stacked norms", "record")
+SETUPS = 200
+WARMUP = 5
+RECORD_REPEATS = 5
+
+
+def record_pairs(workload):
+    """The pairs of every record of the workload's seed-0 run, in order."""
+    pairs = []
+    start, cfg, dt, n_steps = workload.setup(0)
+    drive(start, cw.co_step, cfg, dt, n_steps, pairs.append, workload.record_every)
+    return pairs
+
+
+def fresh(p):
+    """p with nothing kept: new states sharing its arrays, and its maps,
+    which keep only their fields."""
+    return cw.PairState(replace(p.state_a), replace(p.state_b), p.k_a, p.k_b)
+
+
+def record(p):
+    """The benchmark's record calls."""
+    der_a, der_b = cw.compute_derived(p.state_a), cw.compute_derived(p.state_b)
+    cw.energy_delta(p)
+    cw.f_delta_norm(p, der_a, der_b)
+    cw.energy_sigma(p.state_a)
+
+
+class LayerTimers:
+    """Timers around the functions of each layer of the set-up or of the
+    record; spent[layer] sums the seconds of the calls since the last
+    reset.  A wrap target that no longer exists raises KeyError."""
+
+    def __init__(self):
+        self.spent = dict.fromkeys(SETUP_LAYERS + RECORD_LAYERS, 0.0)
+        self._bounds = 0  # cfl_bound calls since the last reset
+        self._undo = []
+
+    def timed(self, layer, function):
+        spent = self.spent
+
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spent[layer] += time.perf_counter() - t0
+
+        return wrapper
+
+    def wrap(self, owner, name, make):
+        """Put make(original) in the place of owner's own attribute name;
+        the class attribute itself, so a classmethod is put back as one."""
+        original = vars(owner)[name]
+        setattr(owner, name, make(original))
+        self._undo.append((owner, name, original))
+
+    def wrap_setup(self):
+        for name, layer in (("SpectralGrid", "grid"), ("crest_data", "crest_data"),
+                            ("mollify_data", "mollify_data"), ("build_pair", "build_pair")):
+            self.wrap(pair, name, partial(self.timed, layer))
+        # defined on MonotoneMap, whose classmethod InverseFlowMap inherits
+        self.wrap(brackets.MonotoneMap, "identity",
+                  lambda identity: classmethod(self.timed("identity map", identity.__func__)))
+
+        def timed_bound(cfl_bound):
+            timed = [self.timed(layer, cfl_bound) for layer in CFL_LAYERS]
+
+            def bound(state):
+                self._bounds += 1
+                return timed[self._bounds - 1](state)
+
+            return bound
+
+        self.wrap(cw, "cfl_bound", timed_bound)
+
+    def wrap_record(self):
+        def timed_preimage(preimage):
+            # every record builds htilde with the fields it pulls back
+            build = self.timed("htilde build", preimage)
+
+            def solve(map_, y, fields):
+                x, pull = build(map_, y, fields)
+                return x, self.timed("pull-back", pull)
+
+            return solve
+
+        self.wrap(brackets.MonotoneMap, "preimage", timed_preimage)
+        self.wrap(energies, "_build_blocks", partial(self.timed, "blocks"))
+        for name in ("l2_norm", "hhalf_norm", "sup_norm"):
+            self.wrap(SpectralGrid, name, partial(self.timed, "stacked norms"))
+
+    def remove(self):
+        for owner, name, original in reversed(self._undo):
+            setattr(owner, name, original)
+        self._undo.clear()
+
+    def reset(self):
+        self._bounds = 0
+        for layer in self.spent:
+            self.spent[layer] = 0.0
+
+
+def split(runs, layers, kernel, timers):
+    """{layer: (raw, scaled) medians in ms} over the calls of runs, each
+    timed whole as layers[-1] and scaled by the kernel timed before and
+    after it."""
+    raw = {layer: [] for layer in layers}
+    scaled = {layer: [] for layer in layers}
+    before = kernel()
+    for run in runs:
+        timers.reset()
+        t0 = time.perf_counter()
+        run()
+        timers.spent[layers[-1]] = time.perf_counter() - t0
+        after = kernel()
+        scale = REF_S / (0.5 * (before + after))
+        before = after
+        for layer in layers:
+            raw[layer].append(timers.spent[layer])
+            scaled[layer].append(timers.spent[layer] * scale)
+    return {layer: (1e3 * np.median(raw[layer]), 1e3 * np.median(scaled[layer]))
+            for layer in layers}
+
+
+def table(name, wrap, runs, layers, kernel, timers):
+    """Print the rows of split(runs, layers, ...) with wrap's timers on."""
+    wrap()
+    try:
+        medians = split(runs, layers, kernel, timers)
+    finally:
+        timers.remove()
+    for layer, (raw_ms, scaled_ms) in medians.items():
+        print(f"{name:<20}{layer:<16}{raw_ms:9.3f}{scaled_ms:11.3f}")
+
+
+def main():
+    kernel = ReferenceKernel()
+    timers = LayerTimers()
+    print(f"python {platform.python_version()}, numpy {np.__version__}, {SETUPS} set-ups "
+          f"and {RECORD_REPEATS} repeats of every record of each workload; ms per set-up "
+          f"or per record, raw and scaled to a reference kernel time of {1e3 * REF_S:.2f} ms")
+    print(f"{'workload':<20}{'layer':<16}{'raw ms':>9}{'scaled ms':>11}")
+    for name in WORKLOAD_NAMES:
+        workload = WORKLOADS[name]
+        for _ in range(WARMUP):
+            workload.setup(0)
+        setups = (partial(workload.setup, 0) for _ in range(SETUPS))
+        table(name, timers.wrap_setup, setups, SETUP_LAYERS, kernel, timers)
+        pairs = record_pairs(workload)
+        for p in pairs[:3]:
+            record(fresh(p))
+        records = (partial(record, fresh(p)) for _ in range(RECORD_REPEATS) for p in pairs)
+        table(name, timers.wrap_record, records, RECORD_LAYERS, kernel, timers)
+
+
+if __name__ == "__main__":
+    main()

@@ -175,7 +175,7 @@ def cmd_simulate(cfg, outdir, args):
 def cmd_pair(cfg, outdir, args):
     spec = _pair_spec(cfg, cfg.physics.sigma, cfg.data.epsilon)
     base = build_initial_state(cfg)
-    pair = init_pair(replace(base, sigma=spec.sigma), replace(base, sigma=0.0))
+    pair = init_pair(base, replace(base, sigma=0.0))
     result = PairRunResult(spec)
     drive_pair(pair, result)
 

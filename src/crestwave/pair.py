@@ -187,12 +187,10 @@ def build_pair(spec):
     the crest is the CrestSpec of spec's fields of the same names."""
     grid = SpectralGrid(spec.n_points, spec.length, spec.dealias)
     crest = CrestSpec(**{f.name: getattr(spec, f.name) for f in fields(CrestSpec)})
-    base = crest_data(crest, grid)
+    base = crest_data(crest, grid, sigma=spec.sigma)
     if spec.epsilon != 0:
         base = mollify_data(base, spec.epsilon)
-    state_a = replace(base, sigma=float(spec.sigma))
-    state_b = replace(base, sigma=0.0)
-    return init_pair(state_a, state_b)
+    return init_pair(base, replace(base, sigma=0.0))
 
 
 def drive_pair(pair, result):

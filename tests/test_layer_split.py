@@ -1,0 +1,56 @@
+"""perf/layer_split.py, which times the layers of a pair set-up and of a
+pair record: on a small pair, every wrap target exists, every layer is
+reached, and remove() puts every wrapped attribute back."""
+
+import importlib.util
+from dataclasses import replace
+from functools import partial
+from pathlib import Path
+
+import crestwave as cw
+from crestwave import brackets, energies, pair
+from crestwave.spectral import SpectralGrid
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("layer_split", ROOT / "perf" / "layer_split.py")
+layer_split = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layer_split)
+
+# the attributes each wrap set puts its timers in the place of
+SETUP_TARGETS = [(pair, "SpectralGrid"), (pair, "crest_data"), (pair, "mollify_data"),
+                 (pair, "build_pair"), (brackets.MonotoneMap, "identity"), (cw, "cfl_bound")]
+RECORD_TARGETS = [(brackets.MonotoneMap, "preimage"), (energies, "_build_blocks"),
+                  (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm"),
+                  (SpectralGrid, "sup_norm")]
+
+
+def _split_once(timers, wrap, targets, layers, run):
+    """split of the one call run with wrap's timers on; checks that wrap
+    replaced every target and that remove() put back each original."""
+    originals = [vars(owner)[name] for owner, name in targets]
+    wrap()
+    try:
+        assert [name for (owner, name), original in zip(targets, originals)
+                if vars(owner)[name] is original] == []
+        medians = layer_split.split([run], layers, layer_split.ReferenceKernel(), timers)
+    finally:
+        timers.remove()
+    assert [name for (owner, name), original in zip(targets, originals)
+            if vars(owner)[name] is not original] == []
+    assert list(medians) == list(layers)
+    return medians
+
+
+def test_every_layer_of_a_set_up_and_a_record_is_timed_and_unwrapped_after():
+    workload = replace(layer_split.WORKLOADS["pair_eps05"], n=64, epsilon=0.5)
+    timers = layer_split.LayerTimers()
+    built = []
+    setup = _split_once(timers, timers.wrap_setup, SETUP_TARGETS, layer_split.SETUP_LAYERS,
+                        lambda: built.append(workload.setup(0)[0]))
+    (p,) = built
+    record = _split_once(timers, timers.wrap_record, RECORD_TARGETS,
+                         layer_split.RECORD_LAYERS,
+                         partial(layer_split.record, layer_split.fresh(p)))
+    medians = {**setup, **record}
+    assert [layer for layer, (raw, scaled) in medians.items()
+            if not (raw > 0 and scaled > 0)] == []

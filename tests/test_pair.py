@@ -432,6 +432,13 @@ def test_build_pair_refuses_a_negative_or_nan_epsilon(epsilon):
         build_pair(PairRunSpec(sigma=1e-2, epsilon=epsilon, n_points=64))
 
 
+@pytest.mark.parametrize("sigma", [-1e-4, float("nan")])
+def test_build_pair_refuses_a_negative_or_nan_sigma(sigma):
+    # such a pair used to build, and its first record gave NaN sigma-terms
+    with pytest.raises(ValueError, match="surface tension must be finite and >= 0"):
+        build_pair(PairRunSpec(sigma=sigma, epsilon=0.1, n_points=64))
+
+
 def test_run_pair_once_failure_is_captured():
     spec = PairRunSpec(sigma=1.0, epsilon=0.2, n_points=64, t_final=10.0,
                        min_steps=4, max_steps=8)
