@@ -13,10 +13,12 @@ workload's own set-up SETUPS times, each building every object anew:
 * ``crest_data``     the crest data of the spec
 * ``mollify_data``   its Poisson mollification
 * ``identity map``   InverseFlowMap.identity, the map of init_pair
-* ``build_pair``     the whole pair build, the four layers above included
-* ``cfl_bound a``    the step bound of solution a, the first cfl_bound call
-* ``cfl_bound b``    the step bound of solution b, the second
-* ``set-up``         the whole set-up, as the benchmark's setup phase times it
+* ``derive``         the derive_states call of twin_pair, which derives both
+                     members of the pair in one pass
+* ``build_pair``     the whole pair build, the five layers above included
+* ``set-up``         the whole set-up, as the benchmark's setup phase times
+                     it: build_pair, then the two cfl_bound calls, which
+                     read the fields that build_pair kept
 
 The record table steps the run through evolution.drive and keeps the pair
 of every record.  It then makes the benchmark's record calls on each again,
@@ -60,9 +62,8 @@ from timing import REF_S, ReferenceKernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_NAMES = ("pair_eps05", "pair_record_n2048")
-CFL_LAYERS = ("cfl_bound a", "cfl_bound b")
-SETUP_LAYERS = ("grid", "crest_data", "mollify_data", "identity map", "build_pair",
-                *CFL_LAYERS, "set-up")
+SETUP_LAYERS = ("grid", "crest_data", "mollify_data", "identity map", "derive", "build_pair",
+                "set-up")
 RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "stacked norms", "record")
 SETUPS = 200
 WARMUP = 5
@@ -98,7 +99,6 @@ class LayerTimers:
 
     def __init__(self):
         self.spent = dict.fromkeys(SETUP_LAYERS + RECORD_LAYERS, 0.0)
-        self._bounds = 0  # cfl_bound calls since the last reset
         self._undo = []
 
     def timed(self, layer, function):
@@ -122,22 +122,12 @@ class LayerTimers:
 
     def wrap_setup(self):
         for name, layer in (("SpectralGrid", "grid"), ("crest_data", "crest_data"),
-                            ("mollify_data", "mollify_data"), ("build_pair", "build_pair")):
+                            ("mollify_data", "mollify_data"), ("derive_states", "derive"),
+                            ("build_pair", "build_pair")):
             self.wrap(pair, name, partial(self.timed, layer))
         # defined on MonotoneMap, whose classmethod InverseFlowMap inherits
         self.wrap(brackets.MonotoneMap, "identity",
                   lambda identity: classmethod(self.timed("identity map", identity.__func__)))
-
-        def timed_bound(cfl_bound):
-            timed = [self.timed(layer, cfl_bound) for layer in CFL_LAYERS]
-
-            def bound(state):
-                self._bounds += 1
-                return timed[self._bounds - 1](state)
-
-            return bound
-
-        self.wrap(cw, "cfl_bound", timed_bound)
 
     def wrap_record(self):
         def timed_preimage(preimage):
@@ -161,7 +151,6 @@ class LayerTimers:
         self._undo.clear()
 
     def reset(self):
-        self._bounds = 0
         for layer in self.spent:
             self.spent[layer] = 0.0
 

@@ -52,8 +52,8 @@ from .pair import (
     PairRunSpec,
     drive_pair,
     fit_loglog,
-    init_pair,
     run_convergence_study,
+    twin_pair,
 )
 from .spectral import SpectralGrid
 
@@ -174,10 +174,8 @@ def cmd_simulate(cfg, outdir, args):
 
 def cmd_pair(cfg, outdir, args):
     spec = _pair_spec(cfg, cfg.physics.sigma, cfg.data.epsilon)
-    base = build_initial_state(cfg)
-    pair = init_pair(base, replace(base, sigma=0.0))
     result = PairRunResult(spec)
-    drive_pair(pair, result)
+    drive_pair(twin_pair(build_initial_state(cfg)), result)
 
     write_reports_csv(os.path.join(outdir, "energy_delta.csv"), result.delta_reports)
     write_reports_csv(os.path.join(outdir, "energy_f_delta.csv"), result.f_delta_reports)

@@ -172,7 +172,11 @@ def derive_states(states, prefixes=None):
     The states whose fields are not yet kept are derived together in one
     stacked pass, two rounds of independent Fourier multipliers with one
     FFT pair each, and row r of every field is bit-identical to deriving
-    that state alone.  Each of those states must pass the |Z_ap| floor
+    that state alone.  A state of sigma = 0 whose Zp and Zt are the arrays
+    of another such state, a twin as replace(state, sigma=0.0) makes, takes
+    no row: it keeps that state's sigma-free fields and forms only its own
+    Ztt, with the ops of _derive (_ztt), so its fields are those of a lone
+    derive too.  Each of those states must pass the |Z_ap| floor
     before any field is computed; the error of state r then starts with
     prefixes[r] when prefixes is given.  A state that advance made brings
     the min |Z_ap| of its post-step check, which the floor check reads;
@@ -185,21 +189,34 @@ def derive_states(states, prefixes=None):
     if new:
         # capillary states first, so that the capillary rounds take leading rows
         new.sort(key=lambda item: item[0].sigma == 0.0)
-        Zp = _stack([st.Zp for st, _ in new])
+        # own: the states that take a row; row[i], the row of new[i]
+        own, row = [], []
+        for st, _ in new:
+            twin_of = (r for r, o in enumerate(own) if o.Zp is st.Zp and o.Zt is st.Zt)
+            r = next(twin_of, None) if st.sigma == 0.0 else None
+            if r is None:
+                r = len(own)
+                own.append(st)
+            row.append(r)
+        Zp = _stack([st.Zp for st in own])
         abs_Zp = np.abs(Zp)
         # the minimum that advance's post-step check took, for a state it made
-        min_abs = [st._memo.pop("min_abs_Zp", None) for st, _ in new]
+        min_abs = [st._memo.pop("min_abs_Zp", None) for st in own]
         if None in min_abs:
             reduced = abs_Zp.min(axis=-1).tolist()
             min_abs = [r if kept is None else kept for kept, r in zip(min_abs, reduced)]
-        for (_, prefix), min_r in zip(new, min_abs):
-            _require_floor(min_r, prefix)
-        fields = _derive(
-            states[0].grid, Zp, abs_Zp, _stack([st.Zt for st, _ in new]),
-            [st.sigma for st, _ in new],
-        )
-        for (st, _), min_r, *rows in zip(new, min_abs, *fields):
-            st._memo["derived"] = DerivedFields(st.grid, st.Zp, st.Zt, *rows, min_r)
+        for (_, prefix), r in zip(new, row):
+            _require_floor(min_abs[r], prefix)
+        fields = list(zip(*_derive(
+            states[0].grid, Zp, abs_Zp, _stack([st.Zt for st in own]), [st.sigma for st in own]
+        )))
+        for (st, _), r in zip(new, row):
+            b, A1, omega, Ztt, *rest = fields[r]
+            if st.sigma != own[r].sigma:
+                Ztt = _ztt(A1, 1.0 / st.Zp, (), ())
+            st._memo["derived"] = DerivedFields(
+                st.grid, st.Zp, st.Zt, b, A1, omega, Ztt, *rest, min_abs[r]
+            )
     return [st._memo["derived"] for st in states]
 
 
@@ -275,20 +292,27 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     np.multiply(Zt, h_Ztbar_ap, out=h_Ztbar_ap)
     A1 = 1.0 - np.subtract(h_Ztbar_ap, h_prod, out=h_Ztbar_ap).imag
 
-    # only the capillary rows take the capillary term: neither part of
-    # 1j - x is ever -0.0, so adding a zero term would change no bit
-    Ztt = 1j * A1
-    np.multiply(Ztt, inv_Zp, out=Ztt)
-    np.subtract(1j, Ztt, out=Ztt)
-    for r in range(n_cap):
-        Ztt[r] += sigma[r] * inv_Zp[r] * out[3 * m + r]
-    np.conj(Ztt, out=Ztt)
+    Ztt = _ztt(A1, inv_Zp, sigma, out[3 * m :])
     if fluxes is None:
         fluxes = np.empty((2 * m, n), dtype=np.complex128)
     fluxes[:m] = flux
     fluxes[m:] = flux_ap
     fields = (b, A1, omega, Ztt, Ztap, fluxes[:m], fluxes[m:])
     return fields if k_ap is None else (*fields, k_ap)
+
+
+def _ztt(A1, inv_Zp, sigma, cap):
+    """Z_tt = conj(i - i A1 / Z_ap + (sigma / Z_ap) cap) of the rows A1, with
+    inv_Zp = 1 / Z_ap, as one new array; cap holds D (I + H) of the
+    capillary curvature term for the leading len(cap) rows, the capillary
+    ones, and only those rows take the capillary term: neither part of
+    i - x is ever -0.0, so adding a zero term would change no bit."""
+    Ztt = 1j * A1
+    np.multiply(Ztt, inv_Zp, out=Ztt)
+    np.subtract(1j, Ztt, out=Ztt)
+    for r, term in enumerate(cap):
+        Ztt[r] += sigma[r] * inv_Zp[r] * term
+    return np.conj(Ztt, out=Ztt)
 
 
 def _pack(rows, out=None):
@@ -370,9 +394,16 @@ def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
     """Fixed step (dt, n_steps) covering t_final exactly.
 
     dt is the smaller of dt_safety * bound and t_final / min_steps, rounded
-    down to divide t_final; raises CFLViolationError above max_steps and
-    on a bound that is not positive, such as the NaN bound of a NaN sigma.
+    down to divide t_final; raises ValueError on a t_final that is not
+    finite and positive or a min_steps below 1, and CFLViolationError above
+    max_steps and on a bound that is not positive, such as the NaN bound of
+    a NaN sigma.
     """
+    # written so that a NaN t_final fails too
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and positive, got {t_final}")
+    if not min_steps >= 1:
+        raise ValueError(f"min_steps must be >= 1, got {min_steps}")
     # written so that a NaN bound fails too
     if not bound > 0:
         raise CFLViolationError(f"step-size bound = {bound:.3e} is not positive")
@@ -472,8 +503,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
     check for its derive, and, with maps, the (m, n) stacks of the new map
     deviations and of their Jacobians 1 + D k_dev (None without maps).
     Raises ValueError if a capillary state follows one with sigma = 0,
-    and, state by state, CFLViolationError when dt is not within dt_safety
-    times the bound of the state (a NaN bound or dt fails),
+    and, state by state, CFLViolationError when dt is not positive or not
+    within dt_safety times the bound of the state (a NaN bound or dt fails),
     DegenerateJacobianError on a degenerate or NaN Z_ap, and
     HolomorphicityError on projected mass above HOLO_TOLERANCE times the
     size of the state, or NaN mass; an error of state r starts with tags[r]
@@ -487,6 +518,9 @@ def advance(states, cfg, dt, maps=None, tags=None):
     tags = ("",) * m if tags is None else tags
     derived = derive_states(states, prefixes=tags)
     for st, tag in zip(states, tags):
+        # written so that a NaN dt fails too
+        if not dt > 0.0:
+            raise CFLViolationError(f"{tag}dt = {dt:.3e} is not positive")
         bound = cfl_bound(st)
         # written so that a NaN bound fails too
         if not dt <= cfg.dt_safety * bound * (1.0 + 1e-12):

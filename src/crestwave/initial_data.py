@@ -15,6 +15,7 @@ holomorphic mode of Zbar_t.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -45,12 +46,16 @@ class CrestSpec:
             raise ValueError("velocity_mode must be a negative integer")
 
 
+@functools.lru_cache(maxsize=None)
 def _binomial_series(mu, n_terms):
     """Coefficients a_m of (1 - w)^mu = sum_m a_m w^m, by the recurrence
     a_m = a_(m-1) (m - 1 - mu) / m on Python floats, whose operations round
-    as numpy's do."""
+    as numpy's do; read-only, built once per (mu, n_terms), so the members
+    of a sweep at one (nu, n) share one series."""
     terms = accumulate(range(1, n_terms), lambda a, m: a * (m - 1 - mu) / m, initial=1.0)
-    return np.fromiter(terms, dtype=np.float64, count=n_terms)
+    series = np.fromiter(terms, dtype=np.float64, count=n_terms)
+    series.flags.writeable = False
+    return series
 
 
 def crest_data(spec, grid, sigma=0.0):

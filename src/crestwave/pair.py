@@ -25,7 +25,9 @@ import numpy as np
 from .brackets import InverseFlowMap, MonotoneMap
 from .energies import energy_delta, energy_sigma, f_delta_norm
 from .errors import CrestwaveError, MonotonicityError
-from .evolution import StepperConfig, WaveState, advance, cfl_bound, drive, plan_steps
+from .evolution import (
+    StepperConfig, WaveState, advance, cfl_bound, derive_states, drive, plan_steps,
+)
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .spectral import DEFAULT_DEALIAS_FRACTION, DEFAULT_LENGTH, SpectralGrid
 
@@ -108,6 +110,18 @@ def init_pair(state_a, state_b):
 _TAGS = ("[solution a] ", "[solution b] ")
 
 
+def twin_pair(base):
+    """The pair at t = 0 of base and its twin replace(base, sigma=0.0), with
+    identity Lagrangian maps, derived: both members go through one
+    derive_states call, in which b shares a's arrays and so takes a's
+    sigma-free fields and forms only its own Ztt.  A member below the
+    |Z_ap| floor raises the DegenerateJacobianError of the derive, tagged
+    with its solution, a's first."""
+    pair = init_pair(base, replace(base, sigma=0.0))
+    derive_states((pair.state_a, pair.state_b), _TAGS)
+    return pair
+
+
 def co_step(pair, cfg, dt):
     """Advance both solutions and both flow maps by one shared RK4 step.
 
@@ -183,14 +197,15 @@ class PairRunResult:
 
 
 def build_pair(spec):
-    """Mollified-crest pair with identical data, sigma on solution a only;
-    the crest is the CrestSpec of spec's fields of the same names."""
+    """Mollified-crest pair with identical data, sigma on solution a only,
+    derived (twin_pair); the crest is the CrestSpec of spec's fields of the
+    same names."""
     grid = SpectralGrid(spec.n_points, spec.length, spec.dealias)
     crest = CrestSpec(**{f.name: getattr(spec, f.name) for f in fields(CrestSpec)})
     base = crest_data(crest, grid, sigma=spec.sigma)
     if spec.epsilon != 0:
         base = mollify_data(base, spec.epsilon)
-    return init_pair(base, replace(base, sigma=0.0))
+    return twin_pair(base)
 
 
 def drive_pair(pair, result):
@@ -224,7 +239,8 @@ def run_pair_once(spec):
     """Run one pair to t_final, recording difference energies on the way.
 
     Failures are captured in the result rather than raised so studies can
-    continue.
+    continue; a spec that admits no run, such as a negative sigma or a
+    t_final that is not positive, raises ValueError.
     """
     result = PairRunResult(spec)
     try:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crestwave import cli
+from crestwave import cli, pair
 from crestwave.checkpoint import load_checkpoint, save_checkpoint
 from crestwave.cli import _study_specs, main
 from crestwave.config import parse_config
@@ -771,7 +771,7 @@ t_final = 0.05
 def test_pair_exits_4_on_a_record_whose_htilde_is_not_monotone(tmp_path, capsys, monkeypatch):
     # the pair of the config, with flow maps whose composition folds
     monkeypatch.setattr(
-        cli, "init_pair", lambda a, b: PairState(a, b, *folding_maps(a.grid))
+        pair, "init_pair", lambda a, b: PairState(a, b, *folding_maps(a.grid))
     )
     ini = """
 [grid]

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from crestwave.evolution import (
     seed_angle,
     step_rk4,
 )
-from crestwave.pair import PairRunSpec, PairState, build_pair, co_step, init_pair
+from crestwave.pair import PairRunSpec, PairState, build_pair, co_step, init_pair, twin_pair
 from crestwave.spectral import make_grid, same_bytes
 
 from helpers import (
@@ -216,6 +217,86 @@ def test_flat_equilibrium_stepping():
             st = step_rk4(st, cfg, dt)
         assert np.max(np.abs(st.Zp - 1.0)) < 1e-13
         assert np.max(np.abs(st.Zt)) < 1e-13
+
+
+SIGMA_FREE = ("b", "A1", "omega", "Ztap", "flux", "flux_ap", "min_abs_Zp")
+
+
+@pytest.mark.parametrize("sigma_a", [1e-2, 0.0])
+def test_a_twin_takes_the_sigma_free_fields_of_its_state(sigma_a):
+    # replace(a, sigma=0.0) shares a's arrays: it takes a's sigma-free fields
+    # and forms its own Z_tt, in either order of the call
+    g = make_grid(128)
+    rng = np.random.default_rng(128)
+    a = _rough_state(g, rng, sigma_a)
+    for order in (1, -1):
+        states = (replace(a), replace(a, sigma=0.0))
+        der_a, der_b = derive_states(states[::order])[::order]
+        for name in SIGMA_FREE:
+            assert getattr(der_b, name) is getattr(der_a, name), name
+        assert (der_b.Ztt is der_a.Ztt) == (sigma_a == 0.0)
+        for st, der in zip(states, (der_a, der_b)):
+            lone = compute_derived(replace(st))
+            for name in (f.name for f in fields(evolution.DerivedFields) if f.name != "grid"):
+                got, ref = np.asarray(getattr(der, name)), np.asarray(getattr(lone, name))
+                assert got.tobytes() == ref.tobytes(), (st.sigma, name)
+
+
+def test_states_that_share_no_arrays_derive_as_before():
+    g = make_grid(128)
+    rng = np.random.default_rng(129)
+    a = _rough_state(g, rng, 1e-2)
+    for b in (replace(a, sigma=0.0, Zp=a.Zp.copy(), Zt=a.Zt.copy()),
+              replace(a, sigma=0.0, Zt=a.Zt.copy()),
+              replace(a, Zp=a.Zp.copy())):
+        der_a, der_b = derive_states((replace(a), b))
+        assert der_b.A1 is not der_a.A1
+        for st, der in ((a, der_a), (b, der_b)):
+            for name, ref in derived_unbatched(st).items():
+                got = np.asarray(getattr(der, name))
+                assert got.tobytes() == np.asarray(ref).tobytes(), (st.sigma, name)
+
+
+@pytest.mark.parametrize("sigma_a", [1e-2, 0.0])
+def test_a_degenerate_twin_fails_with_the_tag_of_its_state_first(sigma_a):
+    g = make_grid(64)
+    Zp = np.ones(64, complex)
+    Zp[5] = 1e-12
+    a = make_state(g, np.zeros(64, complex), Zp, np.zeros(64, complex), sigma_a)
+    twin = replace(a, sigma=0.0)
+    with pytest.raises(DegenerateJacobianError, match=r"^\[a\] min \|Z_ap\| = 1\.000e-12"):
+        derive_states((a, twin), prefixes=("[a] ", "[b] "))
+    assert "derived" not in a._memo and "derived" not in twin._memo
+    with pytest.raises(DegenerateJacobianError, match=r"^\[solution a\] min \|Z_ap\|"):
+        twin_pair(a)
+
+
+@pytest.mark.parametrize("t_final, min_steps, message", [
+    (-0.05, 4, "t_final must be finite and positive, got -0.05"),
+    (0.0, 4, "t_final must be finite and positive, got 0.0"),
+    (float("nan"), 4, "t_final must be finite and positive, got nan"),
+    (float("inf"), 4, "t_final must be finite and positive, got inf"),
+    (0.25, 0, "min_steps must be >= 1, got 0"),
+    (0.25, -3, "min_steps must be >= 1, got -3"),
+])
+def test_plan_steps_refuses_a_run_that_is_not_forward(t_final, min_steps, message):
+    # such a t_final used to plan a backward run, divide by zero or fail to
+    # convert a NaN, and min_steps = 0 to divide by zero
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        plan_steps(1.0, t_final, 0.5, min_steps, 1000)
+
+
+@pytest.mark.parametrize("dt", [-0.0125, 0.0, -0.0, float("nan")])
+def test_steps_refuse_a_dt_that_is_not_positive(monkeypatch, dt):
+    # advance used to accept any dt <= bound, so a negative one ran backward
+    pair = build_pair(PairRunSpec(sigma=1e-3, epsilon=0.5, n_points=64))
+    stages = []
+    monkeypatch.setattr(evolution, "rk4", lambda *args: stages.append(args))
+    with pytest.raises(CFLViolationError, match=r"^dt = \S+ is not positive$"):
+        step_rk4(pair.state_b, StepperConfig(), dt)
+    with pytest.raises(CFLViolationError, match=r"^\[solution a\] dt = \S+ is not positive$"):
+        co_step(pair, StepperConfig(), dt)
+    assert stages == []
 
 
 def test_cfl_violation_raises():

@@ -57,13 +57,32 @@ def stepped():
 
 
 def test_build_pair_transform_calls(fft_calls):
-    # the crest's three spectra (Z_ap, Zdev, Zbar_t) come back in one
+    # the benchmark's set-up: build_pair, then the bounds of a and of b.
+    # The crest's three spectra (Z_ap, Zdev, Zbar_t) come back in one
     # inverse transform, the mollification of Zdev and conj(Z_t) is one
     # multiplier round and Z_ap of the mollified Zdev one more; the identity
-    # maps carry their Jacobian, so no zeros are transformed
+    # maps carry their Jacobian, so no zeros are transformed.  b shares a's
+    # arrays, so the derive of both is that of a's one row (its rounds of 3
+    # and 4 rows), and the bounds read the kept fields
     spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=128)
-    build_pair(spec)
-    assert fft_calls.rows == [("ifft", 3), ("fft", 2), ("ifft", 2), ("fft", 1), ("ifft", 1)]
+    pair = build_pair(spec)
+    cfl_bound(pair.state_a)
+    cfl_bound(pair.state_b)
+    assert fft_calls.rows == [("ifft", 3), ("fft", 2), ("ifft", 2), ("fft", 1), ("ifft", 1),
+                              ("fft", 3), ("ifft", 3), ("fft", 4), ("ifft", 4)]
+
+
+def test_states_that_share_no_arrays_take_a_row_each(fft_calls):
+    # a copy of a's arrays, or of its Z_t alone, is no twin: each state
+    # takes its own rows, 2 + 2 + 1 in round 1 and 3 + 3 + 1 in round 2
+    a = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
+                               n_points=128)).state_a
+    copies = [replace(a, sigma=0.0, Zp=a.Zp.copy(), Zt=a.Zt.copy()),
+              replace(a, sigma=0.0, Zt=a.Zt.copy())]
+    for copy in copies:
+        start = len(fft_calls.rows)
+        evolution.derive_states((replace(a), copy))
+        assert fft_calls.rows[start:] == [("fft", 5), ("ifft", 5), ("fft", 7), ("ifft", 7)]
 
 
 # per step: four derives of two rounds, at any sigma, and one finish

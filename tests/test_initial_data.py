@@ -44,6 +44,22 @@ def test_binomial_series_has_the_bytes_of_the_scalar_recurrence(mu, n):
     assert _binomial_series(mu, n).tobytes() == binomial_series_scalar(mu, n).tobytes()
 
 
+def test_binomial_series_is_kept_read_only_and_crest_data_repeats_its_bytes():
+    _binomial_series.cache_clear()
+    series = _binomial_series(-0.65, 33)
+    assert _binomial_series(-0.65, 33) is series
+    assert not series.flags.writeable
+    with pytest.raises(ValueError):
+        series[1] = 0.0
+    # a fresh series, then the kept one
+    _binomial_series.cache_clear()
+    g = make_grid(64)
+    spec = CrestSpec(nu=0.35, regularization_delta=0.05, velocity_amplitude=0.05j)
+    first, again = crest_data(spec, g, sigma=1e-2), crest_data(spec, g, sigma=1e-2)
+    assert _binomial_series.cache_info().hits == 1
+    assert first == again
+
+
 def test_crest_holomorphic_by_construction():
     g = make_grid(1024)
     st = crest_data(CrestSpec(nu=0.35, velocity_amplitude=0.03j), g)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from crestwave import brackets, evolution
 from crestwave.brackets import (
@@ -14,6 +14,7 @@ from crestwave.brackets import (
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
 from crestwave.evolution import (
+    DerivedFields,
     StepperConfig,
     cfl_bound,
     compute_derived,
@@ -437,6 +438,27 @@ def test_build_pair_refuses_a_negative_or_nan_sigma(sigma):
     # such a pair used to build, and its first record gave NaN sigma-terms
     with pytest.raises(ValueError, match="surface tension must be finite and >= 0"):
         build_pair(PairRunSpec(sigma=sigma, epsilon=0.1, n_points=64))
+
+
+@pytest.mark.parametrize("sigma", [1e-2, 0.0])
+def test_a_built_pair_arrives_with_the_fields_of_a_lone_derive(sigma):
+    # both members are derived in build_pair, b from a's sigma-free fields
+    pair = build_pair(PairRunSpec(sigma=sigma, epsilon=0.2, velocity_amplitude=0.05j,
+                                  n_points=128))
+    for st in (pair.state_a, pair.state_b):
+        kept = st._memo["derived"]
+        lone = compute_derived(replace(st))
+        for name in (f.name for f in fields(DerivedFields) if f.name != "grid"):
+            got, ref = np.asarray(getattr(kept, name)), np.asarray(getattr(lone, name))
+            assert got.tobytes() == ref.tobytes(), (st.sigma, name)
+
+
+@pytest.mark.parametrize("t_final", [-0.05, 0.0])
+def test_run_pair_once_refuses_a_t_final_that_is_not_positive(t_final):
+    # -0.05 used to run backward to ok=True, 0.0 to raise ZeroDivisionError
+    spec = PairRunSpec(sigma=1e-3, epsilon=0.5, n_points=64, t_final=t_final, min_steps=4)
+    with pytest.raises(ValueError, match="t_final must be finite and positive"):
+        run_pair_once(spec)
 
 
 def test_run_pair_once_failure_is_captured():
