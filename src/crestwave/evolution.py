@@ -217,8 +217,7 @@ def derive_states(states, prefixes=None):
             st._memo["derived"] = DerivedFields(st.grid, st.Zp, st.Zt, *rows, min_r)
         for st, src in twins:
             derived = src._memo["derived"]
-            Ztt = derived.Ztt if st.sigma == src.sigma else _ztt(derived.A1, 1.0 / st.Zp, (), ())
-            st._memo["derived"] = replace(derived, Ztt=Ztt)
+            st._memo["derived"] = replace(derived, Ztt=_ztt(derived.A1, 1.0 / st.Zp, (), ()))
     return [st._memo["derived"] for st in states]
 
 

@@ -72,19 +72,6 @@ def test_build_pair_transform_calls(fft_calls):
                               ("fft", 3), ("ifft", 3), ("fft", 4), ("ifft", 4)]
 
 
-def test_states_that_share_no_arrays_take_a_row_each(fft_calls):
-    # a copy of a's arrays, or of its Z_t alone, is no twin: each state
-    # takes its own rows, 2 + 2 + 1 in round 1 and 3 + 3 + 1 in round 2
-    a = build_pair(PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j,
-                               n_points=128)).state_a
-    copies = [replace(a, sigma=0.0, Zp=a.Zp.copy(), Zt=a.Zt.copy()),
-              replace(a, sigma=0.0, Zt=a.Zt.copy())]
-    for copy in copies:
-        start = len(fft_calls.rows)
-        evolution.derive_states((replace(a), copy))
-        assert fft_calls.rows[start:] == [("fft", 5), ("ifft", 5), ("fft", 7), ("ifft", 7)]
-
-
 # per step: four derives of two rounds, at any sigma, and one finish
 # (dealias and projection as one FFT pair)
 @pytest.mark.parametrize("member, expected", [
