@@ -13,8 +13,9 @@ workload's own set-up SETUPS times, each building every object anew:
 * ``crest_data``     the crest data of the spec
 * ``mollify_data``   its Poisson mollification
 * ``identity map``   InverseFlowMap.identity, the map of init_pair
-* ``derive``         the derive_states call of twin_pair, which derives both
-                     members of the pair in one pass
+* ``derive``         the zero_tension_twin call of twin_pair, which derives
+                     solution a and gives its twin b a's sigma-free fields
+                     and its own Z_tt
 * ``build_pair``     the whole pair build, the five layers above included
 * ``set-up``         the whole set-up, as the benchmark's setup phase times
                      it: build_pair, then the two cfl_bound calls, which
@@ -122,7 +123,7 @@ class LayerTimers:
 
     def wrap_setup(self):
         for name, layer in (("SpectralGrid", "grid"), ("crest_data", "crest_data"),
-                            ("mollify_data", "mollify_data"), ("derive_states", "derive"),
+                            ("mollify_data", "mollify_data"), ("zero_tension_twin", "derive"),
                             ("build_pair", "build_pair")):
             self.wrap(pair, name, partial(self.timed, layer))
         # defined on MonotoneMap, whose classmethod InverseFlowMap inherits

@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import spectral
+from .errors import SOLUTION_TAGS
 from .evolution import derive_states, seed_angle
 
 
@@ -270,17 +271,18 @@ def _rows(fields):
 
 def _pair_record(pair):
     """The components of the delta and f_delta families of pair, from one
-    pass that is kept on the pair: one derive_states of both states, one
+    pass that is kept on the pair, in its instance dict as htilde is: one
+    derive_states of both states, tagged with their solutions, one
     pull-back of the fields of b of both families through htilde as one
     stack, which rides along the solve that builds htilde
     (PairState._pull_back), and one _evaluate of the terms of both
     families with those of energy_sigma(a) and energy_aux(b), which stay
     kept on their states."""
-    memo = pair._memo
-    if "record" in memo:
-        return memo["record"]
+    kept = vars(pair)
+    if "record" in kept:
+        return kept["record"]
     a, b = pair.state_a, pair.state_b
-    derived = derive_states((a, b))
+    derived = derive_states((a, b), SOLUTION_TAGS)
     # b_ap = D_a b of both states from one stacked derivative: each row has
     # the bits of grid.deriv(der.b).real of its state alone
     b_ap = a.grid.deriv(np.array([der.b for der in derived])).real
@@ -300,7 +302,7 @@ def _pair_record(pair):
     )
     own["coupling_sigma_aux_b"] = a.sigma * sum(aux_b.values())
     delta = {c: sigma_a[name] if norm == "sigma(a)" else own[c] for c, norm, name in _DELTA}
-    memo["record"] = delta, f_delta
+    kept["record"] = delta, f_delta
     return delta, f_delta
 
 
@@ -328,15 +330,15 @@ def f_delta_norm(pair, derived_a=None, derived_b=None):
     derived_b, the compute_derived fields of the pair's states, may be
     passed by a caller that holds them; they are given together or not at
     all, and ValueError is raised otherwise, or if either is not the object
-    kept on its state, such as the fields of a state that shares its
-    arrays but not its sigma.
+    that derive_states returns for its state, such as the fields of a
+    state that shares its arrays but not its sigma.
     """
-    a, b = pair.state_a, pair.state_b
     if (derived_a is None) != (derived_b is None):
         raise ValueError("f_delta_norm takes derived_a and derived_b together or neither")
     if derived_a is not None:
-        for name, st, der in (("derived_a", a, derived_a), ("derived_b", b, derived_b)):
-            if der is not st._memo.get("derived"):
+        kept = derive_states((pair.state_a, pair.state_b), SOLUTION_TAGS)
+        for name, der, own in zip(("derived_a", "derived_b"), (derived_a, derived_b), kept):
+            if der is not own:
                 raise ValueError(f"{name} holds the derived fields of another state")
     _, f_delta = _pair_record(pair)
     return EnergyReport("f_delta", pair.time, dict(f_delta))

@@ -3,6 +3,10 @@
 from contextlib import contextmanager
 
 
+# what the message of an error from each solution of a pair starts with
+SOLUTION_TAGS = ("[solution a] ", "[solution b] ")
+
+
 class CrestwaveError(Exception):
     """Base class for package-specific errors."""
 

@@ -172,11 +172,7 @@ def derive_states(states, prefixes=None):
     The states whose fields are not yet kept are derived together in one
     stacked pass, two rounds of independent Fourier multipliers with one
     FFT pair each, and row r of every field is bit-identical to deriving
-    that state alone.  Of those states, one of sigma = 0 whose Zp and Zt
-    are the arrays of another, a twin such as replace(state, sigma=0.0)
-    makes, takes no row: it keeps the other's sigma-free fields and forms
-    only its own Ztt, with the ops of _derive (_ztt), so its fields are
-    those of a lone derive too.  Each of those states must pass the |Z_ap| floor
+    that state alone.  Each of those states must pass the |Z_ap| floor
     before any field is computed; the error of state r then starts with
     prefixes[r] when prefixes is given.  A state that advance made brings
     the min |Z_ap| of its post-step check, which the floor check reads;
@@ -189,36 +185,34 @@ def derive_states(states, prefixes=None):
     if new:
         # capillary states first, so that the capillary rounds take leading rows
         new.sort(key=lambda item: item[0].sigma == 0.0)
-        # a twin takes no row, and its floor check is that of its state,
-        # which comes before it
-        own, twins = [], []
-        for st, prefix in new:
-            src = None
-            if st.sigma == 0.0:
-                src = next((o for o, _ in own if o.Zp is st.Zp and o.Zt is st.Zt), None)
-            if src is None:
-                own.append((st, prefix))
-            else:
-                twins.append((st, src))
-        Zp = _stack([st.Zp for st, _ in own])
+        Zp = _stack([st.Zp for st, _ in new])
         abs_Zp = np.abs(Zp)
         # the minimum that advance's post-step check took, for a state it made
-        min_abs = [st._memo.pop("min_abs_Zp", None) for st, _ in own]
+        min_abs = [st._memo.pop("min_abs_Zp", None) for st, _ in new]
         if None in min_abs:
             reduced = abs_Zp.min(axis=-1).tolist()
             min_abs = [r if kept is None else kept for kept, r in zip(min_abs, reduced)]
-        for (_, prefix), min_r in zip(own, min_abs):
+        for (_, prefix), min_r in zip(new, min_abs):
             _require_floor(min_r, prefix)
         fields = _derive(
-            states[0].grid, Zp, abs_Zp, _stack([st.Zt for st, _ in own]),
-            [st.sigma for st, _ in own],
+            states[0].grid, Zp, abs_Zp, _stack([st.Zt for st, _ in new]),
+            [st.sigma for st, _ in new],
         )
-        for (st, _), min_r, *rows in zip(own, min_abs, *fields):
+        for (st, _), min_r, *rows in zip(new, min_abs, *fields):
             st._memo["derived"] = DerivedFields(st.grid, st.Zp, st.Zt, *rows, min_r)
-        for st, src in twins:
-            derived = src._memo["derived"]
-            st._memo["derived"] = replace(derived, Ztt=_ztt(derived.A1, 1.0 / st.Zp, (), ()))
     return [st._memo["derived"] for st in states]
+
+
+def zero_tension_twin(state, tag):
+    """The zero-surface-tension twin replace(state, sigma=0.0) of state,
+    derived.  state goes through derive_states, whose error starts with tag;
+    the twin keeps state's sigma-free fields, the same objects, and forms
+    only its own Ztt, with the ops of _derive (_ztt), so its fields are
+    those of a lone derive."""
+    (derived,) = derive_states((state,), (tag,))
+    twin = replace(state, sigma=0.0)
+    twin._memo["derived"] = replace(derived, Ztt=_ztt(derived.A1, 1.0 / state.Zp, (), ()))
+    return twin
 
 
 def _stack(rows):

@@ -17,16 +17,17 @@ always Delta(f) = f_a - f_b o htilde.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
 
 from .brackets import InverseFlowMap, MonotoneMap
 from .energies import energy_delta, energy_sigma, f_delta_norm
-from .errors import CrestwaveError, MonotonicityError
+from .errors import SOLUTION_TAGS, CrestwaveError, MonotonicityError
 from .evolution import (
     StepperConfig, WaveState, advance, cfl_bound, derive_states, drive, plan_steps,
+    zero_tension_twin,
 )
 from .initial_data import CrestSpec, crest_data, mollify_data
 from .spectral import DEFAULT_DEALIAS_FRACTION, DEFAULT_LENGTH, SpectralGrid
@@ -35,16 +36,15 @@ from .spectral import DEFAULT_DEALIAS_FRACTION, DEFAULT_LENGTH, SpectralGrid
 @dataclass(frozen=True, eq=False)
 class PairState:
     """Two solutions and the inverses k_a = h_a^{-1} and k_b = h_b^{-1} of
-    their flow maps.  What is computed from a pair is kept on it, like on a
-    WaveState: htilde and the components of its record pass, which
-    energy_delta and f_delta_norm share.  Two pairs are equal when their
-    members are, whatever each keeps; a pair is not hashable."""
+    their flow maps.  What is computed from a pair is kept in its instance
+    dict: htilde, as map_tilde, and the components of its record pass,
+    which energy_delta and f_delta_norm share.  Two pairs are equal when
+    their members are, whatever each keeps; a pair is not hashable."""
 
     state_a: WaveState
     state_b: WaveState
     k_a: InverseFlowMap
     k_b: InverseFlowMap
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __hash__ = None
 
@@ -106,20 +106,13 @@ def init_pair(state_a, state_b):
     return PairState(state_a, state_b, ident, ident)
 
 
-# what the message of an error from each solution starts with
-_TAGS = ("[solution a] ", "[solution b] ")
-
-
 def twin_pair(base):
-    """The pair at t = 0 of base and its twin replace(base, sigma=0.0), with
-    identity Lagrangian maps, derived: both members go through one
-    derive_states call, in which b shares a's arrays and so takes a's
-    sigma-free fields and forms only its own Ztt.  A member below the
-    |Z_ap| floor raises the DegenerateJacobianError of the derive, tagged
-    with its solution, a's first."""
-    pair = init_pair(base, replace(base, sigma=0.0))
-    derive_states((pair.state_a, pair.state_b), _TAGS)
-    return pair
+    """The pair at t = 0 of base and its zero-surface-tension twin
+    (evolution.zero_tension_twin), with identity Lagrangian maps, derived:
+    b keeps a's sigma-free fields and forms only its own Ztt.  base below
+    the |Z_ap| floor raises the DegenerateJacobianError of its derive,
+    tagged with solution a."""
+    return init_pair(base, zero_tension_twin(base, SOLUTION_TAGS[0]))
 
 
 def co_step(pair, cfg, dt):
@@ -134,12 +127,12 @@ def co_step(pair, cfg, dt):
     solution.
     """
     states, (deviations, jacobians) = advance(
-        (pair.state_a, pair.state_b), cfg, dt, (pair.k_a, pair.k_b), _TAGS
+        (pair.state_a, pair.state_b), cfg, dt, (pair.k_a, pair.k_b), SOLUTION_TAGS
     )
     grid = pair.state_a.grid
     maps = [
         _tagged(tag, partial(InverseFlowMap, grid, dev, jac))
-        for tag, dev, jac in zip(_TAGS, deviations, jacobians)
+        for tag, dev, jac in zip(SOLUTION_TAGS, deviations, jacobians)
     ]
     return PairState(*states, *maps)
 
@@ -213,13 +206,16 @@ def drive_pair(pair, result):
 
     dt_safety, t_final, min_steps, max_steps and record_every come from
     result.spec; dt is fixed by plan_steps from the pair's bound at the
-    start.  The steps run through evolution.drive, which appends E_delta,
-    F_delta and E_sigma of solution a to `result` at the start, every
-    record_every steps and at the end; a CrestwaveError propagates with its
-    step and time, and what was recorded before it stays in `result`.
+    start, after one derive_states of both members, whose error names its
+    solution.  The steps run through evolution.drive, which appends
+    E_delta, F_delta and E_sigma of solution a to `result` at the start,
+    every record_every steps and at the end; a CrestwaveError propagates
+    with its step and time, and what was recorded before it stays in
+    `result`.
     """
     spec = result.spec
     stepper = StepperConfig(spec.dt_safety)
+    derive_states((pair.state_a, pair.state_b), SOLUTION_TAGS)
     bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
     result.dt, n_steps = plan_steps(
         bound, spec.t_final, stepper.dt_safety, spec.min_steps, spec.max_steps

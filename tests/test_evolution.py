@@ -24,6 +24,7 @@ from crestwave.evolution import (
     rk4,
     seed_angle,
     step_rk4,
+    zero_tension_twin,
 )
 from crestwave.pair import PairRunSpec, PairState, build_pair, co_step, init_pair, twin_pair
 from crestwave.spectral import make_grid, same_bytes
@@ -224,17 +225,22 @@ SIGMA_FREE = ("b", "A1", "omega", "Ztap", "flux", "flux_ap", "min_abs_Zp")
 
 @pytest.mark.parametrize("sigma_a", [1e-2, 0.0])
 def test_a_twin_takes_the_sigma_free_fields_of_its_state(sigma_a):
-    # replace(a, sigma=0.0) shares a's arrays: it takes a's sigma-free fields
-    # and forms its own Z_tt, in either order of the call
+    # the twin of a is replace(a, sigma=0.0), which takes a's
+    # sigma-free fields and forms its own Z_tt, whether a was derived
+    # before or not
     g = make_grid(128)
     rng = np.random.default_rng(128)
     a = _rough_state(g, rng, sigma_a)
-    for order in (1, -1):
-        states = (replace(a), replace(a, sigma=0.0))
-        der_a, der_b = derive_states(states[::order])[::order]
+    for derived_before in (False, True):
+        state = replace(a)
+        if derived_before:
+            compute_derived(state)
+        twin = zero_tension_twin(state, "")
+        assert twin == replace(a, sigma=0.0)
+        der_a, der_b = compute_derived(state), compute_derived(twin)
         for name in SIGMA_FREE:
             assert getattr(der_b, name) is getattr(der_a, name), name
-        for st, der in zip(states, (der_a, der_b)):
+        for st, der in ((state, der_a), (twin, der_b)):
             lone = compute_derived(replace(st))
             for name in (f.name for f in fields(evolution.DerivedFields) if f.name != "grid"):
                 got, ref = np.asarray(getattr(der, name)), np.asarray(getattr(lone, name))
@@ -242,12 +248,14 @@ def test_a_twin_takes_the_sigma_free_fields_of_its_state(sigma_a):
 
 
 def test_states_that_are_no_twin_derive_as_before():
-    # copies of a's arrays, and a capillary state even with a's arrays,
-    # each take their own row
+    # copies of a's arrays, a capillary state with a's arrays, and
+    # replace(a, sigma=0.0) itself, which zero_tension_twin alone derives as
+    # a twin, each take their own row
     g = make_grid(128)
     rng = np.random.default_rng(129)
     a = _rough_state(g, rng, 1e-2)
-    for b in (replace(a, sigma=0.0, Zp=a.Zp.copy(), Zt=a.Zt.copy()),
+    for b in (replace(a, sigma=0.0),
+              replace(a, sigma=0.0, Zp=a.Zp.copy(), Zt=a.Zt.copy()),
               replace(a, sigma=0.0, Zt=a.Zt.copy()),
               replace(a, Zp=a.Zp.copy()),
               replace(a, sigma=3e-2)):
@@ -265,10 +273,9 @@ def test_a_degenerate_twin_fails_with_the_tag_of_its_state_first(sigma_a):
     Zp = np.ones(64, complex)
     Zp[5] = 1e-12
     a = make_state(g, np.zeros(64, complex), Zp, np.zeros(64, complex), sigma_a)
-    twin = replace(a, sigma=0.0)
     with pytest.raises(DegenerateJacobianError, match=r"^\[a\] min \|Z_ap\| = 1\.000e-12"):
-        derive_states((a, twin), prefixes=("[a] ", "[b] "))
-    assert "derived" not in a._memo and "derived" not in twin._memo
+        zero_tension_twin(a, "[a] ")
+    assert "derived" not in a._memo
     with pytest.raises(DegenerateJacobianError, match=r"^\[solution a\] min \|Z_ap\|"):
         twin_pair(a)
 

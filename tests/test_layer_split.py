@@ -17,7 +17,8 @@ _spec.loader.exec_module(layer_split)
 
 # the attributes each wrap set puts its timers in the place of
 SETUP_TARGETS = [(pair, "SpectralGrid"), (pair, "crest_data"), (pair, "mollify_data"),
-                 (pair, "derive_states"), (pair, "build_pair"), (brackets.MonotoneMap, "identity")]
+                 (pair, "zero_tension_twin"), (pair, "build_pair"),
+                 (brackets.MonotoneMap, "identity")]
 RECORD_TARGETS = [(brackets.MonotoneMap, "preimage"), (energies, "_build_blocks"),
                   (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm"),
                   (SpectralGrid, "sup_norm")]

@@ -309,6 +309,30 @@ def test_co_step_tags_a_degenerate_solution_b():
         co_step(pair, StepperConfig(), 1e-4)
 
 
+def _degenerate_b_pair():
+    g = make_grid(64)
+    Zp = np.ones(64, complex)
+    Zp[5] = 1e-12
+    st_b = make_state(g, np.zeros(64, complex), Zp, np.zeros(64, complex), 0.0)
+    return init_pair(flat_state(g, 1e-2), st_b)
+
+
+DEGENERATE_B = r"^\[solution b\] min \|Z_ap\| = 1\.000e-12 below 1e-08$"
+
+
+@pytest.mark.parametrize("family", [energy_delta, f_delta_norm])
+def test_a_record_tags_a_degenerate_solution_b(family):
+    with pytest.raises(DegenerateJacobianError, match=DEGENERATE_B):
+        family(_degenerate_b_pair())
+
+
+def test_drive_pair_tags_a_degenerate_solution_b():
+    result = PairRunResult(PairRunSpec(sigma=1e-2, epsilon=0.1, n_points=64))
+    with pytest.raises(DegenerateJacobianError, match=DEGENERATE_B):
+        drive_pair(_degenerate_b_pair(), result)
+    assert result.delta_reports == []
+
+
 def test_co_step_tags_a_post_step_failure_of_solution_b(monkeypatch):
     # a flat solution a stays exactly flat and removes no mass; b does
     monkeypatch.setattr(evolution, "HOLO_TOLERANCE", 1e-30)

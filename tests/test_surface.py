@@ -4,6 +4,7 @@ from the package or the benchmark."""
 
 import ast
 import collections
+import dataclasses
 import os
 import pathlib
 import re
@@ -304,3 +305,62 @@ def test_the_data_crest_keys_are_mapped_to_a_crest_spec_once():
     assert _functions_reading(cli, {"vel_amp_re", "vel_amp_im"}) == {
         "_crest_spec": {"vel_amp_re": 1, "vel_amp_im": 1}
     }
+
+
+def _memo_keys(tree):
+    """The keys, as source text, of each use of a _memo attribute in tree: a
+    subscript, a method call such as pop or get, or an `in` test; None for
+    any other use."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    keys = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "_memo"):
+            continue
+        up = parents[node]
+        key = None
+        if isinstance(up, ast.Subscript) and up.value is node:
+            key = ast.unparse(up.slice)
+        elif isinstance(up, ast.Attribute) and isinstance(parents[up], ast.Call):
+            key = ast.unparse(parents[up].args[0])
+        elif isinstance(up, ast.Compare) and up.comparators == [node]:
+            key = ast.unparse(up.left)
+        keys.append(key)
+    return keys
+
+
+def test_each_kept_result_has_one_owner():
+    # a state keeps its derived fields (evolution) and its energy blocks and
+    # families (energies); a pair keeps htilde and its record pass in its
+    # instance dict, and no module but evolution names the derived key
+    package = ROOT / "src" / "crestwave"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    owners = {(name, key) for name, tree in trees.items() for key in _memo_keys(tree)}
+    assert owners == {
+        ("evolution.py", "'derived'"), ("evolution.py", "'min_abs_Zp'"),
+        ("energies.py", "'energy_blocks'"), ("energies.py", "'energy_' + name"),
+    }
+    assert "_memo" not in {f.name for f in dataclasses.fields(cw.PairState)}
+    naming = {
+        name for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "derived"
+    }
+    assert naming == {"evolution.py"}
+
+
+def test_every_import_is_read():
+    # a name a module imports is read in it, or exported by __init__.py
+    unused = []
+    for path in sorted((ROOT / "src" / "crestwave").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [
+            (a.asname or a.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(cw.__all__)
+        unused += [(path.name, name) for name in imported if name not in read]
+    assert unused == []
