@@ -10,13 +10,12 @@ timers around the functions of each layer.  The set-up table runs the
 workload's own set-up SETUPS times, each building every object anew:
 
 * ``grid``           the SpectralGrid constructor that build_pair calls
-* ``crest_data``     the crest data of the spec
-* ``mollify_data``   its Poisson mollification
+* ``crest_data``     the crest data of the spec, mollified in its spectrum
 * ``identity map``   InverseFlowMap.identity, the map of init_pair
 * ``derive``         the zero_tension_twin call of twin_pair, which derives
                      solution a and gives its twin b a's sigma-free fields
                      and its own Z_tt
-* ``build_pair``     the whole pair build, the five layers above included
+* ``build_pair``     the whole pair build, the four layers above included
 * ``set-up``         the whole set-up, as the benchmark's setup phase times
                      it: build_pair, then the two cfl_bound calls, which
                      read the fields that build_pair kept
@@ -63,8 +62,7 @@ from timing import REF_S, ReferenceKernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_NAMES = ("pair_eps05", "pair_record_n2048")
-SETUP_LAYERS = ("grid", "crest_data", "mollify_data", "identity map", "derive", "build_pair",
-                "set-up")
+SETUP_LAYERS = ("grid", "crest_data", "identity map", "derive", "build_pair", "set-up")
 RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "stacked norms", "record")
 SETUPS = 200
 WARMUP = 5
@@ -123,8 +121,7 @@ class LayerTimers:
 
     def wrap_setup(self):
         for name, layer in (("SpectralGrid", "grid"), ("crest_data", "crest_data"),
-                            ("mollify_data", "mollify_data"), ("zero_tension_twin", "derive"),
-                            ("build_pair", "build_pair")):
+                            ("zero_tension_twin", "derive"), ("build_pair", "build_pair")):
             self.wrap(pair, name, partial(self.timed, layer))
         # defined on MonotoneMap, whose classmethod InverseFlowMap inherits
         self.wrap(brackets.MonotoneMap, "identity",

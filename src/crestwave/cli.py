@@ -46,7 +46,7 @@ from .evolution import (
     plan_steps,
     step_rk4,
 )
-from .initial_data import CrestSpec, crest_data, mollify_data
+from .initial_data import CrestSpec, crest_data
 from .pair import (
     PairRunResult,
     PairRunSpec,
@@ -113,9 +113,7 @@ def build_initial_state(cfg):
     if d.kind == "flat":
         state = flat_state(grid, cfg.physics.sigma)
     elif d.kind == "crest":
-        state = crest_data(_crest_spec(d), grid, sigma=cfg.physics.sigma)
-        if d.epsilon > 0:
-            state = mollify_data(state, d.epsilon)
+        state = crest_data(_crest_spec(d), grid, sigma=cfg.physics.sigma, epsilon=d.epsilon)
     else:
         try:
             state = load_checkpoint(d.checkpoint)
@@ -272,12 +270,11 @@ def cmd_sweep(cfg, outdir, args):
 
 def cmd_crest_scaling(cfg, outdir, args):
     d = cfg.data
-    # the unmollified crest of [data]; each study epsilon mollifies it
-    base = build_initial_state(replace(cfg, data=replace(d, kind="crest", epsilon=0.0)))
     eps_list = tuple(cfg.study.epsilon_list) or (0.2, 0.1, 0.05, 0.025)
     rows = []
     for eps in eps_list:
-        st = mollify_data(base, eps)
+        # the crest of [data], whatever its kind, mollified at eps
+        st = build_initial_state(replace(cfg, data=replace(d, kind="crest", epsilon=eps)))
         rows.append((eps, float(np.max(np.abs(compute_derived(st).Theta.real)))))
     slope = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
     write_csv(os.path.join(outdir, "crest_scaling.csv"), "crest-scaling",

@@ -29,7 +29,7 @@ from .evolution import (
     StepperConfig, WaveState, advance, cfl_bound, derive_states, drive, plan_steps,
     zero_tension_twin,
 )
-from .initial_data import CrestSpec, crest_data, mollify_data
+from .initial_data import CrestSpec, crest_data
 from .spectral import DEFAULT_DEALIAS_FRACTION, DEFAULT_LENGTH, SpectralGrid
 
 
@@ -192,13 +192,10 @@ class PairRunResult:
 def build_pair(spec):
     """Mollified-crest pair with identical data, sigma on solution a only,
     derived (twin_pair); the crest is the CrestSpec of spec's fields of the
-    same names."""
+    same names, mollified at spec.epsilon in crest_data's spectrum."""
     grid = SpectralGrid(spec.n_points, spec.length, spec.dealias)
     crest = CrestSpec(**{f.name: getattr(spec, f.name) for f in fields(CrestSpec)})
-    base = crest_data(crest, grid, sigma=spec.sigma)
-    if spec.epsilon != 0:
-        base = mollify_data(base, spec.epsilon)
-    return twin_pair(base)
+    return twin_pair(crest_data(crest, grid, sigma=spec.sigma, epsilon=spec.epsilon))
 
 
 def drive_pair(pair, result):

@@ -10,7 +10,9 @@ import numpy as np
 from crestwave.brackets import MonotoneMap, _require_same_grid, compose_map_apply, hcal_apply
 from crestwave.energies import _powers, _state_blocks
 from crestwave.errors import DegenerateJacobianError
-from crestwave.evolution import ABS_ZP_FLOOR, TWO_PI, _rates, compute_derived, derive_states
+from crestwave.evolution import (
+    ABS_ZP_FLOOR, TWO_PI, _rates, compute_derived, derive_states, make_state,
+)
 from crestwave.spectral import _NUFFT_BETA, _NUFFT_WIDTH
 
 
@@ -79,6 +81,28 @@ def binomial_series_scalar(mu, n_terms):
     for m in range(1, n_terms):
         a[m] = a[m - 1] * (m - 1 - mu) / m
     return a
+
+
+def crest_unmollified(spec, grid, sigma=0.0):
+    """The unmollified model crest of initial_data.crest_data, written as it
+    was before the mollifier joined its damping: the series damped by
+    exp(-delta k1 m) alone and the velocity mode undamped, Z_ap, Zdev and
+    Zbar_t brought back in one inverse transform."""
+    n, k1 = grid.n, 2.0 * np.pi / grid.length
+    delta = spec.regularization_delta
+    a_c = 0.0 if delta > 0.0 else 0.5 * grid.dx
+    n_neg = n // 2 - 1
+    m = np.arange(n_neg + 1)
+    series = (binomial_series_scalar(spec.nu - 1.0, n_neg + 1) * np.exp(-delta * k1 * m)
+              * np.exp(1j * k1 * m * a_c))
+    c = np.zeros((3, n), dtype=np.complex128)
+    c[0, 0] = series[0]
+    c[0, -n_neg:] = series[1:][::-1]
+    c[1, -n_neg:] = (series[1:] / (1j * (-k1 * m[1:])))[::-1]
+    if spec.velocity_amplitude != 0:
+        c[2, spec.velocity_mode % n] = spec.velocity_amplitude
+    Zp, Zdev, Ztbar = grid.from_coeffs(c)
+    return make_state(grid, Zdev, Zp, np.conj(Ztbar), sigma)
 
 
 # -- periodic triple bracket ---------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from crestwave import cli, pair
 from crestwave.checkpoint import load_checkpoint, save_checkpoint
-from crestwave.cli import _study_specs, main
+from crestwave.cli import _pair_spec, _study_specs, main
 from crestwave.config import parse_config
 from crestwave.errors import (
     CFLViolationError,
@@ -20,7 +20,9 @@ from crestwave.errors import (
     HolomorphicityError,
     MonotonicityError,
 )
-from crestwave.evolution import StepperConfig, cfl_bound, flat_state, seed_angle, step_rk4
+from crestwave.evolution import (
+    StepperConfig, cfl_bound, compute_derived, flat_state, seed_angle, step_rk4,
+)
 from crestwave.pair import PairState, build_pair
 from crestwave.spectral import SpectralGrid, make_grid
 
@@ -553,6 +555,21 @@ epsilon_list = 0.2, 0.1, 0.05
 
     rep = json.loads(Path(out, "crest_scaling.json").read_text())
     assert abs(rep["slope"] - (-0.35)) < 0.1 * 0.35
+
+
+def test_crest_scaling_curvature_is_that_of_the_pair_of_its_epsilon(tmp_path):
+    # crest-scaling and build_pair mollify the crest of [data] in one place
+    ini = ("[grid]\nn_points = 128\n\n[data]\nkind = flat\nnu = 0.3\ndelta = 0.02\n"
+           "vel_amp_im = 0.05\n\n[physics]\nsigma = 1e-3\n\n[study]\n"
+           "epsilon_list = 0.2, 0.05\n")
+    cfgp = _write(tmp_path, "cs.ini", ini)
+    out = tmp_path / "cs"
+    assert main(["crest-scaling", "--config", cfgp, "--out", str(out)]) == 0
+    rows = json.loads((out / "crest_scaling.json").read_text())["rows"]
+    cfg = parse_config(cfgp)
+    for eps, curvature in rows:
+        a = build_pair(_pair_spec(cfg, cfg.physics.sigma, eps)).state_a
+        assert curvature == float(np.max(np.abs(compute_derived(a).Theta.real)))
 
 
 OUTPUTS_INI = """

@@ -58,18 +58,16 @@ def stepped():
 
 def test_build_pair_transform_calls(fft_calls):
     # the benchmark's set-up: build_pair, then the bounds of a and of b.
-    # The crest's three spectra (Z_ap, Zdev, Zbar_t) come back in one
-    # inverse transform, the mollification of Zdev and conj(Z_t) is one
-    # multiplier round and Z_ap of the mollified Zdev one more; the identity
-    # maps carry their Jacobian, so no zeros are transformed.  b shares a's
-    # arrays, so the derive of both is that of a's one row (its rounds of 3
-    # and 4 rows), and the bounds read the kept fields
+    # The crest's three spectra (Z_ap, Zdev, Zbar_t), mollified, come back
+    # in one inverse transform; the identity maps carry their Jacobian, so
+    # no zeros are transformed.  b shares a's arrays, so the derive of both
+    # is that of a's one row (its rounds of 3 and 4 rows), and the bounds
+    # read the kept fields
     spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=128)
     pair = build_pair(spec)
     cfl_bound(pair.state_a)
     cfl_bound(pair.state_b)
-    assert fft_calls.rows == [("ifft", 3), ("fft", 2), ("ifft", 2), ("fft", 1), ("ifft", 1),
-                              ("fft", 3), ("ifft", 3), ("fft", 4), ("ifft", 4)]
+    assert fft_calls.rows == [("ifft", 3), ("fft", 3), ("ifft", 3), ("fft", 4), ("ifft", 4)]
 
 
 # per step: four derives of two rounds, at any sigma, and one finish

@@ -9,7 +9,7 @@ from crestwave.initial_data import CrestSpec, _binomial_series, crest_data, moll
 from crestwave.spectral import make_grid
 
 from helpers import estimate_M, positive_mode_mass
-from oracles import binomial_series_scalar
+from oracles import binomial_series_scalar, crest_unmollified
 
 
 
@@ -98,6 +98,46 @@ def test_mollify_identity_and_semigroup():
     two = mollify_data(st, 0.2)
     assert np.max(np.abs(one.Zp - two.Zp)) < 1e-12
     assert np.max(np.abs(one.Zt - two.Zt)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 768, 2048])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_crest_mollified_in_its_spectrum_is_the_mollified_crest(n, eps, delta):
+    # the mollifier damps the crest's series before its one transform
+    g = make_grid(n)
+    spec = CrestSpec(nu=0.35, regularization_delta=delta, velocity_amplitude=0.05j,
+                     velocity_mode=-3)
+    fused = crest_data(spec, g, sigma=1e-2, epsilon=eps)
+    ref = mollify_data(crest_data(spec, g, sigma=1e-2), eps)
+    for name in ("Zdev", "Zp", "Zt"):
+        field, expect = getattr(fused, name), getattr(ref, name)
+        assert np.max(np.abs(field - expect)) <= 1e-12 * np.max(np.abs(expect)), name
+    # Z_ap comes from its own series, not as 1 + D of a rounded Zdev, so its
+    # positive modes are those of one transform round trip alone
+    assert positive_mode_mass(g, fused.Zp - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [64, 768])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_crest_of_zero_epsilon_keeps_the_unmollified_bytes(n, delta):
+    g = make_grid(n)
+    spec = CrestSpec(nu=0.35, regularization_delta=delta, velocity_amplitude=0.03 - 0.02j,
+                     velocity_mode=-2)
+    ref = crest_unmollified(spec, g, sigma=1e-3)
+    for st in (crest_data(spec, g, sigma=1e-3), crest_data(spec, g, sigma=1e-3, epsilon=0.0)):
+        for name in ("Zdev", "Zp", "Zt"):
+            assert getattr(st, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("eps, message", [
+    (-0.05, "mollification scale must be >= 0"),
+    (float("nan"), "mollification scale must be >= 0"),
+    (float("inf"), "mollification scale must be finite"),
+])
+def test_crest_data_refuses_a_bad_scale(eps, message):
+    with pytest.raises(ValueError, match=message):
+        crest_data(CrestSpec(nu=0.35), make_grid(64), epsilon=eps)
 
 
 @pytest.mark.parametrize("eps", [-0.05, float("nan")])
