@@ -3,13 +3,7 @@ coordinates, weighted energy functionals, and a two-solution co-evolution
 harness for the zero-surface-tension limit."""
 
 from . import pair
-from .brackets import (
-    InverseFlowMap,
-    MonotoneMap,
-    commutator_bracket,
-    compose_map_apply,
-    hcal_apply,
-)
+from .brackets import InverseFlowMap, MonotoneMap
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
 from .energies import (
@@ -39,7 +33,7 @@ from .evolution import (
     make_state,
     step_rk4,
 )
-from .initial_data import CrestSpec, crest_data, mollify_data
+from .initial_data import CrestSpec, crest_data
 from .pair import (
     PairRunSpec,
     PairState,
@@ -54,13 +48,13 @@ __all__ = [
     # spectral
     "SpectralGrid", "make_grid",
     # brackets
-    "MonotoneMap", "InverseFlowMap", "compose_map_apply", "commutator_bracket", "hcal_apply",
+    "MonotoneMap", "InverseFlowMap",
     # evolution
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",
     "compute_derived", "derive_states", "cfl_bound", "step_rk4",
     # energies and initial data
     "EnergyReport", "energy_sigma", "energy_high", "energy_aux", "energy_delta", "f_delta_norm",
-    "CrestSpec", "crest_data", "mollify_data",
+    "CrestSpec", "crest_data",
     # pair
     "pair", "PairState", "PairRunSpec", "init_pair", "co_step", "run_pair_once",
     "run_convergence_study",

@@ -1,10 +1,12 @@
-"""Commutators, monotone maps and composed Hilbert operators.
+"""Monotone reparametrization maps.
 
 Maps compose through MonotoneMap.preimage: h^{-1} o g is the point x with
-h(x) = g(a).  The quadrature oracles that certify these operators (triple
-brackets, line-window oracles, singular quadrature of the composed Hilbert
-operator), its Jacobian-free variant Htilcal and composition by pull-back
-live in tests/oracles.py.
+h(x) = g(a).  No run applies the paper's operators on maps, so they live in
+tests/oracles.py: the pull-back U f = f o h (compose_map_apply), the
+commutator [f, H] d_a g (commutator_bracket), the composed Hilbert
+transform U H U^{-1} (hcal_apply) and its Jacobian-free variant Htilcal,
+beside the quadrature oracles that certify them (triple brackets,
+line-window oracles, singular quadrature of the composed Hilbert operator).
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .spectral import SpectralGrid, _require_finite, same_bytes
 JACOBIAN_FLOOR = 1e-6
 # Newton steps of MonotoneMap.preimage at most; maps with |h_ap - 1| = 0.99 took six
 NEWTON_CAP = 8
-
-
-# -- monotone reparametrization maps ---------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +78,15 @@ class MonotoneMap:
     def values(self):
         return self.grid.nodes + self.deviation
 
-    def preimage(self, y, fields=None):
-        """The points x with h(x) = y for real targets y, by Newton until
-        h(x) - y is at rounding level; raises MonotonicityError, naming the
-        largest residual, when NEWTON_CAP steps do not get there.
-
-        With fields, a sequence of real fields on the grid, it returns x
-        and pull, where pull(points) is interpolate(fields, points) bit for
-        bit: the fields are spread in one stack with the map's own two
-        rows, and pull at points of the values of x takes the kernel
-        weights of the solve's last check."""
+    def preimage(self, y, fields=()):
+        """x and pull: the points x with h(x) = y for real targets y, by
+        Newton until h(x) - y is at rounding level, and pull(points), which
+        is interpolate(fields, points) bit for bit for fields, a sequence of
+        real fields on the grid.  The fields are spread in one stack with
+        the map's own two rows, and pull at points of the values of x takes
+        the kernel weights of the solve's last check.  Raises
+        MonotonicityError, naming the largest residual, when NEWTON_CAP
+        steps do not get there."""
         grid = self.grid
         L, nodes, h = grid.length, grid.nodes, self.values
         y = np.asarray(y, dtype=np.float64)
@@ -97,7 +95,7 @@ class MonotoneMap:
         shift = L * np.floor(y / L)
         x = shift + np.interp(y - shift, np.concatenate((h - L, h, h + L)),
                               np.concatenate((nodes - L, nodes, nodes + L)))
-        rows = [self.deviation, self.jac, *(() if fields is None else fields)]
+        rows = [self.deviation, self.jac, *fields]
         gather = grid.spread(np.array(rows))
         for steps in range(NEWTON_CAP + 1):
             # the deviation at x, and the Jacobian only for a step
@@ -115,8 +113,6 @@ class MonotoneMap:
                 )
             (h_ap,) = gather(x, kernel, slice(1, 2))
             x = x - res / h_ap
-        if fields is None:
-            return x
 
         def pull(points):
             return gather(points, kernel if np.array_equal(points, x) else None, slice(2, None))
@@ -147,43 +143,3 @@ class InverseFlowMap(MonotoneMap):
 def _require_floor(h_min):
     if h_min < JACOBIAN_FLOOR:
         raise MonotonicityError(f"min h_ap = {h_min:.3e} below floor {JACOBIAN_FLOOR:.0e}")
-
-
-def compose_map_apply(grid, f, map_):
-    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points.
-
-    f may be one field or an (m, n) stack of fields, all real or all
-    complex; a stack is spread once and row r of the result is U_h f[r].
-    """
-    _require_same_grid(grid, map_)
-    return grid.interpolate(f, map_.values)
-
-
-def _require_same_grid(grid, map_):
-    if map_.grid != grid:
-        raise ValueError("the field and the map live on different grids")
-
-
-# -- commutator ----------------------------------------------------------------
-
-
-def commutator_bracket(grid, f, g):
-    """[f, H] d_a g = f H(g') - H(f g') with spectral derivative and H."""
-    gp = grid.deriv(g)
-    return f * grid.hilbert(gp) - grid.hilbert(f * gp)
-
-
-# -- composed Hilbert operators ------------------------------------------------
-
-
-def hcal_apply(grid, f, map_):
-    """Composed Hilbert transform through the exact conjugation identity.
-
-    With U f = f o h, the kernel form with the h' (Jacobian) factor inside
-    satisfies Hcal U = U H, hence Hcal = U H U^{-1}; this turns the singular
-    integral into interpolation plus the FFT Hilbert transform.  U^{-1} f
-    is f at the preimages of the grid nodes.
-    """
-    _require_same_grid(grid, map_)
-    pulled = grid.interpolate(f, map_.preimage(grid.nodes))
-    return compose_map_apply(grid, grid.hilbert(pulled), map_)

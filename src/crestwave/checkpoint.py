@@ -54,9 +54,10 @@ def save_checkpoint(path, state):
 def load_checkpoint(path):
     """State stored by save_checkpoint; raises ValueError on a file that is
     not a checkpoint, is cut short or has trailing bytes, on a header that
-    is not a JSON object with version 1 or 2 (an integer) and numeric grid,
-    sigma and time fields, on fields that make_state rejects and on a
-    version 1 angle block that is not the branch of its Z_ap."""
+    does not decode, too deeply nested ones included, or is not a JSON
+    object with version 1 or 2 (an integer) and numeric grid, sigma and
+    time fields, on fields that make_state rejects and on a version 1 angle
+    block that is not the branch of its Z_ap."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != MAGIC:
@@ -66,7 +67,10 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack_from("<I", data, 8)
     if 12 + hlen > len(data):
         raise ValueError(f"checkpoint header of {hlen} bytes runs past the end of the file")
-    header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("checkpoint header nests too deeply to decode") from None
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
     version = header.get("version")

@@ -126,9 +126,10 @@ def parse_config(path, env=None):
     errors = []
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        # a repeated section or key, or no section header; on one line
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a repeated section or key, no section header or bytes that are
+        # not UTF-8; on one line
         reason = str(exc).replace("\n", " ")
         raise ConfigError([f"cannot parse config file {path!r}: {reason}"]) from None
     if not read:

@@ -592,7 +592,10 @@ def drive(x, step, cfg, dt, n_steps, record, record_every):
     the last x; record(x) runs at the start, after every record_every-th
     step and after the last.  Each step and each record runs inside
     errors.at, so a CrestwaveError of a step names the step and the time it
-    started from, and one of a record names the record and its time."""
+    started from, and one of a record names the record and its time.  A
+    record_every below 1 raises ValueError before the first record."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
 
     def recorded(x):
         with at(f"record at t = {x.time:.6g}"):

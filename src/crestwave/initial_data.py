@@ -1,4 +1,4 @@
-"""Model angled-crest initial data and its Poisson mollification.
+"""Model angled-crest initial data, Poisson-mollified in its spectrum.
 
 The crest model is
 
@@ -16,7 +16,8 @@ On these k <= 0 spectra the Poisson multiplier exp(-eps |k|) is the same
 geometric damping, so crest_data mollifies its crest in the series: the
 mollified crest is the model crest with its branch point raised from
 height delta to delta + eps, and its velocity mode damped by
-exp(-eps |k|).  mollify_data mollifies an arbitrary state.
+exp(-eps |k|).  mollify_data, the mollifier of an arbitrary state, is
+applied only by tests and lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ def crest_data(spec, grid, sigma=0.0, epsilon=0.0):
     """WaveState with one model crest and a single-mode holomorphic velocity,
     Poisson-mollified at scale epsilon: the spectra are damped by
     exp(-epsilon |k|) before their one inverse transform, so the state
-    agrees with mollify_data(crest_data(spec, grid, sigma), epsilon) to
-    rounding and Z_ap has no positive modes beyond those of the transform.
+    agrees to rounding with mollify_data(crest_data(spec, grid, sigma),
+    epsilon) of tests/oracles.py, and Z_ap has no positive modes beyond
+    those of the transform.
 
     With delta = 0 the crest is shifted to a mid-cell location so that no
     collocation node lands on the singular point, whatever epsilon.
@@ -108,13 +110,3 @@ def _check_scale(eps):
         raise ValueError(f"mollification scale must be >= 0, got {eps}")
     if eps == np.inf:
         raise ValueError("mollification scale must be finite, got inf")
-
-
-def mollify_data(state, eps):
-    """Poisson mollification of (Z, Z_t) at scale eps; Z_ap is recomputed
-    spectrally from the mollified Z so holomorphicity is preserved."""
-    _check_scale(eps)
-    grid = state.grid
-    Zdev, Ztbar = grid.poisson_smooth(np.array([state.Zdev, np.conj(state.Zt)]), eps)
-    Zp = 1.0 + grid.deriv(Zdev)
-    return make_state(grid, Zdev, Zp, np.conj(Ztbar), state.sigma, state.time)

@@ -70,11 +70,12 @@ class PairState:
 
     def _pull_back(self, fields):
         """htilde, kept as map_tilde, and fields, real rows on the grid,
-        pulled back through it: compose_map_apply of their stack, bit for
-        bit.  The fields ride along the Newton solve that builds htilde, one
-        spread of both, and their gather at the values of htilde, which are
-        those of the solve's last check, takes its kernel weights; a pair
-        that already keeps htilde solves it again and keeps its own."""
+        pulled back through it: compose_map_apply of their stack in
+        tests/oracles.py, bit for bit.  The fields ride along the Newton
+        solve that builds htilde, one spread of both, and their gather at
+        the values of htilde, which are those of the solve's last check,
+        takes its kernel weights; a pair that already keeps htilde solves it
+        again and keeps its own."""
         grid, k_a, k_b = self.k_a.grid, self.k_a, self.k_b
 
         def build():

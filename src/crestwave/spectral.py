@@ -6,18 +6,13 @@ Fourier lattice k = (2*pi/length) * {-n/2+1, ..., n/2}:
 
 * derivative         (i k)^m, Nyquist zeroed for odd m
 * Hilbert transform  -sgn(k), with sgn(0) = 0 and the Nyquist mode zeroed
-* projections        P_H keeps k < 0, halves k = 0, kills k > 0 (Nyquist
-                     counts as positive); P_A is the complement
-* Poisson smoothing  exp(-eps |k|)
 * dealias filter     zero |k| above a fixed fraction of k_max
 
 "Holomorphic" throughout means extendable to the lower half plane, i.e.
-Fourier support in k <= 0 on the periodic lattice.
-
-Convention note: with sgn(0) = 0 the projections coincide with
-(I +- H)/2 on every mode except the Nyquist mode, where idempotence and
-exact complementarity are kept instead (H zeroes that mode).  Dealiased
-fields never see the difference.
+Fourier support in k <= 0 on the periodic lattice.  The projections
+P_H/P_A, the Poisson mollifier exp(-eps |k|), the filter as an operator on
+a field and the grid max norm are applied only by tests, so they live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -173,14 +168,14 @@ class SpectralGrid:
 
     def symbol_table(self, kinds):
         """(len(kinds), n) table whose row r is the symbol named kinds[r],
-        'deriv' (first derivative), 'hilbert', 'proj_h' and 'proj_a' (P_H
-        and P_A), 'deriv_hplus' (D (I + H), the symbol i k (1 - sgn k), 0
-        at Nyquist), 'dealias', or 'dealias_deriv', 'dealias_deriv2',
-        'dealias_deriv3' (dealias times 'deriv' to the power 1, 2, 3, so 0
-        at Nyquist); built once for a tuple of kinds and all grids equal to
-        this one, so a run that builds a new grid for each pair builds each
-        table once.  Each symbol is defined once, by _symbol, and the
-        operators below multiply by rows of these tables."""
+        'deriv' (first derivative), 'hilbert', 'deriv_hplus' (D (I + H),
+        the symbol i k (1 - sgn k), 0 at Nyquist), 'dealias', or
+        'dealias_deriv', 'dealias_deriv2', 'dealias_deriv3' (dealias times
+        'deriv' to the power 1, 2, 3, so 0 at Nyquist); built once for a
+        tuple of kinds and all grids equal to this one, so a run that builds
+        a new grid for each pair builds each table once.  Each symbol is
+        defined once, by _symbol, and the operators below multiply by rows
+        of these tables."""
         return _symbol_table(self, kinds)
 
     def deriv(self, f):
@@ -191,26 +186,6 @@ class SpectralGrid:
         """Hilbert transform: multiplier -sgn(k), sgn(0) = 0."""
         return self.multiply_symbol(f, _symbol_table(self, ("hilbert",))[0])
 
-    def project(self, f, side):
-        """Holomorphic ('H', support k <= 0) or antiholomorphic ('A') part."""
-        if side not in ("H", "A"):
-            raise ValueError(f"side must be 'H' or 'A', got {side!r}")
-        return self.multiply_symbol(f, _symbol_table(self, ("proj_" + side.lower(),))[0])
-
-    def poisson_smooth(self, f, eps):
-        """Poisson mollification, i.e. the multiplier exp(-eps |k|)."""
-        # written so that a NaN width fails too
-        if not eps >= 0.0:
-            raise ValueError(f"Poisson smoothing width must be >= 0, got {eps}")
-        if eps == np.inf:
-            raise ValueError("Poisson smoothing width must be finite, got inf")
-        if eps == 0.0:
-            return np.asarray(f, dtype=np.complex128).copy()
-        return self.multiply_symbol(f, np.exp(-eps * np.abs(self.k)))
-
-    def dealias(self, f):
-        return self.multiply_symbol(f, _symbol_table(self, ("dealias",))[0])
-
     # -- norms ----------------------------------------------------------
 
     def l2_norm(self, f):
@@ -219,9 +194,6 @@ class SpectralGrid:
         a single-field call."""
         norm = np.sqrt(self.dx * (np.abs(f) ** 2).sum(axis=-1))
         return float(norm) if norm.ndim == 0 else norm
-
-    def linf_norm(self, f):
-        return float(np.max(np.abs(f)))
 
     def sup_norm(self, f):
         """Supremum of |f| for the trigonometric interpolant of f.
@@ -544,9 +516,6 @@ def _symbol(grid, kind):
         return np.where(k_int == half, 0.0, 1j * grid.k)
     if kind == "hilbert":
         return (-np.where(k_int == half, 0.0, np.sign(k_int))).astype(np.complex128)
-    if kind in ("proj_h", "proj_a"):
-        mask_h = np.where(k_int < 0, 1.0, np.where(k_int == 0, 0.5, 0.0))
-        return (mask_h if kind == "proj_h" else 1.0 - mask_h).astype(np.complex128)
     if kind == "dealias":
         cutoff = int(np.floor(grid.dealias_fraction * half))
         return (np.abs(k_int) <= cutoff).astype(np.complex128)

@@ -1,22 +1,64 @@
 """Direct quadrature and summation oracles that certify the package's
 operators: O(N^2) sums, line-window quadratures, independent routes to
 derived quantities and the named difference fields of a pair, none of which
-the solver calls."""
+the solver calls; and the paper's operators that no run applies (the
+projections, the Poisson mollifier, the commutator and the composed Hilbert
+transform), which the acceptance criteria certify."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from crestwave.brackets import MonotoneMap, _require_same_grid, compose_map_apply, hcal_apply
+from crestwave.brackets import MonotoneMap
 from crestwave.energies import _powers, _state_blocks
 from crestwave.errors import DegenerateJacobianError
 from crestwave.evolution import (
     ABS_ZP_FLOOR, TWO_PI, _rates, compute_derived, derive_states, make_state,
 )
+from crestwave.initial_data import _check_scale
 from crestwave.spectral import _NUFFT_BETA, _NUFFT_WIDTH
 
 
 # -- spectral ------------------------------------------------------------------
+
+
+def project(grid, f, side):
+    """Holomorphic ('H', support k <= 0) or antiholomorphic ('A') part.
+
+    P_H keeps k < 0, halves k = 0 and kills k > 0 (Nyquist counts as
+    positive); P_A is the complement.  With sgn(0) = 0 the projections
+    coincide with (I +- H)/2 on every mode except the Nyquist mode, where
+    idempotence and exact complementarity are kept instead (H zeroes that
+    mode).  Dealiased fields never see the difference.
+    """
+    if side not in ("H", "A"):
+        raise ValueError(f"side must be 'H' or 'A', got {side!r}")
+    k_int = grid.k_int
+    mask_h = np.where(k_int < 0, 1.0, np.where(k_int == 0, 0.5, 0.0))
+    mask = mask_h if side == "H" else 1.0 - mask_h
+    return grid.multiply_symbol(f, mask.astype(np.complex128))
+
+
+def dealias(grid, f):
+    """The grid's dealias filter, its 'dealias' symbol, applied to f."""
+    return grid.multiply_symbol(f, grid.symbol_table(("dealias",))[0])
+
+
+def linf_norm(grid, f):
+    """The largest |f| at the grid nodes."""
+    return float(np.max(np.abs(f)))
+
+
+def poisson_smooth(grid, f, eps):
+    """Poisson mollification, i.e. the multiplier exp(-eps |k|)."""
+    # written so that a NaN width fails too
+    if not eps >= 0.0:
+        raise ValueError(f"Poisson smoothing width must be >= 0, got {eps}")
+    if eps == np.inf:
+        raise ValueError("Poisson smoothing width must be finite, got inf")
+    if eps == 0.0:
+        return np.asarray(f, dtype=np.complex128).copy()
+    return grid.multiply_symbol(f, np.exp(-eps * np.abs(grid.k)))
 
 
 def hhalf_double_sum(grid, f):
@@ -103,6 +145,16 @@ def crest_unmollified(spec, grid, sigma=0.0):
         c[2, spec.velocity_mode % n] = spec.velocity_amplitude
     Zp, Zdev, Ztbar = grid.from_coeffs(c)
     return make_state(grid, Zdev, Zp, np.conj(Ztbar), sigma)
+
+
+def mollify_data(state, eps):
+    """Poisson mollification of (Z, Z_t) at scale eps; Z_ap is recomputed
+    spectrally from the mollified Z so holomorphicity is preserved."""
+    _check_scale(eps)
+    grid = state.grid
+    Zdev, Ztbar = poisson_smooth(grid, np.array([state.Zdev, np.conj(state.Zt)]), eps)
+    Zp = 1.0 + grid.deriv(Zdev)
+    return make_state(grid, Zdev, Zp, np.conj(Ztbar), state.sigma, state.time)
 
 
 # -- periodic triple bracket ---------------------------------------------------
@@ -221,7 +273,42 @@ def _center_diff(f, h):
     return out
 
 
-# -- composed Hilbert operator ---------------------------------------------------
+# -- maps, the commutator and the composed Hilbert operator ---------------------
+
+
+def compose_map_apply(grid, f, map_):
+    """(U_h f)(a) = f(h(a)) by trigonometric interpolation at the map points.
+
+    f may be one field or an (m, n) stack of fields, all real or all
+    complex; a stack is spread once and row r of the result is U_h f[r].
+    """
+    _require_same_grid(grid, map_)
+    return grid.interpolate(f, map_.values)
+
+
+def _require_same_grid(grid, map_):
+    if map_.grid != grid:
+        raise ValueError("the field and the map live on different grids")
+
+
+def commutator_bracket(grid, f, g):
+    """[f, H] d_a g = f H(g') - H(f g') with spectral derivative and H."""
+    gp = grid.deriv(g)
+    return f * grid.hilbert(gp) - grid.hilbert(f * gp)
+
+
+def hcal_apply(grid, f, map_):
+    """Composed Hilbert transform through the exact conjugation identity.
+
+    With U f = f o h, the kernel form with the h' (Jacobian) factor inside
+    satisfies Hcal U = U H, hence Hcal = U H U^{-1}; this turns the singular
+    integral into interpolation plus the FFT Hilbert transform.  U^{-1} f
+    is f at the preimages of the grid nodes.
+    """
+    _require_same_grid(grid, map_)
+    pulled = grid.interpolate(f, map_.preimage(grid.nodes)[0])
+    return compose_map_apply(grid, grid.hilbert(pulled), map_)
+
 
 
 def hcal_quadrature_oracle(grid, f, map_):
@@ -331,7 +418,7 @@ def finish_unfused(grid, rows):
     FFT pairs per row: the dealias of each block, then the removal of
     the k > 0 modes of Z_ap - 1 and of Zbar_t, with the L2 mass each loses
     measured on its own spectrum."""
-    out = [grid.dealias(f) for f in rows]
+    out = [dealias(grid, f) for f in rows]
     keep = grid.k_int <= 0
     mass = []
     for r, f in ((1, out[1] - 1.0), (2, np.conj(out[2]))):
@@ -373,11 +460,11 @@ def blocks_chained(state):
     inv = dealias(1 / Z_ap,band), d_j = D d_(j-1); Ztb1 = dealias(D conj
     Z_t), Ztb_j = D Ztb_(j-1); each derivative a transform of its own."""
     grid = state.grid
-    Zp_band = 1.0 + grid.dealias(state.Zp - 1.0)
-    inv = grid.dealias(1.0 / Zp_band)
+    Zp_band = 1.0 + dealias(grid, state.Zp - 1.0)
+    inv = dealias(grid, 1.0 / Zp_band)
     d1 = grid.deriv(inv)
     d2 = grid.deriv(d1)
-    Ztb1 = grid.dealias(grid.deriv(np.conj(state.Zt)))
+    Ztb1 = dealias(grid, grid.deriv(np.conj(state.Zt)))
     Ztb2 = grid.deriv(Ztb1)
     omega = Zp_band / np.abs(Zp_band)
     q = omega * d1
@@ -438,7 +525,7 @@ def inverse_map(m):
     """The inverse of the map m as a MonotoneMap: the preimages of the grid
     nodes."""
     nodes = m.grid.nodes
-    return MonotoneMap(m.grid, m.preimage(nodes) - nodes)
+    return MonotoneMap(m.grid, m.preimage(nodes)[0] - nodes)
 
 
 def map_at(map_, x):

@@ -236,12 +236,16 @@ def test_validate_config_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("text", [
-    "[grid]\nn_points = 64\n\n[grid]\nlength = 3.0\n",
-    "[grid]\nn_points = 64\nn_points = 32\n",
-    "n_points = 64\n",
-], ids=["repeated_section", "repeated_key", "no_section_header"])
+    b"[grid]\nn_points = 64\n\n[grid]\nlength = 3.0\n",
+    b"[grid]\nn_points = 64\nn_points = 32\n",
+    b"n_points = 64\n",
+    # byte 0xff starts no UTF-8 sequence
+    b"[grid]\nn_points = 64 ; \xff\n",
+], ids=["repeated_section", "repeated_key", "no_section_header", "not_utf8"])
 def test_unparsable_config_is_a_config_error(tmp_path, capsys, text):
-    path = _write(tmp_path, "broken.ini", text)
+    path = tmp_path / "broken.ini"
+    path.write_bytes(text)
+    path = str(path)
     with pytest.raises(ConfigError, match="broken.ini"):
         parse_config(path)
     assert main(["validate-config", "--config", path]) == 2
@@ -415,6 +419,22 @@ def test_unloadable_checkpoint_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"config error: data.checkpoint {str(junk)!r}: "
         "not a crestwave checkpoint (magic b'junk')\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "pair"])
+def test_checkpoint_header_nested_too_deeply_is_a_config_error(tmp_path, capsys, command):
+    # json.loads recurses once per bracket, so this header used to end the
+    # command with a RecursionError traceback
+    deep = tmp_path / "deep.ckpt"
+    blob = b"[" * 200000
+    deep.write_bytes(b"CWCHKPT1" + struct.pack("<I", len(blob)) + blob)
+    ini = FLAT_INI + f"\n[data]\nkind = checkpoint\ncheckpoint = {deep}\n"
+    cfgp = _write(tmp_path, "deep.ini", ini)
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: data.checkpoint {str(deep)!r}: "
+        "checkpoint header nests too deeply to decode\n"
     )
 
 

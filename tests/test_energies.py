@@ -30,10 +30,12 @@ from crestwave.spectral import make_grid
 from helpers import random_real_field, random_smooth_state, refine_state, rolled_pair, rolled_state
 from oracles import (
     blocks_chained,
+    dealias,
     energy_aux_terms,
     energy_delta_terms,
     energy_sigma_terms,
     f_delta_norm_terms,
+    linf_norm,
     weighted_norm,
 )
 
@@ -61,8 +63,8 @@ def test_wspace_product_inequality():
     g = make_grid(128)
     st = random_smooth_state(g, rng, amp=0.2)
     for _ in range(50):
-        w1 = g.dealias(random_real_field(g, rng, 5, 0.8) + 1j * random_real_field(g, rng, 5, 0.8))
-        w2 = g.dealias(random_real_field(g, rng, 5, 0.8) + 1j * random_real_field(g, rng, 5, 0.8))
+        w1 = dealias(g, random_real_field(g, rng, 5, 0.8) + 1j * random_real_field(g, rng, 5, 0.8))
+        w2 = dealias(g, random_real_field(g, rng, 5, 0.8) + 1j * random_real_field(g, rng, 5, 0.8))
         lhs = weighted_norm(st, w1 * w2, "Wspace")
         rhs = weighted_norm(st, w1, "Wspace") * weighted_norm(st, w2, "Wspace")
         assert lhs <= rhs * (1 + 1e-9)
@@ -74,9 +76,9 @@ def test_linfty_hhalf_weighted_interpolation():
     g = make_grid(256)
     ratios = []
     for _ in range(60):
-        f = g.dealias(random_real_field(g, rng, 8, 1.0) + 1j * random_real_field(g, rng, 8, 1.0))
+        f = dealias(g, random_real_field(g, rng, 8, 1.0) + 1j * random_real_field(g, rng, 8, 1.0))
         w = 1.0 + 0.6 * np.sin(g.nodes + rng.uniform(0, TWO_PI))
-        num = g.linf_norm(f) ** 2
+        num = linf_norm(g, f) ** 2
         den = g.l2_norm(f / w) * g.l2_norm(w * g.deriv(f))
         if den > 1e-14:
             ratios.append(num / den)

@@ -41,6 +41,7 @@ from helpers import (
 from oracles import (
     continue_angle,
     curvature_geometric,
+    dealias,
     derived_unbatched,
     inverse_map,
     rhs_eulerian,
@@ -577,7 +578,7 @@ def transport_map(k, b_field, dt):
         return -b_field * (1.0 + g.deriv(y).real)
 
     dev = rk4(k.deviation, rate, dt, rate(k.deviation))
-    return MonotoneMap(g, g.dealias(dev).real)
+    return MonotoneMap(g, dealias(g, dev).real)
 
 
 def _sine_flow_maps(dt, n_steps):

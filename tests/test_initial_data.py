@@ -5,11 +5,11 @@ from hypothesis import strategies as hst
 
 from crestwave.errors import HolomorphicityError
 from crestwave.evolution import compute_derived
-from crestwave.initial_data import CrestSpec, _binomial_series, crest_data, mollify_data
+from crestwave.initial_data import CrestSpec, _binomial_series, crest_data
 from crestwave.spectral import make_grid
 
 from helpers import estimate_M, positive_mode_mass
-from oracles import binomial_series_scalar, crest_unmollified
+from oracles import binomial_series_scalar, crest_unmollified, mollify_data
 
 
 

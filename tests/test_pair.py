@@ -5,12 +5,7 @@ from hypothesis import strategies as hst
 from dataclasses import fields, replace
 
 from crestwave import brackets, evolution
-from crestwave.brackets import (
-    InverseFlowMap,
-    MonotoneMap,
-    commutator_bracket,
-    compose_map_apply,
-)
+from crestwave.brackets import InverseFlowMap, MonotoneMap
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
 from crestwave.evolution import (
@@ -38,8 +33,11 @@ from crestwave.spectral import make_grid
 from helpers import folding_maps, random_monotone_map, random_smooth_state
 from oracles import (
     SELECTORS,
+    commutator_bracket,
+    compose_map_apply,
     compose_maps,
     continue_angle,
+    dealias,
     delta_field,
     htilcal_apply,
     inverse_map,
@@ -85,8 +83,8 @@ def test_delta_product_rule_exact():
     # use low-degree fields so products stay fully resolved
     fa, ga = st_a.Zp, 1.0 / st_a.Zp
     fb, gb = st_b.Zp, 1.0 / st_b.Zp
-    fb = g.dealias(fb)
-    gb = g.dealias(gb)
+    fb = dealias(g, fb)
+    gb = dealias(g, gb)
     U = lambda f: g.interpolate(f, pair.map_tilde.values)
     d = lambda xa, xb: xa - U(xb)
     lhs = d(fa * ga, fb * gb)
@@ -206,7 +204,7 @@ def test_htilde_is_built_once_by_a_record(monkeypatch):
     solved = []
     preimage = MonotoneMap.preimage
 
-    def counted(self, y, fields=None):
+    def counted(self, y, fields=()):
         solved.append((self, y, fields))
         return preimage(self, y, fields)
 
@@ -256,7 +254,7 @@ def test_htilde_of_folding_maps_matches_the_route_through_the_inverse_of_k_b():
     with pytest.raises(MonotonicityError):
         compose_maps(inverse_b, k_a)
     oracle = k_a.values + compose_map_apply(g, inverse_b.deviation, k_a)
-    assert np.max(np.abs(k_b.preimage(k_a.values) - oracle)) <= 1e-13
+    assert np.max(np.abs(k_b.preimage(k_a.values)[0] - oracle)) <= 1e-13
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -482,6 +480,16 @@ def test_run_pair_once_refuses_a_t_final_that_is_not_positive(t_final):
     # -0.05 used to run backward to ok=True, 0.0 to raise ZeroDivisionError
     spec = PairRunSpec(sigma=1e-3, epsilon=0.5, n_points=64, t_final=t_final, min_steps=4)
     with pytest.raises(ValueError, match="t_final must be finite and positive"):
+        run_pair_once(spec)
+
+
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_run_pair_once_refuses_a_record_every_below_one(record_every):
+    # 0 used to raise ZeroDivisionError after the first step, which ended a
+    # sweep, and -1 to record after every step
+    spec = PairRunSpec(sigma=1e-3, epsilon=0.5, n_points=64, t_final=0.05, min_steps=4,
+                       record_every=record_every)
+    with pytest.raises(ValueError, match=f"^record_every must be >= 1, got {record_every}$"):
         run_pair_once(spec)
 
 

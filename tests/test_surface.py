@@ -74,17 +74,8 @@ def test_star_import_binds_every_export_once():
 
 # functions no run, CLI command or benchmark workload reaches, kept anyway
 UNREACHED_ALLOWED = {
-    "commutator_bracket": "paper operator, certified by acceptance criterion 8",
-    "hcal_apply": "paper operator, certified by acceptance criterion 8",
-    "compose_map_apply": "paper operator f o h, certified by acceptance criterion 8",
-    "_require_same_grid": "the grid check of compose_map_apply and hcal_apply",
-    "project": "paper operator (P_H, P_A), certified by acceptance criterion 8",
-    "dealias": "the filter as an operator for acceptance criterion 8; a step applies its symbol",
-    "linf_norm": "paper norm, certified by acceptance criterion 8",
     "a1_route_gap": "A1 route-gap column a run's health report is to carry",
     "theta_route_gap": "Theta route-gap column a run's health report is to carry",
-    "mollify_data": "state mollifier, certified by acceptance criteria 7, 9, 10",
-    "poisson_smooth": "paper operator, the multiplier of mollify_data; acceptance criterion 1",
 }
 
 
@@ -103,8 +94,8 @@ def _function_reads(node, fields):
     """How often each function name is read in node, by the way a read can
     reach a function: ("name", x) a loaded name x, ("attr", x) any
     attribute x, and ("call", x) an attribute x that is no field name (an
-    annotated class attribute) or is called, as grid.dealias(f) is and
-    spec.dealias is not."""
+    annotated class attribute) or is called, as grid.deriv(f) is and the
+    field spec.dealias is not."""
     called = {id(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
     reads = collections.Counter()
     for sub in ast.walk(node):
