@@ -31,7 +31,10 @@ those derived fields and energy_sigma of solution a.
 * ``pull-back``      the gather of the fields of b at the values of htilde,
                      the pull that preimage returns with htilde
 * ``blocks``         energies._build_blocks
-* ``stacked norms``  the l2_norm, hhalf_norm and sup_norm calls of the grid
+* ``powers``         the powers of Z_ap of the families, the calls of the
+                     functions that energies._powers returns
+* ``sup norm``       the sup_norm calls of the grid
+* ``l2 + hhalf``     the l2_norm and hhalf_norm calls of the grid
 * ``record``         the whole record
 
 It prints each layer's median time per set-up or per record, raw and scaled
@@ -63,7 +66,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_NAMES = ("pair_eps05", "pair_record_n2048")
 SETUP_LAYERS = ("grid", "crest_data", "identity map", "derive", "build_pair", "set-up")
-RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "stacked norms", "record")
+RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "powers", "sup norm", "l2 + hhalf",
+                 "record")
 SETUPS = 200
 WARMUP = 5
 RECORD_REPEATS = 5
@@ -140,8 +144,12 @@ class LayerTimers:
 
         self.wrap(brackets.MonotoneMap, "preimage", timed_preimage)
         self.wrap(energies, "_build_blocks", partial(self.timed, "blocks"))
-        for name in ("l2_norm", "hhalf_norm", "sup_norm"):
-            self.wrap(SpectralGrid, name, partial(self.timed, "stacked norms"))
+        # the powers are formed where the function _powers returns is called
+        self.wrap(energies, "_powers",
+                  lambda powers: lambda B: self.timed("powers", powers(B)))
+        self.wrap(SpectralGrid, "sup_norm", partial(self.timed, "sup norm"))
+        for name in ("l2_norm", "hhalf_norm"):
+            self.wrap(SpectralGrid, name, partial(self.timed, "l2 + hhalf"))
 
     def remove(self):
         for owner, name, original in reversed(self._undo):

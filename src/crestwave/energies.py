@@ -13,13 +13,15 @@
 Each family is a table of terms (column name, norm, field builder) in the
 order of its components, which the CSV header reads too; totals are sums of
 the components.  The two pair families come from one record pass per pair,
-kept on the PairState.  Fractional powers of Z_ap use the continuous branch
-of log Z_ap on the band, whose angle is seed_angle of Z_ap,band.
+kept on the PairState.  Half-integer powers of Z_ap use the continuous
+branch of log Z_ap on the band, whose angle is seed_angle of Z_ap,band.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,16 +106,31 @@ def _build_blocks(states):
 
 
 def _powers(B):
-    """p -> Z_ap^p on the band, through the continuous branch of log Z_ap;
-    each power is computed once and kept in the blocks."""
-    log_Zp, kept = B["log_Zp"], B["powers"]
+    """p -> Z_ap^p on the band for p a multiple of 1/2 (_power), each
+    computed once and kept in the blocks."""
+    return partial(_power, B["powers"], B["log_Zp"])
 
-    def power(p):
-        if p not in kept:
-            kept[p] = np.exp(p * log_Zp)
-        return kept[p]
 
-    return power
+def _power(kept, log_Zp, p):
+    """Z_ap^p, kept in kept: Z_ap^(1/2) through the continuous branch log_Zp
+    of log Z_ap, the one exp, Z_ap^(-1/2) its reciprocal, Z_ap^(+-1) the
+    square of Z_ap^(+-1/2), and every other power the product of Z_ap^(+-1)
+    and the power one nearer 0.  A p that is not a multiple of 1/2 raises
+    ValueError."""
+    if p not in kept:
+        if 2 * p != round(2 * p):
+            raise ValueError(f"Z_ap^p is formed for multiples of 1/2 only, got p = {p}")
+        if p == 0.5:
+            kept[p] = np.exp(0.5 * log_Zp)
+        elif p == -0.5:
+            kept[p] = 1.0 / _power(kept, log_Zp, 0.5)
+        elif abs(p) == 1.0:
+            half = _power(kept, log_Zp, 0.5 * p)
+            kept[p] = half * half
+        else:
+            unit = math.copysign(1.0, p)
+            kept[p] = _power(kept, log_Zp, unit) * _power(kept, log_Zp, p - unit)
+    return kept[p]
 
 
 # a term is w * (sum of the norms kinds of its field) ** power, w the sigma

@@ -40,9 +40,10 @@ _NUFFT_QUAD_NODES = 100
 _NUFFT_CHEB_DEGREE = 14
 # sup_norm: refinement of its seed grid, most peaks polished per row, and
 # Newton steps at most.  On white noise over the full band |k| < n/2, a 4x
-# grid with 4 steps is within 8.0e-16 of a 64x Newton-polished oracle (120
-# fields, half of them real, for each n in 64, 256, 768, 2048); 3 steps
-# leave up to 2.2e-12, and a 2x grid misses peaks (4.6e-2 off at n = 256)
+# grid with 4 steps from the parabola vertex is within 7.7e-16 of a 64x
+# Newton-polished oracle (120 fields, half of them real, for each n in 64,
+# 256, 768, 2048); 3 steps give the same, 2 steps leave up to 8.9e-13, and
+# a 2x grid misses peaks (3.3e-2 off at n = 2048)
 _SUP_OVERSAMPLE = 4
 _SUP_SEEDS = 8
 _SUP_NEWTON_STEPS = 4
@@ -74,10 +75,18 @@ def _fft(a, out=None):
     return _pocketfft.fft(a, 1, out=out)
 
 
-def _ifft(a, out=None):
+def _ifft(a, out=None, by_row=False):
+    """by_row gives the scale as one factor per row, which makes pocketfft
+    transform the rows of a stack one at a time rather than in pairs, with
+    the same bits and a scratch of one row instead of buffers of four: at
+    the 8192 points of the sup-norm seed grid of n = 2048, 131 KB instead
+    of 524 KB beside the 131 KB plan.  Buffers that large, taken and freed
+    by each record, made glibc trim the heap, and the next step faulted
+    its arrays in anew."""
     if out is None:
         out = np.empty(a.shape, dtype=np.complex128)
-    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
+    scale = 1.0 / a.shape[-1]
+    return _pocketfft.ifft(a, np.full(a.shape[:-1], scale) if by_row else scale, out=out)
 
 
 def _rfft(a):
@@ -191,17 +200,24 @@ class SpectralGrid:
     def l2_norm(self, f):
         """L2 norm.  f may also be an (m, n) stack; the result is then an
         array of the m row norms from one reduction, each bit-identical to
-        a single-field call."""
-        norm = np.sqrt(self.dx * (np.abs(f) ** 2).sum(axis=-1))
+        a single-field call.  |f|^2 is summed in one einsum as the squares
+        of the float64 view of f as complex rows, the real and imaginary
+        part of each value in turn, so a real field gives the bits of its
+        complex cast."""
+        v = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
+        norm = np.sqrt(self.dx * np.einsum("...i,...i->...", v, v))
         return float(norm) if norm.ndim == 0 else norm
 
     def sup_norm(self, f):
         """Supremum of |f| for the trigonometric interpolant of f.
 
         The grid max undershoots the true peak by O((k dx)^2).  Here the
-        peak is seeded on a grid _SUP_OVERSAMPLE times finer (_sup_seeds)
-        and polished by at most _SUP_NEWTON_STEPS Newton steps on |f|^2,
-        making the value insensitive to the collocation offset.  The polish evaluates
+        peak is seeded on a grid _SUP_OVERSAMPLE times finer (_sup_seeds),
+        the modulus of one zero-padded inverse transform of the complex
+        coefficients, and polished by at most _SUP_NEWTON_STEPS Newton steps
+        on |f|^2, starting at the vertex of the parabola through the seed's
+        node and its two neighbours on the seed grid, making the value
+        insensitive to the collocation offset.  The polish evaluates
         f, f' and f'' at its points by direct Fourier sums, with the Nyquist
         coefficient paired with cos(k_nyq x).  The sums run about each
         point's seed node, whose phases come from an exactly reduced
@@ -210,9 +226,11 @@ class SpectralGrid:
         phases exp(i k y) of the offset y from the node are products of a
         coarse and a fine table, exp(i k_qB y) exp(i k_r y) for k = k_(qB +
         r), formed with real arithmetic, so that each point takes about
-        sqrt(n) complex exponentials, not n / 2.  A seed at which Newton
-        takes no step (a flat or constant field) keeps its value as
-        computed on the seed grid.
+        sqrt(n) complex exponentials, not n / 2.  A seed that starts at its
+        node and at which Newton takes no step (the seed of a row without a
+        local maximum on the seed grid, such as a constant field) keeps its
+        seed-grid value; every other point takes the value of its last
+        evaluation.
 
         f may also be an (m, n) stack; the result is then an array of the m
         row values, each bit-identical to a single-field call.  The stack
@@ -224,7 +242,7 @@ class SpectralGrid:
         f = np.asarray(f)
         rows = f.reshape(-1, self.n)
         c = self.coeffs(rows)
-        row, seed, seed_mag = self._sup_seeds(c)
+        row, seed, seed_mag, shift = self._sup_seeds(c)
         n2 = _SUP_OVERSAMPLE * self.n
         i_ny = self.nyquist_index
         # each point's coefficients turned to its seed node s h by the phases
@@ -285,14 +303,15 @@ class SpectralGrid:
             np.multiply(weights[2], b, out=x[:, 1, :, 2])
             return coefs @ x.reshape(y.size, 2 * width, 3)
 
-        # a point steps while |f|^2 is concave there and the rise u1^2 / 2|u2|
-        # that Newton predicts for the step is above 1e-17 |f|^2, a change of
-        # |f| far below an ulp; the value of a point is that of its last
-        # evaluation, which is at its last y whichever way the loop ends.
-        # The steps of the few points are taken on Python floats, whose
-        # operations round as numpy's do
-        y = [0.0] * seed.size
-        moved = [False] * seed.size
+        # a point starts at its seed's parabola vertex and steps while |f|^2
+        # is concave there and the rise u1^2 / 2|u2| that Newton predicts for
+        # the step is above 1e-17 |f|^2, a change of |f| far below an ulp;
+        # the value of a point that starts off its node or steps is that of
+        # its last evaluation, which is at its last y whichever way the loop
+        # ends.  The steps of the few points are taken on Python floats,
+        # whose operations round as numpy's do
+        y = (shift * (self.length / n2)).tolist()
+        moved = [start != 0.0 for start in y]
         for _ in range(_SUP_NEWTON_STEPS):
             sums = values(np.array(y))
             stepped = False
@@ -314,53 +333,51 @@ class SpectralGrid:
 
     def _sup_seeds(self, c):
         """The seeds of sup_norm for the rows of coefficients c: the row, the
-        seed-grid node and |f| there of each seed.  The half spectra of the
-        real and imaginary parts of each row, (c_k + conj c_-k) / 2 and (c_k
-        - conj c_-k) / 2i, are refined by one _refine of all rows, and |f|
-        on the seed grid (spacing h) is sqrt(re^2 + im^2).  Every local
-        maximum within the Bernstein bound (k_nyq h)^2 / 8 of the row's
-        largest value is a seed (the highest _SUP_SEEDS of them)."""
+        seed-grid node, |f| there and the start of the polish of each seed,
+        as an offset from its node in units of the seed-grid spacing h.  |f|
+        on the seed grid is the modulus of one _refine of the full spectra
+        of all rows.  Every local maximum within the Bernstein bound (k_nyq
+        h)^2 / 8 of the row's largest value is a seed (the highest
+        _SUP_SEEDS of them), and starts at the vertex of the parabola
+        through |f| at its node and its two neighbours."""
         n2, i_ny = _SUP_OVERSAMPLE * self.n, self.nyquist_index
         floor = 1.0 - (self.k[i_ny] * self.length / n2) ** 2 / 8.0
-        # c_-k for k = 0..n/2: c_0, then c_(n-1) down to c_(n/2)
-        pos, neg = c[:, : i_ny + 1], np.empty((len(c), i_ny + 1), dtype=np.complex128)
-        neg[:, 0], neg[:, 1:] = c[:, 0], c[:, : i_ny - 1 : -1]
-        np.conj(neg, out=neg)
-        spec = np.empty((2,) + neg.shape, dtype=np.complex128)
-        np.add(pos, neg, out=spec[0])
-        np.multiply(np.subtract(pos, neg, out=spec[1]), -1j, out=spec[1])
-        spec *= 0.5 * _SUP_OVERSAMPLE * self.n
-        parts = self._refine(spec, _SUP_OVERSAMPLE)
-        parts *= parts
-        mags = np.add(parts[0], parts[1], out=parts[0])
-        np.sqrt(mags, out=mags)
+        mags = np.abs(self._refine(c * n2, _SUP_OVERSAMPLE))
         # a seed node within h/2 of the true peak is below it by at most
         # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'');
         # only the nodes above that floor are tested for a local maximum
         row, node = np.nonzero(mags >= mags.max(axis=1, keepdims=True) * floor)
-        top = mags[row, node]
-        peak = (top >= mags[row, node - 1]) & (top > mags[row, (node + 1) % n2])
+        top, left, right = mags[row, node], mags[row, node - 1], mags[row, (node + 1) % n2]
+        peak = (top >= left) & (top > right)
+        # at a local maximum the parabola's curvature left - 2 top + right is
+        # negative, and its vertex lies within h/2 of the node
+        left, right = left[peak], right[peak]
+        shift = 0.5 * (left - right) / (left - 2.0 * top[peak] + right)
         # a row without a local maximum (a constant field) is seeded at its
-        # largest value
+        # largest value, and starts at that node
         seeded = np.zeros(len(mags), dtype=bool)
         seeded[row[peak]] = True
         flat = np.flatnonzero(~seeded)
         row = np.concatenate([row[peak], flat])
         node = np.concatenate([node[peak], mags[flat].argmax(axis=1)])
+        shift = np.concatenate([shift, np.zeros(flat.size)])
         top = mags[row, node]
         # the highest _SUP_SEEDS of each row
         order = np.lexsort((-top, row))
-        row, node, top = row[order], node[order], top[order]
+        row, node, top, shift = row[order], node[order], top[order], shift[order]
         keep = np.arange(row.size) - np.searchsorted(row, row) < _SUP_SEEDS
-        return row[keep], node[keep], top[keep]
+        return row[keep], node[keep], top[keep], shift[keep]
 
     def hhalf_norm(self, f):
         """Homogeneous H^{1/2} seminorm, computed on the Fourier side.  f
         may also be an (m, n) stack, real or complex rows; the result is
         then an array of the m row values from one coefficient transform,
-        each bit-identical to a single-field call."""
-        c = self.coeffs(f)
-        norm = np.sqrt(self.length * np.sum(np.abs(self.k) * np.abs(c) ** 2, axis=-1))
+        each bit-identical to a single-field call.  The squares of the
+        float64 view of the coefficients, |k| weighting both parts of each,
+        are summed in one einsum."""
+        v = self.coeffs(f).view(np.float64)
+        v *= v
+        norm = np.sqrt(self.length * np.einsum("...i,i->...", v, np.repeat(np.abs(self.k), 2)))
         return float(norm) if np.ndim(f) == 1 else norm
 
     # -- interpolation ----------------------------------------------------
@@ -471,17 +488,28 @@ class SpectralGrid:
         return gather
 
     def _refine(self, spec, factor, out=None):
-        """Values on a grid factor times finer of the real trigonometric
-        interpolants whose half spectra (modes k = 0..n/2, along the last
-        axis) are spec / factor, in the scaling of rfft; weights multiplied
-        into spec, such as the deconvolution of spread, scale the modes.
-        The Nyquist mode of spec is halved in place, which pairs it with
-        cos(k_nyq x), and one irfft of length factor n zero-pads the
-        spectrum.  The only zero-padding of a spectrum in this module: the
-        NUFFT spread and the sup-norm seeds both go through it.  The values
-        are written into out when given."""
-        spec[..., self.n // 2] *= 0.5
-        return _irfft(spec, factor * self.n, out)
+        """Values on a grid factor times finer of the trigonometric
+        interpolants whose spectra, in the scaling of the forward transform
+        along the last axis, are spec / factor: half spectra (modes k =
+        0..n/2) of real rows, through one irfft of length factor n, or full
+        spectra (n modes in fft layout) of complex rows, through one ifft of
+        length factor n that takes the rows one at a time (_ifft by_row).
+        Weights multiplied into spec, such as the deconvolution of spread,
+        scale the modes.  The Nyquist mode is
+        halved (in place in a half spectrum, and on both sides of the
+        padded full spectrum), which pairs it with cos(k_nyq x).  The only
+        zero-padding of a spectrum in this module: the NUFFT spread and the
+        sup-norm seeds both go through it.  The values are written into out
+        when given."""
+        half = self.n // 2
+        if spec.shape[-1] == half + 1:
+            spec[..., half] *= 0.5
+            return _irfft(spec, factor * self.n, out)
+        padded = np.zeros(spec.shape[:-1] + (factor * self.n,), dtype=np.complex128)
+        padded[..., :half] = spec[..., :half]
+        padded[..., 1 - half :] = spec[..., half + 1 :]
+        padded[..., half] = padded[..., -half] = 0.5 * spec[..., half]
+        return _ifft(padded, out=padded if out is None else out, by_row=True)
 
     # -- misc -------------------------------------------------------------
 

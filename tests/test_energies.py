@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 from crestwave.cli import write_reports_csv
 from crestwave.energies import (
     EnergyReport,
+    _powers,
     _state_blocks,
     energy_aux,
     energy_delta,
@@ -166,6 +167,29 @@ def test_block_ladders_match_the_chain_of_first_derivatives(n, fraction):
             assert gap <= 8 * eps * k_cut ** j * f_sup, (name, gap)
         gap = np.max(np.abs(blocks["Theta"] - ref["Theta"])) / np.max(np.abs(ref["Theta"]))
         assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("epsilon, n", [(0.05, 768), (0.02, 1024)])
+def test_powers_of_z_ap_stay_within_16_ulps_of_their_exponential(epsilon, n):
+    # the crest of the pair_eps05 set-up, and the eps = 0.02, n = 1024
+    # member whose grid does not resolve its data.  Every family reads its
+    # powers of a state's Z_ap from the state's blocks, which keep each one
+    # formed: one exp for Z_ap^(1/2), the others products
+    spec = PairRunSpec(sigma=epsilon ** 1.5, epsilon=epsilon, velocity_amplitude=0.05j,
+                       n_points=n)
+    pair = build_pair(spec)
+    a = pair.state_a
+    energy_delta(pair)
+    energy_high(a)
+    energy_aux(a)
+    (B,) = _state_blocks(a)
+    assert sorted(B["powers"]) == [-3.5, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.5]
+    for p, power in B["powers"].items():
+        exact = np.exp(p * B["log_Zp"])
+        assert np.max(np.abs(power - exact) / np.abs(exact)) <= 16 * np.finfo(float).eps, p
+    for p in (1 / 3, 0.25, -1.75):
+        with pytest.raises(ValueError, match="multiples of 1/2"):
+            _powers(B)(p)
 
 
 def test_sigma_energy_monotone_in_sigma():

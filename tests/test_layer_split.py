@@ -19,8 +19,8 @@ _spec.loader.exec_module(layer_split)
 SETUP_TARGETS = [(pair, "SpectralGrid"), (pair, "crest_data"), (pair, "zero_tension_twin"),
                  (pair, "build_pair"), (brackets.MonotoneMap, "identity")]
 RECORD_TARGETS = [(brackets.MonotoneMap, "preimage"), (energies, "_build_blocks"),
-                  (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm"),
-                  (SpectralGrid, "sup_norm")]
+                  (energies, "_powers"), (SpectralGrid, "sup_norm"),
+                  (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm")]
 
 
 def _split_once(timers, wrap, targets, layers, run):

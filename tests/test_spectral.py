@@ -1,10 +1,16 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import HolomorphicityError
 from crestwave import evolution, spectral
+from crestwave.pair import co_step
 from crestwave.spectral import TWO_PI, make_grid, same_bytes
 
 from helpers import (
@@ -470,13 +476,15 @@ def test_stacked_evaluator_rows_are_bit_identical_to_interpolate(n):
 
 
 def _dense_sup_oracle(g, f, oversample=64, newton_steps=6):
-    """max |f| of the trigonometric interpolant: every local maximum of |f|
-    on a grid `oversample` times finer (spacing h) within the Bernstein
-    bound (k_nyq h)^2 / 8 of the grid's largest value, each polished by
-    Newton on |f|^2 with every value, first and second derivative taken by
-    direct Fourier sums about its node, and the largest polished value.
-    Polishing only the grid's argmax can polish the lower of two nearly
-    equal peaks.
+    """max |f| of the trigonometric interpolant, whose Nyquist coefficient
+    is paired with cos(k_nyq x), half of it at +k_nyq and half at -k_nyq:
+    every strict local maximum of |f| on a grid `oversample` times finer
+    (spacing h) within the Bernstein bound (k_nyq h)^2 / 8 of the grid's
+    largest value, each polished by Newton on |f|^2 with every value, first
+    and second derivative taken by direct Fourier sums about its node, and
+    the largest polished value; a field without a strict local maximum on
+    that grid (a constant) gives the grid's largest value.  Polishing only
+    the grid's argmax can polish the lower of two nearly equal peaks.
 
     The sums see only the offset y from the node j L / n2: the coefficients
     are first turned by exp(2 pi i (k j mod n2) / n2), whose integer phase
@@ -484,20 +492,26 @@ def _dense_sup_oracle(g, f, oversample=64, newton_steps=6):
     formed at the point itself round by about eps k x per mode, which on
     white noise over the full band at n = 2048 moves |f| by up to 1.4e-13
     relative (against a long-double evaluation)."""
-    n2 = oversample * g.n
+    n2, half = oversample * g.n, g.n // 2
     c = np.fft.fft(f) / g.n
+    k_int = np.append(g.k_int, -half)
+    c = np.append(c, 0.5 * c[half])
+    c[half] *= 0.5
+    k = (2 * np.pi / g.length) * k_int
     cp = np.zeros(n2, dtype=complex)
-    cp[g.k_int % n2] = c  # the fields below carry no Nyquist content
+    cp[k_int % n2] = c
     mag = np.abs(np.fft.ifft(cp) * n2)
-    floor = mag.max() * (1.0 - (g.k[g.nyquist_index] * g.length / n2) ** 2 / 8.0)
-    nodes = np.flatnonzero((mag >= floor) & (mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1)))
-    c = c * np.exp(2j * np.pi * ((g.k_int * nodes[:, None]) % n2) / n2)
+    floor = mag.max() * (1.0 - (g.k[half] * g.length / n2) ** 2 / 8.0)
+    nodes = np.flatnonzero((mag >= floor) & (mag >= np.roll(mag, 1)) & (mag > np.roll(mag, -1)))
+    if nodes.size == 0:
+        return mag.max()
+    c = c * np.exp(2j * np.pi * ((k_int * nodes[:, None]) % n2) / n2)
     y = np.zeros((len(nodes), 1))
     for _ in range(newton_steps):
-        terms = c * np.exp(1j * g.k * y)
-        v, vp, vpp = terms.sum(1), (1j * g.k * terms).sum(1), (-g.k * g.k * terms).sum(1)
+        terms = c * np.exp(1j * k * y)
+        v, vp, vpp = terms.sum(1), (1j * k * terms).sum(1), (-k * k * terms).sum(1)
         y -= ((np.conj(v) * vp).real / (abs(vp) ** 2 + (np.conj(v) * vpp).real))[:, None]
-    return np.abs((c * np.exp(1j * g.k * y)).sum(1)).max()
+    return np.abs((c * np.exp(1j * k * y)).sum(1)).max()
 
 
 @pytest.mark.parametrize("n", [64, 256, 768, 2048])
@@ -536,6 +550,81 @@ def test_dense_sup_oracle_polishes_every_near_top_peak():
     exact = _dense_sup_oracle(g, f)
     assert abs(exact - 88.684415) <= 1e-6
     assert abs(g.sup_norm(f) - exact) <= 1e-13 * exact
+
+
+def _benchmark_workloads():
+    """The WORKLOADS of benchmarks/workloads.py, which the tests only read;
+    its dataclasses need the module in sys.modules."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    if spec.name not in sys.modules:
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[spec.name].WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["pair_eps05", "pair_record_n2048"])
+def test_record_sup_norms_of_the_benchmark_pairs_match_dense_oracle(name, monkeypatch):
+    # the one L-infinity stack of each of the first three seed-0 records of
+    # the benchmark's pair set-ups: at t = 0 two rows are zero or at the
+    # rounding level (b is a's twin), and the rows carry Nyquist content
+    workload = _benchmark_workloads()[name]
+    stacks = []
+    sup_norm = spectral.SpectralGrid.sup_norm
+
+    def kept(self, f):
+        stacks.append((self, np.array(f), sup_norm(self, f)))
+        return stacks[-1][2]
+
+    monkeypatch.setattr(spectral.SpectralGrid, "sup_norm", kept)
+
+    def record(p):
+        energy_delta(p)
+        f_delta_norm(p)
+        energy_sigma(p.state_a)
+
+    pair, cfg, dt, _ = workload.setup(0)
+    evolution.drive(pair, co_step, cfg, dt, 2 * workload.record_every, record,
+                    workload.record_every)
+    assert [stack.shape for _, stack, _ in stacks] == 3 * [(5, workload.n)]
+    for g, stack, sups in stacks:
+        for f, sup in zip(stack, sups):
+            exact = _dense_sup_oracle(g, f)
+            assert abs(sup - exact) <= 1e-13 * exact
+
+
+def test_sup_norm_seed_started_off_its_node_takes_an_evaluated_value(monkeypatch):
+    # |f| peaks between two seed nodes; with no Newton step the seed's
+    # point stays at the vertex of the parabola through |f| at its node and
+    # its neighbours, and its value is |f| evaluated there, above every
+    # seed-grid value
+    monkeypatch.setattr(spectral, "_SUP_NEWTON_STEPS", 0)
+    g = make_grid(64)
+    h = g.length / (spectral._SUP_OVERSAMPLE * g.n)
+    x0 = 37.3 * h
+
+    def mag(x):
+        return np.abs(1.0 + 0.5 * np.exp(1j * (x - x0)))
+
+    seed_grid = mag(h * np.arange(spectral._SUP_OVERSAMPLE * g.n))
+    left, top, right = seed_grid[36:39]
+    vertex = h * (37 + 0.5 * (left - right) / (left - 2.0 * top + right))
+    assert seed_grid.argmax() == 37 and abs(vertex - x0) < 0.01 * h
+    sup = g.sup_norm(1.0 + 0.5 * np.exp(1j * (g.nodes - x0)))
+    assert sup > seed_grid.max() + 1e-7
+    assert abs(sup - mag(vertex)) <= 1e-14
+    # with the Newton steps, the peak itself
+    monkeypatch.undo()
+    assert abs(g.sup_norm(1.0 + 0.5 * np.exp(1j * (g.nodes - x0))) - 1.5) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(5, 8192), (5, 3072), (2, 64), (1, 256)])
+def test_ifft_row_by_row_gives_the_bits_of_the_paired_rows(shape):
+    # the seed grids of sup_norm go through the row-by-row path of pocketfft
+    rng = np.random.default_rng(shape[-1])
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert spectral._ifft(a, by_row=True).tobytes() == spectral._ifft(a).tobytes()
+    assert spectral._ifft(a, by_row=True).tobytes() == np.fft.ifft(a).tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 768, 2048])
@@ -589,6 +678,8 @@ def test_stacked_l2_norm_rows_are_bit_identical_to_single_calls(n):
         for f, norm in zip(rows, norms):
             assert norm.tobytes() == np.float64(g.l2_norm(f)).tobytes()
     assert isinstance(g.l2_norm(stack[0]), float)
+    # a real row gives the bits of its complex cast, as in a mixed stack
+    assert g.l2_norm(stack[0].real) == g.l2_norm(stack[0].real + 0j)
 
 
 # the finish of an RK4 step, evolution._finish: one FFT pair of stacked rows
