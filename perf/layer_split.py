@@ -1,4 +1,5 @@
-"""Where a pair set-up's and a pair record's time go, layer by layer.
+"""Where a pair set-up's, a pair record's and a step's time go, layer by
+layer.
 
 Run from the repository root:
 
@@ -37,14 +38,30 @@ those derived fields and energy_sigma of solution a.
 * ``l2 + hhalf``     the l2_norm and hhalf_norm calls of the grid
 * ``record``         the whole record
 
-It prints each layer's median time per set-up or per record, raw and scaled
-to REF_S by the reference kernel of benchmarks/timing.py, timed before and
-after each.  crestwave is imported from src/; benchmarks/ is only read.
+The step table takes the steps of a seed-0 run, step_rk4 of
+dispersion_n256 (n = 256) and co_step of pair_eps05 (n = 768), from its
+own set-up: WARMUP steps untimed, then STEP_CHUNKS runs of STEP_CHUNK steps.
+
+* ``stage-1 derive``    the derive_states call of evolution.advance, which
+                        derives the state or pair the step starts from
+* ``later stages``      the three right-hand-side calls of evolution.rk4
+* ``finish``            evolution._finish
+* ``post-step guards``  from the end of the finish to the end of the step:
+                        the post-step checks of advance, the new states
+                        and, for a pair, the new maps with their check
+* ``step``              the whole step
+
+It prints each layer's median time per set-up, record or step, raw and
+scaled to REF_S by the reference kernel of benchmarks/timing.py, timed
+before and after each run, and the minor page faults per set-up, record
+or step (resource.getrusage, the runs alone).  crestwave is imported from
+src/; benchmarks/ is only read.
 """
 
 from __future__ import annotations
 
 import platform
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -58,7 +75,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import crestwave as cw  # noqa: E402
-from crestwave import brackets, energies, pair  # noqa: E402
+from crestwave import brackets, energies, evolution, pair  # noqa: E402
 from crestwave.evolution import drive  # noqa: E402
 from crestwave.spectral import SpectralGrid  # noqa: E402
 from timing import REF_S, ReferenceKernel  # noqa: E402
@@ -68,9 +85,13 @@ WORKLOAD_NAMES = ("pair_eps05", "pair_record_n2048")
 SETUP_LAYERS = ("grid", "crest_data", "identity map", "derive", "build_pair", "set-up")
 RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "powers", "sup norm", "l2 + hhalf",
                  "record")
+STEP_LAYERS = ("stage-1 derive", "later stages", "finish", "post-step guards", "step")
+STEP_WORKLOADS = (("dispersion_n256", "step_rk4"), ("pair_eps05", "co_step"))
 SETUPS = 200
 WARMUP = 5
 RECORD_REPEATS = 5
+STEP_CHUNK = 20
+STEP_CHUNKS = 15
 
 
 def record_pairs(workload):
@@ -79,6 +100,21 @@ def record_pairs(workload):
     start, cfg, dt, n_steps = workload.setup(0)
     drive(start, cw.co_step, cfg, dt, n_steps, pairs.append, workload.record_every)
     return pairs
+
+
+def step_runs(workload, step, timers):
+    """STEP_CHUNKS runs of STEP_CHUNK steps each of the workload's seed-0
+    run, by timers.step, after WARMUP steps by step alone."""
+    x, cfg, dt, _ = workload.setup(0)
+    for _ in range(WARMUP):
+        x = step(x, cfg, dt)
+    current = [x]
+
+    def run():
+        for _ in range(STEP_CHUNK):
+            current[0] = timers.step(step, current[0], cfg, dt)
+
+    return (run for _ in range(STEP_CHUNKS))
 
 
 def fresh(p):
@@ -101,8 +137,12 @@ class LayerTimers:
     reset.  A wrap target that no longer exists raises KeyError."""
 
     def __init__(self):
-        self.spent = dict.fromkeys(SETUP_LAYERS + RECORD_LAYERS, 0.0)
+        self.spent = dict.fromkeys(SETUP_LAYERS + RECORD_LAYERS + STEP_LAYERS, 0.0)
         self._undo = []
+        # whether the step that timers.step runs has not yet derived, and
+        # when its finish ended
+        self._stage_one = False
+        self._finish_end = 0.0
 
     def timed(self, layer, function):
         spent = self.spent
@@ -151,6 +191,45 @@ class LayerTimers:
         for name in ("l2_norm", "hhalf_norm"):
             self.wrap(SpectralGrid, name, partial(self.timed, "l2 + hhalf"))
 
+    def wrap_step(self):
+        def stage_one(derive_states):
+            timed = self.timed("stage-1 derive", derive_states)
+
+            def derive(*args, **kwargs):
+                # the first derive of a step is advance's own
+                if self._stage_one:
+                    self._stage_one = False
+                    return timed(*args, **kwargs)
+                return derive_states(*args, **kwargs)
+
+            return derive
+
+        def later_stages(rk4):
+            return lambda y0, rhs, dt, k1: rk4(y0, self.timed("later stages", rhs), dt, k1)
+
+        def finish(_finish):
+            timed = self.timed("finish", _finish)
+
+            def wrapper(*args):
+                try:
+                    return timed(*args)
+                finally:
+                    self._finish_end = time.perf_counter()
+
+            return wrapper
+
+        self.wrap(evolution, "derive_states", stage_one)
+        self.wrap(evolution, "rk4", later_stages)
+        self.wrap(evolution, "_finish", finish)
+
+    def step(self, step, x, cfg, dt):
+        """step(x, cfg, dt), the time from the end of its finish to its end
+        added to "post-step guards"."""
+        self._stage_one = True
+        x = step(x, cfg, dt)
+        self.spent["post-step guards"] += time.perf_counter() - self._finish_end
+        return x
+
     def remove(self):
         for owner, name, original in reversed(self._undo):
             setattr(owner, name, original)
@@ -161,46 +240,54 @@ class LayerTimers:
             self.spent[layer] = 0.0
 
 
-def split(runs, layers, kernel, timers):
-    """{layer: (raw, scaled) medians in ms} over the calls of runs, each
-    timed whole as layers[-1] and scaled by the kernel timed before and
-    after it."""
+def split(runs, layers, kernel, timers, per=1):
+    """({layer: (raw, scaled) medians in ms}, minor faults) over the calls of
+    runs, each of per units (set-ups, records or steps) and timed whole as
+    layers[-1]; the times are per unit and scaled by the kernel timed
+    before and after each call, and the faults are the mean per unit."""
     raw = {layer: [] for layer in layers}
     scaled = {layer: [] for layer in layers}
+    faults = calls = 0
     before = kernel()
     for run in runs:
         timers.reset()
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         run()
         timers.spent[layers[-1]] = time.perf_counter() - t0
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        calls += 1
         after = kernel()
-        scale = REF_S / (0.5 * (before + after))
+        scale = REF_S / (0.5 * (before + after)) / per
         before = after
         for layer in layers:
-            raw[layer].append(timers.spent[layer])
+            raw[layer].append(timers.spent[layer] / per)
             scaled[layer].append(timers.spent[layer] * scale)
-    return {layer: (1e3 * np.median(raw[layer]), 1e3 * np.median(scaled[layer]))
-            for layer in layers}
+    medians = {layer: (1e3 * np.median(raw[layer]), 1e3 * np.median(scaled[layer]))
+               for layer in layers}
+    return medians, faults / (calls * per)
 
 
-def table(name, wrap, runs, layers, kernel, timers):
+def table(name, wrap, runs, layers, kernel, timers, per=1):
     """Print the rows of split(runs, layers, ...) with wrap's timers on."""
     wrap()
     try:
-        medians = split(runs, layers, kernel, timers)
+        medians, faults = split(runs, layers, kernel, timers, per)
     finally:
         timers.remove()
     for layer, (raw_ms, scaled_ms) in medians.items():
-        print(f"{name:<20}{layer:<16}{raw_ms:9.3f}{scaled_ms:11.3f}")
+        print(f"{name:<20}{layer:<18}{raw_ms:9.4f}{scaled_ms:11.4f}")
+    print(f"{name:<20}{'minor faults':<18}{faults:9.1f}")
 
 
 def main():
     kernel = ReferenceKernel()
     timers = LayerTimers()
     print(f"python {platform.python_version()}, numpy {np.__version__}, {SETUPS} set-ups "
-          f"and {RECORD_REPEATS} repeats of every record of each workload; ms per set-up "
-          f"or per record, raw and scaled to a reference kernel time of {1e3 * REF_S:.2f} ms")
-    print(f"{'workload':<20}{'layer':<16}{'raw ms':>9}{'scaled ms':>11}")
+          f"and {RECORD_REPEATS} repeats of every record of each pair workload, "
+          f"{STEP_CHUNKS * STEP_CHUNK} steps of each step workload; ms per set-up, record or "
+          f"step, raw and scaled to a reference kernel time of {1e3 * REF_S:.2f} ms")
+    print(f"{'workload':<20}{'layer':<18}{'raw ms':>9}{'scaled ms':>11}")
     for name in WORKLOAD_NAMES:
         workload = WORKLOADS[name]
         for _ in range(WARMUP):
@@ -212,6 +299,9 @@ def main():
             record(fresh(p))
         records = (partial(record, fresh(p)) for _ in range(RECORD_REPEATS) for p in pairs)
         table(name, timers.wrap_record, records, RECORD_LAYERS, kernel, timers)
+    for name, step in STEP_WORKLOADS:
+        runs = step_runs(WORKLOADS[name], getattr(cw, step), timers)
+        table(name, timers.wrap_step, runs, STEP_LAYERS, kernel, timers, STEP_CHUNK)
 
 
 if __name__ == "__main__":

@@ -276,7 +276,7 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     # consistency exact instead of only up to aliasing
     stack = np.empty((3 * m + n_cap, n), dtype=np.complex128)
     flux, Ztbar_ap, prod = stack[:m], stack[m : 2 * m], stack[2 * m : 3 * m]
-    np.subtract(Zt, b * Zp, out=flux)
+    np.subtract(Zt, np.multiply(b, Zp, out=flux), out=flux)
     np.conj(Ztap, out=Ztbar_ap)
     np.multiply(Zt, Ztbar_ap, out=prod)
     np.multiply(inv_Zp[:n_cap], d_omega, out=d_omega)
@@ -306,7 +306,9 @@ def _ztt(A1, inv_Zp, sigma, cap):
     np.multiply(Ztt, inv_Zp, out=Ztt)
     np.subtract(1j, Ztt, out=Ztt)
     for r, term in enumerate(cap):
-        Ztt[r] += sigma[r] * inv_Zp[r] * term
+        scaled = sigma[r] * inv_Zp[r]
+        scaled *= term
+        Ztt[r] += scaled
     return np.conj(Ztt, out=Ztt)
 
 
@@ -344,8 +346,7 @@ def _rates(rates, b, Ztt, Ztap, k_ap=None):
     of each map's own rows."""
     m = len(b)
     dt_Zt = rates[2 * m : 3 * m]
-    np.multiply(-b, Ztap, out=dt_Zt)
-    dt_Zt += Ztt
+    np.subtract(Ztt, np.multiply(b, Ztap, out=dt_Zt), out=dt_Zt)
     if k_ap is not None:
         view = _pack(b, rates[3 * m :]).view(np.float64)
         np.multiply(view, k_ap.view(np.float64), out=view)
@@ -368,21 +369,28 @@ def cfl_bound(state):
     Multiply by StepperConfig.dt_safety for the admissible step.  The
     dispersive part is the linear capillary-gravity frequency at the grid
     Nyquist wavenumber, so the cost of resolving surface tension scales
-    like sigma^{1/2} N^{3/2}.  A NaN sigma, or a negative one that makes
-    k_max + sigma k_max^3 negative, gives a NaN bound.
+    like sigma^{1/2} N^{3/2}.  A NaN drift b, or a NaN sigma or a negative
+    one that makes k_max + sigma k_max^3 negative, gives a NaN bound.
 
-    max|b| is one reduction of the b that compute_derived keeps on the
-    state, and the rest is arithmetic on Python floats, so a step's CFL
-    check costs no transform and no numpy call on a scalar.
+    b is the one that compute_derived keeps on the state; advance takes
+    the bound of each state it steps from the same fields (_cfl_bound).
     """
-    grid = state.grid
-    bmax = float(np.abs(compute_derived(state).b).max())
-    adv = grid.dx / bmax if bmax > 0 else math.inf
+    return _cfl_bound(state.grid, state.sigma, compute_derived(state).b)
+
+
+def _cfl_bound(grid, sigma, b):
+    """cfl_bound of a state on grid with surface tension sigma and drift b:
+    max|b| is one reduction, and the rest is arithmetic on Python floats,
+    so a step's CFL check costs no transform and no numpy call on a
+    scalar."""
+    bmax = float(np.abs(b).max())
     k_max = (TWO_PI / grid.length) * (grid.n // 2)
-    disp2 = k_max + state.sigma * k_max ** 3
-    # written so that a NaN sigma gives a NaN bound
-    disp = 1.0 / math.sqrt(disp2) if disp2 >= 0.0 else math.nan
-    return disp if math.isnan(disp) else min(adv, disp)
+    disp2 = k_max + sigma * k_max ** 3
+    # written so that a NaN drift or sigma gives a NaN bound
+    if not (bmax >= 0.0 and disp2 >= 0.0):
+        return math.nan
+    adv = grid.dx / bmax if bmax > 0 else math.inf
+    return min(adv, 1.0 / math.sqrt(disp2))
 
 
 def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
@@ -438,9 +446,10 @@ def _finish(grid, y, m):
     """The finish of a step of advance, written over y, the (3m + q, n)
     stack of rows that rk4 returns.  Returns the (3m + 2q, n) new rows,
     those of y in its order followed by the derivatives of the q further
-    rows, and the (2, m) masses removed from Z_ap - 1 and from Zbar_t.
-    Each row and its masses are bit-identical to a call on that state's
-    rows alone."""
+    rows, the (2, m) masses removed from Z_ap - 1 and from Zbar_t, and the
+    (2, m) L2 norms of the new Z_ap - 1 and Z_t, by Parseval from the
+    spectrum the new rows come from.  Each row, its masses and its norms
+    are bit-identical to a call on that state's rows alone."""
     n, half = grid.n, grid.n // 2
     r = len(y)
     dealias, deriv = grid.symbol_table(("dealias", "deriv"))
@@ -449,17 +458,32 @@ def _finish(grid, y, m):
     c = np.empty((2 * r - 3 * m, n), dtype=np.complex128)
     spectral._fft(y, out=c[:r])
     c[:r] *= dealias
-    # the modes k > 0 of Z_ap - 1 and k < 0 of Z_t, Nyquist included
+    # the sums of |c|^2 of the removed modes, k > 0 of Z_ap - 1 and k < 0
+    # of Z_t, Nyquist included, then of the kept spectra of both
+    sums = np.empty((4, m))
     zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
-    removed = np.concatenate((zp_pos, zt_neg)) / n
-    mass = np.sqrt(grid.length * (np.abs(removed) ** 2).sum(axis=-1)).reshape(2, m)
+    _sum_squares(zp_pos, sums[0])
+    _sum_squares(zt_neg, sums[1])
     zp_pos[...] = 0.0
     zt_neg[...] = 0.0
+    _sum_squares(c[m : 3 * m], sums[2:].reshape(-1))
     if r > 3 * m:
         np.multiply(c[3 * m : r], deriv, out=c[r:])
     spectral._ifft(c, out=c)
     c[m : 2 * m] += 1.0
-    return c, mass
+    # the L2 norm sqrt(dx sum |f|^2) of a row f is sqrt(length sum |c|^2) / n
+    sums *= grid.length
+    norms = np.divide(np.sqrt(sums, out=sums), n, out=sums)
+    return c, norms[:2], norms[2:]
+
+
+def _sum_squares(rows, out):
+    """The sums of |x|^2 along the rows of the complex (p, n) array rows,
+    contiguous along its last axis, written into out: one np.vecdot of its
+    float64 view with itself, a gufunc that sums each row on its own, so
+    that each row's sum is bit-identical to a call on that row alone."""
+    v = rows.view(np.float64)
+    np.vecdot(v, v, out=out)
 
 
 def advance(states, cfg, dt, maps=None, tags=None):
@@ -488,7 +512,11 @@ def advance(states, cfg, dt, maps=None, tags=None):
     k = 0 mode is kept in full, unlike P_H.  It reads the masses removed
     from that one spectrum: the modes k > 0 of Zbar_t are the conjugates of
     the modes k < 0 of Z_t, and transforming Z_ap - 1, not Z_ap, keeps the
-    rounding of the transform relative to the deviation.  The packed map
+    rounding of the transform relative to the deviation.  The sizes that
+    the holomorphicity check scales the masses by, the L2 norms of the new
+    Z_ap - 1 and Z_t, come from the same spectrum by Parseval, and the CFL
+    check reads the drift b that the derive of stage 1 returns, so the
+    guards redo no work of the step.  The packed map
     rows are only dealiased, and the same inverse transform gives their
     derivatives, D of the dealiased rows: the products b k_ap alias like
     those of the states, and without the filter their debris piles up at
@@ -499,8 +527,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
     deviations and of their Jacobians 1 + D k_dev (None without maps).
     Raises ValueError if a capillary state follows one with sigma = 0,
     and, state by state, CFLViolationError when dt is not positive or not
-    within dt_safety times the bound of the state (a NaN bound or dt fails),
-    DegenerateJacobianError on a degenerate or NaN Z_ap, and
+    within dt_safety times cfl_bound of the state (a NaN bound or dt
+    fails), DegenerateJacobianError on a degenerate or NaN Z_ap, and
     HolomorphicityError on projected mass above HOLO_TOLERANCE times the
     size of the state, or NaN mass; an error of state r starts with tags[r]
     when tags is given.
@@ -508,15 +536,16 @@ def advance(states, cfg, dt, maps=None, tags=None):
     m = len(states)
     grid, n = states[0].grid, states[0].grid.n
     sigma = [st.sigma for st in states]
-    if any(s0 == 0.0 and s1 != 0.0 for s0, s1 in zip(sigma, sigma[1:])):
+    # the n_cap capillary states lead when none of the first n_cap is 0
+    if 0.0 in sigma[: len(sigma) - sigma.count(0.0)]:
         raise ValueError(f"capillary states (sigma != 0) must come first, got sigmas {sigma}")
     tags = ("",) * m if tags is None else tags
     derived = derive_states(states, prefixes=tags)
-    for st, tag in zip(states, tags):
+    for st, d, tag in zip(states, derived, tags):
         # written so that a NaN dt fails too
         if not dt > 0.0:
             raise CFLViolationError(f"{tag}dt = {dt:.3e} is not positive")
-        bound = cfl_bound(st)
+        bound = _cfl_bound(grid, st.sigma, d.b)
         # written so that a NaN bound fails too
         if not dt <= cfg.dt_safety * bound * (1.0 + 1e-12):
             raise CFLViolationError(
@@ -547,23 +576,23 @@ def advance(states, cfg, dt, maps=None, tags=None):
     if maps is not None:
         _pack([k.deviation for k in maps], out=y0[3 * m :])
         kept.append(_pack([k.jac for k in maps]))
-    out, mass = _finish(grid, rk4(y0, rhs, dt, _rates(k1, *kept)), m)
+    out, mass, size = _finish(grid, rk4(y0, rhs, dt, _rates(k1, *kept)), m)
 
     Zdev, Zp, Zt = out[:m], out[m : 2 * m], out[2 * m : 3 * m]
     min_abs = np.abs(Zp).min(axis=-1).tolist()
-    deviation = out[m : 3 * m].copy()
-    deviation[:m] -= 1.0
-    # |conj(Z_t)| is |Z_t|, so one stack gives the sizes of Z_ap - 1 and Zbar_t
-    size_Zp, size_Zt = grid.l2_norm(deviation).reshape(2, m).tolist()
     new = []
-    for r, (st, tag, res_Zp, res_Zt) in enumerate(zip(states, tags, *mass.tolist())):
+    # |conj(Z_t)| is |Z_t|, so the size of Z_t is that of Zbar_t
+    rows = zip(states, tags, *mass.tolist(), *size.tolist())
+    for r, (st, tag, res_Zp, res_Zt, size_Zp, size_Zt) in enumerate(rows):
         _require_floor(min_abs[r], f"{tag}post-step ")
-        scale = max(1.0, size_Zp[r] + size_Zt[r])
-        # the larger removed mass, a NaN one before any number
-        res, name = max(
-            (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda x: (math.isnan(x[0]), x)
-        )
-        if not res <= HOLO_TOLERANCE * scale:
+        scale = max(1.0, size_Zp + size_Zt)
+        limit = HOLO_TOLERANCE * scale
+        # written so that a NaN mass fails too
+        if not (res_Zp <= limit and res_Zt <= limit):
+            # the larger removed mass, a NaN one before any number
+            res, name = max(
+                (res_Zp, "Z_ap - 1"), (res_Zt, "Zbar_t"), key=lambda x: (math.isnan(x[0]), x)
+            )
             raise HolomorphicityError(
                 f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
                 f"{HOLO_TOLERANCE:.1e} * {scale:.3e}"

@@ -159,7 +159,7 @@ class SpectralGrid:
 
     def multiply_symbol(self, f, symbol):
         """ifft(symbol * fft(f)) along the last axis, unchecked: the symbol must
-        be finite, over self.k, of shape (n,), a (k, n) table for a (k, n)
+        be a finite array over self.k, of shape (n,), a (k, n) table for a (k, n)
         stack f, or a (j, 1, n) table, which applies j symbols to each row of
         an (m, n) stack f from one forward transform ((j, m, n) result).
 
@@ -169,7 +169,7 @@ class SpectralGrid:
         transform are written over the spectrum.
         """
         spec = _fft(f)
-        if np.ndim(symbol) > spec.ndim:
+        if symbol.ndim > spec.ndim:
             spec = symbol * spec
         else:
             np.multiply(symbol, spec, out=spec)

@@ -351,6 +351,58 @@ def test_steps_refuse_a_nan_surface_tension(monkeypatch):
     assert stages == []
 
 
+def test_cfl_bound_of_a_nan_drift_is_nan(monkeypatch):
+    # Z_t of +-1e308 overflows the transforms of the derive, so b is NaN at
+    # every node; bmax > 0 is False for NaN, and the bound used to be the
+    # finite dispersive one, which plan_steps and advance accepted
+    g = make_grid(16)
+    Zt = np.full(g.n, 1e308 + 0j)
+    Zt[3] = -1e308
+    st = make_state(g, np.zeros(g.n, complex), np.ones(g.n, complex), Zt, 1e-2)
+    with np.errstate(all="ignore"):
+        assert np.isnan(compute_derived(st).b).all()
+        assert np.isnan(cfl_bound(st))
+        with pytest.raises(CFLViolationError, match="bound = nan"):
+            plan_steps(cfl_bound(st), 1.0, 0.5, 1, 100)
+        stages = []
+        monkeypatch.setattr(evolution, "rk4", lambda *args: stages.append(args))
+        with pytest.raises(CFLViolationError, match="bound = nan"):
+            step_rk4(st, StepperConfig(), 1e-3)
+    assert stages == []
+
+
+class _Stepped(Exception):
+    """Raised in the place of rk4: the step passed its CFL check."""
+
+
+@pytest.mark.parametrize("case", ["one state", "capillary first"])
+def test_advance_cfl_decision_is_that_of_cfl_bound_at_the_edge(monkeypatch, case):
+    # advance reads each bound from the fields its derive returns; the
+    # decision must stay dt <= dt_safety * cfl_bound(state) * (1 + 1e-12)
+    # for every state, one ulp either side of each state's edge
+    g = make_grid(64)
+    st = random_smooth_state(g, np.random.default_rng(31), sigma=1e-2, amp=0.1)
+    states = (st,) if case == "one state" else (st, replace(st, sigma=0.0))
+    tags = ("[a] ", "[b] ")[: len(states)]
+    cfg = StepperConfig()
+
+    def rk4_reached(*args):
+        raise _Stepped
+
+    monkeypatch.setattr(evolution, "rk4", rk4_reached)
+    edges = [cfg.dt_safety * cfl_bound(s) * (1.0 + 1e-12) for s in states]
+    for edge in edges:
+        for dt in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+            passes = [dt <= e for e in edges]
+            if all(passes):
+                with pytest.raises(_Stepped):
+                    evolution.advance(states, cfg, float(dt), tags=tags)
+            else:
+                tag = re.escape(tags[passes.index(False)])
+                with pytest.raises(CFLViolationError, match=f"^{tag}dt = .* exceeds"):
+                    evolution.advance(states, cfg, float(dt), tags=tags)
+
+
 def test_holomorphicity_guard_refuses_a_nan_mass(monkeypatch):
     # a NaN removed mass of Zbar_t beside a finite one of Z_ap - 1
     g = make_grid(64)
@@ -358,9 +410,9 @@ def test_holomorphicity_guard_refuses_a_nan_mass(monkeypatch):
     finish = evolution._finish
 
     def nan_mass_of_zbar_t(grid, y, m):
-        out, mass = finish(grid, y, m)
+        out, mass, size = finish(grid, y, m)
         mass[1, -1] = np.nan
-        return out, mass
+        return out, mass, size
 
     monkeypatch.setattr(evolution, "_finish", nan_mass_of_zbar_t)
     with pytest.raises(HolomorphicityError, match="mass nan of Zbar_t"):

@@ -20,6 +20,7 @@ from helpers import (
     positive_mode_mass,
     random_holomorphic,
     random_real_field,
+    random_smooth_state,
     sobolev_norm,
 )
 from oracles import (
@@ -690,14 +691,15 @@ def test_stacked_finish_step_rows_match_single_calls(n):
     # the default filter, and a dealias_fraction = 1 grid that keeps every mode
     for g in (make_grid(n), make_grid(n, dealias_fraction=1.0)):
         # the new rows come as one array, in the order of the stack
-        out, mass = evolution._finish(g, rows.reshape(9, n).copy(), 3)
+        out, mass, size = evolution._finish(g, rows.reshape(9, n).copy(), 3)
         out = out.reshape(3, 3, n)
-        assert mass.shape == (2, 3)
+        assert mass.shape == size.shape == (2, 3)
         for r in range(3):
-            one, one_mass = evolution._finish(g, rows[:, r].copy(), 1)
-            assert one.shape == (3, n) and one_mass.shape == (2, 1)
+            one, one_mass, one_size = evolution._finish(g, rows[:, r].copy(), 1)
+            assert one.shape == (3, n) and one_mass.shape == one_size.shape == (2, 1)
             assert out[:, r].tobytes() == one.tobytes()
             assert mass[:, r].tobytes() == one_mass[:, 0].tobytes()
+            assert size[:, r].tobytes() == one_size[:, 0].tobytes()
             # the mass of the modes k > 0 of Z_ap - 1 and of Zbar_t, Nyquist
             # included, and none left there
             kept = [dealias(g, f) for f in rows[:, r]]
@@ -718,11 +720,12 @@ def test_finish_step_derives_further_rows_from_its_one_spectrum(n):
     rng = np.random.default_rng(n + 5)
     rows = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
     more = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
-    out, mass = evolution._finish(g, np.concatenate((rows, more)), 2)
-    alone, alone_mass = evolution._finish(g, rows.copy(), 2)
+    out, mass, size = evolution._finish(g, np.concatenate((rows, more)), 2)
+    alone, alone_mass, alone_size = evolution._finish(g, rows.copy(), 2)
     assert out.shape == (8, n)
     assert out[:6].tobytes() == alone.tobytes()
     assert mass.tobytes() == alone_mass.tobytes()
+    assert size.tobytes() == alone_size.tobytes()
     kept, d_kept = out[6:7], out[7:]
     assert np.max(np.abs(kept - dealias(g, more))) <= 1e-14 * np.max(np.abs(more))
     scale = np.max(np.abs(g.k)) * np.max(np.abs(kept))
@@ -740,12 +743,31 @@ def test_finish_step_matches_the_dealias_then_projection_path(n, dealias):
     rng = np.random.default_rng(n + 7)
     rows = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
     rows[1] += 1.0
-    out, mass = evolution._finish(g, rows.reshape(12, n).copy(), 4)
+    out, mass, _ = evolution._finish(g, rows.reshape(12, n).copy(), 4)
     ref, ref_mass = finish_unfused(g, rows)
     assert mass.shape == ref_mass.shape == (2, 4)
     for block, ref_block in zip(out.reshape(3, 4, n), ref):
         assert np.max(np.abs(block - ref_block)) <= 1e-14 * np.max(np.abs(ref_block))
     assert np.all(np.abs(mass - ref_mass) <= 1e-14 * ref_mass)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([16, 64, 256]), m=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       amp=st.floats(0.01, 0.3), noise=st.sampled_from([0.0, 1e-6, 1e-3]))
+def test_finish_step_sizes_are_the_l2_norms_of_the_rows_it_returns(n, m, seed, amp, noise):
+    # the sizes that the holomorphicity guard of advance reads, taken by
+    # Parseval from the finish's spectrum, against grid.l2_norm of the new
+    # rows Z_ap - 1 and Z_t; full-band noise gives the filter and the
+    # projection modes to remove
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    states = [random_smooth_state(g, rng, amp=amp) for _ in range(m)]
+    rows = np.array([[getattr(s, name) for s in states] for name in ("Zdev", "Zp", "Zt")])
+    rows += noise * (rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape))
+    out, _, size = evolution._finish(g, rows.reshape(3 * m, n), m)
+    for new, row_size in zip((out[m : 2 * m] - 1.0, out[2 * m : 3 * m]), size):
+        norm = g.l2_norm(new)
+        assert np.all(np.abs(row_size - norm) <= 1e-13 * norm)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
