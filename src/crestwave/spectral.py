@@ -226,11 +226,10 @@ class SpectralGrid:
         phases exp(i k y) of the offset y from the node are products of a
         coarse and a fine table, exp(i k_qB y) exp(i k_r y) for k = k_(qB +
         r), formed with real arithmetic, so that each point takes about
-        sqrt(n) complex exponentials, not n / 2.  A seed that starts at its
-        node and at which Newton takes no step (the seed of a row without a
-        local maximum on the seed grid, such as a constant field) keeps its
-        seed-grid value; every other point takes the value of its last
-        evaluation.
+        sqrt(n) complex exponentials, not n / 2.  Every point takes the
+        value of its last evaluation.  The grid maximum of each row is its
+        floor, so a row without a local maximum on the seed grid, such as a
+        constant field, gets no seed and returns its grid maximum exactly.
 
         f may also be an (m, n) stack; the result is then an array of the m
         row values, each bit-identical to a single-field call.  The stack
@@ -242,7 +241,7 @@ class SpectralGrid:
         f = np.asarray(f)
         rows = f.reshape(-1, self.n)
         c = self.coeffs(rows)
-        row, seed, seed_mag, shift = self._sup_seeds(c)
+        row, seed, shift = self._sup_seeds(c)
         n2 = _SUP_OVERSAMPLE * self.n
         i_ny = self.nyquist_index
         # each point's coefficients turned to its seed node s h by the phases
@@ -306,12 +305,10 @@ class SpectralGrid:
         # a point starts at its seed's parabola vertex and steps while |f|^2
         # is concave there and the rise u1^2 / 2|u2| that Newton predicts for
         # the step is above 1e-17 |f|^2, a change of |f| far below an ulp;
-        # the value of a point that starts off its node or steps is that of
-        # its last evaluation, which is at its last y whichever way the loop
-        # ends.  The steps of the few points are taken on Python floats,
-        # whose operations round as numpy's do
+        # its value is that of its last evaluation, which is at its last y
+        # whichever way the loop ends.  The steps of the few points are
+        # taken on Python floats, whose operations round as numpy's do
         y = (shift * (self.length / n2)).tolist()
-        moved = [start != 0.0 for start in y]
         for _ in range(_SUP_NEWTON_STEPS):
             sums = values(np.array(y))
             stepped = False
@@ -320,26 +317,28 @@ class SpectralGrid:
                 u2 = 2.0 * (pr * pr + pi * pi - vr * qr - vi * qi)
                 if u2 < 0.0 and u1 * u1 > -u2 * 2e-17 * (vr * vr + vi * vi):
                     y[i] -= u1 / u2
-                    moved[i] = stepped = True
+                    stepped = True
             if not stepped:
                 break
         else:
             sums = values(np.array(y))
         vr, vi = sums[:, 0, 0], sums[:, 1, 0]
-        val = np.where(moved, np.sqrt(vr * vr + vi * vi), seed_mag)
+        # the grid maximum is the floor of every row, and the value of a
+        # row without a seed
         sup = np.abs(rows).max(axis=1)
-        np.maximum.at(sup, row, val)
+        np.maximum.at(sup, row, np.sqrt(vr * vr + vi * vi))
         return float(sup[0]) if f.ndim == 1 else sup
 
     def _sup_seeds(self, c):
         """The seeds of sup_norm for the rows of coefficients c: the row, the
-        seed-grid node, |f| there and the start of the polish of each seed,
-        as an offset from its node in units of the seed-grid spacing h.  |f|
-        on the seed grid is the modulus of one _refine of the full spectra
-        of all rows.  Every local maximum within the Bernstein bound (k_nyq
+        seed-grid node and the start of the polish of each seed, as an
+        offset from its node in units of the seed-grid spacing h.  |f| on
+        the seed grid is the modulus of one _refine of the full spectra of
+        all rows.  Every local maximum within the Bernstein bound (k_nyq
         h)^2 / 8 of the row's largest value is a seed (the highest
         _SUP_SEEDS of them), and starts at the vertex of the parabola
-        through |f| at its node and its two neighbours."""
+        through |f| at its node and its two neighbours.  A row without a
+        local maximum, a constant one, gets no seed."""
         n2, i_ny = _SUP_OVERSAMPLE * self.n, self.nyquist_index
         floor = 1.0 - (self.k[i_ny] * self.length / n2) ** 2 / 8.0
         mags = np.abs(self._refine(c * n2, _SUP_OVERSAMPLE))
@@ -349,24 +348,15 @@ class SpectralGrid:
         row, node = np.nonzero(mags >= mags.max(axis=1, keepdims=True) * floor)
         top, left, right = mags[row, node], mags[row, node - 1], mags[row, (node + 1) % n2]
         peak = (top >= left) & (top > right)
+        row, node, top, left, right = row[peak], node[peak], top[peak], left[peak], right[peak]
         # at a local maximum the parabola's curvature left - 2 top + right is
         # negative, and its vertex lies within h/2 of the node
-        left, right = left[peak], right[peak]
-        shift = 0.5 * (left - right) / (left - 2.0 * top[peak] + right)
-        # a row without a local maximum (a constant field) is seeded at its
-        # largest value, and starts at that node
-        seeded = np.zeros(len(mags), dtype=bool)
-        seeded[row[peak]] = True
-        flat = np.flatnonzero(~seeded)
-        row = np.concatenate([row[peak], flat])
-        node = np.concatenate([node[peak], mags[flat].argmax(axis=1)])
-        shift = np.concatenate([shift, np.zeros(flat.size)])
-        top = mags[row, node]
+        shift = 0.5 * (left - right) / (left - 2.0 * top + right)
         # the highest _SUP_SEEDS of each row
         order = np.lexsort((-top, row))
-        row, node, top, shift = row[order], node[order], top[order], shift[order]
+        row, node, shift = row[order], node[order], shift[order]
         keep = np.arange(row.size) - np.searchsorted(row, row) < _SUP_SEEDS
-        return row[keep], node[keep], top[keep], shift[keep]
+        return row[keep], node[keep], shift[keep]
 
     def hhalf_norm(self, f):
         """Homogeneous H^{1/2} seminorm, computed on the Fourier side.  f

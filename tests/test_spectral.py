@@ -446,14 +446,42 @@ def test_grid_helpers_refuse_bad_parameters(call):
 
 @pytest.mark.parametrize("n", [8, 128, 768])
 def test_sup_norm_of_constant_is_exact(n):
-    # Newton takes no step on a constant, so the oversampled seed value is
-    # returned: within two ulps of |c|, not at the interpolation error
+    # a constant has no local maximum on the seed grid, so it gets no seed
+    # and its value is the grid maximum, |c| to the bit
     g = make_grid(n)
     rng = np.random.default_rng(n)
     consts = (rng.standard_normal(50) + 1j * rng.standard_normal(50)) * 10 ** rng.uniform(-3, 3, 50)
     for c in consts:
         f = np.full(n, c)
-        assert abs(g.sup_norm(f) - abs(c)) <= 2 * np.finfo(float).eps * abs(c)
+        assert g.sup_norm(f) == np.abs(f).max()
+
+
+@pytest.mark.parametrize("n", [8, 128, 768, 2048])
+def test_sup_seeds_give_no_seed_to_a_constant_or_zero_row(n):
+    g = make_grid(n)
+    rng = np.random.default_rng(n + 3)
+    peaked = np.cos(g.nodes - 0.3) + 0.5j * np.sin(2.0 * g.nodes)
+    for value in (0.0, -0.0, 1.5, 0.3 - 0.2j, complex(*rng.standard_normal(2))):
+        stack = np.array([np.full(n, value), peaked])
+        row, node, shift = g._sup_seeds(g.coeffs(stack))
+        assert set(row.tolist()) == {1}
+        assert node.shape == shift.shape == row.shape
+        sups = g.sup_norm(stack)
+        assert sups[0] == np.abs(stack[0]).max()
+
+
+@pytest.mark.parametrize("n", [48, 768])
+def test_sup_norm_of_a_peak_on_a_seed_node_is_within_an_ulp(n):
+    # a cos(k x) peaks at x = 0, a node of the seed grid, where the parabola
+    # through the node and its neighbours starts the polish.  For k = n/4
+    # and n/6 the samples are exact (a, 0, -a, 0, ... and a, a/2, -a/2, ...);
+    # for k = 1 they are a cos(x) rounded
+    g = make_grid(n)
+    rng = np.random.default_rng(n + 6)
+    for a in 10 ** rng.uniform(-3, 3, 20):
+        for f in (a * np.cos(g.nodes), a * np.tile([1.0, 0.0, -1.0, 0.0], n // 4),
+                  a * np.tile([1.0, 0.5, -0.5, -1.0, -0.5, 0.5], n // 6)):
+            assert abs(g.sup_norm(f) - a) <= np.spacing(a)
 
 
 @pytest.mark.parametrize("n", [64, 768, 2048])
@@ -636,7 +664,7 @@ def test_stacked_sup_norm_rows_are_bit_identical_to_single_calls(n):
     c = np.zeros((4, n), dtype=complex)
     c[:, band] = rng.standard_normal((4, band.sum())) + 1j * rng.standard_normal((4, band.sum()))
     complex_stack = np.fft.ifft(c) * n
-    # a constant row, on which Newton takes no step, beside peaked ones
+    # a constant row, which gets no seed, beside peaked ones
     complex_stack[3] = 0.3 - 0.2j
     # the stack of a pair record: complex rows, real rows cast to complex
     # and the constant row
