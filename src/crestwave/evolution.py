@@ -462,11 +462,11 @@ def _finish(grid, y, m):
     # of Z_t, Nyquist included, then of the kept spectra of both
     sums = np.empty((4, m))
     zp_pos, zt_neg = c[m : 2 * m, 1 : half + 1], c[2 * m : 3 * m, half:]
-    _sum_squares(zp_pos, sums[0])
-    _sum_squares(zt_neg, sums[1])
+    spectral._sum_squares(zp_pos, sums[0])
+    spectral._sum_squares(zt_neg, sums[1])
     zp_pos[...] = 0.0
     zt_neg[...] = 0.0
-    _sum_squares(c[m : 3 * m], sums[2:].reshape(-1))
+    spectral._sum_squares(c[m : 3 * m], sums[2:].reshape(-1))
     if r > 3 * m:
         np.multiply(c[3 * m : r], deriv, out=c[r:])
     spectral._ifft(c, out=c)
@@ -475,15 +475,6 @@ def _finish(grid, y, m):
     sums *= grid.length
     norms = np.divide(np.sqrt(sums, out=sums), n, out=sums)
     return c, norms[:2], norms[2:]
-
-
-def _sum_squares(rows, out):
-    """The sums of |x|^2 along the rows of the complex (p, n) array rows,
-    contiguous along its last axis, written into out: one np.vecdot of its
-    float64 view with itself, a gufunc that sums each row on its own, so
-    that each row's sum is bit-identical to a call on that row alone."""
-    v = rows.view(np.float64)
-    np.vecdot(v, v, out=out)
 
 
 def advance(states, cfg, dt, maps=None, tags=None):

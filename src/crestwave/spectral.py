@@ -102,6 +102,17 @@ def _irfft(a, n, out=None):
     return _pocketfft.irfft(a, 1.0 / n, out=out)
 
 
+def _sum_squares(rows, out=None):
+    """The sums of |x|^2 along the rows of the complex array rows, contiguous
+    along its last axis, written into out when given: one np.vecdot of its
+    float64 view with itself, the real and imaginary part of each value in
+    turn.  vecdot is a gufunc that sums each row on its own, whatever its
+    alignment, so each row's sum is bit-identical to a call on that row
+    alone."""
+    v = rows.view(np.float64)
+    return np.vecdot(v, v, out=out)
+
+
 def same_bytes(arrays, others):
     """Whether the arrays pairwise share dtype, shape and bytes, so that
     signed zeros and NaNs count as they are stored."""
@@ -200,12 +211,9 @@ class SpectralGrid:
     def l2_norm(self, f):
         """L2 norm.  f may also be an (m, n) stack; the result is then an
         array of the m row norms from one reduction, each bit-identical to
-        a single-field call.  |f|^2 is summed in one einsum as the squares
-        of the float64 view of f as complex rows, the real and imaginary
-        part of each value in turn, so a real field gives the bits of its
-        complex cast."""
-        v = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
-        norm = np.sqrt(self.dx * np.einsum("...i,...i->...", v, v))
+        a single-field call.  |f|^2 is summed by _sum_squares of f as
+        complex rows, so a real field gives the bits of its complex cast."""
+        norm = np.sqrt(self.dx * _sum_squares(np.ascontiguousarray(f, dtype=np.complex128)))
         return float(norm) if norm.ndim == 0 else norm
 
     def sup_norm(self, f):
@@ -364,10 +372,10 @@ class SpectralGrid:
         then an array of the m row values from one coefficient transform,
         each bit-identical to a single-field call.  The squares of the
         float64 view of the coefficients, |k| weighting both parts of each,
-        are summed in one einsum."""
+        are summed in one np.vecdot, which sums each row on its own."""
         v = self.coeffs(f).view(np.float64)
         v *= v
-        norm = np.sqrt(self.length * np.einsum("...i,i->...", v, np.repeat(np.abs(self.k), 2)))
+        norm = np.sqrt(self.length * np.vecdot(v, np.repeat(np.abs(self.k), 2)))
         return float(norm) if np.ndim(f) == 1 else norm
 
     # -- interpolation ----------------------------------------------------

@@ -357,3 +357,35 @@ def test_every_import_is_read():
             read |= set(cw.__all__)
         unused += [(path.name, name) for name in imported if name not in read]
     assert unused == []
+
+
+def _is_sum_of_squares(call):
+    """Whether call sums the products of an array with itself, as
+    np.vecdot(v, v) or np.einsum(subscripts, v, v) does."""
+    name = ast.unparse(call.func)
+    args = [ast.unparse(a) for a in call.args]
+    if name == "np.vecdot":
+        return len(args) >= 2 and args[0] == args[1]
+    return name == "np.einsum" and len(args) == 3 and args[1] == args[2]
+
+
+def test_each_norm_kernel_sums_by_one_rule():
+    # the norms of a grid call no einsum, and the float-view sum of squares
+    # is written once in the package, in spectral._sum_squares, which
+    # l2_norm and the finish of a step call
+    package = ROOT / "src" / "crestwave"
+    tree = ast.parse((package / "spectral.py").read_text())
+    (grid,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SpectralGrid"]
+    methods = {n.name: n for n in grid.body if isinstance(n, ast.FunctionDef)}
+    for name in ("l2_norm", "hhalf_norm", "sup_norm"):
+        calls = {ast.unparse(n.func) for n in ast.walk(methods[name]) if isinstance(n, ast.Call)}
+        assert "np.einsum" not in calls, name
+    squares = [
+        (path.name, func.name)
+        for path in sorted(package.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text())) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, ast.Call) and _is_sum_of_squares(node)
+    ]
+    assert squares == [("spectral.py", "_sum_squares")]
+    evolution = package / "evolution.py"
+    assert _functions_reading(evolution, {"_sum_squares"}) == {"_finish": {"_sum_squares": 3}}
