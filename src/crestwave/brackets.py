@@ -132,9 +132,11 @@ class InverseFlowMap(MonotoneMap):
 
     def _require_monotone(self):
         k_ap = self.jac
-        _require_floor(1.0 / float(k_ap.max()))
-        k_min = float(k_ap.min())
-        # a k_ap at or below 0 is a fold of k, where h_ap is unbounded
+        k_max, k_min = float(k_ap.max()), float(k_ap.min())
+        # a k_ap at or below 0 is a fold of k, where h_ap is unbounded; a
+        # map without a positive k_ap is folded everywhere and fails below
+        if k_max > 0.0:
+            _require_floor(1.0 / k_max)
         h_max = 1.0 / k_min if k_min > 0.0 else np.inf
         if h_max > 1.0 / JACOBIAN_FLOOR:
             raise MonotonicityError(f"max h_ap = {h_max:.3e} above {1.0 / JACOBIAN_FLOOR:.3g}")

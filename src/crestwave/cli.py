@@ -142,7 +142,7 @@ def cmd_simulate(cfg, outdir, args):
     state = build_initial_state(cfg)
     stepper = StepperConfig(cfg.stepper.dt_safety)
     dt, n_steps = plan_steps(
-        cfl_bound(state), cfg.physics.t_final, stepper.dt_safety, 1, cfg.stepper.max_steps
+        cfl_bound(state), cfg.physics.t_final, stepper, 1, cfg.stepper.max_steps
     )
     # by default, zero-surface-tension runs record the higher-order and
     # auxiliary energies alongside

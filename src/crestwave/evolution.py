@@ -393,14 +393,15 @@ def _cfl_bound(grid, sigma, b):
     return min(adv, 1.0 / math.sqrt(disp2))
 
 
-def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
+def plan_steps(bound, t_final, stepper, min_steps, max_steps):
     """Fixed step (dt, n_steps) covering t_final exactly.
 
-    dt is the smaller of dt_safety * bound and t_final / min_steps, rounded
-    down to divide t_final; raises ValueError on a t_final that is not
-    finite and positive or a min_steps below 1, and CFLViolationError above
-    max_steps and on a bound that is not positive, such as the NaN bound of
-    a NaN sigma.
+    dt is the smaller of stepper.dt_safety * bound and t_final / min_steps,
+    rounded down to divide t_final.  stepper is a StepperConfig, whose
+    constructor is the one check of dt_safety.  Raises ValueError on a
+    t_final that is not finite and positive or a min_steps below 1, and
+    CFLViolationError above max_steps and on a bound that is not positive,
+    such as the NaN bound of a NaN sigma.
     """
     # written so that a NaN t_final fails too
     if not 0.0 < t_final < math.inf:
@@ -410,7 +411,7 @@ def plan_steps(bound, t_final, dt_safety, min_steps, max_steps):
     # written so that a NaN bound fails too
     if not bound > 0:
         raise CFLViolationError(f"step-size bound = {bound:.3e} is not positive")
-    dt = min(dt_safety * bound, t_final / min_steps)
+    dt = min(stepper.dt_safety * bound, t_final / min_steps)
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     if n_steps > max_steps:
         raise CFLViolationError(

@@ -215,9 +215,7 @@ def drive_pair(pair, result):
     stepper = StepperConfig(spec.dt_safety)
     derive_states((pair.state_a, pair.state_b), SOLUTION_TAGS)
     bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
-    result.dt, n_steps = plan_steps(
-        bound, spec.t_final, stepper.dt_safety, spec.min_steps, spec.max_steps
-    )
+    result.dt, n_steps = plan_steps(bound, spec.t_final, stepper, spec.min_steps, spec.max_steps)
 
     def snapshot(p):
         result.delta_reports.append(energy_delta(p))

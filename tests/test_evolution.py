@@ -293,7 +293,17 @@ def test_plan_steps_refuses_a_run_that_is_not_forward(t_final, min_steps, messag
     # such a t_final used to plan a backward run, divide by zero or fail to
     # convert a NaN, and min_steps = 0 to divide by zero
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        plan_steps(1.0, t_final, 0.5, min_steps, 1000)
+        plan_steps(1.0, t_final, StepperConfig(), min_steps, 1000)
+
+
+@pytest.mark.parametrize("dt_safety", [0.0, -0.5, float("nan"), 2.0])
+def test_plan_steps_takes_dt_safety_only_from_a_checked_stepper_config(dt_safety):
+    # plan_steps used to take the raw float: 0 divided by zero, -0.5 planned
+    # (-0.005, -200), NaN failed inside int() and 2.0 was accepted; the
+    # StepperConfig it now takes refuses each before any plan
+    assert plan_steps(0.1, 1.0, StepperConfig(1.0), 1, 1000) == (0.1, 10)
+    with pytest.raises(ValueError, match=r"^dt_safety must lie in \(0, 1\], got "):
+        plan_steps(1.0, 1.0, StepperConfig(dt_safety), 1, 1000)
 
 
 @pytest.mark.parametrize("dt", [-0.0125, 0.0, -0.0, float("nan")])
@@ -340,7 +350,7 @@ def test_steps_refuse_a_nan_surface_tension(monkeypatch):
     bad = replace(st, sigma=float("nan"))
     assert np.isnan(cfl_bound(bad))
     with pytest.raises(CFLViolationError, match="bound = nan"):
-        plan_steps(cfl_bound(bad), 1.0, 0.5, 1, 100)
+        plan_steps(cfl_bound(bad), 1.0, StepperConfig(), 1, 100)
     stages = []
     monkeypatch.setattr(evolution, "rk4", lambda *args: stages.append(args))
     with pytest.raises(CFLViolationError, match="bound = nan"):
@@ -363,7 +373,7 @@ def test_cfl_bound_of_a_nan_drift_is_nan(monkeypatch):
         assert np.isnan(compute_derived(st).b).all()
         assert np.isnan(cfl_bound(st))
         with pytest.raises(CFLViolationError, match="bound = nan"):
-            plan_steps(cfl_bound(st), 1.0, 0.5, 1, 100)
+            plan_steps(cfl_bound(st), 1.0, StepperConfig(), 1, 100)
         stages = []
         monkeypatch.setattr(evolution, "rk4", lambda *args: stages.append(args))
         with pytest.raises(CFLViolationError, match="bound = nan"):

@@ -607,6 +607,16 @@ def test_inverse_flow_map_guard_refuses_a_given_folded_jacobian(k_ap_min):
         InverseFlowMap(g, dev, jac)
 
 
+@pytest.mark.parametrize("k_ap", [0.0, -0.0, -1.0])
+def test_inverse_flow_map_guard_refuses_a_jacobian_folded_everywhere(k_ap):
+    # with no positive k_ap there is no min h_ap = 1 / max k_ap to test; the
+    # guard used to divide by a zero maximum, or read a negative one as a
+    # min h_ap below the floor
+    g = make_grid(16)
+    with pytest.raises(MonotonicityError, match=r"^max h_ap = inf above "):
+        InverseFlowMap(g, np.zeros(16), np.full(16, k_ap))
+
+
 def test_htilde_names_a_preimage_solve_that_does_not_converge(monkeypatch):
     g = make_grid(128)
     st = random_smooth_state(g, np.random.default_rng(4), amp=0.1)
