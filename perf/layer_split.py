@@ -22,10 +22,10 @@ workload's own set-up SETUPS times, each building every object anew:
                      read the fields that build_pair kept
 
 The record table steps the run through evolution.drive and keeps the pair
-of every record.  It then makes the benchmark's record calls on each again,
-RECORD_REPEATS times, on a fresh copy of that pair whose states keep
-nothing: compute_derived of both states, energy_delta, f_delta_norm with
-those derived fields and energy_sigma of solution a.
+of every record.  It then makes the benchmark's record calls on each again
+(gate.record), RECORD_REPEATS times, on a fresh copy of that pair whose
+states keep nothing: compute_derived of both states, energy_delta,
+f_delta_norm with those derived fields and energy_sigma of solution a.
 
 * ``htilde build``   the Newton solve of MonotoneMap.preimage that builds
                      htilde, with the spread of the fields it carries
@@ -73,11 +73,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.path.insert(0, str(ROOT / "perf"))
 
 import crestwave as cw  # noqa: E402
 from crestwave import brackets, energies, evolution, pair  # noqa: E402
 from crestwave.evolution import drive  # noqa: E402
 from crestwave.spectral import SpectralGrid  # noqa: E402
+from gate import record  # noqa: E402
 from timing import REF_S, ReferenceKernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -121,14 +123,6 @@ def fresh(p):
     """p with nothing kept: new states sharing its arrays, and its maps,
     which keep only their fields."""
     return cw.PairState(replace(p.state_a), replace(p.state_b), p.k_a, p.k_b)
-
-
-def record(p):
-    """The benchmark's record calls."""
-    der_a, der_b = cw.compute_derived(p.state_a), cw.compute_derived(p.state_b)
-    cw.energy_delta(p)
-    cw.f_delta_norm(p, der_a, der_b)
-    cw.energy_sigma(p.state_a)
 
 
 class LayerTimers:
