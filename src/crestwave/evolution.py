@@ -354,7 +354,7 @@ def _rates(rates, b, Ztt, Ztap, k_ap=None):
     return rates
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepperConfig:
     dt_safety: float = 0.5
 

@@ -267,12 +267,14 @@ class StudyResult:
 def run_convergence_study(specs, jobs=1):
     """Run a list of PairRunSpec sorted by (sigma, epsilon), an order that
     pool.map keeps as the serial loop does, and fit the scaling diagnostics
-    of the sweep."""
+    of the sweep.  A pool starts all its workers at once, so it gets at
+    most one per spec, and one worker is the serial loop."""
     specs = sorted(specs, key=lambda s: (s.sigma, s.epsilon))
-    if jobs > 1:
+    workers = min(jobs, len(specs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(run_pair_once, specs))
     else:
         runs = [run_pair_once(s) for s in specs]

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -304,6 +304,14 @@ def test_plan_steps_takes_dt_safety_only_from_a_checked_stepper_config(dt_safety
     assert plan_steps(0.1, 1.0, StepperConfig(1.0), 1, 1000) == (0.1, 10)
     with pytest.raises(ValueError, match=r"^dt_safety must lie in \(0, 1\], got "):
         plan_steps(1.0, 1.0, StepperConfig(dt_safety), 1, 1000)
+
+
+def test_a_stepper_config_cannot_be_moved_past_its_check():
+    # an assigned dt_safety of -0.5 used to plan (-0.05, -20)
+    cfg = StepperConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.dt_safety = -0.5
+    assert plan_steps(0.1, 1.0, cfg, 1, 1000) == (0.05, 20)
 
 
 @pytest.mark.parametrize("dt", [-0.0125, 0.0, -0.0, float("nan")])

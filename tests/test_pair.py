@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as hst
 from dataclasses import fields, replace
 
 from crestwave import brackets, evolution
+from crestwave import pair as pair_module
 from crestwave.brackets import InverseFlowMap, MonotoneMap
 from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
@@ -577,6 +580,35 @@ def test_parallel_study_matches_serial():
             assert [r.to_json_dict() for r in getattr(rs, family)] == [
                 r.to_json_dict() for r in getattr(rp, family)
             ]
+
+
+@pytest.mark.parametrize("n_specs, jobs, pooled", [(1, 4, []), (3, 8, [3])])
+def test_a_study_starts_at_most_one_worker_per_spec(monkeypatch, n_specs, jobs, pooled):
+    # a pool starts all max_workers processes at its first submit, and the
+    # study used to ask for jobs of them however few specs it had; a pool
+    # that maps in this process records the count, and every run is a
+    # failed stand-in, so no process starts and nothing is stepped
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(pair_module, "run_pair_once", PairRunResult)
+    specs = [PairRunSpec(sigma=10.0 ** -k, epsilon=0.2) for k in range(n_specs)]
+    out = run_convergence_study(specs, jobs=jobs)
+    assert pools == pooled
+    assert [r.spec for r in out.runs] == specs[::-1]
 
 
 def test_stepped_maps_carry_the_jacobians_of_their_deviations():
