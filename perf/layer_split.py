@@ -1,31 +1,17 @@
-"""Where a pair set-up's, a pair record's and a step's time go, layer by
-layer.
+"""Where a pair record's and a step's time go, layer by layer.
 
 Run from the repository root:
 
     python3 perf/layer_split.py
 
 For the seed-0 runs of the benchmark's two pair workloads (pair_eps05 and
-pair_record_n2048 of benchmarks/workloads.py) it prints two tables, with
-timers around the functions of each layer.  The set-up table runs the
-workload's own set-up SETUPS times, each building every object anew:
-
-* ``grid``           the SpectralGrid constructor that build_pair calls
-* ``crest_data``     the crest data of the spec, mollified in its spectrum
-* ``identity map``   InverseFlowMap.identity, the map of init_pair
-* ``derive``         the zero_tension_twin call of twin_pair, which derives
-                     solution a and gives its twin b a's sigma-free fields
-                     and its own Z_tt
-* ``build_pair``     the whole pair build, the four layers above included
-* ``set-up``         the whole set-up, as the benchmark's setup phase times
-                     it: build_pair, then the two cfl_bound calls, which
-                     read the fields that build_pair kept
-
-The record table steps the run through evolution.drive and keeps the pair
-of every record.  It then makes the benchmark's record calls on each again
-(gate.record), RECORD_REPEATS times, on a fresh copy of that pair whose
-states keep nothing: compute_derived of both states, energy_delta,
-f_delta_norm with those derived fields and energy_sigma of solution a.
+pair_record_n2048 of benchmarks/workloads.py) it prints a record table,
+with timers around the functions of each layer.  The record table steps
+the run through evolution.drive and keeps the pair of every record.  It
+then makes the benchmark's record calls on each again (gate.record),
+RECORD_REPEATS times, on a fresh copy of that pair whose states keep
+nothing: compute_derived of both states, energy_delta, f_delta_norm with
+those derived fields and energy_sigma of solution a.
 
 * ``htilde build``   the Newton solve of MonotoneMap.preimage that builds
                      htilde, with the spread of the fields it carries
@@ -51,11 +37,11 @@ own set-up: WARMUP steps untimed, then STEP_CHUNKS runs of STEP_CHUNK steps.
                         and, for a pair, the new maps with their check
 * ``step``              the whole step
 
-It prints each layer's median time per set-up, record or step, raw and
-scaled to REF_S by the reference kernel of benchmarks/timing.py, timed
-before and after each run, and the minor page faults per set-up, record
-or step (resource.getrusage, the runs alone).  crestwave is imported from
-src/; benchmarks/ is only read.
+It prints each layer's median time per record or step, raw and scaled to
+REF_S by the reference kernel of benchmarks/timing.py, timed before and
+after each run, and the minor page faults per record or step
+(resource.getrusage, the runs alone).  crestwave is imported from src/;
+benchmarks/ is only read.
 """
 
 from __future__ import annotations
@@ -76,7 +62,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 sys.path.insert(0, str(ROOT / "perf"))
 
 import crestwave as cw  # noqa: E402
-from crestwave import brackets, energies, evolution, pair  # noqa: E402
+from crestwave import brackets, energies, evolution  # noqa: E402
 from crestwave.evolution import drive  # noqa: E402
 from crestwave.spectral import SpectralGrid  # noqa: E402
 from gate import record  # noqa: E402
@@ -84,12 +70,10 @@ from timing import REF_S, ReferenceKernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_NAMES = ("pair_eps05", "pair_record_n2048")
-SETUP_LAYERS = ("grid", "crest_data", "identity map", "derive", "build_pair", "set-up")
 RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "powers", "sup norm", "l2 + hhalf",
                  "record")
 STEP_LAYERS = ("stage-1 derive", "later stages", "finish", "post-step guards", "step")
 STEP_WORKLOADS = (("dispersion_n256", "step_rk4"), ("pair_eps05", "co_step"))
-SETUPS = 200
 WARMUP = 5
 RECORD_REPEATS = 5
 STEP_CHUNK = 20
@@ -126,12 +110,12 @@ def fresh(p):
 
 
 class LayerTimers:
-    """Timers around the functions of each layer of the set-up or of the
-    record; spent[layer] sums the seconds of the calls since the last
+    """Timers around the functions of each layer of the record or of the
+    step; spent[layer] sums the seconds of the calls since the last
     reset.  A wrap target that no longer exists raises KeyError."""
 
     def __init__(self):
-        self.spent = dict.fromkeys(SETUP_LAYERS + RECORD_LAYERS + STEP_LAYERS, 0.0)
+        self.spent = dict.fromkeys(RECORD_LAYERS + STEP_LAYERS, 0.0)
         self._undo = []
         # whether the step that timers.step runs has not yet derived, and
         # when its finish ended
@@ -151,19 +135,10 @@ class LayerTimers:
         return wrapper
 
     def wrap(self, owner, name, make):
-        """Put make(original) in the place of owner's own attribute name;
-        the class attribute itself, so a classmethod is put back as one."""
+        """Put make(original) in the place of owner's own attribute name."""
         original = vars(owner)[name]
         setattr(owner, name, make(original))
         self._undo.append((owner, name, original))
-
-    def wrap_setup(self):
-        for name, layer in (("SpectralGrid", "grid"), ("crest_data", "crest_data"),
-                            ("zero_tension_twin", "derive"), ("build_pair", "build_pair")):
-            self.wrap(pair, name, partial(self.timed, layer))
-        # defined on MonotoneMap, whose classmethod InverseFlowMap inherits
-        self.wrap(brackets.MonotoneMap, "identity",
-                  lambda identity: classmethod(self.timed("identity map", identity.__func__)))
 
     def wrap_record(self):
         def timed_preimage(preimage):
@@ -236,7 +211,7 @@ class LayerTimers:
 
 def split(runs, layers, kernel, timers, per=1):
     """({layer: (raw, scaled) medians in ms}, minor faults) over the calls of
-    runs, each of per units (set-ups, records or steps) and timed whole as
+    runs, each of per units (records or steps) and timed whole as
     layers[-1]; the times are per unit and scaled by the kernel timed
     before and after each call, and the faults are the mean per unit."""
     raw = {layer: [] for layer in layers}
@@ -277,18 +252,13 @@ def table(name, wrap, runs, layers, kernel, timers, per=1):
 def main():
     kernel = ReferenceKernel()
     timers = LayerTimers()
-    print(f"python {platform.python_version()}, numpy {np.__version__}, {SETUPS} set-ups "
-          f"and {RECORD_REPEATS} repeats of every record of each pair workload, "
-          f"{STEP_CHUNKS * STEP_CHUNK} steps of each step workload; ms per set-up, record or "
-          f"step, raw and scaled to a reference kernel time of {1e3 * REF_S:.2f} ms")
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"{RECORD_REPEATS} repeats of every record of each pair workload, "
+          f"{STEP_CHUNKS * STEP_CHUNK} steps of each step workload; ms per record or step, "
+          f"raw and scaled to a reference kernel time of {1e3 * REF_S:.2f} ms")
     print(f"{'workload':<20}{'layer':<18}{'raw ms':>9}{'scaled ms':>11}")
     for name in WORKLOAD_NAMES:
-        workload = WORKLOADS[name]
-        for _ in range(WARMUP):
-            workload.setup(0)
-        setups = (partial(workload.setup, 0) for _ in range(SETUPS))
-        table(name, timers.wrap_setup, setups, SETUP_LAYERS, kernel, timers)
-        pairs = record_pairs(workload)
+        pairs = record_pairs(WORKLOADS[name])
         for p in pairs[:3]:
             record(fresh(p))
         records = (partial(record, fresh(p)) for _ in range(RECORD_REPEATS) for p in pairs)

@@ -11,9 +11,7 @@ Layout (documented here and in the README):
     then          three complex fields, each n little-endian float64
                   (re, im) pairs in grid order, and nothing after them
 
-Round-trips are bit-exact; a file of any other length is refused.  Version
-1 adds the branch g of arg(Z_ap) as n little-endian float64; it loads only
-if g is bit for bit seed_angle of its Z_ap, the branch the state derives.
+Round-trips are bit-exact; a file of any other length is refused.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import sys
 import numpy as np
 
 from .evolution import make_state
-from .spectral import SpectralGrid, same_bytes
+from .spectral import SpectralGrid
 
 MAGIC = b"CWCHKPT1"
 _FLOAT_MAX = sys.float_info.max
@@ -55,9 +53,8 @@ def load_checkpoint(path):
     """State stored by save_checkpoint; raises ValueError on a file that is
     not a checkpoint, is cut short or has trailing bytes, on a header that
     does not decode, too deeply nested ones included, or is not a JSON
-    object with version 1 or 2 (an integer) and numeric grid, sigma and
-    time fields, on fields that make_state rejects and on a version 1 angle
-    block that is not the branch of its Z_ap."""
+    object with version 2 (an integer) and numeric grid, sigma and time
+    fields, and on fields that make_state rejects."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != MAGIC:
@@ -74,20 +71,17 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
     version = header.get("version")
-    # an exact int: True and 1.0 compare equal to 1 but are no version
-    if type(version) is not int or version not in (1, 2):
+    # an exact int: 2.0 compares equal to 2 but is no version
+    if type(version) is not int or version != 2:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     n, length, dealias, sigma, time = (_header_number(header, key) for key in _NUMBERS)
     body = data[12 + hlen :]
-    size = (48 + 8 * (version == 1)) * n
+    size = 48 * n
     if len(body) != size:
         raise ValueError(f"checkpoint fields take {len(body)} bytes, expected {size} for n = {n}")
     grid = SpectralGrid(n, length, dealias)
     fields = np.frombuffer(body, dtype="<c16", count=3 * n).astype(np.complex128).reshape(3, n)
-    state = make_state(grid, *fields, sigma, time)
-    if version == 1 and not same_bytes((np.frombuffer(body, "<f8", offset=48 * n),), (state.g,)):
-        raise ValueError("checkpoint angle block is not the branch seed_angle takes from Z_ap")
-    return state
+    return make_state(grid, *fields, sigma, time)
 
 
 # the numeric header fields, in the order load_checkpoint reads them

@@ -412,12 +412,14 @@ def plan_steps(bound, t_final, stepper, min_steps, max_steps):
     if not bound > 0:
         raise CFLViolationError(f"step-size bound = {bound:.3e} is not positive")
     dt = min(stepper.dt_safety * bound, t_final / min_steps)
-    n_steps = int(np.ceil(t_final / dt - 1e-12))
-    if n_steps > max_steps:
+    # a float count, so a dt that underflows to 0 or a count beyond any int fails here
+    steps = t_final / dt - 1e-12 if dt > 0 else math.inf
+    if not steps <= max_steps:
         raise CFLViolationError(
-            f"{n_steps} steps needed at dt = {dt:.3e} for t_final = {t_final}, "
+            f"{steps:.6g} steps needed at dt = {dt:.3e} for t_final = {t_final}, "
             f"above max_steps = {max_steps}"
         )
+    n_steps = math.ceil(steps)
     return t_final / n_steps, n_steps
 
 

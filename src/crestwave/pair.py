@@ -284,8 +284,9 @@ def run_convergence_study(specs, jobs=1):
     sigmas = [r.spec.sigma for r in ok]
     if ok:
         out.slope_e0_vs_sigma = fit_loglog(sigmas, [r.e_delta_initial for r in ok])
+        # epsilon = 0 has no scaling abscissa: NaN, which fit_loglog drops
         out.slope_e0_vs_scaling = fit_loglog(
-            [r.spec.sigma / r.spec.epsilon ** 1.5 for r in ok],
+            [r.spec.sigma / r.spec.epsilon ** 1.5 if r.spec.epsilon > 0 else np.nan for r in ok],
             [r.e_delta_initial for r in ok],
         )
         out.slope_supf_vs_sigma = fit_loglog(sigmas, [r.f_delta_sup for r in ok])

@@ -21,7 +21,7 @@ from crestwave.errors import (
     MonotonicityError,
 )
 from crestwave.evolution import (
-    StepperConfig, cfl_bound, compute_derived, flat_state, seed_angle, step_rk4,
+    StepperConfig, cfl_bound, compute_derived, flat_state, step_rk4,
 )
 from crestwave.pair import PairState, build_pair
 from crestwave.spectral import SpectralGrid, make_grid
@@ -204,6 +204,21 @@ def test_cfl_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, ini",
+    [
+        ("simulate", "[grid]\nn_points = 16\n\n[physics]\nt_final = 1e308\n"),
+        ("pair", "[grid]\nn_points = 64\n\n[physics]\nt_final = 5e-324\n"),
+    ],
+    ids=["count_overflows", "dt_underflows"],
+)
+def test_cfl_exit_code_of_a_step_count_that_is_no_int(tmp_path, command, ini):
+    # more steps than any int, and a dt that underflows to 0: each used to
+    # escape as a Python error with exit 1
+    cfgp = _write(tmp_path, "huge.ini", ini)
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize(
     "error, err, code",
     [
         (CFLViolationError("x"), "CFL failure: x\n", 3),
@@ -280,46 +295,11 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert st2.sigma == st.sigma and st2.time == st.time
     for a, b in ((st.Zdev, st2.Zdev), (st.Zp, st2.Zp), (st.Zt, st2.Zt), (st.g, st2.g)):
         assert np.array_equal(a, b)
-    # layout version 2: the three complex fields and no angle block
+    # layout version 2: the three complex fields and nothing after them
     raw = Path(p).read_bytes()
     (hlen,) = struct.unpack_from("<I", raw, 8)
     assert json.loads(raw[12 : 12 + hlen])["version"] == 2
     assert len(raw) == 12 + hlen + 48 * g.n
-
-
-def _write_version_1(path, state, g):
-    """A layout version 1 checkpoint of state whose angle block is g, written
-    byte by byte: magic, header length, header, the three complex fields,
-    then g as n little-endian float64."""
-    grid = state.grid
-    header = {
-        "version": 1, "n_points": grid.n, "length": grid.length,
-        "dealias_fraction": grid.dealias_fraction, "sigma": state.sigma, "time": state.time,
-        "fields": ["Zdev", "Zp", "Zt"], "angle_field": True,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = [np.asarray(a, dtype="<c16") for a in (state.Zdev, state.Zp, state.Zt)]
-    body.append(np.asarray(g, dtype="<f8"))
-    path.write_bytes(
-        b"CWCHKPT1" + struct.pack("<I", len(blob)) + blob + b"".join(a.tobytes() for a in body)
-    )
-
-
-def test_version_1_checkpoint_loads_only_with_the_branch_of_its_z_ap(tmp_path):
-    rng = np.random.default_rng(88)
-    st = random_smooth_state(make_grid(128), rng, sigma=3e-3, amp=0.2)
-    st = step_rk4(st, StepperConfig(), 0.4 * cfl_bound(st))
-    p = tmp_path / "v1.ckpt"
-    _write_version_1(p, st, seed_angle(st.Zp))
-    loaded = load_checkpoint(str(p))
-    assert loaded == st and loaded.g.tobytes() == st.g.tobytes()
-    # another whole turn at one node, or one ulp more, is not that branch
-    for damage in (lambda x: x + 2.0 * np.pi, lambda x: np.nextafter(x, np.inf)):
-        g = seed_angle(st.Zp)
-        g[17] = damage(g[17])
-        _write_version_1(p, st, g)
-        with pytest.raises(ValueError, match="angle block"):
-            load_checkpoint(str(p))
 
 
 def _edit_header(edit):
@@ -348,12 +328,12 @@ HEADER_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
     "damage, match",
     [
         (lambda raw, n: raw[:-16], "bytes"),  # cut at a 16-byte boundary
-        (_setting("version", 1), "bytes"),  # a version 1 file without its angle block
-        (lambda raw, n: raw[: -8 * n], "bytes"),  # cut by the size of an angle block
+        (_setting("version", 1), "unsupported checkpoint version 1"),  # no longer read
+        (lambda raw, n: raw[: -8 * n], "bytes"),  # cut by 8n bytes, half a field
         (lambda raw, n: raw + b"\x00", "bytes"),  # one trailing byte
         (lambda raw, n: raw[:8] + struct.pack("<I", len(raw)) + raw[12:], "runs past the end"),
         (_edit_header(lambda h: [1]), "not a JSON object"),
-        (_edit_header(lambda h: {"version": 1}), "n_points = None is not an integer"),
+        (_edit_header(lambda h: {"version": 2}), "n_points = None is not an integer"),
         *[(_without(key), f"{key} = None is not") for key in HEADER_NUMBERS],
         *[(_setting(key, "64"), f"{key} = '64' is not") for key in HEADER_NUMBERS],
         (_setting("n_points", 64.0), "n_points = 64.0 is not an integer"),
@@ -361,7 +341,7 @@ HEADER_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
         (_setting("time", True), "time = True is not a finite number"),
     ],
     ids=[
-        "cut_16_bytes", "no_angle_block", "cut_8n_bytes", "trailing_byte", "header_past_end",
+        "cut_16_bytes", "version_1", "cut_8n_bytes", "trailing_byte", "header_past_end",
         "header_list", "header_version_only",
         *[f"no_{key}" for key in HEADER_NUMBERS],
         *[f"string_{key}" for key in HEADER_NUMBERS],
@@ -382,15 +362,12 @@ def test_checkpoint_refuses_wrong_length(tmp_path, damage, match):
 @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2"],
                          ids=["true", "float_1", "float_2", "string_2"])
 def test_checkpoint_refuses_a_version_that_is_not_an_exact_int(tmp_path, version):
-    # True and 1.0 compare equal to 1 and 2.0 to 2, so each goes on a file
-    # that is valid in the layout of that version: only the header differs
+    # 2.0 compares equal to 2, so each goes on a valid version 2 file: only
+    # the header differs
     rng = np.random.default_rng(88)
     st = random_smooth_state(make_grid(64), rng, amp=0.1)
     p = tmp_path / "st.ckpt"
-    if version == 1:
-        _write_version_1(p, st, seed_angle(st.Zp))
-    else:
-        save_checkpoint(str(p), st)
+    save_checkpoint(str(p), st)
     assert load_checkpoint(str(p)) == st
     p.write_bytes(_setting("version", version)(p.read_bytes(), st.grid.n))
     with pytest.raises(ValueError, match=f"unsupported checkpoint version {version!r}"):

@@ -296,6 +296,16 @@ def test_plan_steps_refuses_a_run_that_is_not_forward(t_final, min_steps, messag
         plan_steps(1.0, t_final, StepperConfig(), min_steps, 1000)
 
 
+@pytest.mark.parametrize("t_final, min_steps, dt", [(1e306, 1, "5.000e-04"),
+                                                     (5e-324, 64, "0.000e+00")])
+def test_plan_steps_refuses_a_run_whose_step_count_is_no_int(t_final, min_steps, dt):
+    # a count beyond float range used to fail to convert to an int, and a
+    # t_final / min_steps that underflows to 0 to divide by zero
+    message = f"inf steps needed at dt = {dt} for t_final = {t_final}, above max_steps = 1000"
+    with pytest.raises(CFLViolationError, match=f"^{re.escape(message)}$"):
+        plan_steps(1e-3, t_final, StepperConfig(), min_steps, 1000)
+
+
 @pytest.mark.parametrize("dt_safety", [0.0, -0.5, float("nan"), 2.0])
 def test_plan_steps_takes_dt_safety_only_from_a_checked_stepper_config(dt_safety):
     # plan_steps used to take the raw float: 0 divided by zero, -0.5 planned

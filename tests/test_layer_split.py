@@ -1,6 +1,6 @@
-"""perf/layer_split.py, which times the layers of a pair set-up, of a pair
-record and of a step: on a small pair and state, every wrap target exists,
-every layer is reached, and remove() puts every wrapped attribute back."""
+"""perf/layer_split.py, which times the layers of a pair record and of a
+step: on a small pair and state, every wrap target exists, every layer is
+reached, and remove() puts every wrapped attribute back."""
 
 import importlib.util
 from dataclasses import replace
@@ -10,7 +10,7 @@ from functools import partial
 from pathlib import Path
 
 import crestwave as cw
-from crestwave import brackets, energies, evolution, pair
+from crestwave import brackets, energies, evolution
 from crestwave.spectral import SpectralGrid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,8 +19,6 @@ layer_split = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layer_split)
 
 # the attributes each wrap set puts its timers in the place of
-SETUP_TARGETS = [(pair, "SpectralGrid"), (pair, "crest_data"), (pair, "zero_tension_twin"),
-                 (pair, "build_pair"), (brackets.MonotoneMap, "identity")]
 RECORD_TARGETS = [(brackets.MonotoneMap, "preimage"), (energies, "_build_blocks"),
                   (energies, "_powers"), (SpectralGrid, "sup_norm"),
                   (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm")]
@@ -46,17 +44,12 @@ def _split_once(timers, wrap, targets, layers, run, per=1):
     return medians
 
 
-def test_every_layer_of_a_set_up_and_a_record_is_timed_and_unwrapped_after():
-    workload = replace(layer_split.WORKLOADS["pair_eps05"], n=64, epsilon=0.5)
+def test_every_layer_of_a_record_is_timed_and_unwrapped_after():
+    p = replace(layer_split.WORKLOADS["pair_eps05"], n=64, epsilon=0.5).setup(0)[0]
     timers = layer_split.LayerTimers()
-    built = []
-    setup = _split_once(timers, timers.wrap_setup, SETUP_TARGETS, layer_split.SETUP_LAYERS,
-                        lambda: built.append(workload.setup(0)[0]))
-    (p,) = built
-    record = _split_once(timers, timers.wrap_record, RECORD_TARGETS,
-                         layer_split.RECORD_LAYERS,
-                         partial(layer_split.record, layer_split.fresh(p)))
-    medians = {**setup, **record}
+    medians = _split_once(timers, timers.wrap_record, RECORD_TARGETS,
+                          layer_split.RECORD_LAYERS,
+                          partial(layer_split.record, layer_split.fresh(p)))
     assert [layer for layer, (raw, scaled) in medians.items()
             if not (raw > 0 and scaled > 0)] == []
 
@@ -77,3 +70,9 @@ def test_every_layer_of_a_step_is_timed_and_unwrapped_after(name, step):
     assert [layer for layer, (raw, scaled) in medians.items()
             if not (raw > 0 and scaled > 0)] == []
     assert sum(medians[layer][0] for layer in layer_split.STEP_LAYERS[:-1]) < medians["step"][0]
+
+
+def test_the_docstring_describes_every_layer_of_each_table_in_order():
+    # the names between double backquotes, so no table goes undescribed
+    described = layer_split.__doc__.split("``")[1::2]
+    assert described == [*layer_split.RECORD_LAYERS, *layer_split.STEP_LAYERS]

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 from crestwave import brackets, evolution
 from crestwave import pair as pair_module
 from crestwave.brackets import InverseFlowMap, MonotoneMap
-from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
+from crestwave.energies import EnergyReport, energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import DegenerateJacobianError, HolomorphicityError, MonotonicityError
 from crestwave.evolution import (
     DerivedFields,
@@ -609,6 +609,21 @@ def test_a_study_starts_at_most_one_worker_per_spec(monkeypatch, n_specs, jobs, 
     out = run_convergence_study(specs, jobs=jobs)
     assert pools == pooled
     assert [r.spec for r in out.runs] == specs[::-1]
+
+
+def test_a_study_at_epsilon_0_fits_no_scaling_slope(monkeypatch):
+    # sigma / epsilon^{3/2} used to divide by zero once every run had
+    # succeeded; each run is a successful stand-in with E_delta and F_delta
+    # equal to its sigma, so nothing is stepped
+    def run(spec):
+        report = EnergyReport("delta", 0.0, {"total": spec.sigma})
+        return PairRunResult(spec, ok=True, delta_reports=[report], f_delta_reports=[report])
+
+    monkeypatch.setattr(pair_module, "run_pair_once", run)
+    out = run_convergence_study([PairRunSpec(sigma=s, epsilon=0.0) for s in (1e-3, 1e-4)])
+    assert out.slope_e0_vs_scaling is None
+    assert out.slope_e0_vs_sigma == pytest.approx(1.0)
+    assert out.slope_supf_vs_sigma == pytest.approx(1.0)
 
 
 def test_stepped_maps_carry_the_jacobians_of_their_deviations():
