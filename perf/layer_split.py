@@ -117,9 +117,7 @@ class LayerTimers:
     def __init__(self):
         self.spent = dict.fromkeys(RECORD_LAYERS + STEP_LAYERS, 0.0)
         self._undo = []
-        # whether the step that timers.step runs has not yet derived, and
-        # when its finish ended
-        self._stage_one = False
+        # when the finish of the step that timers.step runs ended
         self._finish_end = 0.0
 
     def timed(self, layer, function):
@@ -161,18 +159,6 @@ class LayerTimers:
             self.wrap(SpectralGrid, name, partial(self.timed, "l2 + hhalf"))
 
     def wrap_step(self):
-        def stage_one(derive_states):
-            timed = self.timed("stage-1 derive", derive_states)
-
-            def derive(*args, **kwargs):
-                # the first derive of a step is advance's own
-                if self._stage_one:
-                    self._stage_one = False
-                    return timed(*args, **kwargs)
-                return derive_states(*args, **kwargs)
-
-            return derive
-
         def later_stages(rk4):
             return lambda y0, rhs, dt, k1: rk4(y0, self.timed("later stages", rhs), dt, k1)
 
@@ -187,14 +173,13 @@ class LayerTimers:
 
             return wrapper
 
-        self.wrap(evolution, "derive_states", stage_one)
+        self.wrap(evolution, "derive_states", partial(self.timed, "stage-1 derive"))
         self.wrap(evolution, "rk4", later_stages)
         self.wrap(evolution, "_finish", finish)
 
     def step(self, step, x, cfg, dt):
         """step(x, cfg, dt), the time from the end of its finish to its end
         added to "post-step guards"."""
-        self._stage_one = True
         x = step(x, cfg, dt)
         self.spent["post-step guards"] += time.perf_counter() - self._finish_end
         return x

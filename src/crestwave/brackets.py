@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MonotonicityError
-from .spectral import SpectralGrid, _require_finite, same_bytes
+from .spectral import SpectralGrid, _require_finite
 
 JACOBIAN_FLOOR = 1e-6
 # Newton steps of MonotoneMap.preimage at most; maps with |h_ap - 1| = 0.99 took six
@@ -32,15 +32,12 @@ class MonotoneMap:
     1 + dev' (spectral derivative), so dataclasses.replace with a new
     deviation must pass jac=None or keep the old Jacobian.  The map is
     immutable and keeps nothing else: its arrays are never written in
-    place.  Two maps are equal when their type, grid and the bytes of their
-    arrays are, and a map is not hashable.
+    place.
     """
 
     grid: SpectralGrid
     deviation: np.ndarray = field(repr=False)
     jac: np.ndarray | None = field(default=None, repr=False)
-
-    __hash__ = None
 
     def __post_init__(self):
         dev = np.asarray(self.deviation, dtype=np.float64)
@@ -57,13 +54,6 @@ class MonotoneMap:
         object.__setattr__(self, "deviation", dev)
         object.__setattr__(self, "jac", jac)
         self._require_monotone()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.grid == other.grid and same_bytes(
-            (self.deviation, self.jac), (other.deviation, other.jac)
-        )
 
     def _require_monotone(self):
         """Refuse h_ap below JACOBIAN_FLOOR."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import spectral
 from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at
-from .spectral import SpectralGrid, same_bytes
+from .spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
 ABS_ZP_FLOOR = 1e-8
@@ -56,13 +56,9 @@ class WaveState:
     Zt the complex velocity Z_t.  What stacked passes compute from a state
     is kept on it: the compute_derived fields, and the energy blocks and
     the components of every state family (sigma, high, aux) of energies;
-    a state that advance made keeps the min |Z_ap| of its post-step check
-    until its derive takes it over; the branch g of arg(Z_ap) is computed
-    on each read.  Kept arrays, like
+    the branch g of arg(Z_ap) is computed on each read.  Kept arrays, like
     the state's own, are never written in place, and dataclasses.replace
-    starts with nothing kept.  Two states are equal when their grid, sigma,
-    time and the bytes of their arrays are, whatever each keeps; a state is
-    not hashable.
+    starts with nothing kept.
     """
 
     grid: SpectralGrid
@@ -72,16 +68,6 @@ class WaveState:
     sigma: float
     time: float
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        arrays = ("Zdev", "Zp", "Zt")
-        return (self.grid, self.sigma, self.time) == (other.grid, other.sigma, other.time) and (
-            same_bytes([getattr(self, a) for a in arrays], [getattr(other, a) for a in arrays])
-        )
 
     @property
     def g(self):
@@ -167,18 +153,18 @@ def compute_derived(state):
 
 
 def derive_states(states, prefixes=None):
-    """compute_derived of each of states, which share one grid.
+    """compute_derived of each of states, which share one grid: a state on
+    another grid than the first raises ValueError naming both grids.
 
     The states whose fields are not yet kept are derived together in one
     stacked pass, two rounds of independent Fourier multipliers with one
     FFT pair each, and row r of every field is bit-identical to deriving
     that state alone.  Each of those states must pass the |Z_ap| floor
     before any field is computed; the error of state r then starts with
-    prefixes[r] when prefixes is given.  A state that advance made brings
-    the min |Z_ap| of its post-step check, which the floor check reads;
-    |Z_ap| is reduced only for the others.  The first RK4 stage of advance
+    prefixes[r] when prefixes is given.  The first RK4 stage of advance
     comes from here; its later stages call _derive.
     """
+    _require_one_grid(states[0].grid, states)
     if prefixes is None:
         prefixes = ("",) * len(states)
     new = [(st, prefix) for st, prefix in zip(states, prefixes) if "derived" not in st._memo]
@@ -187,11 +173,7 @@ def derive_states(states, prefixes=None):
         new.sort(key=lambda item: item[0].sigma == 0.0)
         Zp = _stack([st.Zp for st, _ in new])
         abs_Zp = np.abs(Zp)
-        # the minimum that advance's post-step check took, for a state it made
-        min_abs = [st._memo.pop("min_abs_Zp", None) for st, _ in new]
-        if None in min_abs:
-            reduced = abs_Zp.min(axis=-1).tolist()
-            min_abs = [r if kept is None else kept for kept, r in zip(min_abs, reduced)]
+        min_abs = abs_Zp.min(axis=-1).tolist()
         for (_, prefix), min_r in zip(new, min_abs):
             _require_floor(min_r, prefix)
         fields = _derive(
@@ -219,6 +201,15 @@ def _stack(rows):
     """The (m, n) stack of the m arrays rows, a view of a lone row: a step
     of one state copies none of its fields to read them as a stack."""
     return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+def _require_one_grid(grid, items):
+    """Refuse a state or map of items that is not on grid: every row of a
+    stacked pass takes its wavenumbers from grid."""
+    for item in items:
+        # a pair's members share one grid object, so this is one identity test
+        if item.grid is not grid and item.grid != grid:
+            raise ValueError(f"a stacked pass on {grid!r} got a row on {item.grid!r}")
 
 
 def _require_floor(min_abs, prefix):
@@ -516,13 +507,13 @@ def advance(states, cfg, dt, maps=None, tags=None):
     those of the states, and without the filter their debris piles up at
     the top modes of k over long runs.
 
-    Returns the new states, each keeping the min |Z_ap| of its post-step
-    check for its derive, and, with maps, the (m, n) stacks of the new map
-    deviations and of their Jacobians 1 + D k_dev (None without maps).
-    Raises ValueError if a capillary state follows one with sigma = 0,
-    and, state by state, CFLViolationError when dt is not positive or not
-    within dt_safety times cfl_bound of the state (a NaN bound or dt
-    fails), DegenerateJacobianError on a degenerate or NaN Z_ap, and
+    Returns the new states and, with maps, the (m, n) stacks of the new
+    map deviations and of their Jacobians 1 + D k_dev (None without maps).
+    Raises ValueError if a capillary state follows one with sigma = 0 or
+    a state or map is on another grid than the first state, and, state by
+    state, CFLViolationError when dt is not positive or not within
+    dt_safety times cfl_bound of the state (a NaN bound or dt fails),
+    DegenerateJacobianError on a degenerate or NaN Z_ap, and
     HolomorphicityError on projected mass above HOLO_TOLERANCE times the
     size of the state, or NaN mass; an error of state r starts with tags[r]
     when tags is given.
@@ -533,6 +524,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
     # the n_cap capillary states lead when none of the first n_cap is 0
     if 0.0 in sigma[: len(sigma) - sigma.count(0.0)]:
         raise ValueError(f"capillary states (sigma != 0) must come first, got sigmas {sigma}")
+    if maps is not None:
+        _require_one_grid(grid, maps)
     tags = ("",) * m if tags is None else tags
     derived = derive_states(states, prefixes=tags)
     for st, d, tag in zip(states, derived, tags):
@@ -591,9 +584,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
                 f"{tag}projected positive-mode mass {res:.3e} of {name} above tolerance "
                 f"{HOLO_TOLERANCE:.1e} * {scale:.3e}"
             )
-        state = WaveState(grid, Zdev[r], Zp[r], Zt[r], st.sigma, st.time + dt)
-        state._memo["min_abs_Zp"] = min_abs[r]
-        new.append(state)
+        new.append(WaveState(grid, Zdev[r], Zp[r], Zt[r], st.sigma, st.time + dt))
     if maps is None:
         return new, None
     packed, d_packed = out[3 * m :].reshape(2, -1, n)

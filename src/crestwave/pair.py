@@ -38,22 +38,12 @@ class PairState:
     """Two solutions and the inverses k_a = h_a^{-1} and k_b = h_b^{-1} of
     their flow maps.  What is computed from a pair is kept in its instance
     dict: htilde, as map_tilde, and the components of its record pass,
-    which energy_delta and f_delta_norm share.  Two pairs are equal when
-    their members are, whatever each keeps; a pair is not hashable."""
+    which energy_delta and f_delta_norm share."""
 
     state_a: WaveState
     state_b: WaveState
     k_a: InverseFlowMap
     k_b: InverseFlowMap
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.state_a, self.state_b, self.k_a, self.k_b) == (
-            other.state_a, other.state_b, other.k_a, other.k_b
-        )
 
     @property
     def time(self):

@@ -113,15 +113,6 @@ def _sum_squares(rows, out=None):
     return np.vecdot(v, v, out=out)
 
 
-def same_bytes(arrays, others):
-    """Whether the arrays pairwise share dtype, shape and bytes, so that
-    signed zeros and NaNs count as they are stored."""
-    return all(
-        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        for a, b in zip(arrays, others, strict=True)
-    )
-
-
 class SpectralGrid:
     """Uniform periodic grid with its wavenumbers; the multiplier symbols
     live in the tables of symbol_table.

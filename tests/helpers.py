@@ -1,6 +1,6 @@
 """Shared constructors and oracles for the test suite."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -11,6 +11,30 @@ from crestwave.pair import PairState
 from crestwave.spectral import SpectralGrid
 
 from oracles import linf_norm, rhs_eulerian
+
+
+def same_bytes(arrays, others):
+    """Whether the arrays pairwise share dtype, shape and bytes, so that
+    signed zeros and NaNs count as they are stored."""
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(arrays, others, strict=True)
+    )
+
+
+def same(x, y):
+    """Whether x and y, two states, maps or pairs, have the same type, grid,
+    scalars and array bytes, the members of a pair compared alike; what
+    each keeps is not compared."""
+
+    def equal(a, b):
+        if isinstance(a, np.ndarray):
+            return same_bytes([a], [b])
+        return same(a, b) if is_dataclass(a) else a == b
+
+    return type(x) is type(y) and all(
+        equal(getattr(x, f.name), getattr(y, f.name)) for f in fields(x) if f.compare
+    )
 
 
 def random_holomorphic(grid, rng, n_modes=6, amp=0.3, decay=2.0):

@@ -380,6 +380,31 @@ def derived_unbatched(state):
     }
 
 
+def conserved(state):
+    """The kinetic energy K, mass M, potential energy P, excess length S
+    and total energy E = K + P + sigma S of one state, which the flow
+    conserves (M and E).  With w = conj(Z_t) Z_ap and Q = D^-1 w, of zero
+    mean and Nyquist mode 0,
+
+        K = -1/2 int Re Q Im w,     M = int Im Zdev Re Z_ap,
+        P = 1/2 int (Im Zdev)^2 Re Z_ap - M^2 / (2 L),
+        S = int (|Z_ap| - 1),
+
+    each integral the sum over the nodes times dx."""
+    grid = state.grid
+    w = np.conj(state.Zt) * state.Zp
+    keep = (grid.k_int != 0) & (grid.k_int != grid.n // 2)
+    inv_deriv = np.zeros(grid.n, dtype=np.complex128)
+    inv_deriv[keep] = 1.0 / (1j * grid.k[keep])
+    Q = grid.multiply_symbol(w, inv_deriv)
+    y, x_ap = state.Zdev.imag, state.Zp.real
+    K = -0.5 * grid.dx * float(np.sum(Q.real * w.imag))
+    M = grid.dx * float(np.sum(y * x_ap))
+    P = 0.5 * grid.dx * float(np.sum(y ** 2 * x_ap)) - M ** 2 / (2.0 * grid.length)
+    S = grid.dx * float(np.sum(np.abs(state.Zp) - 1.0))
+    return {"K": K, "M": M, "P": P, "S": S, "E": K + P + state.sigma * S}
+
+
 def rhs_eulerian(state):
     """Time derivatives (dt Zdev, dt Z_ap, dt Z_t) of one state on the fixed
     grid, from its derived fields by the rate formula of the stepper's

@@ -11,7 +11,7 @@ from crestwave.energies import energy_delta, energy_sigma, f_delta_norm
 from crestwave.errors import HolomorphicityError
 from crestwave import evolution, spectral
 from crestwave.pair import co_step
-from crestwave.spectral import TWO_PI, make_grid, same_bytes
+from crestwave.spectral import TWO_PI, make_grid
 
 from helpers import (
     extend_to_depth,
@@ -21,6 +21,7 @@ from helpers import (
     random_holomorphic,
     random_real_field,
     random_smooth_state,
+    same_bytes,
     sobolev_norm,
 )
 from oracles import (

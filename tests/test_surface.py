@@ -329,8 +329,8 @@ def test_each_kept_result_has_one_owner():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     owners = {(name, key) for name, tree in trees.items() for key in _memo_keys(tree)}
     assert owners == {
-        ("evolution.py", "'derived'"), ("evolution.py", "'min_abs_Zp'"),
-        ("energies.py", "'energy_blocks'"), ("energies.py", "'energy_' + name"),
+        ("evolution.py", "'derived'"), ("energies.py", "'energy_blocks'"),
+        ("energies.py", "'energy_' + name"),
     }
     assert "_memo" not in {f.name for f in dataclasses.fields(cw.PairState)}
     naming = {
