@@ -15,6 +15,10 @@ those derived fields and energy_sigma of solution a.
 
 * ``htilde build``   the Newton solve of MonotoneMap.preimage that builds
                      htilde, with the spread of the fields it carries
+* ``spread``         within htilde build, SpectralGrid.spread: the rfft and
+                     the irfft that refine the 24 rows of the solve (the
+                     deviation and Jacobian of k_b and the 22 rows of b)
+                     to the fine grid
 * ``pull-back``      the gather of the fields of b at the values of htilde,
                      the pull that preimage returns with htilde
 * ``blocks``         energies._build_blocks
@@ -70,8 +74,8 @@ from timing import REF_S, ReferenceKernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_NAMES = ("pair_eps05", "pair_record_n2048")
-RECORD_LAYERS = ("htilde build", "pull-back", "blocks", "powers", "sup norm", "l2 + hhalf",
-                 "record")
+RECORD_LAYERS = ("htilde build", "spread", "pull-back", "blocks", "powers", "sup norm",
+                 "l2 + hhalf", "record")
 STEP_LAYERS = ("stage-1 derive", "later stages", "finish", "post-step guards", "step")
 STEP_WORKLOADS = (("dispersion_n256", "step_rk4"), ("pair_eps05", "co_step"))
 WARMUP = 5
@@ -150,6 +154,7 @@ class LayerTimers:
             return solve
 
         self.wrap(brackets.MonotoneMap, "preimage", timed_preimage)
+        self.wrap(SpectralGrid, "spread", partial(self.timed, "spread"))
         self.wrap(energies, "_build_blocks", partial(self.timed, "blocks"))
         # the powers are formed where the function _powers returns is called
         self.wrap(energies, "_powers",

@@ -124,7 +124,10 @@ def parse_config(path, env=None):
     """
     env = os.environ if env is None else env
     errors = []
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    # no header can name the section "\n", so a [DEFAULT] section is an
+    # unknown section like any other, and its keys reach no other section
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",),
+                                       default_section="\n")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

@@ -436,13 +436,23 @@ class SpectralGrid:
         several point sets spreads it once.  gather(x, kernel) takes
         kernel, the result of nufft_kernel(x), instead of computing it, and
         for a real stack f, gather(x, kernel, select) sums only the rows of
-        f that the slice select picks, as an array of those rows.
+        f that the slice select picks, as an array of those rows; a select
+        with a complex f raises ValueError.
 
         The rows are deconvolved and refined to the fine grid by _refine.  A
         complex f goes through as the rows of its real parts, then its
         imaginary parts, so real weights multiply real data, and its result
         is bit for bit that of its real parts plus 1j times that of its
-        imaginary parts."""
+        imaginary parts.
+
+        A gather splits its points, in their order, into runs whose first
+        fine node advances by 2 from one point to the next, as it does
+        along the nodes or the values of a map near the identity.  A run
+        of at least _NUFFT_WIDTH points reads the windows of every row as
+        one strided view of the fine values, in one einsum; every other
+        point is gathered by index, in chunks of rows that copy at most
+        len(x) * _NUFFT_WIDTH window values (_sum_windows).  A point gets
+        the same bits whichever way its windows are read."""
         f = np.asarray(f)
         w, n_fine = _NUFFT_WIDTH, 2 * self.n
         real = np.isrealobj(f)
@@ -463,12 +473,13 @@ class SpectralGrid:
                              strides=(wrapped.strides[0], step, step))
 
         def gather(x, kernel=None, select=None):
+            if select is not None and not real:
+                raise ValueError("gather selects rows of a real stack only")
             weights, start = self.nufft_kernel(x) if kernel is None else kernel
             picked = windows if select is None else windows[select]
-            out = np.empty((len(picked),) + start.shape)
-            # one row at a time keeps the gathered windows to len(x) * w values
-            for win, row in zip(picked, out):
-                np.einsum("...j,...j->...", weights, win[start], out=row)
+            out = np.empty((len(picked), start.size))
+            if len(picked):
+                _sum_windows(picked, weights.reshape(-1, w), start.ravel(), out)
             if select is not None:
                 return out
             out = out.reshape(lead + start.shape)
@@ -518,6 +529,45 @@ class SpectralGrid:
             f"SpectralGrid(n_points={self.n}, length={self.length!r}, "
             f"dealias_fraction={self.dealias_fraction!r})"
         )
+
+
+def _sum_windows(windows, weights, start, out):
+    """out[r, i] = the sum over j of weights[i, j] windows[r, start[i], j],
+    for the (rows, n_fine, w) windows of a spread, the (points, w) kernel
+    weights and the first fine nodes of the points (see spread).  Each
+    einsum sums a point's w contiguous taps alone, so its bits do not
+    depend on whether its windows are a view or a copy."""
+    w = weights.shape[1]
+    # runs of points whose first fine node is 2 past that of the point
+    # before: a run of at least w points reads the windows of every row as
+    # one strided view
+    cut = np.empty(start.size + 1, dtype=bool)
+    cut[0] = cut[-1] = True
+    np.not_equal(start[1:] - start[:-1], 2, out=cut[1:-1])
+    bounds = cut.nonzero()[0]
+    lengths = bounds[1:] - bounds[:-1]
+    long = lengths >= w
+    firsts = bounds[:-1][long]
+    stray = np.ones(start.size, dtype=bool)
+    for a, m, s in zip(firsts.tolist(), lengths[long].tolist(), start[firsts].tolist()):
+        np.einsum("...j,...j->...", weights[a : a + m], windows[:, s : s + 2 * m - 1 : 2],
+                  out=out[:, a : a + m])
+        stray[a : a + m] = False
+    # every other point is gathered by index, in chunks of rows that copy
+    # at most len(start) * w window values
+    stray = stray.nonzero()[0]
+    if not stray.size:
+        return
+    every = stray.size == start.size
+    part = out if every else np.empty((len(out), stray.size))
+    if not every:
+        weights, start = np.take(weights, stray, axis=0), start[stray]
+    chunk = out.shape[1] // stray.size
+    for r in range(0, len(out), chunk):
+        np.einsum("...j,...j->...", weights, windows[r : r + chunk, start],
+                  out=part[r : r + chunk])
+    if not every:
+        out[:, stray] = part
 
 
 @functools.lru_cache(maxsize=256)

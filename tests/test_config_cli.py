@@ -71,6 +71,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert "unknown section [nope]" in msgs
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nbogus = 3\n",
+                                  "[DEFAULT]\nsigma = 0.5\n[physics]\nt_final = 2\n"])
+def test_config_rejects_a_default_section_and_leaks_none_of_its_keys(tmp_path, text):
+    # configparser takes [DEFAULT] as the defaults of every section; here it
+    # is an unknown section, reported alone, and sets no key elsewhere
+    path = _write(tmp_path, "default.ini", text + "[grid]\nn_points = 6\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path, env={})
+    assert err.value.violations == ["unknown section [DEFAULT]",
+                                    "grid.n_points must be even and >= 8, got 6"]
+
+
 def test_readme_example_config_parses(tmp_path):
     # the ```ini block under "## CLI", inline "; ..." comments included
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -221,6 +221,25 @@ def test_record_pulls_back_through_the_solves_spread_and_keeps_no_map_state(
         assert vars(k).keys() == {f.name for f in fields(k)}
 
 
+def test_the_pull_back_makes_as_many_einsum_calls_whatever_its_row_count(stepped, monkeypatch):
+    # htilde's targets fall in a few runs, whose windows a gather reads for
+    # every row at once, so pulling 22 rows back through htilde takes as
+    # many einsum calls as pulling one: a gather row by row would make one
+    # call per row
+    pair, _, _ = stepped
+    rng = np.random.default_rng(7)
+    einsum, counts = np.einsum, []
+    for rows in (1, 2, 22):
+        fields = rng.standard_normal((rows, pair.state_a.grid.n))
+        calls = []
+        monkeypatch.setattr(spectral.np, "einsum",
+                            lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+        pair._pull_back(fields)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 3
+
+
 def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):
     # energy_delta stacks its three rows with sup |Z_ap^(1/2) D(1/Z_ap)| of
     # a and of b, as it evaluates energy_sigma(a) and energy_aux(b) in its

@@ -19,9 +19,10 @@ layer_split = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layer_split)
 
 # the attributes each wrap set puts its timers in the place of
-RECORD_TARGETS = [(brackets.MonotoneMap, "preimage"), (energies, "_build_blocks"),
-                  (energies, "_powers"), (SpectralGrid, "sup_norm"),
-                  (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm")]
+RECORD_TARGETS = [(brackets.MonotoneMap, "preimage"), (SpectralGrid, "spread"),
+                  (energies, "_build_blocks"), (energies, "_powers"),
+                  (SpectralGrid, "sup_norm"), (SpectralGrid, "l2_norm"),
+                  (SpectralGrid, "hhalf_norm")]
 STEP_TARGETS = [(evolution, "derive_states"), (evolution, "rk4"), (evolution, "_finish")]
 
 

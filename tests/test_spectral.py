@@ -1,6 +1,7 @@
 import importlib.util
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,101 @@ def test_a_gather_of_some_rows_with_given_weights_is_bit_identical():
     assert gather(x, kernel).tobytes() == whole.tobytes()
     for rows in (slice(1), slice(1, 3), slice(2, None)):
         assert gather(x, kernel, rows).tobytes() == whole[rows].tobytes()
+
+
+def test_a_gather_selects_rows_of_a_real_stack_only():
+    # the rows of a complex stack are its real parts then its imaginary
+    # parts, which a slice of the stack's rows would not name
+    g = make_grid(64)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((2, g.n)) + 1j * rng.standard_normal((2, g.n))
+    gather = g.spread(f)
+    with pytest.raises(ValueError, match="real stack"):
+        gather(g.nodes + 0.1, None, slice(0, 1))
+
+
+def test_a_gather_copies_at_most_len_x_times_w_window_values():
+    # random points, the t = 0 case and half runs, half strays: the windows
+    # copied for the strays, a chunk of rows at a time, stay within len(x) *
+    # w values; the traced peak also holds the result, the strays' results
+    # and their weights
+    g, rows, w = make_grid(256), 22, 16
+    rng = np.random.default_rng(11)
+    gather = g.spread(rng.standard_normal((rows, g.n)))
+    L = g.length
+    for x in (rng.uniform(-L, 2 * L, g.n), g.nodes + rng.uniform(-4.0, 4.0, g.n) * np.spacing(L),
+              np.concatenate((g.nodes[: g.n // 2], rng.uniform(-L, 2 * L, g.n // 2)))):
+        kernel = g.nufft_kernel(x)
+        tracemalloc.start()
+        try:
+            gather(x, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        results = 2 * rows * x.size + x.size * w
+        assert peak <= 8 * (results + x.size * w) + 8192
+
+
+def _gather_points(g, family, rng):
+    """Points of the family: 'htilde', the nodes plus a smooth deviation
+    below dx/2, as htilde's targets; 'nodes'; 'near nodes', the nodes
+    moved by a few ulps, as htilde's targets at t = 0; 'random', unsorted
+    in [-L, 2L); 'mixed', the first half of the nodes then random points;
+    'crossing', consecutive nodes, shifted, across 0 or L; 'single', one
+    point."""
+    n, L, dx = g.n, g.length, g.dx
+    if family == "htilde":
+        modes = np.arange(1, 4)
+        dev = np.sin(np.outer(g.nodes * TWO_PI / L, modes) + rng.uniform(0, TWO_PI, 3)) @ (
+            rng.standard_normal(3) / modes)
+        return g.nodes + rng.uniform(0.0, 0.49) * dx * dev / np.max(np.abs(dev))
+    if family == "nodes":
+        return g.nodes.copy()
+    if family == "near nodes":
+        return g.nodes + rng.uniform(-4.0, 4.0, n) * np.spacing(L)
+    if family == "random":
+        return rng.uniform(-L, 2 * L, n)
+    if family == "mixed":
+        return np.concatenate((g.nodes[: n // 2], rng.uniform(-L, 2 * L, n - n // 2)))
+    if family == "crossing":
+        m = int(rng.integers(2, n + 1))
+        return rng.choice([0.0, L]) + dx * (np.arange(m) - m // 2 + rng.uniform(0.0, 1.0))
+    return rng.uniform(-L, 2 * L, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([8, 16, 32, 64, 96, 160, 256]),
+    length=st.floats(0.5, 50.0),
+    family=st.sampled_from(["htilde", "nodes", "near nodes", "random", "mixed", "crossing",
+                            "single"]),
+    rows=st.sampled_from([None, 1, 3]),
+    form=st.sampled_from(["real", "complex", "no rows", "some rows"]),
+    two_d=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_gather_is_its_points_gathered_one_at_a_time(n, length, family, rows, form, two_d,
+                                                       seed):
+    # whatever runs the points fall in, each point gets the bits it gets
+    # alone, with the weights the gather computes or is given
+    g = make_grid(n, length=length)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((rows or 1, n))
+    if form == "complex":
+        f = f + 1j * rng.standard_normal(f.shape)
+    if rows is None:
+        f = f[0]
+    select = {"no rows": slice(0, 0), "some rows": slice(1, None)}.get(form)
+    if select is not None and f.ndim == 1:
+        f = f[None]
+    x = _gather_points(g, family, rng)
+    if two_d and x.size % 2 == 0:
+        x = x.reshape(2, -1)
+    gather = g.spread(f)
+    alone = np.concatenate([gather(p, None, select) for p in x.ravel()], axis=-1)
+    alone = alone.reshape(alone.shape[:-1] + x.shape)
+    assert gather(x, None, select).tobytes() == alone.tobytes()
+    assert gather(x, g.nufft_kernel(x), select).tobytes() == alone.tobytes()
 
 
 def test_interpolate_at_the_grid_nodes_is_exact_to_rounding():
