@@ -27,8 +27,10 @@ legitimately, and says which defect it removes.
 
 REFERENCE was written from a `git archive` of the commit it names; the
 envelopes depend on numpy's transforms and the machine's floating point,
-so the reference records both.  crestwave is imported from the src/
-directory beside this one; benchmarks/ is only read.
+so the reference records both, and the script exits with status 2, naming
+the reference's value and this tree's, when either differs.  crestwave is
+imported from the src/ directory beside this one; benchmarks/ is only
+read.
 """
 
 from __future__ import annotations
@@ -210,7 +212,14 @@ def main(argv=None):
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     ref = json.loads(REFERENCE.read_text())
-    print(f"reference {ref['commit']} (numpy {ref['numpy']}), this tree numpy {np.__version__}")
+    here = {"numpy": np.__version__, "machine": platform.machine()}
+    foreign = [f"{key} {ref.get(key)} in the reference, {value} here"
+               for key, value in here.items() if ref.get(key) != value]
+    if foreign:
+        print(f"the envelopes of {REFERENCE.name} do not apply: {'; '.join(foreign)}",
+              file=sys.stderr)
+        return 2
+    print(f"reference {ref['commit']} (numpy {ref['numpy']}, {ref['machine']})")
     print(f"{'workload':<20}{'total':<11}{'move':>10}{'Re env':>10}{'Im env':>10}  gate")
     rows = compare(ref["workloads"], totals)
     for name, t, move, re, im, within in rows:

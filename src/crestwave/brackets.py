@@ -73,10 +73,11 @@ class MonotoneMap:
         Newton until h(x) - y is at rounding level, and pull(points), which
         is interpolate(fields, points) bit for bit for fields, a sequence of
         real fields on the grid.  The fields are spread in one stack with
-        the map's own two rows, and pull at points of the values of x takes
-        the kernel weights of the solve's last check.  Raises
-        MonotonicityError, naming the largest residual, when NEWTON_CAP
-        steps do not get there."""
+        the map's own two rows; each iterate gathers both of those in one
+        call, so the converged one gathers a Jacobian it does not use, and
+        pull at points of the values of x takes the kernel weights of the
+        solve's last check.  Raises MonotonicityError, naming the largest
+        residual, when NEWTON_CAP steps do not get there."""
         grid = self.grid
         L, nodes, h = grid.length, grid.nodes, self.values
         y = np.asarray(y, dtype=np.float64)
@@ -88,9 +89,8 @@ class MonotoneMap:
         rows = [self.deviation, self.jac, *fields]
         gather = grid.spread(np.array(rows))
         for steps in range(NEWTON_CAP + 1):
-            # the deviation at x, and the Jacobian only for a step
             kernel = grid.nufft_kernel(x)
-            (d,) = gather(x, kernel, slice(1))
+            d, h_ap = gather(x, kernel, slice(2))
             res = x + d - y
             worst = float(np.max(np.abs(res)))
             # written so that a NaN residual fails too
@@ -101,7 +101,6 @@ class MonotoneMap:
                     f"preimage not converged after {NEWTON_CAP} Newton steps: "
                     f"largest residual {worst:.3e}"
                 )
-            (h_ap,) = gather(x, kernel, slice(1, 2))
             x = x - res / h_ap
 
         def pull(points):

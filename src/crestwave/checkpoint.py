@@ -17,6 +17,7 @@ Round-trips are bit-exact; a file of any other length is refused.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 
@@ -30,6 +31,9 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def save_checkpoint(path, state):
+    """Write state to path in the layout above.  The bytes go to a new file
+    beside path, which then replaces path in one step, so a write that
+    fails leaves what path held and no new file."""
     grid = state.grid
     header = {
         "version": 2,
@@ -41,12 +45,19 @@ def save_checkpoint(path, state):
         "fields": ["Zdev", "Zp", "Zt"],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for arr in (state.Zdev, state.Zp, state.Zt):
-            fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for arr in (state.Zdev, state.Zp, state.Zt):
+                fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -105,7 +105,8 @@ def _write_report(outdir, name, args, **report):
 
 def build_initial_state(cfg):
     """Initial WaveState from the [grid]/[data]/[physics] blocks; a
-    checkpoint that cannot be loaded, or whose grid is not the [grid] grid,
+    checkpoint that cannot be loaded, whose grid is not the [grid] grid, or
+    whose time is not below physics.t_final, the end time of the run,
     raises ConfigError."""
     g = cfg.grid
     grid = SpectralGrid(g.n_points, g.length, g.dealias)
@@ -123,6 +124,9 @@ def build_initial_state(cfg):
             raise ConfigError(
                 [f"data.checkpoint {d.checkpoint!r}: {state.grid!r} differs from [grid] {grid!r}"]
             )
+        if not state.time < cfg.physics.t_final:
+            raise ConfigError([f"data.checkpoint {d.checkpoint!r}: its time {state.time!r} is not "
+                               f"below physics.t_final = {cfg.physics.t_final!r}"])
         state = replace(state, sigma=cfg.physics.sigma)
     return state
 
@@ -141,8 +145,9 @@ def _crest_spec(d):
 def cmd_simulate(cfg, outdir, args):
     state = build_initial_state(cfg)
     stepper = StepperConfig(cfg.stepper.dt_safety)
+    # a checkpoint's run goes on from its time to t_final
     dt, n_steps = plan_steps(
-        cfl_bound(state), cfg.physics.t_final, stepper, 1, cfg.stepper.max_steps
+        cfl_bound(state), cfg.physics.t_final - state.time, stepper, 1, cfg.stepper.max_steps
     )
     # by default, zero-surface-tension runs record the higher-order and
     # auxiliary energies alongside
@@ -226,6 +231,9 @@ def cmd_sweep(cfg, outdir, args):
         raise ConfigError([f"sweep takes data.kind = crest only, got {cfg.data.kind!r}"])
     if cfg.study.couple == "eps32" and not cfg.study.epsilon_list:
         raise ConfigError(["sweep with study.couple = eps32 needs a study.epsilon_list"])
+    if cfg.study.couple == "eps32" and cfg.study.sigma_list:
+        # eps32 takes each sigma as eps^(3/2), so a sigma_list would be dropped
+        raise ConfigError(["sweep with study.couple = eps32 takes no study.sigma_list"])
     specs = _study_specs(cfg)
     result = run_convergence_study(specs, jobs=args.jobs or cfg.study.jobs)
 
@@ -294,7 +302,8 @@ COMMANDS = {
 # (error kind, stderr label, exit code) of a failed run; the first kind that
 # matches wins, so the base class comes last.  A ConfigError (a checkpoint
 # that cannot be loaded or has another grid, a sweep of data other than
-# crest, or an eps32 sweep without epsilons) prints its violations instead.
+# crest, an eps32 sweep without epsilons or with sigmas) prints its
+# violations instead.
 FAILURES = (
     (CFLViolationError, "CFL failure", EXIT_CFL),
     (DegenerateJacobianError, "degeneracy failure", EXIT_DEGENERACY),

@@ -13,9 +13,9 @@ Schema (all keys optional, unknown sections or keys are rejected):
 
 Environment variables CRESTWAVE_<SECTION>_<KEY> override file values.
 Every number must be finite.  Validation reports every violation at once.
-The CLI also requires a kind = checkpoint file to hold the [grid] grid,
-and sweep to run kind = crest data, with a study.epsilon_list when
-couple = eps32.
+The CLI also requires a kind = checkpoint file to hold the [grid] grid
+and a time below physics.t_final, and sweep to run kind = crest data,
+with a study.epsilon_list and no study.sigma_list when couple = eps32.
 """
 
 from __future__ import annotations

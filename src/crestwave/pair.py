@@ -98,7 +98,7 @@ def init_pair(state_a, state_b):
 
 
 def twin_pair(base):
-    """The pair at t = 0 of base and its zero-surface-tension twin
+    """The pair, at the time of base, of base and its zero-surface-tension twin
     (evolution.zero_tension_twin), with identity Lagrangian maps, derived:
     b keeps a's sigma-free fields and forms only its own Ztt.  base below
     the |Z_ap| floor raises the DegenerateJacobianError of its derive,
@@ -190,22 +190,23 @@ def build_pair(spec):
 
 
 def drive_pair(pair, result):
-    """Co-evolve a built pair to t_final, filling `result`.
+    """Co-evolve a built pair from its time to t_final, filling `result`.
 
     dt_safety, t_final, min_steps, max_steps and record_every come from
-    result.spec; dt is fixed by plan_steps from the pair's bound at the
-    start, after one derive_states of both members, whose error names its
-    solution.  The steps run through evolution.drive, which appends
-    E_delta, F_delta and E_sigma of solution a to `result` at the start,
-    every record_every steps and at the end; a CrestwaveError propagates
-    with its step and time, and what was recorded before it stays in
-    `result`.
+    result.spec; dt is fixed by plan_steps for t_final - pair.time from the
+    pair's bound at the start, after one derive_states of both members,
+    whose error names its solution.  The steps run through evolution.drive,
+    which appends E_delta, F_delta and E_sigma of solution a to `result` at
+    the start, every record_every steps and at the end; a CrestwaveError
+    propagates with its step and time, and what was recorded before it
+    stays in `result`.
     """
     spec = result.spec
     stepper = StepperConfig(spec.dt_safety)
     derive_states((pair.state_a, pair.state_b), SOLUTION_TAGS)
     bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))
-    result.dt, n_steps = plan_steps(bound, spec.t_final, stepper, spec.min_steps, spec.max_steps)
+    result.dt, n_steps = plan_steps(bound, spec.t_final - pair.time, stepper, spec.min_steps,
+                                    spec.max_steps)
 
     def snapshot(p):
         result.delta_reports.append(energy_delta(p))

@@ -382,23 +382,31 @@ class SpectralGrid:
         grid twice as fine and transformed once; each target then sums
         _NUFFT_WIDTH = 16 fine-grid values weighted by the kernel.  The
         interpolant pairs the Nyquist coefficient with cos(k_nyq x), so real
-        f gives a real result.  A complex f is interpolated as its real and
-        imaginary parts, so each part gives the bits it gives alone.
-        Matches the direct Fourier sum to about 1e-14 relative to sup|f|,
-        Nyquist mode included; on large grids the rounding of the target
-        coordinate adds up to k_max |x| eps.
+        f gives a real result.  Matches the direct Fourier sum to about
+        1e-14 relative to sup|f|, Nyquist mode included; on large grids the
+        rounding of the target coordinate adds up to k_max |x| eps.
 
-        f may also be an (m, n) stack of fields, real or complex, spread by
-        one batched transform; the result has a leading axis of length m
-        whose row r is bit-identical to interpolate(f[r], x).  To evaluate
-        one f at several point sets, keep spread(f) and gather at each.
+        The one NUFFT entry for any f: one field, or a stack of fields of
+        any leading shape, real or complex.  The fields are spread as one
+        real stack of rows, the real parts and then the imaginary parts of a
+        complex f, and the result has shape f.shape[:-1] + x.shape (a scalar
+        x counts as one point); each field, and each part of a complex one,
+        gets the bits it gets alone.  To evaluate real rows at several point
+        sets, keep spread(rows) and gather at each.
         """
-        return self.spread(f)(x)
+        f = np.asarray(f)
+        rows = f.reshape(-1, f.shape[-1])
+        if np.iscomplexobj(f):
+            out = self.spread(np.concatenate((rows.real, rows.imag)))(x)
+            out = out[: len(rows)] + 1j * out[len(rows) :]
+        else:
+            out = self.spread(rows)(x)
+        return out.reshape(f.shape[:-1] + out.shape[1:])
 
     def nufft_kernel(self, x):
         """Kernel weights of interpolate() at the points x, of shape
         x.shape + (_NUFFT_WIDTH,), and the first fine-grid node each point
-        sees; the gather of spread(f) computes them for its points.  A
+        sees; the gather of spread(rows) computes them for its points.  A
         scalar x counts as one point.
 
         The weights of a point depend only on its offset s in [0, 1) from
@@ -428,24 +436,18 @@ class SpectralGrid:
         start = (base.astype(np.int64) - (w // 2 - 1)) % n_fine
         return weights[: t.size].reshape(t.shape + (w,)), start
 
-    def spread(self, f):
-        """Spread f (one field or an (m, n) stack) onto the fine grid of
-        interpolate(); the returned gather(x) sums the fine values of every
-        row at the points x, weighted by nufft_kernel(x).  gather(x) is
-        interpolate(f, x), bit for bit, so a caller that evaluates one f at
-        several point sets spreads it once.  gather(x, kernel) takes
-        kernel, the result of nufft_kernel(x), instead of computing it, and
-        for a real stack f, gather(x, kernel, select) sums only the rows of
-        f that the slice select picks, as an array of those rows; a select
-        with a complex f raises ValueError.
+    def spread(self, rows):
+        """Spread rows, a real (m, n) stack of fields, onto the fine grid of
+        interpolate(); anything else raises ValueError.  The returned
+        gather(x, kernel=None, select=slice(None)) sums the fine values of
+        the rows that select picks at the points x, weighted by kernel, the
+        result of nufft_kernel(x), which it computes when not given.  It
+        returns an array of shape (rows picked,) + x.shape whose row r is
+        interpolate(rows[select][r], x), bit for bit, so a caller that
+        evaluates the rows at several point sets spreads them once.
 
         The rows are deconvolved and refined to the fine grid by _refine.  A
-        complex f goes through as the rows of its real parts, then its
-        imaginary parts, so real weights multiply real data, and its result
-        is bit for bit that of its real parts plus 1j times that of its
-        imaginary parts.
-
-        A gather splits its points, in their order, into runs whose first
+        gather splits its points, in their order, into runs whose first
         fine node advances by 2 from one point to the next, as it does
         along the nodes or the values of a map near the identity.  A run
         of at least _NUFFT_WIDTH points reads the windows of every row as
@@ -453,37 +455,30 @@ class SpectralGrid:
         point is gathered by index, in chunks of rows that copy at most
         len(x) * _NUFFT_WIDTH window values (_sum_windows).  A point gets
         the same bits whichever way its windows are read."""
-        f = np.asarray(f)
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or not np.isrealobj(rows):
+            raise ValueError(f"spread takes a real (m, n) stack of rows, got {rows.dtype} "
+                             f"of shape {rows.shape}")
         w, n_fine = _NUFFT_WIDTH, 2 * self.n
-        real = np.isrealobj(f)
-        rows = f if real else np.stack([f.real, f.imag])
         spec = _rfft(rows)
         spec *= _nufft_deconvolution(self.n)
         # each row is refined into the first n_fine of n_fine + w - 1 values
         # and its first w - 1 values follow them, so that windows[i, j]
-        # holds fine values j, ..., j + w - 1 (periodically) of row i of the
-        # real values, or of the real parts then the imaginary parts
-        lead = rows.shape[:-1]
-        wrapped = np.empty(lead + (n_fine + w - 1,))
-        self._refine(spec, 2, out=wrapped[..., :n_fine])
-        wrapped[..., n_fine:] = wrapped[..., : w - 1]
-        wrapped = wrapped.reshape(-1, n_fine + w - 1)
+        # holds fine values j, ..., j + w - 1 (periodically) of row i
+        wrapped = np.empty((len(rows), n_fine + w - 1))
+        self._refine(spec, 2, out=wrapped[:, :n_fine])
+        wrapped[:, n_fine:] = wrapped[:, : w - 1]
         step = wrapped.itemsize
         windows = np.ndarray((len(wrapped), n_fine, w), buffer=wrapped,
                              strides=(wrapped.strides[0], step, step))
 
-        def gather(x, kernel=None, select=None):
-            if select is not None and not real:
-                raise ValueError("gather selects rows of a real stack only")
+        def gather(x, kernel=None, select=slice(None)):
             weights, start = self.nufft_kernel(x) if kernel is None else kernel
-            picked = windows if select is None else windows[select]
+            picked = windows[select]
             out = np.empty((len(picked), start.size))
             if len(picked):
                 _sum_windows(picked, weights.reshape(-1, w), start.ravel(), out)
-            if select is not None:
-                return out
-            out = out.reshape(lead + start.shape)
-            return out if real else out[0] + 1j * out[1]
+            return out.reshape((len(picked),) + start.shape)
 
         return gather
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crestwave import cli, pair
+from crestwave import checkpoint, cli, pair
 from crestwave.checkpoint import load_checkpoint, save_checkpoint
 from crestwave.cli import _pair_spec, _study_specs, main
 from crestwave.config import parse_config
@@ -466,6 +466,100 @@ def test_resume_equals_uninterrupted(tmp_path):
     assert np.max(np.abs(a.Zt - b.Zt)) < 1e-12
 
 
+RESUME_INI = """
+[grid]
+n_points = 64
+
+[physics]
+sigma = 0.01
+t_final = {t_final}
+
+[study]
+min_steps = 4
+"""
+
+
+def _last_time(path):
+    return float(Path(path).read_text().splitlines()[-1].split(",")[0])
+
+
+@pytest.mark.parametrize("command, csv", [("simulate", "energy_sigma.csv"),
+                                          ("pair", "energy_delta.csv")])
+def test_a_run_from_a_checkpoint_ends_at_t_final(tmp_path, command, csv):
+    # a flat run to t = 0.5 writes out/final.ckpt, and a run from it with
+    # t_final = 1.0 goes on for 0.5 more, into the same directory; a simulate
+    # run rewrites the checkpoint it started from
+    out = str(tmp_path / "out")
+    first = _write(tmp_path, "first.ini", RESUME_INI.format(t_final=0.5))
+    assert main(["simulate", "--config", first, "--out", out]) == 0
+    ckpt = os.path.join(out, "final.ckpt")
+    assert load_checkpoint(ckpt).time == pytest.approx(0.5, abs=1e-12)
+    ini = RESUME_INI.format(t_final=1.0) + f"\n[data]\nkind = checkpoint\ncheckpoint = {ckpt}\n"
+    assert main([command, "--config", _write(tmp_path, "resume.ini", ini), "--out", out]) == 0
+    assert _last_time(os.path.join(out, csv)) == pytest.approx(1.0, abs=1e-12)
+    if command == "simulate":
+        report = json.loads(Path(out, "run_report.json").read_text())
+        assert report["t_final"] == pytest.approx(1.0, abs=1e-12)
+        assert load_checkpoint(ckpt).time == report["t_final"]
+
+
+@pytest.mark.parametrize("t_final", [0.5, 0.25])
+@pytest.mark.parametrize("command", ["simulate", "pair"])
+def test_a_checkpoint_at_or_past_t_final_is_a_config_error(tmp_path, capsys, command, t_final):
+    ckpt = str(tmp_path / "late.ckpt")
+    save_checkpoint(ckpt, replace(flat_state(make_grid(64), 0.01), time=0.5))
+    ini = RESUME_INI.format(t_final=t_final) + f"\n[data]\nkind = checkpoint\ncheckpoint = {ckpt}\n"
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, "late.ini", ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: data.checkpoint {ckpt!r}: its time 0.5 is not below "
+        f"physics.t_final = {t_final!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_a_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
+    # a write that fails after the header, as on a full disk, leaves the
+    # checkpoint that was there, bit for bit, and no other file
+    rng = np.random.default_rng(5)
+    g = make_grid(64)
+    old = random_smooth_state(g, rng, sigma=1e-2, amp=0.1)
+    p = tmp_path / "st.ckpt"
+    save_checkpoint(str(p), old)
+    raw = p.read_bytes()
+
+    class FullDisk:
+        """A file whose writes fail after the magic, the header length and
+        the header."""
+
+        def __init__(self, fh):
+            self.fh, self.left = fh, 3
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if not self.left:
+                raise OSError(28, "No space left on device")
+            self.left -= 1
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda path, mode: FullDisk(open(path, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(str(p), step_rk4(old, StepperConfig(), 1e-3))
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["st.ckpt"]
+    assert p.read_bytes() == raw
+    back = load_checkpoint(str(p))
+    assert back.time == old.time
+    for a, b in ((old.Zdev, back.Zdev), (old.Zp, back.Zp), (old.Zt, back.Zt)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_pair_command(tmp_path):
     ini = """
 [grid]
@@ -727,6 +821,19 @@ def test_eps32_sweep_without_epsilons_is_a_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: sweep with study.couple = eps32 needs a study.epsilon_list\n"
+    )
+    assert not out.exists()
+
+
+def test_eps32_sweep_with_sigmas_is_a_config_error(tmp_path, capsys):
+    # eps32 takes sigma = eps^(3/2) for each epsilon, so a sigma_list would
+    # be dropped without a word
+    ini = PAIR_VS_SWEEP_INI.replace("sigma_list = 1e-2", "sigma_list = 0.1, 0.2\ncouple = eps32")
+    cfgp = _write(tmp_path, "eps32.ini", ini.replace("epsilon_list = 0.2", "epsilon_list = 0.5"))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep with study.couple = eps32 takes no study.sigma_list\n"
     )
     assert not out.exists()
 

@@ -193,10 +193,11 @@ def test_record_pulls_back_through_the_solves_spread_and_keeps_no_map_state(
 ):
     # one spread of the 2 rows of k_b and the 22 real rows of b of both
     # families; the Newton solve that builds htilde evaluates the kernel
-    # weights once per iterate, and the pull-back gathers at the values of
-    # htilde, those of the last iterate, with its weights: no interpolate
-    # and no kernel evaluation of its own.  No map keeps anything beyond
-    # its fields
+    # weights once per iterate and gathers the deviation and the Jacobian
+    # of k_b there in one call, and the pull-back gathers the 22 rows at
+    # the values of htilde, those of the last iterate, with its weights: no
+    # interpolate and no kernel evaluation of its own.  No map keeps
+    # anything beyond its fields
     pair, _, _ = stepped
     n = pair.state_a.grid.n
     calls, points = [], []
@@ -207,13 +208,23 @@ def test_record_pulls_back_through_the_solves_spread_and_keeps_no_map_state(
             calls.append((_name, np.shape(f)))
             if _name == "nufft_kernel":
                 points.append(np.array(f))
-            return _method(self, f, *args)
+            result = _method(self, f, *args)
+            if _name != "spread":
+                return result
+
+            def gather(*args):
+                out = result(*args)
+                calls.append(("gather", out.shape))
+                return out
+
+            return gather
 
         monkeypatch.setattr(SpectralGrid, name, counted)
     energy_delta(pair)
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
-    assert calls == [("spread", (24, n)), ("nufft_kernel", (n,)), ("nufft_kernel", (n,))]
+    newton = [("nufft_kernel", (n,)), ("gather", (2, n))]
+    assert calls == [("spread", (24, n)), *newton, *newton, ("gather", (22, n))]
     # each evaluation is at a new iterate, the last at the values of htilde
     assert not np.array_equal(points[0], points[1])
     assert points[-1].tobytes() == pair.map_tilde.values.tobytes()

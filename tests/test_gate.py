@@ -8,6 +8,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import platform
 from dataclasses import replace
 from pathlib import Path
 
@@ -101,6 +102,23 @@ def test_the_committed_reference_covers_both_pair_workloads():
             assert len(entry["totals"][t]) == workload.expected_records
             for bump in gate.BUMPS:
                 assert entry["envelopes"][bump][t] > 0.0
+
+
+@pytest.mark.parametrize("key, value", [("numpy", "1.26.4"), ("machine", "arm64")])
+def test_a_reference_of_another_numpy_or_machine_exits_2(tmp_path, monkeypatch, capsys, key,
+                                                          value):
+    # the envelopes hold for the numpy and the machine that wrote them; the
+    # digests, which need no reference, are still printed
+    here = {"numpy": np.__version__, "machine": platform.machine()}
+    path = tmp_path / "envelope_reference.json"
+    path.write_text(json.dumps({**json.loads(gate.REFERENCE.read_text()), **here, key: value}))
+    monkeypatch.setattr(gate, "REFERENCE", path)
+    monkeypatch.setattr(gate, "workload_digests", lambda: ({"all": "0" * 64}, {}))
+    assert gate.main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "0" * 64 + "  all\n"
+    assert err == (f"the envelopes of envelope_reference.json do not apply: "
+                   f"{key} {value} in the reference, {here[key]} here\n")
 
 
 ENERGIES = ("energy_delta", "f_delta_norm", "energy_sigma")

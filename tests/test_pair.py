@@ -279,7 +279,9 @@ def test_htilde_of_random_maps_matches_the_route_through_the_inverse_of_k_b(
 
 
 def test_a_record_whose_htilde_is_not_monotone_names_htilde_and_its_time():
-    spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=64)
+    # the run goes on from t = 0.5 to t_final
+    spec = PairRunSpec(sigma=1e-2, epsilon=0.2, velocity_amplitude=0.05j, n_points=64,
+                       t_final=0.75)
     built = build_pair(spec)
     states = [replace(st, time=0.5) for st in (built.state_a, built.state_b)]
     pair = PairState(*states, *folding_maps(built.state_a.grid))

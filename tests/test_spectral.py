@@ -335,24 +335,37 @@ def test_interpolate_real_input_gives_real_output():
 
 
 def test_spread_is_bit_identical_to_interpolate():
-    # one spread gathers at several point sets, each with the bits of a
-    # fresh interpolate: single fields, and real and complex stacks
+    # one spread of real rows gathers at several point sets, each row with
+    # the bits of a fresh interpolate of it alone; interpolate takes a
+    # single field and real and complex stacks of any leading shape, a
+    # complex one as the rows of its real parts then its imaginary parts
     rng = np.random.default_rng(SEED)
     g = make_grid(128, length=3.0)
     for f in _nyquist_fields(g):
-        gather = g.spread(f)
+        gather = g.spread(np.stack([f.real, f.imag]))
         for x in (rng.uniform(-g.length, 2 * g.length, 50), g.nodes, 0.7):
-            assert np.array_equal(gather(x), g.interpolate(f, x))
+            re, im = gather(x)
+            assert np.array_equal(re + 1j * im if np.iscomplexobj(f) else re, g.interpolate(f, x))
     for n in (64, 768):
         g = make_grid(n, length=5.0)
         rng = np.random.default_rng(n + 5)
         x = rng.uniform(-g.length, 2 * g.length, 300)
-        real = rng.standard_normal((3, n))
-        for stack in (real, real + 1j * rng.standard_normal((3, n))):
-            gather = g.spread(stack)
-            for points in (x, x[::-1], x[:7]):
-                assert gather(points).tobytes() == g.interpolate(stack, points).tobytes()
-            assert gather(x)[1].tobytes() == g.interpolate(stack[1], x).tobytes()
+        real, imag = rng.standard_normal((2, 3, n))
+        stack = real + 1j * imag
+        gather = g.spread(np.concatenate((real, imag)))
+        for points in (x, x[::-1], x[:7], x.reshape(20, 15)):
+            out = gather(points)
+            assert out.shape == (6,) + points.shape
+            assert out[:3].tobytes() == g.interpolate(real, points).tobytes()
+            assert (out[:3] + 1j * out[3:]).tobytes() == g.interpolate(stack, points).tobytes()
+        out = gather(x)
+        assert out[1].tobytes() == g.interpolate(real[1], x).tobytes()
+        assert out[4].tobytes() == g.interpolate(imag[1], x).tobytes()
+        assert g.interpolate(stack, x)[1].tobytes() == g.interpolate(stack[1], x).tobytes()
+        for f in (real, stack):
+            many = g.interpolate(f[[0, 1, 2, 0]].reshape(2, 2, n), x)
+            assert many.shape == (2, 2, x.size)
+            assert many[1, 0].tobytes() == g.interpolate(f[2], x).tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 768, 2048])
@@ -396,13 +409,16 @@ def test_kept_kernel_weights_give_interpolate_bit_for_bit(n, monkeypatch):
     rng = np.random.default_rng(n + 5)
     x = rng.uniform(-g.length, 2 * g.length, 300)
     kernel = g.nufft_kernel(x)
-    real = rng.standard_normal((3, n))
-    stacks = (real, real + 1j * rng.standard_normal((3, n)))
-    expected = [(g.interpolate(s, x), g.interpolate(s[1], x)) for s in stacks]
+    real, imag = rng.standard_normal((2, 3, n))
+    expected = [(g.interpolate(s, x), g.interpolate(s[1], x)) for s in (real, real + 1j * imag)]
     monkeypatch.setattr(type(g), "nufft_kernel", lambda self, points: kernel)
-    for stack, (whole, row) in zip(stacks, expected):
-        assert g.spread(stack)(x).tobytes() == whole.tobytes()
-        assert g.spread(stack[1])(x).tobytes() == row.tobytes()
+    rows = np.concatenate((real, imag))
+    whole, row = g.spread(rows)(x), g.spread(rows[1::3])(x)
+    (real_whole, real_row), (cplx_whole, cplx_row) = expected
+    assert whole[:3].tobytes() == real_whole.tobytes()
+    assert row[0].tobytes() == real_row.tobytes()
+    assert (whole[:3] + 1j * whole[3:]).tobytes() == cplx_whole.tobytes()
+    assert (row[0] + 1j * row[1]).tobytes() == cplx_row.tobytes()
 
 
 def test_a_gather_of_some_rows_with_given_weights_is_bit_identical():
@@ -420,14 +436,20 @@ def test_a_gather_of_some_rows_with_given_weights_is_bit_identical():
 
 
 def test_a_gather_selects_rows_of_a_real_stack_only():
-    # the rows of a complex stack are its real parts then its imaginary
-    # parts, which a slice of the stack's rows would not name
+    # spread takes nothing but a real stack of rows, so a slice of a
+    # gather names the rows it was given: a complex stack, whose parts
+    # would be rows of their own, a single field and a stack of stacks
+    # are refused
     g = make_grid(64)
     rng = np.random.default_rng(3)
-    f = rng.standard_normal((2, g.n)) + 1j * rng.standard_normal((2, g.n))
-    gather = g.spread(f)
-    with pytest.raises(ValueError, match="real stack"):
-        gather(g.nodes + 0.1, None, slice(0, 1))
+    real, imag = rng.standard_normal((2, 2, g.n))
+    for f in (real + 1j * imag, real[0], real[0] + 0j, real[None]):
+        with pytest.raises(ValueError, match=r"real \(m, n\) stack"):
+            g.spread(f)
+    x = g.nodes + 0.1
+    gather = g.spread(np.concatenate((real, imag)))
+    assert gather(x, None, slice(0, 1))[0].tobytes() == g.interpolate(real[0], x).tobytes()
+    assert gather(x, None, slice(2, 3))[0].tobytes() == g.interpolate(imag[0], x).tobytes()
 
 
 def test_a_gather_copies_at_most_len_x_times_w_window_values():
@@ -493,7 +515,9 @@ def _gather_points(g, family, rng):
 def test_a_gather_is_its_points_gathered_one_at_a_time(n, length, family, rows, form, two_d,
                                                        seed):
     # whatever runs the points fall in, each point gets the bits it gets
-    # alone, with the weights the gather computes or is given
+    # alone: in a gather of a real stack, with the weights the gather
+    # computes or is given, and in an interpolate of a single field or of
+    # complex values, which spreads the real rows of its field
     g = make_grid(n, length=length)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((rows or 1, n))
@@ -501,17 +525,24 @@ def test_a_gather_is_its_points_gathered_one_at_a_time(n, length, family, rows, 
         f = f + 1j * rng.standard_normal(f.shape)
     if rows is None:
         f = f[0]
-    select = {"no rows": slice(0, 0), "some rows": slice(1, None)}.get(form)
-    if select is not None and f.ndim == 1:
+    select = {"no rows": slice(0, 0), "some rows": slice(1, None)}.get(form, slice(None))
+    if form in ("no rows", "some rows") and f.ndim == 1:
         f = f[None]
     x = _gather_points(g, family, rng)
     if two_d and x.size % 2 == 0:
         x = x.reshape(2, -1)
-    gather = g.spread(f)
-    alone = np.concatenate([gather(p, None, select) for p in x.ravel()], axis=-1)
+    via_interpolate = f.ndim == 1 or form == "complex"
+    gather = None if via_interpolate else g.spread(f)
+
+    def evaluate(points, kernel=None):
+        return g.interpolate(f, points) if via_interpolate else gather(points, kernel, select)
+
+    alone = np.concatenate([evaluate(p) for p in x.ravel()], axis=-1)
     alone = alone.reshape(alone.shape[:-1] + x.shape)
-    assert gather(x, None, select).tobytes() == alone.tobytes()
-    assert gather(x, g.nufft_kernel(x), select).tobytes() == alone.tobytes()
+    whole = evaluate(x)
+    assert whole.shape == alone.shape and whole.tobytes() == alone.tobytes()
+    if not via_interpolate:
+        assert evaluate(x, g.nufft_kernel(x)).tobytes() == alone.tobytes()
 
 
 def test_interpolate_at_the_grid_nodes_is_exact_to_rounding():
