@@ -226,14 +226,17 @@ def _study_specs(cfg):
 
 
 def cmd_sweep(cfg, outdir, args):
+    violations = []
     if cfg.data.kind != "crest":
         # every sweep run builds its pair from the crest of [data]
-        raise ConfigError([f"sweep takes data.kind = crest only, got {cfg.data.kind!r}"])
+        violations.append(f"sweep takes data.kind = crest only, got {cfg.data.kind!r}")
     if cfg.study.couple == "eps32" and not cfg.study.epsilon_list:
-        raise ConfigError(["sweep with study.couple = eps32 needs a study.epsilon_list"])
+        violations.append("sweep with study.couple = eps32 needs a study.epsilon_list")
     if cfg.study.couple == "eps32" and cfg.study.sigma_list:
         # eps32 takes each sigma as eps^(3/2), so a sigma_list would be dropped
-        raise ConfigError(["sweep with study.couple = eps32 takes no study.sigma_list"])
+        violations.append("sweep with study.couple = eps32 takes no study.sigma_list")
+    if violations:
+        raise ConfigError(violations)
     specs = _study_specs(cfg)
     result = run_convergence_study(specs, jobs=args.jobs or cfg.study.jobs)
 

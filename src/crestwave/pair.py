@@ -195,13 +195,18 @@ def drive_pair(pair, result):
     dt_safety, t_final, min_steps, max_steps and record_every come from
     result.spec; dt is fixed by plan_steps for t_final - pair.time from the
     pair's bound at the start, after one derive_states of both members,
-    whose error names its solution.  The steps run through evolution.drive,
-    which appends E_delta, F_delta and E_sigma of solution a to `result` at
-    the start, every record_every steps and at the end; a CrestwaveError
-    propagates with its step and time, and what was recorded before it
-    stays in `result`.
+    whose error names its solution.  A pair whose time is not below a
+    positive t_final raises ValueError with both times.  The steps run
+    through evolution.drive, which appends E_delta, F_delta and E_sigma of
+    solution a to `result` at the start, every record_every steps and at the
+    end; a CrestwaveError propagates with its step and time, and what was
+    recorded before it stays in `result`.
     """
     spec = result.spec
+    # a t_final that is not positive is plan_steps' error; written so that a
+    # NaN time fails too
+    if spec.t_final > 0.0 and not pair.time < spec.t_final:
+        raise ValueError(f"the pair's time {pair.time!r} is not below t_final = {spec.t_final!r}")
     stepper = StepperConfig(spec.dt_safety)
     derive_states((pair.state_a, pair.state_b), SOLUTION_TAGS)
     bound = min(cfl_bound(pair.state_a), cfl_bound(pair.state_b))

@@ -17,6 +17,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 
@@ -49,6 +50,30 @@ _SUP_SEEDS = 8
 _SUP_NEWTON_STEPS = 4
 
 
+# glibc's mallopt parameter numbers of M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_heap_thresholds():
+    """Fix glibc's malloc trim threshold at 64 MiB and its mmap threshold
+    at 32 MiB; True when both took, False (and nothing changed) on a libc
+    without mallopt.  Both are set, because setting either one ends glibc's
+    dynamic thresholds and would leave the other at its 128 KB start."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # freed heap stays for reuse, so each step and record does not fault in its arrays anew
+    trimmed = mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mapped = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    return bool(trimmed and mapped)
+
+
+_pin_heap_thresholds()
+
+
 def _require_finite(f, what="field"):
     f = np.asarray(f)
     if not np.isfinite(f).all():
@@ -75,18 +100,10 @@ def _fft(a, out=None):
     return _pocketfft.fft(a, 1, out=out)
 
 
-def _ifft(a, out=None, by_row=False):
-    """by_row gives the scale as one factor per row, which makes pocketfft
-    transform the rows of a stack one at a time rather than in pairs, with
-    the same bits and a scratch of one row instead of buffers of four: at
-    the 8192 points of the sup-norm seed grid of n = 2048, 131 KB instead
-    of 524 KB beside the 131 KB plan.  Buffers that large, taken and freed
-    by each record, made glibc trim the heap, and the next step faulted
-    its arrays in anew."""
+def _ifft(a, out=None):
     if out is None:
         out = np.empty(a.shape, dtype=np.complex128)
-    scale = 1.0 / a.shape[-1]
-    return _pocketfft.ifft(a, np.full(a.shape[:-1], scale) if by_row else scale, out=out)
+    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
 
 
 def _rfft(a):
@@ -276,8 +293,6 @@ class SpectralGrid:
             coefs[:, part, 0, i_ny] = of(c_ny) * t_ny.real
             coefs[:, part, 1, i_ny] = -of(c_ny) * t_ny.imag
         coefs = coefs.reshape(seed.size, 2, 2 * width)
-        # freed before the Newton loop, whose arrays then reuse their memory
-        del turn, c_pts, neg, A, B
         x = np.empty((seed.size, 2, width, 3))
         weights = (-k_table, k_table, k_table * k_table)
 
@@ -488,11 +503,10 @@ class SpectralGrid:
         along the last axis, are spec / factor: half spectra (modes k =
         0..n/2) of real rows, through one irfft of length factor n, or full
         spectra (n modes in fft layout) of complex rows, through one ifft of
-        length factor n that takes the rows one at a time (_ifft by_row).
-        Weights multiplied into spec, such as the deconvolution of spread,
-        scale the modes.  The Nyquist mode is
-        halved (in place in a half spectrum, and on both sides of the
-        padded full spectrum), which pairs it with cos(k_nyq x).  The only
+        length factor n.  Weights multiplied into spec, such as the
+        deconvolution of spread, scale the modes.  The Nyquist mode is
+        halved (in place in a half spectrum, and on both sides of the padded
+        full spectrum), which pairs it with cos(k_nyq x).  The only
         zero-padding of a spectrum in this module: the NUFFT spread and the
         sup-norm seeds both go through it.  The values are written into out
         when given."""
@@ -504,7 +518,7 @@ class SpectralGrid:
         padded[..., :half] = spec[..., :half]
         padded[..., 1 - half :] = spec[..., half + 1 :]
         padded[..., half] = padded[..., -half] = 0.5 * spec[..., half]
-        return _ifft(padded, out=padded if out is None else out, by_row=True)
+        return _ifft(padded, out=padded if out is None else out)
 
     # -- misc -------------------------------------------------------------
 

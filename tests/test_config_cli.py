@@ -815,12 +815,14 @@ def test_sweep_refuses_data_other_than_crest(tmp_path, capsys, kind):
 
 
 def test_eps32_sweep_without_epsilons_is_a_config_error(tmp_path, capsys):
+    # the config keeps its sigma_list, so it breaks two rules, and both are named
     ini = PAIR_VS_SWEEP_INI.replace("epsilon_list = 0.2", "couple = eps32")
     cfgp = _write(tmp_path, "eps32.ini", ini)
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: sweep with study.couple = eps32 needs a study.epsilon_list\n"
+        "config error: sweep with study.couple = eps32 takes no study.sigma_list\n"
     )
     assert not out.exists()
 

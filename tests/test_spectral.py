@@ -775,15 +775,6 @@ def test_sup_norm_seed_started_off_its_node_takes_an_evaluated_value(monkeypatch
     assert abs(g.sup_norm(1.0 + 0.5 * np.exp(1j * (g.nodes - x0))) - 1.5) <= 1e-15
 
 
-@pytest.mark.parametrize("shape", [(5, 8192), (5, 3072), (2, 64), (1, 256)])
-def test_ifft_row_by_row_gives_the_bits_of_the_paired_rows(shape):
-    # the seed grids of sup_norm go through the row-by-row path of pocketfft
-    rng = np.random.default_rng(shape[-1])
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert spectral._ifft(a, by_row=True).tobytes() == spectral._ifft(a).tobytes()
-    assert spectral._ifft(a, by_row=True).tobytes() == np.fft.ifft(a).tobytes()
-
-
 @pytest.mark.parametrize("n", [64, 768, 2048])
 def test_stacked_sup_norm_rows_are_bit_identical_to_single_calls(n):
     g = make_grid(n, length=3.0)
