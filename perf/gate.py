@@ -4,7 +4,7 @@ benchmark's seed-0 runs.
 Run from the repository root:
 
     python3 perf/gate.py                               # digests, then compare with REFERENCE
-    python3 perf/gate.py --write FILE --label COMMIT   # write a reference
+    python3 perf/gate.py --write FILE --label COMMIT   # write a reference; both or neither
 
 It runs each workload of benchmarks/workloads.py once at seed 0 as the
 benchmark does, from its own set-up and with its step and record calls.
@@ -201,8 +201,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--write", metavar="FILE",
                         help="write this tree's totals and envelopes to FILE instead")
-    parser.add_argument("--label", default="", help="the commit the written reference is of")
+    parser.add_argument("--label", help="the commit the written reference is of")
     args = parser.parse_args(argv)
+    # a reference names the commit it is of
+    if bool(args.write) != bool(args.label):
+        parser.error("--write FILE and --label COMMIT go together")
     if args.write:
         out = {"commit": args.label, "python": platform.python_version(), "numpy": np.__version__,
                "machine": platform.machine(), "workloads": reference(PAIR_WORKLOADS)}

@@ -930,3 +930,17 @@ t_final = 0.05
         r"\(record at t = 0\)\n",
         err,
     ), err
+
+
+def test_readme_synopsis_names_each_subcommand_with_its_options():
+    # every "crestwave <command>" line of the README's CLI block against the
+    # option strings of that subparser, so the two cannot drift apart
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: sorted(re.findall(r"--[\w-]+", line))
+                for line in block.splitlines()}
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.choices]
+    options = {name: sorted(s for a in p._actions for s in a.option_strings
+                            if s not in ("-h", "--help"))
+               for name, p in subparsers.choices.items()}
+    assert synopsis == options

@@ -121,6 +121,18 @@ def test_a_reference_of_another_numpy_or_machine_exits_2(tmp_path, monkeypatch, 
                    f"{key} {value} in the reference, {here[key]} here\n")
 
 
+@pytest.mark.parametrize("argv", [["--write", "ref.json"], ["--label", "abc1234"]],
+                         ids=["write-alone", "label-alone"])
+def test_write_and_label_only_go_together(tmp_path, monkeypatch, capsys, argv):
+    # a reference without the commit it is of would print as "reference  (numpy ...)"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        gate.main(argv)
+    assert exit_.value.code == 2
+    assert "--write FILE and --label COMMIT go together" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 ENERGIES = ("energy_delta", "f_delta_norm", "energy_sigma")
 
 

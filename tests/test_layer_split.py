@@ -1,13 +1,13 @@
-"""perf/layer_split.py, which times the layers of a pair record and of a
-step: on a small pair and state, every wrap target exists, every layer is
-reached, and remove() puts every wrapped attribute back."""
+"""perf/layer_split.py, which times the layers of the steps and records of
+one seed-0 run per workload: on small runs it keeps one sample per step and
+per record, steps by the workload's step, times every layer of each sample,
+and remove() puts every wrapped attribute back."""
 
 import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from functools import partial
-from pathlib import Path
 
 import crestwave as cw
 from crestwave import brackets, energies, evolution
@@ -18,59 +18,78 @@ _spec = importlib.util.spec_from_file_location("layer_split", ROOT / "perf" / "l
 layer_split = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layer_split)
 
-# the attributes each wrap set puts its timers in the place of
-RECORD_TARGETS = [(brackets.MonotoneMap, "preimage"), (SpectralGrid, "spread"),
-                  (energies, "_build_blocks"), (energies, "_powers"),
-                  (SpectralGrid, "sup_norm"), (SpectralGrid, "l2_norm"),
-                  (SpectralGrid, "hhalf_norm")]
-STEP_TARGETS = [(evolution, "derive_states"), (evolution, "rk4"), (evolution, "_finish")]
+# the attributes install() puts its timers in the place of
+TARGETS = [(brackets.MonotoneMap, "preimage"), (SpectralGrid, "spread"),
+           (energies, "_build_blocks"), (energies, "_powers"), (SpectralGrid, "sup_norm"),
+           (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm"),
+           (evolution, "derive_states"), (evolution, "rk4"), (evolution, "_finish")]
+SMALL = {w.name: w for w in (
+    replace(layer_split.WORKLOADS["pair_eps05"], n=64, epsilon=0.5),
+    replace(layer_split.WORKLOADS["dispersion_n256"], n=32, k=2, periods=1.0))}
 
 
-def _split_once(timers, wrap, targets, layers, run, per=1):
-    """split of the one call run with wrap's timers on; checks that wrap
-    replaced every target and that remove() put back each original."""
-    originals = [vars(owner)[name] for owner, name in targets]
-    wrap()
-    try:
-        assert [name for (owner, name), original in zip(targets, originals)
-                if vars(owner)[name] is original] == []
-        medians, faults = layer_split.split([run], layers, layer_split.ReferenceKernel(),
-                                            timers, per)
-    finally:
-        timers.remove()
-    assert [name for (owner, name), original in zip(targets, originals)
+def _profile_and_unwrap(workload):
+    """profile(workload), checking that every wrapped attribute is back after it."""
+    originals = [vars(owner)[name] for owner, name in TARGETS]
+    samples = layer_split.profile(workload)
+    assert [name for (owner, name), original in zip(TARGETS, originals)
             if vars(owner)[name] is not original] == []
-    assert list(medians) == list(layers)
-    assert faults >= 0
-    return medians
+    return samples
+
+
+def _untimed(rows, layers):
+    """The (sample, layer) pairs of rows whose layer is not timed above 0
+    raw and scaled."""
+    return [(i, layer) for i, (raw, scaled, _) in enumerate(rows) for layer in layers
+            if not (raw[layer] > 0 and scaled[layer] > 0)]
+
+
+@pytest.mark.parametrize("workload", SMALL.values(), ids=lambda w: w.name)
+def test_one_run_gives_one_timed_sample_per_step_and_per_record(workload):
+    n_steps = workload.setup(0)[3]
+    # drive records at the start, every record_every steps and after the last
+    every = getattr(workload, "record_every", None)
+    records = 0 if every is None else 1 + sum(
+        (i % every == 0 or i == n_steps) for i in range(1, n_steps + 1))
+    samples = _profile_and_unwrap(workload)
+    assert {phase: len(rows) for phase, rows in samples.items()} == {
+        "step": n_steps, "record": records}
+    assert all(faults >= 0 for rows in samples.values() for _, _, faults in rows)
 
 
 def test_every_layer_of_a_record_is_timed_and_unwrapped_after():
-    p = replace(layer_split.WORKLOADS["pair_eps05"], n=64, epsilon=0.5).setup(0)[0]
-    timers = layer_split.LayerTimers()
-    medians = _split_once(timers, timers.wrap_record, RECORD_TARGETS,
-                          layer_split.RECORD_LAYERS,
-                          partial(layer_split.record, layer_split.fresh(p)))
-    assert [layer for layer, (raw, scaled) in medians.items()
-            if not (raw > 0 and scaled > 0)] == []
+    rows = _profile_and_unwrap(SMALL["pair_eps05"])["record"]
+    assert rows
+    assert _untimed(rows, layer_split.RECORD_LAYERS) == []
 
 
-@pytest.mark.parametrize("name, step", layer_split.STEP_WORKLOADS)
-def test_every_layer_of_a_step_is_timed_and_unwrapped_after(name, step):
-    # a short run of each step workload; stage 1 is timed once per step,
-    # so its time stays below the step's
-    base = layer_split.WORKLOADS[name]
-    if name.startswith("pair"):
-        workload = replace(base, n=64, epsilon=0.5)
-    else:
-        workload = replace(base, n=32, k=2)
+@pytest.mark.parametrize("name, step", [("dispersion_n256", "step_rk4"),
+                                        ("pair_eps05", "co_step")])
+def test_every_layer_of_a_step_is_timed_and_unwrapped_after(name, step, monkeypatch):
+    # the run takes each of its steps by the workload's step
+    calls = []
+    original = getattr(cw, step)
+    monkeypatch.setattr(cw, step, lambda *args: calls.append(args) or original(*args))
+    workload = SMALL[name]
+    rows = _profile_and_unwrap(workload)["step"]
+    assert len(calls) == len(rows) == workload.setup(0)[3]
+    assert _untimed(rows, layer_split.STEP_LAYERS) == []
+    # the parts of a step are disjoint, so they take less than the step
+    assert all(sum(raw[layer] for layer in layer_split.STEP_LAYERS[:-1]) < raw["step"]
+               for raw, _, _ in rows)
+
+
+def test_remove_puts_back_every_wrapped_attribute():
+    originals = [vars(owner)[name] for owner, name in TARGETS]
     timers = layer_split.LayerTimers()
-    runs = list(layer_split.step_runs(workload, getattr(cw, step), timers))
-    medians = _split_once(timers, timers.wrap_step, STEP_TARGETS, layer_split.STEP_LAYERS,
-                          runs[0], layer_split.STEP_CHUNK)
-    assert [layer for layer, (raw, scaled) in medians.items()
-            if not (raw > 0 and scaled > 0)] == []
-    assert sum(medians[layer][0] for layer in layer_split.STEP_LAYERS[:-1]) < medians["step"][0]
+    timers.install()
+    try:
+        assert [name for (owner, name), original in zip(TARGETS, originals)
+                if vars(owner)[name] is original] == []
+    finally:
+        timers.remove()
+    assert [name for (owner, name), original in zip(TARGETS, originals)
+            if vars(owner)[name] is not original] == []
 
 
 def test_the_docstring_describes_every_layer_of_each_table_in_order():
