@@ -21,9 +21,7 @@ For each pair workload it prints a record table:
                      to the fine grid
 * ``pull-back``      the gather of the fields of b at the values of htilde,
                      the pull that preimage returns with htilde
-* ``blocks``         energies._build_blocks
-* ``powers``         the powers of Z_ap of the families, the calls of the
-                     functions that energies._powers returns
+* ``blocks``         energies._build_blocks, with the powers of Z_ap
 * ``sup norm``       the sup_norm calls of the grid
 * ``l2 + hhalf``     the l2_norm and hhalf_norm calls of the grid
 * ``record``         the whole record
@@ -76,8 +74,8 @@ from gate import PAIR_WORKLOADS, record  # noqa: E402
 from timing import Recorder  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-RECORD_LAYERS = ("htilde build", "spread", "pull-back", "blocks", "powers", "sup norm",
-                 "l2 + hhalf", "record")
+RECORD_LAYERS = ("htilde build", "spread", "pull-back", "blocks", "sup norm", "l2 + hhalf",
+                 "record")
 STEP_LAYERS = ("stage-1 derive", "later stages", "finish", "post-step guards", "step")
 
 
@@ -139,9 +137,6 @@ class LayerTimers:
         self.wrap(brackets.MonotoneMap, "preimage", timed_preimage)
         self.wrap(SpectralGrid, "spread", partial(self.timed, "spread"))
         self.wrap(energies, "_build_blocks", partial(self.timed, "blocks"))
-        # the powers are formed where the function _powers returns is called
-        self.wrap(energies, "_powers",
-                  lambda powers: lambda B: self.timed("powers", powers(B)))
         self.wrap(SpectralGrid, "sup_norm", partial(self.timed, "sup norm"))
         for name in ("l2_norm", "hhalf_norm"):
             self.wrap(SpectralGrid, name, partial(self.timed, "l2 + hhalf"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MonotonicityError
-from .spectral import SpectralGrid, _require_finite
+from .spectral import SpectralGrid
 
 JACOBIAN_FLOOR = 1e-6
 # Newton steps of MonotoneMap.preimage at most; maps with |h_ap - 1| = 0.99 took six
@@ -134,3 +134,8 @@ class InverseFlowMap(MonotoneMap):
 def _require_floor(h_min):
     if h_min < JACOBIAN_FLOOR:
         raise MonotonicityError(f"min h_ap = {h_min:.3e} below floor {JACOBIAN_FLOOR:.0e}")
+
+
+def _require_finite(f, what):
+    if not np.isfinite(f).all():
+        raise ValueError(f"{what} contains non-finite entries")

@@ -19,9 +19,7 @@ branch of log Z_ap on the band, whose angle is seed_angle of Z_ap,band.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,8 +76,8 @@ def _build_blocks(states):
     stacks of all states: the band Z_ap,band = 1 + dealias(Z_ap - 1) and
     the ladder dealias D^j of conj(Z_t) (j = 1..3) from one FFT pair, the
     ladder dealias D^j of 1/Z_ap,band (j = 0..3) from one forward
-    transform, and H q.  Each row is bit-identical to its own multiply_symbol
-    call."""
+    transform, and H q, then the powers pw of Z_ap,band the families
+    read.  Each row is bit-identical to its own multiply_symbol call."""
     grid, m = states[0].grid, len(states)
     table = grid.symbol_table(_LADDER)
     rows = np.empty((2 * m, grid.n), dtype=np.complex128)
@@ -99,38 +97,20 @@ def _build_blocks(states):
     omega = Zp_band / abs_band
     q = omega * d1
     Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
+    # the powers Z_ap^p of the families, p = 1/2, -1/2, ..., -7/2, on the
+    # continuous branch of log Z_ap: Z_ap^(1/2) is the one exp, Z_ap^(-1/2)
+    # its reciprocal, Z_ap^-1 the square of that, and each lower power
+    # Z_ap^-1 times the power one above it
     log_Zp = np.log(abs_band) + 1j * seed_angle(Zp_band)
-    names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp")
-    rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta, log_Zp)
-    return [{"grid": grid, "powers": {}, **dict(zip(names, fields))} for fields in zip(*rows)]
-
-
-def _powers(B):
-    """p -> Z_ap^p on the band for p a multiple of 1/2 (_power), each
-    computed once and kept in the blocks."""
-    return partial(_power, B["powers"], B["log_Zp"])
-
-
-def _power(kept, log_Zp, p):
-    """Z_ap^p, kept in kept: Z_ap^(1/2) through the continuous branch log_Zp
-    of log Z_ap, the one exp, Z_ap^(-1/2) its reciprocal, Z_ap^(+-1) the
-    square of Z_ap^(+-1/2), and every other power the product of Z_ap^(+-1)
-    and the power one nearer 0.  A p that is not a multiple of 1/2 raises
-    ValueError."""
-    if p not in kept:
-        if 2 * p != round(2 * p):
-            raise ValueError(f"Z_ap^p is formed for multiples of 1/2 only, got p = {p}")
-        if p == 0.5:
-            kept[p] = np.exp(0.5 * log_Zp)
-        elif p == -0.5:
-            kept[p] = 1.0 / _power(kept, log_Zp, 0.5)
-        elif abs(p) == 1.0:
-            half = _power(kept, log_Zp, 0.5 * p)
-            kept[p] = half * half
-        else:
-            unit = math.copysign(1.0, p)
-            kept[p] = _power(kept, log_Zp, unit) * _power(kept, log_Zp, p - unit)
-    return kept[p]
+    root = np.exp(0.5 * log_Zp)
+    pw = {0.5: root, -0.5: 1.0 / root}
+    pw[-1.0] = pw[-0.5] * pw[-0.5]
+    for p in (-1.5, -2.0, -2.5, -3.0, -3.5):
+        pw[p] = pw[-1.0] * pw[p + 1.0]
+    names = ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta")
+    rows = (inv, d1, d2, d3, Ztb1, Ztb2, Ztb3, omega, Theta)
+    return [{"grid": grid, "pw": dict(zip(pw, powers)), **dict(zip(names, fields))}
+            for fields, powers in zip(zip(*rows), zip(*pw.values()))]
 
 
 # a term is w * (sum of the norms kinds of its field) ** power, w the sigma
@@ -141,37 +121,37 @@ _NORMS = {
     "Linfsq": (("Linf",), 2, False), "sigma Linfsq": (("Linf",), 2, True),
     "(Linf + Hhalf)sq": (("Linf", "Hhalf"), 2, False),
 }
-# the families of one state: a builder reads its blocks, its sigma s and
-# its powers pw of Z_ap
+# the families of one state: a builder reads its blocks, the powers pw of
+# Z_ap among them, and its sigma s
 _SIGMA = (
     ("dap_invZp_L2sq", "L2sq", lambda x: x.d1),
     ("invZp_dap_invZp_Hhalfsq", "Hhalfsq", lambda x: x.inv * x.d1),
     ("sigma_dap_Theta_Hhalfsq", "Hhalfsq", lambda x: x.s * x.grid.deriv(x.Theta)),
-    ("sigma16_Zp12_dap_invZp_L2p6", "L2p6", lambda x: x.s ** (1 / 6) * x.pw(0.5) * x.d1),
-    ("sigma12_Zp12_dap_invZp_Linfsq", "sigma Linfsq", lambda x: x.pw(0.5) * x.d1),
-    ("sigma12_invZp12_dap2_invZp_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw(-0.5) * x.d2),
-    ("sigma12_invZp32_dap2_invZp_Hhalfsq", "Hhalfsq", lambda x: np.sqrt(x.s) * x.pw(-1.5) * x.d2),
+    ("sigma16_Zp12_dap_invZp_L2p6", "L2p6", lambda x: x.s ** (1 / 6) * x.pw[0.5] * x.d1),
+    ("sigma12_Zp12_dap_invZp_Linfsq", "sigma Linfsq", lambda x: x.pw[0.5] * x.d1),
+    ("sigma12_invZp12_dap2_invZp_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw[-0.5] * x.d2),
+    ("sigma12_invZp32_dap2_invZp_Hhalfsq", "Hhalfsq", lambda x: np.sqrt(x.s) * x.pw[-1.5] * x.d2),
     ("sigma_invZp_dap3_invZp_L2sq", "L2sq", lambda x: x.s * x.inv * x.d3),
-    ("sigma_invZp2_dap3_invZp_Hhalfsq", "Hhalfsq", lambda x: x.s * x.pw(-2.0) * x.d3),
+    ("sigma_invZp2_dap3_invZp_Hhalfsq", "Hhalfsq", lambda x: x.s * x.pw[-2.0] * x.d3),
     ("Ztapbar_L2sq", "L2sq", lambda x: x.Ztb1),
-    ("invZp2_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-2.0) * x.Ztb2),
-    ("sigma12_invZp12_dap_Ztapbar_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw(-0.5) * x.Ztb2),
-    ("sigma12_invZp52_dap2_Ztapbar_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw(-2.5) * x.Ztb3),
+    ("invZp2_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw[-2.0] * x.Ztb2),
+    ("sigma12_invZp12_dap_Ztapbar_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw[-0.5] * x.Ztb2),
+    ("sigma12_invZp52_dap2_Ztapbar_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw[-2.5] * x.Ztb3),
 )
 _HIGH = (
     ("dap_invZp_L2sq", "L2sq", lambda x: x.d1),
-    ("invZp2_dap2_invZp_L2sq", "L2sq", lambda x: x.pw(-2.0) * x.d2),
+    ("invZp2_dap2_invZp_L2sq", "L2sq", lambda x: x.pw[-2.0] * x.d2),
     ("Ztapbar_L2sq", "L2sq", lambda x: x.Ztb1),
-    ("invZp2_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-2.0) * x.Ztb2),
-    ("invZp3_dap_Ztapbar_Hhalfsq", "Hhalfsq", lambda x: x.pw(-3.0) * x.Ztb2),
+    ("invZp2_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw[-2.0] * x.Ztb2),
+    ("invZp3_dap_Ztapbar_Hhalfsq", "Hhalfsq", lambda x: x.pw[-3.0] * x.Ztb2),
 )
 _AUX = (
-    ("Zp12_dap_invZp_Linfsq", "Linfsq", lambda x: x.pw(0.5) * x.d1),
-    ("invZp12_dap2_invZp_L2sq", "L2sq", lambda x: x.pw(-0.5) * x.d2),
-    ("invZp52_dap3_invZp_L2sq", "L2sq", lambda x: x.pw(-2.5) * x.d3),
-    ("invZp12_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-0.5) * x.Ztb2),
-    ("invZp52_dap2_Ztapbar_L2sq", "L2sq", lambda x: x.pw(-2.5) * x.Ztb3),
-    ("invZp72_dap2_Ztapbar_Hhalfsq", "Hhalfsq", lambda x: x.pw(-3.5) * x.Ztb3),
+    ("Zp12_dap_invZp_Linfsq", "Linfsq", lambda x: x.pw[0.5] * x.d1),
+    ("invZp12_dap2_invZp_L2sq", "L2sq", lambda x: x.pw[-0.5] * x.d2),
+    ("invZp52_dap3_invZp_L2sq", "L2sq", lambda x: x.pw[-2.5] * x.d3),
+    ("invZp12_dap_Ztapbar_L2sq", "L2sq", lambda x: x.pw[-0.5] * x.Ztb2),
+    ("invZp52_dap2_Ztapbar_L2sq", "L2sq", lambda x: x.pw[-2.5] * x.Ztb3),
+    ("invZp72_dap2_Ztapbar_Hhalfsq", "Hhalfsq", lambda x: x.pw[-3.5] * x.Ztb3),
 )
 # the difference energy in the order of the display: its own terms, of the
 # fields that energy_delta prepares, those of energy_sigma(a) ("sigma(a)")
@@ -216,7 +196,7 @@ def _evaluate(grid, families, pair_jobs=()):
     norms from one stacked sup_norm call, whose rows give the bits of
     single-field calls."""
     new = [(st, name) for st, name in families if "energy_" + name not in st._memo]
-    jobs = [*pair_jobs, *((_TABLES[name], SimpleNamespace(**B, s=st.sigma, pw=_powers(B)))
+    jobs = [*pair_jobs, *((_TABLES[name], SimpleNamespace(**B, s=st.sigma))
                           for (st, name), B in zip(new, _state_blocks(*(st for st, _ in new))))]
     terms = []
     for j, (table, x) in enumerate(jobs):
@@ -304,7 +284,7 @@ def _pair_record(pair):
     # the bits of grid.deriv(der.b).real of its state alone
     b_ap = a.grid.deriv(np.array([der.b for der in derived])).real
     fa, fb = ({"omega": B["omega"], "d1": B["d1"], "inv_d1": B["inv"] * B["d1"], "Ztb1": B["Ztb1"],
-               "Ztb2": _powers(B)(-2.0) * B["Ztb2"], "Zt": st.Zt, "Ztt": der.Ztt,
+               "Ztb2": B["pw"][-2.0] * B["Ztb2"], "Zt": st.Zt, "Ztt": der.Ztt,
                "invZp": 1.0 / st.Zp, "DapZt": der.Ztap / st.Zp, "A1": der.A1, "bap": bap,
                "halpha": 1.0 / k.jac}
               for st, der, bap, k, B in zip((a, b), derived, b_ap, (pair.k_a, pair.k_b),

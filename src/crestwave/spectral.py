@@ -74,13 +74,6 @@ def _pin_heap_thresholds():
 _pin_heap_thresholds()
 
 
-def _require_finite(f, what="field"):
-    f = np.asarray(f)
-    if not np.isfinite(f).all():
-        raise ValueError(f"{what} contains non-finite entries")
-    return f
-
-
 # -- transforms ----------------------------------------------------------------
 # Every transform of the package goes through these four.  Each is the
 # numpy.fft function of its name along the last axis of an array (_fft also
@@ -163,7 +156,6 @@ class SpectralGrid:
         k_int[n // 2] = n // 2
         self.k_int = k_int
         self.k = (TWO_PI / self.length) * k_int.astype(np.float64)
-        self.nyquist_index = n // 2
 
     # -- transforms ----------------------------------------------------
 
@@ -258,8 +250,7 @@ class SpectralGrid:
         rows = f.reshape(-1, self.n)
         c = self.coeffs(rows)
         row, seed, shift = self._sup_seeds(c)
-        n2 = _SUP_OVERSAMPLE * self.n
-        i_ny = self.nyquist_index
+        n2, i_ny = _SUP_OVERSAMPLE * self.n, self.n // 2
         # each point's coefficients turned to its seed node s h by the phases
         # exp(i k s h) = exp(2 pi i (k s mod n2) / n2), whose integer part
         # is reduced exactly, so that the sums below take p_k = exp(i k y) =
@@ -353,7 +344,7 @@ class SpectralGrid:
         _SUP_SEEDS of them), and starts at the vertex of the parabola
         through |f| at its node and its two neighbours.  A row without a
         local maximum, a constant one, gets no seed."""
-        n2, i_ny = _SUP_OVERSAMPLE * self.n, self.nyquist_index
+        n2, i_ny = _SUP_OVERSAMPLE * self.n, self.n // 2
         floor = 1.0 - (self.k[i_ny] * self.length / n2) ** 2 / 8.0
         mags = np.abs(self._refine(c * n2, _SUP_OVERSAMPLE))
         # a seed node within h/2 of the true peak is below it by at most

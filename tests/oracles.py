@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crestwave.brackets import MonotoneMap
-from crestwave.energies import _powers, _state_blocks
+from crestwave.energies import _state_blocks
 from crestwave.errors import DegenerateJacobianError
 from crestwave.evolution import (
     ABS_ZP_FLOOR, TWO_PI, _rates, compute_derived, derive_states, make_state,
@@ -94,7 +94,7 @@ def interpolate_direct(grid, f, x):
     """
     x = np.mod(np.atleast_1d(np.asarray(x, dtype=np.float64)), grid.length)
     c = grid.coeffs(f)
-    i_ny = grid.nyquist_index
+    i_ny = grid.n // 2
     keep = np.arange(grid.n) != i_ny
     phases = np.exp(1j * np.outer(x, grid.k[keep]))
     out = phases @ c[keep]
@@ -610,37 +610,37 @@ def energy_sigma_terms(state):
     s = state.sigma
     (B,) = _state_blocks(state)
     grid, inv, d1, d2, d3 = B["grid"], B["inv"], B["d1"], B["d2"], B["d3"]
-    pw = _powers(B)
+    pw = B["pw"]
     dTheta = grid.deriv(B["Theta"])
-    sup_Zp12_d1 = grid.sup_norm(pw(0.5) * d1)
+    sup_Zp12_d1 = grid.sup_norm(pw[0.5] * d1)
     return {
         "dap_invZp_L2sq": grid.l2_norm(d1) ** 2,
         "invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(inv * d1) ** 2,
         "sigma_dap_Theta_Hhalfsq": grid.hhalf_norm(s * dTheta) ** 2,
-        "sigma16_Zp12_dap_invZp_L2p6": grid.l2_norm(s ** (1 / 6) * pw(0.5) * d1) ** 6,
+        "sigma16_Zp12_dap_invZp_L2p6": grid.l2_norm(s ** (1 / 6) * pw[0.5] * d1) ** 6,
         "sigma12_Zp12_dap_invZp_Linfsq": s * sup_Zp12_d1 ** 2,
-        "sigma12_invZp12_dap2_invZp_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * d2) ** 2,
-        "sigma12_invZp32_dap2_invZp_Hhalfsq": grid.hhalf_norm(np.sqrt(s) * pw(-1.5) * d2) ** 2,
+        "sigma12_invZp12_dap2_invZp_L2sq": grid.l2_norm(np.sqrt(s) * pw[-0.5] * d2) ** 2,
+        "sigma12_invZp32_dap2_invZp_Hhalfsq": grid.hhalf_norm(np.sqrt(s) * pw[-1.5] * d2) ** 2,
         "sigma_invZp_dap3_invZp_L2sq": grid.l2_norm(s * inv * d3) ** 2,
-        "sigma_invZp2_dap3_invZp_Hhalfsq": grid.hhalf_norm(s * pw(-2.0) * d3) ** 2,
+        "sigma_invZp2_dap3_invZp_Hhalfsq": grid.hhalf_norm(s * pw[-2.0] * d3) ** 2,
         "Ztapbar_L2sq": grid.l2_norm(B["Ztb1"]) ** 2,
-        "invZp2_dap_Ztapbar_L2sq": grid.l2_norm(pw(-2.0) * B["Ztb2"]) ** 2,
-        "sigma12_invZp12_dap_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-0.5) * B["Ztb2"]) ** 2,
-        "sigma12_invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw(-2.5) * B["Ztb3"]) ** 2,
+        "invZp2_dap_Ztapbar_L2sq": grid.l2_norm(pw[-2.0] * B["Ztb2"]) ** 2,
+        "sigma12_invZp12_dap_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw[-0.5] * B["Ztb2"]) ** 2,
+        "sigma12_invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(np.sqrt(s) * pw[-2.5] * B["Ztb3"]) ** 2,
     }
 
 
 def energy_aux_terms(state):
     """The six components of energy_aux, term by term."""
     (B,) = _state_blocks(state)
-    grid, pw = B["grid"], _powers(B)
+    grid, pw = B["grid"], B["pw"]
     return {
-        "Zp12_dap_invZp_Linfsq": grid.sup_norm(pw(0.5) * B["d1"]) ** 2,
-        "invZp12_dap2_invZp_L2sq": grid.l2_norm(pw(-0.5) * B["d2"]) ** 2,
-        "invZp52_dap3_invZp_L2sq": grid.l2_norm(pw(-2.5) * B["d3"]) ** 2,
-        "invZp12_dap_Ztapbar_L2sq": grid.l2_norm(pw(-0.5) * B["Ztb2"]) ** 2,
-        "invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(pw(-2.5) * B["Ztb3"]) ** 2,
-        "invZp72_dap2_Ztapbar_Hhalfsq": grid.hhalf_norm(pw(-3.5) * B["Ztb3"]) ** 2,
+        "Zp12_dap_invZp_Linfsq": grid.sup_norm(pw[0.5] * B["d1"]) ** 2,
+        "invZp12_dap2_invZp_L2sq": grid.l2_norm(pw[-0.5] * B["d2"]) ** 2,
+        "invZp52_dap3_invZp_L2sq": grid.l2_norm(pw[-2.5] * B["d3"]) ** 2,
+        "invZp12_dap_Ztapbar_L2sq": grid.l2_norm(pw[-0.5] * B["Ztb2"]) ** 2,
+        "invZp52_dap2_Ztapbar_L2sq": grid.l2_norm(pw[-2.5] * B["Ztb3"]) ** 2,
+        "invZp72_dap2_Ztapbar_Hhalfsq": grid.hhalf_norm(pw[-3.5] * B["Ztb3"]) ** 2,
     }
 
 
@@ -667,11 +667,11 @@ def energy_delta_terms(pair):
     a, b = pair.state_a, pair.state_b
     grid = a.grid
     Ba, Bb = _state_blocks(a, b)
-    pwa, pwb = _powers(Ba), _powers(Bb)
+    pwa, pwb = Ba["pw"], Bb["pw"]
     htil = pair.map_tilde
 
-    fields_a = (Ba["omega"], Ba["d1"], Ba["inv"] * Ba["d1"], Ba["Ztb1"], pwa(-2.0) * Ba["Ztb2"])
-    fields_b = (Bb["omega"], Bb["d1"], Bb["inv"] * Bb["d1"], Bb["Ztb1"], pwb(-2.0) * Bb["Ztb2"])
+    fields_a = (Ba["omega"], Ba["d1"], Ba["inv"] * Ba["d1"], Ba["Ztb1"], pwa[-2.0] * Ba["Ztb2"])
+    fields_b = (Bb["omega"], Bb["d1"], Bb["inv"] * Bb["d1"], Bb["Ztb1"], pwb[-2.0] * Bb["Ztb2"])
     pulled = compose_map_apply(grid, np.stack(fields_b + (1.0 / np.abs(b.Zp),)), htil)
     d_omega, d_d1, d_inv_d1, d_Ztb1, d_Ztb2 = (fa - fb for fa, fb in zip(fields_a, pulled))
     util_inv_abs_b = pulled[-1].real

@@ -9,7 +9,6 @@ from hypothesis import strategies as hst
 from crestwave.cli import write_reports_csv
 from crestwave.energies import (
     EnergyReport,
-    _powers,
     _state_blocks,
     energy_aux,
     energy_delta,
@@ -24,6 +23,7 @@ from crestwave.evolution import (
     derive_states,
     flat_state,
     make_state,
+    seed_angle,
 )
 from crestwave.pair import PairRunSpec, PairState, build_pair, co_step, init_pair
 from crestwave.spectral import make_grid
@@ -135,8 +135,11 @@ def test_blocks_of_a_pair_built_in_one_pass_equal_blocks_built_alone():
         energy_sigma(alone)
         kept, ref = st._memo["energy_blocks"], alone._memo["energy_blocks"]
         assert kept.keys() == ref.keys()
-        for name in ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta", "log_Zp"):
+        for name in ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta"):
             assert kept[name].tobytes() == ref[name].tobytes(), name
+        assert kept["pw"].keys() == ref["pw"].keys()
+        for p, power in kept["pw"].items():
+            assert power.tobytes() == ref["pw"][p].tobytes(), p
         assert energy_sigma(st).components == energy_sigma(alone).components
 
 
@@ -169,27 +172,42 @@ def test_block_ladders_match_the_chain_of_first_derivatives(n, fraction):
         assert gap <= 1e-12
 
 
+def _crest_blocks(epsilon, n):
+    """Solution a of the crest pair of spec epsilon, n and its blocks."""
+    spec = PairRunSpec(sigma=epsilon ** 1.5, epsilon=epsilon, velocity_amplitude=0.05j,
+                       n_points=n)
+    a = build_pair(spec).state_a
+    (B,) = _state_blocks(a)
+    return a, B
+
+
 @pytest.mark.parametrize("epsilon, n", [(0.05, 768), (0.02, 1024)])
 def test_powers_of_z_ap_stay_within_16_ulps_of_their_exponential(epsilon, n):
     # the crest of the pair_eps05 set-up, and the eps = 0.02, n = 1024
     # member whose grid does not resolve its data.  Every family reads its
-    # powers of a state's Z_ap from the state's blocks, which keep each one
-    # formed: one exp for Z_ap^(1/2), the others products
-    spec = PairRunSpec(sigma=epsilon ** 1.5, epsilon=epsilon, velocity_amplitude=0.05j,
-                       n_points=n)
-    pair = build_pair(spec)
-    a = pair.state_a
-    energy_delta(pair)
-    energy_high(a)
-    energy_aux(a)
-    (B,) = _state_blocks(a)
-    assert sorted(B["powers"]) == [-3.5, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.5]
-    for p, power in B["powers"].items():
-        exact = np.exp(p * B["log_Zp"])
+    # powers of a state's Z_ap from the ladder in the state's blocks: one
+    # exp for Z_ap^(1/2), the others products
+    a, B = _crest_blocks(epsilon, n)
+    Zp_band = 1.0 + dealias(a.grid, a.Zp - 1.0)
+    # the band the blocks were built from, to the bit
+    assert np.array_equal(Zp_band / np.abs(Zp_band), B["omega"])
+    log_Zp = np.log(np.abs(Zp_band)) + 1j * seed_angle(Zp_band)
+    assert sorted(B["pw"]) == [-3.5, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.5]
+    for p, power in B["pw"].items():
+        exact = np.exp(p * log_Zp)
         assert np.max(np.abs(power - exact) / np.abs(exact)) <= 16 * np.finfo(float).eps, p
-    for p in (1 / 3, 0.25, -1.75):
-        with pytest.raises(ValueError, match="multiples of 1/2"):
-            _powers(B)(p)
+
+
+def test_the_ladder_of_z_ap_keeps_its_operand_order_bit_for_bit():
+    # Z_ap^-1 is the square of Z_ap^(-1/2), the reciprocal of Z_ap^(1/2),
+    # and each lower power is Z_ap^-1 times the power one above it, in
+    # that order: a reordered product rounds otherwise on the crest
+    _, B = _crest_blocks(0.05, 768)
+    pw = B["pw"]
+    assert np.array_equal(pw[-0.5], 1.0 / pw[0.5])
+    assert pw[-1.0].tobytes() == (pw[-0.5] * pw[-0.5]).tobytes()
+    for p in (-1.5, -2.0, -2.5, -3.0, -3.5):
+        assert pw[p].tobytes() == (pw[-1.0] * pw[p + 1.0]).tobytes(), p
 
 
 def test_sigma_energy_monotone_in_sigma():

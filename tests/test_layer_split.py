@@ -20,8 +20,8 @@ _spec.loader.exec_module(layer_split)
 
 # the attributes install() puts its timers in the place of
 TARGETS = [(brackets.MonotoneMap, "preimage"), (SpectralGrid, "spread"),
-           (energies, "_build_blocks"), (energies, "_powers"), (SpectralGrid, "sup_norm"),
-           (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm"),
+           (energies, "_build_blocks"), (SpectralGrid, "sup_norm"), (SpectralGrid, "l2_norm"),
+           (SpectralGrid, "hhalf_norm"),
            (evolution, "derive_states"), (evolution, "rk4"), (evolution, "_finish")]
 SMALL = {w.name: w for w in (
     replace(layer_split.WORKLOADS["pair_eps05"], n=64, epsilon=0.5),
