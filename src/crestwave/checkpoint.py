@@ -11,7 +11,7 @@ Layout (documented here and in the README):
     then          three complex fields, each n little-endian float64
                   (re, im) pairs in grid order, and nothing after them
 
-Round-trips are bit-exact; a file of any other length is refused.
+Round-trips are bit-exact; a file of another length or field list is refused.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .spectral import SpectralGrid
 
 MAGIC = b"CWCHKPT1"
 _FLOAT_MAX = sys.float_info.max
+_FIELDS = ["Zdev", "Zp", "Zt"]  # the header's field list, in file order
 
 
 def save_checkpoint(path, state):
@@ -42,7 +43,7 @@ def save_checkpoint(path, state):
         "dealias_fraction": grid.dealias_fraction,
         "sigma": state.sigma,
         "time": state.time,
-        "fields": ["Zdev", "Zp", "Zt"],
+        "fields": _FIELDS,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -64,8 +65,8 @@ def load_checkpoint(path):
     """State stored by save_checkpoint; raises ValueError on a file that is
     not a checkpoint, is cut short or has trailing bytes, on a header that
     does not decode, too deeply nested ones included, or is not a JSON
-    object with version 2 (an integer) and numeric grid, sigma and time
-    fields, and on fields that make_state rejects."""
+    object with version 2 (an integer), numeric grid, sigma and time fields
+    and the field list _FIELDS, and on fields that make_state rejects."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != MAGIC:
@@ -86,6 +87,8 @@ def load_checkpoint(path):
     if type(version) is not int or version != 2:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     n, length, dealias, sigma, time = (_header_number(header, key) for key in _NUMBERS)
+    if header.get("fields") != _FIELDS:
+        raise ValueError(f"checkpoint header fields {header.get('fields')!r} are not {_FIELDS}")
     body = data[12 + hlen :]
     size = 48 * n
     if len(body) != size:

@@ -61,10 +61,10 @@ def _state_blocks(*states):
     division leaves above the filter cutoff is representation debris, and
     the k^3-amplified weighted norms would otherwise be dominated by it on
     marginally resolved states."""
-    new = [st for st in states if "energy_blocks" not in st._memo]
+    new = [st for st in states if "energy_blocks" not in vars(st)]
     for st, blocks in zip(new, _build_blocks(new) if new else ()):
-        st._memo["energy_blocks"] = blocks
-    return [st._memo["energy_blocks"] for st in states]
+        vars(st)["energy_blocks"] = blocks
+    return [vars(st)["energy_blocks"] for st in states]
 
 
 # the symbols dealias D^j, j = 0..3, of the derivative ladders of the blocks
@@ -195,7 +195,7 @@ def _evaluate(grid, families, pair_jobs=()):
     all H^1/2 norms from one stacked hhalf_norm call and all L-infinity
     norms from one stacked sup_norm call, whose rows give the bits of
     single-field calls."""
-    new = [(st, name) for st, name in families if "energy_" + name not in st._memo]
+    new = [(st, name) for st, name in families if "energy_" + name not in vars(st)]
     jobs = [*pair_jobs, *((_TABLES[name], SimpleNamespace(**B, s=st.sigma))
                           for (st, name), B in zip(new, _state_blocks(*(st for st, _ in new))))]
     terms = []
@@ -214,8 +214,8 @@ def _evaluate(grid, families, pair_jobs=()):
         v = sum(next(stacked[kind]) for kind in kinds)
         comps[j][column] = w * v ** power
     for (st, name), comp in zip(new, comps[len(pair_jobs):]):
-        st._memo["energy_" + name] = comp
-    return [st._memo["energy_" + name] for st, name in families], comps[: len(pair_jobs)]
+        vars(st)["energy_" + name] = comp
+    return [vars(st)["energy_" + name] for st, name in families], comps[: len(pair_jobs)]
 
 
 def _state_report(state, family):
@@ -275,9 +275,8 @@ def _pair_record(pair):
     (PairState._pull_back), and one _evaluate of the terms of both
     families with those of energy_sigma(a) and energy_aux(b), which stay
     kept on their states."""
-    kept = vars(pair)
-    if "record" in kept:
-        return kept["record"]
+    if "record" in vars(pair):
+        return vars(pair)["record"]
     a, b = pair.state_a, pair.state_b
     derived = derive_states((a, b), SOLUTION_TAGS)
     # b_ap = D_a b of both states from one stacked derivative: each row has
@@ -299,7 +298,7 @@ def _pair_record(pair):
     )
     own["coupling_sigma_aux_b"] = a.sigma * sum(aux_b.values())
     delta = {c: sigma_a[name] if norm == "sigma(a)" else own[c] for c, norm, name in _DELTA}
-    kept["record"] = delta, f_delta
+    vars(pair)["record"] = delta, f_delta
     return delta, f_delta
 
 

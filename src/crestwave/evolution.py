@@ -54,11 +54,11 @@ class WaveState:
 
     Zdev holds Z - a' (periodic part of the interface), Zp holds Z_ap,
     Zt the complex velocity Z_t.  What stacked passes compute from a state
-    is kept on it: the compute_derived fields, and the energy blocks and
-    the components of every state family (sigma, high, aux) of energies;
-    the branch g of arg(Z_ap) is computed on each read.  Kept arrays, like
-    the state's own, are never written in place, and dataclasses.replace
-    starts with nothing kept.
+    is kept in its instance dict, as a pair keeps its results: the
+    compute_derived fields, and the energy blocks and family components of
+    energies; the branch g of arg(Z_ap) is computed on each read.  Kept
+    arrays, like the state's own, are never written in place, and
+    dataclasses.replace starts with nothing kept.
     """
 
     grid: SpectralGrid
@@ -67,7 +67,6 @@ class WaveState:
     Zt: np.ndarray = field(repr=False)
     sigma: float
     time: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def g(self):
@@ -97,15 +96,15 @@ def flat_state(grid, sigma=0.0):
     return make_state(grid, np.zeros(n, complex), np.ones(n, complex), np.zeros(n, complex), sigma)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DerivedFields:
     """Derived quantities of one state.
 
     The right-hand-side set (b, A1, omega, Ztap, Ztt, and the flux
     Z_t - b Z_ap with its derivative flux_ap) is computed by compute_derived;
     Theta and the A1/Theta route gaps are diagnostics, computed on first
-    read.  b_ap = D_a b is not kept: a pair record takes it for both states
-    from one stacked derivative.
+    read and kept in the instance dict.  b_ap = D_a b is not kept: a pair
+    record takes it for both states from one stacked derivative.
     """
 
     grid: SpectralGrid
@@ -152,7 +151,7 @@ def compute_derived(state):
     return derive_states((state,))[0]
 
 
-def derive_states(states, prefixes=None):
+def derive_states(states, tags=None):
     """compute_derived of each of states, which share one grid: a state on
     another grid than the first raises ValueError naming both grids.
 
@@ -161,28 +160,27 @@ def derive_states(states, prefixes=None):
     FFT pair each, and row r of every field is bit-identical to deriving
     that state alone.  Each of those states must pass the |Z_ap| floor
     before any field is computed; the error of state r then starts with
-    prefixes[r] when prefixes is given.  The first RK4 stage of advance
+    tags[r] when tags is given.  The first RK4 stage of advance
     comes from here; its later stages call _derive.
     """
     _require_one_grid(states[0].grid, states)
-    if prefixes is None:
-        prefixes = ("",) * len(states)
-    new = [(st, prefix) for st, prefix in zip(states, prefixes) if "derived" not in st._memo]
+    tags = ("",) * len(states) if tags is None else tags
+    new = [(st, tag) for st, tag in zip(states, tags) if "derived" not in vars(st)]
     if new:
         # capillary states first, so that the capillary rounds take leading rows
         new.sort(key=lambda item: item[0].sigma == 0.0)
         Zp = _stack([st.Zp for st, _ in new])
         abs_Zp = np.abs(Zp)
         min_abs = abs_Zp.min(axis=-1).tolist()
-        for (_, prefix), min_r in zip(new, min_abs):
-            _require_floor(min_r, prefix)
+        for (_, tag), min_r in zip(new, min_abs):
+            _require_floor(min_r, tag)
         fields = _derive(
             states[0].grid, Zp, abs_Zp, _stack([st.Zt for st, _ in new]),
             [st.sigma for st, _ in new],
         )
         for (st, _), min_r, *rows in zip(new, min_abs, *fields):
-            st._memo["derived"] = DerivedFields(st.grid, st.Zp, st.Zt, *rows, min_r)
-    return [st._memo["derived"] for st in states]
+            vars(st)["derived"] = DerivedFields(st.grid, st.Zp, st.Zt, *rows, min_r)
+    return [vars(st)["derived"] for st in states]
 
 
 def zero_tension_twin(state, tag):
@@ -193,7 +191,7 @@ def zero_tension_twin(state, tag):
     those of a lone derive."""
     (derived,) = derive_states((state,), (tag,))
     twin = replace(state, sigma=0.0)
-    twin._memo["derived"] = replace(derived, Ztt=_ztt(derived.A1, 1.0 / state.Zp, (), ()))
+    vars(twin)["derived"] = replace(derived, Ztt=_ztt(derived.A1, 1.0 / state.Zp, (), ()))
     return twin
 
 
@@ -212,11 +210,11 @@ def _require_one_grid(grid, items):
             raise ValueError(f"a stacked pass on {grid!r} got a row on {item.grid!r}")
 
 
-def _require_floor(min_abs, prefix):
+def _require_floor(min_abs, tag):
     # written so that a NaN minimum fails too
     if not min_abs >= ABS_ZP_FLOOR:
         raise DegenerateJacobianError(
-            f"{prefix}min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}"
+            f"{tag}min |Z_ap| = {min_abs:.3e} below {ABS_ZP_FLOOR:.0e}"
         )
 
 
@@ -527,7 +525,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
     if maps is not None:
         _require_one_grid(grid, maps)
     tags = ("",) * m if tags is None else tags
-    derived = derive_states(states, prefixes=tags)
+    derived = derive_states(states, tags)
     for st, d, tag in zip(states, derived, tags):
         # written so that a NaN dt fails too
         if not dt > 0.0:

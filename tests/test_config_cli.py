@@ -351,13 +351,16 @@ HEADER_NUMBERS = ("n_points", "length", "dealias_fraction", "sigma", "time")
         (_setting("n_points", 64.0), "n_points = 64.0 is not an integer"),
         (_setting("sigma", float("nan")), "sigma = nan is not a finite number"),
         (_setting("time", True), "time = True is not a finite number"),
+        (_setting("fields", ["Zp", "Zdev", "Zt"]), r"fields \['Zp', 'Zdev', 'Zt'\] are not"),
+        (_setting("fields", ["x"]), r"fields \['x'\] are not \['Zdev', 'Zp', 'Zt'\]"),
+        (_without("fields"), "checkpoint header fields None are not"),
     ],
     ids=[
         "cut_16_bytes", "version_1", "cut_8n_bytes", "trailing_byte", "header_past_end",
         "header_list", "header_version_only",
         *[f"no_{key}" for key in HEADER_NUMBERS],
         *[f"string_{key}" for key in HEADER_NUMBERS],
-        "float_n_points", "nan_sigma", "bool_time",
+        "float_n_points", "nan_sigma", "bool_time", "fields_reordered", "fields_x", "no_fields",
     ],
 )
 def test_checkpoint_refuses_wrong_length(tmp_path, damage, match):
@@ -408,6 +411,22 @@ def test_unloadable_checkpoint_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"config error: data.checkpoint {str(junk)!r}: "
         "not a crestwave checkpoint (magic b'junk')\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "pair"])
+def test_checkpoint_with_another_field_list_is_a_config_error(tmp_path, capsys, command):
+    # the blocks of a file whose header names its fields in another order
+    # are not loaded as Zdev, Zp, Zt
+    ckpt = tmp_path / "swapped.ckpt"
+    save_checkpoint(str(ckpt), flat_state(make_grid(128), 0.01))
+    ckpt.write_bytes(_setting("fields", ["Zp", "Zdev", "Zt"])(ckpt.read_bytes(), 128))
+    ini = FLAT_INI + f"\n[data]\nkind = checkpoint\ncheckpoint = {ckpt}\n"
+    cfgp = _write(tmp_path, "swapped.ini", ini)
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: data.checkpoint {str(ckpt)!r}: checkpoint header fields "
+        "['Zp', 'Zdev', 'Zt'] are not ['Zdev', 'Zp', 'Zt']\n"
     )
 
 

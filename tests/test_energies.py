@@ -133,7 +133,7 @@ def test_blocks_of_a_pair_built_in_one_pass_equal_blocks_built_alone():
         # replace starts with nothing kept: these blocks are built alone
         alone = replace(st)
         energy_sigma(alone)
-        kept, ref = st._memo["energy_blocks"], alone._memo["energy_blocks"]
+        kept, ref = vars(st)["energy_blocks"], vars(alone)["energy_blocks"]
         assert kept.keys() == ref.keys()
         for name in ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta"):
             assert kept[name].tobytes() == ref[name].tobytes(), name

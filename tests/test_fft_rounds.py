@@ -144,7 +144,7 @@ def test_steps_seed_and_continue_no_angle_branch(stepped, monkeypatch):
     # read the state's own
     energy_sigma(pair.state_a)
     assert calls == ["seed_angle"]
-    assert "angle" not in pair.state_a._memo
+    assert "angle" not in vars(pair.state_a)
 
 
 def test_record_transform_calls(stepped, fft_calls):

@@ -477,7 +477,7 @@ def test_a_built_pair_arrives_with_the_fields_of_a_lone_derive(sigma):
     pair = build_pair(PairRunSpec(sigma=sigma, epsilon=0.2, velocity_amplitude=0.05j,
                                   n_points=128))
     for st in (pair.state_a, pair.state_b):
-        kept = st._memo["derived"]
+        kept = vars(st)["derived"]
         lone = compute_derived(replace(st))
         for name in (f.name for f in fields(DerivedFields) if f.name != "grid"):
             got, ref = np.asarray(getattr(kept, name)), np.asarray(getattr(lone, name))

@@ -300,44 +300,76 @@ def test_the_data_crest_keys_are_mapped_to_a_crest_spec_once():
     }
 
 
-def _memo_keys(tree):
-    """The keys, as source text, of each use of a _memo attribute in tree: a
-    subscript, a method call such as pop or get, or an `in` test; None for
-    any other use."""
+# the methods of a dict that do not write it
+READ_ONLY = {"get", "keys", "items", "values"}
+
+
+def _kept_keys(tree):
+    """The keys, as source text, that tree writes into an instance dict: a
+    subscript of vars(...) assigned to, the key of vars(...).setdefault and
+    the name of a cached_property; None for any other method of vars(...)
+    that writes, and for any use of __dict__."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     keys = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Attribute) and node.attr == "_memo"):
-            continue
-        up = parents[node]
-        key = None
-        if isinstance(up, ast.Subscript) and up.value is node:
-            key = ast.unparse(up.slice)
-        elif isinstance(up, ast.Attribute) and isinstance(parents[up], ast.Call):
-            key = ast.unparse(parents[up].args[0])
-        elif isinstance(up, ast.Compare) and up.comparators == [node]:
-            key = ast.unparse(up.left)
-        keys.append(key)
+        if isinstance(node, ast.FunctionDef):
+            if "cached_property" in {ast.unparse(d) for d in node.decorator_list}:
+                keys.append(repr(node.name))
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            keys.append(None)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "vars":
+            up = parents[node]
+            if isinstance(up, ast.Subscript) and isinstance(up.ctx, ast.Store):
+                keys.append(ast.unparse(up.slice))
+            elif isinstance(up, ast.Attribute) and up.attr == "setdefault":
+                keys.append(ast.unparse(parents[up].args[0]))
+            elif isinstance(up, ast.Attribute) and up.attr not in READ_ONLY:
+                keys.append(None)
     return keys
 
 
 def test_each_kept_result_has_one_owner():
-    # a state keeps its derived fields (evolution) and its energy blocks and
-    # families (energies); a pair keeps htilde and its record pass in its
-    # instance dict, and no module but evolution names the derived key
+    # every object keeps its results in its instance dict: a state its
+    # derived fields (evolution) and its energy blocks and families
+    # (energies), a pair htilde (pair) and its record pass (energies), and
+    # the derived fields their diagnostics (evolution); no key has two
+    # writers, and no module but evolution names the derived key
     package = ROOT / "src" / "crestwave"
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    owners = {(name, key) for name, tree in trees.items() for key in _memo_keys(tree)}
+    owners = {(name, key) for name, tree in trees.items() for key in _kept_keys(tree)}
     assert owners == {
-        ("evolution.py", "'derived'"), ("energies.py", "'energy_blocks'"),
-        ("energies.py", "'energy_' + name"),
+        ("evolution.py", "'derived'"), ("evolution.py", "'Theta'"),
+        ("evolution.py", "'a1_route_gap'"), ("evolution.py", "'theta_route_gap'"),
+        ("energies.py", "'energy_blocks'"), ("energies.py", "'energy_' + name"),
+        ("energies.py", "'record'"), ("pair.py", "'map_tilde'"),
     }
-    assert "_memo" not in {f.name for f in dataclasses.fields(cw.PairState)}
     naming = {
         name for name, tree in trees.items() for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and node.value == "derived"
     }
     assert naming == {"evolution.py"}
+
+
+def test_objects_that_keep_results_are_frozen_and_compare_by_identity():
+    for cls in (cw.WaveState, cw.DerivedFields, cw.PairState, cw.MonotoneMap):
+        params = cls.__dataclass_params__
+        assert params.frozen and not params.eq, cls.__name__
+    names = ("grid", "Zdev", "Zp", "Zt", "sigma", "time")
+    assert tuple(f.name for f in dataclasses.fields(cw.WaveState)) == names
+    pair_names = ("state_a", "state_b", "k_a", "k_b")
+    assert tuple(f.name for f in dataclasses.fields(cw.PairState)) == pair_names
+    grid = cw.SpectralGrid(32)
+    st = cw.make_state(grid, np.zeros(32), np.ones(32), 0.1 * np.sin(grid.nodes), 0.01)
+    assert vars(st).keys() == set(names)
+    derived = cw.compute_derived(st)
+    assert vars(st).keys() == {*names, "derived"} and vars(st)["derived"] is derived
+    twin = dataclasses.replace(st)
+    assert vars(twin).keys() == set(names)
+    # distinct fields of equal arrays: unequal, and neither comparison
+    # reads an array
+    other = cw.compute_derived(twin)
+    assert other is not derived and other != derived and not other == derived
+    assert other not in [derived] and derived in [derived] and len({derived, other}) == 2
 
 
 def test_every_import_is_read():
