@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spectral
 from .errors import SOLUTION_TAGS
-from .evolution import derive_states, seed_angle
+from .evolution import derive_states, seed_angle, theta_form
 
 
 @dataclass
@@ -92,11 +92,10 @@ def _build_blocks(states):
     band, Ztb1, Ztb2, Ztb3 = spectral._ifft(products, out=products)
     Zp_band = 1.0 + band
     inv, d1, d2, d3 = grid.multiply_symbol(1.0 / Zp_band, table[:, None])
-    # H q, q = omega D 1/Z_ap,band
+    # Theta of q = omega D 1/Z_ap,band
     abs_band = np.abs(Zp_band)
     omega = Zp_band / abs_band
-    q = omega * d1
-    Theta = 1j * q - 1j * (q - grid.hilbert(q)).real
+    Theta = theta_form(grid, omega * d1)
     # the powers Z_ap^p of the families, p = 1/2, -1/2, ..., -7/2, on the
     # continuous branch of log Z_ap: Z_ap^(1/2) is the one exp, Z_ap^(-1/2)
     # its reciprocal, Z_ap^-1 the square of that, and each lower power

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import spectral
 from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at
-from .spectral import SpectralGrid
+from .spectral import TWO_PI, SpectralGrid
 
-TWO_PI = 2.0 * np.pi
 ABS_ZP_FLOOR = 1e-8
 # removed positive-mode mass a step may project out, relative to the state
 HOLO_TOLERANCE = 1e-8
@@ -121,9 +120,8 @@ class DerivedFields:
 
     @cached_property
     def Theta(self):
-        """Weighted-derivative form i q - i Re (I - H) q, q = omega d_a (1/Z_ap)."""
-        q = self.omega * self.grid.deriv(1.0 / self.Zp)
-        return 1j * q - 1j * (q - self.grid.hilbert(q)).real
+        """theta_form of the weighted derivative q = omega d_a (1/Z_ap)."""
+        return theta_form(self.grid, self.omega * self.grid.deriv(1.0 / self.Zp))
 
     @cached_property
     def a1_route_gap(self):
@@ -139,6 +137,13 @@ class DerivedFields:
         dap_omega = (1.0 / self.Zp) * self.grid.deriv(self.omega)
         Theta_alt = -1j * (dap_omega + self.grid.hilbert(dap_omega))
         return float(np.max(np.abs(self.Theta - Theta_alt)))
+
+
+def theta_form(grid, q):
+    """Theta = i q - i Re (I - H) q of the weighted derivative q =
+    omega d_a (1/Z_ap), rows on grid: the one spelling of DerivedFields.Theta
+    and of the energy blocks' Theta."""
+    return 1j * q - 1j * (q - grid.hilbert(q)).real
 
 
 def compute_derived(state):
@@ -223,9 +228,10 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     order of DerivedFields, of the (m, n) rows Zp and Zt_rows with surface
     tensions sigma, capillary rows (sigma != 0) first: the capillary
     transforms run on those rows only.  abs_Zp, |Zp|, is written over with
-    its reciprocal.  With k_dev, a (q, n) stack of packed map deviations
-    (_pack), an eighth stack follows: their Jacobians 1 + D k_dev, packed
-    alike, from round 1.
+    its reciprocal.  With k_dev, the map row of a pair step (advance), an
+    eighth field follows from round 1: its Jacobian row 1 + D k_dev, whose
+    parts are the Jacobians of the two maps, as D maps real rows to real
+    rows.
 
     The inputs of each of the two rounds are written into the rows of one
     stack, which goes through one multiply_symbol with a per-row symbol
@@ -241,7 +247,8 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     """
     m, n = Zp.shape
     n_cap = len(sigma) - sigma.count(0.0)
-    q = 0 if k_dev is None else len(k_dev)
+    # the map row, when given, leads round 1
+    q = 0 if k_dev is None else 1
     inv_Zp = 1.0 / Zp
 
     # round 1: D k_dev, D Z_t, H ratio and D omega; omega is filled for
@@ -256,7 +263,7 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     kinds = ("deriv",) * (q + m) + ("hilbert",) * m + ("deriv",) * n_cap
     out = grid.multiply_symbol(stack[: q + 2 * m + n_cap], grid.symbol_table(kinds))
     Ztap, h_ratio, d_omega = out[q : q + m], out[q + m : q + 2 * m], out[q + 2 * m :]
-    k_ap = None if k_dev is None else out[:q] + (1.0 + 1.0j)
+    k_ap = None if k_dev is None else out[0] + (1.0 + 1.0j)
     b = ratio.real - h_ratio.real
 
     # round 2: D flux, H conj(Z_tap), H prod and D (I + H) curv_im, the
@@ -301,45 +308,21 @@ def _ztt(A1, inv_Zp, sigma, cap):
     return np.conj(Ztt, out=Ztt)
 
 
-def _pack(rows, out=None):
-    """The p real rows of n points, a (p, n) array or a sequence of rows,
-    as (p + 1) // 2 complex rows, rows 2r and 2r + 1 the real and
-    imaginary parts of row r (0 for an odd last row), written into out
-    when given.  D maps real rows to real rows, so the parts of D
-    of a packed row are the derivatives of its two rows; and the float64
-    view of a packed stack interleaves its rows' values, so a product of
-    two views multiplies the rows of one by those of the other."""
-    p, n = len(rows), len(rows[0])
-    packed = np.empty(((p + 1) // 2, n), dtype=np.complex128) if out is None else out
-    for r, row in enumerate(rows):
-        (packed.imag if r % 2 else packed.real)[r // 2] = row
-    packed.imag[p // 2 :] = 0.0
-    return packed
-
-
-def _unpack(packed, p):
-    """The first p real rows of a _pack result, as one new (p, n) array."""
-    rows = np.empty((p, packed.shape[1]))
-    rows[0::2] = packed.real[: (p + 1) // 2]
-    rows[1::2] = packed.imag[: p // 2]
-    return rows
-
-
 def _rates(rates, b, Ztt, Ztap, k_ap=None):
-    """rates, the time derivatives of an RK4 stage as one (3m + q, n) stack,
-    completed from the right-hand-side (m, n) fields of m states: its first
-    2m rows hold dt Zdev = flux and dt Z_ap = flux_ap, the next m rows get
-    dt Z_t = -b Z_tap + Z_tt, and with k_ap, the q packed Jacobians of the
-    maps (_pack), the last q rows get the rates -b_r k_ap,r of their packed
-    deviations: a product of float64 views of packed rows is the product
-    of each map's own rows."""
+    """rates, the time derivatives of an RK4 stage as one stack of the rows
+    of advance, completed from the right-hand-side (m, n) fields of m
+    states: its first 2m rows hold dt Zdev = flux and dt Z_ap = flux_ap,
+    the next m rows get dt Z_t = -b Z_tap + Z_tt, and with k_ap, the
+    Jacobian row k_a,ap + i k_b,ap of a pair's two maps, the last row gets
+    the rate -(b_a Re k_ap + i b_b Im k_ap) of their deviation row."""
     m = len(b)
     dt_Zt = rates[2 * m : 3 * m]
     np.subtract(Ztt, np.multiply(b, Ztap, out=dt_Zt), out=dt_Zt)
     if k_ap is not None:
-        view = _pack(b, rates[3 * m :]).view(np.float64)
-        np.multiply(view, k_ap.view(np.float64), out=view)
-        np.negative(view, out=view)
+        row = rates[3 * m]
+        np.multiply(b[0], k_ap.real, out=row.real)
+        np.multiply(b[1], k_ap.imag, out=row.imag)
+        np.negative(row, out=row)
     return rates
 
 
@@ -435,12 +418,12 @@ def rk4(y0, rhs, dt, k1):
 
 
 def _finish(grid, y, m):
-    """The finish of a step of advance, written over y, the (3m + q, n)
-    stack of rows that rk4 returns.  Returns the (3m + 2q, n) new rows,
-    those of y in its order followed by the derivatives of the q further
-    rows, the (2, m) masses removed from Z_ap - 1 and from Zbar_t, and the
-    (2, m) L2 norms of the new Z_ap - 1 and Z_t, by Parseval from the
-    spectrum the new rows come from.  Each row, its masses and its norms
+    """The finish of a step of advance, written over y, the stack of rows
+    that rk4 returns: 3m of m states, and maybe a map row after them.
+    Returns the new rows, those of y in its order followed by the
+    derivative of the map row, the (2, m) masses removed from Z_ap - 1 and
+    from Zbar_t, and the (2, m) L2 norms of the new Z_ap - 1 and Z_t, by
+    Parseval from the spectrum the new rows come from.  Each row, its masses and its norms
     are bit-identical to a call on that state's rows alone."""
     n, half = grid.n, grid.n // 2
     r = len(y)
@@ -471,21 +454,19 @@ def _finish(grid, y, m):
 
 def advance(states, cfg, dt, maps=None, tags=None):
     """One classical RK4 step of m states on one grid, capillary states
-    (sigma != 0) first, and of maps, m inverse flow maps k = h^{-1}
-    (brackets.InverseFlowMap) of which map r is transported by the drift b
-    of state r.
+    (sigma != 0) first, and of maps, which only a two-state step takes:
+    the inverse flow maps k = h^{-1} (brackets.InverseFlowMap) of a pair,
+    of which map r is transported by the drift b of state r.
 
-    The step holds everything it advances as one (3m + q, n) complex
-    stack, the rows Zdev | Z_ap | Z_t of the states, then with maps the
-    q = (m + 1) // 2 packed rows of their deviations (_pack), k_dev of maps
-    2r and 2r + 1 as the real and imaginary parts of one row, never beside
-    a state in a row.  rk4 combines the stages on that one array, and each
-    stage's rates (_rates) come as one stack of the same rows.
+    The step holds everything it advances as one complex stack, the rows
+    Zdev | Z_ap | Z_t of the states, then with maps the one map row
+    k_a,dev + i k_b,dev.  rk4 combines the stages on that one array, and
+    each stage's rates (_rates) come as one stack of the same rows.
 
     A flow map moves by h_t = b o h, so its inverse obeys k_t + b k_ap = 0,
     which needs only fields on the grid: the deviation of map r moves at
     the rate -b_r (1 + D k_dev,r).  Stage 1 takes 1 + D k_dev from the
-    maps' kept Jacobians; stages 2 to 4 add the packed rows to round 1 of
+    maps' kept Jacobians; stages 2 to 4 add the map row to round 1 of
     their derive, so the maps cost no FFT call of their own and no
     interpolation.
 
@@ -499,15 +480,15 @@ def advance(states, cfg, dt, maps=None, tags=None):
     the holomorphicity check scales the masses by, the L2 norms of the new
     Z_ap - 1 and Z_t, come from the same spectrum by Parseval, and the CFL
     check reads the drift b that the derive of stage 1 returns, so the
-    guards redo no work of the step.  The packed map
-    rows are only dealiased, and the same inverse transform gives their
-    derivatives, D of the dealiased rows: the products b k_ap alias like
-    those of the states, and without the filter their debris piles up at
-    the top modes of k over long runs.
+    guards redo no work of the step.  The map row is only dealiased, and
+    the same inverse transform gives its derivative, D of the dealiased
+    row: the products b k_ap alias like those of the states, and without
+    the filter their debris piles up at the top modes of k over long runs.
 
-    Returns the new states and, with maps, the (m, n) stacks of the new
-    map deviations and of their Jacobians 1 + D k_dev (None without maps).
-    Raises ValueError if a capillary state follows one with sigma = 0 or
+    Returns the new states and, with maps, the pairs of the two new map
+    deviations and of their Jacobians 1 + D k_dev (None without maps).
+    Raises ValueError if a capillary state follows one with sigma = 0, if
+    maps are given to other than two states or are other than two, or if
     a state or map is on another grid than the first state, and, state by
     state, CFLViolationError when dt is not positive or not within
     dt_safety times cfl_bound of the state (a NaN bound or dt fails),
@@ -523,6 +504,11 @@ def advance(states, cfg, dt, maps=None, tags=None):
     if 0.0 in sigma[: len(sigma) - sigma.count(0.0)]:
         raise ValueError(f"capillary states (sigma != 0) must come first, got sigmas {sigma}")
     if maps is not None:
+        if (m, len(maps)) != (2, 2):
+            raise ValueError(
+                f"maps ride only a two-state step with two maps, got {m} states and "
+                f"{len(maps)} maps"
+            )
         _require_one_grid(grid, maps)
     tags = ("",) * m if tags is None else tags
     derived = derive_states(states, tags)
@@ -543,7 +529,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
         abs_Zp = np.abs(Zp)
         for min_r, tag in zip(abs_Zp.min(axis=-1).tolist(), tags):
             _require_floor(min_r, tag)
-        k_dev = None if maps is None else y[3 * m :]
+        k_dev = None if maps is None else y[3 * m]
         rates = np.empty_like(y)
         b, _, _, Ztt, Ztap, _, _, *k_ap = _derive(
             grid, Zp, abs_Zp, y[2 * m : 3 * m], sigma, k_dev, rates[: 2 * m]
@@ -551,16 +537,18 @@ def advance(states, cfg, dt, maps=None, tags=None):
         return _rates(rates, b, Ztt, Ztap, *k_ap)
 
     # the rows of y0, and stage 1's rates from the kept fields
-    q = 0 if maps is None else (m + 1) // 2
-    y0 = np.empty((3 * m + q, n), dtype=np.complex128)
+    y0 = np.empty((3 * m + (maps is not None), n), dtype=np.complex128)
     k1 = np.empty_like(y0)
     for r, (st, d) in enumerate(zip(states, derived)):
         y0[r], y0[m + r], y0[2 * m + r] = st.Zdev, st.Zp, st.Zt
         k1[r], k1[m + r] = d.flux, d.flux_ap
     kept = [_stack([getattr(d, name) for d in derived]) for name in ("b", "Ztt", "Ztap")]
     if maps is not None:
-        _pack([k.deviation for k in maps], out=y0[3 * m :])
-        kept.append(_pack([k.jac for k in maps]))
+        k_a, k_b = maps
+        y0[3 * m].real, y0[3 * m].imag = k_a.deviation, k_b.deviation
+        jac = np.empty(n, dtype=np.complex128)
+        jac.real, jac.imag = k_a.jac, k_b.jac
+        kept.append(jac)
     out, mass, size = _finish(grid, rk4(y0, rhs, dt, _rates(k1, *kept)), m)
 
     Zdev, Zp, Zt = out[:m], out[m : 2 * m], out[2 * m : 3 * m]
@@ -585,10 +573,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
         new.append(WaveState(grid, Zdev[r], Zp[r], Zt[r], st.sigma, st.time + dt))
     if maps is None:
         return new, None
-    packed, d_packed = out[3 * m :].reshape(2, -1, n)
-    jac = _unpack(d_packed, m)
-    jac += 1.0
-    return new, (_unpack(packed, m), jac)
+    dev, d_dev = out[3 * m :]
+    return new, ((dev.real, dev.imag), (d_dev.real + 1.0, d_dev.imag + 1.0))
 
 
 def step_rk4(state, cfg, dt):

@@ -418,7 +418,7 @@ def rhs_eulerian(state):
 def rk4_by_blocks(y0, rhs, dt, k1, bounds):
     """evolution.rk4 with its stage combinations taken block by block: y0,
     k1 and each stage's rates split at the row indices bounds (the blocks
-    Zdev, Z_ap, Z_t and the packed map rows of an advance stack), each
+    Zdev, Z_ap, Z_t and the map row of an advance stack), each
     block combined by numpy calls of its own in the expression order of
     rk4; rhs still takes and returns whole stacks."""
 

@@ -385,6 +385,20 @@ def test_a_stacked_pass_refuses_a_row_on_another_grid(call):
     assert "derived" not in vars(other)
 
 
+@pytest.mark.parametrize("m, n_maps", [(1, 1), (2, 1)])
+def test_advance_takes_maps_only_with_two_states_and_two_maps(m, n_maps):
+    # the maps ride as one row k_a,dev + i k_b,dev transported by the drifts
+    # of two states, so any other count is refused before any derive
+    g = make_grid(64)
+    states = [random_smooth_state(g, np.random.default_rng(r), amp=0.1) for r in range(m)]
+    dt = 0.25 * min(cfl_bound(replace(st)) for st in states)
+    maps = (MonotoneMap.identity(g),) * n_maps
+    match = f"got {m} states and {n_maps} maps"
+    with pytest.raises(ValueError, match=match):
+        evolution.advance(states, StepperConfig(), dt, maps)
+    assert all("derived" not in vars(st) for st in states)
+
+
 def test_steps_refuse_a_nan_surface_tension(monkeypatch):
     # replace bypasses make_state; the CFL check must refuse the NaN bound
     # before any RK4 stage runs
@@ -595,7 +609,7 @@ def test_dynamic_identities_second_order():
 @given(seed=hst.integers(0, 2**32 - 1), amp=hst.floats(0.02, 0.12))
 def test_stacked_rk4_steps_as_its_blocks_would_alone(case, seed, amp):
     # advance combines its RK4 stages on one stack of the rows Zdev | Z_ap |
-    # Z_t (| packed map rows); combined block by block instead, by numpy
+    # Z_t (| the map row); combined block by block instead, by numpy
     # calls of each block's own, 20 steps give the same bytes: the states,
     # and for the pair its maps
     rng = np.random.default_rng(seed)
@@ -627,8 +641,8 @@ def test_stacked_rk4_steps_as_its_blocks_would_alone(case, seed, amp):
         for expected in stacked[1:]:
             x = step(x, cfg, dt)
             assert same(x, expected)
-    # one stack per step, whose last block (Z_t of one state, or the packed
-    # row of two maps) is one row
+    # one stack per step, whose last block (Z_t of one state, or the map row
+    # k_a,dev + i k_b,dev of a pair) is one row
     assert calls == [(bounds[-1] + 1, 128)] * 20
 
 

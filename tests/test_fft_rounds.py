@@ -85,7 +85,7 @@ def test_step_rk4_transform_calls(stepped, fft_calls, member, expected):
 
 def test_co_step_transform_calls(stepped, fft_calls):
     # per stage one two-round derive of both solutions, whose first round
-    # also differentiates the packed row k_a + i k_b in stages 2 to 4; then
+    # also differentiates the map row k_a + i k_b in stages 2 to 4; then
     # one finish of both solutions and that row, which also gives the new
     # maps' Jacobians; no spread (the rfft/irfft pairs), no inverse and no
     # composition
@@ -94,8 +94,8 @@ def test_co_step_transform_calls(stepped, fft_calls):
     assert fft_calls == {"fft": 9, "ifft": 9, "rfft": 0, "irfft": 0}
     # round 1 transforms Z_t, ratio and the capillary omega (and k_a + i k_b
     # in stages 2 to 4); round 2 flux, conj(Z_tap), prod and the capillary
-    # curv_im; the finish takes Zdev, Z_ap - 1, Z_t and the packed row
-    # forward and gives them back with D of the packed row
+    # curv_im; the finish takes Zdev, Z_ap - 1, Z_t and the map row
+    # forward and gives them back with D of the map row
     first = [("fft", 5), ("ifft", 5), ("fft", 7), ("ifft", 7)]
     stage = [("fft", 6), ("ifft", 6), ("fft", 7), ("ifft", 7)]
     assert fft_calls.rows == first + 3 * stage + [("fft", 7), ("ifft", 8)]
