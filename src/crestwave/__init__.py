@@ -8,11 +8,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
 from .energies import (
     EnergyReport,
-    energy_aux,
     energy_delta,
-    energy_high,
     energy_sigma,
     f_delta_norm,
+    state_energies,
 )
 from .errors import (
     CFLViolationError,
@@ -53,7 +52,7 @@ __all__ = [
     "WaveState", "DerivedFields", "StepperConfig", "make_state", "flat_state",
     "compute_derived", "derive_states", "cfl_bound", "step_rk4",
     # energies and initial data
-    "EnergyReport", "energy_sigma", "energy_high", "energy_aux", "energy_delta", "f_delta_norm",
+    "EnergyReport", "energy_sigma", "state_energies", "energy_delta", "f_delta_norm",
     "CrestSpec", "crest_data",
     # pair
     "pair", "PairState", "PairRunSpec", "init_pair", "co_step", "run_pair_once",

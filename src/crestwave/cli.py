@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_config
-from .energies import STATE_FAMILIES
+from .energies import state_energies
 from .errors import (
     CFLViolationError,
     ConfigError,
@@ -156,8 +156,8 @@ def cmd_simulate(cfg, outdir, args):
     series = {f: [] for f in families}
 
     def record(st):
-        for f in families:
-            series[f].append(STATE_FAMILIES[f](st))
+        for f, report in zip(families, state_energies(st, families)):
+            series[f].append(report)
 
     state = drive(state, step_rk4, stepper, dt, n_steps, record, cfg.output.record_interval)
 

@@ -1,8 +1,8 @@
 """The energy functionals.
 
-* ``sigma``   capillary-gravity energy; thirteen weighted terms (nine in the
-              first group, four velocity terms), sigma-weighted ones vanish
-              identically at sigma = 0
+* ``sigma``   capillary-gravity energy; thirteen terms (nine in the first
+              group, four velocity terms), those with a power of sigma as
+              their weight vanish identically at sigma = 0
 * ``high``    higher-order energy of the zero-surface-tension solution
 * ``aux``     auxiliary zero-surface-tension energy (the coupling partner)
 * ``delta``   difference energy between a sigma > 0 solution (a) and a
@@ -11,10 +11,13 @@
 * ``f_delta`` uniqueness-grade difference norm (seven first-power terms)
 
 Each family is a table of terms (column name, norm, field builder) in the
-order of its components, which the CSV header reads too; totals are sums of
-the components.  The two pair families come from one record pass per pair,
-kept on the PairState.  Half-integer powers of Z_ap use the continuous
-branch of log Z_ap on the band, whose angle is seed_angle of Z_ap,band.
+order of its components, which the CSV header reads too; a term's weight
+lives in its field builder, and totals are sums of the components.  The
+families of one solution come from one pass (state_energies) kept on the
+state, the two pair families from one record pass kept on the PairState;
+each pass builds the energy blocks it reads and drops them at its end.
+Half-integer powers of Z_ap use the continuous branch of log Z_ap on the
+band, whose angle is seed_angle of Z_ap,band.
 """
 
 from __future__ import annotations
@@ -52,21 +55,6 @@ class EnergyReport:
                 "total": self.total}
 
 
-def _state_blocks(*states):
-    """Shared ingredients of all families for states on one grid, kept on
-    each state; those not yet kept are built in one stacked pass, and each
-    state's are bit-identical to building it alone.  The numerical solution
-    lives on the dealiased band, so every nonlinear ingredient is rebuilt
-    band-limited before derivatives are taken: the ringing that pointwise
-    division leaves above the filter cutoff is representation debris, and
-    the k^3-amplified weighted norms would otherwise be dominated by it on
-    marginally resolved states."""
-    new = [st for st in states if "energy_blocks" not in vars(st)]
-    for st, blocks in zip(new, _build_blocks(new) if new else ()):
-        vars(st)["energy_blocks"] = blocks
-    return [vars(st)["energy_blocks"] for st in states]
-
-
 # the symbols dealias D^j, j = 0..3, of the derivative ladders of the blocks
 _LADDER = ("dealias", "dealias_deriv", "dealias_deriv2", "dealias_deriv3")
 
@@ -77,7 +65,12 @@ def _build_blocks(states):
     the ladder dealias D^j of conj(Z_t) (j = 1..3) from one FFT pair, the
     ladder dealias D^j of 1/Z_ap,band (j = 0..3) from one forward
     transform, and H q, then the powers pw of Z_ap,band the families
-    read.  Each row is bit-identical to its own multiply_symbol call."""
+    read.  Each row is bit-identical to its own multiply_symbol call.  The
+    numerical solution lives on the dealiased band, so every nonlinear
+    ingredient is rebuilt band-limited before derivatives are taken: the
+    ringing that pointwise division leaves above the filter cutoff is
+    representation debris, and the k^3-amplified norms of Z_ap powers would
+    otherwise be dominated by it on marginally resolved states."""
     grid, m = states[0].grid, len(states)
     table = grid.symbol_table(_LADDER)
     rows = np.empty((2 * m, grid.n), dtype=np.complex128)
@@ -112,13 +105,12 @@ def _build_blocks(states):
             for fields, powers in zip(zip(*rows), zip(*pw.values()))]
 
 
-# a term is w * (sum of the norms kinds of its field) ** power, w the sigma
-# of its state if weighted, else 1; a zero weight takes no norm
+# a term is (sum of the norms kinds of its field) ** power; a weight lives
+# in the field builder
 _NORMS = {
-    "L2": (("L2",), 1, False), "L2sq": (("L2",), 2, False), "L2p6": (("L2",), 6, False),
-    "Hhalf": (("Hhalf",), 1, False), "Hhalfsq": (("Hhalf",), 2, False),
-    "Linfsq": (("Linf",), 2, False), "sigma Linfsq": (("Linf",), 2, True),
-    "(Linf + Hhalf)sq": (("Linf", "Hhalf"), 2, False),
+    "L2": (("L2",), 1), "L2sq": (("L2",), 2), "L2p6": (("L2",), 6),
+    "Hhalf": (("Hhalf",), 1), "Hhalfsq": (("Hhalf",), 2), "Linfsq": (("Linf",), 2),
+    "(Linf + Hhalf)sq": (("Linf", "Hhalf"), 2),
 }
 # the families of one state: a builder reads its blocks, the powers pw of
 # Z_ap among them, and its sigma s
@@ -127,7 +119,7 @@ _SIGMA = (
     ("invZp_dap_invZp_Hhalfsq", "Hhalfsq", lambda x: x.inv * x.d1),
     ("sigma_dap_Theta_Hhalfsq", "Hhalfsq", lambda x: x.s * x.grid.deriv(x.Theta)),
     ("sigma16_Zp12_dap_invZp_L2p6", "L2p6", lambda x: x.s ** (1 / 6) * x.pw[0.5] * x.d1),
-    ("sigma12_Zp12_dap_invZp_Linfsq", "sigma Linfsq", lambda x: x.pw[0.5] * x.d1),
+    ("sigma12_Zp12_dap_invZp_Linfsq", "Linfsq", lambda x: np.sqrt(x.s) * x.pw[0.5] * x.d1),
     ("sigma12_invZp12_dap2_invZp_L2sq", "L2sq", lambda x: np.sqrt(x.s) * x.pw[-0.5] * x.d2),
     ("sigma12_invZp32_dap2_invZp_Hhalfsq", "Hhalfsq", lambda x: np.sqrt(x.s) * x.pw[-1.5] * x.d2),
     ("sigma_invZp_dap3_invZp_L2sq", "L2sq", lambda x: x.s * x.inv * x.d3),
@@ -186,59 +178,53 @@ _F_DELTA = (
 _TABLES = {"sigma": _SIGMA, "high": _HIGH, "aux": _AUX, "delta": _DELTA, "f_delta": _F_DELTA}
 
 
-def _evaluate(grid, families, pair_jobs=()):
+def _evaluate(grid, families, pair_jobs=(), built=()):
     """The components of each of families, (state, family name) pairs, and
     of each of pair_jobs, (terms, x) with x what the builders of terms read,
     from one pass over the pair jobs and the families not yet kept on their
-    states, which are then kept: all L2 norms from one stacked l2_norm call,
-    all H^1/2 norms from one stacked hhalf_norm call and all L-infinity
-    norms from one stacked sup_norm call, whose rows give the bits of
-    single-field calls."""
+    states, which are then kept.  built holds (state, blocks) pairs the
+    caller has built; the other states those families read get theirs from
+    one _build_blocks pass, one row per distinct state.  All L2 norms come
+    from one stacked l2_norm call, all H^1/2 norms from one hhalf_norm call
+    and all L-infinity norms from one sup_norm call, whose rows give the
+    bits of single-field calls."""
     new = [(st, name) for st, name in families if "energy_" + name not in vars(st)]
-    jobs = [*pair_jobs, *((_TABLES[name], SimpleNamespace(**B, s=st.sigma))
-                          for (st, name), B in zip(new, _state_blocks(*(st for st, _ in new))))]
-    terms = []
-    for j, (table, x) in enumerate(jobs):
-        for column, norm, build in table:
-            kinds, power, weighted = _NORMS[norm]
-            w = x.s if weighted else 1.0
-            terms.append((j, column, kinds if w else (), power, w, build(x) if w else None))
+    blocks = dict(built)
+    missing = list(dict.fromkeys(st for st, _ in new if st not in blocks))
+    blocks.update(zip(missing, _build_blocks(missing) if missing else ()))
+    jobs = [*pair_jobs, *((_TABLES[name], SimpleNamespace(**blocks[st], s=st.sigma))
+                          for st, name in new)]
+    terms = [(j, column, *_NORMS[norm], build(x))
+             for j, (table, x) in enumerate(jobs) for column, norm, build in table]
     stacked = {}
     for kind, norm_of in (("L2", grid.l2_norm), ("Hhalf", grid.hhalf_norm),
                           ("Linf", grid.sup_norm)):
-        fields = [f for _, _, kinds, _, _, f in terms if kind in kinds]
+        fields = [f for _, _, kinds, _, f in terms if kind in kinds]
         stacked[kind] = iter(norm_of(np.array(fields)).tolist() if fields else ())
     comps = [{} for _ in jobs]
-    for j, column, kinds, power, w, f in terms:
-        v = sum(next(stacked[kind]) for kind in kinds)
-        comps[j][column] = w * v ** power
+    for j, column, kinds, power, _ in terms:
+        comps[j][column] = sum(next(stacked[kind]) for kind in kinds) ** power
     for (st, name), comp in zip(new, comps[len(pair_jobs):]):
         vars(st)["energy_" + name] = comp
     return [vars(st)["energy_" + name] for st, name in families], comps[: len(pair_jobs)]
 
 
-def _state_report(state, family):
-    (comp,), _ = _evaluate(state.grid, [(state, family)])
-    return EnergyReport(family, state.time, dict(comp))
+# the families of one solution, which `simulate` records and [output] lists
+STATE_FAMILIES = ("sigma", "high", "aux")
+
+
+def state_energies(state, families):
+    """The reports of families, names of STATE_FAMILIES, of one solution
+    from one _evaluate pass (one block build); ValueError for other names."""
+    if not set(families) <= set(STATE_FAMILIES):
+        raise ValueError(f"state_energies takes families of {STATE_FAMILIES}, got {families}")
+    comps, _ = _evaluate(state.grid, [(state, f) for f in families])
+    return [EnergyReport(f, state.time, dict(comp)) for f, comp in zip(families, comps)]
 
 
 def energy_sigma(state):
     """The thirteen-term capillary-gravity energy of one solution."""
-    return _state_report(state, "sigma")
-
-
-def energy_high(state):
-    """Five-term higher-order energy for zero surface tension."""
-    return _state_report(state, "high")
-
-
-def energy_aux(state):
-    """Six-term auxiliary energy for the zero-surface-tension solution."""
-    return _state_report(state, "aux")
-
-
-# the families of one solution by name, which `simulate` records and [output] lists
-STATE_FAMILIES = {"sigma": energy_sigma, "high": energy_high, "aux": energy_aux}
+    return state_energies(state, ("sigma",))[0]
 
 
 def _differences(fields_a, fields_b, pulled):
@@ -272,8 +258,9 @@ def _pair_record(pair):
     pull-back of the fields of b of both families through htilde as one
     stack, which rides along the solve that builds htilde
     (PairState._pull_back), and one _evaluate of the terms of both
-    families with those of energy_sigma(a) and energy_aux(b), which stay
-    kept on their states."""
+    families with those of the sigma family of a and the aux family of b,
+    which stay kept on their states.  The energy blocks of both states are
+    built once, read here and passed to _evaluate, and dropped at its end."""
     if "record" in vars(pair):
         return vars(pair)["record"]
     a, b = pair.state_a, pair.state_b
@@ -281,19 +268,19 @@ def _pair_record(pair):
     # b_ap = D_a b of both states from one stacked derivative: each row has
     # the bits of grid.deriv(der.b).real of its state alone
     b_ap = a.grid.deriv(np.array([der.b for der in derived])).real
+    blocks = _build_blocks([a, b])
     fa, fb = ({"omega": B["omega"], "d1": B["d1"], "inv_d1": B["inv"] * B["d1"], "Ztb1": B["Ztb1"],
                "Ztb2": B["pw"][-2.0] * B["Ztb2"], "Zt": st.Zt, "Ztt": der.Ztt,
                "invZp": 1.0 / st.Zp, "DapZt": der.Ztap / st.Zp, "A1": der.A1, "bap": bap,
                "halpha": 1.0 / k.jac}
-              for st, der, bap, k, B in zip((a, b), derived, b_ap, (pair.k_a, pair.k_b),
-                                            _state_blocks(a, b)))
+              for st, der, bap, k, B in zip((a, b), derived, b_ap, (pair.k_a, pair.k_b), blocks))
     fb["inv_abs"] = 1.0 / np.abs(b.Zp)
     htil, pulled = pair._pull_back(_rows(fb.values()))
     x = _differences(fa, fb, pulled)
     x.grid, x.abs_a, x.dev_j = a.grid, np.abs(a.Zp), htil.jac - 1.0
     own_terms = [term for term in _DELTA if term[1] in _NORMS]
     (sigma_a, aux_b), (own, f_delta) = _evaluate(
-        a.grid, [(a, "sigma"), (b, "aux")], [(own_terms, x), (_F_DELTA, x)]
+        a.grid, [(a, "sigma"), (b, "aux")], [(own_terms, x), (_F_DELTA, x)], zip((a, b), blocks)
     )
     own["coupling_sigma_aux_b"] = a.sigma * sum(aux_b.values())
     delta = {c: sigma_a[name] if norm == "sigma(a)" else own[c] for c, norm, name in _DELTA}

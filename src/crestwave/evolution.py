@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +53,8 @@ class WaveState:
     Zdev holds Z - a' (periodic part of the interface), Zp holds Z_ap,
     Zt the complex velocity Z_t.  What stacked passes compute from a state
     is kept in its instance dict, as a pair keeps its results: the
-    compute_derived fields, and the energy blocks and family components of
-    energies; the branch g of arg(Z_ap) is computed on each read.  Kept
+    compute_derived fields and the family components of energies only; the
+    energy blocks and the branch g of arg(Z_ap) are not kept.  Kept
     arrays, like the state's own, are never written in place, and
     dataclasses.replace starts with nothing kept.
     """
@@ -101,9 +100,9 @@ class DerivedFields:
 
     The right-hand-side set (b, A1, omega, Ztap, Ztt, and the flux
     Z_t - b Z_ap with its derivative flux_ap) is computed by compute_derived;
-    Theta and the A1/Theta route gaps are diagnostics, computed on first
-    read and kept in the instance dict.  b_ap = D_a b is not kept: a pair
-    record takes it for both states from one stacked derivative.
+    Theta and the A1/Theta route gaps are diagnostics, computed on each
+    read and not kept.  b_ap = D_a b is not kept: a pair record takes it
+    for both states from one stacked derivative.
     """
 
     grid: SpectralGrid
@@ -118,12 +117,12 @@ class DerivedFields:
     flux_ap: np.ndarray
     min_abs_Zp: float
 
-    @cached_property
+    @property
     def Theta(self):
-        """theta_form of the weighted derivative q = omega d_a (1/Z_ap)."""
+        """theta_form of q = omega d_a (1/Z_ap), omega = Z_ap / |Z_ap|."""
         return theta_form(self.grid, self.omega * self.grid.deriv(1.0 / self.Zp))
 
-    @cached_property
+    @property
     def a1_route_gap(self):
         """A1 from the commutator form against the (I + H)-form."""
         prod = self.Zt * np.conj(self.Ztap)
@@ -131,7 +130,7 @@ class DerivedFields:
         A1_alt = 1.0 + 1j * prod - 1j * (re_prod + self.grid.hilbert(re_prod))
         return float(np.max(np.abs(self.A1 - A1_alt)))
 
-    @cached_property
+    @property
     def theta_route_gap(self):
         """Theta against -i (I + H) D_a omega."""
         dap_omega = (1.0 / self.Zp) * self.grid.deriv(self.omega)
@@ -140,8 +139,8 @@ class DerivedFields:
 
 
 def theta_form(grid, q):
-    """Theta = i q - i Re (I - H) q of the weighted derivative q =
-    omega d_a (1/Z_ap), rows on grid: the one spelling of DerivedFields.Theta
+    """Theta = i q - i Re (I - H) q of the derivative q = omega d_a (1/Z_ap)
+    with the weight omega, rows on grid: the one spelling of DerivedFields.Theta
     and of the energy blocks' Theta."""
     return 1j * q - 1j * (q - grid.hilbert(q)).real
 

@@ -192,10 +192,10 @@ class SpectralGrid:
         the symbol i k (1 - sgn k), 0 at Nyquist), 'dealias', or
         'dealias_deriv', 'dealias_deriv2', 'dealias_deriv3' (dealias times
         'deriv' to the power 1, 2, 3, so 0 at Nyquist); built once for a
-        tuple of kinds and all grids equal to this one, so a run that builds
-        a new grid for each pair builds each table once.  Each symbol is
-        defined once, by _symbol, and the operators below multiply by rows
-        of these tables."""
+        tuple of kinds and all grids equal to this one, read-only, so a run
+        that builds a new grid for each pair builds each table once.  Each
+        symbol is defined once, by _symbol, and the operators below multiply
+        by rows of these tables."""
         return _symbol_table(self, kinds)
 
     def deriv(self, f):
@@ -572,7 +572,9 @@ def _sum_windows(windows, weights, start, out):
 
 @functools.lru_cache(maxsize=256)
 def _symbol_table(grid, kinds):
-    return np.stack([_symbol(grid, kind) for kind in kinds])
+    table = np.stack([_symbol(grid, kind) for kind in kinds])
+    table.flags.writeable = False
+    return table
 
 
 def _symbol(grid, kind):
@@ -632,7 +634,7 @@ def _nufft_kernel_table():
     kernel weights of a point at fine-grid offset s: tap j sits at the
     kernel coordinate z = 2 (s + w/2 - 1 - j) / w and weighs
     exp(beta (sqrt(1 - z^2) - 1)).  Interpolates the formula at the D + 1
-    Chebyshev nodes (a DCT); built once per process."""
+    Chebyshev nodes (a DCT); built once per process, read-only."""
     w, size = _NUFFT_WIDTH, _NUFFT_CHEB_DEGREE + 1
     theta = np.pi * (np.arange(size) + 0.5) / size
     s = 0.5 * (np.cos(theta) + 1.0)
@@ -640,6 +642,7 @@ def _nufft_kernel_table():
     values = np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
     table = (2.0 / size) * np.cos(np.outer(np.arange(size), theta)) @ values
     table[0] *= 0.5
+    table.flags.writeable = False
     return table
 
 

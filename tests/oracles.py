@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crestwave.brackets import MonotoneMap
-from crestwave.energies import _state_blocks
+from crestwave.energies import _build_blocks
 from crestwave.errors import DegenerateJacobianError
 from crestwave.evolution import (
     ABS_ZP_FLOOR, TWO_PI, _rates, compute_derived, derive_states, make_state,
@@ -608,17 +608,16 @@ def delta_field(pair, name):
 def energy_sigma_terms(state):
     """The thirteen components of energy_sigma, term by term."""
     s = state.sigma
-    (B,) = _state_blocks(state)
+    (B,) = _build_blocks([state])
     grid, inv, d1, d2, d3 = B["grid"], B["inv"], B["d1"], B["d2"], B["d3"]
     pw = B["pw"]
     dTheta = grid.deriv(B["Theta"])
-    sup_Zp12_d1 = grid.sup_norm(pw[0.5] * d1)
     return {
         "dap_invZp_L2sq": grid.l2_norm(d1) ** 2,
         "invZp_dap_invZp_Hhalfsq": grid.hhalf_norm(inv * d1) ** 2,
         "sigma_dap_Theta_Hhalfsq": grid.hhalf_norm(s * dTheta) ** 2,
         "sigma16_Zp12_dap_invZp_L2p6": grid.l2_norm(s ** (1 / 6) * pw[0.5] * d1) ** 6,
-        "sigma12_Zp12_dap_invZp_Linfsq": s * sup_Zp12_d1 ** 2,
+        "sigma12_Zp12_dap_invZp_Linfsq": grid.sup_norm(np.sqrt(s) * pw[0.5] * d1) ** 2,
         "sigma12_invZp12_dap2_invZp_L2sq": grid.l2_norm(np.sqrt(s) * pw[-0.5] * d2) ** 2,
         "sigma12_invZp32_dap2_invZp_Hhalfsq": grid.hhalf_norm(np.sqrt(s) * pw[-1.5] * d2) ** 2,
         "sigma_invZp_dap3_invZp_L2sq": grid.l2_norm(s * inv * d3) ** 2,
@@ -631,8 +630,8 @@ def energy_sigma_terms(state):
 
 
 def energy_aux_terms(state):
-    """The six components of energy_aux, term by term."""
-    (B,) = _state_blocks(state)
+    """The six components of the aux family, term by term."""
+    (B,) = _build_blocks([state])
     grid, pw = B["grid"], B["pw"]
     return {
         "Zp12_dap_invZp_Linfsq": grid.sup_norm(pw[0.5] * B["d1"]) ** 2,
@@ -666,7 +665,7 @@ def energy_delta_terms(pair):
     pulled back through htilde as one complex stack."""
     a, b = pair.state_a, pair.state_b
     grid = a.grid
-    Ba, Bb = _state_blocks(a, b)
+    Ba, Bb = _build_blocks([a, b])
     pwa, pwb = Ba["pw"], Bb["pw"]
     htil = pair.map_tilde
 

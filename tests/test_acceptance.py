@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from crestwave.energies import energy_aux, energy_delta, energy_high, energy_sigma
+from crestwave.energies import STATE_FAMILIES, energy_delta, state_energies
 from crestwave.evolution import (
     StepperConfig,
     cfl_bound,
@@ -203,8 +203,7 @@ def test_criterion_07_self_convergence():
     assert float(np.min(np.abs(st.Zp))) > 0.6
     st2 = refine_state(st, 256)
     worst = 0.0
-    for fam in (energy_sigma, energy_high, energy_aux):
-        ra, rb = fam(st), fam(st2)
+    for ra, rb in zip(state_energies(st, STATE_FAMILIES), state_energies(st2, STATE_FAMILIES)):
         for k in ra.components:
             va, vb = ra.components[k], rb.components[k]
             worst = max(worst, abs(va - vb) / max(1.0, abs(va)))

@@ -176,23 +176,24 @@ def test_simulate_records_the_families_by_sigma_unless_listed(tmp_path, sigma, f
 
 
 def test_zero_sigma_simulate_takes_one_sup_norm_per_record(tmp_path, monkeypatch):
-    # the L-infinity term of energy_sigma is sigma times sup |Z_ap^(1/2)
-    # D(1/Z_ap)|^2, and a term of zero weight takes no norm, so at sigma = 0
-    # only energy_aux takes that sup
+    # a zero-sigma run records sigma, high and aux in one pass per record:
+    # one stacked l2_norm, one hhalf_norm and one sup_norm call, the sup
+    # stack holding sup |sigma^(1/2) Z_ap^(1/2) D(1/Z_ap)| of sigma, zero
+    # here, and sup |Z_ap^(1/2) D(1/Z_ap)| of aux
     calls = []
-    sup_norm = SpectralGrid.sup_norm
+    for name in ("l2_norm", "hhalf_norm", "sup_norm"):
+        def counted(self, f, name=name, norm=getattr(SpectralGrid, name)):
+            calls.append((name, np.shape(f)[0]))
+            return norm(self, f)
 
-    def counted(self, f):
-        calls.append(np.shape(f))
-        return sup_norm(self, f)
-
-    monkeypatch.setattr(SpectralGrid, "sup_norm", counted)
+        monkeypatch.setattr(SpectralGrid, name, counted)
     ini = FLAT_INI.replace("sigma = 0.01", "sigma = 0.0")
     out = tmp_path / "o"
     assert main(["simulate", "--config", _write(tmp_path, "z.ini", ini), "--out", str(out)]) == 0
     records = len((out / "energy_aux.csv").read_text().splitlines()) - 2
     assert records > 1
-    assert calls == [(1, 128)] * records
+    assert [c for c in calls if c[0] == "sup_norm"] == [("sup_norm", 2)] * records
+    assert [c[0] for c in calls] == ["l2_norm", "hhalf_norm", "sup_norm"] * records
 
 
 def test_simulate_determinism(tmp_path):

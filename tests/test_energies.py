@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from crestwave import energies
 from crestwave.cli import write_reports_csv
 from crestwave.energies import (
+    STATE_FAMILIES,
     EnergyReport,
-    _state_blocks,
-    energy_aux,
+    _build_blocks,
     energy_delta,
-    energy_high,
     energy_sigma,
     f_delta_norm,
+    state_energies,
 )
 from crestwave.evolution import (
     StepperConfig,
@@ -92,8 +93,7 @@ def test_linfty_hhalf_weighted_interpolation():
 
 def test_flat_energies_vanish():
     g = make_grid(128)
-    for fam in (energy_sigma, energy_high, energy_aux):
-        rep = fam(flat_state(g, sigma=0.02))
+    for rep in state_energies(flat_state(g, sigma=0.02), STATE_FAMILIES):
         assert rep.total == 0.0
 
 
@@ -116,11 +116,40 @@ def test_state_with_kept_energy_results_pickles():
     # what the energies keep on a state holds no closures, so the state
     # still crosses a process boundary
     st = random_smooth_state(make_grid(64), rng, sigma=1e-2)
-    ref = [energy_sigma(st), energy_high(st), compute_derived(st).Ztt]
+    ref = [*state_energies(st, ("sigma", "high")), compute_derived(st).Ztt]
     back = pickle.loads(pickle.dumps(st))
     assert energy_sigma(back).components == ref[0].components
-    assert energy_high(back).components == ref[1].components
+    assert state_energies(back, ("high",))[0].components == ref[1].components
     assert np.array_equal(compute_derived(back).Ztt, ref[2])
+
+
+def test_state_energies_build_the_blocks_once_for_all_families(monkeypatch):
+    # one pass builds the blocks of the state once, for every family it is
+    # asked for, and each report has the bits of a one-family call on a
+    # fresh copy of the state
+    st = random_smooth_state(make_grid(128), np.random.default_rng(406), sigma=1e-2, amp=0.12)
+    built = []
+
+    def counted(states):
+        built.append(len(states))
+        return build(states)
+
+    build = energies._build_blocks
+    monkeypatch.setattr(energies, "_build_blocks", counted)
+    reports = state_energies(st, STATE_FAMILIES)
+    assert built == [1]
+    assert [r.family for r in reports] == list(STATE_FAMILIES)
+    for report in reports:
+        (alone,) = state_energies(replace(st), (report.family,))
+        assert report.time == alone.time
+        assert report.components.keys() == alone.components.keys()
+        for name, value in report.components.items():
+            assert np.float64(value).tobytes() == np.float64(alone.components[name]).tobytes()
+    # the families are kept on the state: a second call builds nothing
+    assert state_energies(st, ("aux", "sigma"))[1].components == reports[0].components
+    assert built == [1, 1, 1, 1]
+    with pytest.raises(ValueError, match="delta"):
+        state_energies(st, ("sigma", "delta"))
 
 
 def test_blocks_of_a_pair_built_in_one_pass_equal_blocks_built_alone():
@@ -129,16 +158,15 @@ def test_blocks_of_a_pair_built_in_one_pass_equal_blocks_built_alone():
     a = random_smooth_state(g, rng, sigma=1e-2, amp=0.15)
     b = random_smooth_state(g, rng, sigma=0.0, amp=0.15)
     energy_delta(init_pair(a, b))
-    for st in (a, b):
+    for st, stacked in zip((a, b), _build_blocks([a, b])):
         # replace starts with nothing kept: these blocks are built alone
         alone = replace(st)
-        energy_sigma(alone)
-        kept, ref = vars(st)["energy_blocks"], vars(alone)["energy_blocks"]
-        assert kept.keys() == ref.keys()
+        (ref,) = _build_blocks([alone])
+        assert stacked.keys() == ref.keys()
         for name in ("inv", "d1", "d2", "d3", "Ztb1", "Ztb2", "Ztb3", "omega", "Theta"):
-            assert kept[name].tobytes() == ref[name].tobytes(), name
-        assert kept["pw"].keys() == ref["pw"].keys()
-        for p, power in kept["pw"].items():
+            assert stacked[name].tobytes() == ref[name].tobytes(), name
+        assert stacked["pw"].keys() == ref["pw"].keys()
+        for p, power in stacked["pw"].items():
             assert power.tobytes() == ref["pw"][p].tobytes(), p
         assert energy_sigma(st).components == energy_sigma(alone).components
 
@@ -158,7 +186,7 @@ def test_block_ladders_match_the_chain_of_first_derivatives(n, fraction):
     g = a.grid
     eps = np.finfo(float).eps
     k_cut = np.max(np.abs(g.k)[g.symbol_table(("dealias",))[0].real > 0])
-    for st, blocks in zip((a, b), _state_blocks(a, b)):
+    for st, blocks in zip((a, b), _build_blocks([a, b])):
         ref = blocks_chained(st)
         # the band, its filtered inverse and omega take the same transforms
         for name in ("inv", "omega"):
@@ -177,7 +205,7 @@ def _crest_blocks(epsilon, n):
     spec = PairRunSpec(sigma=epsilon ** 1.5, epsilon=epsilon, velocity_amplitude=0.05j,
                        n_points=n)
     a = build_pair(spec).state_a
-    (B,) = _state_blocks(a)
+    (B,) = _build_blocks([a])
     return a, B
 
 
@@ -225,7 +253,7 @@ def test_energy_high_single_mode_frozen_values():
     delta = 0.1 - 0.05j
     Zt = np.conj(delta * np.exp(-1j * g.nodes))
     st = make_state(g, np.zeros(128, complex), np.ones(128, complex), Zt, 0.0)
-    rep = energy_high(st)
+    (rep,) = state_energies(st, ("high",))
     mag = abs(delta) ** 2 * TWO_PI
     assert abs(rep.components["Ztapbar_L2sq"] - mag) < 1e-13
     assert abs(rep.components["invZp2_dap_Ztapbar_L2sq"] - mag) < 1e-13
@@ -238,7 +266,7 @@ def test_energy_aux_term_structure():
     g = make_grid(128)
     st = random_smooth_state(g, rng, sigma=0.0)
     st = replace(st, Zt=np.zeros(128, complex))
-    rep = energy_aux(st)
+    (rep,) = state_energies(st, ("aux",))
     for name in ("invZp12_dap_Ztapbar_L2sq", "invZp52_dap2_Ztapbar_L2sq",
                  "invZp72_dap2_Ztapbar_Hhalfsq"):
         assert rep.components[name] == 0.0
@@ -251,12 +279,10 @@ def test_spectral_convergence_on_refinement():
     g = make_grid(128)
     st = random_smooth_state(g, np.random.default_rng(7001), sigma=1e-2, amp=0.08)
     st2 = refine_state(st, 256)
-    for fam in (energy_sigma, energy_high, energy_aux):
-        a = fam(st)
-        b = fam(st2)
+    for a, b in zip(state_energies(st, STATE_FAMILIES), state_energies(st2, STATE_FAMILIES)):
         for k in a.components:
             va, vb = a.components[k], b.components[k]
-            assert abs(va - vb) <= 1e-8 * max(1.0, abs(va)), (fam.__name__, k, va, vb)
+            assert abs(va - vb) <= 1e-8 * max(1.0, abs(va)), (a.family, k, va, vb)
 
 
 # -- pair energies --------------------------------------------------------------------
@@ -284,7 +310,7 @@ def test_identical_data_sigma_weighted_terms_only():
             assert val > 0.0, name
         else:
             assert val < 1e-25, name
-    aux_b = energy_aux(pair.state_b).total
+    aux_b = state_energies(pair.state_b, ("aux",))[0].total
     assert abs(rep.components["coupling_sigma_aux_b"] - 1e-3 * aux_b) < 1e-15 * aux_b
 
 
@@ -328,7 +354,8 @@ def test_write_reports_csv_refuses_before_opening(tmp_path):
     st = random_smooth_state(make_grid(64), np.random.default_rng(404), sigma=1e-2, amp=0.1)
     sigma = energy_sigma(st)
     short = replace(sigma, components=dict(list(sigma.components.items())[1:]))
-    for name, reports in (("mixed", [sigma, energy_high(st)]), ("short", [sigma, short])):
+    high = state_energies(st, ("high",))[0]
+    for name, reports in (("mixed", [sigma, high]), ("short", [sigma, short])):
         path = tmp_path / f"{name}.csv"
         with pytest.raises(ValueError, match="sigma CSV takes sigma reports"):
             write_reports_csv(path, reports)
@@ -430,8 +457,8 @@ def test_term_tables_match_the_term_by_term_families():
         (energy_delta(pair), energy_delta_terms(copy)),
         (f_delta_norm(pair), f_delta_norm_terms(copy)),
         (energy_sigma(pair.state_a), energy_sigma_terms(copy.state_a)),
-        (energy_aux(pair.state_b), energy_aux_terms(copy.state_b)),
-        (energy_aux(pair.state_a), energy_aux_terms(copy.state_a)),
+        (state_energies(pair.state_b, ("aux",))[0], energy_aux_terms(copy.state_b)),
+        (state_energies(pair.state_a, ("aux",))[0], energy_aux_terms(copy.state_a)),
     )
     for report, ref in checks:
         assert tuple(report.components) == tuple(ref) == report.columns
@@ -486,9 +513,10 @@ def test_state_families_are_invariant_under_a_roll_of_the_labels(n, j, seed):
     state, pair = _roll_draw(n, seed)
     for st in (state, pair.state_a, pair.state_b):
         moved = rolled_state(st, j)
-        for family in (energy_sigma, energy_high, energy_aux):
-            values, gaps = _component_gaps(family(st), family(moved))
-            assert np.all(gaps <= ROLL_FAMILY_RTOL * np.abs(values)), (family.__name__, gaps)
+        for report, rolled in zip(state_energies(st, STATE_FAMILIES),
+                                  state_energies(moved, STATE_FAMILIES)):
+            values, gaps = _component_gaps(report, rolled)
+            assert np.all(gaps <= ROLL_FAMILY_RTOL * np.abs(values)), (report.family, gaps)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from crestwave import energies, evolution, spectral
-from crestwave.energies import energy_aux, energy_delta, energy_sigma, f_delta_norm
+from crestwave.energies import energy_delta, energy_sigma, f_delta_norm, state_energies
 from crestwave.evolution import StepperConfig, cfl_bound, step_rk4
 from crestwave.pair import PairRunSpec, build_pair, co_step
 from crestwave.spectral import SpectralGrid
@@ -253,9 +253,9 @@ def test_the_pull_back_makes_as_many_einsum_calls_whatever_its_row_count(stepped
 
 def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):
     # energy_delta stacks its three rows with sup |Z_ap^(1/2) D(1/Z_ap)| of
-    # a and of b, as it evaluates energy_sigma(a) and energy_aux(b) in its
-    # pass and keeps them on the states, which then take no sup norm of
-    # their own
+    # a (times sigma^(1/2)) and of b, as it evaluates the sigma family of a
+    # and the aux family of b in its pass and keeps them on the states,
+    # which then take no sup norm of their own
     pair, _, _ = stepped
     a, b = pair.state_a, pair.state_b
     shapes = []
@@ -269,10 +269,10 @@ def test_record_takes_one_stacked_sup_norm(stepped, monkeypatch):
     delta = energy_delta(pair)
     f_delta_norm(pair)
     sigma_a = energy_sigma(a)
-    aux_b = energy_aux(b)
+    (aux_b,) = state_energies(b, ("aux",))
     assert shapes == [(5, a.grid.n)]
     assert delta.components["coupling_sigma_aux_b"] == a.sigma * aux_b.total
     # the kept values are those of one-row calls on fresh states
     assert energy_sigma(replace(a)).components == sigma_a.components
-    assert energy_aux(replace(b)).components == aux_b.components
+    assert state_energies(replace(b), ("aux",))[0].components == aux_b.components
     assert shapes[1:] == [(1, a.grid.n), (1, a.grid.n)]

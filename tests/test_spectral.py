@@ -74,6 +74,24 @@ def test_equal_grids_hash_equally_and_share_their_symbol_tables():
     assert g != make_grid(64, 1.0)
 
 
+def test_cached_tables_are_read_only():
+    # every equal grid shares one symbol table, and every interpolation the
+    # kernel table: a write through either would change later transforms
+    g = make_grid(16, 3.0)
+    f = np.sin(g.nodes * TWO_PI / 3.0)
+    ref = g.deriv(f)
+    try:
+        with pytest.raises(ValueError):
+            g.symbol_table(("deriv",))[0] *= 2
+        with pytest.raises(ValueError):
+            spectral._nufft_kernel_table()[0] *= 2
+        assert make_grid(16, 3.0).deriv(f).tobytes() == ref.tobytes()
+    finally:
+        # a failed check leaves no written table to later tests
+        spectral._symbol_table.cache_clear()
+        spectral._nufft_kernel_table.cache_clear()
+
+
 @pytest.mark.parametrize("n", [7, 9, 6, 2])
 def test_make_grid_rejects_bad_counts(n):
     with pytest.raises(ValueError):

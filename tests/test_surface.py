@@ -330,17 +330,15 @@ def _kept_keys(tree):
 
 def test_each_kept_result_has_one_owner():
     # every object keeps its results in its instance dict: a state its
-    # derived fields (evolution) and its energy blocks and families
-    # (energies), a pair htilde (pair) and its record pass (energies), and
-    # the derived fields their diagnostics (evolution); no key has two
+    # derived fields (evolution) and its families (energies), a pair
+    # htilde (pair) and its record pass (energies); the energy blocks and
+    # the diagnostics of the derived fields are not kept.  No key has two
     # writers, and no module but evolution names the derived key
     package = ROOT / "src" / "crestwave"
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     owners = {(name, key) for name, tree in trees.items() for key in _kept_keys(tree)}
     assert owners == {
-        ("evolution.py", "'derived'"), ("evolution.py", "'Theta'"),
-        ("evolution.py", "'a1_route_gap'"), ("evolution.py", "'theta_route_gap'"),
-        ("energies.py", "'energy_blocks'"), ("energies.py", "'energy_' + name"),
+        ("evolution.py", "'derived'"), ("energies.py", "'energy_' + name"),
         ("energies.py", "'record'"), ("pair.py", "'map_tilde'"),
     }
     naming = {
