@@ -22,7 +22,12 @@ For each pair workload it prints a record table:
 * ``pull-back``      the gather of the fields of b at the values of htilde,
                      the pull that preimage returns with htilde
 * ``blocks``         energies._build_blocks, with the powers of Z_ap
-* ``sup norm``       the sup_norm calls of the grid
+* ``seed grid``      SpectralGrid._sup_seeds within the sup_norm calls of
+                     the grid: the one inverse transform that shifts the
+                     rows onto the seed grid, and the search for its peaks
+* ``polish``         the rest of the sup_norm calls: the coefficient
+                     transform, the Newton polish of the seeds and the
+                     grid maxima
 * ``l2 + hhalf``     the l2_norm and hhalf_norm calls of the grid
 * ``record``         the whole record
 
@@ -74,8 +79,8 @@ from gate import PAIR_WORKLOADS, record  # noqa: E402
 from timing import Recorder  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-RECORD_LAYERS = ("htilde build", "spread", "pull-back", "blocks", "sup norm", "l2 + hhalf",
-                 "record")
+RECORD_LAYERS = ("htilde build", "spread", "pull-back", "blocks", "seed grid", "polish",
+                 "l2 + hhalf", "record")
 STEP_LAYERS = ("stage-1 derive", "later stages", "finish", "post-step guards", "step")
 
 
@@ -120,6 +125,19 @@ class LayerTimers:
 
             return solve
 
+        def polish(sup_norm):
+            timed = self.timed("polish", sup_norm)
+
+            def wrapper(*args):
+                seeds = self.spent["seed grid"]
+                try:
+                    return timed(*args)
+                finally:
+                    # the seed grid inside the call is its own layer
+                    self.spent["polish"] -= self.spent["seed grid"] - seeds
+
+            return wrapper
+
         def later_stages(rk4):
             return lambda y0, rhs, dt, k1: rk4(y0, self.timed("later stages", rhs), dt, k1)
 
@@ -137,7 +155,8 @@ class LayerTimers:
         self.wrap(brackets.MonotoneMap, "preimage", timed_preimage)
         self.wrap(SpectralGrid, "spread", partial(self.timed, "spread"))
         self.wrap(energies, "_build_blocks", partial(self.timed, "blocks"))
-        self.wrap(SpectralGrid, "sup_norm", partial(self.timed, "sup norm"))
+        self.wrap(SpectralGrid, "_sup_seeds", partial(self.timed, "seed grid"))
+        self.wrap(SpectralGrid, "sup_norm", polish)
         for name in ("l2_norm", "hhalf_norm"):
             self.wrap(SpectralGrid, name, partial(self.timed, "l2 + hhalf"))
         self.wrap(evolution, "derive_states", partial(self.timed, "stage-1 derive"))

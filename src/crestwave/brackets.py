@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MonotonicityError
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, _join_rows, _real_rows
 
 JACOBIAN_FLOOR = 1e-6
 # Newton steps of MonotoneMap.preimage at most; maps with |h_ap - 1| = 0.99 took six
@@ -70,14 +70,19 @@ class MonotoneMap:
 
     def preimage(self, y, fields=()):
         """x and pull: the points x with h(x) = y for real targets y, by
-        Newton until h(x) - y is at rounding level, and pull(points), which
-        is interpolate(fields, points) bit for bit for fields, a sequence of
-        real fields on the grid.  The fields are spread in one stack with
-        the map's own two rows; each iterate gathers both of those in one
-        call, so the converged one gathers a Jacobian it does not use, and
-        pull at points of the values of x takes the kernel weights of the
-        solve's last check.  Raises MonotonicityError, naming the largest
-        residual, when NEWTON_CAP steps do not get there."""
+        Newton until h(x) - y is at rounding level, and pull(points), the
+        list of interpolate(field, points) for each of fields, a sequence of
+        real or complex fields on the grid, bit for bit and in the kind it
+        was given.  The fields are spread as real rows (_real_rows) in one
+        stack with the map's own two rows; each iterate gathers both of
+        those in one call, so the converged one gathers a Jacobian it does
+        not use, and pull at points of the values of x takes the kernel
+        weights of the solve's last check.  The solve stops within 8
+        spacing(L); after NEWTON_CAP steps, the last iterate also stands
+        within 8 (spacing(max|y|) + max|h_ap - 1| max|x| eps), the rounding
+        of targets periods away and of a strained map's coordinate.  Else,
+        a NaN residual too, it raises MonotonicityError naming the largest
+        residual."""
         grid = self.grid
         L, nodes, h = grid.length, grid.nodes, self.values
         y = np.asarray(y, dtype=np.float64)
@@ -86,8 +91,8 @@ class MonotoneMap:
         shift = L * np.floor(y / L)
         x = shift + np.interp(y - shift, np.concatenate((h - L, h, h + L)),
                               np.concatenate((nodes - L, nodes, nodes + L)))
-        rows = [self.deviation, self.jac, *fields]
-        gather = grid.spread(np.array(rows))
+        fields = list(fields)
+        gather = grid.spread(np.array([self.deviation, self.jac, *_real_rows(fields)]))
         for steps in range(NEWTON_CAP + 1):
             kernel = grid.nufft_kernel(x)
             d, h_ap = gather(x, kernel, slice(2))
@@ -97,6 +102,10 @@ class MonotoneMap:
             if worst <= 8.0 * np.spacing(L):
                 break
             if steps == NEWTON_CAP:
+                floor = np.spacing(np.max(np.abs(y))) + (
+                    np.max(np.abs(h_ap - 1.0)) * np.max(np.abs(x)) * np.finfo(np.float64).eps)
+                if worst <= 8.0 * floor:
+                    break
                 raise MonotonicityError(
                     f"preimage not converged after {NEWTON_CAP} Newton steps: "
                     f"largest residual {worst:.3e}"
@@ -104,7 +113,8 @@ class MonotoneMap:
             x = x - res / h_ap
 
         def pull(points):
-            return gather(points, kernel if np.array_equal(points, x) else None, slice(2, None))
+            kernel_at = kernel if np.array_equal(points, x) else None
+            return _join_rows(fields, gather(points, kernel_at, slice(2, None)))
 
         return x, pull
 

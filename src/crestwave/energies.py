@@ -84,7 +84,8 @@ def _build_blocks(states):
     np.multiply(table[1:, None], spec[m:], out=products[1:])
     band, Ztb1, Ztb2, Ztb3 = spectral._ifft(products, out=products)
     Zp_band = 1.0 + band
-    inv, d1, d2, d3 = grid.multiply_symbol(1.0 / Zp_band, table[:, None])
+    products = np.multiply(table[:, None], spectral._fft(1.0 / Zp_band))
+    inv, d1, d2, d3 = spectral._ifft(products, out=products)
     # Theta of q = omega D 1/Z_ap,band
     abs_band = np.abs(Zp_band)
     omega = Zp_band / abs_band
@@ -227,30 +228,6 @@ def energy_sigma(state):
     return state_energies(state, ("sigma",))[0]
 
 
-def _differences(fields_a, fields_b, pulled):
-    """Delta(f) = f_a - f_b o htilde by name, as a namespace; a field of b
-    without a partner in fields_a comes back as f_b o htilde.  pulled holds
-    the fields of b pulled back through htilde as real rows (_rows), a
-    complex one as its real and its imaginary row, so each comes back bit
-    for bit as pulled back alone."""
-    pulled = iter(pulled)
-    x = SimpleNamespace()
-    for name, f in fields_b.items():
-        f_b = next(pulled)
-        if np.iscomplexobj(f):
-            # re + 1j im, summed in place: the sum commutes bit for bit
-            re, f_b = f_b, np.multiply(1j, next(pulled))
-            f_b += re
-        setattr(x, name, np.subtract(fields_a[name], f_b, out=f_b) if name in fields_a else f_b)
-    return x
-
-
-def _rows(fields):
-    """The real rows of fields, a complex field as its real and its
-    imaginary part."""
-    return [r for f in fields for r in ((f.real, f.imag) if np.iscomplexobj(f) else (f,))]
-
-
 def _pair_record(pair):
     """The components of the delta and f_delta families of pair, from one
     pass that is kept on the pair, in its instance dict as htilde is: one
@@ -275,8 +252,11 @@ def _pair_record(pair):
                "halpha": 1.0 / k.jac}
               for st, der, bap, k, B in zip((a, b), derived, b_ap, (pair.k_a, pair.k_b), blocks))
     fb["inv_abs"] = 1.0 / np.abs(b.Zp)
-    htil, pulled = pair._pull_back(_rows(fb.values()))
-    x = _differences(fa, fb, pulled)
+    htil, pulled = pair._pull_back(list(fb.values()))
+    # Delta(f) = f_a - f_b o htilde by name; a field of b without a partner
+    # in fa stays f_b o htilde
+    x = SimpleNamespace(**{name: np.subtract(fa[name], f_b, out=f_b) if name in fa else f_b
+                           for name, f_b in zip(fb, pulled)})
     x.grid, x.abs_a, x.dev_j = a.grid, np.abs(a.Zp), htil.jac - 1.0
     own_terms = [term for term in _DELTA if term[1] in _NORMS]
     (sigma_a, aux_b), (own, f_delta) = _evaluate(

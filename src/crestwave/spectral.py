@@ -170,20 +170,16 @@ class SpectralGrid:
 
     def multiply_symbol(self, f, symbol):
         """ifft(symbol * fft(f)) along the last axis, unchecked: the symbol must
-        be a finite array over self.k, of shape (n,), a (k, n) table for a (k, n)
-        stack f, or a (j, 1, n) table, which applies j symbols to each row of
-        an (m, n) stack f from one forward transform ((j, m, n) result).
+        be a finite array over self.k, of shape (n,), or a (k, n) table for a
+        (k, n) stack f.
 
         Rows of a stack transform in one call and are bit-identical to
         single-field calls, so a round of independent multipliers costs one
-        FFT pair.  Unless the symbol adds axes, the product and the inverse
-        transform are written over the spectrum.
+        FFT pair.  The product and the inverse transform are written over the
+        spectrum.
         """
         spec = _fft(f)
-        if symbol.ndim > spec.ndim:
-            spec = symbol * spec
-        else:
-            np.multiply(symbol, spec, out=spec)
+        np.multiply(symbol, spec, out=spec)
         return _ifft(spec, out=spec)
 
     def symbol_table(self, kinds):
@@ -220,12 +216,11 @@ class SpectralGrid:
         """Supremum of |f| for the trigonometric interpolant of f.
 
         The grid max undershoots the true peak by O((k dx)^2).  Here the
-        peak is seeded on a grid _SUP_OVERSAMPLE times finer (_sup_seeds),
-        the modulus of one zero-padded inverse transform of the complex
-        coefficients, and polished by at most _SUP_NEWTON_STEPS Newton steps
-        on |f|^2, starting at the vertex of the parabola through the seed's
-        node and its two neighbours on the seed grid, making the value
-        insensitive to the collocation offset.  The polish evaluates
+        peak is seeded on a grid _SUP_OVERSAMPLE times finer (_sup_seeds)
+        and polished by at most _SUP_NEWTON_STEPS Newton steps on |f|^2,
+        starting at the vertex of the parabola through the seed's node and
+        its two neighbours on the seed grid, making the value insensitive to
+        the collocation offset.  The polish evaluates
         f, f' and f'' at its points by direct Fourier sums, with the Nyquist
         coefficient paired with cos(k_nyq x).  The sums run about each
         point's seed node, whose phases come from an exactly reduced
@@ -241,7 +236,7 @@ class SpectralGrid:
 
         f may also be an (m, n) stack; the result is then an array of the m
         row values, each bit-identical to a single-field call.  The stack
-        shares one coefficient transform and one refinement; each row's seed
+        shares one coefficient and one shift transform; each row's seed
         grid is searched on its own; and one Newton loop polishes the seeds
         of all rows together, with each point's sums one matrix product of
         its own, so no row sees the others.
@@ -249,7 +244,7 @@ class SpectralGrid:
         f = np.asarray(f)
         rows = f.reshape(-1, self.n)
         c = self.coeffs(rows)
-        row, seed, shift = self._sup_seeds(c)
+        row, seed, shift = self._sup_seeds(rows, c)
         n2, i_ny = _SUP_OVERSAMPLE * self.n, self.n // 2
         # each point's coefficients turned to its seed node s h by the phases
         # exp(i k s h) = exp(2 pi i (k s mod n2) / n2), whose integer part
@@ -334,19 +329,29 @@ class SpectralGrid:
         np.maximum.at(sup, row, np.sqrt(vr * vr + vi * vi))
         return float(sup[0]) if f.ndim == 1 else sup
 
-    def _sup_seeds(self, c):
-        """The seeds of sup_norm for the rows of coefficients c: the row, the
-        seed-grid node and the start of the polish of each seed, as an
-        offset from its node in units of the seed-grid spacing h.  |f| on
-        the seed grid is the modulus of one _refine of the full spectra of
-        all rows.  Every local maximum within the Bernstein bound (k_nyq
-        h)^2 / 8 of the row's largest value is a seed (the highest
-        _SUP_SEEDS of them), and starts at the vertex of the parabola
-        through |f| at its node and its two neighbours.  A row without a
-        local maximum, a constant one, gets no seed."""
-        n2, i_ny = _SUP_OVERSAMPLE * self.n, self.n // 2
+    def _sup_seeds(self, rows, c):
+        """The row, seed-grid node and polish start (an offset from the node
+        in units of the seed-grid spacing h) of each seed of sup_norm for the
+        (m, n) rows and their coefficients c.  Node 4 i + q of the seed grid,
+        q h past grid node i, holds the row plus its change n ifft(c (t_q -
+        1)), t_q = exp(i k q h) with the Nyquist turn's real part, as that
+        mode pairs with cos(k_nyq x): one ifft for all rows and q >= 1, and
+        exact zeros for a constant row.  The local maxima of |f| within the
+        Bernstein bound (k_nyq h)^2 / 8 of the row's largest value are seeds
+        (the highest _SUP_SEEDS), each starting at the vertex of the parabola
+        through |f| at its node and its two neighbours; a constant row has
+        none."""
+        n, n2, i_ny = self.n, _SUP_OVERSAMPLE * self.n, self.n // 2
         floor = 1.0 - (self.k[i_ny] * self.length / n2) ** 2 / 8.0
-        mags = np.abs(self._refine(c * n2, _SUP_OVERSAMPLE))
+        turns = _unit_roots(n2)[(np.arange(1, _SUP_OVERSAMPLE)[:, None] * self.k_int) % n2]
+        turns[:, i_ny] = turns[:, i_ny].real
+        shifted = _ifft(c * (n * (turns - 1.0))[:, None])
+        shifted += rows
+        mags = np.empty((_SUP_OVERSAMPLE, len(rows), n))
+        np.abs(rows, out=mags[0])
+        np.abs(shifted, out=mags[1:])
+        # node _SUP_OVERSAMPLE i + q of a row's seed grid is mags[q, row, i]
+        mags = mags.transpose(1, 2, 0).reshape(len(rows), n2)
         # a seed node within h/2 of the true peak is below it by at most
         # (k_nyq h)^2 / 8 of its value (Bernstein's inequality for f'');
         # only the nodes above that floor are tested for a local maximum
@@ -394,19 +399,15 @@ class SpectralGrid:
 
         The one NUFFT entry for any f: one field, or a stack of fields of
         any leading shape, real or complex.  The fields are spread as one
-        real stack of rows, the real parts and then the imaginary parts of a
-        complex f, and the result has shape f.shape[:-1] + x.shape (a scalar
-        x counts as one point); each field, and each part of a complex one,
-        gets the bits it gets alone.  To evaluate real rows at several point
-        sets, keep spread(rows) and gather at each.
+        real stack of rows (_real_rows) and joined again (_join_rows), and
+        the result has shape f.shape[:-1] + x.shape (a scalar x counts as
+        one point); each field, and each part of a complex one, gets the
+        bits it gets alone.  To evaluate fields at several point sets, keep
+        spread(_real_rows(fields)) and gather at each.
         """
         f = np.asarray(f)
-        rows = f.reshape(-1, f.shape[-1])
-        if np.iscomplexobj(f):
-            out = self.spread(np.concatenate((rows.real, rows.imag)))(x)
-            out = out[: len(rows)] + 1j * out[len(rows) :]
-        else:
-            out = self.spread(rows)(x)
+        fields = f.reshape(-1, f.shape[-1])
+        out = np.array(_join_rows(fields, self.spread(np.array(_real_rows(fields)))(x)))
         return out.reshape(f.shape[:-1] + out.shape[1:])
 
     def nufft_kernel(self, x):
@@ -489,27 +490,16 @@ class SpectralGrid:
         return gather
 
     def _refine(self, spec, factor, out=None):
-        """Values on a grid factor times finer of the trigonometric
-        interpolants whose spectra, in the scaling of the forward transform
-        along the last axis, are spec / factor: half spectra (modes k =
-        0..n/2) of real rows, through one irfft of length factor n, or full
-        spectra (n modes in fft layout) of complex rows, through one ifft of
-        length factor n.  Weights multiplied into spec, such as the
-        deconvolution of spread, scale the modes.  The Nyquist mode is
-        halved (in place in a half spectrum, and on both sides of the padded
-        full spectrum), which pairs it with cos(k_nyq x).  The only
-        zero-padding of a spectrum in this module: the NUFFT spread and the
-        sup-norm seeds both go through it.  The values are written into out
-        when given."""
-        half = self.n // 2
-        if spec.shape[-1] == half + 1:
-            spec[..., half] *= 0.5
-            return _irfft(spec, factor * self.n, out)
-        padded = np.zeros(spec.shape[:-1] + (factor * self.n,), dtype=np.complex128)
-        padded[..., :half] = spec[..., :half]
-        padded[..., 1 - half :] = spec[..., half + 1 :]
-        padded[..., half] = padded[..., -half] = 0.5 * spec[..., half]
-        return _ifft(padded, out=padded if out is None else out)
+        """Values on a grid factor times finer of the real trigonometric
+        interpolants whose half spectra (modes k = 0..n/2), in the scaling
+        of the forward transform along the last axis, are spec / factor,
+        through one irfft of length factor n.  Weights multiplied into spec,
+        such as the deconvolution of spread, scale the modes.  The Nyquist
+        mode is halved in place, which pairs it with cos(k_nyq x).  The only
+        zero-padding of a spectrum in this module, which the NUFFT spread
+        goes through.  The values are written into out when given."""
+        spec[..., self.n // 2] *= 0.5
+        return _irfft(spec, factor * self.n, out)
 
     # -- misc -------------------------------------------------------------
 
@@ -529,6 +519,25 @@ class SpectralGrid:
             f"SpectralGrid(n_points={self.n}, length={self.length!r}, "
             f"dealias_fraction={self.dealias_fraction!r})"
         )
+
+
+def _real_rows(fields):
+    """The real rows of fields as the NUFFT spreads them: a real field as
+    itself, a complex one as its real row, then its imaginary row."""
+    return [r for f in fields for r in ((f.real, f.imag) if np.iscomplexobj(f) else (f,))]
+
+
+def _join_rows(fields, rows):
+    """Each of fields from rows, the values of its _real_rows: a complex
+    one as f = 1j * im, f += re, whose sum commutes bit for bit."""
+    rows, out = iter(rows), []
+    for f in fields:
+        value = next(rows)
+        if np.iscomplexobj(f):
+            re, value = value, np.multiply(1j, next(rows))
+            value += re
+        out.append(value)
+    return out
 
 
 def _sum_windows(windows, weights, start, out):

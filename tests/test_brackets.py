@@ -264,10 +264,31 @@ def test_preimage_pulls_fields_with_the_bits_of_interpolate(n, monkeypatch):
     assert x.tobytes() == m.preimage(y)[0].tobytes()
     for points, new_kernels in ((x, 0), (x.copy(), 0), (y, 1)):
         before = len(kernels)
-        assert pull(points).tobytes() == g.interpolate(np.array(fields), points).tobytes()
+        assert np.array(pull(points)).tobytes() == g.interpolate(np.array(fields), points).tobytes()
         # interpolate takes one kernel of its own
         assert len(kernels) - before == new_kernels + 1
     assert checks >= 2 and kernels[checks - 1].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 768])
+def test_preimage_pulls_complex_fields_back_complex_with_the_bits_of_interpolate(n):
+    # a complex field spreads as its real and then its imaginary row beside
+    # the real fields, and comes back complex; each field, at the points of
+    # the solve and elsewhere, has the bits of interpolate of it alone
+    g = make_grid(n)
+    rng = np.random.default_rng(n + 1)
+    m = random_monotone_map(g, rng, n_modes=5, max_slope=0.6)
+    y = rng.uniform(-g.length, 2 * g.length, 200)
+    fields = [rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n),
+              np.exp(1j * g.nodes)]
+    # fields may come as any iterable, a generator too
+    x, pull = m.preimage(y, (f for f in fields))
+    assert x.tobytes() == m.preimage(y)[0].tobytes()
+    for points in (x, y):
+        pulled = pull(points)
+        assert [p.dtype for p in pulled] == [f.dtype for f in fields]
+        assert [p.tobytes() for p in pulled] == [
+            g.interpolate(f, points).tobytes() for f in fields]
 
 
 def test_preimage_of_the_nodes_is_the_inverse():
@@ -433,6 +454,33 @@ def test_preimage_refuses_to_return_unconverged_points(monkeypatch):
     with pytest.raises(MonotonicityError,
                        match=r"^preimage not converged after 1 Newton steps: largest residual "):
         m.preimage(y)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1152])
+def test_preimage_of_targets_periods_away_stops_at_their_rounding_floor(n):
+    # targets 16 periods out, near 107, have an ulp of 1.4e-14, above the
+    # stop of 8 spacing(L) = 7.1e-15; after NEWTON_CAP steps the solve
+    # takes its last iterate, which is within the rounding of the targets
+    # and of the coordinate, and is the solve of the same targets a period
+    # in, shifted
+    g = make_grid(n)
+    m = MonotoneMap(g, 0.9 * np.sin(g.nodes))
+    shift = 16 * g.length
+    y = g.nodes + 0.3 + shift
+    x = m.preimage(y)[0]
+    floor = np.spacing(np.max(y)) + 0.9 * np.max(np.abs(x)) * np.finfo(np.float64).eps
+    assert np.max(np.abs(x + m.grid.interpolate(m.deviation, x) - y)) <= 8 * floor
+    assert np.max(np.abs((x - shift) - m.preimage(y - shift)[0])) <= 8 * floor
+
+
+def test_preimage_raises_when_its_residual_grows():
+    # a Jacobian that is not the map's, 0.3 where h_ap reaches 1.9, makes
+    # Newton overshoot: the residual grows far above the rounding floor and
+    # the solve raises at the cap
+    g = make_grid(64)
+    m = MonotoneMap(g, 0.9 * np.sin(g.nodes), np.full(64, 0.3))
+    with pytest.raises(MonotonicityError, match=r"^preimage not converged after 8 Newton steps"):
+        m.preimage(g.nodes + 0.3)
 
 
 @pytest.mark.parametrize("cls", [MonotoneMap, InverseFlowMap])

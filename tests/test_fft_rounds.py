@@ -158,8 +158,8 @@ def test_record_transform_calls(stepped, fft_calls):
     # then one rfft and one irfft for the one spread, which carries the rows
     # of k_b for the Newton solve of k_b(x) = k_a(alpha) that builds htilde
     # and the rows of b that the record pulls back through it, and one
-    # complex ifft for the sup norm's seed grids, which it refines from its
-    # own coefficients
+    # complex ifft for the sup norm's seed grids, which shifts its rows by
+    # three offsets from its own coefficients
     pair, _, _ = stepped
     energy_delta(pair)
     f_delta_norm(pair)
@@ -167,11 +167,11 @@ def test_record_transform_calls(stepped, fft_calls):
     assert fft_calls == {"fft": 11, "ifft": 10, "rfft": 1, "irfft": 1}
 
 
-def test_record_refines_once_per_spread_and_sup_norm(stepped, monkeypatch):
-    # _refine, the one zero-padding routine, runs once for the one spread,
+def test_record_refines_once_for_its_one_spread(stepped, monkeypatch):
+    # _refine, the one zero-padding routine, runs once, for the one spread,
     # on the half spectra of the 2 rows of k_b with the 22 real rows of b
-    # of both families, and once for the seed grids of the one stacked sup
-    # norm, on the full spectra of its 5 complex rows
+    # of both families; the seed grids of the one stacked sup norm shift
+    # its rows by an inverse transform of their own
     pair, _, _ = stepped
     shapes = []
     refine = SpectralGrid._refine
@@ -185,7 +185,7 @@ def test_record_refines_once_per_spread_and_sup_norm(stepped, monkeypatch):
     f_delta_norm(pair)
     energy_sigma(pair.state_a)
     n = pair.state_a.grid.n
-    assert shapes == [((24, n // 2 + 1), 2), ((5, n), 4)]
+    assert shapes == [((24, n // 2 + 1), 2)]
 
 
 def test_record_pulls_back_through_the_solves_spread_and_keeps_no_map_state(

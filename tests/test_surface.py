@@ -247,14 +247,18 @@ def test_each_output_format_has_one_writer():
 
 
 def _functions_reading(path, names):
-    """{top-level function of the file: its reads of names}, for the
-    functions that read any of names."""
+    """{top-level function or Class.method of the file: its reads of names},
+    for the functions and methods that read any of names."""
+    tree = ast.parse(path.read_text())
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)]
     out = {}
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.FunctionDef):
-            reads = {name: count for name, count in _reads(node).items() if name in names}
-            if reads:
-                out[node.name] = reads
+    for name, node in defs:
+        reads = {name: count for name, count in _reads(node).items() if name in names}
+        if reads:
+            out[name] = reads
     return out
 
 
@@ -272,6 +276,23 @@ def test_only_the_finish_of_a_step_reads_the_transform_entries_in_evolution():
     path = ROOT / "src" / "crestwave" / "evolution.py"
     assert _functions_reading(path, {"_fft", "_ifft"}) == {"_finish": {"_fft": 1, "_ifft": 1}}
     assert _functions_reading(path, {"multiply_symbol"}) == {"_derive": {"multiply_symbol": 2}}
+
+
+def test_each_spectral_routine_serves_one_input_kind():
+    # _refine zero-pads the real half spectra of the NUFFT spread alone (the
+    # sup-norm seeds shift the rows by one inverse transform of their own);
+    # the energy blocks take their ladders through the transform entries,
+    # not multiply_symbol; and the NUFFT's split of complex fields into real
+    # rows and their join are read by interpolate and preimage alone
+    package = ROOT / "src" / "crestwave"
+    assert _functions_reading(package / "spectral.py", {"_refine"}) == {
+        "SpectralGrid.spread": {"_refine": 1}}
+    assert _functions_reading(package / "energies.py", {"multiply_symbol"}) == {}
+    split = {}
+    for path in sorted(package.glob("*.py")):
+        split.update(_functions_reading(path, {"_real_rows", "_join_rows"}))
+    assert split == dict.fromkeys(("SpectralGrid.interpolate", "MonotoneMap.preimage"),
+                                  {"_real_rows": 1, "_join_rows": 1})
 
 
 def test_the_data_crest_keys_are_mapped_to_a_crest_spec_once():
