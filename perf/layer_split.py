@@ -33,9 +33,11 @@ For each pair workload it prints a record table:
 
 and for every workload a step table:
 
-* ``stage-1 derive``    the derive_states call of evolution.advance, which
-                        derives the state or pair the step starts from
-                        (after a record, the record has derived it)
+* ``stage 1``           evolution._first_stage, the first right-hand side
+                        of the step: from the fields that a record or
+                        cfl_bound keeps on the states the step starts
+                        from, or else one derive of their stacked rows,
+                        which keeps nothing on them
 * ``later stages``      the three right-hand-side calls of evolution.rk4
 * ``finish``            evolution._finish
 * ``post-step guards``  from the end of the finish to the end of the step:
@@ -81,7 +83,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 RECORD_LAYERS = ("htilde build", "spread", "pull-back", "blocks", "seed grid", "polish",
                  "l2 + hhalf", "record")
-STEP_LAYERS = ("stage-1 derive", "later stages", "finish", "post-step guards", "step")
+STEP_LAYERS = ("stage 1", "later stages", "finish", "post-step guards", "step")
 
 
 class LayerTimers:
@@ -159,7 +161,7 @@ class LayerTimers:
         self.wrap(SpectralGrid, "sup_norm", polish)
         for name in ("l2_norm", "hhalf_norm"):
             self.wrap(SpectralGrid, name, partial(self.timed, "l2 + hhalf"))
-        self.wrap(evolution, "derive_states", partial(self.timed, "stage-1 derive"))
+        self.wrap(evolution, "_first_stage", partial(self.timed, "stage 1"))
         self.wrap(evolution, "rk4", later_stages)
         self.wrap(evolution, "_finish", finish)
 

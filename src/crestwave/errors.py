@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from contextlib import contextmanager
-
 
 # what the message of an error from each solution of a pair starts with
 SOLUTION_TAGS = ("[solution a] ", "[solution b] ")
@@ -11,17 +9,11 @@ class CrestwaveError(Exception):
     """Base class for package-specific errors."""
 
 
-@contextmanager
-def at(where):
-    """Add " (where)" to the message of a CrestwaveError raised in the
-    block, where names the place of the block in a run, such as
-    "step 3 of 16, t = 0.25"."""
-    try:
-        yield
-    except CrestwaveError as exc:
-        message = str(exc.args[0]) if exc.args else ""
-        exc.args = (f"{message} ({where})",) + exc.args[1:]
-        raise
+def locate(exc, where):
+    """Add " (where)" to the message of the CrestwaveError exc, where names
+    the place in a run that raised it, such as "step 3 of 16, t = 0.25"."""
+    message = str(exc.args[0]) if exc.args else ""
+    exc.args = (f"{message} ({where})",) + exc.args[1:]
 
 
 class ConfigError(CrestwaveError):

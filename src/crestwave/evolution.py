@@ -23,12 +23,27 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .errors import CFLViolationError, DegenerateJacobianError, HolomorphicityError, at
+from .errors import (
+    CFLViolationError, CrestwaveError, DegenerateJacobianError, HolomorphicityError, locate,
+)
 from .spectral import TWO_PI, SpectralGrid
 
 ABS_ZP_FLOOR = 1e-8
 # removed positive-mode mass a step may project out, relative to the state
 HOLO_TOLERANCE = 1e-8
+
+
+def _operand(value):
+    """value as a read-only 0-d array.  The ufuncs of a step take their
+    fixed scalar operands so, each of the dtype it is used in: numpy
+    resolves a Python scalar operand anew on every call, and casts a 0-d
+    array of another dtype."""
+    operand = np.array(value)
+    operand.flags.writeable = False
+    return operand
+
+
+_ONE, _ONE_C, _I, _ONE_PLUS_I = map(_operand, (1.0, 1.0 + 0.0j, 1.0j, 1.0 + 1.0j))
 
 
 def seed_angle(Zp):
@@ -150,7 +165,8 @@ def compute_derived(state):
     diagnostics of DerivedFields follow on demand.
 
     The fields are computed once per state and kept on it, and only after
-    the state passed the |Z_ap| floor.
+    the state passed the |Z_ap| floor.  cfl_bound and the readers of a
+    state's diagnostics call it; a step builds no DerivedFields (advance).
     """
     return derive_states((state,))[0]
 
@@ -164,8 +180,10 @@ def derive_states(states, tags=None):
     FFT pair each, and row r of every field is bit-identical to deriving
     that state alone.  Each of those states must pass the |Z_ap| floor
     before any field is computed; the error of state r then starts with
-    tags[r] when tags is given.  The first RK4 stage of advance
-    comes from here; its later stages call _derive.
+    tags[r] when tags is given.  compute_derived, zero_tension_twin,
+    drive_pair and a pair record (energies) build DerivedFields here; a
+    step reads the fields these kept for its stage 1, and derives a state
+    that keeps none without building any (advance).
     """
     _require_one_grid(states[0].grid, states)
     tags = ("",) * len(states) if tags is None else tags
@@ -248,7 +266,7 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     n_cap = len(sigma) - sigma.count(0.0)
     # the map row, when given, leads round 1
     q = 0 if k_dev is None else 1
-    inv_Zp = 1.0 / Zp
+    inv_Zp = np.divide(_ONE_C, Zp)
 
     # round 1: D k_dev, D Z_t, H ratio and D omega; omega is filled for
     # every row, the transform stops after the capillary ones
@@ -258,11 +276,11 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     Zt, ratio, omega = stack[q : q + m], stack[q + m : q + 2 * m], stack[q + 2 * m :]
     Zt[...] = Zt_rows
     np.multiply(Zt, inv_Zp, out=ratio)
-    np.multiply(Zp, np.divide(1.0, abs_Zp, out=abs_Zp), out=omega)
+    np.multiply(Zp, np.divide(_ONE, abs_Zp, out=abs_Zp), out=omega)
     kinds = ("deriv",) * (q + m) + ("hilbert",) * m + ("deriv",) * n_cap
     out = grid.multiply_symbol(stack[: q + 2 * m + n_cap], grid.symbol_table(kinds))
     Ztap, h_ratio, d_omega = out[q : q + m], out[q + m : q + 2 * m], out[q + 2 * m :]
-    k_ap = None if k_dev is None else out[0] + (1.0 + 1.0j)
+    k_ap = None if k_dev is None else np.add(out[0], _ONE_PLUS_I)
     b = ratio.real - h_ratio.real
 
     # round 2: D flux, H conj(Z_tap), H prod and D (I + H) curv_im, the
@@ -280,7 +298,7 @@ def _derive(grid, Zp, abs_Zp, Zt_rows, sigma, k_dev=None, fluxes=None):
     out = grid.multiply_symbol(stack, grid.symbol_table(kinds))
     flux_ap, h_Ztbar_ap, h_prod = out[:m], out[m : 2 * m], out[2 * m : 3 * m]
     np.multiply(Zt, h_Ztbar_ap, out=h_Ztbar_ap)
-    A1 = 1.0 - np.subtract(h_Ztbar_ap, h_prod, out=h_Ztbar_ap).imag
+    A1 = np.subtract(_ONE, np.subtract(h_Ztbar_ap, h_prod, out=h_Ztbar_ap).imag)
 
     Ztt = _ztt(A1, inv_Zp, sigma, out[3 * m :])
     if fluxes is None:
@@ -297,9 +315,9 @@ def _ztt(A1, inv_Zp, sigma, cap):
     capillary curvature term for the leading len(cap) rows, the capillary
     ones, and only those rows take the capillary term: neither part of
     i - x is ever -0.0, so adding a zero term would change no bit."""
-    Ztt = 1j * A1
+    Ztt = np.multiply(_I, A1)
     np.multiply(Ztt, inv_Zp, out=Ztt)
-    np.subtract(1j, Ztt, out=Ztt)
+    np.subtract(_I, Ztt, out=Ztt)
     for r, term in enumerate(cap):
         scaled = sigma[r] * inv_Zp[r]
         scaled *= term
@@ -325,6 +343,46 @@ def _rates(rates, b, Ztt, Ztap, k_ap=None):
     return rates
 
 
+def _stage(grid, sigma, tags, y, k_ap=None):
+    """The rates of the stack y of advance, a new array, and the drift b of
+    its m = len(sigma) states: every Z_ap row passes the |Z_ap| floor, the
+    error of row r starting with tags[r], before _derive of the stacked
+    rows writes the fluxes straight into the rates.  A map row after the 3m
+    rows of the states takes k_ap as its Jacobian row when given (stage 1
+    takes the maps' kept Jacobians); otherwise it joins round 1 of the
+    derive, which gives it 1 + D k_dev."""
+    m = len(sigma)
+    Zp = y[m : 2 * m]
+    abs_Zp = np.abs(Zp)
+    for min_r, tag in zip(abs_Zp.min(axis=-1).tolist(), tags):
+        _require_floor(min_r, tag)
+    k_dev = y[3 * m] if k_ap is None and len(y) > 3 * m else None
+    rates = np.empty_like(y)
+    b, _, _, Ztt, Ztap, _, _, *k_row = _derive(
+        grid, Zp, abs_Zp, y[2 * m : 3 * m], sigma, k_dev, rates[: 2 * m]
+    )
+    return _rates(rates, b, Ztt, Ztap, k_row[0] if k_row else k_ap), b
+
+
+def _first_stage(states, tags, y0, jac):
+    """Stage 1 of advance: the rates of its stack y0 of states, whose map
+    row, if any, has the Jacobian row jac, and the (m, n) drift b of the
+    states.  States that all keep their fields (a record, cfl_bound or
+    drive_pair derived them) take the rates from those fields; otherwise
+    the states are derived as one stack by _stage, as the later stages
+    are, and nothing is kept on them.  Each row is the same bytes either
+    way, as a row of _derive does not depend on the stack it rides in."""
+    if not all("derived" in vars(st) for st in states):
+        return _stage(states[0].grid, [st.sigma for st in states], tags, y0, jac)
+    m = len(states)
+    derived = [vars(st)["derived"] for st in states]
+    k1 = np.empty_like(y0)
+    for r, d in enumerate(derived):
+        k1[r], k1[m + r] = d.flux, d.flux_ap
+    b, Ztt, Ztap = (_stack([getattr(d, name) for d in derived]) for name in ("b", "Ztt", "Ztap"))
+    return _rates(k1, b, Ztt, Ztap, jac), b
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     dt_safety: float = 0.5
@@ -344,17 +402,17 @@ def cfl_bound(state):
     one that makes k_max + sigma k_max^3 negative, gives a NaN bound.
 
     b is the one that compute_derived keeps on the state; advance takes
-    the bound of each state it steps from the same fields (_cfl_bound).
+    the bound of each state it steps from the drift of its stage 1, the
+    same bytes (_cfl_bound).
     """
-    return _cfl_bound(state.grid, state.sigma, compute_derived(state).b)
+    return _cfl_bound(state.grid, state.sigma, float(np.abs(compute_derived(state).b).max()))
 
 
-def _cfl_bound(grid, sigma, b):
-    """cfl_bound of a state on grid with surface tension sigma and drift b:
-    max|b| is one reduction, and the rest is arithmetic on Python floats,
-    so a step's CFL check costs no transform and no numpy call on a
-    scalar."""
-    bmax = float(np.abs(b).max())
+def _cfl_bound(grid, sigma, bmax):
+    """cfl_bound of a state on grid with surface tension sigma and drift
+    b of max|b| = bmax, a Python float: the bound is arithmetic on Python
+    floats, so a step's CFL check costs one reduction of the drifts of all
+    its states and no numpy call on a scalar."""
     k_max = (TWO_PI / grid.length) * (grid.n // 2)
     disp2 = k_max + sigma * k_max ** 3
     # written so that a NaN drift or sigma gives a NaN bound
@@ -405,15 +463,17 @@ def rk4(y0, rhs, dt, k1):
     that expression order, written with out= into one stage buffer and over
     the rates k2 to k4 that rhs returns, so that a step allocates one array
     beyond those of rhs."""
-    h = 0.5 * dt
+    # the scalar operands as 0-d arrays of the dtype of y0, which numpy
+    # takes without resolving a Python scalar on each call
+    h, full, two, sixth = (np.array(c, y0.dtype) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     y = np.multiply(h, k1)
     k2 = rhs(np.add(y0, y, out=y))
     k3 = rhs(np.add(y0, np.multiply(h, k2, out=y), out=y))
-    k4 = rhs(np.add(y0, np.multiply(dt, k3, out=y), out=y))
-    acc = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
-    np.add(acc, np.multiply(2.0, k3, out=k3), out=acc)
+    k4 = rhs(np.add(y0, np.multiply(full, k3, out=y), out=y))
+    acc = np.add(k1, np.multiply(two, k2, out=k2), out=k2)
+    np.add(acc, np.multiply(two, k3, out=k3), out=acc)
     np.add(acc, k4, out=acc)
-    return np.add(y0, np.multiply(dt / 6.0, acc, out=acc), out=acc)
+    return np.add(y0, np.multiply(sixth, acc, out=acc), out=acc)
 
 
 def _finish(grid, y, m):
@@ -427,7 +487,7 @@ def _finish(grid, y, m):
     n, half = grid.n, grid.n // 2
     r = len(y)
     dealias, deriv = grid.symbol_table(("dealias", "deriv"))
-    y[m : 2 * m] -= 1.0
+    np.subtract(y[m : 2 * m], _ONE_C, out=y[m : 2 * m])
     # the spectra of the r rows, then room for those of the derivatives
     c = np.empty((2 * r - 3 * m, n), dtype=np.complex128)
     spectral._fft(y, out=c[:r])
@@ -444,7 +504,7 @@ def _finish(grid, y, m):
     if r > 3 * m:
         np.multiply(c[3 * m : r], deriv, out=c[r:])
     spectral._ifft(c, out=c)
-    c[m : 2 * m] += 1.0
+    np.add(c[m : 2 * m], _ONE_C, out=c[m : 2 * m])
     # the L2 norm sqrt(dx sum |f|^2) of a row f is sqrt(length sum |c|^2) / n
     sums *= grid.length
     norms = np.divide(np.sqrt(sums, out=sums), n, out=sums)
@@ -462,6 +522,13 @@ def advance(states, cfg, dt, maps=None, tags=None):
     k_a,dev + i k_b,dev.  rk4 combines the stages on that one array, and
     each stage's rates (_rates) come as one stack of the same rows.
 
+    Stage 1 (_first_stage) takes the rates from the fields that the
+    states keep when a record, cfl_bound or drive_pair has derived them
+    all.  Otherwise it derives the stack as stages 2 to 4 do (_stage,
+    which writes the fluxes of _derive straight into the rates) and keeps
+    nothing on the states: no DerivedFields is built for a state that is
+    only stepped from.  Both give the same bytes.
+
     A flow map moves by h_t = b o h, so its inverse obeys k_t + b k_ap = 0,
     which needs only fields on the grid: the deviation of map r moves at
     the rate -b_r (1 + D k_dev,r).  Stage 1 takes 1 + D k_dev from the
@@ -478,8 +545,8 @@ def advance(states, cfg, dt, maps=None, tags=None):
     rounding of the transform relative to the deviation.  The sizes that
     the holomorphicity check scales the masses by, the L2 norms of the new
     Z_ap - 1 and Z_t, come from the same spectrum by Parseval, and the CFL
-    check reads the drift b that the derive of stage 1 returns, so the
-    guards redo no work of the step.  The map row is only dealiased, and
+    check reads the drift b of stage 1, so the guards redo no work of the
+    step.  The map row is only dealiased, and
     the same inverse transform gives its derivative, D of the dealiased
     row: the products b k_ap alias like those of the states, and without
     the filter their debris piles up at the top modes of k over long runs.
@@ -509,46 +576,32 @@ def advance(states, cfg, dt, maps=None, tags=None):
                 f"{len(maps)} maps"
             )
         _require_one_grid(grid, maps)
+    _require_one_grid(grid, states)
     tags = ("",) * m if tags is None else tags
-    derived = derive_states(states, tags)
-    for st, d, tag in zip(states, derived, tags):
+
+    y0 = np.empty((3 * m + (maps is not None), n), dtype=np.complex128)
+    for r, st in enumerate(states):
+        y0[r], y0[m + r], y0[2 * m + r] = st.Zdev, st.Zp, st.Zt
+    jac = None
+    if maps is not None:
+        k_a, k_b = maps
+        y0[3 * m].real, y0[3 * m].imag = k_a.deviation, k_b.deviation
+        jac = np.empty(n, dtype=np.complex128)
+        jac.real, jac.imag = k_a.jac, k_b.jac
+    k1, b = _first_stage(states, tags, y0, jac)
+    bmax = np.abs(b).max(axis=-1).tolist()
+    for st, bmax_r, tag in zip(states, bmax, tags):
         # written so that a NaN dt fails too
         if not dt > 0.0:
             raise CFLViolationError(f"{tag}dt = {dt:.3e} is not positive")
-        bound = _cfl_bound(grid, st.sigma, d.b)
+        bound = _cfl_bound(grid, st.sigma, bmax_r)
         # written so that a NaN bound fails too
         if not dt <= cfg.dt_safety * bound * (1.0 + 1e-12):
             raise CFLViolationError(
                 f"{tag}dt = {dt:.3e} exceeds {cfg.dt_safety:.2f} * bound = "
                 f"{cfg.dt_safety * bound:.3e}"
             )
-
-    def rhs(y):
-        Zp = y[m : 2 * m]
-        abs_Zp = np.abs(Zp)
-        for min_r, tag in zip(abs_Zp.min(axis=-1).tolist(), tags):
-            _require_floor(min_r, tag)
-        k_dev = None if maps is None else y[3 * m]
-        rates = np.empty_like(y)
-        b, _, _, Ztt, Ztap, _, _, *k_ap = _derive(
-            grid, Zp, abs_Zp, y[2 * m : 3 * m], sigma, k_dev, rates[: 2 * m]
-        )
-        return _rates(rates, b, Ztt, Ztap, *k_ap)
-
-    # the rows of y0, and stage 1's rates from the kept fields
-    y0 = np.empty((3 * m + (maps is not None), n), dtype=np.complex128)
-    k1 = np.empty_like(y0)
-    for r, (st, d) in enumerate(zip(states, derived)):
-        y0[r], y0[m + r], y0[2 * m + r] = st.Zdev, st.Zp, st.Zt
-        k1[r], k1[m + r] = d.flux, d.flux_ap
-    kept = [_stack([getattr(d, name) for d in derived]) for name in ("b", "Ztt", "Ztap")]
-    if maps is not None:
-        k_a, k_b = maps
-        y0[3 * m].real, y0[3 * m].imag = k_a.deviation, k_b.deviation
-        jac = np.empty(n, dtype=np.complex128)
-        jac.real, jac.imag = k_a.jac, k_b.jac
-        kept.append(jac)
-    out, mass, size = _finish(grid, rk4(y0, rhs, dt, _rates(k1, *kept)), m)
+    out, mass, size = _finish(grid, rk4(y0, lambda y: _stage(grid, sigma, tags, y)[0], dt, k1), m)
 
     Zdev, Zp, Zt = out[:m], out[m : 2 * m], out[2 * m : 3 * m]
     min_abs = np.abs(Zp).min(axis=-1).tolist()
@@ -573,7 +626,7 @@ def advance(states, cfg, dt, maps=None, tags=None):
     if maps is None:
         return new, None
     dev, d_dev = out[3 * m :]
-    return new, ((dev.real, dev.imag), (d_dev.real + 1.0, d_dev.imag + 1.0))
+    return new, ((dev.real, dev.imag), (np.add(d_dev.real, _ONE), np.add(d_dev.imag, _ONE)))
 
 
 def step_rk4(state, cfg, dt):
@@ -587,21 +640,27 @@ def step_rk4(state, cfg, dt):
 def drive(x, step, cfg, dt, n_steps, record, record_every):
     """n_steps steps x = step(x, cfg, dt) of a state or a pair x, returning
     the last x; record(x) runs at the start, after every record_every-th
-    step and after the last.  Each step and each record runs inside
-    errors.at, so a CrestwaveError of a step names the step and the time it
-    started from, and one of a record names the record and its time.  A
+    step and after the last.  A CrestwaveError of a step names the step
+    and the time it started from, and one of a record names the record and
+    its time (errors.locate); the place is formatted only then.  A
     record_every below 1 raises ValueError before the first record."""
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
     def recorded(x):
-        with at(f"record at t = {x.time:.6g}"):
+        try:
             record(x)
+        except CrestwaveError as exc:
+            locate(exc, f"record at t = {x.time:.6g}")
+            raise
 
     recorded(x)
     for i in range(n_steps):
-        with at(f"step {i + 1} of {n_steps}, t = {x.time:.6g}"):
+        try:
             x = step(x, cfg, dt)
+        except CrestwaveError as exc:
+            locate(exc, f"step {i + 1} of {n_steps}, t = {x.time:.6g}")
+            raise
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             recorded(x)
     return x

@@ -508,6 +508,23 @@ def test_steps_leave_their_input_states_and_maps_as_they_were():
     assert same_bytes(arrays, before)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-2])
+def test_an_underived_state_steps_as_a_derived_copy_and_keeps_no_fields(sigma):
+    # stage 1 of a state that keeps no fields is a derive of its stack,
+    # which keeps nothing on it; a copy derived first takes stage 1 from
+    # its kept fields instead: both give the same bytes, step after step
+    st = random_smooth_state(make_grid(128), np.random.default_rng(43), sigma=sigma, amp=0.1)
+    cfg = StepperConfig()
+    dt = 0.4 * cfl_bound(replace(st))
+    for _ in range(3):
+        derived = replace(st)
+        compute_derived(derived)
+        new = step_rk4(st, cfg, dt)
+        assert "derived" not in vars(st)
+        assert same(new, step_rk4(derived, cfg, dt))
+        st = new
+
+
 @pytest.mark.parametrize("bad", [{"sigma": float("nan")}, {"sigma": float("inf")},
                                  {"time": float("nan")}, {"time": float("inf")}])
 def test_make_state_refuses_non_finite_sigma_or_time(bad):

@@ -22,7 +22,7 @@ _spec.loader.exec_module(layer_split)
 TARGETS = [(brackets.MonotoneMap, "preimage"), (SpectralGrid, "spread"),
            (energies, "_build_blocks"), (SpectralGrid, "_sup_seeds"), (SpectralGrid, "sup_norm"),
            (SpectralGrid, "l2_norm"), (SpectralGrid, "hhalf_norm"),
-           (evolution, "derive_states"), (evolution, "rk4"), (evolution, "_finish")]
+           (evolution, "_first_stage"), (evolution, "rk4"), (evolution, "_finish")]
 SMALL = {w.name: w for w in (
     replace(layer_split.WORKLOADS["pair_eps05"], n=64, epsilon=0.5),
     replace(layer_split.WORKLOADS["dispersion_n256"], n=32, k=2, periods=1.0))}
@@ -70,9 +70,16 @@ def test_every_layer_of_a_step_is_timed_and_unwrapped_after(name, step, monkeypa
     calls = []
     original = getattr(cw, step)
     monkeypatch.setattr(cw, step, lambda *args: calls.append(args) or original(*args))
+    # stage 1 runs from kept fields after the set-up's cfl_bound or a record,
+    # and from states that keep none after any other step: both are timed
+    kept = []
+    first_stage = evolution._first_stage
+    monkeypatch.setattr(evolution, "_first_stage", lambda states, *args: kept.append(
+        all("derived" in vars(st) for st in states)) or first_stage(states, *args))
     workload = SMALL[name]
     rows = _profile_and_unwrap(workload)["step"]
-    assert len(calls) == len(rows) == workload.setup(0)[3]
+    assert len(calls) == len(rows) == len(kept) == workload.setup(0)[3]
+    assert set(kept) == {True, False}
     assert _untimed(rows, layer_split.STEP_LAYERS) == []
     # the parts of a step are disjoint, so they take less than the step
     assert all(sum(raw[layer] for layer in layer_split.STEP_LAYERS[:-1]) < raw["step"]
